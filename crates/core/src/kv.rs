@@ -13,10 +13,14 @@
 //!   client-side key partitioning across independent instances — exactly
 //!   how the paper's §7 clients drove stock memcached).
 //!
-//! The contract is pipelined: `submit` queues an operation and returns a
-//! token; `poll_completions` is non-blocking and yields typed
-//! [`Completion`]s in whatever order the backend resolves them, each
-//! carrying its token.  `recommended_window` says how many operations to
+//! The contract is pipelined and batched: `submit` queues an operation
+//! client-side and returns a token; `poll_completions` pushes what is
+//! queued towards the backend — a whole batch per ring flush or socket
+//! write — and yields, without blocking, typed [`Completion`]s in
+//! whatever order the backend resolves them, each carrying its token.  A
+//! submit alone promises no progress: backends send early only once a
+//! buffer's worth has accumulated, so keep polling (or call the backend's
+//! own `flush`) while operations are pending.  `recommended_window` says how many operations to
 //! keep in flight (the paper's clients pipeline ~1,000, §6.1).  Blocking
 //! helpers (`get_blocking` & co.) are provided for non-pipelined callers —
 //! they drain the pipeline, so do not mix them with in-flight tokens you
@@ -99,7 +103,9 @@ pub trait KvClient {
     fn backend(&self) -> &'static str;
 
     /// Queue one operation; returns the token its [`Completion`] will
-    /// carry.  Never blocks (backlogged work is buffered client-side).
+    /// carry.  Never blocks: the operation is buffered client-side and
+    /// leaves with the next [`KvClient::poll_completions`] (earlier only
+    /// if the buffer fills).
     fn submit(&mut self, op: KvOp<'_>) -> u64;
 
     /// Push queued work towards the backend and collect available

@@ -19,7 +19,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use cphash_kvproto::{
     encode_hello, encode_op, envelope, parse_hello, ErrCode, OpFrame, OpKind, ReplyDecoder,
     ResponseDecoder, Status, WireKey, HELLO_BYTES, VERSION_1, VERSION_2,
@@ -30,6 +30,12 @@ use crate::kv::{KeyRef, KvClient, KvError, KvOp};
 
 /// Default pipelined-window recommendation for remote backends.
 const DEFAULT_WINDOW: usize = 256;
+
+/// Queued request bytes past which `submit` sends without waiting for the
+/// next poll: a socket send buffer's worth, so a caller that submits far
+/// more than a window between polls neither grows `outgoing` without bound
+/// nor leaves the server idle until it finally polls.
+const FLUSH_THRESHOLD: usize = 16 * 1024;
 
 /// How long to wait for the server's HELLO-ACK before giving up on the
 /// connection attempt (a v1 server answers faster than this: it *closes*).
@@ -44,6 +50,14 @@ struct PendingRemote {
 }
 
 /// A [`KvClient`] over one TCP connection speaking kvproto.
+///
+/// Like the in-process [`crate::ClientHandle`], it batches: `submit` only
+/// encodes the request into a client-side buffer, and the buffered bytes
+/// leave in one `write` at the next `poll_completions` (or blocking
+/// helper), at an explicit [`RemoteClient::flush`], or as soon as
+/// [`FLUSH_THRESHOLD`] bytes are queued.  A pipelined batch therefore
+/// costs one syscall, not one per operation — and a caller that submits
+/// and never polls or flushes sends nothing.
 pub struct RemoteClient {
     stream: TcpStream,
     version: u8,
@@ -56,7 +70,6 @@ pub struct RemoteClient {
     immediate: VecDeque<Completion>,
     next_token: u64,
     window: usize,
-    read_buf: Vec<u8>,
     dead: Option<ErrorKind>,
     retries: u64,
 }
@@ -106,14 +119,13 @@ impl RemoteClient {
         Ok(RemoteClient {
             stream,
             version,
-            outgoing: BytesMut::with_capacity(16 * 1024),
+            outgoing: BytesMut::with_capacity(FLUSH_THRESHOLD),
             reply_decoder: ReplyDecoder::new(),
             v1_decoder: ResponseDecoder::new(),
             pending: VecDeque::new(),
             immediate: VecDeque::new(),
             next_token: 1,
             window: DEFAULT_WINDOW,
-            read_buf: vec![0u8; 64 * 1024],
             dead: None,
             retries: 0,
         })
@@ -171,14 +183,15 @@ impl RemoteClient {
         }
     }
 
-    /// Write queued bytes until the socket would block.
-    fn flush_outgoing(&mut self) {
+    /// Send every queued request now instead of at the next poll — useful
+    /// before a quiet period, or when another thread collects the replies.
+    /// Mirrors [`crate::ClientHandle::flush`].  Bytes the socket will not
+    /// take yet stay queued for the next flush or poll.
+    pub fn flush(&mut self) {
         while !self.outgoing.is_empty() && self.dead.is_none() {
             match self.stream.write(&self.outgoing) {
                 Ok(0) => self.dead = Some(ErrorKind::WriteZero),
-                Ok(n) => {
-                    let _ = self.outgoing.split_to(n);
-                }
+                Ok(n) => self.outgoing.advance(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => self.dead = Some(e.kind()),
@@ -186,18 +199,28 @@ impl RemoteClient {
         }
     }
 
-    /// Read available bytes into the right decoder.
+    /// Queue the wire bytes for a logical op, sending them only once a
+    /// buffer's worth has accumulated.
+    fn enqueue(&mut self, frame: &OpFrame) {
+        self.encode_for_wire(frame);
+        if self.outgoing.len() >= FLUSH_THRESHOLD {
+            self.flush();
+        }
+    }
+
+    /// Read available bytes straight into the right decoder's buffer,
+    /// stopping at the first read that did not fill the space offered.
     fn pump_reads(&mut self) {
         while self.dead.is_none() {
-            match self.stream.read(&mut self.read_buf) {
-                Ok(0) => self.dead = Some(ErrorKind::UnexpectedEof),
-                Ok(n) => {
-                    if self.version >= VERSION_2 {
-                        self.reply_decoder.feed(&self.read_buf[..n]);
-                    } else {
-                        self.v1_decoder.feed(&self.read_buf[..n]);
-                    }
-                }
+            let read = if self.version >= VERSION_2 {
+                self.reply_decoder.read_from(&mut self.stream)
+            } else {
+                self.v1_decoder.read_from(&mut self.stream)
+            };
+            match read {
+                Ok((0, _)) => self.dead = Some(ErrorKind::UnexpectedEof),
+                Ok((_, true)) => {}
+                Ok((_, false)) => break,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => self.dead = Some(e.kind()),
@@ -210,7 +233,7 @@ impl RemoteClient {
         let mut produced = 0usize;
         loop {
             if self.version >= VERSION_2 {
-                let reply = match self.reply_decoder.next_reply() {
+                let reply = match self.reply_decoder.next_reply_ref() {
                     Ok(Some(reply)) => reply,
                     Ok(None) => break,
                     Err(_) => {
@@ -219,10 +242,11 @@ impl RemoteClient {
                     }
                 };
                 // Hint the value bytes as early as possible: the copy into
-                // a `ValueBytes` below reads every line of the payload, and
-                // large replies sit in decoder-buffer memory the hot path
+                // a `ValueBytes` below — the only copy a hit's value gets,
+                // straight out of the receive buffer — reads every line of
+                // the payload, and large replies sit in memory the hot path
                 // has not touched since the socket read landed it.
-                prefetch_value_lines(&reply.value);
+                prefetch_value_lines(reply.value);
                 let Some(pending) = self.pending.pop_front() else {
                     // A reply with nothing pending: protocol desync.
                     self.dead = Some(ErrorKind::InvalidData);
@@ -237,7 +261,7 @@ impl RemoteClient {
                 }
                 let kind = match (pending.frame.kind, reply.status) {
                     (OpKind::Lookup, Status::Ok) => {
-                        CompletionKind::LookupHit(ValueBytes::from_slice(&reply.value))
+                        CompletionKind::LookupHit(ValueBytes::from_slice(reply.value))
                     }
                     (OpKind::Lookup, Status::Miss) => CompletionKind::LookupMiss,
                     (OpKind::Insert, Status::Ok) => CompletionKind::Inserted,
@@ -249,7 +273,7 @@ impl RemoteClient {
                     // Admin replies surface their payload as a hit; only
                     // the blocking admin paths submit resizes and stats.
                     (OpKind::Resize, Status::Ok) | (OpKind::Stats, Status::Ok) => {
-                        CompletionKind::LookupHit(ValueBytes::from_slice(&reply.value))
+                        CompletionKind::LookupHit(ValueBytes::from_slice(reply.value))
                     }
                     (_, Status::Err) => CompletionKind::Failed(reply.code.into()),
                     _ => CompletionKind::Failed(OpError::Internal),
@@ -346,8 +370,7 @@ impl KvClient for RemoteClient {
                     return token;
                 }
                 OpKind::Insert => {
-                    self.encode_for_wire(&frame);
-                    self.flush_outgoing();
+                    self.enqueue(&frame);
                     self.immediate.push_back(Completion {
                         token,
                         kind: CompletionKind::Inserted,
@@ -357,9 +380,8 @@ impl KvClient for RemoteClient {
                 _ => {}
             }
         }
-        self.encode_for_wire(&frame);
+        self.enqueue(&frame);
         self.pending.push_back(PendingRemote { token, frame });
-        self.flush_outgoing();
         token
     }
 
@@ -369,12 +391,12 @@ impl KvClient for RemoteClient {
             out.push(c);
             produced += 1;
         }
-        self.flush_outgoing();
+        self.flush();
         self.pump_reads();
         produced += self.resolve_replies(out);
         // A retry resubmission queued above should leave this poll's
         // process, not wait for the next one.
-        self.flush_outgoing();
+        self.flush();
         produced
     }
 
@@ -525,5 +547,150 @@ impl KvClient for PartitionedClient {
 
     fn is_alive(&self) -> bool {
         self.shards.iter().all(|s| s.is_alive())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cphash_kvproto::frame::REQUEST_HEADER_BYTES;
+    use cphash_kvproto::{encode_reply, Reply};
+    use std::net::TcpListener;
+
+    /// Size of a v2 hash-key lookup on the wire.
+    const LOOKUP_BYTES: usize = 16;
+
+    /// A v2 client plus the server's end of its connection, handshake done.
+    fn connected_pair() -> (RemoteClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut hello = [0u8; HELLO_BYTES];
+            stream.read_exact(&mut hello).unwrap();
+            assert_eq!(parse_hello(&hello).unwrap(), VERSION_2);
+            stream.write_all(&hello).unwrap();
+            stream
+        });
+        let client = RemoteClient::connect(addr).unwrap();
+        let stream = server.join().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(client.protocol_version(), VERSION_2);
+        (client, stream)
+    }
+
+    /// Bytes waiting on `stream` right now (loopback delivers within the
+    /// sender's `write`, so nothing later means nothing was sent).
+    fn waiting_bytes(stream: &mut TcpStream) -> usize {
+        std::thread::sleep(Duration::from_millis(20));
+        stream.set_nonblocking(true).unwrap();
+        let mut total = 0;
+        let mut buf = [0u8; 4096];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => panic!("client closed the connection"),
+                Ok(n) => total += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => panic!("read failed: {e}"),
+            }
+        }
+        stream.set_nonblocking(false).unwrap();
+        total
+    }
+
+    #[test]
+    fn submits_stay_buffered_until_flush_poll_or_threshold() {
+        let (mut client, mut server) = connected_pair();
+        for key in 0..100 {
+            client.submit(KvOp::Get(KeyRef::Hash(key)));
+        }
+        assert_eq!(client.pending_ops(), 100);
+        assert_eq!(waiting_bytes(&mut server), 0, "submit must not send");
+
+        // An explicit flush sends without polling...
+        client.flush();
+        let mut batch = vec![0u8; 100 * LOOKUP_BYTES];
+        server.read_exact(&mut batch).unwrap();
+        // ... and so does a poll.
+        client.submit(KvOp::Get(KeyRef::Hash(100)));
+        let mut out = Vec::new();
+        assert_eq!(client.poll_completions(&mut out), 0);
+        server.read_exact(&mut batch[..LOOKUP_BYTES]).unwrap();
+        assert_eq!(waiting_bytes(&mut server), 0);
+
+        // Past the threshold a submit sends what has accumulated, so the
+        // buffer stays bounded however long the caller goes without polling:
+        // the submit that reaches it sends everything queued so far, and
+        // what follows waits again.
+        let until_threshold = FLUSH_THRESHOLD / LOOKUP_BYTES;
+        for key in 0..until_threshold as u64 + 50 {
+            client.submit(KvOp::Get(KeyRef::Hash(key)));
+        }
+        assert_eq!(waiting_bytes(&mut server), FLUSH_THRESHOLD);
+        assert_eq!(client.pending_ops(), 101 + until_threshold + 50);
+    }
+
+    #[test]
+    fn retry_resubmission_leaves_in_the_same_poll() {
+        let (mut client, mut server) = connected_pair();
+        let token = client.submit(KvOp::Get(KeyRef::Hash(7)));
+        client.flush();
+        let mut request = [0u8; LOOKUP_BYTES];
+        server.read_exact(&mut request).unwrap();
+
+        let mut wire = BytesMut::new();
+        encode_reply(&mut wire, &Reply::retry());
+        server.write_all(&wire).unwrap();
+        // The poll that sees the Retry re-sends the request itself.
+        let mut out = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while client.retries() == 0 && std::time::Instant::now() < deadline {
+            assert_eq!(client.poll_completions(&mut out), 0);
+        }
+        assert_eq!(client.retries(), 1);
+        let mut again = [0u8; LOOKUP_BYTES];
+        server.read_exact(&mut again).unwrap();
+        assert_eq!(again, request);
+
+        wire.clear();
+        encode_reply(&mut wire, &Reply::ok_value(b"seven".to_vec()));
+        server.write_all(&wire).unwrap();
+        client.drain_completions(&mut out).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].token, token);
+        assert_eq!(
+            out[0].kind,
+            CompletionKind::LookupHit(ValueBytes::from_slice(b"seven"))
+        );
+    }
+
+    #[test]
+    fn v1_inserts_stay_fire_and_forget() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = RemoteClient::connect_capped(listener.local_addr().unwrap(), 1).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        assert_eq!(client.protocol_version(), VERSION_1);
+
+        // No reply will ever come for a v1 insert (or the delete v1 cannot
+        // express): both complete client-side at the next poll, which is
+        // also when the insert's bytes leave.
+        let insert = client.submit(KvOp::Insert(KeyRef::Hash(5), b"five"));
+        let delete = client.submit(KvOp::Delete(KeyRef::Hash(5)));
+        assert_eq!(client.pending_ops(), 2);
+        assert_eq!(waiting_bytes(&mut server), 0);
+        let mut out = Vec::new();
+        assert_eq!(client.poll_completions(&mut out), 2);
+        assert_eq!(client.pending_ops(), 0);
+        assert_eq!(
+            (out[0].token, &out[0].kind),
+            (insert, &CompletionKind::Inserted)
+        );
+        assert_eq!(
+            (out[1].token, &out[1].kind),
+            (delete, &CompletionKind::Failed(OpError::Unsupported))
+        );
+        assert_eq!(waiting_bytes(&mut server), REQUEST_HEADER_BYTES + 4);
     }
 }

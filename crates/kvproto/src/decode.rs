@@ -5,15 +5,31 @@
 //! delivers and must handle frames that arrive split across reads.  The
 //! decoders here consume from a growable byte buffer and yield complete
 //! frames as they become available.
+//!
+//! There is one parser per direction, and it is *borrowed*:
+//! [`ServerDecoder::next_event_ref`] and [`ReplyDecoder::next_reply_ref`]
+//! yield key and value slices of the receive buffer, so a pipelined buffer
+//! decodes in time linear in its bytes and without touching the heap.  The
+//! owned `next_event` / `next_reply` / `drain` are thin copies on top, and
+//! `read_from` lets a socket fill the buffer directly.
+//
+// cphash-lint: hot-path
+
+use std::io::{self, Read};
 
 use bytes::{Buf, BytesMut};
 
 use crate::frame::{Request, RequestKind, Response, REQUEST_HEADER_BYTES, RESPONSE_HEADER_BYTES};
 use crate::v2::{
-    OpFrame, OpKind, Reply, Status, WireKey, FLAG_BYTE_KEY, HELLO_BYTES, OP_HEADER_BYTES,
-    REPLY_HEADER_BYTES, VERSION_1, VERSION_2,
+    ErrCode, OpFrame, OpKind, Reply, Status, WireKeyRef, FLAG_BYTE_KEY, HELLO_BYTES,
+    OP_HEADER_BYTES, REPLY_HEADER_BYTES, VERSION_1, VERSION_2,
 };
 use crate::{MAX_KEY, MAX_VALUE_BYTES};
+
+/// Least spare capacity a decoder offers a socket read: one page, so an
+/// idle connection holds 4 KiB.  A read that fills it makes the buffer
+/// double, so a connection that pipelines deeply gets large reads.
+const MIN_READ_SPARE: usize = 4096;
 
 /// Why decoding failed (the connection should be dropped).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +66,50 @@ impl core::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+fn le_u16(bytes: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes([bytes[at], bytes[at + 1]])
+}
+
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+}
+
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    (le_u32(bytes, at) as u64) | ((le_u32(bytes, at + 4) as u64) << 32)
+}
+
+/// A v1 request in place: kind, key, and the value as a slice of the
+/// receive buffer.
+type V1RequestRef<'a> = (RequestKind, u64, &'a [u8]);
+
+/// Take the next complete v1 request off `buffer`, borrowing its value.
+/// The one v1 request parser, shared by [`RequestDecoder`] and
+/// [`ServerDecoder`].
+fn v1_request_ref(buffer: &mut BytesMut) -> Result<Option<V1RequestRef<'_>>, DecodeError> {
+    // Validate the opcode as soon as it is buffered, before waiting for
+    // the rest of the header: a v2 client probing with HELLO (4 bytes,
+    // leading 0xCF) must be rejected immediately, not after its
+    // handshake timeout expires waiting for byte 13.
+    let Some(&opcode) = buffer.first() else {
+        return Ok(None);
+    };
+    let kind = RequestKind::from_byte(opcode).ok_or(DecodeError::BadOpcode(opcode))?;
+    if buffer.len() < REQUEST_HEADER_BYTES {
+        return Ok(None);
+    }
+    let key = le_u64(buffer, 1);
+    let size = le_u32(buffer, 9) as usize;
+    if size > MAX_VALUE_BYTES {
+        return Err(DecodeError::ValueTooLarge(size as u64));
+    }
+    let body = if kind == RequestKind::Insert { size } else { 0 };
+    if buffer.len() < REQUEST_HEADER_BYTES + body {
+        return Ok(None);
+    }
+    let frame = buffer.consume(REQUEST_HEADER_BYTES + body);
+    Ok(Some((kind, key, &frame[REQUEST_HEADER_BYTES..])))
+}
+
 /// Streaming decoder for request frames (server side).
 #[derive(Debug, Default)]
 pub struct RequestDecoder {
@@ -77,30 +137,14 @@ impl RequestDecoder {
     /// Try to decode the next complete request.  `Ok(None)` means more bytes
     /// are needed.
     pub fn next_request(&mut self) -> Result<Option<Request>, DecodeError> {
-        // Validate the opcode as soon as it is buffered, before waiting for
-        // the rest of the header: a v2 client probing with HELLO (4 bytes,
-        // leading 0xCF) must be rejected immediately, not after its
-        // handshake timeout expires waiting for byte 13.
-        let Some(&opcode) = self.buffer.first() else {
-            return Ok(None);
-        };
-        let kind = RequestKind::from_byte(opcode).ok_or(DecodeError::BadOpcode(opcode))?;
-        if self.buffer.len() < REQUEST_HEADER_BYTES {
-            return Ok(None);
-        }
-        let key = u64::from_le_bytes(self.buffer[1..9].try_into().expect("header present"));
-        let size =
-            u32::from_le_bytes(self.buffer[9..13].try_into().expect("header present")) as usize;
-        if size > MAX_VALUE_BYTES {
-            return Err(DecodeError::ValueTooLarge(size as u64));
-        }
-        let body = if kind == RequestKind::Insert { size } else { 0 };
-        if self.buffer.len() < REQUEST_HEADER_BYTES + body {
-            return Ok(None);
-        }
-        self.buffer.advance(REQUEST_HEADER_BYTES);
-        let value = self.buffer.split_to(body).to_vec();
-        Ok(Some(Request { kind, key, value }))
+        Ok(
+            v1_request_ref(&mut self.buffer)?.map(|(kind, key, value)| Request {
+                kind,
+                key,
+                // lint: allow(hot-path) — owned v1 API for tests and benches
+                value: value.to_vec(),
+            }),
+        )
     }
 
     /// Decode every complete request currently buffered.
@@ -132,14 +176,20 @@ impl ResponseDecoder {
         self.buffer.extend_from_slice(bytes);
     }
 
+    /// Read once from `reader` straight into the decode buffer.  Returns
+    /// the bytes read and whether the read filled the space offered (if it
+    /// did not, the reader had no more).
+    pub fn read_from<R: Read>(&mut self, reader: &mut R) -> io::Result<(usize, bool)> {
+        self.buffer.read_from(reader, MIN_READ_SPARE)
+    }
+
     /// Try to decode the next complete response.  `Ok(None)` means more
     /// bytes are needed.
     pub fn next_response(&mut self) -> Result<Option<Response>, DecodeError> {
         if self.buffer.len() < RESPONSE_HEADER_BYTES {
             return Ok(None);
         }
-        let size =
-            u32::from_le_bytes(self.buffer[0..4].try_into().expect("header present")) as usize;
+        let size = le_u32(&self.buffer, 0) as usize;
         if size > MAX_VALUE_BYTES {
             return Err(DecodeError::ValueTooLarge(size as u64));
         }
@@ -147,9 +197,10 @@ impl ResponseDecoder {
             return Ok(None);
         }
         self.buffer.advance(RESPONSE_HEADER_BYTES);
-        let value = self.buffer.split_to(size).to_vec();
+        let value = self.buffer.consume(size);
         Ok(Some(Response {
-            value: if size == 0 { None } else { Some(value) },
+            // lint: allow(hot-path) — owned v1 API (legacy clients, tests)
+            value: (size != 0).then(|| value.to_vec()),
         }))
     }
 }
@@ -178,6 +229,60 @@ pub struct ServerOp {
     /// v1 INSERTs are fire-and-forget ("the server silently performs INSERT
     /// requests", §4.1).
     pub wants_response: bool,
+}
+
+/// A [`ServerEvent`] whose request borrows the decoder's receive buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServerEventRef<'a> {
+    /// See [`ServerEvent::Hello`].
+    Hello {
+        /// The version the client asked for.
+        requested: u8,
+    },
+    /// A complete request.
+    Op(ServerOpRef<'a>),
+}
+
+impl ServerEventRef<'_> {
+    /// Copy into an owned [`ServerEvent`].
+    pub fn into_owned(self) -> ServerEvent {
+        match self {
+            ServerEventRef::Hello { requested } => ServerEvent::Hello { requested },
+            ServerEventRef::Op(op) => ServerEvent::Op(op.into_owned()),
+        }
+    }
+}
+
+/// A [`ServerOp`] by reference: key and value are slices of the decoder's
+/// receive buffer, valid until the decoder is next touched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerOpRef<'a> {
+    /// What to do.
+    pub kind: OpKind,
+    /// Which key.
+    pub key: WireKeyRef<'a>,
+    /// Value bytes (inserts only; empty otherwise).
+    pub value: &'a [u8],
+    /// See [`ServerOp::wants_response`].
+    pub wants_response: bool,
+    /// The framing the request arrived in ([`VERSION_1`] or
+    /// [`VERSION_2`]) — which is also the framing its reply must use.
+    pub wire_version: u8,
+}
+
+impl ServerOpRef<'_> {
+    /// Copy into an owned [`ServerOp`].
+    pub fn into_owned(self) -> ServerOp {
+        ServerOp {
+            frame: OpFrame {
+                kind: self.kind,
+                key: self.key.into_owned(),
+                // lint: allow(hot-path) — the owned API copies by definition
+                value: self.value.to_vec(),
+            },
+            wants_response: self.wants_response,
+        }
+    }
 }
 
 /// Which framing a connection speaks.
@@ -216,7 +321,7 @@ impl ServerDecoder {
     /// New decoder in detection state.
     pub fn new() -> Self {
         ServerDecoder {
-            buffer: BytesMut::with_capacity(4096),
+            buffer: BytesMut::with_capacity(MIN_READ_SPARE),
             mode: WireMode::Detect,
             hello_seen: false,
         }
@@ -225,6 +330,13 @@ impl ServerDecoder {
     /// Feed freshly received bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buffer.extend_from_slice(bytes);
+    }
+
+    /// Read once from `reader` straight into the decode buffer.  Returns
+    /// the bytes read and whether the read filled the space offered (if it
+    /// did not, the reader had no more).
+    pub fn read_from<R: Read>(&mut self, reader: &mut R) -> io::Result<(usize, bool)> {
+        self.buffer.read_from(reader, MIN_READ_SPARE)
     }
 
     /// Bytes buffered but not yet consumed.
@@ -252,43 +364,67 @@ impl ServerDecoder {
         };
     }
 
+    /// Let the first buffered byte decide the framing.
+    fn detect(&mut self) -> Result<(), DecodeError> {
+        if self.mode == WireMode::Detect {
+            if let Some(&first) = self.buffer.first() {
+                self.mode = if first == crate::v2::MAGIC[0] {
+                    WireMode::V2
+                } else if RequestKind::from_byte(first).is_some() {
+                    WireMode::V1
+                } else {
+                    return Err(DecodeError::BadOpcode(first));
+                };
+            }
+        }
+        Ok(())
+    }
+
+    /// Consume the connection's one-time HELLO if it is what comes next,
+    /// returning the version the client asked for.  `Ok(None)` means the
+    /// next thing buffered (if anything) is not a complete handshake.
+    pub fn take_hello(&mut self) -> Result<Option<u8>, DecodeError> {
+        self.detect()?;
+        if self.mode != WireMode::V2 || self.hello_seen || self.buffer.len() < HELLO_BYTES {
+            return Ok(None);
+        }
+        let hello = [
+            self.buffer[0],
+            self.buffer[1],
+            self.buffer[2],
+            self.buffer[3],
+        ];
+        let requested = crate::v2::parse_hello(&hello)?;
+        self.buffer.advance(HELLO_BYTES);
+        self.hello_seen = true;
+        Ok(Some(requested))
+    }
+
+    /// Try to decode the next request, borrowing key and value from the
+    /// receive buffer.  `Ok(None)` means more bytes are needed — or that a
+    /// handshake comes first, which [`ServerDecoder::take_hello`] consumes.
+    pub fn next_op_ref(&mut self) -> Result<Option<ServerOpRef<'_>>, DecodeError> {
+        self.detect()?;
+        match self.mode {
+            WireMode::V1 => self.next_v1_ref(),
+            WireMode::V2 if self.hello_seen => self.next_v2_ref(),
+            WireMode::V2 | WireMode::Detect => Ok(None),
+        }
+    }
+
+    /// Try to decode the next event without copying it out of the receive
+    /// buffer.  `Ok(None)` means more bytes are needed.
+    pub fn next_event_ref(&mut self) -> Result<Option<ServerEventRef<'_>>, DecodeError> {
+        if let Some(requested) = self.take_hello()? {
+            return Ok(Some(ServerEventRef::Hello { requested }));
+        }
+        Ok(self.next_op_ref()?.map(ServerEventRef::Op))
+    }
+
     /// Try to decode the next event.  `Ok(None)` means more bytes are
     /// needed.
     pub fn next_event(&mut self) -> Result<Option<ServerEvent>, DecodeError> {
-        loop {
-            match self.mode {
-                WireMode::Detect => {
-                    let Some(&first) = self.buffer.first() else {
-                        return Ok(None);
-                    };
-                    if first == crate::v2::MAGIC[0] {
-                        self.mode = WireMode::V2;
-                    } else if RequestKind::from_byte(first).is_some() {
-                        self.mode = WireMode::V1;
-                    } else {
-                        return Err(DecodeError::BadOpcode(first));
-                    }
-                }
-                WireMode::V1 => {
-                    return Ok(self.next_v1()?.map(ServerEvent::Op));
-                }
-                WireMode::V2 => {
-                    if !self.hello_seen {
-                        if self.buffer.len() < HELLO_BYTES {
-                            return Ok(None);
-                        }
-                        let hello: [u8; HELLO_BYTES] = self.buffer[..HELLO_BYTES]
-                            .try_into()
-                            .expect("length checked");
-                        let requested = crate::v2::parse_hello(&hello)?;
-                        self.buffer.advance(HELLO_BYTES);
-                        self.hello_seen = true;
-                        return Ok(Some(ServerEvent::Hello { requested }));
-                    }
-                    return Ok(self.next_v2()?.map(ServerEvent::Op));
-                }
-            }
-        }
+        Ok(self.next_event_ref()?.map(ServerEventRef::into_owned))
     }
 
     /// Decode every complete event currently buffered.
@@ -300,56 +436,35 @@ impl ServerDecoder {
         Ok(out.len() - before)
     }
 
-    fn next_v1(&mut self) -> Result<Option<ServerOp>, DecodeError> {
-        if self.buffer.len() < REQUEST_HEADER_BYTES {
+    fn next_v1_ref(&mut self) -> Result<Option<ServerOpRef<'_>>, DecodeError> {
+        let Some((kind, key, value)) = v1_request_ref(&mut self.buffer)? else {
             return Ok(None);
-        }
-        let opcode = self.buffer[0];
-        let kind = RequestKind::from_byte(opcode).ok_or(DecodeError::BadOpcode(opcode))?;
-        let key = u64::from_le_bytes(self.buffer[1..9].try_into().expect("header present"));
-        let size =
-            u32::from_le_bytes(self.buffer[9..13].try_into().expect("header present")) as usize;
-        if size > MAX_VALUE_BYTES {
-            return Err(DecodeError::ValueTooLarge(size as u64));
-        }
-        let body = if kind == RequestKind::Insert { size } else { 0 };
-        if self.buffer.len() < REQUEST_HEADER_BYTES + body {
-            return Ok(None);
-        }
-        self.buffer.advance(REQUEST_HEADER_BYTES);
-        let value = self.buffer.split_to(body).to_vec();
+        };
         let (kind, wants_response) = match kind {
             RequestKind::Lookup => (OpKind::Lookup, true),
             RequestKind::Insert => (OpKind::Insert, false),
             RequestKind::Resize => (OpKind::Resize, true),
         };
-        Ok(Some(ServerOp {
-            frame: OpFrame {
-                kind,
-                // RESIZE keys pack partitions+pacing and must not be masked.
-                key: WireKey::Hash(if kind == OpKind::Resize {
-                    key
-                } else {
-                    key & MAX_KEY
-                }),
-                value,
-            },
+        Ok(Some(ServerOpRef {
+            kind,
+            key: WireKeyRef::Hash(unmasked_unless_data(kind, key)),
+            value,
             wants_response,
+            wire_version: VERSION_1,
         }))
     }
 
-    fn next_v2(&mut self) -> Result<Option<ServerOp>, DecodeError> {
-        if self.buffer.len() < OP_HEADER_BYTES {
+    fn next_v2_ref(&mut self) -> Result<Option<ServerOpRef<'_>>, DecodeError> {
+        let buffered = &self.buffer[..];
+        if buffered.len() < OP_HEADER_BYTES {
             return Ok(None);
         }
-        let opcode = self.buffer[0];
+        let opcode = buffered[0];
         let kind = OpKind::from_byte(opcode).ok_or(DecodeError::BadOpcode(opcode))?;
-        let flags = self.buffer[1];
-        let key_len =
-            u16::from_le_bytes(self.buffer[2..4].try_into().expect("header present")) as usize;
-        let val_len =
-            u32::from_le_bytes(self.buffer[4..8].try_into().expect("header present")) as usize;
-        let key_field = u64::from_le_bytes(self.buffer[8..16].try_into().expect("header present"));
+        let flags = buffered[1];
+        let key_len = le_u16(buffered, 2) as usize;
+        let val_len = le_u32(buffered, 4) as usize;
+        let key_field = le_u64(buffered, 8);
         if val_len > MAX_VALUE_BYTES {
             return Err(DecodeError::ValueTooLarge(val_len as u64));
         }
@@ -363,25 +478,58 @@ impl ServerDecoder {
         {
             return Err(DecodeError::Malformed);
         }
-        if self.buffer.len() < OP_HEADER_BYTES + key_len + val_len {
+        let total = OP_HEADER_BYTES + key_len + val_len;
+        if buffered.len() < total {
             return Ok(None);
         }
-        self.buffer.advance(OP_HEADER_BYTES);
-        let key = if byte_key {
-            WireKey::Bytes(self.buffer.split_to(key_len).to_vec())
-        } else {
-            // RESIZE keys pack partitions+pacing and must not be masked.
-            WireKey::Hash(if kind == OpKind::Resize {
-                key_field
+        // Everything handed out below is a slice of this one frame, so a
+        // lying length field can never expose a neighbour's bytes.
+        let frame = self.buffer.consume(total);
+        let (key_bytes, value) = frame[OP_HEADER_BYTES..].split_at(key_len);
+        Ok(Some(ServerOpRef {
+            kind,
+            key: if byte_key {
+                WireKeyRef::Bytes(key_bytes)
             } else {
-                key_field & MAX_KEY
-            })
-        };
-        let value = self.buffer.split_to(val_len).to_vec();
-        Ok(Some(ServerOp {
-            frame: OpFrame { kind, key, value },
+                WireKeyRef::Hash(unmasked_unless_data(kind, key_field))
+            },
+            value,
             wants_response: true,
+            wire_version: VERSION_2,
         }))
+    }
+}
+
+/// Data operations carry 60-bit hash keys; RESIZE keys pack partitions +
+/// pacing and must not be masked.
+fn unmasked_unless_data(kind: OpKind, key: u64) -> u64 {
+    if kind == OpKind::Resize {
+        key
+    } else {
+        key & MAX_KEY
+    }
+}
+
+/// A [`Reply`] whose value borrows the decoder's receive buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplyRef<'a> {
+    /// What happened.
+    pub status: Status,
+    /// Why it failed (`ErrCode::None` unless `status == Err`).
+    pub code: ErrCode,
+    /// Value bytes (lookup hits; error / admin status messages).
+    pub value: &'a [u8],
+}
+
+impl ReplyRef<'_> {
+    /// Copy into an owned [`Reply`].
+    pub fn into_owned(self) -> Reply {
+        Reply {
+            status: self.status,
+            code: self.code,
+            // lint: allow(hot-path) — the owned API copies by definition
+            value: self.value.to_vec(),
+        }
     }
 }
 
@@ -395,7 +543,7 @@ impl ReplyDecoder {
     /// New empty decoder.
     pub fn new() -> Self {
         ReplyDecoder {
-            buffer: BytesMut::with_capacity(4096),
+            buffer: BytesMut::with_capacity(MIN_READ_SPARE),
         }
     }
 
@@ -404,35 +552,46 @@ impl ReplyDecoder {
         self.buffer.extend_from_slice(bytes);
     }
 
+    /// Read once from `reader` straight into the decode buffer.  Returns
+    /// the bytes read and whether the read filled the space offered (if it
+    /// did not, the reader had no more).
+    pub fn read_from<R: Read>(&mut self, reader: &mut R) -> io::Result<(usize, bool)> {
+        self.buffer.read_from(reader, MIN_READ_SPARE)
+    }
+
     /// Bytes buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
     }
 
-    /// Try to decode the next complete reply.  `Ok(None)` means more bytes
-    /// are needed.
-    pub fn next_reply(&mut self) -> Result<Option<Reply>, DecodeError> {
-        if self.buffer.len() < REPLY_HEADER_BYTES {
+    /// Try to decode the next complete reply, borrowing its value from the
+    /// receive buffer.  `Ok(None)` means more bytes are needed.
+    pub fn next_reply_ref(&mut self) -> Result<Option<ReplyRef<'_>>, DecodeError> {
+        let buffered = &self.buffer[..];
+        if buffered.len() < REPLY_HEADER_BYTES {
             return Ok(None);
         }
-        let status =
-            Status::from_byte(self.buffer[0]).ok_or(DecodeError::BadStatus(self.buffer[0]))?;
-        let code = crate::v2::ErrCode::from_byte(self.buffer[1]);
-        let val_len =
-            u32::from_le_bytes(self.buffer[4..8].try_into().expect("header present")) as usize;
+        let status = Status::from_byte(buffered[0]).ok_or(DecodeError::BadStatus(buffered[0]))?;
+        let code = ErrCode::from_byte(buffered[1]);
+        let val_len = le_u32(buffered, 4) as usize;
         if val_len > MAX_VALUE_BYTES {
             return Err(DecodeError::ValueTooLarge(val_len as u64));
         }
-        if self.buffer.len() < REPLY_HEADER_BYTES + val_len {
+        if buffered.len() < REPLY_HEADER_BYTES + val_len {
             return Ok(None);
         }
-        self.buffer.advance(REPLY_HEADER_BYTES);
-        let value = self.buffer.split_to(val_len).to_vec();
-        Ok(Some(Reply {
+        let frame = self.buffer.consume(REPLY_HEADER_BYTES + val_len);
+        Ok(Some(ReplyRef {
             status,
             code,
-            value,
+            value: &frame[REPLY_HEADER_BYTES..],
         }))
+    }
+
+    /// Try to decode the next complete reply.  `Ok(None)` means more bytes
+    /// are needed.
+    pub fn next_reply(&mut self) -> Result<Option<Reply>, DecodeError> {
+        Ok(self.next_reply_ref()?.map(ReplyRef::into_owned))
     }
 }
 

@@ -61,10 +61,13 @@ pub fn unwrap_matching<'a>(envelope: &'a [u8], wanted_key: &[u8]) -> Option<&'a 
 /// the value bytes — borrowed as-is for hash keys, the §8.2 envelope for
 /// byte keys.  Shared by every server so the storage encoding cannot
 /// drift between backends.
-pub fn stored_form<'a>(key: &crate::WireKey, value: &'a [u8]) -> (u64, std::borrow::Cow<'a, [u8]>) {
+pub fn stored_form<'a>(
+    key: crate::WireKeyRef<'_>,
+    value: &'a [u8],
+) -> (u64, std::borrow::Cow<'a, [u8]>) {
     match key {
-        crate::WireKey::Hash(k) => (*k & MAX_KEY, std::borrow::Cow::Borrowed(value)),
-        crate::WireKey::Bytes(b) => (
+        crate::WireKeyRef::Hash(k) => (k & MAX_KEY, std::borrow::Cow::Borrowed(value)),
+        crate::WireKeyRef::Bytes(b) => (
             hash_key(b),
             std::borrow::Cow::Owned(encode_envelope(b, value)),
         ),
@@ -75,10 +78,10 @@ pub fn stored_form<'a>(key: &crate::WireKey, value: &'a [u8]) -> (u64, std::borr
 /// the bytes through; byte keys unwrap the envelope and read collisions
 /// (or malformed envelopes) as a miss.  Shared by every server so §8.2
 /// verification cannot drift between backends.
-pub fn verify_stored<'a>(key: &crate::WireKey, stored: &'a [u8]) -> Option<&'a [u8]> {
+pub fn verify_stored<'a>(key: crate::WireKeyRef<'_>, stored: &'a [u8]) -> Option<&'a [u8]> {
     match key {
-        crate::WireKey::Hash(_) => Some(stored),
-        crate::WireKey::Bytes(wanted) => unwrap_matching(stored, wanted),
+        crate::WireKeyRef::Hash(_) => Some(stored),
+        crate::WireKeyRef::Bytes(wanted) => unwrap_matching(stored, wanted),
     }
 }
 

@@ -31,8 +31,8 @@ pub mod frame;
 pub mod v2;
 
 pub use decode::{
-    DecodeError, ReplyDecoder, RequestDecoder, ResponseDecoder, ServerDecoder, ServerEvent,
-    ServerOp,
+    DecodeError, ReplyDecoder, ReplyRef, RequestDecoder, ResponseDecoder, ServerDecoder,
+    ServerEvent, ServerEventRef, ServerOp, ServerOpRef,
 };
 pub use frame::{
     encode_insert, encode_lookup, encode_request, encode_resize, encode_resize_paced,
@@ -41,7 +41,8 @@ pub use frame::{
 };
 pub use v2::{
     encode_hello, encode_op, encode_reply, encode_reply_parts, parse_hello, ErrCode, OpFrame,
-    OpKind, Reply, Status, WireKey, HELLO_BYTES, MAX_KEY_STRING_BYTES, VERSION_1, VERSION_2,
+    OpKind, Reply, Status, WireKey, WireKeyRef, HELLO_BYTES, MAX_KEY_STRING_BYTES, VERSION_1,
+    VERSION_2,
 };
 
 /// Largest value size the servers accept, to bound memory per request

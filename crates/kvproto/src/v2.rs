@@ -111,9 +111,42 @@ impl WireKey {
     /// The 60-bit hash key this key routes by: itself for hash keys, the
     /// envelope hash for byte keys.
     pub fn hash(&self) -> u64 {
+        self.as_ref().hash()
+    }
+
+    /// Borrow this key.
+    pub fn as_ref(&self) -> WireKeyRef<'_> {
         match self {
-            WireKey::Hash(k) => *k & MAX_KEY,
-            WireKey::Bytes(b) => crate::envelope::hash_key(b),
+            WireKey::Hash(k) => WireKeyRef::Hash(*k),
+            WireKey::Bytes(b) => WireKeyRef::Bytes(b),
+        }
+    }
+}
+
+/// A [`WireKey`] by reference — what the borrowed decoders yield, with
+/// byte-string keys pointing into the receive buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireKeyRef<'a> {
+    /// 60-bit hash key.
+    Hash(u64),
+    /// Arbitrary byte-string key.
+    Bytes(&'a [u8]),
+}
+
+impl WireKeyRef<'_> {
+    /// The 60-bit hash key this key routes by (see [`WireKey::hash`]).
+    pub fn hash(&self) -> u64 {
+        match self {
+            WireKeyRef::Hash(k) => *k & MAX_KEY,
+            WireKeyRef::Bytes(b) => crate::envelope::hash_key(b),
+        }
+    }
+
+    /// Copy into an owned [`WireKey`].
+    pub fn into_owned(self) -> WireKey {
+        match self {
+            WireKeyRef::Hash(k) => WireKey::Hash(k),
+            WireKeyRef::Bytes(b) => WireKey::Bytes(b.to_vec()),
         }
     }
 }

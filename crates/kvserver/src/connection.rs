@@ -1,14 +1,17 @@
 //! Per-connection state shared by all three servers.
+//
+// cphash-lint: hot-path
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use cphash_kvproto::{
-    encode_hello, encode_response, Reply, ServerDecoder, ServerEvent, ServerOp, Status, VERSION_1,
+    encode_hello, encode_response, Reply, ServerDecoder, ServerOp, ServerOpRef, Status, VERSION_1,
     VERSION_2,
 };
 
+use crate::metrics::ServerMetrics;
 use crate::reactor::{RawFd, Reactor};
 
 /// A non-blocking TCP connection with streaming request decoding and a
@@ -16,9 +19,11 @@ use crate::reactor::{RawFd, Reactor};
 ///
 /// Worker threads own a set of these registered on a
 /// [`crate::reactor::Reactor`]; the reactor reports which are ready and the
-/// worker drains each fully, which is how the paper's client threads
+/// worker drains each, which is how the paper's client threads
 /// "monitor TCP connections assigned to [them] and gather as many requests
-/// as possible".
+/// as possible".  The socket reads land directly in the decoder's buffer
+/// and requests are decoded in place ([`Connection::next_request`]), so a
+/// request's bytes are copied once — to wherever the server stores them.
 ///
 /// The connection owns protocol-version negotiation: the first byte a
 /// client sends either starts a v2 handshake (answered here with a
@@ -30,7 +35,6 @@ pub struct Connection {
     decoder: ServerDecoder,
     outgoing: BytesMut,
     closed: bool,
-    read_buf: Vec<u8>,
     /// Negotiated protocol version (v1 until a handshake says otherwise).
     version: u8,
     /// Highest protocol version the server is willing to speak.
@@ -38,6 +42,10 @@ pub struct Connection {
     /// Whether the owning reactor currently has write interest registered
     /// for this connection (output was back-logged at the last flush).
     want_write: bool,
+    /// `read(2)` / `write(2)` calls issued since [`settle`] last folded
+    /// them into the server's metrics.
+    read_syscalls: u64,
+    write_syscalls: u64,
 }
 
 impl Connection {
@@ -58,10 +66,11 @@ impl Connection {
             decoder: ServerDecoder::new(),
             outgoing: BytesMut::with_capacity(16 * 1024),
             closed: false,
-            read_buf: vec![0u8; 64 * 1024],
             version: VERSION_1,
             max_protocol: max_protocol.clamp(VERSION_1, VERSION_2),
             want_write: false,
+            read_syscalls: 0,
+            write_syscalls: 0,
         })
     }
 
@@ -91,56 +100,72 @@ impl Connection {
         self.closed
     }
 
-    /// Read whatever bytes are available and decode complete requests into
-    /// `out`, answering handshakes along the way. Returns the number of
-    /// bytes read.
-    pub fn poll_requests(&mut self, out: &mut Vec<ServerOp>) -> usize {
-        if self.closed {
-            return 0;
+    /// Issue one `read(2)` straight into the decoder's buffer.  Returns the
+    /// bytes read and whether the socket may hold more: a read that did
+    /// not fill the space offered drained the socket, and every reactor
+    /// backend is level-triggered, so whatever arrives later is reported
+    /// again — no second `read` just to see `EAGAIN`.
+    pub fn read_once(&mut self) -> (usize, bool) {
+        while !self.closed {
+            self.read_syscalls += 1;
+            match self.decoder.read_from(&mut &self.stream) {
+                Ok((0, _)) => self.closed = true,
+                Ok(progress) => return progress,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => self.closed = true,
+            }
         }
+        (0, false)
+    }
+
+    /// Decode the next buffered request in place, answering the handshake
+    /// along the way.  The request borrows the receive buffer, so it must
+    /// be dispatched before the connection is touched again.
+    pub fn next_request(&mut self) -> Option<ServerOpRef<'_>> {
+        match self.decoder.take_hello() {
+            Ok(Some(requested)) => {
+                // Negotiate down to what both sides speak and ack.  If
+                // the common ground is v1, the client's following
+                // frames are legacy-framed; tell the decoder.
+                self.version = requested.min(self.max_protocol);
+                if self.version <= VERSION_1 {
+                    self.decoder.set_wire_version(VERSION_1);
+                }
+                encode_hello(&mut self.outgoing, self.version);
+            }
+            Ok(None) => {}
+            Err(_) => {
+                self.closed = true;
+                return None;
+            }
+        }
+        match self.decoder.next_op_ref() {
+            Ok(op) => op,
+            Err(_) => {
+                // Protocol violation: drop the connection.
+                self.closed = true;
+                None
+            }
+        }
+    }
+
+    /// Read whatever bytes are available and decode complete requests into
+    /// `out` (owned copies — the synchronous servers' path; CPSERVER
+    /// drives [`Connection::read_once`] / [`Connection::next_request`]
+    /// itself).  Returns the number of bytes read.
+    pub fn poll_requests(&mut self, out: &mut Vec<ServerOp>) -> usize {
         let mut total = 0usize;
         loop {
-            match self.stream.read(&mut self.read_buf) {
-                Ok(0) => {
-                    self.closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    total += n;
-                    self.decoder.feed(&self.read_buf[..n]);
-                    // Keep reading until the socket would block so a batch
-                    // arrives in as few syscalls as possible.
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.closed = true;
-                    break;
-                }
+            let (read, more) = self.read_once();
+            total += read;
+            while let Some(op) = self.next_request() {
+                out.push(op.into_owned());
+            }
+            if !more {
+                return total;
             }
         }
-        loop {
-            match self.decoder.next_event() {
-                Ok(Some(ServerEvent::Hello { requested })) => {
-                    // Negotiate down to what both sides speak and ack.  If
-                    // the common ground is v1, the client's following
-                    // frames are legacy-framed; tell the decoder.
-                    self.version = requested.min(self.max_protocol);
-                    if self.version <= VERSION_1 {
-                        self.decoder.set_wire_version(VERSION_1);
-                    }
-                    encode_hello(&mut self.outgoing, self.version);
-                }
-                Ok(Some(ServerEvent::Op(op))) => out.push(op),
-                Ok(None) => break,
-                Err(_) => {
-                    // Protocol violation: drop the connection.
-                    self.closed = true;
-                    break;
-                }
-            }
-        }
-        total
     }
 
     /// Queue a typed reply, encoded in the connection's negotiated framing.
@@ -175,26 +200,18 @@ impl Connection {
 
     /// Attempt to flush queued response bytes. Returns bytes written.
     pub fn flush(&mut self) -> usize {
-        if self.closed || self.outgoing.is_empty() {
-            return 0;
-        }
         let mut written = 0usize;
-        while !self.outgoing.is_empty() {
+        while !self.closed && !self.outgoing.is_empty() {
+            self.write_syscalls += 1;
             match self.stream.write(&self.outgoing) {
-                Ok(0) => {
-                    self.closed = true;
-                    break;
-                }
+                Ok(0) => self.closed = true,
                 Ok(n) => {
                     written += n;
-                    let _ = self.outgoing.split_to(n);
+                    self.outgoing.advance(n);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.closed = true;
-                    break;
-                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => self.closed = true,
             }
         }
         written
@@ -236,8 +253,8 @@ pub(crate) fn adopt<T>(
     item: T,
     conn_of: impl Fn(&T) -> &Connection,
 ) -> bool {
+    let fd = conn_of(&item).raw_fd();
     let slot = slab_insert(slab, item);
-    let fd = conn_of(slab[slot].as_ref().expect("just inserted")).raw_fd();
     if reactor.register(fd, slot, false).is_ok() {
         ready.push(slot);
         true
@@ -257,29 +274,36 @@ pub(crate) enum Settle {
     Open,
 }
 
-/// The shared tail of every worker loop: flush queued output, then either
-/// retire a closed connection from the reactor or keep the reactor's write
-/// interest in sync with any back-logged output.  Returns the bytes written
-/// and the verdict.
+/// The shared tail of every worker loop: flush queued output and account
+/// for it (bytes out, plus the `read`/`write` syscalls the connection
+/// issued since it was last settled), then either retire a closed
+/// connection from the reactor or keep the reactor's write interest in
+/// sync with any back-logged output.
 pub(crate) fn settle(
     conn: &mut Connection,
     reactor: &mut Reactor,
     token: usize,
-) -> (usize, Settle) {
+    metrics: &ServerMetrics,
+) -> Settle {
     let written = conn.flush();
+    metrics.note_io(0, written);
+    metrics.note_conn_syscalls(
+        core::mem::take(&mut conn.read_syscalls),
+        core::mem::take(&mut conn.write_syscalls),
+    );
     if conn.is_closed() {
         // Once the peer is gone no remaining output can be delivered
         // (`flush` refuses closed connections), so reclaim immediately —
         // churn cannot leak fds or slots.
         let _ = reactor.deregister(conn.raw_fd(), token);
-        (written, Settle::Retired)
+        Settle::Retired
     } else {
         let backlogged = conn.pending_output() > 0;
         if backlogged != conn.wants_write() {
             let _ = reactor.rearm(conn.raw_fd(), token, backlogged);
             conn.set_wants_write(backlogged);
         }
-        (written, Settle::Open)
+        Settle::Open
     }
 }
 
@@ -288,6 +312,7 @@ mod tests {
     use super::*;
     use bytes::BytesMut;
     use cphash_kvproto::{encode_insert, encode_lookup, OpKind};
+    use std::io::Read;
     use std::net::TcpListener;
 
     #[test]

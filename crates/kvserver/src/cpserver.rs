@@ -1,7 +1,7 @@
 //! CPSERVER: the CPHash-backed key/value cache server (paper §4.1).
 
 use cphash_sync::atomic::plain::{AtomicBool, Ordering};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -13,7 +13,8 @@ use cphash::{
 };
 use cphash_affinity::HwThreadId;
 use cphash_kvproto::{
-    envelope, resize_chunks_per_sec, resize_partitions, ErrCode, OpKind, Status, WireKey,
+    envelope, resize_chunks_per_sec, resize_partitions, ErrCode, OpKind, ServerOpRef, Status,
+    WireKeyRef, VERSION_2,
 };
 use cphash_migrate::{MigrationPacer, RepartitionCoordinator};
 use cphash_perfmon::SharedLatencyWindow;
@@ -465,7 +466,6 @@ enum ReplyState {
 
 /// One queued response slot on a connection.
 struct PendingReply {
-    seq: u64,
     state: ReplyState,
     /// When the request was decoded, for the client-observed latency
     /// window (the migration pacer's latency-feedback signal); only
@@ -473,13 +473,53 @@ struct PendingReply {
     at: Option<Instant>,
 }
 
+/// A connection's unanswered requests in arrival order.  Sequence numbers
+/// are dense and only the head is ever popped, so the entry for `seq` sits
+/// `seq - head_seq` places in: resolving a reply is an index, not a scan.
+struct ReplyQueue {
+    next_seq: u64,
+    pending: VecDeque<PendingReply>,
+    /// Whether to clock-stamp requests for the latency window.
+    stamp_latency: bool,
+}
+
+impl ReplyQueue {
+    fn enqueue(&mut self, state: ReplyState) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.push_back(PendingReply {
+            state,
+            at: self.stamp_latency.then(Instant::now),
+        });
+        seq
+    }
+
+    fn entry(&mut self, seq: u64) -> Option<&mut PendingReply> {
+        let head_seq = self.next_seq - self.pending.len() as u64;
+        self.pending.get_mut(seq.checked_sub(head_seq)? as usize)
+    }
+
+    /// Mark a deferred lookup as submitted (its blocking write finished and
+    /// the lookup has now been sent to the hash table).
+    fn resolve_waiting(&mut self, seq: u64) {
+        if let Some(entry) = self.entry(seq) {
+            if matches!(entry.state, ReplyState::WaitingWrite) {
+                entry.state = ReplyState::Submitted;
+            }
+        }
+    }
+
+    fn resolve(&mut self, seq: u64, reply: OutReply) {
+        if let Some(entry) = self.entry(seq) {
+            entry.state = ReplyState::Done(reply);
+        }
+    }
+}
+
 /// One connection plus its ordered queue of unanswered requests.
 struct ConnState {
     conn: Connection,
-    next_seq: u64,
-    replies: std::collections::VecDeque<PendingReply>,
-    /// Whether to clock-stamp requests for the latency window.
-    stamp_latency: bool,
+    replies: ReplyQueue,
     /// Whether to prefetch reply value bytes ahead of the wire copy.
     prefetch: bool,
 }
@@ -488,37 +528,12 @@ impl ConnState {
     fn new(conn: Connection, stamp_latency: bool, prefetch: bool) -> Self {
         ConnState {
             conn,
-            next_seq: 0,
-            replies: std::collections::VecDeque::new(),
-            stamp_latency,
+            replies: ReplyQueue {
+                next_seq: 0,
+                pending: VecDeque::new(),
+                stamp_latency,
+            },
             prefetch,
-        }
-    }
-
-    fn enqueue(&mut self, state: ReplyState) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.replies.push_back(PendingReply {
-            seq,
-            state,
-            at: self.stamp_latency.then(Instant::now),
-        });
-        seq
-    }
-
-    /// Mark a deferred lookup as submitted (its blocking write finished and
-    /// the lookup has now been sent to the hash table).
-    fn resolve_waiting(&mut self, seq: u64) {
-        if let Some(entry) = self.replies.iter_mut().find(|p| p.seq == seq) {
-            if matches!(entry.state, ReplyState::WaitingWrite) {
-                entry.state = ReplyState::Submitted;
-            }
-        }
-    }
-
-    fn resolve(&mut self, seq: u64, reply: OutReply) {
-        if let Some(entry) = self.replies.iter_mut().find(|p| p.seq == seq) {
-            entry.state = ReplyState::Done(reply);
         }
     }
 
@@ -538,7 +553,7 @@ impl ConnState {
         // itself is hidden earlier, by `pump_lane`'s batched prefetch over
         // the response pointers).
         if self.prefetch {
-            for entry in self.replies.iter() {
+            for entry in self.replies.pending.iter() {
                 let ReplyState::Done(reply) = &entry.state else {
                     break; // the flush loop stops at the first non-Done too
                 };
@@ -547,13 +562,13 @@ impl ConnState {
         }
         let mut wrote = 0usize;
         while matches!(
-            self.replies.front(),
+            self.replies.pending.front(),
             Some(PendingReply {
                 state: ReplyState::Done(_),
                 ..
             })
         ) {
-            let entry = self.replies.pop_front().expect("front checked");
+            let entry = self.replies.pending.pop_front().expect("front checked");
             let ReplyState::Done(reply) = entry.state else {
                 unreachable!()
             };
@@ -568,22 +583,82 @@ impl ConnState {
     }
 }
 
-/// Where a completed lookup's reply goes, plus the byte key to verify
-/// against the stored envelope (byte-keyed lookups only).
-struct LookupTarget {
-    conn: usize,
-    seq: u64,
-    bytekey: Option<Vec<u8>>,
+/// Where a hash-table completion goes.
+enum TokenTarget {
+    /// Nothing to resolve: the token completed already, or it was a lookup
+    /// whose connection has since retired.
+    Vacant,
+    /// A lookup's reply slot, plus the byte key to verify against the
+    /// stored envelope (byte-keyed lookups only).
+    Lookup {
+        conn: usize,
+        seq: u64,
+        bytekey: Option<Vec<u8>>,
+    },
+    /// A write (v2 connections answer every request; v1 inserts keep their
+    /// fire-and-forget silence).
+    Write {
+        /// The 60-bit hash key, for per-key in-flight accounting.
+        key: u64,
+        /// Reply slot, or `None` for silent v1 inserts (and retired
+        /// connections).
+        reply: Option<(usize, u64)>,
+    },
 }
 
-/// Where a completed write's reply goes (v2 connections answer every
-/// request; v1 inserts keep their fire-and-forget silence).
-struct WriteTarget {
-    /// The 60-bit hash key, for per-key in-flight accounting.
-    key: u64,
-    /// Reply slot, or `None` for silent v1 inserts (and retired
-    /// connections).
-    reply: Option<(usize, u64)>,
+/// In-flight hash-table operations by token.  [`ClientHandle`] hands out
+/// dense, monotonic tokens, so the targets live in a ring indexed by
+/// `token - base` rather than a hash map: one slot written at submit, one
+/// read at completion, and the ring's head advances past finished tokens.
+#[derive(Default)]
+struct TokenRing {
+    /// Token of `slots[0]`.
+    base: u64,
+    slots: VecDeque<TokenTarget>,
+}
+
+impl TokenRing {
+    fn insert(&mut self, token: u64, target: TokenTarget) {
+        if self.slots.is_empty() {
+            self.base = token;
+        }
+        // The worker records every operation it submits, in submit order:
+        // a gap would shift every later index onto the wrong reply slot.
+        assert_eq!(token, self.base + self.slots.len() as u64);
+        self.slots.push_back(target);
+    }
+
+    fn take(&mut self, token: u64) -> TokenTarget {
+        let slot = token
+            .checked_sub(self.base)
+            .and_then(|index| self.slots.get_mut(index as usize));
+        let Some(slot) = slot else {
+            return TokenTarget::Vacant;
+        };
+        let target = std::mem::replace(slot, TokenTarget::Vacant);
+        while matches!(self.slots.front(), Some(TokenTarget::Vacant)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        target
+    }
+
+    /// Detach every in-flight operation from connection slot `conn`: the
+    /// slot (and its per-connection sequence numbers) can be reused, and a
+    /// late completion must not resolve against a successor connection's
+    /// request of the same seq.  Writes keep their per-key accounting (the
+    /// table operation still completes) but lose their reply slot.
+    fn retire_connection(&mut self, conn: usize) {
+        for slot in self.slots.iter_mut() {
+            match slot {
+                TokenTarget::Lookup { conn: c, .. } if *c == conn => *slot = TokenTarget::Vacant,
+                TokenTarget::Write { reply, .. } if reply.is_some_and(|(c, _)| c == conn) => {
+                    *reply = None
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 /// Hint every cache line a reply value occupies, so the wire copy that
@@ -611,6 +686,13 @@ fn admin_reply(status: String) -> OutReply {
         OutReply::ok_bytes(status.as_bytes())
     }
 }
+
+/// Fruitless polls of the completion rings (a memory read each) a worker
+/// makes between two zero-timeout reactor waits while table operations are
+/// in flight.  Sixty-four polls take a few microseconds — the longest an
+/// accept or fresh request bytes can wait for the worker to look at the
+/// reactor — and stand in for as many `epoll_wait` calls.
+const RING_POLLS_PER_REACTOR_WAIT: u32 = 64;
 
 /// One CPSERVER client thread: waits for readiness on its connections,
 /// drains every ready connection fully, ships the gathered requests to the
@@ -651,19 +733,17 @@ fn client_worker(
     // so in-flight tokens can refer to their connection even as others
     // close.
     let mut connections: Vec<Option<ConnState>> = Vec::new();
-    // Lookup token -> reply slot (+ byte key for envelope verification).
-    let mut lookup_tokens: HashMap<u64, LookupTarget> = HashMap::new();
-    // Write token -> key + reply slot, plus per-key in-flight accounting,
-    // to provide read-your-writes ordering on a connection: the CPHash
-    // insert is a two-phase protocol (allocate, then copy + Ready), so a
-    // lookup for a key whose write is still in flight is deferred until
-    // the write completes rather than racing it to the server thread.
-    let mut write_tokens: HashMap<u64, WriteTarget> = HashMap::new();
+    // In-flight hash-table operations by token, plus per-key in-flight
+    // write accounting, to provide read-your-writes ordering on a
+    // connection: the CPHash insert is a two-phase protocol (allocate, then
+    // copy + Ready), so a lookup for a key whose write is still in flight is
+    // deferred until the write completes rather than racing it to the
+    // server thread.
+    let mut tokens = TokenRing::default();
     let mut inflight_writes: HashMap<u64, InflightWrites> = HashMap::new();
     // Resize admin commands awaiting the coordinator's answer, resolved
     // against the connection's ordered response queue like lookups.
     let mut pending_admin: Vec<(usize, u64, mpsc::Receiver<String>)> = Vec::new();
-    let mut requests = Vec::with_capacity(256);
     let mut completions = Vec::with_capacity(256);
     let mut ready: Vec<usize> = Vec::with_capacity(256);
     // Connection slots whose response path must run this iteration.
@@ -672,6 +752,10 @@ fn client_worker(
     // completion, or blocked behind one that is).  While nonzero the worker
     // must keep polling the completion rings instead of sleeping.
     let mut waiting_responses: usize = 0;
+    // Whether the previous iteration saw a readiness event or a completion,
+    // and how many iterations in a row have skipped the reactor since.
+    let mut progressed = true;
+    let mut ring_polls: u32 = 0;
 
     // relaxed: stop flag; shutdown needs no ordering
     while !stop.load(Ordering::Relaxed) {
@@ -689,7 +773,23 @@ fn client_worker(
             None
         };
         ready.clear();
-        let _ = reactor.wait(&mut ready, timeout);
+        // With table operations in flight and nothing found at the last
+        // look, the next thing to happen is almost certainly a completion,
+        // and watching for it is a memory read: poll the rings a bounded
+        // number of times before paying for another zero-timeout wait.
+        // Any readiness event or completion sends the worker straight back
+        // to the reactor, so sockets and accepts wait a few µs at most.
+        if timeout.is_none()
+            && !progressed
+            && handle.outstanding() > 0
+            && ring_polls < RING_POLLS_PER_REACTOR_WAIT
+        {
+            ring_polls += 1;
+        } else {
+            ring_polls = 0;
+            let _ = reactor.wait(&mut ready, timeout);
+        }
+        progressed = !ready.is_empty();
         touched.clear();
 
         // Adopt newly assigned connections (the waker made a sleeping
@@ -757,176 +857,186 @@ fn client_worker(
                 continue;
             };
             touched.push(idx);
-            if handle.outstanding() >= batch {
-                // Window full: leave the bytes in the socket.  The
-                // level-triggered reactor reports the connection again once
-                // completions free the window (and the worker will not
-                // sleep while operations are outstanding).
-                continue;
-            }
-            requests.clear();
-            let read = state.conn.poll_requests(&mut requests);
-            metrics.note_io(read, 0);
-            for request in requests.drain(..) {
-                let wants_response = request.wants_response;
-                let cphash_kvproto::OpFrame { kind, key, value } = request.frame;
-                // Overload shedding: past the configured in-flight
-                // threshold, answer v2 *lookups* with a wire-level `Retry`
-                // instead of absorbing them — the client's
-                // transparent-resubmission path (`RemoteClient`) re-sends
-                // them when the server has room again.  Writes are never
-                // shed: a resubmitted write would re-enter the pipeline
-                // *behind* later same-key operations, breaking the
-                // per-connection read-your-writes ordering the
-                // `inflight_writes` deferral machinery guarantees.  A shed
-                // lookup keeps that guarantee — resubmitted late it lands
-                // after the write it followed (or gets deferred behind it
-                // on arrival, like any other lookup).  A lookup pipelined
-                // *ahead of* a later same-key write may observe that write
-                // after resubmission; reads racing writes the client chose
-                // to pipeline behind them carry no ordering promise
-                // anywhere in this system (the in-process client's
-                // migration-retry resubmission has the same property).
-                // v1 connections cannot express `Retry` and are absorbed
-                // as before.
-                if kind == OpKind::Lookup
-                    && wants_response
-                    && state.conn.version() >= cphash_kvproto::VERSION_2
-                    && overload_retry.is_some_and(|threshold| handle.outstanding() >= threshold)
-                {
-                    metrics.note_retry_emitted();
-                    waiting_responses += 1;
-                    let seq = state.enqueue(ReplyState::Submitted);
-                    state.resolve(seq, OutReply::retry());
-                    continue;
-                }
-                match kind {
-                    OpKind::Lookup => {
+            // One read per wake-up unless it filled the buffer, and none
+            // once the window is full: the bytes stay in the socket, the
+            // level-triggered reactor reports the connection again once
+            // completions free the window, and the worker does not sleep
+            // while operations are outstanding.
+            while handle.outstanding() < batch {
+                let (read, more) = state.conn.read_once();
+                metrics.note_io(read, 0);
+                while let Some(request) = state.conn.next_request() {
+                    let ServerOpRef {
+                        kind,
+                        key,
+                        value,
+                        wants_response,
+                        wire_version,
+                    } = request;
+                    // Overload shedding: past the configured in-flight
+                    // threshold, answer v2 *lookups* with a wire-level `Retry`
+                    // instead of absorbing them — the client's
+                    // transparent-resubmission path (`RemoteClient`) re-sends
+                    // them when the server has room again.  Writes are never
+                    // shed: a resubmitted write would re-enter the pipeline
+                    // *behind* later same-key operations, breaking the
+                    // per-connection read-your-writes ordering the
+                    // `inflight_writes` deferral machinery guarantees.  A shed
+                    // lookup keeps that guarantee — resubmitted late it lands
+                    // after the write it followed (or gets deferred behind it
+                    // on arrival, like any other lookup).  A lookup pipelined
+                    // *ahead of* a later same-key write may observe that write
+                    // after resubmission; reads racing writes the client chose
+                    // to pipeline behind them carry no ordering promise
+                    // anywhere in this system (the in-process client's
+                    // migration-retry resubmission has the same property).
+                    // v1 frames cannot express `Retry` and are absorbed
+                    // as before.
+                    if kind == OpKind::Lookup
+                        && wants_response
+                        && wire_version >= VERSION_2
+                        && overload_retry.is_some_and(|threshold| handle.outstanding() >= threshold)
+                    {
+                        metrics.note_retry_emitted();
                         waiting_responses += 1;
-                        let (hash, bytekey) = match key {
-                            WireKey::Hash(k) => (k, None),
-                            WireKey::Bytes(b) => (envelope::hash_key(&b), Some(b)),
-                        };
-                        if let Some(pending) = inflight_writes.get_mut(&hash) {
-                            let seq = state.enqueue(ReplyState::WaitingWrite);
-                            pending.deferred.push((idx, seq, bytekey));
-                        } else {
-                            let seq = state.enqueue(ReplyState::Submitted);
-                            let token = handle.submit_lookup(hash);
-                            lookup_tokens.insert(
-                                token,
-                                LookupTarget {
-                                    conn: idx,
-                                    seq,
-                                    bytekey,
-                                },
-                            );
-                        }
+                        let seq = state.replies.enqueue(ReplyState::Submitted);
+                        state.replies.resolve(seq, OutReply::retry());
+                        continue;
                     }
-                    OpKind::Insert => {
-                        // Byte keys are stored as §8.2 envelopes under
-                        // their hash so the server can verify collisions
-                        // at lookup time.
-                        let (hash, stored) = envelope::stored_form(&key, &value);
-                        metrics.note_insert();
-                        // The envelope may push a near-limit value past
-                        // MAX_VALUE_BYTES; storing it would later produce
-                        // replies no client decoder accepts.  Refuse
-                        // up-front (byte keys are v2-only, so there is
-                        // always a reply slot to carry the error).
-                        if stored.len() > cphash_kvproto::MAX_VALUE_BYTES {
-                            if wants_response {
-                                waiting_responses += 1;
-                                let seq = state.enqueue(ReplyState::Submitted);
-                                state.resolve(
-                                    seq,
-                                    OutReply::err(
-                                        ErrCode::Capacity,
-                                        b"ERR enveloped value exceeds the protocol limit",
-                                    ),
+                    match kind {
+                        OpKind::Lookup => {
+                            waiting_responses += 1;
+                            // Hash keys go to the table without touching
+                            // the heap; a byte key is kept until the
+                            // completion to verify the stored envelope.
+                            let (hash, bytekey) = match key {
+                                WireKeyRef::Hash(k) => (k, None),
+                                WireKeyRef::Bytes(b) => (envelope::hash_key(b), Some(b.to_vec())),
+                            };
+                            if let Some(pending) = inflight_writes.get_mut(&hash) {
+                                let seq = state.replies.enqueue(ReplyState::WaitingWrite);
+                                pending.deferred.push((idx, seq, bytekey));
+                            } else {
+                                let seq = state.replies.enqueue(ReplyState::Submitted);
+                                let token = handle.submit_lookup(hash);
+                                tokens.insert(
+                                    token,
+                                    TokenTarget::Lookup {
+                                        conn: idx,
+                                        seq,
+                                        bytekey,
+                                    },
                                 );
                             }
-                            continue;
                         }
-                        let reply = if wants_response {
+                        OpKind::Insert => {
+                            // Byte keys are stored as §8.2 envelopes under
+                            // their hash so the server can verify collisions
+                            // at lookup time; hash-key values go from the
+                            // receive buffer to the table in one copy.
+                            let (hash, stored) = envelope::stored_form(key, value);
+                            metrics.note_insert();
+                            // The envelope may push a near-limit value past
+                            // MAX_VALUE_BYTES; storing it would later produce
+                            // replies no client decoder accepts.  Refuse
+                            // up-front (byte keys are v2-only, so there is
+                            // always a reply slot to carry the error).
+                            if stored.len() > cphash_kvproto::MAX_VALUE_BYTES {
+                                if wants_response {
+                                    waiting_responses += 1;
+                                    let seq = state.replies.enqueue(ReplyState::Submitted);
+                                    state.replies.resolve(
+                                        seq,
+                                        OutReply::err(
+                                            ErrCode::Capacity,
+                                            b"ERR enveloped value exceeds the protocol limit",
+                                        ),
+                                    );
+                                }
+                                continue;
+                            }
+                            let reply = if wants_response {
+                                waiting_responses += 1;
+                                Some((idx, state.replies.enqueue(ReplyState::Submitted)))
+                            } else {
+                                None
+                            };
+                            let token = handle.submit_insert(hash, &stored);
+                            tokens.insert(token, TokenTarget::Write { key: hash, reply });
+                            inflight_writes.entry(hash).or_default().count += 1;
+                        }
+                        OpKind::Delete => {
+                            let hash = key.hash();
+                            let reply = if wants_response {
+                                waiting_responses += 1;
+                                Some((idx, state.replies.enqueue(ReplyState::Submitted)))
+                            } else {
+                                None
+                            };
+                            let token = handle.submit_delete(hash);
+                            tokens.insert(token, TokenTarget::Write { key: hash, reply });
+                            inflight_writes.entry(hash).or_default().count += 1;
+                            metrics.note_delete();
+                        }
+                        OpKind::Stats => {
+                            // v2-only admin op: resolve immediately through the
+                            // ordered reply FIFO with the full metrics snapshot
+                            // in Prometheus text format as the reply value.
+                            metrics.note_stats();
                             waiting_responses += 1;
-                            Some((idx, state.enqueue(ReplyState::Submitted)))
-                        } else {
-                            None
-                        };
-                        let token = handle.submit_insert(hash, &stored);
-                        write_tokens.insert(token, WriteTarget { key: hash, reply });
-                        inflight_writes.entry(hash).or_default().count += 1;
-                    }
-                    OpKind::Delete => {
-                        let hash = key.hash();
-                        let reply = if wants_response {
+                            let seq = state.replies.enqueue(ReplyState::Submitted);
+                            let text = metrics.render_prometheus();
+                            state
+                                .replies
+                                .resolve(seq, OutReply::ok_bytes(text.as_bytes()));
+                        }
+                        OpKind::Resize => {
+                            metrics.note_admin();
                             waiting_responses += 1;
-                            Some((idx, state.enqueue(ReplyState::Submitted)))
-                        } else {
-                            None
-                        };
-                        let token = handle.submit_delete(hash);
-                        write_tokens.insert(token, WriteTarget { key: hash, reply });
-                        inflight_writes.entry(hash).or_default().count += 1;
-                        metrics.note_delete();
-                    }
-                    OpKind::Stats => {
-                        // v2-only admin op: resolve immediately through the
-                        // ordered reply FIFO with the full metrics snapshot
-                        // in Prometheus text format as the reply value.
-                        metrics.note_stats();
-                        waiting_responses += 1;
-                        let seq = state.enqueue(ReplyState::Submitted);
-                        let text = metrics.render_prometheus();
-                        state.resolve(
-                            seq,
-                            OutReply::ok_value(cphash::ValueBytes::from_slice(text.as_bytes())),
-                        );
-                    }
-                    OpKind::Resize => {
-                        metrics.note_admin();
-                        waiting_responses += 1;
-                        let seq = state.enqueue(ReplyState::Submitted);
-                        // A byte-keyed resize is nonsense; refuse it here
-                        // rather than bouncing it off the admin thread.
-                        let WireKey::Hash(packed) = key else {
-                            state.resolve(
-                                seq,
-                                OutReply::err(
-                                    ErrCode::Unsupported,
-                                    b"ERR resize takes a packed hash key",
-                                ),
-                            );
-                            continue;
-                        };
-                        let Some(admin) = admin.as_ref() else {
-                            state.resolve(
-                                seq,
-                                OutReply::err(
-                                    ErrCode::Unsupported,
-                                    b"ERR resize disabled (start with --max-partitions)",
-                                ),
-                            );
-                            continue;
-                        };
-                        let (reply_tx, reply_rx) = mpsc::channel();
-                        let sent = admin
-                            .send(AdminRequest {
-                                new_partitions: resize_partitions(packed),
-                                chunks_per_sec: resize_chunks_per_sec(packed),
-                                reply: reply_tx,
-                            })
-                            .is_ok();
-                        if sent {
-                            pending_admin.push((idx, seq, reply_rx));
-                        } else {
-                            state.resolve(
-                                seq,
-                                OutReply::err(ErrCode::Admin, b"ERR admin unavailable"),
-                            );
+                            let seq = state.replies.enqueue(ReplyState::Submitted);
+                            // A byte-keyed resize is nonsense; refuse it here
+                            // rather than bouncing it off the admin thread.
+                            let WireKeyRef::Hash(packed) = key else {
+                                state.replies.resolve(
+                                    seq,
+                                    OutReply::err(
+                                        ErrCode::Unsupported,
+                                        b"ERR resize takes a packed hash key",
+                                    ),
+                                );
+                                continue;
+                            };
+                            let Some(admin) = admin.as_ref() else {
+                                state.replies.resolve(
+                                    seq,
+                                    OutReply::err(
+                                        ErrCode::Unsupported,
+                                        b"ERR resize disabled (start with --max-partitions)",
+                                    ),
+                                );
+                                continue;
+                            };
+                            let (reply_tx, reply_rx) = mpsc::channel();
+                            let sent = admin
+                                .send(AdminRequest {
+                                    new_partitions: resize_partitions(packed),
+                                    chunks_per_sec: resize_chunks_per_sec(packed),
+                                    reply: reply_tx,
+                                })
+                                .is_ok();
+                            if sent {
+                                pending_admin.push((idx, seq, reply_rx));
+                            } else {
+                                state.replies.resolve(
+                                    seq,
+                                    OutReply::err(ErrCode::Admin, b"ERR admin unavailable"),
+                                );
+                            }
                         }
                     }
+                }
+                if !more {
+                    break;
                 }
             }
         }
@@ -936,7 +1046,7 @@ fn client_worker(
         pending_admin.retain(|(conn_idx, seq, reply_rx)| match reply_rx.try_recv() {
             Ok(status) => {
                 if let Some(state) = connections.get_mut(*conn_idx).and_then(|c| c.as_mut()) {
-                    state.resolve(*seq, admin_reply(status));
+                    state.replies.resolve(*seq, admin_reply(status));
                     touched_ref.push(*conn_idx);
                 }
                 false
@@ -944,7 +1054,7 @@ fn client_worker(
             Err(mpsc::TryRecvError::Empty) => true,
             Err(mpsc::TryRecvError::Disconnected) => {
                 if let Some(state) = connections.get_mut(*conn_idx).and_then(|c| c.as_mut()) {
-                    state.resolve(
+                    state.replies.resolve(
                         *seq,
                         OutReply::err(ErrCode::Admin, b"ERR admin unavailable"),
                     );
@@ -957,37 +1067,35 @@ fn client_worker(
         // Collect hash-table completions and resolve them against the
         // per-connection ordered reply queues.
         completions.clear();
-        handle.poll(&mut completions);
+        progressed |= handle.poll(&mut completions) > 0;
         for completion in completions.drain(..) {
+            let target = tokens.take(completion.token);
             match completion.kind {
-                CompletionKind::LookupHit(value) => {
-                    let target = lookup_tokens.remove(&completion.token);
+                CompletionKind::LookupHit(_) | CompletionKind::LookupMiss => {
+                    // Count the lookup even when its connection already
+                    // retired (its target is gone and bytekey unknowable:
+                    // count the raw table hit, as the pre-v2 server did).
+                    let (dest, bytekey) = match target {
+                        TokenTarget::Lookup { conn, seq, bytekey } => (Some((conn, seq)), bytekey),
+                        _ => (None, None),
+                    };
                     // Byte-keyed lookups carry the §8.2 envelope: check the
-                    // stored key and read collisions as misses.  Count the
-                    // lookup even when its connection already retired (its
-                    // token is gone and bytekey unknowable: count the raw
-                    // table hit, as the pre-v2 server did).
-                    let reply = match target.as_ref().and_then(|t| t.bytekey.as_deref()) {
-                        None => OutReply::ok_value(value),
-                        Some(wanted) => match envelope::unwrap_matching(value.as_slice(), wanted) {
-                            Some(v) => OutReply::ok_bytes(v),
-                            None => OutReply::miss(),
-                        },
+                    // stored key and read collisions as misses.
+                    let reply = match (completion.kind, bytekey) {
+                        (CompletionKind::LookupHit(value), None) => OutReply::ok_value(value),
+                        (CompletionKind::LookupHit(value), Some(wanted)) => {
+                            match envelope::unwrap_matching(value.as_slice(), &wanted) {
+                                Some(v) => OutReply::ok_bytes(v),
+                                None => OutReply::miss(),
+                            }
+                        }
+                        _ => OutReply::miss(),
                     };
                     metrics.note_lookup(reply.status == Status::Ok);
-                    if let Some(target) = target {
-                        if let Some(state) = connections[target.conn].as_mut() {
-                            state.resolve(target.seq, reply);
-                            touched.push(target.conn);
-                        }
-                    }
-                }
-                CompletionKind::LookupMiss => {
-                    metrics.note_lookup(false);
-                    if let Some(target) = lookup_tokens.remove(&completion.token) {
-                        if let Some(state) = connections[target.conn].as_mut() {
-                            state.resolve(target.seq, OutReply::miss());
-                            touched.push(target.conn);
+                    if let Some((conn_idx, seq)) = dest {
+                        if let Some(state) = connections[conn_idx].as_mut() {
+                            state.replies.resolve(seq, reply);
+                            touched.push(conn_idx);
                         }
                     }
                 }
@@ -995,12 +1103,12 @@ fn client_worker(
                 | CompletionKind::InsertFailed
                 | CompletionKind::Deleted(_)
                 | CompletionKind::Failed(_) => {
-                    let Some(target) = write_tokens.remove(&completion.token) else {
+                    let TokenTarget::Write { key, reply } = target else {
                         continue;
                     };
                     // v2 connections get a typed answer for every write;
                     // v1 inserts stay silent (reply slot never created).
-                    if let Some((conn_idx, seq)) = target.reply {
+                    if let Some((conn_idx, seq)) = reply {
                         if let Some(state) = connections.get_mut(conn_idx).and_then(|c| c.as_mut())
                         {
                             let reply = match &completion.kind {
@@ -1012,14 +1120,14 @@ fn client_worker(
                                 CompletionKind::Deleted(false) => OutReply::miss(),
                                 _ => OutReply::err(ErrCode::Internal, b"ERR internal"),
                             };
-                            state.resolve(seq, reply);
+                            state.replies.resolve(seq, reply);
                             touched.push(conn_idx);
                         }
                     }
                     // A finished write releases lookups for the same key
                     // that were deferred to preserve read-your-writes
                     // ordering.
-                    let finished = match inflight_writes.get_mut(&target.key) {
+                    let finished = match inflight_writes.get_mut(&key) {
                         Some(pending) => {
                             pending.count -= 1;
                             pending.count == 0
@@ -1027,25 +1135,21 @@ fn client_worker(
                         None => false,
                     };
                     if finished {
-                        if let Some(pending) = inflight_writes.remove(&target.key) {
+                        if let Some(pending) = inflight_writes.remove(&key) {
                             for (conn_idx, seq, bytekey) in pending.deferred {
-                                if connections
-                                    .get(conn_idx)
-                                    .map(|c| c.is_some())
-                                    .unwrap_or(false)
+                                if let Some(state) =
+                                    connections.get_mut(conn_idx).and_then(|c| c.as_mut())
                                 {
-                                    let token = handle.submit_lookup(target.key);
-                                    lookup_tokens.insert(
+                                    let token = handle.submit_lookup(key);
+                                    tokens.insert(
                                         token,
-                                        LookupTarget {
+                                        TokenTarget::Lookup {
                                             conn: conn_idx,
                                             seq,
                                             bytekey,
                                         },
                                     );
-                                    if let Some(state) = connections[conn_idx].as_mut() {
-                                        state.resolve_waiting(seq);
-                                    }
+                                    state.replies.resolve_waiting(seq);
                                 }
                             }
                         }
@@ -1065,23 +1169,12 @@ fn client_worker(
             };
             waiting_responses -=
                 state.flush_ready_responses(record_latency.then_some(&*metrics.latency));
-            let (written, verdict) = crate::connection::settle(&mut state.conn, &mut reactor, idx);
-            metrics.note_io(0, written);
+            let verdict = crate::connection::settle(&mut state.conn, &mut reactor, idx, &metrics);
             if verdict == crate::connection::Settle::Retired {
-                waiting_responses -= state.replies.len();
+                waiting_responses -= state.replies.pending.len();
                 connections[idx] = None;
                 inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
-                lookup_tokens.retain(|_, t| t.conn != idx);
-                // In-flight writes keep their per-key accounting (the
-                // table operation still completes) but lose their reply
-                // slot: the slot (and its per-connection sequence numbers)
-                // can be reused, and a late completion must not resolve
-                // against a successor connection's request of the same seq.
-                for target in write_tokens.values_mut() {
-                    if target.reply.is_some_and(|(c, _)| c == idx) {
-                        target.reply = None;
-                    }
-                }
+                tokens.retire_connection(idx);
                 for pending in inflight_writes.values_mut() {
                     pending.deferred.retain(|(c, _, _)| *c != idx);
                 }
@@ -1118,6 +1211,163 @@ mod tests {
             assert!(n > 0, "server closed the connection");
             decoder.feed(&buf[..n]);
         }
+    }
+
+    /// A server-side [`ConnState`] (speaking v1: no handshake) and the
+    /// client's end of its socket.
+    fn conn_state_pair() -> (ConnState, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let state = ConnState::new(Connection::new(server_side).unwrap(), false, true);
+        (state, client)
+    }
+
+    /// Flush what is ready and read the replies that went out.
+    fn flushed_replies(
+        state: &mut ConnState,
+        client: &mut TcpStream,
+        decoder: &mut ResponseDecoder,
+    ) -> Vec<Option<Vec<u8>>> {
+        let ready = state.flush_ready_responses(None);
+        while state.conn.pending_output() > 0 {
+            state.conn.flush();
+        }
+        let mut replies = Vec::new();
+        let mut buf = [0u8; 256];
+        while replies.len() < ready {
+            match decoder.next_response().unwrap() {
+                Some(response) => replies.push(response.value),
+                None => {
+                    let n = client.read(&mut buf).unwrap();
+                    assert!(n > 0);
+                    decoder.feed(&buf[..n]);
+                }
+            }
+        }
+        replies
+    }
+
+    #[test]
+    fn replies_resolve_by_index_and_leave_in_request_order() {
+        let (mut state, mut client) = conn_state_pair();
+        let mut decoder = ResponseDecoder::new();
+        // Five requests: hit, miss, a lookup deferred behind a write, hit,
+        // hit — completing in the order 3, 1, 0, (2 released) 4, 2.
+        let seqs: Vec<u64> = [
+            ReplyState::Submitted,
+            ReplyState::Submitted,
+            ReplyState::WaitingWrite,
+            ReplyState::Submitted,
+            ReplyState::Submitted,
+        ]
+        .into_iter()
+        .map(|s| state.replies.enqueue(s))
+        .collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4]);
+
+        state.replies.resolve(3, OutReply::ok_bytes(b"r3"));
+        state.replies.resolve(1, OutReply::miss());
+        assert!(flushed_replies(&mut state, &mut client, &mut decoder).is_empty());
+        state.replies.resolve(0, OutReply::ok_bytes(b"r0"));
+        // 0 and 1 leave; 2 still waits for its write, holding 3 back.
+        assert_eq!(
+            flushed_replies(&mut state, &mut client, &mut decoder),
+            [Some(b"r0".to_vec()), None]
+        );
+        // The head moved: later sequence numbers still find their entries,
+        // ones already answered (or never issued) find nothing.
+        state.replies.resolve(0, OutReply::ok_bytes(b"stale"));
+        state
+            .replies
+            .resolve(99, OutReply::ok_bytes(b"never issued"));
+        state.replies.resolve_waiting(2);
+        assert!(matches!(
+            state.replies.entry(2).unwrap().state,
+            ReplyState::Submitted
+        ));
+        // `resolve_waiting` only ever promotes a waiting entry.
+        state.replies.resolve_waiting(3);
+        assert!(matches!(
+            state.replies.entry(3).unwrap().state,
+            ReplyState::Done(_)
+        ));
+        state.replies.resolve(4, OutReply::ok_bytes(b"r4"));
+        assert!(flushed_replies(&mut state, &mut client, &mut decoder).is_empty());
+        state.replies.resolve(2, OutReply::ok_bytes(b"r2"));
+        assert_eq!(
+            flushed_replies(&mut state, &mut client, &mut decoder),
+            [
+                Some(b"r2".to_vec()),
+                Some(b"r3".to_vec()),
+                Some(b"r4".to_vec())
+            ]
+        );
+        // Drained: the next request continues the numbering.
+        assert!(state.replies.pending.is_empty());
+        assert_eq!(state.replies.enqueue(ReplyState::Submitted), 5);
+        state.replies.resolve(5, OutReply::miss());
+        assert_eq!(
+            flushed_replies(&mut state, &mut client, &mut decoder),
+            [None]
+        );
+    }
+
+    #[test]
+    fn token_ring_detaches_a_retired_slot_before_it_is_reused() {
+        let lookup = |conn, seq| TokenTarget::Lookup {
+            conn,
+            seq,
+            bytekey: None,
+        };
+        let mut tokens = TokenRing::default();
+        // Connection slot 0 has a lookup and a write in flight, slot 1 a
+        // lookup, when slot 0's peer goes away.
+        tokens.insert(10, lookup(0, 0));
+        tokens.insert(
+            11,
+            TokenTarget::Write {
+                key: 9,
+                reply: Some((0, 1)),
+            },
+        );
+        tokens.insert(12, lookup(1, 0));
+        tokens.retire_connection(0);
+        // A new connection reuses slot 0 and its sequence numbers start
+        // over, so its first request is (0, 0) again.
+        tokens.insert(13, lookup(0, 0));
+
+        // The late completions of the old connection resolve nothing; the
+        // write keeps its key (per-key accounting must still balance).
+        assert!(matches!(tokens.take(10), TokenTarget::Vacant));
+        assert!(matches!(
+            tokens.take(11),
+            TokenTarget::Write {
+                key: 9,
+                reply: None
+            }
+        ));
+        // Out-of-order completion, then a duplicate and an unknown token.
+        assert!(matches!(
+            tokens.take(13),
+            TokenTarget::Lookup {
+                conn: 0,
+                seq: 0,
+                ..
+            }
+        ));
+        assert!(matches!(tokens.take(13), TokenTarget::Vacant));
+        assert!(matches!(tokens.take(500), TokenTarget::Vacant));
+        assert!(matches!(tokens.take(3), TokenTarget::Vacant));
+        assert!(matches!(
+            tokens.take(12),
+            TokenTarget::Lookup { conn: 1, .. }
+        ));
+        // Everything completed: the ring is empty and restarts wherever
+        // the next token says.
+        assert!(tokens.slots.is_empty());
+        tokens.insert(14, lookup(1, 1));
+        assert_eq!((tokens.base, tokens.slots.len()), (14, 1));
     }
 
     #[test]

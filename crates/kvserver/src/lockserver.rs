@@ -264,7 +264,7 @@ fn lock_worker(
                         // key and read collisions as misses.  Hit values
                         // encode straight from the lookup buffer.
                         let verified = if hit {
-                            envelope::verify_stored(&key, &value_buf)
+                            envelope::verify_stored(key.as_ref(), &value_buf)
                         } else {
                             None
                         };
@@ -277,7 +277,7 @@ fn lock_worker(
                         }
                     }
                     OpKind::Insert => {
-                        let (hash, stored) = envelope::stored_form(&key, &value);
+                        let (hash, stored) = envelope::stored_form(key.as_ref(), &value);
                         // The envelope may push a near-limit value past
                         // MAX_VALUE_BYTES; storing it would later produce
                         // replies no client decoder accepts.
@@ -317,8 +317,7 @@ fn lock_worker(
                     }
                 }
             }
-            let (written, verdict) = crate::connection::settle(conn, &mut reactor, idx);
-            metrics.note_io(0, written);
+            let verdict = crate::connection::settle(conn, &mut reactor, idx, &metrics);
             if verdict == crate::connection::Settle::Retired {
                 connections[idx] = None;
                 inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign

@@ -274,7 +274,7 @@ fn instance_loop(
                         // key and read collisions as misses.  Hit values
                         // encode straight from the lookup buffer.
                         let verified = if hit {
-                            envelope::verify_stored(&key, &value_buf)
+                            envelope::verify_stored(key.as_ref(), &value_buf)
                         } else {
                             None
                         };
@@ -287,7 +287,7 @@ fn instance_loop(
                         }
                     }
                     OpKind::Insert => {
-                        let (hash, stored) = envelope::stored_form(&key, &value);
+                        let (hash, stored) = envelope::stored_form(key.as_ref(), &value);
                         // The envelope may push a near-limit value past
                         // MAX_VALUE_BYTES; storing it would later produce
                         // replies no client decoder accepts.
@@ -331,8 +331,7 @@ fn instance_loop(
                     }
                 }
             }
-            let (written, verdict) = crate::connection::settle(conn, &mut reactor, token);
-            metrics.note_io(0, written);
+            let verdict = crate::connection::settle(conn, &mut reactor, token, &metrics);
             if verdict == crate::connection::Settle::Retired {
                 connections[token] = None;
             }

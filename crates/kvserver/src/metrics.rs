@@ -174,6 +174,10 @@ pub struct StatsSnapshot {
     pub frontend_idle_sleeps: u64,
     /// Syscalls issued by the reactor backends (mutations + waits).
     pub frontend_syscalls: u64,
+    /// `read(2)` calls issued on client connections.
+    pub conn_read_syscalls: u64,
+    /// `write(2)` calls issued on client connections.
+    pub conn_write_syscalls: u64,
     /// Merged batch-pipeline counters across the table's server threads.
     pub batch: BatchStats,
     /// Summed inbound queue-depth sample across server threads.
@@ -212,6 +216,8 @@ pub struct ServerMetrics {
     connections: Counter,
     admin_commands: Counter,
     retries_emitted: Counter,
+    conn_read_syscalls: Counter,
+    conn_write_syscalls: Counter,
     /// Reactor counters, shared by every worker's front-end.
     pub frontend: Arc<FrontendStats>,
     /// Windowed request latency (enqueue → in-order reply), the signal
@@ -282,6 +288,15 @@ impl ServerMetrics {
         let retries_emitted = registry.counter(
             "cphash_retries_emitted_total",
             "Wire-level Retry replies emitted to shed overload",
+        );
+
+        let conn_read_syscalls = registry.counter(
+            "cphash_conn_read_syscalls_total",
+            "read(2) calls issued on client connections",
+        );
+        let conn_write_syscalls = registry.counter(
+            "cphash_conn_write_syscalls_total",
+            "write(2) calls issued on client connections",
         );
 
         let f = Arc::clone(&frontend);
@@ -431,6 +446,8 @@ impl ServerMetrics {
             connections,
             admin_commands,
             retries_emitted,
+            conn_read_syscalls,
+            conn_write_syscalls,
             frontend,
             latency,
             migration,
@@ -474,6 +491,8 @@ impl ServerMetrics {
             frontend_events: self.frontend.events(),
             frontend_idle_sleeps: self.frontend.idle_sleeps(),
             frontend_syscalls: self.frontend.syscalls(),
+            conn_read_syscalls: self.conn_read_syscalls.value(),
+            conn_write_syscalls: self.conn_write_syscalls.value(),
             batch: self.batch_stats(),
             queue_depth: summed_queue_depth(&self.batch_sources),
             migration_chunks: self.migration.chunks_moved(),
@@ -560,6 +579,18 @@ impl ServerMetrics {
         }
         if written > 0 {
             self.bytes_out.add(written as u64);
+        }
+    }
+
+    /// Data-movement syscalls a connection issued: with the reactor's own
+    /// (`cphash_frontend_syscalls_total`) they make up the server's
+    /// syscalls per request.
+    pub(crate) fn note_conn_syscalls(&self, reads: u64, writes: u64) {
+        if reads > 0 {
+            self.conn_read_syscalls.add(reads);
+        }
+        if writes > 0 {
+            self.conn_write_syscalls.add(writes);
         }
     }
 
@@ -685,6 +716,7 @@ mod tests {
         m.note_admin();
         m.note_retry_emitted();
         m.note_io(321, 123);
+        m.note_conn_syscalls(5, 4);
         m.note_connection();
         m.frontend.note_wakeup(3);
         m.frontend.note_idle_sleep();
@@ -742,6 +774,16 @@ mod tests {
             counter("cphash_frontend_syscalls_total")
         );
         assert_eq!(unified.frontend_syscalls, 9);
+        assert_eq!(
+            unified.conn_read_syscalls,
+            counter("cphash_conn_read_syscalls_total")
+        );
+        assert_eq!(unified.conn_read_syscalls, 5);
+        assert_eq!(
+            unified.conn_write_syscalls,
+            counter("cphash_conn_write_syscalls_total")
+        );
+        assert_eq!(unified.conn_write_syscalls, 4);
         assert_eq!(unified.batch.batches, counter("cphash_batch_rounds_total"));
         assert_eq!(unified.batch.ops, counter("cphash_batch_ops_total"));
         assert_eq!(

@@ -101,12 +101,27 @@ fn stats_endpoint_serves_monotone_metrics_under_load() {
         "cphash_retries_emitted_total",
         "cphash_request_latency_ns_count",
         "cphash_frontend_wakeups_total",
+        "cphash_frontend_syscalls_total",
+        "cphash_conn_read_syscalls_total",
+        "cphash_conn_write_syscalls_total",
     ] {
         assert!(
             end.iter().any(|s| s.name == family),
             "family {family} missing from scrape"
         );
     }
+    // Syscalls per request, data movement included, from a live server:
+    // every request was read and most were answered, and with 32 requests
+    // per pipelined batch that took far fewer `read`s and `write`s than
+    // requests.
+    let requests = sample_value(&end, "cphash_requests_total").unwrap();
+    let reads = sample_value(&end, "cphash_conn_read_syscalls_total").unwrap();
+    let writes = sample_value(&end, "cphash_conn_write_syscalls_total").unwrap();
+    assert!(reads > 0.0 && writes > 0.0);
+    assert!(
+        reads + writes < requests,
+        "{reads} reads + {writes} writes for {requests} requests"
+    );
     // Per-stage trace histograms are exported per stage label even while
     // tracing is off (all-zero until enabled).
     for stage in [
