@@ -17,24 +17,16 @@
 //! anyway.  Claim: uring spends fewer syscalls per request than epoll
 //! under churn.
 //!
-//! **Reply-prefetch arm**: A/B of the worker flush path's value-line
-//! hints with 1 KiB values — deep pipelines overflow L1 between the
-//! completion drain (which copies each value) and the wire flush, so the
-//! hints re-warm whatever cooled.  The effect rides on cache pressure and
-//! core topology; the arm reports medians over counterbalanced runs with
-//! the measured run-to-run spread as the verdict's noise floor.
-//!
 //! ```text
 //! cargo run --release -p cphash-bench --bin ablate_frontend -- \
 //!     [--idle 1000] [--requests 50000] [--rate 20000] [--churn 10000] \
-//!     [--json BENCH_ablate_frontend.json] [--strict]
+//!     [--strict]
 //! ```
 //!
 //! `--strict` exits nonzero if the scaling-arm wake-up ratio falls below
 //! 10× while a real epoll backend is available, or if the churn-arm
 //! syscalls-per-request for uring fails to beat epoll while both are real
-//! (used by CI as a regression gate).  `--json PATH` additionally writes
-//! the full result set as a JSON document.
+//! (used by CI as a regression gate).
 
 use bytes::BytesMut;
 use cphash_kvproto::{encode_insert, encode_lookup, ResponseDecoder};
@@ -53,7 +45,6 @@ struct Args {
     rate: f64,
     churn: u64,
     strict: bool,
-    json: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -63,7 +54,6 @@ fn parse_args() -> Args {
         rate: 20_000.0,
         churn: 10_000,
         strict: false,
-        json: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -76,10 +66,9 @@ fn parse_args() -> Args {
             "--requests" => args.requests = value("--requests").parse().expect("bad --requests"),
             "--rate" => args.rate = value("--rate").parse().expect("bad --rate"),
             "--churn" => args.churn = value("--churn").parse().expect("bad --churn"),
-            "--json" => args.json = Some(value("--json")),
             "--strict" => args.strict = true,
             other => panic!(
-                "unknown flag {other:?} (--idle N --requests N --rate RPS --churn N --json PATH --strict)"
+                "unknown flag {other:?} (--idle N --requests N --rate RPS --churn N --strict)"
             ),
         }
     }
@@ -139,14 +128,11 @@ fn run_scaling(kind: FrontendKind, args: &Args) -> ScalingOutcome {
 struct ChurnOutcome {
     kind: FrontendKind,
     connections: u64,
-    elapsed_secs: f64,
     accepts_per_sec: f64,
     wakeups: u64,
     syscalls: u64,
-    requests: u64,
     syscalls_per_request: f64,
     churn_p99_us: u64,
-    steady_ops: u64,
 }
 
 /// One short-lived connection: connect, insert, lookup back, verify, drop.
@@ -187,12 +173,11 @@ fn run_churn(kind: FrontendKind, conns: u64) -> ChurnOutcome {
     let stop = Arc::new(AtomicBool::new(false));
     let steady = {
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || -> u64 {
+        std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).expect("steady connect");
             stream.set_nodelay(true).expect("nodelay");
             let mut decoder = ResponseDecoder::new();
             let mut buf = [0u8; 64 * 1024];
-            let mut ops = 0u64;
             let mut key = 0u64;
             const PIPELINE: u64 = 32;
             // relaxed: stop flag; stale reads just run one extra batch
@@ -213,9 +198,7 @@ fn run_churn(kind: FrontendKind, conns: u64) -> ChurnOutcome {
                     assert!(n > 0, "server closed the steady connection");
                     decoder.feed(&buf[..n]);
                 }
-                ops += PIPELINE;
             }
-            ops
         })
     };
     // Let the steady stream settle before snapshotting the counters.
@@ -260,255 +243,19 @@ fn run_churn(kind: FrontendKind, conns: u64) -> ChurnOutcome {
     let accepted = metrics.connections() - accepted_before;
 
     stop.store(true, Ordering::Relaxed); // relaxed: stop flag; join() below is the barrier
-    let steady_ops = steady.join().expect("steady thread");
+    steady.join().expect("steady thread");
     server.shutdown();
 
     latencies.sort_unstable();
     ChurnOutcome {
         kind,
         connections: accepted,
-        elapsed_secs,
         accepts_per_sec: accepted as f64 / elapsed_secs.max(1e-9),
         wakeups,
         syscalls,
-        requests,
         syscalls_per_request: syscalls as f64 / requests.max(1) as f64,
         churn_p99_us: percentile(&latencies, 99.0),
-        steady_ops,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Reply-prefetch arm
-// ---------------------------------------------------------------------------
-
-#[derive(Clone)]
-struct PrefetchOutcome {
-    enabled: bool,
-    throughput: f64,
-    batch_p99_us: u64,
-    batch_mean_us: f64,
-}
-
-fn run_prefetch(enabled: bool) -> PrefetchOutcome {
-    let mut server = CpServer::start(CpServerConfig {
-        client_threads: 2,
-        partitions: 2,
-        capacity_bytes: Some(64 * 1024 * 1024),
-        typical_value_bytes: 1024,
-        frontend: FrontendKind::Epoll,
-        reply_prefetch: enabled,
-        ..Default::default()
-    })
-    .expect("starting CPSERVER");
-    let addr = server.addr();
-
-    const KEYS: u64 = 4096;
-    const VALUE_BYTES: usize = 1024;
-    const PIPELINE: u64 = 64;
-    const BATCHES: u64 = 400;
-
-    let mut stream = TcpStream::connect(addr).expect("prefetch connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut decoder = ResponseDecoder::new();
-    let mut buf = [0u8; 256 * 1024];
-    let value = vec![0xa5u8; VALUE_BYTES];
-
-    // Populate fire-and-forget (v1 inserts carry no response), then barrier
-    // with a full warm-up lookup pass: per-connection ordering defers each
-    // lookup behind the in-flight write of its key, so once the pass
-    // completes every value is resident and the measurement below starts
-    // from a steady state.
-    let mut wire = BytesMut::new();
-    for key in 0..KEYS {
-        encode_insert(&mut wire, key, &value);
-        if wire.len() >= 256 * 1024 {
-            stream.write_all(&wire).expect("populate write");
-            wire.clear();
-        }
-    }
-    stream.write_all(&wire).expect("populate write");
-    let mut key = 0u64;
-    while key < KEYS {
-        let mut wire = BytesMut::new();
-        let batch = PIPELINE.min(KEYS - key);
-        for _ in 0..batch {
-            encode_lookup(&mut wire, key);
-            key += 1;
-        }
-        stream.write_all(&wire).expect("warmup write");
-        let mut got = 0;
-        while got < batch {
-            if let Some(resp) = decoder.next_response().expect("warmup decode") {
-                assert_eq!(
-                    resp.value.as_deref().map(|v| v.len()),
-                    Some(VALUE_BYTES),
-                    "populated value went missing during warm-up"
-                );
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).expect("warmup read");
-            assert!(n > 0);
-            decoder.feed(&buf[..n]);
-        }
-    }
-
-    // Measure pipelined lookups that each carry a 1 KiB value back.
-    let mut batch_latencies = Vec::with_capacity(BATCHES as usize);
-    let started = Instant::now();
-    for b in 0..BATCHES {
-        let mut wire = BytesMut::new();
-        for i in 0..PIPELINE {
-            encode_lookup(&mut wire, (b * 31 + i * 17) % KEYS);
-        }
-        let begun = Instant::now();
-        stream.write_all(&wire).expect("lookup write");
-        let mut got = 0;
-        while got < PIPELINE {
-            if let Some(resp) = decoder.next_response().expect("lookup decode") {
-                assert_eq!(resp.value.as_deref().map(|v| v.len()), Some(VALUE_BYTES));
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).expect("lookup read");
-            assert!(n > 0);
-            decoder.feed(&buf[..n]);
-        }
-        batch_latencies.push(begun.elapsed().as_micros() as u64);
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    server.shutdown();
-
-    batch_latencies.sort_unstable();
-    let mean = batch_latencies.iter().sum::<u64>() as f64 / batch_latencies.len().max(1) as f64;
-    PrefetchOutcome {
-        enabled,
-        throughput: (BATCHES * PIPELINE) as f64 / elapsed.max(1e-9),
-        batch_p99_us: percentile(&batch_latencies, 99.0),
-        batch_mean_us: mean,
-    }
-}
-
-/// Median throughput / latency over one variant's runs, plus the relative
-/// spread (max−min over median) as an empirical noise floor.
-struct PrefetchSummary {
-    enabled: bool,
-    throughput: f64,
-    batch_p99_us: u64,
-    batch_mean_us: f64,
-    spread: f64,
-    runs: usize,
-}
-
-fn summarize_prefetch(runs: &[PrefetchOutcome], enabled: bool) -> PrefetchSummary {
-    let mut ours: Vec<&PrefetchOutcome> = runs.iter().filter(|o| o.enabled == enabled).collect();
-    assert!(!ours.is_empty(), "variant never ran");
-    ours.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-    let median = ours[ours.len() / 2];
-    let lo = ours.first().expect("nonempty").throughput;
-    let hi = ours.last().expect("nonempty").throughput;
-    PrefetchSummary {
-        enabled,
-        throughput: median.throughput,
-        batch_p99_us: median.batch_p99_us,
-        batch_mean_us: median.batch_mean_us,
-        spread: (hi - lo) / median.throughput.max(1e-9),
-        runs: ours.len(),
-    }
-}
-
-/// Classify the prefetch A/B on median throughput: "win" / "tie" /
-/// "regression", with the dead band widened to the *measured* run-to-run
-/// spread — on a noisy (e.g. single-hardware-thread CI) host a delta inside
-/// the variants' own jitter proves nothing either way.
-fn prefetch_note(on: &PrefetchSummary, off: &PrefetchSummary) -> &'static str {
-    let delta = on.throughput / off.throughput.max(1e-9) - 1.0;
-    let noise = on.spread.max(off.spread).max(0.02);
-    if delta >= noise {
-        "win"
-    } else if delta <= -noise {
-        "regression"
-    } else {
-        "tie"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reporting
-// ---------------------------------------------------------------------------
-
-fn write_json(
-    path: &str,
-    args: &Args,
-    scaling: &[ScalingOutcome],
-    churn: &[ChurnOutcome],
-    prefetch: &(PrefetchSummary, PrefetchSummary),
-    wakeup_ratio: f64,
-    uring_real: bool,
-) {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"ablate_frontend\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"idle\": {}, \"requests\": {}, \"rate\": {:.0}, \"churn\": {}, \"uring_available\": {}}},\n",
-        args.idle, args.requests, args.rate, args.churn, uring_real
-    ));
-
-    out.push_str("  \"scaling\": [\n");
-    for (i, o) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"frontend\": \"{}\", \"idle_open\": {}, \"throughput_rps\": {:.0}, \"wakeups\": {}, \"events_per_wakeup\": {:.2}, \"idle_sleeps\": {}, \"batch_p99_us\": {}}}{}\n",
-            o.kind.as_str(),
-            o.result.idle_open,
-            o.result.throughput(),
-            o.wakeups,
-            o.events_per_wakeup,
-            o.idle_sleeps,
-            o.result.batch_p99_us,
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"wakeup_ratio_poll_over_epoll\": {wakeup_ratio:.1},\n"
-    ));
-
-    out.push_str("  \"churn\": [\n");
-    for (i, o) in churn.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"frontend\": \"{}\", \"connections\": {}, \"elapsed_secs\": {:.3}, \"accepts_per_sec\": {:.0}, \"wakeups\": {}, \"syscalls\": {}, \"requests\": {}, \"syscalls_per_request\": {:.4}, \"churn_p99_us\": {}, \"steady_ops\": {}}}{}\n",
-            o.kind.as_str(),
-            o.connections,
-            o.elapsed_secs,
-            o.accepts_per_sec,
-            o.wakeups,
-            o.syscalls,
-            o.requests,
-            o.syscalls_per_request,
-            o.churn_p99_us,
-            o.steady_ops,
-            if i + 1 < churn.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-
-    let (on, off) = prefetch;
-    out.push_str(&format!(
-        "  \"reply_prefetch\": {{\n    \"on\": {{\"throughput_rps\": {:.0}, \"batch_p99_us\": {}, \"batch_mean_us\": {:.1}, \"spread\": {:.3}}},\n    \"off\": {{\"throughput_rps\": {:.0}, \"batch_p99_us\": {}, \"batch_mean_us\": {:.1}, \"spread\": {:.3}}},\n    \"runs_per_variant\": {},\n    \"note\": \"{}\"\n  }}\n}}\n",
-        on.throughput,
-        on.batch_p99_us,
-        on.batch_mean_us,
-        on.spread,
-        off.throughput,
-        off.batch_p99_us,
-        off.batch_mean_us,
-        off.spread,
-        on.runs.min(off.runs),
-        prefetch_note(on, off)
-    ));
-
-    std::fs::write(path, out).expect("writing JSON report");
-    println!("wrote {path}");
 }
 
 fn main() {
@@ -623,47 +370,6 @@ fn main() {
         }
     }
 
-    // --- Reply-prefetch arm ------------------------------------------------
-    // Three runs per variant, counterbalanced (on-off-off-on-on-off) so
-    // neither variant systematically eats the process's warm-up costs;
-    // medians plus a measured noise floor keep the verdict honest on hosts
-    // where separate server runs jitter by more than the effect size.
-    println!("\nreply prefetch A/B: 1 KiB values, pipelined lookups (median of 3)");
-    let runs: Vec<PrefetchOutcome> = [true, false, false, true, true, false]
-        .into_iter()
-        .map(run_prefetch)
-        .collect();
-    let prefetch_on = summarize_prefetch(&runs, true);
-    let prefetch_off = summarize_prefetch(&runs, false);
-    for o in [&prefetch_on, &prefetch_off] {
-        println!(
-            "prefetch {:>3}: {:>10.0} req/s   batch mean {:>8.1} us   p99 {:>6} us   (spread {:>4.1}% over {} runs)",
-            if o.enabled { "on" } else { "off" },
-            o.throughput,
-            o.batch_mean_us,
-            o.batch_p99_us,
-            o.spread * 100.0,
-            o.runs
-        );
-    }
-    println!(
-        "reply prefetch verdict: {} ({:+.1}% median throughput delta, noise floor {:.1}%)",
-        prefetch_note(&prefetch_on, &prefetch_off),
-        (prefetch_on.throughput / prefetch_off.throughput.max(1e-9) - 1.0) * 100.0,
-        prefetch_on.spread.max(prefetch_off.spread).max(0.02) * 100.0
-    );
-
-    if let Some(path) = &args.json {
-        write_json(
-            path,
-            &args,
-            &scaling,
-            &churn,
-            &(prefetch_on, prefetch_off),
-            wakeup_ratio,
-            uring_real,
-        );
-    }
     if failed && args.strict {
         std::process::exit(1);
     }

@@ -1,42 +1,25 @@
 //! Ablation: the batched, prefetch-pipelined server hot loop vs the scalar
 //! baseline.
 //!
-//! Two measurements of the same mechanism, at the paper-style read-heavy
-//! mix (95 % lookups / 5 % value-replacing inserts, uniform keys):
+//! The scalar and batched-without-prefetch loops do not exist in the
+//! server any more; they live here, written against the partition's public
+//! two-phase API, as the baselines the paper's §6.2 claim is measured
+//! against.  Paper-style read-heavy mix (95 % lookups / 5 %
+//! value-replacing inserts, uniform keys):
 //!
-//! 1. **Hot loop (gated)** — one thread drives one real `Partition`
-//!    through exactly the stages the server executor runs:
-//!    * `scalar`        — hash, touch memory, finish, one op at a time;
-//!    * `batched`       — prepare (hash) a whole batch, then execute it:
-//!      even without prefetches, back-to-back independent bucket walks let
-//!      the CPU overlap their misses (memory-level parallelism the scalar
+//! 1. **Hot loop (gated)** — one thread drives one real `Partition`, at one
+//!    bucket per key, through exactly the stages the server executor runs:
+//!    * `scalar`   — hash, touch memory, finish, one op at a time;
+//!    * `batched`  — prepare (hash) a whole batch, then execute it: even
+//!      without prefetches, back-to-back independent bucket probes let the
+//!      CPU overlap their misses (memory-level parallelism the scalar
 //!      loop's interleaved bookkeeping never exposes);
-//!    * `prefetch`      — prepare + software-prefetch every bucket chain
-//!      head, then execute (what `ServerPipeline::BatchedPrefetch` ships);
-//!    * `prefetch-deep` — an extra staging pass that re-reads each fetched
-//!      head and prefetches its LRU neighbors
-//!      (`Partition::prefetch_neighbors`).  Reported, not shipped: it wins
-//!      while the table fits the last-level cache and loses once the heads
-//!      themselves come from DRAM (the re-reads stall the staging pass).
+//!    * `prefetch` — prepare + software-prefetch every bucket line, then
+//!      execute (what the server's staged executor ships).
 //!
-//!    All four arms are pinned to `BucketLayout::Chain` at one bucket per
-//!    key, so they remain the PR 5 baseline in its historical regime.
 //!    `--strict` exits nonzero unless `prefetch ≥ 1.1 × scalar` here —
 //!    this isolates the server mechanism, so the gate holds even on hosts
 //!    with fewer cores than benchmark threads.
-//!
-//! 1a. **Bucket layout (gated)** — the same prefetch staging loop on two
-//!    same-shaped partitions, one per `BucketLayout`, at `--load-factor`
-//!    keys per bucket (default 4; a capacity-bound cache runs its buckets
-//!    populated).  There the chained layout's lookup is a dependent-miss
-//!    chain of element headers, while the tagged inline line still holds
-//!    every entry — one prefetched line resolves the whole common case.
-//!    `--strict` exits nonzero unless `inline ≥ 1.1 × chain-prefetch`.
-//!    The [`cphash_cachesim::BucketProbeModel`] prediction (expected
-//!    exposed-line reduction per probe) is printed next to the
-//!    measurement, and an `inline-deep` arm reports the
-//!    `prefetch_neighbors` second pass, which under the inline layout
-//!    re-reads only the already-prefetched bucket line.
 //!
 //! 1b. **Tracing overhead (gated)** — the prefetch arm re-run with the
 //!    production [`StageSpan`] hooks compiled in.  With tracing disabled
@@ -45,27 +28,20 @@
 //!    documented cost of `--trace`.
 //!
 //! 2. **End-to-end (context, ungated)** — the full table (client threads,
-//!    rings, server threads) under `ServerPipeline::{Scalar, Batched,
-//!    BatchedPrefetch}`.  On machines with enough cores that the server
-//!    thread is the bottleneck this tracks the hot-loop ratio; on
-//!    oversubscribed hosts it mostly measures timesharing, which is why
-//!    the gate lives on the hot loop.
-//!
-//! With `--json <path>` the run additionally writes its results (rates,
-//! gate ratios, model prediction, end-to-end rows) as a machine-readable
-//! JSON document, so benchmark trajectories can be tracked in-repo.
+//!    rings, server threads).  On machines with enough cores that the
+//!    server thread is the bottleneck this tracks the hot-loop rate; on
+//!    oversubscribed hosts it mostly measures timesharing, which is why the
+//!    gate lives on the hot loop.
 //!
 //! ```text
 //! cargo run --release -p cphash-bench --bin ablate_prefetch -- \
 //!     [--keys N] [--ops N] [--batch N] [--insert-pct P] [--repeats N] \
 //!     [--e2e-ops N] [--e2e-working-set-mb N] [--skip-e2e] [--quick] \
-//!     [--strict] [--json PATH]
+//!     [--strict]
 //! ```
 
-use cphash::ServerPipeline;
 use cphash_bench::xorshift64;
-use cphash_cachesim::BucketProbeModel;
-use cphash_hashcore::{BucketLayout, BucketRef, Partition, PartitionConfig};
+use cphash_hashcore::{BucketRef, Partition, PartitionConfig};
 use cphash_loadgen::{run_cphash, DriverOptions, RunResult, WorkloadSpec};
 use cphash_perfmon::trace::{self, TraceStage};
 use cphash_perfmon::{StageSpan, Stopwatch};
@@ -80,8 +56,6 @@ struct Args {
     e2e_working_set_mb: usize,
     skip_e2e: bool,
     strict: bool,
-    json: Option<String>,
-    load_factor: f64,
 }
 
 fn parse_args() -> Args {
@@ -95,8 +69,6 @@ fn parse_args() -> Args {
         e2e_working_set_mb: 32,
         skip_e2e: false,
         strict: false,
-        json: None,
-        load_factor: 4.0,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -132,12 +104,8 @@ fn parse_args() -> Args {
                 args.e2e_working_set_mb = 16;
             }
             "--strict" => args.strict = true,
-            "--json" => args.json = Some(value("--json")),
-            "--load-factor" => {
-                args.load_factor = value("--load-factor").parse().expect("bad --load-factor")
-            }
             other => panic!(
-                "unknown flag {other:?} (--keys N --ops N --batch N --insert-pct P --repeats N --load-factor F --e2e-ops N --e2e-working-set-mb N --skip-e2e --quick --strict --json PATH)"
+                "unknown flag {other:?} (--keys N --ops N --batch N --insert-pct P --repeats N --e2e-ops N --e2e-working-set-mb N --skip-e2e --quick --strict)"
             ),
         }
     }
@@ -149,14 +117,12 @@ enum HotArm {
     Scalar,
     Batched,
     Prefetch,
-    PrefetchDeep,
 }
 
-const HOT_ARMS: [(HotArm, &str); 4] = [
+const HOT_ARMS: [(HotArm, &str); 3] = [
     (HotArm::Scalar, "scalar"),
     (HotArm::Batched, "batched"),
     (HotArm::Prefetch, "prefetch"),
-    (HotArm::PrefetchDeep, "prefetch-deep"),
 ];
 
 /// One hot-loop run: `ops` operations against a prefilled partition,
@@ -184,7 +150,7 @@ fn run_hot(partition: &mut Partition, arm: HotArm, args: &Args) -> f64 {
                 }
             }
         } else {
-            // Stage 1: prepare (and under the prefetch arms, hint) the
+            // Stage 1: prepare (and under the prefetch arm, hint) the
             // whole batch without touching table memory.
             preps.clear();
             kinds.clear();
@@ -192,16 +158,11 @@ fn run_hot(partition: &mut Partition, arm: HotArm, args: &Args) -> f64 {
                 let r = xorshift64(&mut rng);
                 let key = r % args.keys;
                 let prep = partition.prepare(key);
-                if arm != HotArm::Batched {
+                if arm == HotArm::Prefetch {
                     partition.prefetch_prepared(&prep);
                 }
                 preps.push(prep);
                 kinds.push(r % 100 < args.insert_pct);
-            }
-            if arm == HotArm::PrefetchDeep {
-                for prep in &preps {
-                    partition.prefetch_neighbors(prep);
-                }
             }
             // Stage 2: execute the batch in order.
             for (prep, is_insert) in preps.iter().zip(kinds.iter()) {
@@ -265,7 +226,7 @@ fn run_hot_hooked(partition: &mut Partition, args: &Args) -> f64 {
     args.ops as f64 / watch.elapsed_secs()
 }
 
-fn run_e2e(pipeline: ServerPipeline, args: &Args) -> RunResult {
+fn run_e2e(args: &Args) -> RunResult {
     let spec = WorkloadSpec {
         working_set_bytes: args.e2e_working_set_mb << 20,
         capacity_bytes: args.e2e_working_set_mb << 20,
@@ -276,7 +237,6 @@ fn run_e2e(pipeline: ServerPipeline, args: &Args) -> RunResult {
         ..Default::default()
     };
     let opts = DriverOptions {
-        pipeline,
         server_batch_size: args.batch,
         ..DriverOptions::new(1, 1)
     };
@@ -295,126 +255,34 @@ fn main() {
         );
     }
 
-    // Section 1 — the PR 5 pipeline arms, at their historical geometry
-    // (one bucket per key, chained layout): the gate that batching +
-    // prefetch pays for itself is measured in the same regime it always
-    // was.  The partition is dropped before section 2 builds its pair so
-    // peak memory stays at two tables.
+    let mut partition = Partition::new(PartitionConfig::new(args.keys as usize, None));
+    for key in 0..args.keys {
+        partition
+            .insert_copy(key, &key.to_le_bytes())
+            .expect("prefill");
+    }
+    println!(
+        "partition prefilled: {} elements over {} buckets\n",
+        partition.len(),
+        partition.bucket_count()
+    );
+
+    // Interleave the arms across repeat rounds so machine noise hits every
+    // arm evenly; keep each arm's best (noise only subtracts throughput).
     let mut best = [0f64; HOT_ARMS.len()];
-    {
-        let mut partition = Partition::new(
-            PartitionConfig::new(args.keys as usize, None).with_layout(BucketLayout::Chain),
-        );
-        for key in 0..args.keys {
-            partition
-                .insert_copy(key, &key.to_le_bytes())
-                .expect("prefill");
+    for _ in 0..args.repeats {
+        for (slot, (arm, _)) in HOT_ARMS.into_iter().enumerate() {
+            best[slot] = best[slot].max(run_hot(&mut partition, arm, &args));
         }
-        println!(
-            "pipeline partition prefilled: {} elements over {} buckets (chain)\n",
-            partition.len(),
-            partition.bucket_count()
-        );
+    }
 
-        // Interleave the arms across repeat rounds so machine noise hits
-        // every arm evenly; keep each arm's best (noise only subtracts
-        // throughput).
-        for _ in 0..args.repeats {
-            for (slot, (arm, _)) in HOT_ARMS.into_iter().enumerate() {
-                best[slot] = best[slot].max(run_hot(&mut partition, arm, &args));
-            }
-        }
-
-        println!("hot loop (single thread, one partition):");
-        println!("{:<14} {:>14} {:>12}", "arm", "ops/sec", "vs scalar");
-        let scalar = best[0];
-        for ((_, name), rate) in HOT_ARMS.into_iter().zip(best.iter()) {
-            println!("{:<14} {:>14.0} {:>11.2}x", name, rate, rate / scalar);
-        }
+    println!("hot loop (single thread, one partition):");
+    println!("{:<14} {:>14} {:>12}", "arm", "ops/sec", "vs scalar");
+    let scalar = best[0];
+    for ((_, name), rate) in HOT_ARMS.into_iter().zip(best.iter()) {
+        println!("{:<14} {:>14.0} {:>11.2}x", name, rate, rate / scalar);
     }
     let gate = best[2] / best[0];
-
-    // Section 2 — the bucket-layout head-to-head, at `--load-factor` keys
-    // per bucket (default 4: a capacity-bound cache runs its buckets
-    // populated, and that is where the layouts diverge — the chained walk
-    // is a dependent-miss chain, while the tagged line still holds every
-    // entry, so one prefetch covers the whole common case).  Three arms on
-    // two same-shaped partitions, interleaved:
-    //   chain-prefetch — the PR 5 pipeline on the chained layout;
-    //   inline         — the same staging on the inline layout;
-    //   inline-deep    — inline plus the `prefetch_neighbors` second pass,
-    //                    which under this layout re-reads only the bucket
-    //                    line the first pass already fetched (none of the
-    //                    chained layout's stalling head re-reads) and hints
-    //                    the tag-matched element slots.
-    let buckets = ((args.keys as f64 / args.load_factor.max(0.1)).ceil() as usize)
-        .next_power_of_two()
-        .max(64);
-    let mut chain_partition =
-        Partition::new(PartitionConfig::new(buckets, None).with_layout(BucketLayout::Chain));
-    let mut inline_partition =
-        Partition::new(PartitionConfig::new(buckets, None).with_layout(BucketLayout::Inline));
-    for key in 0..args.keys {
-        chain_partition
-            .insert_copy(key, &key.to_le_bytes())
-            .expect("prefill");
-        inline_partition
-            .insert_copy(key, &key.to_le_bytes())
-            .expect("prefill");
-    }
-    let load_factor = inline_partition.len() as f64 / inline_partition.bucket_count() as f64;
-    println!(
-        "\nlayout partitions prefilled: {} elements over {} buckets, load factor {:.2} (chain + inline)",
-        inline_partition.len(),
-        inline_partition.bucket_count(),
-        load_factor,
-    );
-    let mut layout_best = [0f64; 3];
-    for _ in 0..args.repeats {
-        layout_best[0] = layout_best[0].max(run_hot(&mut chain_partition, HotArm::Prefetch, &args));
-        layout_best[1] =
-            layout_best[1].max(run_hot(&mut inline_partition, HotArm::Prefetch, &args));
-        layout_best[2] =
-            layout_best[2].max(run_hot(&mut inline_partition, HotArm::PrefetchDeep, &args));
-    }
-    drop(chain_partition);
-    const LAYOUT_ARMS: [&str; 3] = ["chain-prefetch", "inline", "inline-deep"];
-    println!("bucket layout (prefetch staging, both layouts):");
-    println!("{:<14} {:>14} {:>12}", "arm", "ops/sec", "vs chain");
-    for (name, rate) in LAYOUT_ARMS.iter().zip(layout_best.iter()) {
-        println!(
-            "{:<14} {:>14.0} {:>11.2}x",
-            name,
-            rate,
-            rate / layout_best[0]
-        );
-    }
-    let layout_gate = layout_best[1] / layout_best[0];
-
-    // What the cache model predicts for the layout gate: expected exposed
-    // (non-overlapped) lines per probe under each layout.  Every lookup in
-    // this mix hits (keys are prefilled).
-    let model = BucketProbeModel {
-        load_factor,
-        hit_rate: 1.0,
-        inline_slots: cphash_hashcore::INLINE_SLOTS,
-        tag_bits: 8,
-    };
-    let model_chain = model.chain();
-    let model_inline = model.inline();
-    println!(
-        "bucket-probe model: chain exposes {:.2} lines/probe ({:.0} staged read + {:.2} walk - {:.2} prefetched), inline {:.2}",
-        model_chain.exposed_lines,
-        model_chain.staged_lines,
-        model_chain.probe_lines,
-        model_chain.prefetched_lines,
-        model_inline.exposed_lines,
-    );
-    println!(
-        "bucket-probe model: predicted inline/chain reduction {:.2}x (measured {:.2}x)",
-        model.exposed_miss_reduction(),
-        layout_gate
-    );
 
     // Tracing overhead: the same prefetch loop with the production stage
     // hooks compiled in, measured with tracing off (must be free) and on
@@ -423,19 +291,19 @@ fn main() {
     // so frequency/cache drift between report sections cannot masquerade
     // as hook cost.
     // A 2% gate needs tighter best-of estimates than the 10%
-    // pipeline-vs-scalar one: floor the repeat count for this section.
-    let trace_repeats = args.repeats.max(6);
+    // pipeline-vs-scalar one: floor the repeat count for this section
+    // (best-of-6 of quarter-second runs still spread 0.96–1.02 on the
+    // 2-CPU reference host; best-of-12 stayed within 0.98–1.01).
+    let trace_repeats = args.repeats.max(12);
     let mut best_plain = 0f64;
     let mut best_hooks_off = 0f64;
     let mut best_hooks_on = 0f64;
-    // Measured on the inline-layout partition: that is what the shipping
-    // server executor runs.
     for _ in 0..trace_repeats {
-        best_plain = best_plain.max(run_hot(&mut inline_partition, HotArm::Prefetch, &args));
+        best_plain = best_plain.max(run_hot(&mut partition, HotArm::Prefetch, &args));
         trace::set_trace_enabled(false);
-        best_hooks_off = best_hooks_off.max(run_hot_hooked(&mut inline_partition, &args));
+        best_hooks_off = best_hooks_off.max(run_hot_hooked(&mut partition, &args));
         trace::set_trace_enabled(true);
-        best_hooks_on = best_hooks_on.max(run_hot_hooked(&mut inline_partition, &args));
+        best_hooks_on = best_hooks_on.max(run_hot_hooked(&mut partition, &args));
     }
     trace::set_trace_enabled(false);
     let traced = trace::snapshot(0);
@@ -453,33 +321,24 @@ fn main() {
     trace::reset();
     let trace_gate = best_hooks_off / best_plain;
 
-    let mut e2e_rows: Vec<(&'static str, f64, f64)> = Vec::new();
     if !args.skip_e2e {
         println!(
             "\nend-to-end (1 client thread + 1 server thread, {} MiB working set, {} ops; context only — on hosts with fewer free cores than threads this measures timesharing, not the server loop):",
             args.e2e_working_set_mb, args.e2e_ops
         );
         println!(
-            "{:<14} {:>14} {:>9} {:>12} {:>11} {:>12}",
-            "pipeline", "ops/sec", "hit-rate", "batches", "occupancy", "prefetches"
+            "{:>14} {:>9} {:>12} {:>11} {:>12}",
+            "ops/sec", "hit-rate", "batches", "occupancy", "prefetches"
         );
-        for pipeline in [
-            ServerPipeline::Scalar,
-            ServerPipeline::Batched,
-            ServerPipeline::BatchedPrefetch,
-        ] {
-            let result = run_e2e(pipeline, &args);
-            println!(
-                "{:<14} {:>14.0} {:>8.1}% {:>12} {:>11.1} {:>12}",
-                pipeline.as_str(),
-                result.throughput(),
-                result.hit_rate() * 100.0,
-                result.batch.batches,
-                result.batch.avg_occupancy(),
-                result.batch.prefetches,
-            );
-            e2e_rows.push((pipeline.as_str(), result.throughput(), result.hit_rate()));
-        }
+        let result = run_e2e(&args);
+        println!(
+            "{:>14.0} {:>8.1}% {:>12} {:>11.1} {:>12}",
+            result.throughput(),
+            result.hit_rate() * 100.0,
+            result.batch.batches,
+            result.batch.avg_occupancy(),
+            result.batch.prefetches,
+        );
     }
 
     println!(
@@ -494,16 +353,6 @@ fn main() {
         failed = true;
     }
     println!(
-        "bucket layout: inline = {:.2}x chain-prefetch at load factor {:.2} (gate: >= 1.1x)",
-        layout_gate, load_factor
-    );
-    if layout_gate >= 1.1 {
-        println!("PASS: one prefetched bucket line beats the chained layout's dependent walk");
-    } else {
-        println!("FAIL: inline layout only {layout_gate:.2}x chain-prefetch (expected >= 1.1x)");
-        failed = true;
-    }
-    println!(
         "tracing hooks, disabled: {:.3}x hook-free (gate: >= 0.98x)",
         trace_gate
     );
@@ -515,55 +364,6 @@ fn main() {
             (1.0 - trace_gate) * 100.0
         );
         failed = true;
-    }
-
-    if let Some(path) = &args.json {
-        let mut out = String::new();
-        out.push_str("{\n  \"bench\": \"ablate_prefetch\",\n");
-        out.push_str(&format!(
-            "  \"config\": {{\"keys\": {}, \"ops\": {}, \"batch\": {}, \"insert_pct\": {}, \"repeats\": {}, \"load_factor\": {:.4}}},\n",
-            args.keys, args.ops, args.batch, args.insert_pct, args.repeats, load_factor
-        ));
-        out.push_str("  \"hot_loop_ops_per_sec\": {");
-        for (i, ((_, name), rate)) in HOT_ARMS.into_iter().zip(best.iter()).enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {rate:.0}"));
-        }
-        out.push_str("},\n");
-        out.push_str("  \"bucket_layout_ops_per_sec\": {");
-        for (i, (name, rate)) in LAYOUT_ARMS.iter().zip(layout_best.iter()).enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {rate:.0}"));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "  \"gates\": {{\"prefetch_vs_scalar\": {gate:.4}, \"inline_vs_chain_prefetch\": {layout_gate:.4}, \"trace_hooks_off_vs_hook_free\": {trace_gate:.4}, \"pass\": {}}},\n",
-            !failed
-        ));
-        out.push_str(&format!(
-            "  \"bucket_probe_model\": {{\"load_factor\": {:.4}, \"inline_slots\": {}, \"chain_exposed_lines\": {:.4}, \"inline_exposed_lines\": {:.4}, \"predicted_reduction\": {:.4}}},\n",
-            model.load_factor,
-            model.inline_slots,
-            model_chain.exposed_lines,
-            model_inline.exposed_lines,
-            model.exposed_miss_reduction()
-        ));
-        out.push_str("  \"end_to_end\": [");
-        for (i, (name, rate, hit)) in e2e_rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"pipeline\": \"{name}\", \"ops_per_sec\": {rate:.0}, \"hit_rate\": {hit:.4}}}"
-            ));
-        }
-        out.push_str("]\n}\n");
-        std::fs::write(path, out).expect("write --json output");
-        println!("wrote JSON results to {path}");
     }
 
     if failed && args.strict {

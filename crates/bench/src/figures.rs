@@ -637,114 +637,6 @@ pub fn memcached_comparison(scale: &MachineScale, ops_per_point: u64, quick: boo
     report
 }
 
-/// §6.1 batching ablation: throughput as a function of the outstanding-
-/// request window.
-pub fn batching_sweep(scale: &MachineScale, ops_per_point: u64, quick: bool) -> FigureReport {
-    let mut report = FigureReport::new(
-        "Ablation: CPHash throughput vs outstanding-request window (batch size)",
-        "batch",
-        "queries/second",
-    );
-    let batches: &[usize] = if quick {
-        &[16, 512, 4096]
-    } else {
-        &[1, 16, 64, 256, 512, 1024, 4096, 8192]
-    };
-    let mut series = Vec::new();
-    for &batch in batches {
-        let spec = WorkloadSpec {
-            batch,
-            ..WorkloadSpec::working_set_point(1 << 20, ops_per_point)
-        };
-        let cp = run_cphash(&spec, &cphash_options(scale));
-        eprintln!("  batch={batch:>5}  cphash {:>12.0} q/s", cp.throughput());
-        series.push((batch as f64, cp.throughput()));
-    }
-    let s = report.add_series("CPHash");
-    for (x, y) in series {
-        s.push(x, y);
-    }
-    report
-}
-
-/// Lock-algorithm ablation (§6.2's spinlock vs scalable-lock discussion):
-/// LockHash throughput under each lock kind at two partition counts.
-pub fn lock_ablation(scale: &MachineScale, ops_per_point: u64) -> FigureReport {
-    use cphash_lockhash::LockKind;
-    let mut report = FigureReport::new(
-        "Ablation: LockHash throughput by lock algorithm and partition count",
-        "partitions",
-        "queries/second",
-    );
-    let spec = WorkloadSpec::working_set_point(1 << 20, ops_per_point);
-    for kind in [LockKind::Spin, LockKind::Ticket, LockKind::Anderson] {
-        let mut series = Vec::new();
-        for partitions in [scale.lockhash_threads.max(2), scale.lockhash_partitions] {
-            let mut opts = lockhash_options(scale);
-            opts.partitions = partitions;
-            opts.lock_kind = kind;
-            let result = run_lockhash(&spec, &opts);
-            eprintln!(
-                "  {:<14} partitions={partitions:>5}  {:>12.0} q/s  (contention {:.1}%)",
-                kind.name(),
-                result.throughput(),
-                result.lock_contention.unwrap_or(0.0) * 100.0
-            );
-            series.push((partitions as f64, result.throughput()));
-        }
-        let s = report.add_series(kind.name());
-        for (x, y) in series {
-            s.push(x, y);
-        }
-    }
-    report
-}
-
-/// §8.1 ablation: throughput and server utilization across static server
-/// counts, plus what the dynamic controller would recommend at each point.
-pub fn dynamic_servers_ablation(scale: &MachineScale, ops_per_point: u64) -> FigureReport {
-    use cphash::ServerLoadController;
-    let mut report = FigureReport::new(
-        "Ablation: throughput and server utilization vs server-thread count (§8.1)",
-        "server_threads",
-        "queries/second",
-    );
-    let controller = ServerLoadController::default();
-    let spec = WorkloadSpec::working_set_point(1 << 20, ops_per_point);
-    let mut throughput_series = Vec::new();
-    let mut utilization_series = Vec::new();
-    let candidates: Vec<usize> = [1, 2, 4, 8, 16, 32]
-        .into_iter()
-        .filter(|s| *s <= scale.pairs.max(1) * 2)
-        .collect();
-    for servers in candidates {
-        let mut opts = cphash_options(scale);
-        opts.partitions = servers;
-        opts.server_pins.clear();
-        opts.client_pins.clear();
-        let result = run_cphash(&spec, &opts);
-        let utilization = result.mean_server_utilization.unwrap_or(0.0);
-        let recommendation = controller.recommend_for_utilization(utilization, servers);
-        eprintln!(
-            "  servers={servers:>3}  {:>12.0} q/s  utilization {:>5.1}%  controller says {:?}",
-            result.throughput(),
-            utilization * 100.0,
-            recommendation
-        );
-        throughput_series.push((servers as f64, result.throughput()));
-        utilization_series.push((servers as f64, utilization));
-    }
-    let s = report.add_series("throughput");
-    for (x, y) in throughput_series {
-        s.push(x, y);
-    }
-    let s = report.add_series("utilization");
-    for (x, y) in utilization_series {
-        s.push(x, y);
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,22 +1,15 @@
-//! Live-repartitioning ablations: what does an online grow/shrink cost
-//! while traffic keeps flowing, and how does the dynamic server-load
-//! controller steer a live table?
+//! Live-repartitioning ablation: what does an online grow/shrink cost
+//! while traffic keeps flowing?
 //!
-//! Two harnesses, both built on a shared pipelined mixed-load driver:
-//!
-//! * [`live_repartition_ablation`] — measure throughput before, during and
-//!   after a live 2→4 grow, against a statically 4-partitioned table as the
-//!   baseline (`ablate_live_repartition`).
-//! * [`dynamic_servers_live`] — a closed loop: run a load phase, feed the
-//!   measured server utilization to `ServerLoadController`, apply its
-//!   recommendation with the `RepartitionCoordinator`, repeat
-//!   (`ablate_dynamic_servers`).
+//! [`live_repartition_ablation`] measures throughput before, during and
+//! after a live 2→4 grow, against a statically 4-partitioned table as the
+//! baseline (`ablate_live_repartition`).
 
 use cphash_sync::atomic::plain::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use cphash::{ClientHandle, CpHash, CpHashConfig, MigrationPacing, ServerLoadController};
+use cphash::{ClientHandle, CpHash, CpHashConfig, MigrationPacing};
 use cphash_migrate::{MigrationPacer, MigrationReport, RepartitionCoordinator};
 use cphash_perfmon::FigureReport;
 
@@ -348,101 +341,6 @@ pub fn live_repartition_ablation(scale: &MachineScale, ops_per_phase: u64) -> Fi
     report
 }
 
-/// Closed-loop ablation: measured utilization → controller recommendation →
-/// live resize, repeated for a few phases (§8.1's future work, actuated).
-pub fn dynamic_servers_live(scale: &MachineScale, ops_per_phase: u64) -> FigureReport {
-    let max_partitions = (scale.pairs.max(1) * 2).clamp(2, 8);
-    let clients = scale.pairs.clamp(1, 4);
-    let keys: u64 = 10_000;
-    let controller = ServerLoadController {
-        max_servers: max_partitions,
-        ..Default::default()
-    };
-    let mut report = FigureReport::new(
-        "Ablation: dynamic server count — controller recommendations applied live (§8.1)",
-        "phase",
-        "operations/second",
-    );
-
-    // Start deliberately over-provisioned: on a lightly loaded host the
-    // controller walks the server count down live; under saturating load it
-    // holds or grows it. Either way the actuation path is exercised.
-    let (table, mut handles) =
-        CpHash::new(CpHashConfig::new(max_partitions, clients).with_max_partitions(max_partitions));
-    let mut coordinator =
-        RepartitionCoordinator::new(table.take_control().expect("control handle"));
-    // Resizes triggered by the controller run in feedback mode: the pacer
-    // watches the servers' queue-depth gauges and backs off when the load
-    // phase keeps them saturated.
-    let mut pacer = MigrationPacer::for_table(&table, MigrationPacing::feedback(2_000.0));
-    preload(&mut handles[0], keys);
-
-    let mut throughput_series = Vec::new();
-    let mut servers_series = Vec::new();
-    let mut utilization_series = Vec::new();
-    let mut handles = handles;
-    for phase in 0..6u32 {
-        let busy_idle_before = cumulative_busy_idle(&table);
-        let (returned, qps) = timed_phase(handles, keys, ops_per_phase, 0xD1CE ^ phase as u64);
-        handles = returned;
-        let (busy, idle) = {
-            let (b1, i1) = cumulative_busy_idle(&table);
-            (b1 - busy_idle_before.0, i1 - busy_idle_before.1)
-        };
-        let utilization = if busy + idle == 0 {
-            0.0
-        } else {
-            busy as f64 / (busy + idle) as f64
-        };
-        let active = table.partitions();
-        let recommendation = controller.recommend_for_utilization(utilization, active);
-        eprintln!(
-            "  phase {phase}: servers={active:>2}  {qps:>12.0} op/s  utilization {:>5.1}%  controller: {recommendation:?}",
-            utilization * 100.0
-        );
-        throughput_series.push((phase as f64, qps));
-        servers_series.push((phase as f64, active as f64));
-        utilization_series.push((phase as f64, utilization));
-        match coordinator.apply_paced(recommendation, &mut pacer) {
-            Ok(Some(migration)) => eprintln!("    applied live: {migration}"),
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("    resize failed: {e}");
-                break;
-            }
-        }
-    }
-    drop(handles);
-
-    let s = report.add_series("throughput");
-    for (x, y) in throughput_series {
-        s.push(x, y);
-    }
-    let s = report.add_series("server_threads");
-    for (x, y) in servers_series {
-        s.push(x, y);
-    }
-    let s = report.add_series("utilization");
-    for (x, y) in utilization_series {
-        s.push(x, y);
-    }
-    report
-}
-
-/// Sum of (busy, idle) loop iterations over the currently active servers.
-fn cumulative_busy_idle(table: &CpHash) -> (u64, u64) {
-    use cphash_sync::atomic::plain::Ordering;
-    let active = table.partitions().min(table.server_stats().len());
-    table.server_stats()[..active]
-        .iter()
-        .fold((0, 0), |(b, i), s| {
-            (
-                b + s.busy_iterations.load(Ordering::Relaxed), // relaxed: diagnostic snapshot; tearing across counters is fine
-                i + s.idle_iterations.load(Ordering::Relaxed), // relaxed: diagnostic snapshot; tearing across counters is fine
-            )
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,15 +388,5 @@ mod tests {
             dip.migration
         );
         assert!(dip.after_qps > 0.0 && dip.before_qps > 0.0);
-    }
-
-    #[test]
-    fn dynamic_servers_live_runs_the_control_loop() {
-        let report = dynamic_servers_live(&tiny_scale(), 2_000);
-        let servers = report.series_named("server_threads").expect("series");
-        assert!(!servers.points.is_empty());
-        assert!(servers.points.iter().all(|p| p.y >= 1.0));
-        assert!(report.series_named("throughput").is_some());
-        assert!(report.series_named("utilization").is_some());
     }
 }

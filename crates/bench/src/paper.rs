@@ -49,9 +49,6 @@ pub const FIG13_SERVER_SPEEDUP: f64 = 1.05;
 /// §6.2: server threads spend 59 % of their time processing operations.
 pub const SERVER_UTILIZATION: f64 = 0.59;
 
-/// §6.1: batch sizes between 512 and 8,192 give similar throughput.
-pub const BATCH_SWEET_SPOT: (usize, usize) = (512, 8192);
-
 /// Compare a measured CPHash/LockHash throughput ratio against the paper's
 /// Figure 5 claim, returning a short verdict string for the report.
 pub fn verdict_fig5(ratio: f64) -> String {
@@ -77,7 +74,6 @@ mod tests {
         assert!(fig6::L3_COST.1 > fig6::L3_COST.0);
         assert!(FIG8_SPEEDUP_AT_4MB > 1.0);
         assert!(SERVER_UTILIZATION > 0.0 && SERVER_UTILIZATION < 1.0);
-        assert!(BATCH_SWEET_SPOT.0 < BATCH_SWEET_SPOT.1);
     }
 
     #[test]

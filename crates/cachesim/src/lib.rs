@@ -20,9 +20,6 @@
 //!   rows, and [`Breakdown`] accumulates per-tag miss counts.
 //! * [`CostModel`] converts miss counts into approximate cycles using
 //!   per-level latencies (calibrated against the paper's Figure 6).
-//! * [`BucketProbeModel`] compares the expected per-probe cache-line
-//!   traffic of the chained vs tagged-inline bucket layouts, predicting
-//!   the speedup `ablate_prefetch` measures.
 //! * [`opmodel`] replays the logical access stream of one CPHash or
 //!   LockHash operation — which lock words, bucket heads, element headers,
 //!   LRU pointers, message lines and value lines it touches — through the
@@ -36,7 +33,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod bucketmodel;
 pub mod config;
 pub mod costmodel;
 pub mod counters;
@@ -45,7 +41,6 @@ pub mod lru;
 pub mod opmodel;
 pub mod tag;
 
-pub use bucketmodel::{BucketProbeModel, ProbeCost};
 pub use config::CacheConfig;
 pub use costmodel::CostModel;
 pub use counters::{Breakdown, MissCounts};

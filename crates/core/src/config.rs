@@ -3,8 +3,6 @@
 use cphash_affinity::{HwThreadId, PlacementPlan, Role, ThreadAssignment, Topology};
 use cphash_hashcore::EvictionPolicy;
 
-pub use cphash_hashcore::BucketLayout;
-
 /// How the repartition coordinator paces chunk hand-offs during a live
 /// resize (see `cphash-migrate`'s `MigrationPacer`).
 ///
@@ -117,82 +115,8 @@ impl MigrationPacing {
     }
 }
 
-/// How a server thread processes the data operations it drains from its
-/// client lanes.
-///
-/// The default is the paper's mechanism: drain a batch, *prepare* (hash)
-/// every operation and software-prefetch its bucket chain, then execute the
-/// whole batch — so the DRAM misses of a batch overlap instead of
-/// serializing, and the ring is synchronized once per batch rather than
-/// once per message.  The alternatives exist for ablation
-/// (`ablate_prefetch`) and as an escape hatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerPipeline {
-    /// Process one message at a time, replying as each completes (the
-    /// pre-batching baseline).
-    Scalar,
-    /// Stage batches (prepare all, execute all, reply as one ring batch)
-    /// but issue no prefetches — isolates the synchronization-amortization
-    /// effect.
-    Batched,
-    /// Stage batches *and* prefetch every operation's bucket chain before
-    /// executing — the full paper mechanism, and the default.
-    #[default]
-    BatchedPrefetch,
-}
-
-impl ServerPipeline {
-    /// Parse a pipeline name (`scalar` | `batched` | `prefetch`, the
-    /// spelling `cpserverd --pipeline` and `CPHASH_PIPELINE` accept).
-    pub fn parse(name: &str) -> Result<ServerPipeline, String> {
-        match name {
-            "scalar" => Ok(ServerPipeline::Scalar),
-            "batched" => Ok(ServerPipeline::Batched),
-            "prefetch" | "batched-prefetch" => Ok(ServerPipeline::BatchedPrefetch),
-            other => Err(format!(
-                "unknown pipeline {other:?} (expected scalar|batched|prefetch)"
-            )),
-        }
-    }
-
-    /// Canonical name (round-trips through [`ServerPipeline::parse`]).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ServerPipeline::Scalar => "scalar",
-            ServerPipeline::Batched => "batched",
-            ServerPipeline::BatchedPrefetch => "prefetch",
-        }
-    }
-
-    /// The default pipeline, overridable with `CPHASH_PIPELINE`
-    /// (unparseable values fall back to the built-in default so a typo
-    /// cannot take a server down).
-    pub fn from_env() -> ServerPipeline {
-        match std::env::var("CPHASH_PIPELINE") {
-            Ok(name) => ServerPipeline::parse(&name).unwrap_or_default(),
-            Err(_) => ServerPipeline::default(),
-        }
-    }
-}
-
-impl core::fmt::Display for ServerPipeline {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The built-in default pipeline depth (operations staged per batch).
+/// The default pipeline depth (operations staged per batch).
 pub const DEFAULT_BATCH_SIZE: usize = 64;
-
-/// The default pipeline depth, overridable with `CPHASH_BATCH_SIZE`
-/// (unparseable or zero values fall back to [`DEFAULT_BATCH_SIZE`]).
-pub fn batch_size_from_env() -> usize {
-    std::env::var("CPHASH_BATCH_SIZE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_BATCH_SIZE)
-}
 
 /// One partition's share of a global byte budget split over `partitions`
 /// partitions (with a small floor so a share is never useless).  Both the
@@ -239,17 +163,10 @@ pub struct CpHashConfig {
     /// given a different pacer per resize; this is what table-level tooling
     /// such as CPSERVER starts from).
     pub migration_pacing: MigrationPacing,
-    /// How server threads process drained operations (staged batch
-    /// pipeline with prefetch by default; see [`ServerPipeline`]).
-    pub pipeline: ServerPipeline,
     /// Pipeline depth: how many data operations a server stages
     /// (hash + prefetch) before executing them.  1 degenerates to
-    /// per-operation processing within the batched code path.
+    /// per-operation processing.
     pub batch_size: usize,
-    /// Bucket memory layout inside each partition: tagged inline cache
-    /// lines (the default) or the paper's bare chain heads.  Overridable
-    /// with `CPHASH_BUCKET_LAYOUT` for A/B runs (see [`BucketLayout`]).
-    pub bucket_layout: BucketLayout,
 }
 
 impl Default for CpHashConfig {
@@ -266,9 +183,7 @@ impl Default for CpHashConfig {
             max_partitions: 0,
             migration_chunks: 64,
             migration_pacing: MigrationPacing::Unpaced,
-            pipeline: ServerPipeline::from_env(),
-            batch_size: batch_size_from_env(),
-            bucket_layout: BucketLayout::from_env(),
+            batch_size: DEFAULT_BATCH_SIZE,
         }
     }
 }
@@ -394,21 +309,9 @@ impl CpHashConfig {
         self
     }
 
-    /// Select the server pipeline (scalar / batched / batched+prefetch).
-    pub fn with_pipeline(mut self, pipeline: ServerPipeline) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
     /// Set the pipeline depth (operations staged per batch; must be ≥ 1).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Select the bucket layout (tagged inline lines / bare chain heads).
-    pub fn with_bucket_layout(mut self, layout: BucketLayout) -> Self {
-        self.bucket_layout = layout;
         self
     }
 
@@ -546,39 +449,6 @@ mod tests {
         MigrationPacing::feedback(500.0).validate();
         CpHashConfig::new(2, 1)
             .with_migration_pacing(MigrationPacing::feedback(250.0))
-            .validate();
-    }
-
-    #[test]
-    fn pipeline_names_round_trip_and_validate() {
-        for pipeline in [
-            ServerPipeline::Scalar,
-            ServerPipeline::Batched,
-            ServerPipeline::BatchedPrefetch,
-        ] {
-            assert_eq!(ServerPipeline::parse(pipeline.as_str()), Ok(pipeline));
-            assert_eq!(format!("{pipeline}"), pipeline.as_str());
-        }
-        assert_eq!(
-            ServerPipeline::parse("batched-prefetch"),
-            Ok(ServerPipeline::BatchedPrefetch)
-        );
-        assert!(ServerPipeline::parse("warp-speed").is_err());
-        CpHashConfig::new(2, 1)
-            .with_pipeline(ServerPipeline::Scalar)
-            .with_batch_size(1)
-            .validate();
-    }
-
-    #[test]
-    fn bucket_layout_names_round_trip_and_validate() {
-        for layout in [BucketLayout::Chain, BucketLayout::Inline] {
-            assert_eq!(BucketLayout::parse(layout.as_str()), Ok(layout));
-            assert_eq!(format!("{layout}"), layout.as_str());
-        }
-        assert!(BucketLayout::parse("robin-hood").is_err());
-        CpHashConfig::new(2, 1)
-            .with_bucket_layout(BucketLayout::Chain)
             .validate();
     }
 

@@ -58,7 +58,7 @@ pub mod table;
 
 pub use anykey::AnyKeyClient;
 pub use client::{ClientHandle, Completion, CompletionKind, OpError, TableError, ValueBytes};
-pub use config::{BucketLayout, CpHashConfig, MigrationPacing, ServerPipeline, DEFAULT_BATCH_SIZE};
+pub use config::{CpHashConfig, MigrationPacing, DEFAULT_BATCH_SIZE};
 pub use control::ControlHandle;
 pub use dynamic::{Recommendation, ServerLoadController};
 pub use kv::{KeyRef, KvClient, KvError, KvOp};

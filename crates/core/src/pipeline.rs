@@ -1,34 +1,29 @@
-//! The server's data-operation pipeline: scalar baseline and the staged
-//! batch + prefetch executor.
+//! The server's data-operation pipeline: the staged batch + prefetch
+//! executor.
 //!
 //! The paper's headline mechanism is that a server thread drains a *batch*
 //! of requests from its per-client rings and software-prefetches the hash
 //! bucket for every request before touching any of them, so the batch's
-//! DRAM misses overlap instead of serializing (§3.4, §6.2).  This module
-//! implements that as a strategy behind one trait:
+//! DRAM misses overlap instead of serializing (§3.4, §6.2).
+//! [`StagedExecutor`] is that loop: *prepare* (hash) every operation of the
+//! batch, prefetch each one's bucket line, then execute them all; the
+//! server thread publishes the replies as one ring batch.  The staging pass
+//! is pure address arithmetic — the hint targets the bucket's own cache
+//! line, which holds the key tags and element refs of the common case, so
+//! staging never reads table memory and one prefetched line usually
+//! resolves the whole probe.
 //!
-//! * [`ScalarExecutor`] — the pre-batching baseline: hash, touch memory and
-//!   reply one operation at a time;
-//! * [`StagedExecutor`] — the paper pipeline: *prepare* (hash) every
-//!   operation of the batch, prefetch each one's bucket, then execute them
-//!   all and reply as one ring batch.  Under the default tagged inline
-//!   bucket layout the staging pass is pure address arithmetic — the hint
-//!   targets the bucket's own cache line, which holds the key tags and
-//!   element refs of the common case, so staging never reads table memory
-//!   and one prefetched line usually resolves the whole probe.
-//!
-//! Both produce byte-identical responses for identical request streams —
-//! `tests/pipeline_equivalence.rs` holds that property under random
-//! operation mixes and batch sizes — because the staging pass is pure
-//! arithmetic plus cache hints: every decision (migration diverts included)
-//! still happens at execute time, in request order.
+//! The responses are independent of the batch depth — a depth of 1 is
+//! per-operation processing, and `tests/pipeline_equivalence.rs` holds
+//! every other depth to it under random operation mixes — because the
+//! staging pass decides nothing: every decision (migration diverts
+//! included) still happens at execute time, in request order.
 
 use cphash_hashcore::{migration_chunk, partition_for_key, BucketRef, Partition};
 use cphash_perfmon::trace::{trace_enabled, TraceStage};
 use cphash_perfmon::{BatchCounters, StageSpan};
 use std::collections::HashMap;
 
-use crate::config::ServerPipeline;
 use crate::protocol::{MigrationStep, Response};
 use crate::router::{EpochRouter, RouterSnapshot};
 
@@ -155,51 +150,31 @@ impl OpCtx<'_> {
         None
     }
 
-    /// Execute one data operation, with or without a prepared bucket
-    /// reference, producing its response.  This is the single source of
-    /// operation semantics for both pipeline strategies.
-    fn execute(&mut self, op: &DataOp, prepared: Option<BucketRef>) -> Response {
+    /// Execute one prepared data operation, producing its response.
+    fn execute(&mut self, op: &DataOp, prep: BucketRef) -> Response {
         match op.kind {
             DataOpKind::Lookup => match self.divert(op.key, false) {
                 Some(dest) => Response::retry(dest),
-                None => {
-                    let hit = match prepared {
-                        Some(prep) => self.partition.lookup_prepared(prep),
-                        None => self.partition.lookup(op.key),
-                    };
-                    match hit {
-                        Some(hit) => {
-                            Response::with_value(hit.value.addr(), hit.id, hit.value.len())
-                        }
-                        None => Response::MISS,
-                    }
-                }
+                None => match self.partition.lookup_prepared(prep) {
+                    Some(hit) => Response::with_value(hit.value.addr(), hit.id, hit.value.len()),
+                    None => Response::MISS,
+                },
             },
             DataOpKind::Insert => match self.divert(op.key, true) {
                 Some(dest) => Response::retry(dest),
-                None => {
-                    let reservation = match prepared {
-                        Some(prep) => self.partition.insert_prepared(prep, op.size as usize),
-                        None => self.partition.insert(op.key, op.size as usize),
-                    };
-                    match reservation {
-                        Ok(reservation) => Response::with_value(
-                            reservation.value.addr(),
-                            reservation.id,
-                            op.size as usize,
-                        ),
-                        Err(_) => Response::MISS,
-                    }
-                }
+                None => match self.partition.insert_prepared(prep, op.size as usize) {
+                    Ok(reservation) => Response::with_value(
+                        reservation.value.addr(),
+                        reservation.id,
+                        op.size as usize,
+                    ),
+                    Err(_) => Response::MISS,
+                },
             },
             DataOpKind::Delete => match self.divert(op.key, false) {
                 Some(dest) => Response::retry(dest),
                 None => {
-                    let found = match prepared {
-                        Some(prep) => self.partition.delete_prepared(prep),
-                        None => self.partition.delete(op.key),
-                    };
-                    if found {
+                    if self.partition.delete_prepared(prep) {
                         Response::FOUND
                     } else {
                         Response::MISS
@@ -210,73 +185,27 @@ impl OpCtx<'_> {
     }
 }
 
-/// A strategy for executing one batch of data operations, appending exactly
-/// one response per operation, in order.
-pub(crate) trait BatchExecutor: Send {
-    /// Execute `ops` against the context, pushing responses onto `replies`.
-    fn execute(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        ops: &[DataOp],
-        replies: &mut Vec<Response>,
-        counters: &BatchCounters,
-    );
-
-    /// Whether replies should be published to the ring as one batch (one
-    /// index publish) rather than message-at-a-time.
-    fn batched_replies(&self) -> bool;
-}
-
-/// The pre-batching baseline: hash, execute and account one operation at a
-/// time (the ring still hands us drained slices, but nothing is staged).
-pub(crate) struct ScalarExecutor;
-
-impl BatchExecutor for ScalarExecutor {
-    fn execute(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        ops: &[DataOp],
-        replies: &mut Vec<Response>,
-        _counters: &BatchCounters,
-    ) {
-        let span = StageSpan::begin(TraceStage::Execute);
-        for op in ops {
-            let response = ctx.execute(op, None);
-            replies.push(response);
-        }
-        span.finish(ops.len() as u32);
-    }
-
-    fn batched_replies(&self) -> bool {
-        false
-    }
-}
-
 /// The staged pipeline: prepare (hash) the whole batch, prefetch every
 /// operation's bucket, then execute the batch in order.
 ///
 /// By the time operation *i* executes, the prefetches for operations
-/// *i+1..n* are in flight — the memory-level parallelism the scalar loop
-/// never exposes because each miss blocks the next hash computation.
+/// *i+1..n* are in flight — the memory-level parallelism a one-at-a-time
+/// loop never exposes because each miss blocks the next hash computation.
 pub(crate) struct StagedExecutor {
-    /// Whether the staging pass issues prefetches (disabled for the
-    /// batched-only ablation arm).
-    prefetch: bool,
     /// Prepared bucket references, reused across batches.
     refs: Vec<BucketRef>,
 }
 
 impl StagedExecutor {
-    pub(crate) fn new(prefetch: bool) -> Self {
+    pub(crate) fn new() -> Self {
         StagedExecutor {
-            prefetch,
             refs: Vec::with_capacity(256),
         }
     }
-}
 
-impl BatchExecutor for StagedExecutor {
-    fn execute(
+    /// Execute `ops` against the context, pushing exactly one response per
+    /// operation onto `replies`, in order.
+    pub(crate) fn execute(
         &mut self,
         ctx: &mut OpCtx<'_>,
         ops: &[DataOp],
@@ -285,7 +214,6 @@ impl BatchExecutor for StagedExecutor {
     ) {
         // Stage 1: pure arithmetic + cache hints, no table memory touched.
         self.refs.clear();
-        let mut prefetched = 0u64;
         if trace_enabled() {
             // Traced path: prepare and prefetch run as separate passes so
             // each gets its own cycle-stamped span.  Responses stay
@@ -296,56 +224,26 @@ impl BatchExecutor for StagedExecutor {
                 self.refs.push(ctx.partition.prepare(op.key));
             }
             span.finish(ops.len() as u32);
-            if self.prefetch {
-                let span = StageSpan::begin(TraceStage::Prefetch);
-                for prep in self.refs.iter() {
-                    if ctx.partition.prefetch_prepared(prep) {
-                        prefetched += 1;
-                    }
-                }
-                span.finish(ops.len() as u32);
-            }
-            let span = StageSpan::begin(TraceStage::Execute);
-            for (op, prep) in ops.iter().zip(self.refs.iter()) {
-                let response = ctx.execute(op, Some(*prep));
-                replies.push(response);
+            let span = StageSpan::begin(TraceStage::Prefetch);
+            for prep in self.refs.iter() {
+                ctx.partition.prefetch_prepared(prep);
             }
             span.finish(ops.len() as u32);
-            counters.note_batch(ops.len() as u64, prefetched);
-            return;
-        }
-        for op in ops {
-            let prep = ctx.partition.prepare(op.key);
-            if self.prefetch && ctx.partition.prefetch_prepared(&prep) {
-                prefetched += 1;
+        } else {
+            for op in ops {
+                let prep = ctx.partition.prepare(op.key);
+                ctx.partition.prefetch_prepared(&prep);
+                self.refs.push(prep);
             }
-            self.refs.push(prep);
         }
         // Stage 2: execute in request order; early operations overlap with
-        // the still-in-flight prefetches of later ones.  (A deeper staging
-        // pass — re-reading each fetched head to prefetch its LRU
-        // neighbors, `Partition::prefetch_neighbors` — wins on
-        // cache-resident tables but *loses* on DRAM-resident ones, where
-        // re-reading the heads stalls the staging pass itself; see the
-        // `prefetch-deep` arm of `ablate_prefetch`.  The robust single
-        // prefetch stage is what ships.)
+        // the still-in-flight prefetches of later ones.
+        let span = StageSpan::begin(TraceStage::Execute);
         for (op, prep) in ops.iter().zip(self.refs.iter()) {
-            let response = ctx.execute(op, Some(*prep));
+            let response = ctx.execute(op, *prep);
             replies.push(response);
         }
-        counters.note_batch(ops.len() as u64, prefetched);
-    }
-
-    fn batched_replies(&self) -> bool {
-        true
-    }
-}
-
-/// Build the executor for a configured pipeline kind.
-pub(crate) fn executor_for(pipeline: ServerPipeline) -> Box<dyn BatchExecutor> {
-    match pipeline {
-        ServerPipeline::Scalar => Box::new(ScalarExecutor),
-        ServerPipeline::Batched => Box::new(StagedExecutor::new(false)),
-        ServerPipeline::BatchedPrefetch => Box::new(StagedExecutor::new(true)),
+        span.finish(ops.len() as u32);
+        counters.note_batch(ops.len() as u64, ops.len() as u64);
     }
 }

@@ -25,7 +25,7 @@ use cphash_perfmon::trace::TraceStage;
 use cphash_perfmon::StageSpan;
 use parking_lot::Mutex;
 
-use crate::pipeline::{step_is_current, BatchExecutor, DataOp, DataOpKind, MigrationState, OpCtx};
+use crate::pipeline::{step_is_current, DataOp, DataOpKind, MigrationState, OpCtx, StagedExecutor};
 use crate::protocol::{decode_word, MigrationBatch, MigrationStep, OpCode, Response};
 use crate::router::EpochRouter;
 use crate::stats::ServerStats;
@@ -33,6 +33,16 @@ use crate::stats::ServerStats;
 /// Maximum request words a server drains from one lane before moving on to
 /// the next lane, so a single busy client cannot starve the others.
 const LANE_BATCH: usize = 256;
+
+/// Empty polls of the lanes an idle server makes between two yields of its
+/// CPU — a few microseconds.  A client thread that shares the server's CPU
+/// spins for replies the server cannot run to produce, so the hand-off has
+/// to be prompt: CPSERVER's worker and partition thread pinned to one CPU
+/// serve 30 k ops/s when the server yields only after a millisecond-scale
+/// idle streak and about as many as on separate CPUs with this.  Which
+/// placement a run gets is the scheduler's choice, so the gap between them
+/// is run-to-run spread.
+const IDLE_POLLS_PER_YIELD: u32 = 32;
 
 /// Everything one server thread needs.
 pub(crate) struct ServerThread {
@@ -59,9 +69,8 @@ pub(crate) struct ServerThread {
     /// partition count, so the table-wide budget stays fixed as the
     /// partition count changes.
     pub capacity_total: Option<usize>,
-    /// The data-operation execution strategy (scalar baseline or the
-    /// staged batch + prefetch pipeline).
-    pub executor: Box<dyn BatchExecutor>,
+    /// The staged batch + prefetch pipeline data operations run through.
+    pub executor: StagedExecutor,
     /// Pipeline depth: data operations staged per execution round.
     pub batch_size: usize,
 }
@@ -128,11 +137,17 @@ impl ServerThread {
                 idle_streak = 0;
             } else {
                 self.stats.idle_iterations.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
-                idle_streak = idle_streak.saturating_add(1);
-                if idle_streak > 1024 {
-                    // Be a good citizen on oversubscribed test machines; the
-                    // paper's dedicated cores would just keep polling.
+                // An idle server keeps polling, as the paper's does, but
+                // politely: a PAUSE between empty polls leaves the core to a
+                // hyperthread sibling, and a yield every few microseconds
+                // hands the CPU to whoever waits on this run queue — with
+                // fewer CPUs than busy threads that is the very client
+                // whose requests this loop is waiting for.
+                idle_streak = idle_streak.wrapping_add(1);
+                if idle_streak.is_multiple_of(IDLE_POLLS_PER_YIELD) {
                     std::thread::yield_now();
+                } else {
+                    core::hint::spin_loop();
                 }
             }
             // Refresh the shared partition statistics occasionally so the
@@ -150,8 +165,8 @@ impl ServerThread {
     ///
     /// Words are consumed as alternating *runs* of data operations
     /// (lookup/insert/delete) and individual control messages.  Each run —
-    /// up to `batch_size` operations — goes through the configured
-    /// [`BatchExecutor`] as one staged round: hash + prefetch everything,
+    /// up to `batch_size` operations — goes through the
+    /// [`StagedExecutor`] as one staged round: hash + prefetch everything,
     /// then execute everything, then publish all the replies with one ring
     /// synchronization.  Control messages are executed scalar, exactly
     /// where they appeared, so the request order every client observes is
@@ -249,13 +264,7 @@ impl ServerThread {
             .operations
             .fetch_add(scratch.ops.len() as u64, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
         let span = StageSpan::begin(TraceStage::ReplyPublish);
-        if self.executor.batched_replies() {
-            self.respond_batch(lane_idx, &scratch.replies);
-        } else {
-            for response in &scratch.replies {
-                self.respond(lane_idx, *response);
-            }
-        }
+        self.respond_batch(lane_idx, &scratch.replies);
         span.finish(scratch.replies.len() as u32);
     }
 
@@ -531,7 +540,7 @@ mod tests {
             partition_stats: Arc::new(Mutex::new(PartitionStats::default())),
             router,
             capacity_total: None,
-            executor: crate::pipeline::executor_for(crate::config::ServerPipeline::default()),
+            executor: StagedExecutor::new(),
             batch_size: crate::config::DEFAULT_BATCH_SIZE,
         };
         (client, server, stop)

@@ -33,7 +33,7 @@ pub struct ServerStats {
     /// server is falling behind while chunks are being handed off.
     pub queue_depth: AtomicU64,
     /// Batch-pipeline counters (staged rounds, their occupancy, prefetches
-    /// issued) — all zero while the server runs the scalar pipeline.
+    /// issued).
     pub batch: BatchCounters,
 }
 

@@ -84,7 +84,6 @@ impl CpHash {
                 eviction: config.eviction,
                 seed: config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9),
                 migration_chunks: config.migration_chunks,
-                layout: config.bucket_layout,
             });
             let thread = ServerThread {
                 index,
@@ -96,7 +95,7 @@ impl CpHash {
                 partition_stats: Arc::clone(&pstats),
                 router: Arc::clone(&router),
                 capacity_total: config.capacity_bytes,
-                executor: crate::pipeline::executor_for(config.pipeline),
+                executor: crate::pipeline::StagedExecutor::new(),
                 batch_size: config.batch_size,
             };
             let handle = std::thread::Builder::new()

@@ -38,9 +38,8 @@ pub(crate) struct Element {
     /// but not yet freed.
     pub linked: bool,
     pub bucket: u32,
-    /// Bucket-chain links.  Under the inline bucket layout an element that
-    /// resides in one of its bucket line's tagged slots is *not* on the
-    /// chain: both links stay NIL until the bucket overflows past its
+    /// Overflow-chain links.  An element that resides in one of its bucket
+    /// line's tagged slots is *not* on the chain: both links stay NIL until the bucket overflows past its
     /// inline capacity (see `partition::BucketLine`).
     pub bucket_next: u32,
     pub bucket_prev: u32,

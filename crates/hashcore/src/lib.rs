@@ -12,9 +12,7 @@
 //! * a bucket array of 64-byte-aligned *tagged bucket lines* — each bucket
 //!   packs its first [`partition::INLINE_SLOTS`] entries as 8-bit key tags
 //!   plus `u32` element refs inline in the bucket's own cache line,
-//!   overflowing to an intrusive doubly-linked chain only past that (the
-//!   paper's bare chain-head layout remains selectable via
-//!   [`BucketLayout::Chain`] / `CPHASH_BUCKET_LAYOUT=chain`),
+//!   overflowing to an intrusive doubly-linked chain only past that,
 //! * an LRU list threaded through the same element headers (or no list at
 //!   all under the random-eviction policy of §6.3),
 //! * an element header holding the key, value size, reference count and the
@@ -43,7 +41,7 @@ pub use hash::{
     hash64, key_tag, migration_chunk, partition_for_key, MAX_KEY, MAX_MIGRATION_CHUNKS,
 };
 pub use partition::{
-    BucketLayout, BucketRef, ExportOutcome, InsertError, InsertReservation, LookupHit, Partition,
+    BucketRef, ExportOutcome, InsertError, InsertReservation, LookupHit, Partition,
     PartitionConfig, INLINE_SLOTS,
 };
 pub use policy::EvictionPolicy;

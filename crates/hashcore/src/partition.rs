@@ -11,62 +11,6 @@ use crate::hash::{
 use crate::policy::EvictionPolicy;
 use crate::stats::PartitionStats;
 
-/// How a partition stores its buckets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BucketLayout {
-    /// Bare `u32` chain heads (4 bytes per bucket): every probe is a
-    /// dependent pointer chase from the head array into the element slab.
-    /// This is the pre-inline layout, kept selectable for A/B runs.
-    Chain,
-    /// 64-byte-aligned tagged bucket lines: each bucket packs
-    /// [`INLINE_SLOTS`] 8-bit key tags plus as many `u32` element refs
-    /// (and the overflow chain head) into the bucket's own cache line, so
-    /// one prefetch of that line resolves the common case entirely.
-    #[default]
-    Inline,
-}
-
-impl BucketLayout {
-    /// Environment variable that selects the default layout
-    /// (`chain` or `inline`).
-    pub const ENV_VAR: &'static str = "CPHASH_BUCKET_LAYOUT";
-
-    /// Parse a layout name as used by `CPHASH_BUCKET_LAYOUT`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "chain" | "chained" => Ok(BucketLayout::Chain),
-            "inline" | "tagged" => Ok(BucketLayout::Inline),
-            other => Err(format!(
-                "unknown bucket layout {other:?} (expected \"chain\" or \"inline\")"
-            )),
-        }
-    }
-
-    /// Canonical name, round-trippable through [`BucketLayout::parse`].
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BucketLayout::Chain => "chain",
-            BucketLayout::Inline => "inline",
-        }
-    }
-
-    /// The layout selected by `CPHASH_BUCKET_LAYOUT`, or the default when
-    /// the variable is unset or unparseable (a typo must not silently
-    /// change table behavior mid-fleet; it falls back to the default).
-    pub fn from_env() -> Self {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(value) => Self::parse(&value).unwrap_or_default(),
-            Err(_) => Self::default(),
-        }
-    }
-}
-
-impl core::fmt::Display for BucketLayout {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Configuration of one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionConfig {
@@ -86,9 +30,6 @@ pub struct PartitionConfig {
     /// chunk's elements instead of scanning the whole table.  Must match the
     /// table's `migration_chunks`.
     pub migration_chunks: usize,
-    /// Bucket storage layout (tagged inline lines by default; the chained
-    /// layout remains selectable for A/B comparisons).
-    pub layout: BucketLayout,
 }
 
 impl Default for PartitionConfig {
@@ -99,7 +40,6 @@ impl Default for PartitionConfig {
             eviction: EvictionPolicy::Lru,
             seed: 0x1234_5678,
             migration_chunks: 64,
-            layout: BucketLayout::default(),
         }
     }
 }
@@ -125,12 +65,6 @@ impl PartitionConfig {
         self.migration_chunks = migration_chunks;
         self
     }
-
-    /// Same config with a different bucket layout.
-    pub fn with_layout(mut self, layout: BucketLayout) -> Self {
-        self.layout = layout;
-        self
-    }
 }
 
 /// The first phase of a two-phase operation: the key plus its
@@ -138,7 +72,7 @@ impl PartitionConfig {
 ///
 /// [`Partition::prepare`] does the pure arithmetic (hashing) without
 /// touching table memory; the caller may then issue a cache prefetch for
-/// the bucket's chain head ([`Partition::prefetch_prepared`]) and finally
+/// the bucket's line ([`Partition::prefetch_prepared`]) and finally
 /// execute the operation with [`Partition::lookup_prepared`],
 /// [`Partition::insert_prepared`] or [`Partition::delete_prepared`].  The
 /// CPHash server loop stages whole batches this way so the DRAM misses of a
@@ -179,8 +113,7 @@ pub const INLINE_SLOTS: usize =
 /// Occupancy bitmap with every inline slot taken.
 const LINE_FULL: u8 = (1 << INLINE_SLOTS) - 1;
 
-/// One bucket under the inline layout: a 64-byte-aligned line holding the
-/// bucket's first [`INLINE_SLOTS`] entries as (tag, element ref) pairs plus
+/// One bucket: a 64-byte-aligned line holding the bucket's first [`INLINE_SLOTS`] entries as (tag, element ref) pairs plus
 /// the head of the overflow chain for entries past that.
 ///
 /// Layout invariant: an inline slot is never free while the overflow chain
@@ -226,37 +159,6 @@ impl BucketLine {
     /// The inline slot holding element `idx`, if it lives inline.
     fn slot_of_ref(&self, idx: u32) -> Option<usize> {
         (0..INLINE_SLOTS).find(|&s| self.used & (1 << s) != 0 && self.refs[s] == idx)
-    }
-}
-
-/// Bucket storage, selected by [`BucketLayout`].
-enum BucketStore {
-    /// 4-byte chain heads (see [`BucketLayout::Chain`]).
-    Chain(Vec<u32>),
-    /// 64-byte tagged lines (see [`BucketLayout::Inline`]).
-    Inline(Vec<BucketLine>),
-}
-
-impl BucketStore {
-    fn new(layout: BucketLayout, buckets: usize) -> Self {
-        match layout {
-            BucketLayout::Chain => BucketStore::Chain(vec![NIL; buckets]),
-            BucketLayout::Inline => BucketStore::Inline(vec![BucketLine::EMPTY; buckets]),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            BucketStore::Chain(heads) => heads.len(),
-            BucketStore::Inline(lines) => lines.len(),
-        }
-    }
-
-    fn layout(&self) -> BucketLayout {
-        match self {
-            BucketStore::Chain(_) => BucketLayout::Chain,
-            BucketStore::Inline(_) => BucketLayout::Inline,
-        }
     }
 }
 
@@ -330,7 +232,7 @@ impl std::error::Error for InsertError {}
 
 /// A single-threaded hash-table partition (see the crate docs).
 pub struct Partition {
-    buckets: BucketStore,
+    buckets: Vec<BucketLine>,
     bucket_mask: usize,
     slots: Vec<Slot>,
     free_head: u32,
@@ -368,7 +270,7 @@ impl Partition {
             ..SlabConfig::default()
         };
         Partition {
-            buckets: BucketStore::new(config.layout, buckets),
+            buckets: vec![BucketLine::EMPTY; buckets],
             bucket_mask: buckets - 1,
             slots: Vec::new(),
             free_head: NIL,
@@ -424,11 +326,6 @@ impl Partition {
         self.buckets.len()
     }
 
-    /// Bucket storage layout in force.
-    pub fn bucket_layout(&self) -> BucketLayout {
-        self.buckets.layout()
-    }
-
     /// Eviction policy in force.
     pub fn eviction_policy(&self) -> EvictionPolicy {
         self.eviction
@@ -460,97 +357,14 @@ impl Partition {
         }
     }
 
-    /// Issue a software prefetch for the memory a prepared operation's
-    /// probe will touch first, hinting it into cache before the execute
-    /// phase.  Returns whether a prefetch was issued.
-    ///
-    /// Under the inline layout the target is the bucket's own tagged line
-    /// — found by pure address arithmetic, so the staging pass reads *no*
-    /// table memory and never stalls — and that one line resolves the
-    /// common case entirely: a tag miss rejects without touching the
-    /// element slab, a tag hit goes straight to the element.
-    ///
-    /// Under the chained layout the staging pass must first *read* the
-    /// bucket's chain head (a potential DRAM access of its own) to learn
-    /// the element address worth hinting; an empty bucket has nothing to
-    /// fetch and reports `false`.
+    /// Issue a software prefetch for the bucket line a prepared operation
+    /// will probe.  The line's address is pure arithmetic, so the staging
+    /// pass reads *no* table memory and never stalls — and that one line
+    /// resolves the common case entirely: a tag miss rejects without
+    /// touching the element slab, a tag hit goes straight to the element.
     #[inline]
-    pub fn prefetch_prepared(&self, prep: &BucketRef) -> bool {
-        match &self.buckets {
-            BucketStore::Chain(heads) => {
-                let head = heads[prep.bucket];
-                if head == NIL {
-                    return false;
-                }
-                cphash_cacheline::prefetch_read(&self.slots[head as usize]);
-                true
-            }
-            BucketStore::Inline(lines) => {
-                cphash_cacheline::prefetch_read(&lines[prep.bucket]);
-                true
-            }
-        }
-    }
-
-    /// Second staging pass: prefetch the *other* cache lines executing the
-    /// prepared operation will touch, assuming the chain head's line was
-    /// already requested by [`Partition::prefetch_prepared`] (so reading it
-    /// here is cheap or at least overlapped).
-    ///
-    /// For a key found at the chain head under LRU, execution moves the
-    /// element to the list head — touching its `lru_prev`/`lru_next`
-    /// neighbors, two cold lines a bucket prefetch never covers.  For a
-    /// mismatched head, the walk continues to `bucket_next`.  Issuing these
-    /// hints for a whole batch before executing it overlaps the second
-    /// round of misses exactly like the first.  Returns the number of
-    /// prefetches issued.
-    #[inline]
-    pub fn prefetch_neighbors(&self, prep: &BucketRef) -> u32 {
-        match &self.buckets {
-            BucketStore::Chain(heads) => {
-                let head = heads[prep.bucket];
-                if head == NIL {
-                    return 0;
-                }
-                let e = self.slots[head as usize].element();
-                let mut issued = 0u32;
-                if e.key == prep.key {
-                    if self.eviction.maintains_lru() {
-                        if e.lru_prev != NIL {
-                            cphash_cacheline::prefetch_read(&self.slots[e.lru_prev as usize]);
-                            issued += 1;
-                        }
-                        if e.lru_next != NIL {
-                            cphash_cacheline::prefetch_read(&self.slots[e.lru_next as usize]);
-                            issued += 1;
-                        }
-                    }
-                } else if e.bucket_next != NIL {
-                    cphash_cacheline::prefetch_read(&self.slots[e.bucket_next as usize]);
-                    issued += 1;
-                }
-                issued
-            }
-            BucketStore::Inline(lines) => {
-                // The bucket line was already requested by
-                // `prefetch_prepared`, so reading it here is warm or at
-                // least overlapped; hint the element lines of every
-                // tag-matching slot (almost always exactly the target).
-                let line = &lines[prep.bucket];
-                let mut issued = 0u32;
-                for s in 0..INLINE_SLOTS {
-                    if line.used & (1 << s) != 0 && line.tags[s] == prep.tag {
-                        cphash_cacheline::prefetch_read(&self.slots[line.refs[s] as usize]);
-                        issued += 1;
-                    }
-                }
-                if issued == 0 && line.overflow != NIL {
-                    cphash_cacheline::prefetch_read(&self.slots[line.overflow as usize]);
-                    issued += 1;
-                }
-                issued
-            }
-        }
+    pub fn prefetch_prepared(&self, prep: &BucketRef) {
+        cphash_cacheline::prefetch_read(&self.buckets[prep.bucket]);
     }
 
     /// Look up `key`.  On a hit the element's reference count is
@@ -999,36 +813,27 @@ impl Partition {
         // Every bucket (inline slots + chain) is consistent and contains
         // only linked elements hashed to that bucket.
         let mut linked_seen = 0usize;
-        match &self.buckets {
-            BucketStore::Chain(heads) => {
-                for (b, &head) in heads.iter().enumerate() {
-                    linked_seen += self.check_chain(head, b);
+        for (b, line) in self.buckets.iter().enumerate() {
+            for s in 0..INLINE_SLOTS {
+                if line.used & (1 << s) == 0 {
+                    continue;
                 }
+                let e = self.slots[line.refs[s] as usize].element();
+                assert!(e.linked, "unlinked element in inline slot");
+                assert_eq!(e.bucket as usize, b, "inline element in wrong bucket");
+                assert_eq!(self.bucket_of(e.key), b, "element hashed to wrong bucket");
+                assert_eq!(line.tags[s], key_tag(e.key), "stale inline tag");
+                assert_eq!(e.bucket_prev, NIL, "inline resident with chain links");
+                assert_eq!(e.bucket_next, NIL, "inline resident with chain links");
+                linked_seen += 1;
             }
-            BucketStore::Inline(lines) => {
-                for (b, line) in lines.iter().enumerate() {
-                    for s in 0..INLINE_SLOTS {
-                        if line.used & (1 << s) == 0 {
-                            continue;
-                        }
-                        let e = self.slots[line.refs[s] as usize].element();
-                        assert!(e.linked, "unlinked element in inline slot");
-                        assert_eq!(e.bucket as usize, b, "inline element in wrong bucket");
-                        assert_eq!(self.bucket_of(e.key), b, "element hashed to wrong bucket");
-                        assert_eq!(line.tags[s], key_tag(e.key), "stale inline tag");
-                        assert_eq!(e.bucket_prev, NIL, "inline resident with chain links");
-                        assert_eq!(e.bucket_next, NIL, "inline resident with chain links");
-                        linked_seen += 1;
-                    }
-                    if line.overflow != NIL {
-                        assert_eq!(
-                            line.used, LINE_FULL,
-                            "free inline slot with a non-empty overflow chain"
-                        );
-                    }
-                    linked_seen += self.check_chain(line.overflow, b);
-                }
+            if line.overflow != NIL {
+                assert_eq!(
+                    line.used, LINE_FULL,
+                    "free inline slot with a non-empty overflow chain"
+                );
             }
+            linked_seen += self.check_chain(line.overflow, b);
         }
         assert_eq!(linked_seen, self.len, "len does not match bucket contents");
 
@@ -1094,8 +899,8 @@ impl Partition {
     // Internal helpers
     // ------------------------------------------------------------------
 
-    /// Walk one bucket chain asserting its invariants; returns the number
-    /// of elements on it (shared by both layouts' `check_invariants`).
+    /// Walk one bucket's overflow chain asserting its invariants; returns
+    /// the number of elements on it.
     fn check_chain(&self, head: u32, bucket: usize) -> usize {
         let mut seen = 0usize;
         let mut cur = head;
@@ -1134,67 +939,42 @@ impl Partition {
     /// Probe one bucket for `key` without touching statistics (shared by
     /// the read-only paths and [`Partition::find_in_bucket`]).
     fn probe_bucket(&self, key: u64, bucket: usize, tag: u8) -> ProbeOutcome {
-        match &self.buckets {
-            BucketStore::Chain(heads) => {
-                let mut cur = heads[bucket];
-                while cur != NIL {
-                    let e = self.slots[cur as usize].element();
-                    if e.key == key {
-                        return ProbeOutcome {
-                            found: Some(cur),
-                            inline_hit: false,
-                            overflow_probes: 0,
-                            tag_false_positives: 0,
-                        };
-                    }
-                    cur = e.bucket_next;
+        let line = &self.buckets[bucket];
+        let mut tag_false_positives = 0u64;
+        for s in 0..INLINE_SLOTS {
+            if line.used & (1 << s) != 0 && line.tags[s] == tag {
+                let idx = line.refs[s];
+                if self.slots[idx as usize].element().key == key {
+                    return ProbeOutcome {
+                        found: Some(idx),
+                        inline_hit: true,
+                        overflow_probes: 0,
+                        tag_false_positives,
+                    };
                 }
-                ProbeOutcome {
-                    found: None,
-                    inline_hit: false,
-                    overflow_probes: 0,
-                    tag_false_positives: 0,
-                }
+                tag_false_positives += 1;
             }
-            BucketStore::Inline(lines) => {
-                let line = &lines[bucket];
-                let mut tag_false_positives = 0u64;
-                for s in 0..INLINE_SLOTS {
-                    if line.used & (1 << s) != 0 && line.tags[s] == tag {
-                        let idx = line.refs[s];
-                        if self.slots[idx as usize].element().key == key {
-                            return ProbeOutcome {
-                                found: Some(idx),
-                                inline_hit: true,
-                                overflow_probes: 0,
-                                tag_false_positives,
-                            };
-                        }
-                        tag_false_positives += 1;
-                    }
-                }
-                let mut overflow_probes = 0u64;
-                let mut cur = line.overflow;
-                while cur != NIL {
-                    overflow_probes += 1;
-                    let e = self.slots[cur as usize].element();
-                    if e.key == key {
-                        return ProbeOutcome {
-                            found: Some(cur),
-                            inline_hit: false,
-                            overflow_probes,
-                            tag_false_positives,
-                        };
-                    }
-                    cur = e.bucket_next;
-                }
-                ProbeOutcome {
-                    found: None,
+        }
+        let mut overflow_probes = 0u64;
+        let mut cur = line.overflow;
+        while cur != NIL {
+            overflow_probes += 1;
+            let e = self.slots[cur as usize].element();
+            if e.key == key {
+                return ProbeOutcome {
+                    found: Some(cur),
                     inline_hit: false,
                     overflow_probes,
                     tag_false_positives,
-                }
+                };
             }
+            cur = e.bucket_next;
+        }
+        ProbeOutcome {
+            found: None,
+            inline_hit: false,
+            overflow_probes,
+            tag_false_positives,
         }
     }
 
@@ -1252,32 +1032,20 @@ impl Partition {
             e.bucket_next = NIL;
             e.bucket_prev = NIL;
         }
-        match &mut self.buckets {
-            BucketStore::Chain(heads) => {
-                let head = heads[bucket];
-                self.slots[idx as usize].element_mut().bucket_next = head;
-                if head != NIL {
-                    self.slots[head as usize].element_mut().bucket_prev = idx;
-                }
-                heads[bucket] = idx;
+        let line = &mut self.buckets[bucket];
+        if let Some(s) = line.free_slot() {
+            // Inline residents sit in the line itself; their chain pointers
+            // stay NIL.
+            line.used |= 1 << s;
+            line.tags[s] = tag;
+            line.refs[s] = idx;
+        } else {
+            let head = line.overflow;
+            self.slots[idx as usize].element_mut().bucket_next = head;
+            if head != NIL {
+                self.slots[head as usize].element_mut().bucket_prev = idx;
             }
-            BucketStore::Inline(lines) => {
-                let line = &mut lines[bucket];
-                if let Some(s) = line.free_slot() {
-                    // Inline residents sit in the line itself; their chain
-                    // pointers stay NIL.
-                    line.used |= 1 << s;
-                    line.tags[s] = tag;
-                    line.refs[s] = idx;
-                } else {
-                    let head = line.overflow;
-                    self.slots[idx as usize].element_mut().bucket_next = head;
-                    if head != NIL {
-                        self.slots[head as usize].element_mut().bucket_prev = idx;
-                    }
-                    line.overflow = idx;
-                }
-            }
+            line.overflow = idx;
         }
     }
 
@@ -1286,55 +1054,41 @@ impl Partition {
             let e = self.slots[idx as usize].element();
             (e.bucket_prev, e.bucket_next, e.bucket as usize)
         };
-        match &mut self.buckets {
-            BucketStore::Chain(heads) => {
-                if prev != NIL {
-                    self.slots[prev as usize].element_mut().bucket_next = next;
-                } else {
-                    heads[bucket] = next;
+        let line = &mut self.buckets[bucket];
+        if let Some(s) = line.slot_of_ref(idx) {
+            debug_assert!(
+                prev == NIL && next == NIL,
+                "inline resident with chain links"
+            );
+            line.used &= !(1 << s);
+            // Keep the layout invariant: no inline slot stays free while the
+            // overflow chain is non-empty — promote the chain head into the
+            // freed slot.
+            let promoted = line.overflow;
+            if promoted != NIL {
+                let promoted_next = self.slots[promoted as usize].element().bucket_next;
+                line.overflow = promoted_next;
+                if promoted_next != NIL {
+                    self.slots[promoted_next as usize].element_mut().bucket_prev = NIL;
                 }
-                if next != NIL {
-                    self.slots[next as usize].element_mut().bucket_prev = prev;
-                }
+                let promoted_key = {
+                    let e = self.slots[promoted as usize].element_mut();
+                    e.bucket_next = NIL;
+                    e.bucket_prev = NIL;
+                    e.key
+                };
+                line.used |= 1 << s;
+                line.tags[s] = key_tag(promoted_key);
+                line.refs[s] = promoted;
             }
-            BucketStore::Inline(lines) => {
-                let line = &mut lines[bucket];
-                if let Some(s) = line.slot_of_ref(idx) {
-                    debug_assert!(
-                        prev == NIL && next == NIL,
-                        "inline resident with chain links"
-                    );
-                    line.used &= !(1 << s);
-                    // Keep the layout invariant: no inline slot stays free
-                    // while the overflow chain is non-empty — promote the
-                    // chain head into the freed slot.
-                    let promoted = line.overflow;
-                    if promoted != NIL {
-                        let promoted_next = self.slots[promoted as usize].element().bucket_next;
-                        line.overflow = promoted_next;
-                        if promoted_next != NIL {
-                            self.slots[promoted_next as usize].element_mut().bucket_prev = NIL;
-                        }
-                        let promoted_key = {
-                            let e = self.slots[promoted as usize].element_mut();
-                            e.bucket_next = NIL;
-                            e.bucket_prev = NIL;
-                            e.key
-                        };
-                        line.used |= 1 << s;
-                        line.tags[s] = key_tag(promoted_key);
-                        line.refs[s] = promoted;
-                    }
-                } else {
-                    if prev != NIL {
-                        self.slots[prev as usize].element_mut().bucket_next = next;
-                    } else {
-                        line.overflow = next;
-                    }
-                    if next != NIL {
-                        self.slots[next as usize].element_mut().bucket_prev = prev;
-                    }
-                }
+        } else {
+            if prev != NIL {
+                self.slots[prev as usize].element_mut().bucket_next = next;
+            } else {
+                line.overflow = next;
+            }
+            if next != NIL {
+                self.slots[next as usize].element_mut().bucket_prev = prev;
             }
         }
         let e = self.slots[idx as usize].element_mut();
@@ -1496,7 +1250,6 @@ impl core::fmt::Debug for Partition {
         f.debug_struct("Partition")
             .field("len", &self.len)
             .field("buckets", &self.buckets.len())
-            .field("layout", &self.buckets.layout())
             .field("bytes_in_use", &self.bytes_in_use())
             .field("eviction", &self.eviction)
             .finish()
@@ -1743,16 +1496,9 @@ mod tests {
 
     #[test]
     fn two_phase_operations_match_their_single_phase_forms() {
-        for layout in [BucketLayout::Chain, BucketLayout::Inline] {
-            two_phase_matches_single_phase(layout);
-        }
-    }
-
-    fn two_phase_matches_single_phase(layout: BucketLayout) {
-        let config = PartitionConfig::new(64, None).with_layout(layout);
+        let config = PartitionConfig::new(64, None);
         let mut direct = Partition::new(config);
         let mut staged = Partition::new(config);
-        assert_eq!(staged.bucket_layout(), layout);
         for key in 0..200u64 {
             // Stage a whole batch of prepares (with prefetches), then
             // execute — the server pipeline's access pattern.
@@ -1768,7 +1514,7 @@ mod tests {
         }
         for key in 0..220u64 {
             let prep = staged.prepare(key);
-            let prefetched = staged.prefetch_prepared(&prep);
+            staged.prefetch_prepared(&prep);
             let a = staged.lookup_prepared(prep);
             let b = direct.lookup(key);
             assert_eq!(a.is_some(), b.is_some(), "key {key}");
@@ -1777,7 +1523,6 @@ mod tests {
                 staged.read_value(a, &mut va);
                 direct.read_value(b, &mut vb);
                 assert_eq!(va, vb);
-                assert!(prefetched, "present key's bucket chain was prefetchable");
             }
             if let Some(a) = a {
                 staged.decref(a.id);
@@ -1797,41 +1542,10 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_of_an_empty_bucket_reports_nothing_to_fetch() {
-        // Chained layout: the staging pass reads the chain head and finds
-        // nothing worth hinting.
-        let p = Partition::new(PartitionConfig::new(64, None).with_layout(BucketLayout::Chain));
-        let prep = p.prepare(1);
-        assert!(!p.prefetch_prepared(&prep), "empty table has no chains");
-    }
-
-    #[test]
-    fn inline_prefetch_always_hints_the_bucket_line() {
-        // Inline layout: the prefetch target is the bucket's own line,
-        // computed without reading table memory — always issued, even on
-        // an empty table (the line itself answers "absent").
-        let p = Partition::new(PartitionConfig::new(64, None).with_layout(BucketLayout::Inline));
-        let prep = p.prepare(1);
-        assert!(p.prefetch_prepared(&prep));
-    }
-
-    #[test]
-    fn bucket_layout_names_round_trip_and_env_falls_back() {
-        for layout in [BucketLayout::Chain, BucketLayout::Inline] {
-            assert_eq!(BucketLayout::parse(layout.as_str()), Ok(layout));
-            assert_eq!(format!("{layout}"), layout.as_str());
-        }
-        assert_eq!(BucketLayout::parse("Inline"), Ok(BucketLayout::Inline));
-        assert_eq!(BucketLayout::parse("chained"), Ok(BucketLayout::Chain));
-        assert!(BucketLayout::parse("linear-probing").is_err());
-        assert_eq!(BucketLayout::default(), BucketLayout::Inline);
-    }
-
-    #[test]
     fn inline_bucket_overflows_past_the_line_and_promotes_on_free() {
         // A single-bucket partition forces every key into one line: the
         // first INLINE_SLOTS keys live inline, the rest chain behind it.
-        let mut p = Partition::new(PartitionConfig::new(1, None).with_layout(BucketLayout::Inline));
+        let mut p = Partition::new(PartitionConfig::new(1, None));
         let total = INLINE_SLOTS as u64 + 5;
         for key in 0..total {
             p.insert_copy(key, &key.to_le_bytes()).unwrap();
@@ -1857,65 +1571,6 @@ mod tests {
             p.check_invariants();
         }
         assert!(p.is_empty());
-    }
-
-    #[test]
-    fn chain_layout_reports_no_inline_counters() {
-        let mut p = Partition::new(PartitionConfig::new(1, None).with_layout(BucketLayout::Chain));
-        for key in 0..10u64 {
-            p.insert_copy(key, &key.to_le_bytes()).unwrap();
-        }
-        let mut buf = Vec::new();
-        for key in 0..10u64 {
-            assert!(p.lookup_copy(key, &mut buf));
-        }
-        let s = p.stats();
-        assert_eq!(s.inline_hits, 0);
-        assert_eq!(s.overflow_probes, 0);
-        assert_eq!(s.tag_false_positives, 0);
-        p.check_invariants();
-    }
-
-    #[test]
-    fn inline_and_chain_layouts_agree_under_churn_and_eviction() {
-        // Same bounded budget, same operation sequence: every observable
-        // (hit/miss, values, length, LRU order) must match exactly —
-        // recency structures are layout-independent.
-        let mut chain =
-            Partition::new(PartitionConfig::new(16, Some(512)).with_layout(BucketLayout::Chain));
-        let mut inline =
-            Partition::new(PartitionConfig::new(16, Some(512)).with_layout(BucketLayout::Inline));
-        let mut state = 0x9E37_79B9u64;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for step in 0..4_000u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let key = (state >> 33) % 96;
-            match step % 5 {
-                0 | 1 => {
-                    let r1 = chain.insert_copy(key, &key.to_le_bytes());
-                    let r2 = inline.insert_copy(key, &key.to_le_bytes());
-                    assert_eq!(r1.is_ok(), r2.is_ok());
-                }
-                2 | 3 => {
-                    assert_eq!(
-                        chain.lookup_copy(key, &mut a),
-                        inline.lookup_copy(key, &mut b)
-                    );
-                    assert_eq!(a, b);
-                }
-                _ => assert_eq!(chain.delete(key), inline.delete(key)),
-            }
-            if step % 256 == 0 {
-                chain.check_invariants();
-                inline.check_invariants();
-            }
-        }
-        assert_eq!(chain.len(), inline.len());
-        assert_eq!(chain.lru_order(), inline.lru_order());
-        chain.check_invariants();
-        inline.check_invariants();
     }
 
     #[test]

@@ -35,15 +35,13 @@ pub struct PartitionStats {
     /// Stays zero when migration uses the per-chunk index.
     pub full_export_scans: u64,
     /// Probes resolved by a bucket line's *inline* tagged slots — the
-    /// common case one bucket-line prefetch fully covers.  Zero under the
-    /// chained layout.
+    /// common case one bucket-line prefetch fully covers.
     pub inline_hits: u64,
     /// Elements visited on bucket *overflow chains* (a bucket held more
-    /// keys than its inline slots).  Zero under the chained layout.
+    /// keys than its inline slots).
     pub overflow_probes: u64,
     /// Inline tag matches whose full key comparison then failed — the
-    /// ~2⁻⁸-probability cost of the 8-bit tag filter.  Zero under the
-    /// chained layout.
+    /// ~2⁻⁸-probability cost of the 8-bit tag filter.
     pub tag_false_positives: u64,
 }
 

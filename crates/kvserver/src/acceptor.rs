@@ -1,131 +1,61 @@
-//! Connection acceptance: sharded `SO_REUSEPORT` listeners or a single
-//! least-connections acceptor thread.
+//! Connection acceptance: one listener per worker.
 //!
 //! "The CPSERVER also has an additional thread that accepts new connections.
 //! When a connection is made, it is assigned to a client thread with the
 //! smallest number of current active connections." (§4.1)
 //!
 //! That single acceptor serializes every accept: under a connection-churn
-//! storm one thread (and one listen queue) throttles the whole server.  The
-//! default accept path is therefore **sharded** ([`AcceptPath::Sharded`]):
-//! every worker binds its own `SO_REUSEPORT` listener on the same address
-//! and the kernel load-balances incoming connections across them — no
+//! storm one thread (and one listen queue) throttles the whole server.
+//! Here every worker owns a listener on the server's address instead
+//! ([`shard_listeners`]) and accepts for itself ([`drain_accepts`]) — no
 //! hand-off thread, no cross-thread wake-up, and with the io_uring
-//! front-end the accept itself happens in-kernel (multishot accept).  The
-//! paper's least-connections balancing remains available as
-//! [`AcceptPath::Single`] (`--accept single` / `CPHASH_ACCEPT=single`),
-//! and is the automatic fallback where `SO_REUSEPORT` sharding cannot be
-//! built (non-Linux hosts, non-IPv4 binds).
-//!
-//! The single-acceptor hand-off is event-aware: each worker slot carries a
-//! [`Waker`], so a worker sleeping in its reactor's `epoll_wait` is woken
-//! the moment a connection is assigned to it instead of discovering it on a
-//! poll tick.
+//! front-end the accept itself happens in-kernel (multishot accept).  Where
+//! the kernel can load-balance (`SO_REUSEPORT`: Linux, IPv4) each worker
+//! gets its own socket and accept queue; elsewhere the workers share one
+//! bound socket through `try_clone` and whichever is awake accepts.
 
-use cphash_sync::atomic::plain::{AtomicBool, AtomicUsize, Ordering};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::reactor::{FrontendKind, Reactor, Waker};
+use crate::reactor::Reactor;
 
-/// How a server's listening socket feeds its workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AcceptPath {
-    /// Per-worker `SO_REUSEPORT` listeners; the kernel load-balances
-    /// accepts across workers.  Falls back to [`AcceptPath::Single`] where
-    /// the sharded listener set cannot be built.
-    #[default]
-    Sharded,
-    /// One acceptor thread assigning each connection to the least-loaded
-    /// worker (the paper's §4.1 design).
-    Single,
-}
-
-impl AcceptPath {
-    /// Parse an `--accept` flag value.
-    pub fn parse(s: &str) -> Result<AcceptPath, String> {
-        match s {
-            "sharded" | "reuseport" => Ok(AcceptPath::Sharded),
-            "single" | "acceptor" => Ok(AcceptPath::Single),
-            other => Err(format!(
-                "unknown accept path {other:?} (expected sharded|single)"
-            )),
-        }
-    }
-
-    /// The flag spelling of this path.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AcceptPath::Sharded => "sharded",
-            AcceptPath::Single => "single",
-        }
-    }
-
-    /// Default for this process: `CPHASH_ACCEPT` if set, otherwise sharded.
-    /// An invalid value panics, for the same reason `CPHASH_FRONTEND` does:
-    /// the variable exists to force a specific path in CI matrices, and a
-    /// typo that silently picked the default would compare a path against
-    /// itself.
-    pub fn from_env() -> AcceptPath {
-        match std::env::var("CPHASH_ACCEPT") {
-            Ok(v) => AcceptPath::parse(v.trim().to_ascii_lowercase().as_str())
-                .unwrap_or_else(|e| panic!("CPHASH_ACCEPT: {e}")),
-            Err(_) => AcceptPath::default(),
-        }
-    }
-}
-
-impl core::fmt::Display for AcceptPath {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Build one non-blocking `SO_REUSEPORT` listener per shard, all bound to
-/// `bind` (port 0 picks a port on the first listener; the rest join it).
-/// Returns the resolved address plus the listener set, or an error where
-/// reuseport sharding is unavailable (non-Linux, non-IPv4 bind) — callers
-/// fall back to [`spawn_acceptor`].
+/// Build one non-blocking listener per shard, all accepting on `bind`
+/// (port 0 picks a port once; every listener reports the resolved address).
+///
+/// The set is `SO_REUSEPORT` sockets where that can be built (Linux, IPv4
+/// bind), so the kernel spreads connections over the shards; otherwise it
+/// is one bound socket `try_clone`d per shard, every clone draining the
+/// same accept queue.  Either way each worker has exactly one listener, and
+/// an error here is the bind (or clone) error itself.
 pub fn shard_listeners(
     bind: SocketAddr,
     shards: usize,
 ) -> io::Result<(SocketAddr, Vec<TcpListener>)> {
     assert!(shards > 0, "need at least one shard");
+    let mut listeners = Vec::with_capacity(shards);
     #[cfg(target_os = "linux")]
-    {
-        let SocketAddr::V4(v4) = bind else {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "reuseport sharding requires an IPv4 bind address",
-            ));
-        };
+    if let SocketAddr::V4(v4) = bind {
         let first = reuseport_listener(*v4.ip(), v4.port())?;
-        let addr = first.local_addr()?;
-        let SocketAddr::V4(resolved) = addr else {
+        let SocketAddr::V4(resolved) = first.local_addr()? else {
             unreachable!("IPv4 socket reports an IPv4 local address");
         };
-        let mut listeners = Vec::with_capacity(shards);
         listeners.push(first);
         for _ in 1..shards {
             listeners.push(reuseport_listener(*resolved.ip(), resolved.port())?);
         }
-        for listener in &listeners {
-            listener.set_nonblocking(true)?;
+    }
+    if listeners.is_empty() {
+        let first = TcpListener::bind(bind)?;
+        for _ in 1..shards {
+            listeners.push(first.try_clone()?);
         }
-        Ok((addr, listeners))
+        listeners.push(first);
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = bind;
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "reuseport sharding is Linux-only",
-        ))
+    for listener in &listeners {
+        listener.set_nonblocking(true)?;
     }
+    Ok((listeners[0].local_addr()?, listeners))
 }
 
 /// One `SO_REUSEPORT` (+`SO_REUSEADDR`) listener, built below std because
@@ -222,174 +152,84 @@ pub fn drain_accepts(
     }
 }
 
-/// The acceptor's handle to one worker: where to send new connections and
-/// how loaded that worker currently is.
-pub struct WorkerSlot {
-    /// Channel delivering accepted streams to the worker.
-    pub sender: Sender<TcpStream>,
-    /// Number of connections the worker currently services; the worker
-    /// decrements it when a connection closes.
-    pub active: Arc<AtomicUsize>,
-    /// Wakes the worker's reactor after a hand-off.
-    pub waker: Waker,
-}
-
-/// Receiving side handed to each worker thread.
-pub struct WorkerInbox {
-    /// New connections assigned to this worker.
-    pub receiver: Receiver<TcpStream>,
-    /// Shared active-connection counter (decrement on close).
-    pub active: Arc<AtomicUsize>,
-    /// The worker's waker; register its fd under
-    /// [`crate::reactor::WAKER_TOKEN`] and drain it on wake-up.
-    pub waker: Waker,
-}
-
-/// Create `workers` connected slot/inbox pairs whose wakers match the
-/// chosen front-end.
-pub fn worker_channels(
-    workers: usize,
-    frontend: FrontendKind,
-) -> (Vec<WorkerSlot>, Vec<WorkerInbox>) {
-    let mut slots = Vec::with_capacity(workers);
-    let mut inboxes = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (sender, receiver) = std::sync::mpsc::channel();
-        let active = Arc::new(AtomicUsize::new(0));
-        let waker = Waker::new(frontend);
-        slots.push(WorkerSlot {
-            sender,
-            active: Arc::clone(&active),
-            waker: waker.clone(),
-        });
-        inboxes.push(WorkerInbox {
-            receiver,
-            active,
-            waker,
-        });
-    }
-    (slots, inboxes)
-}
-
-/// Pick the least-loaded worker.
-pub fn least_loaded(slots: &[WorkerSlot]) -> usize {
-    slots
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| s.active.load(Ordering::Relaxed)) // relaxed: load-balance gauge; staleness is benign
-        .map(|(i, _)| i)
-        .expect("at least one worker")
-}
-
-/// Spawn the acceptor thread.  Returns the bound address and the thread's
-/// join handle; the thread exits when `stop` is raised.
-pub fn spawn_acceptor(
-    listener: TcpListener,
-    slots: Vec<WorkerSlot>,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let handle = std::thread::Builder::new()
-        .name("kv-acceptor".to_string())
-        .spawn(move || {
-            // relaxed: stop flag; shutdown needs no ordering
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let target = least_loaded(&slots);
-                        slots[target].active.fetch_add(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
-                                                                              // If the worker is gone the server is shutting down;
-                                                                              // dropping the stream closes the connection.
-                        if slots[target].sender.send(stream).is_ok() {
-                            slots[target].waker.wake();
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-        })
-        .expect("spawning the acceptor thread");
-    Ok((addr, handle))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpStream;
+    use crate::metrics::FrontendStats;
+    use crate::reactor::{raw_fd_of, FrontendKind, LISTENER_TOKEN};
+    use std::sync::Arc;
 
-    #[test]
-    fn least_loaded_picks_the_emptiest_worker() {
-        let (slots, _inboxes) = worker_channels(3, FrontendKind::Poll);
-        slots[0].active.store(5, Ordering::Relaxed);
-        slots[1].active.store(2, Ordering::Relaxed);
-        slots[2].active.store(9, Ordering::Relaxed);
-        assert_eq!(least_loaded(&slots), 1);
-    }
-
-    #[test]
-    fn acceptor_balances_connections_across_workers() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (slots, inboxes) = worker_channels(2, FrontendKind::from_env());
-        let stop = Arc::new(AtomicBool::new(false));
-        let (addr, handle) = spawn_acceptor(listener, slots, Arc::clone(&stop)).unwrap();
-
-        // Open four connections; with least-connections balancing and no
-        // closes, each worker ends up with two.
-        let _conns: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(3);
-        let mut received = [0usize; 2];
-        while received.iter().sum::<usize>() < 4 && std::time::Instant::now() < deadline {
-            for (i, inbox) in inboxes.iter().enumerate() {
-                while inbox.receiver.try_recv().is_ok() {
-                    received[i] += 1;
+    /// Accept everything pending on every listener of a shard set, waiting
+    /// until at least `want` connections have arrived; returns how many
+    /// each listener accepted.
+    fn accept_counts(listeners: &[TcpListener], want: usize) -> Vec<usize> {
+        let mut reactors: Vec<Reactor> = listeners
+            .iter()
+            .map(|l| {
+                let mut r =
+                    Reactor::new(FrontendKind::default(), Arc::new(FrontendStats::default()));
+                r.register_listener(raw_fd_of(l), LISTENER_TOKEN).unwrap();
+                r
+            })
+            .collect();
+        let mut counts = vec![0usize; listeners.len()];
+        let mut accepted = Vec::new();
+        let mut ready = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while counts.iter().sum::<usize>() < want && std::time::Instant::now() < deadline {
+            for (i, (l, r)) in listeners.iter().zip(reactors.iter_mut()).enumerate() {
+                ready.clear();
+                r.wait(&mut ready, Some(Duration::from_millis(5))).unwrap();
+                if ready.contains(&LISTENER_TOKEN) {
+                    drain_accepts(l, r, LISTENER_TOKEN, &mut accepted);
+                    counts[i] += accepted.drain(..).count();
                 }
             }
         }
-        assert_eq!(received.iter().sum::<usize>(), 4);
-        assert_eq!(received[0], 2);
-        assert_eq!(received[1], 2);
-
-        stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+        // One more look at every listener: a connection must not be
+        // acceptable twice.
+        for (i, (l, r)) in listeners.iter().zip(reactors.iter_mut()).enumerate() {
+            drain_accepts(l, r, LISTENER_TOKEN, &mut accepted);
+            counts[i] += accepted.drain(..).count();
+        }
+        counts
     }
 
     #[test]
-    fn hand_off_signals_the_worker_waker() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (slots, inboxes) = worker_channels(1, FrontendKind::Epoll);
-        let stop = Arc::new(AtomicBool::new(false));
-        let (addr, handle) = spawn_acceptor(listener, slots, Arc::clone(&stop)).unwrap();
+    fn ipv4_shards_share_one_port_and_each_connection_lands_once() {
+        let (addr, listeners) = shard_listeners("127.0.0.1:0".parse().unwrap(), 3).unwrap();
+        assert_eq!(listeners.len(), 3);
+        assert_ne!(addr.port(), 0);
+        for l in &listeners {
+            assert_eq!(l.local_addr().unwrap(), addr);
+        }
+        let _conns: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        assert_eq!(accept_counts(&listeners, 6).iter().sum::<usize>(), 6);
+    }
 
+    #[test]
+    fn ipv6_shards_are_clones_of_one_socket_and_a_connection_lands_once() {
+        // The non-reuseport tier: one bound socket, cloned per worker.
+        let Ok((addr, listeners)) = shard_listeners("[::1]:0".parse().unwrap(), 2) else {
+            eprintln!("skipping: no IPv6 loopback on this host");
+            return;
+        };
+        assert_eq!(listeners.len(), 2);
+        assert!(addr.is_ipv6() && addr.port() != 0);
+        for l in &listeners {
+            assert_eq!(l.local_addr().unwrap(), addr);
+        }
         let _conn = TcpStream::connect(addr).unwrap();
-        let inbox = &inboxes[0];
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(3);
-        let mut got = false;
-        while !got && std::time::Instant::now() < deadline {
-            got = inbox.receiver.try_recv().is_ok();
-        }
-        assert!(got, "the stream reached the worker inbox");
-        // On Linux/epoll the waker is an eventfd and must now be readable;
-        // registering it on a reactor and waiting proves the signal arrived.
-        if let Some(fd) = inbox.waker.fd() {
-            use crate::reactor::{Reactor, WAKER_TOKEN};
-            let mut reactor = Reactor::new(
-                FrontendKind::Epoll,
-                Arc::new(crate::metrics::FrontendStats::default()),
-            );
-            reactor.register(fd, WAKER_TOKEN, false).unwrap();
-            let mut ready = Vec::new();
-            reactor
-                .wait(&mut ready, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert!(ready.contains(&WAKER_TOKEN));
-            inbox.waker.drain();
-        }
+        let counts = accept_counts(&listeners, 1);
+        assert_eq!(counts.iter().sum::<usize>(), 1, "accepted {counts:?}");
+    }
 
-        stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+    #[test]
+    fn a_bind_error_is_reported_not_retried() {
+        // A port already bound without SO_REUSEPORT cannot be joined: the
+        // caller sees that error, once.
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let err = shard_listeners(taken.local_addr().unwrap(), 2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
     }
 }

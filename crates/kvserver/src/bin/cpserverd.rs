@@ -8,9 +8,9 @@
 
 use std::time::Duration;
 
-use cphash::{CpHashConfig, MigrationPacing, ServerPipeline};
+use cphash::{CpHashConfig, MigrationPacing};
 use cphash_affinity::Topology;
-use cphash_kvserver::{AcceptPath, CpServer, CpServerConfig, FrontendKind};
+use cphash_kvserver::{CpServer, CpServerConfig, FrontendKind};
 
 struct Args {
     port: u16,
@@ -28,8 +28,6 @@ struct Args {
     /// client-observed request p99 is elevated (alternative to the
     /// queue-depth signal).
     migrate_feedback_p99: bool,
-    /// Server hot-loop pipeline (scalar | batched | prefetch).
-    pipeline: ServerPipeline,
     /// Pipeline depth (data operations staged per batch).
     batch_size: usize,
     /// Overload shedding threshold (0 = never shed): in-flight operations
@@ -37,8 +35,6 @@ struct Args {
     overload_retry: usize,
     /// Front-end driving the client threads (epoll | poll | uring).
     frontend: FrontendKind,
-    /// Accept path (sharded SO_REUSEPORT listeners | single acceptor).
-    accept: AcceptPath,
     /// NUMA-aware server placement: pin every spawnable server thread
     /// (including ones only activated by a later grow) per the detected
     /// topology.
@@ -64,11 +60,9 @@ fn parse_args() -> Result<Args, String> {
         migrate_rate: 0.0,
         migrate_feedback: false,
         migrate_feedback_p99: false,
-        pipeline: ServerPipeline::from_env(),
-        batch_size: cphash::config::batch_size_from_env(),
+        batch_size: cphash::DEFAULT_BATCH_SIZE,
         overload_retry: 0,
         frontend: FrontendKind::from_env(),
-        accept: AcceptPath::from_env(),
         numa: false,
         max_protocol: cphash_kvproto::VERSION_2,
         stats_addr: None,
@@ -106,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--migrate-feedback" => args.migrate_feedback = true,
             "--migrate-feedback-p99" => args.migrate_feedback_p99 = true,
-            "--pipeline" => args.pipeline = ServerPipeline::parse(&value("--pipeline")?)?,
             "--batch-size" => {
                 args.batch_size = value("--batch-size")?
                     .parse()
@@ -121,7 +114,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad overload-retry: {e}"))?
             }
             "--frontend" => args.frontend = FrontendKind::parse(&value("--frontend")?)?,
-            "--accept" => args.accept = AcceptPath::parse(&value("--accept")?)?,
             "--stats-addr" => {
                 args.stats_addr = Some(
                     value("--stats-addr")?
@@ -140,7 +132,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--help" | "-h" => {
-                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--pipeline scalar|batched|prefetch] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--accept sharded|single] [--stats-addr HOST:PORT] [--trace] [--numa] [--max-protocol 1|2]".into())
+                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--stats-addr HOST:PORT] [--trace] [--numa] [--max-protocol 1|2]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -201,10 +193,8 @@ fn main() {
         frontend: args.frontend,
         server_pins,
         max_protocol: args.max_protocol,
-        pipeline: args.pipeline,
         batch_size: args.batch_size,
         overload_retry: (args.overload_retry > 0).then_some(args.overload_retry),
-        accept: args.accept,
         ..Default::default()
     };
     // --stats-addr overrides the CPHASH_STATS_ADDR default already folded
@@ -225,14 +215,12 @@ fn main() {
         }
     };
     println!(
-        "CPSERVER listening on {} ({} partitions, {} client threads, {} MiB cache, {} front-end, {} accept, {} pipeline depth {}{})",
+        "CPSERVER listening on {} ({} partitions, {} client threads, {} MiB cache, {} front-end, pipeline depth {}{})",
         server.addr(),
         args.partitions,
         args.client_threads,
         args.capacity_mb,
         args.frontend,
-        args.accept,
-        args.pipeline,
         args.batch_size,
         if args.numa { ", NUMA pinning" } else { "" }
     );

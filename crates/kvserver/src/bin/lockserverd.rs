@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use cphash_kvserver::{AcceptPath, FrontendKind, LockServer, LockServerConfig};
+use cphash_kvserver::{FrontendKind, LockServer, LockServerConfig};
 
 struct Args {
     port: u16,
@@ -18,8 +18,6 @@ struct Args {
     stats_secs: u64,
     /// Front-end driving the worker threads (epoll | poll | uring).
     frontend: FrontendKind,
-    /// Accept path (sharded SO_REUSEPORT listeners | single acceptor).
-    accept: AcceptPath,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -30,7 +28,6 @@ fn parse_args() -> Result<Args, String> {
         capacity_mb: 64,
         stats_secs: 5,
         frontend: FrontendKind::from_env(),
-        accept: AcceptPath::from_env(),
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -53,9 +50,8 @@ fn parse_args() -> Result<Args, String> {
                 args.stats_secs = value("--stats-secs")?.parse().map_err(|e| format!("bad stats-secs: {e}"))?
             }
             "--frontend" => args.frontend = FrontendKind::parse(&value("--frontend")?)?,
-            "--accept" => args.accept = AcceptPath::parse(&value("--accept")?)?,
             "--help" | "-h" => {
-                return Err("usage: lockserverd [--port N] [--partitions N] [--worker-threads N] [--capacity-mb N] [--stats-secs N] [--frontend epoll|poll|uring] [--accept sharded|single]".into())
+                return Err("usage: lockserverd [--port N] [--partitions N] [--worker-threads N] [--capacity-mb N] [--stats-secs N] [--frontend epoll|poll|uring]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -81,7 +77,6 @@ fn main() {
         capacity_bytes: Some(args.capacity_mb * 1024 * 1024),
         typical_value_bytes: 64,
         frontend: args.frontend,
-        accept: args.accept,
         ..Default::default()
     };
     let server = match LockServer::start(config) {
@@ -92,13 +87,12 @@ fn main() {
         }
     };
     println!(
-        "LOCKSERVER listening on {} ({} partitions, {} worker threads, {} MiB cache, {} front-end, {} accept)",
+        "LOCKSERVER listening on {} ({} partitions, {} worker threads, {} MiB cache, {} front-end)",
         server.addr(),
         args.partitions,
         args.worker_threads,
         args.capacity_mb,
-        args.frontend,
-        args.accept
+        args.frontend
     );
     println!("press Ctrl-C to stop");
 

@@ -7,10 +7,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cphash::{
-    ClientHandle, CompletionKind, CpHash, CpHashConfig, EvictionPolicy, MigrationPacing,
-    ServerPipeline,
-};
+use cphash::{ClientHandle, CompletionKind, CpHash, CpHashConfig, EvictionPolicy, MigrationPacing};
 use cphash_affinity::HwThreadId;
 use cphash_kvproto::{
     envelope, resize_chunks_per_sec, resize_partitions, ErrCode, OpKind, ServerOpRef, Status,
@@ -19,12 +16,10 @@ use cphash_kvproto::{
 use cphash_migrate::{MigrationPacer, RepartitionCoordinator};
 use cphash_perfmon::SharedLatencyWindow;
 
-use crate::acceptor::{
-    drain_accepts, shard_listeners, spawn_acceptor, worker_channels, AcceptPath, WorkerInbox,
-};
+use crate::acceptor::{drain_accepts, shard_listeners};
 use crate::connection::Connection;
 use crate::metrics::{MigrationProgress, ServerMetrics};
-use crate::reactor::{raw_fd_of, FrontendKind, Reactor, LISTENER_TOKEN, WAKER_TOKEN};
+use crate::reactor::{raw_fd_of, FrontendKind, Reactor, LISTENER_TOKEN};
 use crate::stats_http::spawn_stats_listener;
 
 /// An admin resize request in flight from a client thread to the admin
@@ -127,17 +122,9 @@ pub struct CpServerConfig {
     /// the default, falling back to busy-poll off Linux) or the legacy
     /// busy-poll (`poll`).
     pub frontend: FrontendKind,
-    /// Accept path: per-worker `SO_REUSEPORT` listeners (the default) or
-    /// the paper's single least-loaded acceptor thread.  Sharded silently
-    /// falls back to the acceptor thread where reuseport sharding is
-    /// unavailable (non-Linux, non-IPv4 bind).
-    pub accept: AcceptPath,
     /// Highest kvproto version to negotiate (2 = typed ops; 1 makes the
     /// server behave like a pre-versioning build, for compatibility tests).
     pub max_protocol: u8,
-    /// How the hash-table server threads process drained operations
-    /// (staged batch + prefetch pipeline by default).
-    pub pipeline: ServerPipeline,
     /// Pipeline depth for the hash-table servers (operations staged per
     /// batch).
     pub batch_size: usize,
@@ -153,11 +140,6 @@ pub struct CpServerConfig {
     /// The default reads `CPHASH_STATS_ADDR`, so tests and CI can turn the
     /// endpoint on without touching every construction site.
     pub stats_addr: Option<SocketAddr>,
-    /// Prefetch reply value bytes between completion drain and the wire
-    /// copy (values are written by server threads on other cores, so the
-    /// copy's first touch is otherwise a cache miss per line).  Defaults
-    /// to on; `CPHASH_REPLY_PREFETCH=0` disables it for A/B runs.
-    pub reply_prefetch: bool,
 }
 
 impl Default for CpServerConfig {
@@ -174,22 +156,12 @@ impl Default for CpServerConfig {
             max_partitions: 0,
             migration_pacing: MigrationPacing::Unpaced,
             frontend: FrontendKind::from_env(),
-            accept: AcceptPath::from_env(),
             max_protocol: cphash_kvproto::VERSION_2,
-            pipeline: ServerPipeline::from_env(),
-            batch_size: cphash::config::batch_size_from_env(),
+            batch_size: cphash::DEFAULT_BATCH_SIZE,
             overload_retry: None,
             stats_addr: stats_addr_from_env(),
-            reply_prefetch: reply_prefetch_from_env(),
         }
     }
-}
-
-/// The `CPHASH_REPLY_PREFETCH` environment default for
-/// [`CpServerConfig::reply_prefetch`] (`0` disables, anything else — or
-/// unset — enables).
-fn reply_prefetch_from_env() -> bool {
-    std::env::var("CPHASH_REPLY_PREFETCH").map_or(true, |v| v != "0")
 }
 
 /// The `CPHASH_STATS_ADDR` environment default for
@@ -209,8 +181,8 @@ pub struct CpServer {
 }
 
 impl CpServer {
-    /// Start the server: binds the listener, spawns the acceptor, the client
-    /// threads and the CPHash server threads.
+    /// Start the server: binds one listener per client thread, spawns the
+    /// client threads and the CPHash server threads.
     pub fn start(config: CpServerConfig) -> std::io::Result<CpServer> {
         let mut table_config = CpHashConfig::new(config.partitions, config.client_threads);
         if let Some(capacity) = config.capacity_bytes {
@@ -220,7 +192,6 @@ impl CpServer {
         table_config.server_pins = config.server_pins.clone();
         table_config.max_partitions = config.max_partitions;
         table_config.migration_pacing = config.migration_pacing;
-        table_config.pipeline = config.pipeline;
         table_config.batch_size = config.batch_size;
         let (table, handles) = CpHash::new(table_config);
 
@@ -228,31 +199,9 @@ impl CpServer {
         let metrics = Arc::new(ServerMetrics::new());
         metrics.attach_batch_sources(table.server_stats());
         metrics.attach_partition_source(table.partition_stats_sampler());
-        let (slots, inboxes) = worker_channels(config.client_threads, config.frontend);
-        // Accept path: per-worker SO_REUSEPORT listeners by default (the
-        // kernel load-balances accepts across workers), else the paper's
-        // single least-loaded acceptor thread — also the fallback where
-        // sharding cannot be built.
-        let sharded = match config.accept {
-            AcceptPath::Sharded => shard_listeners(config.bind, config.client_threads).ok(),
-            AcceptPath::Single => None,
-        };
+        // Every client thread accepts on its own listener (see `acceptor`).
+        let (addr, listeners) = shard_listeners(config.bind, config.client_threads)?;
         let mut threads = Vec::new();
-        let (addr, listeners) = match sharded {
-            Some((addr, listeners)) => {
-                // Workers accept on their own listeners; nothing flows
-                // through the hand-off channels, so drop the senders (each
-                // worker's try_recv then just reports empty/disconnected).
-                drop(slots);
-                (addr, listeners.into_iter().map(Some).collect::<Vec<_>>())
-            }
-            None => {
-                let listener = TcpListener::bind(config.bind)?;
-                let (addr, acceptor) = spawn_acceptor(listener, slots, Arc::clone(&stop))?;
-                threads.push(acceptor);
-                (addr, (0..config.client_threads).map(|_| None).collect())
-            }
-        };
 
         // The admin thread owns the table's repartition coordinator and
         // serializes `resize` requests from every client thread. A static
@@ -293,9 +242,7 @@ impl CpServer {
             drop(admin_rx);
         }
 
-        for (index, ((handle, inbox), listener)) in
-            handles.into_iter().zip(inboxes).zip(listeners).enumerate()
-        {
+        for (index, (handle, listener)) in handles.into_iter().zip(listeners).enumerate() {
             let stop = Arc::clone(&stop);
             let metrics = Arc::clone(&metrics);
             let batch = config.batch;
@@ -312,14 +259,12 @@ impl CpServer {
                     config.migration_pacing,
                     MigrationPacing::FeedbackLatency { .. }
                 );
-            let reply_prefetch = config.reply_prefetch;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("cpserver-client-{index}"))
                     .spawn(move || {
                         client_worker(
                             handle,
-                            inbox,
                             listener,
                             stop,
                             metrics,
@@ -329,7 +274,6 @@ impl CpServer {
                             max_protocol,
                             overload_retry,
                             record_latency,
-                            reply_prefetch,
                         )
                     })
                     .expect("spawning a client thread"),
@@ -520,12 +464,10 @@ impl ReplyQueue {
 struct ConnState {
     conn: Connection,
     replies: ReplyQueue,
-    /// Whether to prefetch reply value bytes ahead of the wire copy.
-    prefetch: bool,
 }
 
 impl ConnState {
-    fn new(conn: Connection, stamp_latency: bool, prefetch: bool) -> Self {
+    fn new(conn: Connection, stamp_latency: bool) -> Self {
         ConnState {
             conn,
             replies: ReplyQueue {
@@ -533,7 +475,6 @@ impl ConnState {
                 pending: VecDeque::new(),
                 stamp_latency,
             },
-            prefetch,
         }
     }
 
@@ -543,23 +484,6 @@ impl ConnState {
     /// window is a cross-worker mutex, so it is not touched when nothing
     /// would ever sample it).  Returns how many responses were queued.
     fn flush_ready_responses(&mut self, latency: Option<&SharedLatencyWindow>) -> usize {
-        // First pass: hint every cache line of the Done-prefix values that
-        // the loop below will copy onto the wire.  The worker itself copied
-        // these values out of shared table memory when it drained the
-        // completions (`pump_lane`), but under deep pipelines a batch of
-        // 1 KiB values overflows L1 and the oldest lines may have cooled by
-        // flush time; hints on still-resident lines are a cycle each, so
-        // the pass is near-free when nothing cooled (the cross-core miss
-        // itself is hidden earlier, by `pump_lane`'s batched prefetch over
-        // the response pointers).
-        if self.prefetch {
-            for entry in self.replies.pending.iter() {
-                let ReplyState::Done(reply) = &entry.state else {
-                    break; // the flush loop stops at the first non-Done too
-                };
-                prefetch_value_lines(reply.value.as_slice());
-            }
-        }
         let mut wrote = 0usize;
         while matches!(
             self.replies.pending.front(),
@@ -661,22 +585,6 @@ impl TokenRing {
     }
 }
 
-/// Hint every cache line a reply value occupies, so the wire copy that
-/// follows overlaps its misses instead of paying them one line at a time.
-#[inline]
-fn prefetch_value_lines(bytes: &[u8]) {
-    if bytes.is_empty() {
-        return;
-    }
-    let start = bytes.as_ptr() as usize;
-    let end = start + bytes.len();
-    let mut line = start & !(cphash_cacheline::CACHE_LINE_SIZE - 1);
-    while line < end {
-        cphash_cacheline::prefetch_read(line as *const u8);
-        line += cphash_cacheline::CACHE_LINE_SIZE;
-    }
-}
-
 /// Turn an admin status string into a typed reply (the coordinator reports
 /// errors as `ERR ...` strings).
 fn admin_reply(status: String) -> OutReply {
@@ -694,6 +602,15 @@ fn admin_reply(status: String) -> OutReply {
 /// reactor — and stand in for as many `epoll_wait` calls.
 const RING_POLLS_PER_REACTOR_WAIT: u32 = 64;
 
+/// Fruitless rounds — [`RING_POLLS_PER_REACTOR_WAIT`] polls and an empty
+/// reactor wait, some ten microseconds in all — after which a worker yields
+/// its CPU once per round.  A partition server on another CPU answers
+/// within one round; silence for this long means it is probably waiting for
+/// *this* CPU, and spinning on would burn the rest of the time slice (see
+/// `IDLE_POLLS_PER_YIELD` in `cphash::server`, the other half of the
+/// hand-off).  With nobody else runnable the yield returns at once.
+const FRUITLESS_ROUNDS_BEFORE_YIELD: u32 = 4;
+
 /// One CPSERVER client thread: waits for readiness on its connections,
 /// drains every ready connection fully, ships the gathered requests to the
 /// CPHash servers, and writes responses back.
@@ -702,12 +619,12 @@ const RING_POLLS_PER_REACTOR_WAIT: u32 = 64;
 /// hash-table operations in flight, no ordered responses waiting and no
 /// admin commands pending.  Everything that can unblock it from outside is
 /// a readiness event — socket bytes, socket writability for back-logged
-/// output, or the acceptor's waker — so idle connections cost nothing.
+/// output, or a connection arriving on the worker's listener — so idle
+/// connections cost nothing.
 #[allow(clippy::too_many_arguments)] // one call site, spawned per worker
 fn client_worker(
     mut handle: ClientHandle,
-    inbox: WorkerInbox,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
     batch: usize,
@@ -716,18 +633,15 @@ fn client_worker(
     max_protocol: u8,
     overload_retry: Option<usize>,
     record_latency: bool,
-    reply_prefetch: bool,
 ) {
     let mut reactor = Reactor::new(frontend, Arc::clone(&metrics.frontend));
-    if let Some(fd) = inbox.waker.fd() {
-        let _ = reactor.register(fd, WAKER_TOKEN, false);
-    }
-    // Sharded accept path: this worker owns one of the SO_REUSEPORT
-    // listeners (with io_uring the backend accepts in-kernel via
-    // multishot accept and hands finished fds over `take_accepted`).
-    if let Some(l) = listener.as_ref() {
-        let _ = reactor.register_listener(raw_fd_of(l), LISTENER_TOKEN);
-    }
+    // The listener is this worker's only source of connections (with
+    // io_uring the backend accepts in-kernel via multishot accept and hands
+    // finished fds over `take_accepted`); unwatched, the worker would be
+    // deaf forever, so fail loudly at startup instead.
+    reactor
+        .register_listener(raw_fd_of(&listener), LISTENER_TOKEN)
+        .expect("registering the worker's listener on the reactor");
     let mut accepted: Vec<TcpStream> = Vec::new();
     // Connection slab: indices stay stable (they double as reactor tokens)
     // so in-flight tokens can refer to their connection even as others
@@ -756,6 +670,7 @@ fn client_worker(
     // and how many iterations in a row have skipped the reactor since.
     let mut progressed = true;
     let mut ring_polls: u32 = 0;
+    let mut fruitless_rounds: u32 = 0;
 
     // relaxed: stop flag; shutdown needs no ordering
     while !stop.load(Ordering::Relaxed) {
@@ -786,63 +701,40 @@ fn client_worker(
         {
             ring_polls += 1;
         } else {
+            let spun_out = ring_polls == RING_POLLS_PER_REACTOR_WAIT;
             ring_polls = 0;
             let _ = reactor.wait(&mut ready, timeout);
+            if spun_out && ready.is_empty() {
+                fruitless_rounds += 1;
+                if fruitless_rounds >= FRUITLESS_ROUNDS_BEFORE_YIELD {
+                    std::thread::yield_now();
+                }
+            } else {
+                fruitless_rounds = 0;
+            }
         }
         progressed = !ready.is_empty();
         touched.clear();
 
-        // Adopt newly assigned connections (the waker made a sleeping
-        // reactor return; the channel itself is checked every iteration).
-        // The waker must be drained *before* the channel is polled: drained
-        // after, a hand-off landing between the two steps would have its
-        // wake-up consumed and sit unadopted through the next sleep.
-        if ready.contains(&WAKER_TOKEN) {
-            inbox.waker.drain();
-        }
-        while let Ok(stream) = inbox.receiver.try_recv() {
-            let adopted = Connection::with_max_protocol(stream, max_protocol).is_ok_and(|conn| {
-                crate::connection::adopt(
-                    &mut connections,
-                    &mut reactor,
-                    &mut ready,
-                    ConnState::new(conn, record_latency, reply_prefetch),
-                    |state| &state.conn,
-                )
-            });
-            if adopted {
-                metrics.note_connection();
-            } else {
-                inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
-            }
-        }
-
-        // Sharded accept path: adopt connections straight off this
-        // worker's own listener.  Adoption pushes the new tokens into
-        // `ready` mid-iteration, so a connection that already has bytes
-        // buffered is served by the dispatch loop just below.
-        if let Some(l) = listener.as_ref() {
-            if ready.contains(&LISTENER_TOKEN) {
-                drain_accepts(l, &mut reactor, LISTENER_TOKEN, &mut accepted);
-                for stream in accepted.drain(..) {
-                    // Keep the active gauge balanced with the retire path
-                    // even though nothing load-balances on it here.
-                    inbox.active.fetch_add(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
-                    let adopted =
-                        Connection::with_max_protocol(stream, max_protocol).is_ok_and(|conn| {
-                            crate::connection::adopt(
-                                &mut connections,
-                                &mut reactor,
-                                &mut ready,
-                                ConnState::new(conn, record_latency, reply_prefetch),
-                                |state| &state.conn,
-                            )
-                        });
-                    if adopted {
-                        metrics.note_connection();
-                    } else {
-                        inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
-                    }
+        // Adopt connections straight off this worker's own listener.
+        // Adoption pushes the new tokens into `ready` mid-iteration, so a
+        // connection that already has bytes buffered is served by the
+        // dispatch loop just below.
+        if ready.contains(&LISTENER_TOKEN) {
+            drain_accepts(&listener, &mut reactor, LISTENER_TOKEN, &mut accepted);
+            for stream in accepted.drain(..) {
+                let adopted =
+                    Connection::with_max_protocol(stream, max_protocol).is_ok_and(|conn| {
+                        crate::connection::adopt(
+                            &mut connections,
+                            &mut reactor,
+                            &mut ready,
+                            ConnState::new(conn, record_latency),
+                            |state| &state.conn,
+                        )
+                    });
+                if adopted {
+                    metrics.note_connection();
                 }
             }
         }
@@ -850,8 +742,8 @@ fn client_worker(
         // Drain every ready connection fully and forward its requests to
         // the hash-table servers without waiting for answers.
         for &idx in ready.iter() {
-            if idx == WAKER_TOKEN || idx == LISTENER_TOKEN {
-                continue; // drained above, before the inbox poll
+            if idx == LISTENER_TOKEN {
+                continue; // drained above
             }
             let Some(state) = connections.get_mut(idx).and_then(|c| c.as_mut()) else {
                 continue;
@@ -1173,7 +1065,6 @@ fn client_worker(
             if verdict == crate::connection::Settle::Retired {
                 waiting_responses -= state.replies.pending.len();
                 connections[idx] = None;
-                inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
                 tokens.retire_connection(idx);
                 for pending in inflight_writes.values_mut() {
                     pending.deferred.retain(|(c, _, _)| *c != idx);
@@ -1219,7 +1110,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
-        let state = ConnState::new(Connection::new(server_side).unwrap(), false, true);
+        let state = ConnState::new(Connection::new(server_side).unwrap(), false);
         (state, client)
     }
 
@@ -1541,7 +1432,6 @@ mod tests {
     #[test]
     fn batch_pipeline_counters_are_visible_through_metrics() {
         let mut server = CpServer::start(CpServerConfig {
-            pipeline: cphash::ServerPipeline::BatchedPrefetch,
             batch_size: 16,
             ..Default::default()
         })

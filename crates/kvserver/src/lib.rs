@@ -8,14 +8,14 @@
 //! * **CPSERVER** — client threads own TCP connections, gather batches of
 //!   requests from them, ship the hash-table work to CPHash server threads
 //!   over the message-passing lanes, then write the responses back to the
-//!   right connections.  An acceptor thread assigns each new connection to
-//!   the client thread with the fewest active connections.
+//!   right connections.
 //! * **LOCKSERVER** — the same connection plumbing, but worker threads
 //!   execute operations directly against the lock-based table.
 //! * **Memcached-style baseline** — §7 compares against stock memcached run
 //!   as one instance per core with client-side key partitioning; here that
 //!   is modelled by [`memcache::MemcacheCluster`]: independent instances,
-//!   each a single store behind one global lock, no batching.
+//!   each a single store behind one global lock, no batching.  It and
+//!   LOCKSERVER share one synchronous worker loop, generic over the store.
 //!
 //! All three speak the same binary protocol (`cphash-kvproto`), so the same
 //! load generator (`cphash-loadgen::tcp`) drives all of them.
@@ -27,9 +27,10 @@
 //! [`reactor::Reactor`] (io_uring or epoll on Linux — with per-process
 //! fallback uring → epoll → busy-poll — and a `--frontend poll` baseline
 //! behind the same trait), so idle connections cost nothing and worker CPU
-//! scales with requests served.  The accept path is sharded by default on
-//! Linux: every worker owns a `SO_REUSEPORT` listener and the kernel
-//! load-balances incoming connections across them ([`acceptor::AcceptPath`]).
+//! scales with requests served.  The accept path is sharded: every worker
+//! owns a listener on the server's address and accepts for itself — a
+//! `SO_REUSEPORT` socket the kernel load-balances over where that exists,
+//! a clone of one shared socket elsewhere ([`acceptor::shard_listeners`]).
 
 pub mod acceptor;
 pub mod connection;
@@ -38,11 +39,11 @@ pub mod lockserver;
 pub mod memcache;
 pub mod metrics;
 pub mod reactor;
+mod serve;
 pub mod stats_http;
 #[cfg(target_os = "linux")]
 pub mod uring;
 
-pub use acceptor::AcceptPath;
 pub use cpserver::{CpServer, CpServerConfig};
 pub use lockserver::{LockServer, LockServerConfig};
 pub use memcache::{MemcacheCluster, MemcacheConfig};

@@ -12,7 +12,8 @@
 //!
 //! Each instance owns a single [`cphash_hashcore::Partition`] behind one
 //! global mutex and serves every connection from one instance thread
-//! sitting on a [`crate::reactor::Reactor`] (the structural property the
+//! running the shared synchronous worker loop (`serve::serve_sync`) on a
+//! [`crate::reactor::Reactor`] (the structural property the
 //! comparison needs — one coarse lock, no batching of hash-table work —
 //! is unchanged; the old thread-per-connection loop with its 20 ms
 //! read-timeout busy-wait burned a syscall per connection per tick even
@@ -24,16 +25,14 @@ use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use cphash_hashcore::{BucketLayout, EvictionPolicy, Partition, PartitionConfig};
-use cphash_kvproto::{envelope, ErrCode, OpKind, Reply, Status};
+use cphash_hashcore::{EvictionPolicy, Partition, PartitionConfig};
 use parking_lot::Mutex;
 
-use crate::acceptor::{drain_accepts, shard_listeners};
-use crate::connection::Connection;
+use crate::acceptor::shard_listeners;
 use crate::metrics::ServerMetrics;
-use crate::reactor::{self, FrontendKind, Reactor, LISTENER_TOKEN};
+use crate::reactor::FrontendKind;
+use crate::serve::serve_sync;
 
 /// Configuration for a [`MemcacheCluster`].
 #[derive(Debug, Clone)]
@@ -48,14 +47,13 @@ pub struct MemcacheConfig {
     pub eviction: EvictionPolicy,
     /// Front-end driving each instance's loop.
     pub frontend: FrontendKind,
-    /// Bind every instance to one shared `SO_REUSEPORT` port instead of a
-    /// port per instance.  `false` (the default) preserves the paper's §7
-    /// deployment — clients partition the key space across per-instance
-    /// ports — so [`MemcacheCluster::addrs`] stays meaningful; `true`
-    /// models a churn-friendly front door where the kernel spreads
+    /// Bind every instance to one shared port ([`shard_listeners`]) instead
+    /// of a port per instance.  `false` (the default) preserves the
+    /// paper's §7 deployment — clients partition the key space across
+    /// per-instance ports — so [`MemcacheCluster::addrs`] stays meaningful;
+    /// `true` models a churn-friendly front door where the kernel spreads
     /// connections over instances (every `addrs()` entry is then the same
-    /// address).  Falls back to per-instance ports where reuseport
-    /// sharding is unavailable.
+    /// address).
     pub shared_port: bool,
 }
 
@@ -95,16 +93,12 @@ impl MemcacheCluster {
         let mut instances = Vec::with_capacity(config.instances);
         let mut threads = Vec::new();
 
-        // Shared-port mode: one SO_REUSEPORT listener set over a single
-        // port, the kernel spreading connections over instances.  Per
-        // instance ports (the paper's deployment) otherwise, or if the
-        // shard set cannot be built.
+        // Shared-port mode: one listener set over a single port, the
+        // kernel spreading connections over instances.  Per-instance ports
+        // (the paper's deployment) otherwise.
         let mut shared = if config.shared_port {
-            shard_listeners(
-                "127.0.0.1:0".parse().expect("literal address"),
-                config.instances,
-            )
-            .ok()
+            let loopback = "127.0.0.1:0".parse().expect("literal address");
+            Some(shard_listeners(loopback, config.instances)?)
         } else {
             None
         };
@@ -126,7 +120,6 @@ impl MemcacheCluster {
                 seed: 0x4D45_4D43 ^ index as u64,
                 // The memcached-style baseline never migrates.
                 migration_chunks: 1,
-                layout: BucketLayout::from_env(),
             })));
             instances.push(Instance {
                 addr,
@@ -143,7 +136,16 @@ impl MemcacheCluster {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("memcache-{index}"))
-                    .spawn(move || instance_loop(listener, store, stop_flag, metrics_ref, frontend))
+                    .spawn(move || {
+                        serve_sync(
+                            listener,
+                            &*store,
+                            "memcached",
+                            &stop_flag,
+                            &metrics_ref,
+                            frontend,
+                        )
+                    })
                     .expect("spawning a memcache instance"),
             );
         }
@@ -189,153 +191,6 @@ impl MemcacheCluster {
 impl Drop for MemcacheCluster {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// One memcached-style instance: a single thread whose reactor watches the
-/// listening socket and every connection, with a global lock around every
-/// table operation — the structure the paper attributes memcached's limited
-/// scalability to, minus the old per-connection threads and their 20 ms
-/// read-timeout polling.
-fn instance_loop(
-    listener: TcpListener,
-    store: Arc<Mutex<Partition>>,
-    stop: Arc<AtomicBool>,
-    metrics: Arc<ServerMetrics>,
-    frontend: FrontendKind,
-) {
-    let mut reactor = Reactor::new(frontend, Arc::clone(&metrics.frontend));
-    // An unwatched listener would make the instance deaf forever; fail
-    // loudly at startup instead.  `register_listener` lets the io_uring
-    // backend accept in-kernel (multishot accept); elsewhere it is a plain
-    // read-interest registration.
-    reactor
-        .register_listener(reactor::raw_fd_of(&listener), LISTENER_TOKEN)
-        .expect("registering the memcache listener on the reactor");
-    let mut connections: Vec<Option<Connection>> = Vec::new();
-    let mut accepted: Vec<std::net::TcpStream> = Vec::new();
-    let mut requests = Vec::with_capacity(256);
-    let mut value_buf = Vec::new();
-    let mut ready: Vec<usize> = Vec::with_capacity(256);
-    // Poll without blocking while the previous iteration served anything,
-    // so the busy-poll backend's idle back-off resets under load.
-    let mut did_work = false;
-
-    // relaxed: stop flag; shutdown needs no ordering
-    while !stop.load(Ordering::Relaxed) {
-        ready.clear();
-        let timeout = (!did_work).then(|| Duration::from_millis(25));
-        let _ = reactor.wait(&mut ready, timeout);
-        did_work = false;
-
-        // Index loop: newly accepted connections are appended to `ready`
-        // mid-iteration so their first bytes are served this pass.
-        let mut ready_idx = 0;
-        while ready_idx < ready.len() {
-            let token = ready[ready_idx];
-            ready_idx += 1;
-            if token == LISTENER_TOKEN {
-                // Accept everything pending: kernel-accepted fds from the
-                // uring backend, or accept(2) until WouldBlock elsewhere.
-                drain_accepts(&listener, &mut reactor, LISTENER_TOKEN, &mut accepted);
-                for stream in accepted.drain(..) {
-                    let adopted = Connection::new(stream).is_ok_and(|conn| {
-                        crate::connection::adopt(
-                            &mut connections,
-                            &mut reactor,
-                            &mut ready,
-                            conn,
-                            |c| c,
-                        )
-                    });
-                    if adopted {
-                        metrics.note_connection();
-                        did_work = true;
-                    }
-                }
-                continue;
-            }
-            let Some(conn) = connections.get_mut(token).and_then(|c| c.as_mut()) else {
-                continue;
-            };
-            requests.clear();
-            let read = conn.poll_requests(&mut requests);
-            metrics.note_io(read, 0);
-            did_work |= !requests.is_empty();
-            for request in requests.drain(..) {
-                let wants_response = request.wants_response;
-                let cphash_kvproto::OpFrame { kind, key, value } = request.frame;
-                // The single global lock: every operation serializes here.
-                let mut table = store.lock();
-                match kind {
-                    OpKind::Lookup => {
-                        let hit = table.lookup_copy(key.hash(), &mut value_buf);
-                        // Byte keys store §8.2 envelopes: verify the stored
-                        // key and read collisions as misses.  Hit values
-                        // encode straight from the lookup buffer.
-                        let verified = if hit {
-                            envelope::verify_stored(key.as_ref(), &value_buf)
-                        } else {
-                            None
-                        };
-                        metrics.note_lookup(verified.is_some());
-                        match verified {
-                            Some(v) => {
-                                conn.queue_reply_parts(Status::Ok, ErrCode::None, v);
-                            }
-                            None => conn.queue_reply(&Reply::miss()),
-                        }
-                    }
-                    OpKind::Insert => {
-                        let (hash, stored) = envelope::stored_form(key.as_ref(), &value);
-                        // The envelope may push a near-limit value past
-                        // MAX_VALUE_BYTES; storing it would later produce
-                        // replies no client decoder accepts.
-                        let ok = stored.len() <= cphash_kvproto::MAX_VALUE_BYTES
-                            && table.insert_copy(hash, &stored).is_ok();
-                        metrics.note_insert();
-                        if wants_response {
-                            conn.queue_reply(&if ok {
-                                Reply::ok()
-                            } else {
-                                Reply::err(ErrCode::Capacity, b"ERR table out of capacity".to_vec())
-                            });
-                        }
-                    }
-                    OpKind::Delete => {
-                        let found = table.delete(key.hash());
-                        metrics.note_delete();
-                        if wants_response {
-                            conn.queue_reply(&if found { Reply::ok() } else { Reply::miss() });
-                        }
-                    }
-                    OpKind::Resize => {
-                        // Memcached instances are statically sized (§7 runs
-                        // one per core); answer rather than stall the client.
-                        conn.queue_reply(&Reply::err(
-                            ErrCode::Unsupported,
-                            b"ERR resize unsupported on memcached".to_vec(),
-                        ));
-                    }
-                    OpKind::Stats => {
-                        // v2-only admin op: the reply value is the full
-                        // metrics snapshot in Prometheus text format.  The
-                        // cluster shares one metrics block, so any instance
-                        // answers for all of them.  Rendering samples every
-                        // instance's partition counters through the store
-                        // locks, so this store's guard must drop first.
-                        drop(table);
-                        metrics.note_stats();
-                        let text = metrics.render_prometheus();
-                        conn.queue_reply_parts(Status::Ok, ErrCode::None, text.as_bytes());
-                    }
-                }
-            }
-            let verdict = crate::connection::settle(conn, &mut reactor, token, &metrics);
-            if verdict == crate::connection::Settle::Retired {
-                connections[token] = None;
-            }
-        }
     }
 }
 

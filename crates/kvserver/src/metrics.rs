@@ -190,8 +190,7 @@ pub struct StatsSnapshot {
     pub migration_paced_waits: u64,
     /// Most recent pacer rate in chunks/second.
     pub migration_pacer_rate: f64,
-    /// Probes resolved from a bucket line's tagged inline slots (zero under
-    /// the chained layout).
+    /// Probes resolved from a bucket line's tagged inline slots.
     pub bucket_inline_hits: u64,
     /// Elements walked on bucket overflow chains past the inline slots.
     pub bucket_overflow_probes: u64,

@@ -15,10 +15,11 @@
 //!   behaviour behind the same [`EventBackend`] trait, so non-Linux builds
 //!   and the `--frontend poll` baseline share the worker loops unchanged.
 //!
-//! Cross-thread wake-ups (the acceptor handing a worker a new connection)
-//! travel through a [`Waker`]: an `eventfd` registered on the worker's
-//! epoll set, so a sleeping worker adopts new connections immediately
-//! instead of on a poll tick.
+//! New connections arrive on a listener the worker itself owns, registered
+//! under [`LISTENER_TOKEN`] (see [`crate::acceptor`]).  Cross-thread
+//! wake-ups travel through a [`Waker`]: an `eventfd` registered on the
+//! worker's epoll set, so another thread can end a worker's sleep
+//! immediately instead of on a poll tick.
 //!
 //! Every [`Reactor`] records [`crate::metrics::FrontendStats`]: wake-ups,
 //! events per wake-up and idle sleeps, which is how the connection-scaling
@@ -42,8 +43,7 @@ pub type RawFd = i32;
 /// Token reserved for the worker's [`Waker`] registration.
 pub const WAKER_TOKEN: usize = usize::MAX;
 
-/// Token reserved for a worker-owned listening socket (the sharded
-/// `SO_REUSEPORT` accept path, and the memcache instances' listeners).
+/// Token reserved for the worker's own listening socket.
 pub const LISTENER_TOKEN: usize = usize::MAX - 1;
 
 /// The raw descriptor of a socket-like object, for reactor registration.

@@ -10,7 +10,7 @@ use cphash_sync::atomic::plain::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use cphash::{CompletionKind, CpHash, CpHashConfig, ServerPipeline};
+use cphash::{CompletionKind, CpHash, CpHashConfig};
 use cphash_affinity::{pin_to_hw_thread, HwThreadId};
 use cphash_hashcore::{EvictionPolicy, PartitionStats};
 use cphash_lockhash::{LockHash, LockHashConfig, LockKind};
@@ -36,9 +36,6 @@ pub struct DriverOptions {
     pub lock_kind: LockKind,
     /// Message-ring capacity for CPHash lanes.
     pub ring_capacity: usize,
-    /// Server hot-loop pipeline for CPHash (scalar baseline, batched, or
-    /// batched+prefetch — the `ablate_prefetch` ablation axis).
-    pub pipeline: ServerPipeline,
     /// Pipeline depth for CPHash servers (operations staged per batch).
     pub server_batch_size: usize,
     /// Throughput-timeline sampling interval in milliseconds (0 disables
@@ -56,7 +53,6 @@ impl Default for DriverOptions {
             server_pins: Vec::new(),
             lock_kind: LockKind::Spin,
             ring_capacity: 4096,
-            pipeline: ServerPipeline::default(),
             server_batch_size: cphash::DEFAULT_BATCH_SIZE,
             timeline_sample_ms: 100,
         }
@@ -93,8 +89,7 @@ pub struct RunResult {
     pub table_stats: PartitionStats,
     /// Mean server utilization (CPHash only).
     pub mean_server_utilization: Option<f64>,
-    /// Batch-pipeline counters merged across server threads (CPHash only;
-    /// all zero under the scalar pipeline).
+    /// Batch-pipeline counters merged across server threads (CPHash only).
     pub batch: cphash::BatchStats,
     /// Lock contention ratio (LockHash only).
     pub lock_contention: Option<f64>,
@@ -227,7 +222,6 @@ pub fn run_cphash(spec: &WorkloadSpec, opts: &DriverOptions) -> RunResult {
         ring_capacity: opts.ring_capacity,
         server_pins: opts.server_pins.clone(),
         eviction: opts.eviction,
-        pipeline: opts.pipeline,
         batch_size: opts.server_batch_size,
         ..CpHashConfig::new(opts.partitions, opts.client_threads)
             .with_capacity(spec.capacity_bytes, spec.value_bytes)

@@ -1,6 +1,6 @@
 //! LockHash configuration.
 
-use cphash_hashcore::{BucketLayout, EvictionPolicy};
+use cphash_hashcore::EvictionPolicy;
 use cphash_sync::LockKind;
 
 /// Configuration for a [`crate::LockHash`] table.
@@ -23,9 +23,6 @@ pub struct LockHashConfig {
     pub lock_kind: LockKind,
     /// Seed for partition-local randomness.
     pub seed: u64,
-    /// Bucket memory layout (tagged inline lines by default; overridable
-    /// per process with `CPHASH_BUCKET_LAYOUT`).
-    pub bucket_layout: BucketLayout,
 }
 
 impl Default for LockHashConfig {
@@ -37,7 +34,6 @@ impl Default for LockHashConfig {
             eviction: EvictionPolicy::Lru,
             lock_kind: LockKind::Spin,
             seed: 0xBA5E_BA11,
-            bucket_layout: BucketLayout::from_env(),
         }
     }
 }
@@ -71,12 +67,6 @@ impl LockHashConfig {
     /// Set the lock algorithm.
     pub fn with_lock_kind(mut self, lock_kind: LockKind) -> Self {
         self.lock_kind = lock_kind;
-        self
-    }
-
-    /// Select the bucket layout (tagged inline lines / bare chain heads).
-    pub fn with_bucket_layout(mut self, layout: BucketLayout) -> Self {
-        self.bucket_layout = layout;
         self
     }
 

@@ -25,5 +25,5 @@ pub mod table;
 pub use config::LockHashConfig;
 pub use table::LockHash;
 
-pub use cphash_hashcore::{BucketLayout, EvictionPolicy, PartitionStats};
+pub use cphash_hashcore::{EvictionPolicy, PartitionStats};
 pub use cphash_sync::LockKind;

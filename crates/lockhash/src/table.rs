@@ -41,9 +41,6 @@ impl LockHash {
                     // LockHash never migrates; a single chunk keeps the
                     // membership index to one list with no per-key cost.
                     migration_chunks: 1,
-                    // Defaults to the CPHASH_BUCKET_LAYOUT environment
-                    // escape hatch so A/B comparisons hold the layout fixed.
-                    layout: config.bucket_layout,
                 }))
             })
             .collect();

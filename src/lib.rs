@@ -51,10 +51,9 @@ pub use cphash_perfmon as perfmon;
 
 // The names most callers want, at the top level.
 pub use cphash::{
-    AnyKeyClient, BatchStats, BucketLayout, ClientHandle, Completion, CompletionKind, CpHash,
-    CpHashConfig, EvictionPolicy, KeyRef, KvClient, KvError, KvOp, MigrationPacing, OpError,
-    PartitionStats, PartitionedClient, RemoteClient, ServerPipeline, TableError, ValueBytes,
-    MAX_KEY,
+    AnyKeyClient, BatchStats, ClientHandle, Completion, CompletionKind, CpHash, CpHashConfig,
+    EvictionPolicy, KeyRef, KvClient, KvError, KvOp, MigrationPacing, OpError, PartitionStats,
+    PartitionedClient, RemoteClient, TableError, ValueBytes, MAX_KEY,
 };
 pub use cphash_kvserver::{CpServer, CpServerConfig, LockServer, LockServerConfig};
 pub use cphash_loadgen::{DriverOptions, RunResult, WorkloadSpec};

@@ -160,7 +160,6 @@ fn migration_under_non_default_batch_size_loses_no_keys() {
     const BATCH_WORKERS: usize = 2;
     let mut config = CpHashConfig::new(2, BATCH_WORKERS).with_max_partitions(4);
     config.migration_chunks = 32;
-    config.pipeline = cphash_suite::ServerPipeline::BatchedPrefetch;
     config.batch_size = 5; // odd and tiny: every lane drain spans many runs
     let (mut table, clients) = CpHash::new(config);
     let mut coordinator = RepartitionCoordinator::new(table.take_control().expect("control"));
@@ -222,82 +221,70 @@ fn migration_under_non_default_batch_size_loses_no_keys() {
     assert_eq!(stats.exported, stats.absorbed);
 }
 
-/// Live migration must move keys correctly under *both* bucket layouts,
-/// regardless of what `CPHASH_BUCKET_LAYOUT` says: exporting a key unlinks
-/// it from one partition's bucket lines (or chains) and re-links it into
-/// another's, so a grow/shrink cycle under load exercises every link,
-/// unlink and inline-slot promotion path the layout has.
+/// Exporting a key unlinks it from one partition's bucket lines (or
+/// overflow chains) and re-links it into another's, so a grow/shrink cycle
+/// under load exercises every link, unlink and inline-slot promotion path
+/// the bucket layout has.
 #[test]
-fn migration_preserves_keys_under_both_bucket_layouts() {
-    use cphash_suite::BucketLayout;
-    for layout in [BucketLayout::Chain, BucketLayout::Inline] {
-        let mut config = CpHashConfig::new(2, 1)
-            .with_max_partitions(4)
-            .with_bucket_layout(layout);
-        config.migration_chunks = 32;
-        let (mut table, mut clients) = CpHash::new(config);
-        let mut coordinator = RepartitionCoordinator::new(table.take_control().expect("control"));
-        let client = &mut clients[0];
+fn migration_preserves_keys_across_bucket_lines() {
+    let mut config = CpHashConfig::new(2, 1).with_max_partitions(4);
+    config.migration_chunks = 32;
+    let (mut table, mut clients) = CpHash::new(config);
+    let mut coordinator = RepartitionCoordinator::new(table.take_control().expect("control"));
+    let client = &mut clients[0];
 
-        let keys = keys_per_worker() * WORKERS as u64;
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        let mut rng = 0x1712_4C1Eu64 | 1;
-        for key in 0..keys {
-            assert!(client.insert(key, &key.to_le_bytes()).unwrap());
-            model.insert(key, key);
-        }
+    let keys = keys_per_worker() * WORKERS as u64;
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut rng = 0x1712_4C1Eu64 | 1;
+    for key in 0..keys {
+        assert!(client.insert(key, &key.to_le_bytes()).unwrap());
+        model.insert(key, key);
+    }
 
-        let mut moved = 0usize;
-        for &target in &[4usize, 2, 4] {
-            let report = coordinator.resize_to(target).unwrap();
-            assert_eq!(report.to_partitions, target);
-            moved += report.keys_moved;
-            // Churn between transitions so migrated buckets see fresh
-            // inserts, overwrites and deletes in their new homes.
-            for _ in 0..2_000 {
-                let r = xorshift(&mut rng);
-                let key = (r >> 8) % keys;
-                match r % 10 {
-                    0..=4 => {
-                        let value = r >> 16;
-                        assert!(client.insert(key, &value.to_le_bytes()).unwrap());
-                        model.insert(key, value);
+    let mut moved = 0usize;
+    for &target in &[4usize, 2, 4] {
+        let report = coordinator.resize_to(target).unwrap();
+        assert_eq!(report.to_partitions, target);
+        moved += report.keys_moved;
+        // Churn between transitions so migrated buckets see fresh
+        // inserts, overwrites and deletes in their new homes.
+        for _ in 0..2_000 {
+            let r = xorshift(&mut rng);
+            let key = (r >> 8) % keys;
+            match r % 10 {
+                0..=4 => {
+                    let value = r >> 16;
+                    assert!(client.insert(key, &value.to_le_bytes()).unwrap());
+                    model.insert(key, value);
+                }
+                5..=8 => match (client.get(key).unwrap(), model.get(&key)) {
+                    (Some(got), Some(expected)) => {
+                        assert_eq!(got.as_slice(), expected.to_le_bytes())
                     }
-                    5..=8 => match (client.get(key).unwrap(), model.get(&key)) {
-                        (Some(got), Some(expected)) => {
-                            assert_eq!(got.as_slice(), expected.to_le_bytes())
-                        }
-                        (None, Some(_)) => panic!("key {key} lost ({layout:?})"),
-                        (Some(_), None) => panic!("key {key} resurrected ({layout:?})"),
-                        (None, None) => {}
-                    },
-                    _ => {
-                        assert_eq!(client.delete(key).unwrap(), model.remove(&key).is_some());
-                    }
+                    (None, Some(_)) => panic!("key {key} lost"),
+                    (Some(_), None) => panic!("key {key} resurrected"),
+                    (None, None) => {}
+                },
+                _ => {
+                    assert_eq!(client.delete(key).unwrap(), model.remove(&key).is_some());
                 }
             }
         }
-        assert!(moved > 0, "transitions moved keys ({layout:?})");
-
-        for (key, expected) in &model {
-            let got = client
-                .get(*key)
-                .unwrap()
-                .unwrap_or_else(|| panic!("key {key} lost after migrations ({layout:?})"));
-            assert_eq!(got.as_slice(), expected.to_le_bytes());
-        }
-        drop(clients);
-        table.shutdown();
-        let stats = table.partition_stats();
-        assert_eq!(stats.exported, stats.absorbed, "{layout:?}");
-        match layout {
-            BucketLayout::Chain => assert_eq!(stats.inline_hits, 0),
-            BucketLayout::Inline => assert!(
-                stats.inline_hits > 0,
-                "inline layout never hit a tagged slot"
-            ),
-        }
     }
+    assert!(moved > 0, "transitions moved keys");
+
+    for (key, expected) in &model {
+        let got = client
+            .get(*key)
+            .unwrap()
+            .unwrap_or_else(|| panic!("key {key} lost after migrations"));
+        assert_eq!(got.as_slice(), expected.to_le_bytes());
+    }
+    drop(clients);
+    table.shutdown();
+    let stats = table.partition_stats();
+    assert_eq!(stats.exported, stats.absorbed);
+    assert!(stats.inline_hits > 0, "no probe ever hit a tagged slot");
 }
 
 /// While a *paced* resize runs, foreground operation latency must stay

@@ -1,6 +1,7 @@
-//! Equivalence of the server pipelines: the staged batch + prefetch hot
-//! loop must produce *byte-identical* completions to the scalar baseline
-//! for any operation stream, at any pipeline depth.
+//! Depth-independence of the server pipeline: the staged batch + prefetch
+//! hot loop must produce *byte-identical* completions at every pipeline
+//! depth, for any operation stream.  The reference is `batch_size = 1` —
+//! per-operation processing, where staging can overlap nothing.
 //!
 //! Determinism argument: each table runs one client, so every partition
 //! sees its operations in submission order (one FIFO lane per partition,
@@ -8,20 +9,17 @@
 //! key in flight** — so no completion can depend on how an insert's
 //! two-phase `Ready` races a concurrent lookup of the same key.  Under
 //! those conditions every completion is a pure function of the operation
-//! stream, so two tables differing only in pipeline configuration must
-//! agree exactly.
+//! stream, so two tables differing only in pipeline depth must agree
+//! exactly.
 //!
 //! The rings are deliberately tiny (the minimum 64 slots) so batches
-//! straddle ring-wrap boundaries constantly, and the depth sweep includes
-//! the degenerate `batch_size = 1`.
+//! straddle ring-wrap boundaries constantly.
 
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use cphash_suite::{
-    ClientHandle, Completion, CompletionKind, CpHash, CpHashConfig, ServerPipeline,
-};
+use cphash_suite::{ClientHandle, Completion, CompletionKind, CpHash, CpHashConfig};
 
 /// One scripted operation.
 #[derive(Debug, Clone, Copy)]
@@ -119,25 +117,19 @@ fn run_script(client: &mut ClientHandle, script: &[ScriptOp]) -> Vec<(u64, Compl
         .collect()
 }
 
-/// Build a table with the given pipeline configuration and run the script.
+/// Build a table with the given pipeline depth and run the script.
 fn outcomes(
     script: &[ScriptOp],
-    pipeline: ServerPipeline,
     batch_size: usize,
     capacity: Option<usize>,
 ) -> Vec<(u64, CompletionKind)> {
-    let mut config = CpHashConfig {
-        partitions: 2,
-        clients: 1,
+    let config = CpHashConfig {
         // The minimum ring: batches constantly wrap the ring boundary.
         ring_capacity: 64,
+        batch_size,
+        capacity_bytes: capacity,
         ..CpHashConfig::new(2, 1)
     };
-    config.pipeline = pipeline;
-    config.batch_size = batch_size;
-    if let Some(bytes) = capacity {
-        config.capacity_bytes = Some(bytes);
-    }
     let (mut table, mut clients) = CpHash::new(config);
     let outcomes = run_script(&mut clients[0], script);
     drop(clients);
@@ -149,21 +141,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn staged_pipeline_matches_scalar_at_every_depth(
+    fn staged_pipeline_matches_depth_one_at_every_depth(
         ops in prop::collection::vec(script_op(), 1..250),
     ) {
-        let reference = outcomes(&ops, ServerPipeline::Scalar, 1, None);
-        for batch_size in [1usize, 8, 64] {
-            for pipeline in [ServerPipeline::Batched, ServerPipeline::BatchedPrefetch] {
-                let staged = outcomes(&ops, pipeline, batch_size, None);
-                prop_assert_eq!(
-                    &reference,
-                    &staged,
-                    "{} depth {} diverged from scalar",
-                    pipeline.as_str(),
-                    batch_size
-                );
-            }
+        let reference = outcomes(&ops, 1, None);
+        for batch_size in [7usize, 8, 64] {
+            let staged = outcomes(&ops, batch_size, None);
+            prop_assert_eq!(
+                &reference,
+                &staged,
+                "depth {} diverged from depth 1",
+                batch_size
+            );
         }
     }
 
@@ -172,16 +161,16 @@ proptest! {
         ops in prop::collection::vec(script_op(), 1..200),
     ) {
         // A tight byte budget makes inserts evict (LRU order is part of
-        // the observable behaviour: a diverging pipeline would surface as
+        // the observable behaviour: a diverging depth would surface as
         // different lookup hits/misses).
         let capacity = Some(2 * 1024);
-        let reference = outcomes(&ops, ServerPipeline::Scalar, 1, capacity);
-        for batch_size in [1usize, 8, 64] {
-            let staged = outcomes(&ops, ServerPipeline::BatchedPrefetch, batch_size, capacity);
+        let reference = outcomes(&ops, 1, capacity);
+        for batch_size in [8usize, 64] {
+            let staged = outcomes(&ops, batch_size, capacity);
             prop_assert_eq!(
                 &reference,
                 &staged,
-                "prefetch depth {} diverged under eviction",
+                "depth {} diverged from depth 1 under eviction",
                 batch_size
             );
         }
@@ -196,7 +185,6 @@ fn staged_pipeline_round_trips_values_exactly() {
     let config = CpHashConfig {
         ring_capacity: 64,
         batch_size: 7, // deliberately odd, not a power of two
-        pipeline: ServerPipeline::BatchedPrefetch,
         ..CpHashConfig::new(2, 1)
     };
     let (mut table, mut clients) = CpHash::new(config);

@@ -65,38 +65,76 @@ fn partition_op() -> impl Strategy<Value = PartitionOp> {
     ]
 }
 
+/// Bucket counts for the partition properties over the 64-key space: 32
+/// keeps most probes inside a line's inline slots, 8 pushes every bucket
+/// line past its seven tagged slots so overflow chaining and slot promotion
+/// are exercised, not just the fast path.
+fn bucket_count() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(32usize), Just(8usize)]
+}
+
+/// Run `ops` against an unbounded partition and a `HashMap` model, checking
+/// every result and every internal invariant after every operation.
+fn check_unbounded_against_model(
+    buckets: usize,
+    ops: &[PartitionOp],
+) -> cphash_suite::hashcore::PartitionStats {
+    let mut partition = Partition::new(PartitionConfig::new(buckets, None));
+    let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            PartitionOp::Insert { key, len } => {
+                let value: Vec<u8> = (0..len).map(|b| (b as u8) ^ (i as u8)).collect();
+                partition.insert_copy(key, &value).unwrap();
+                model.insert(key, value);
+            }
+            PartitionOp::Lookup { key } => {
+                let mut buf = Vec::new();
+                let hit = partition.lookup_copy(key, &mut buf);
+                match model.get(&key) {
+                    Some(expected) => {
+                        assert!(hit);
+                        assert_eq!(&buf, expected);
+                    }
+                    None => assert!(!hit),
+                }
+            }
+            PartitionOp::Delete { key } => {
+                assert_eq!(partition.delete(key), model.remove(&key).is_some());
+            }
+        }
+        partition.check_invariants();
+    }
+    assert_eq!(partition.len(), model.len());
+    partition.stats()
+}
+
+/// The 8-bucket geometry really does leave the inline slots: with all 64
+/// keys resident some bucket holds more than seven, so looking every key up
+/// walks an overflow chain, and deleting them all promotes chain elements
+/// back into freed slots (`check_invariants` holds the no-free-slot-
+/// before-a-chain rule after each step).
+#[test]
+fn eight_buckets_force_overflow_chains_and_slot_promotion() {
+    let ops: Vec<PartitionOp> = (0..64)
+        .map(|key| PartitionOp::Insert { key, len: 8 })
+        .chain((0..64).map(|key| PartitionOp::Lookup { key }))
+        .chain((0..64).map(|key| PartitionOp::Delete { key }))
+        .collect();
+    let stats = check_unbounded_against_model(8, &ops);
+    assert!(stats.overflow_probes > 0, "no bucket overflowed: {stats:?}");
+    assert!(stats.inline_hits > 0, "no probe resolved inline: {stats:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn unbounded_partition_matches_hashmap_model(ops in prop::collection::vec(partition_op(), 1..400)) {
-        let mut partition = Partition::new(PartitionConfig::new(32, None));
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                PartitionOp::Insert { key, len } => {
-                    let value: Vec<u8> = (0..len).map(|b| (b as u8) ^ (i as u8)).collect();
-                    partition.insert_copy(key, &value).unwrap();
-                    model.insert(key, value);
-                }
-                PartitionOp::Lookup { key } => {
-                    let mut buf = Vec::new();
-                    let hit = partition.lookup_copy(key, &mut buf);
-                    match model.get(&key) {
-                        Some(expected) => {
-                            prop_assert!(hit);
-                            prop_assert_eq!(&buf, expected);
-                        }
-                        None => prop_assert!(!hit),
-                    }
-                }
-                PartitionOp::Delete { key } => {
-                    prop_assert_eq!(partition.delete(key), model.remove(&key).is_some());
-                }
-            }
-            partition.check_invariants();
-        }
-        prop_assert_eq!(partition.len(), model.len());
+    fn unbounded_partition_matches_hashmap_model(
+        ops in prop::collection::vec(partition_op(), 1..400),
+        buckets in bucket_count(),
+    ) {
+        check_unbounded_against_model(buckets, &ops);
     }
 
     #[test]
@@ -104,10 +142,11 @@ proptest! {
         ops in prop::collection::vec(partition_op(), 1..300),
         capacity in 64usize..512,
         random_eviction in any::<bool>(),
+        buckets in bucket_count(),
     ) {
         let policy = if random_eviction { EvictionPolicy::Random } else { EvictionPolicy::Lru };
         let mut partition = Partition::new(
-            PartitionConfig::new(16, Some(capacity)).with_eviction(policy),
+            PartitionConfig::new(buckets, Some(capacity)).with_eviction(policy),
         );
         for op in &ops {
             match *op {
@@ -127,62 +166,6 @@ proptest! {
             prop_assert!(partition.bytes_in_use() <= capacity,
                 "bytes_in_use {} exceeds capacity {}", partition.bytes_in_use(), capacity);
             partition.check_invariants();
-        }
-    }
-
-    #[test]
-    fn inline_and_chain_partitions_are_observably_identical(
-        ops in prop::collection::vec(partition_op(), 1..400),
-        capacity in prop::option::of(128usize..512),
-    ) {
-        use cphash_suite::hashcore::BucketLayout;
-        // Eight buckets under a 64-key space forces every inline bucket
-        // line past its seven tagged slots, so overflow chaining and
-        // slot promotion are exercised, not just the fast path.
-        let mut chain = Partition::new(
-            PartitionConfig::new(8, capacity).with_layout(BucketLayout::Chain),
-        );
-        let mut inline = Partition::new(
-            PartitionConfig::new(8, capacity).with_layout(BucketLayout::Inline),
-        );
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                PartitionOp::Insert { key, len } => {
-                    let value: Vec<u8> = (0..len).map(|b| (b as u8) ^ (i as u8)).collect();
-                    let a = chain.insert_copy(key, &value);
-                    let b = inline.insert_copy(key, &value);
-                    prop_assert_eq!(a.is_ok(), b.is_ok(), "insert outcome diverged for key {}", key);
-                }
-                PartitionOp::Lookup { key } => {
-                    let mut buf_a = Vec::new();
-                    let mut buf_b = Vec::new();
-                    let hit_a = chain.lookup_copy(key, &mut buf_a);
-                    let hit_b = inline.lookup_copy(key, &mut buf_b);
-                    prop_assert_eq!(hit_a, hit_b, "hit/miss diverged for key {}", key);
-                    prop_assert_eq!(buf_a, buf_b, "values diverged for key {}", key);
-                }
-                PartitionOp::Delete { key } => {
-                    prop_assert_eq!(chain.delete(key), inline.delete(key));
-                }
-            }
-            chain.check_invariants();
-            inline.check_invariants();
-        }
-        prop_assert_eq!(chain.len(), inline.len());
-        prop_assert_eq!(chain.bytes_in_use(), inline.bytes_in_use());
-        // The layouts must also report themselves honestly: bucket-line
-        // counters only ever tick under the inline layout.
-        let chain_stats = chain.stats();
-        prop_assert_eq!(chain_stats.inline_hits, 0);
-        prop_assert_eq!(chain_stats.overflow_probes, 0);
-        prop_assert_eq!(chain_stats.tag_false_positives, 0);
-        let inline_stats = inline.stats();
-        prop_assert_eq!(inline_stats.hits, chain_stats.hits);
-        if inline_stats.hits > 0 {
-            prop_assert!(
-                inline_stats.inline_hits + inline_stats.overflow_probes > 0,
-                "inline layout served hits without touching bucket lines"
-            );
         }
     }
 

@@ -19,13 +19,15 @@ fn small_spec() -> WorkloadSpec {
     }
 }
 
-#[test]
-fn cpserver_under_tcp_load() {
+/// Drive a CPSERVER whose hash-table servers stage `batch_size` operations
+/// per round.
+fn cpserver_load_at_depth(batch_size: usize) {
     let mut server = CpServer::start(CpServerConfig {
         client_threads: 2,
         partitions: 2,
         capacity_bytes: Some(64 * 1024),
         typical_value_bytes: 8,
+        batch_size,
         ..Default::default()
     })
     .unwrap();
@@ -46,12 +48,33 @@ fn cpserver_under_tcp_load() {
     // whole working set, so a healthy fraction of lookups must hit.
     assert!(
         result.lookup_hits as f64 / result.lookups as f64 > 0.2,
-        "hit rate {:.3}",
+        "depth {batch_size}: hit rate {:.3}",
         result.lookup_hits as f64 / result.lookups as f64
     );
     assert!(server.metrics().requests() >= spec.operations);
     assert!(server.table_stats().inserts > 0);
+    // The configured depth is the one the servers ran at.
+    let batch = server.metrics().batch_stats();
+    assert!(batch.batches > 0, "depth {batch_size}: {batch:?}");
+    assert!(
+        batch.avg_occupancy() <= batch_size as f64,
+        "depth {batch_size}: {batch:?}"
+    );
     server.shutdown();
+}
+
+#[test]
+fn cpserver_under_tcp_load() {
+    cpserver_load_at_depth(CpServerConfig::default().batch_size);
+}
+
+/// Depth 1 is per-operation processing inside the staged executor; depth 8
+/// cuts every drained lane batch into several runs.
+#[test]
+fn cpserver_under_tcp_load_at_depth_1_and_8() {
+    for batch_size in [1, 8] {
+        cpserver_load_at_depth(batch_size);
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use cphash_suite::{BucketLayout, CpHash, CpHashConfig, EvictionPolicy, LockHash, LockHashConfig};
+use cphash_suite::{CpHash, CpHashConfig, EvictionPolicy, LockHash, LockHashConfig};
 
 /// A deterministic mixed operation sequence over a small key space.
 fn operation_sequence(n: u64, seed: u64) -> Vec<(u8, u64, u64)> {
@@ -58,6 +58,10 @@ fn cphash_matches_a_reference_map_without_eviction() {
     table.shutdown();
     let stats = table.partition_stats();
     assert_eq!(stats.evictions, 0, "unbounded table must never evict");
+    assert!(
+        stats.inline_hits > 0,
+        "bucket-line counters must reach the table's statistics"
+    );
 }
 
 #[test]
@@ -85,77 +89,7 @@ fn lockhash_matches_a_reference_map_without_eviction() {
         }
     }
     assert_eq!(table.len(), reference.len());
-}
-
-#[test]
-fn bucket_layouts_agree_through_the_full_table_stack() {
-    // The tagged inline bucket layout is a pure memory-layout change: both
-    // layouts, driven through the full message-passing stack (and through
-    // LOCKHASH's locked partitions), must be observably identical — and
-    // each must report its own bucket counters honestly.
-    let (mut chain_table, mut chain_clients) =
-        CpHash::new(CpHashConfig::new(4, 1).with_bucket_layout(BucketLayout::Chain));
-    let (mut inline_table, mut inline_clients) =
-        CpHash::new(CpHashConfig::new(4, 1).with_bucket_layout(BucketLayout::Inline));
-    let lock_chain = LockHash::new(LockHashConfig::new(16).with_bucket_layout(BucketLayout::Chain));
-    let lock_inline =
-        LockHash::new(LockHashConfig::new(16).with_bucket_layout(BucketLayout::Inline));
-    let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
-
-    for (op, key, value) in operation_sequence(30_000, 0xD1D1) {
-        match op {
-            0..=4 => {
-                let bytes = value.to_le_bytes().to_vec();
-                assert!(chain_clients[0].insert(key, &bytes).unwrap());
-                assert!(inline_clients[0].insert(key, &bytes).unwrap());
-                assert!(lock_chain.insert(key, &bytes));
-                assert!(lock_inline.insert(key, &bytes));
-                reference.insert(key, bytes);
-            }
-            5..=8 => {
-                let expected = reference.get(&key).cloned();
-                let chain_got = chain_clients[0]
-                    .get(key)
-                    .unwrap()
-                    .map(|v| v.as_slice().to_vec());
-                let inline_got = inline_clients[0]
-                    .get(key)
-                    .unwrap()
-                    .map(|v| v.as_slice().to_vec());
-                assert_eq!(chain_got, expected, "chain lookup mismatch for key {key}");
-                assert_eq!(inline_got, expected, "inline lookup mismatch for key {key}");
-                assert_eq!(lock_chain.get(key), expected);
-                assert_eq!(lock_inline.get(key), expected);
-            }
-            _ => {
-                let was_present = reference.remove(&key).is_some();
-                assert_eq!(chain_clients[0].delete(key).unwrap(), was_present);
-                assert_eq!(inline_clients[0].delete(key).unwrap(), was_present);
-                assert_eq!(lock_chain.delete(key), was_present);
-                assert_eq!(lock_inline.delete(key), was_present);
-            }
-        }
-    }
-    assert_eq!(lock_chain.len(), reference.len());
-    assert_eq!(lock_inline.len(), reference.len());
-
-    drop(chain_clients);
-    drop(inline_clients);
-    chain_table.shutdown();
-    inline_table.shutdown();
-    let chain_stats = chain_table.partition_stats();
-    let inline_stats = inline_table.partition_stats();
-    assert_eq!(chain_stats.hits, inline_stats.hits, "hit counts diverged");
-    // Bucket-line counters only ever tick under the inline layout.
-    assert_eq!(chain_stats.inline_hits, 0);
-    assert_eq!(chain_stats.overflow_probes, 0);
-    assert_eq!(chain_stats.tag_false_positives, 0);
-    assert!(
-        inline_stats.inline_hits > 0,
-        "inline layout never used its tagged slots"
-    );
-    assert_eq!(lock_chain.stats().inline_hits, 0);
-    assert!(lock_inline.stats().inline_hits > 0);
+    assert!(table.stats().inline_hits > 0);
 }
 
 #[test]

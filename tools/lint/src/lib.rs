@@ -1,6 +1,6 @@
-//! Repo-local static lint pass for concurrency hygiene.
+//! Repo-local static lint pass for concurrency and configuration hygiene.
 //!
-//! Four rules, all line-oriented (see [`RULES`]):
+//! Five rules, all line-oriented (see [`RULES`]):
 //!
 //! 1. `raw-atomic` — no `std::sync::atomic` / `core::sync::atomic` imports
 //!    or paths outside the `cphash-sync` facade.  Everything goes through
@@ -12,6 +12,10 @@
 //!    `// SAFETY: …` comment (same line or in the comment block directly above).
 //! 4. `hot-path` — files tagged `// cphash-lint: hot-path` must not call
 //!    panicking or allocating constructs on shipped lines.
+//! 5. `env-read` — no `std::env::var` / `var_os` outside binaries and the
+//!    few library modules that still read a `CPHASH_*` variable
+//!    ([`ENV_READERS`]).  Configuration reaches a library through its
+//!    config structs; the list can only shrink.
 //!
 //! Escapes: a `// lint: allow(<rule>)` comment on the line itself or in the
 //! contiguous comment block directly above waives that rule for that line;
@@ -28,11 +32,12 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Names of the rules, in evaluation order.
-pub const RULES: [&str; 4] = [
+pub const RULES: [&str; 5] = [
     "raw-atomic",
     "relaxed-justification",
     "safety-comment",
     "hot-path",
+    "env-read",
 ];
 
 /// One lint finding.
@@ -74,6 +79,25 @@ pub struct Report {
 fn is_facade(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
     p.ends_with("crates/sync/src/atomic.rs")
+}
+
+/// Library modules that still read an environment variable (`CPHASH_TRACE*`,
+/// `CPHASH_FRONTEND`, `CPHASH_URING_*`, `CPHASH_STATS_ADDR`).  Remove an
+/// entry when its read moves into process start-up; never add one.
+pub const ENV_READERS: [&str; 4] = [
+    "crates/perfmon/src/trace.rs",
+    "crates/kvserver/src/reactor.rs",
+    "crates/kvserver/src/uring.rs",
+    "crates/kvserver/src/cpserver.rs",
+];
+
+/// Files allowed to read the environment: binaries (a process may consult
+/// its own environment at start-up) and [`ENV_READERS`].
+fn may_read_env(path: &Path) -> bool {
+    let p = path.to_string_lossy().replace('\\', "/");
+    p.contains("/src/bin/")
+        || p.ends_with("/src/main.rs")
+        || ENV_READERS.iter().any(|m| p.ends_with(m))
 }
 
 /// Strip string literals and `//` comments' *content* is still needed for
@@ -176,6 +200,7 @@ pub fn lint_source(path: &Path, source: &str) -> Vec<Violation> {
         .take(40)
         .any(|l| l.contains("cphash-lint: hot-path"));
     let facade = is_facade(path);
+    let env_reader = may_read_env(path);
     let mut in_tests = false;
 
     for (i, (code, comment)) in parsed.iter().enumerate() {
@@ -231,6 +256,22 @@ pub fn lint_source(path: &Path, source: &str) -> Vec<Violation> {
                     message: "unsafe block without a preceding `// SAFETY: …` comment".to_string(),
                 });
             }
+        }
+
+        // Rule 5: the environment is read by binaries and the listed
+        // modules only.
+        if !env_reader
+            && (code.contains("env::var(") || code.contains("env::var_os("))
+            && !waived(&lines, i, comment, "env-read")
+        {
+            out.push(Violation {
+                file: path.to_path_buf(),
+                line: lineno,
+                rule: "env-read",
+                message: "environment read in a library module; take the value through a \
+                          config struct (binaries and `ENV_READERS` are exempt)"
+                    .to_string(),
+            });
         }
 
         // Rule 4: hot-path files must not panic or allocate.
@@ -404,6 +445,34 @@ fn f(x: Option<u32>) -> u32 {
         assert!(lint_str("crates/core/src/x.rs", tagged).is_empty());
         let untagged = "let v = x.unwrap();\n";
         assert!(lint_str("crates/core/src/x.rs", untagged).is_empty());
+    }
+
+    #[test]
+    fn env_reads_flagged_outside_binaries_and_the_listed_modules() {
+        let read = "let v = std::env::var(\"CPHASH_SOME_KNOB\");\n";
+        for library in [
+            "crates/hashcore/src/partition.rs",
+            "crates/core/src/config.rs",
+            "crates/lockhash/src/config.rs",
+            "crates/kvserver/src/acceptor.rs",
+        ] {
+            let v = lint_str(library, read);
+            assert_eq!(v.len(), 1, "{library}");
+            assert_eq!(v[0].rule, "env-read");
+        }
+        let os = "if std::env::var_os(\"X\").is_some() {}\n";
+        assert_eq!(lint_str("crates/core/src/x.rs", os)[0].rule, "env-read");
+
+        for exempt in ENV_READERS.iter().copied().chain([
+            "crates/kvserver/src/bin/cpserverd.rs",
+            "tools/lint/src/main.rs",
+        ]) {
+            assert!(lint_str(exempt, read).is_empty(), "{exempt}");
+        }
+        let waived = "let v = std::env::var(\"X\"); // lint: allow(env-read) probe\n";
+        assert!(lint_str("crates/core/src/x.rs", waived).is_empty());
+        // Command-line arguments are not the environment.
+        assert!(lint_str("crates/core/src/x.rs", "std::env::args().skip(1);\n").is_empty());
     }
 
     #[test]

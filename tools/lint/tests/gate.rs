@@ -1,7 +1,8 @@
 //! The repo-wide lint gate.
 //!
 //! `cargo test -p cphash-lint` fails if any shipped source under
-//! `crates/*/src` violates the concurrency-hygiene rules, printing every
+//! `crates/*/src` violates the concurrency- or configuration-hygiene rules
+//! (an environment read outside the listed modules included), printing every
 //! finding as `file:line: [rule] message` so the offending site is one
 //! click away.
 
@@ -46,4 +47,32 @@ fn violations_report_file_and_line() {
     assert!(v[1]
         .to_string()
         .starts_with("crates/demo/src/x.rs:3: [safety-comment]"));
+}
+
+#[test]
+fn a_seeded_env_read_fails_the_gate() {
+    // The crates that read no variable after PR 16 must stay that way.
+    let src = "pub fn knob() -> bool {\n    std::env::var(\"CPHASH_SOME_KNOB\").is_ok()\n}\n";
+    for module in [
+        "crates/hashcore/src/partition.rs",
+        "crates/core/src/config.rs",
+        "crates/lockhash/src/config.rs",
+    ] {
+        let v = cphash_lint::lint_source(Path::new(module), src);
+        assert_eq!(v.len(), 1, "{module}");
+        assert!(v[0]
+            .to_string()
+            .starts_with(&format!("{module}:2: [env-read]")));
+    }
+    // Every allowlisted module exists and still reads a variable; an entry
+    // whose read is gone must be deleted, so the list only shrinks.
+    for module in cphash_lint::ENV_READERS {
+        let source = std::fs::read_to_string(repo_root().join(module))
+            .unwrap_or_else(|e| panic!("{module}: {e}"));
+        let shipped = source.split("#[cfg(test)]").next().unwrap_or("");
+        assert!(
+            shipped.contains("env::var(") || shipped.contains("env::var_os("),
+            "{module} no longer reads the environment: drop it from ENV_READERS"
+        );
+    }
 }
