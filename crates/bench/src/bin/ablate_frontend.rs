@@ -29,13 +29,14 @@
 //! (used by CI as a regression gate).
 
 use bytes::BytesMut;
-use cphash_kvproto::{encode_insert, encode_lookup, ResponseDecoder};
+use cphash_kvproto::{encode_op, OpFrame, Status};
 use cphash_kvserver::reactor::{reactor_available, FrontendKind};
 use cphash_kvserver::{CpServer, CpServerConfig};
-use cphash_loadgen::{run_connection_scaling, ConnectionScalingOptions, ConnectionScalingResult};
+use cphash_loadgen::{
+    run_connection_scaling, BlockingConn, ConnectionScalingOptions, ConnectionScalingResult,
+};
 use cphash_sync::atomic::plain::{AtomicBool, Ordering};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -137,23 +138,16 @@ struct ChurnOutcome {
 
 /// One short-lived connection: connect, insert, lookup back, verify, drop.
 fn churn_roundtrip(addr: SocketAddr, key: u64) {
-    let mut stream = TcpStream::connect(addr).expect("churn connect");
-    stream.set_nodelay(true).expect("nodelay");
+    let mut conn = BlockingConn::open(addr).expect("churn connect");
     let mut wire = BytesMut::new();
-    encode_insert(&mut wire, key, &key.to_le_bytes());
-    encode_lookup(&mut wire, key);
-    stream.write_all(&wire).expect("churn write");
-    let mut decoder = ResponseDecoder::new();
-    let mut buf = [0u8; 4096];
-    let value = loop {
-        if let Some(resp) = decoder.next_response().expect("churn decode") {
-            break resp.value;
-        }
-        let n = stream.read(&mut buf).expect("churn read");
-        assert!(n > 0, "server closed a churn connection mid-roundtrip");
-        decoder.feed(&buf[..n]);
-    };
-    assert_eq!(value.as_deref(), Some(&key.to_le_bytes()[..]));
+    encode_op(&mut wire, &OpFrame::insert(key, key.to_le_bytes()));
+    encode_op(&mut wire, &OpFrame::lookup(key));
+    let mut last = None;
+    conn.exchange(&wire, 2, |reply| {
+        last = Some((reply.status, reply.value.to_vec()))
+    })
+    .expect("churn roundtrip");
+    assert_eq!(last, Some((Status::Ok, key.to_le_bytes().to_vec())));
 }
 
 fn percentile(sorted: &[u64], pct: f64) -> u64 {
@@ -174,30 +168,19 @@ fn run_churn(kind: FrontendKind, conns: u64) -> ChurnOutcome {
     let steady = {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("steady connect");
-            stream.set_nodelay(true).expect("nodelay");
-            let mut decoder = ResponseDecoder::new();
-            let mut buf = [0u8; 64 * 1024];
+            let mut conn = BlockingConn::open(addr).expect("steady connect");
+            let mut wire = BytesMut::new();
             let mut key = 0u64;
-            const PIPELINE: u64 = 32;
+            const PIPELINE: usize = 32;
             // relaxed: stop flag; stale reads just run one extra batch
             while !stop.load(Ordering::Relaxed) {
-                let mut wire = BytesMut::new();
+                wire.clear();
                 for _ in 0..PIPELINE {
-                    encode_lookup(&mut wire, key);
+                    encode_op(&mut wire, &OpFrame::lookup(key));
                     key = key.wrapping_add(1);
                 }
-                stream.write_all(&wire).expect("steady write");
-                let mut got = 0;
-                while got < PIPELINE {
-                    if let Some(_resp) = decoder.next_response().expect("steady decode") {
-                        got += 1;
-                        continue;
-                    }
-                    let n = stream.read(&mut buf).expect("steady read");
-                    assert!(n > 0, "server closed the steady connection");
-                    decoder.feed(&buf[..n]);
-                }
+                conn.exchange(&wire, PIPELINE, |_| {})
+                    .expect("steady batch");
             }
         })
     };

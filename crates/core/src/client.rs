@@ -113,8 +113,8 @@ impl ValueBytes {
 pub enum OpError {
     /// The table could not make room.
     Capacity,
-    /// The backend does not support this operation (e.g. DELETE over a v1
-    /// connection).
+    /// The backend does not support this operation (e.g. RESIZE on a
+    /// statically sized table).
     Unsupported,
     /// The admin path rejected or could not complete the request.
     Admin,

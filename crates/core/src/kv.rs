@@ -7,8 +7,8 @@
 //!
 //! * the **in-process** table ([`crate::ClientHandle`], message-passing
 //!   lanes to pinned server threads),
-//! * **CPSERVER over TCP** ([`crate::remote::RemoteClient`], kvproto v2
-//!   with transparent v1 fallback), and
+//! * **CPSERVER over TCP** ([`crate::remote::RemoteClient`], kvproto v2),
+//!   and
 //! * the **memcached-style baseline** ([`crate::remote::PartitionedClient`],
 //!   client-side key partitioning across independent instances — exactly
 //!   how the paper's §7 clients drove stock memcached).

@@ -1,13 +1,9 @@
 //! TCP backends for the unified [`crate::kv::KvClient`] API.
 //!
 //! [`RemoteClient`] drives one CPSERVER / LOCKSERVER / memcache-instance
-//! connection.  It speaks kvproto v2 (typed ops, byte-string keys, DELETE,
-//! status codes) when the server acks the connect-time handshake, and
-//! falls back transparently to v1 — against a v1-only server the handshake
-//! is an unknown opcode, the server drops the connection, and the client
-//! reconnects speaking v1 (byte-string keys then ride the §8.2 envelope
-//! client-side, exactly what `AnyKeyClient` did; DELETE completes as
-//! `Failed(Unsupported)` because v1 has no such opcode).
+//! connection speaking kvproto v2 (typed ops, byte-string keys, DELETE,
+//! status codes).  Connecting performs the handshake once; a peer that
+//! does not ack it is reported as the connect error.
 //!
 //! [`PartitionedClient`] fans one logical client out over several
 //! `RemoteClient`s with client-side key partitioning — the paper's §7
@@ -15,14 +11,13 @@
 //! across these multiple MEMCACHED instances", and this is that client.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use bytes::{Buf, BytesMut};
 use cphash_kvproto::{
-    encode_hello, encode_op, envelope, parse_hello, ErrCode, OpFrame, OpKind, ReplyDecoder,
-    ResponseDecoder, Status, WireKey, HELLO_BYTES, VERSION_1, VERSION_2,
+    client_handshake, encode_op, ErrCode, OpFrame, OpKind, ReplyDecoder, Status, VERSION_2,
 };
 
 use crate::client::{Completion, CompletionKind, OpError, ValueBytes};
@@ -38,14 +33,13 @@ const DEFAULT_WINDOW: usize = 256;
 const FLUSH_THRESHOLD: usize = 16 * 1024;
 
 /// How long to wait for the server's HELLO-ACK before giving up on the
-/// connection attempt (a v1 server answers faster than this: it *closes*).
+/// connection attempt.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One operation awaiting its reply, in request order.
 struct PendingRemote {
     token: u64,
-    /// The logical operation, kept so a `Retry` reply can resubmit it and
-    /// so v1 byte-key lookups can verify the envelope client-side.
+    /// The logical operation, kept so a `Retry` reply can resubmit it.
     frame: OpFrame,
 }
 
@@ -60,14 +54,9 @@ struct PendingRemote {
 /// and never polls or flushes sends nothing.
 pub struct RemoteClient {
     stream: TcpStream,
-    version: u8,
     outgoing: BytesMut,
     reply_decoder: ReplyDecoder,
-    v1_decoder: ResponseDecoder,
     pending: VecDeque<PendingRemote>,
-    /// Completions resolved client-side (v1 fire-and-forget inserts, v1
-    /// deletes), delivered by the next poll.
-    immediate: VecDeque<Completion>,
     next_token: u64,
     window: usize,
     dead: Option<ErrorKind>,
@@ -75,55 +64,22 @@ pub struct RemoteClient {
 }
 
 impl RemoteClient {
-    /// Connect preferring v2, with transparent v1 fallback.
+    /// Connect and perform the handshake.  A peer that is not a kvproto
+    /// server fails here with the handshake's own error: `InvalidData` for
+    /// a wrong magic or a version below 2, `UnexpectedEof` when it closes,
+    /// `TimedOut`/`WouldBlock` when it stays silent.
     pub fn connect(addr: SocketAddr) -> std::io::Result<RemoteClient> {
-        Self::connect_capped(addr, VERSION_2)
-    }
-
-    /// Connect speaking at most `max_version` (1 forces the legacy
-    /// protocol; useful for compatibility testing).
-    pub fn connect_capped(addr: SocketAddr, max_version: u8) -> std::io::Result<RemoteClient> {
-        // Any handshake failure — connection closed by a v1 server that
-        // read our magic as a bad opcode, timeout, short read — falls back
-        // to a fresh v1 connection.
-        if max_version >= VERSION_2 {
-            if let Ok(client) = Self::try_handshake(addr) {
-                return Ok(client);
-            }
-        }
-        let stream = TcpStream::connect(addr)?;
-        Self::from_stream(stream, VERSION_1)
-    }
-
-    fn try_handshake(addr: SocketAddr) -> std::io::Result<RemoteClient> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut hello = BytesMut::new();
-        encode_hello(&mut hello, VERSION_2);
-        stream.write_all(&hello)?;
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let mut ack = [0u8; HELLO_BYTES];
-        stream.read_exact(&mut ack)?;
-        let negotiated = parse_hello(&ack)
-            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?
-            .min(VERSION_2);
+        client_handshake(&mut stream)?;
         stream.set_read_timeout(None)?;
-        // A graceful downgrade (server acked v1) keeps this connection and
-        // switches framing; the server has done the same.
-        Self::from_stream(stream, negotiated)
-    }
-
-    fn from_stream(stream: TcpStream, version: u8) -> std::io::Result<RemoteClient> {
-        stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
         Ok(RemoteClient {
             stream,
-            version,
             outgoing: BytesMut::with_capacity(FLUSH_THRESHOLD),
             reply_decoder: ReplyDecoder::new(),
-            v1_decoder: ResponseDecoder::new(),
             pending: VecDeque::new(),
-            immediate: VecDeque::new(),
             next_token: 1,
             window: DEFAULT_WINDOW,
             dead: None,
@@ -131,9 +87,9 @@ impl RemoteClient {
         })
     }
 
-    /// The protocol version this connection negotiated (1 or 2).
+    /// The protocol version this connection negotiated.
     pub fn protocol_version(&self) -> u8 {
-        self.version
+        VERSION_2
     }
 
     /// Operations resubmitted after a `Retry` reply.
@@ -150,37 +106,6 @@ impl RemoteClient {
         let t = self.next_token;
         self.next_token += 1;
         t
-    }
-
-    /// Queue the wire bytes for a logical op.  In v1 mode byte keys are
-    /// enveloped client-side and the hash key goes on the wire.
-    fn encode_for_wire(&mut self, frame: &OpFrame) {
-        if self.version >= VERSION_2 {
-            encode_op(&mut self.outgoing, frame);
-            return;
-        }
-        match (&frame.kind, &frame.key) {
-            (OpKind::Lookup, key) => cphash_kvproto::encode_lookup(&mut self.outgoing, key.hash()),
-            (OpKind::Insert, WireKey::Hash(k)) => {
-                cphash_kvproto::encode_insert(&mut self.outgoing, *k, &frame.value)
-            }
-            (OpKind::Insert, WireKey::Bytes(b)) => cphash_kvproto::encode_insert(
-                &mut self.outgoing,
-                envelope::hash_key(b),
-                &envelope::encode_envelope(b, &frame.value),
-            ),
-            (OpKind::Resize, key) => {
-                // The packed resize key must pass through unmasked.
-                let WireKey::Hash(packed) = key else {
-                    unreachable!("resize frames carry packed hash keys")
-                };
-                cphash_kvproto::frame::encode_resize_packed(&mut self.outgoing, *packed);
-            }
-            (OpKind::Delete, _) => unreachable!("v1 deletes complete client-side"),
-            // Stats is v2-only (v1's opcode space is 1..=3); the submit path
-            // never queues it on a downgraded connection.
-            (OpKind::Stats, _) => unreachable!("v1 connections never carry stats frames"),
-        }
     }
 
     /// Send every queued request now instead of at the next poll — useful
@@ -202,22 +127,17 @@ impl RemoteClient {
     /// Queue the wire bytes for a logical op, sending them only once a
     /// buffer's worth has accumulated.
     fn enqueue(&mut self, frame: &OpFrame) {
-        self.encode_for_wire(frame);
+        encode_op(&mut self.outgoing, frame);
         if self.outgoing.len() >= FLUSH_THRESHOLD {
             self.flush();
         }
     }
 
-    /// Read available bytes straight into the right decoder's buffer,
-    /// stopping at the first read that did not fill the space offered.
+    /// Read available bytes straight into the decoder's buffer, stopping
+    /// at the first read that did not fill the space offered.
     fn pump_reads(&mut self) {
         while self.dead.is_none() {
-            let read = if self.version >= VERSION_2 {
-                self.reply_decoder.read_from(&mut self.stream)
-            } else {
-                self.v1_decoder.read_from(&mut self.stream)
-            };
-            match read {
+            match self.reply_decoder.read_from(&mut self.stream) {
                 Ok((0, _)) => self.dead = Some(ErrorKind::UnexpectedEof),
                 Ok((_, true)) => {}
                 Ok((_, false)) => break,
@@ -232,93 +152,56 @@ impl RemoteClient {
     fn resolve_replies(&mut self, out: &mut Vec<Completion>) -> usize {
         let mut produced = 0usize;
         loop {
-            if self.version >= VERSION_2 {
-                let reply = match self.reply_decoder.next_reply_ref() {
-                    Ok(Some(reply)) => reply,
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.dead = Some(ErrorKind::InvalidData);
-                        break;
-                    }
-                };
-                // Hint the value bytes as early as possible: the copy into
-                // a `ValueBytes` below — the only copy a hit's value gets,
-                // straight out of the receive buffer — reads every line of
-                // the payload, and large replies sit in memory the hot path
-                // has not touched since the socket read landed it.
-                prefetch_value_lines(reply.value);
-                let Some(pending) = self.pending.pop_front() else {
-                    // A reply with nothing pending: protocol desync.
+            let reply = match self.reply_decoder.next_reply_ref() {
+                Ok(Some(reply)) => reply,
+                Ok(None) => break,
+                Err(_) => {
                     self.dead = Some(ErrorKind::InvalidData);
                     break;
-                };
-                if reply.status == Status::Retry {
-                    // Resubmit transparently; the token survives the trip.
-                    self.retries += 1;
-                    self.encode_for_wire(&pending.frame);
-                    self.pending.push_back(pending);
-                    continue;
                 }
-                let kind = match (pending.frame.kind, reply.status) {
-                    (OpKind::Lookup, Status::Ok) => {
-                        CompletionKind::LookupHit(ValueBytes::from_slice(reply.value))
-                    }
-                    (OpKind::Lookup, Status::Miss) => CompletionKind::LookupMiss,
-                    (OpKind::Insert, Status::Ok) => CompletionKind::Inserted,
-                    (OpKind::Insert, Status::Err) if reply.code == ErrCode::Capacity => {
-                        CompletionKind::InsertFailed
-                    }
-                    (OpKind::Delete, Status::Ok) => CompletionKind::Deleted(true),
-                    (OpKind::Delete, Status::Miss) => CompletionKind::Deleted(false),
-                    // Admin replies surface their payload as a hit; only
-                    // the blocking admin paths submit resizes and stats.
-                    (OpKind::Resize, Status::Ok) | (OpKind::Stats, Status::Ok) => {
-                        CompletionKind::LookupHit(ValueBytes::from_slice(reply.value))
-                    }
-                    (_, Status::Err) => CompletionKind::Failed(reply.code.into()),
-                    _ => CompletionKind::Failed(OpError::Internal),
-                };
-                out.push(Completion {
-                    token: pending.token,
-                    kind,
-                });
-                produced += 1;
-            } else {
-                let response = match self.v1_decoder.next_response() {
-                    Ok(Some(response)) => response,
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.dead = Some(ErrorKind::InvalidData);
-                        break;
-                    }
-                };
-                if let Some(value) = &response.value {
-                    prefetch_value_lines(value);
-                }
-                let Some(pending) = self.pending.pop_front() else {
-                    self.dead = Some(ErrorKind::InvalidData);
-                    break;
-                };
-                // v1 responses exist only for lookups (and resize, which the
-                // blocking admin path consumes before submitting more work).
-                let kind = match (&pending.frame.key, response.value) {
-                    (_, None) => CompletionKind::LookupMiss,
-                    (WireKey::Hash(_), Some(value)) => {
-                        CompletionKind::LookupHit(ValueBytes::from_slice(&value))
-                    }
-                    (WireKey::Bytes(wanted), Some(stored)) => {
-                        match envelope::unwrap_matching(&stored, wanted) {
-                            Some(value) => CompletionKind::LookupHit(ValueBytes::from_slice(value)),
-                            None => CompletionKind::LookupMiss,
-                        }
-                    }
-                };
-                out.push(Completion {
-                    token: pending.token,
-                    kind,
-                });
-                produced += 1;
+            };
+            // Hint the value bytes as early as possible: the copy into a
+            // `ValueBytes` below — the only copy a hit's value gets,
+            // straight out of the receive buffer — reads every line of the
+            // payload, and large replies sit in memory the hot path has not
+            // touched since the socket read landed it.
+            prefetch_value_lines(reply.value);
+            let Some(pending) = self.pending.pop_front() else {
+                // A reply with nothing pending: protocol desync.
+                self.dead = Some(ErrorKind::InvalidData);
+                break;
+            };
+            if reply.status == Status::Retry {
+                // Resubmit transparently; the token survives the trip.
+                self.retries += 1;
+                encode_op(&mut self.outgoing, &pending.frame);
+                self.pending.push_back(pending);
+                continue;
             }
+            let kind = match (pending.frame.kind, reply.status) {
+                (OpKind::Lookup, Status::Ok) => {
+                    CompletionKind::LookupHit(ValueBytes::from_slice(reply.value))
+                }
+                (OpKind::Lookup, Status::Miss) => CompletionKind::LookupMiss,
+                (OpKind::Insert, Status::Ok) => CompletionKind::Inserted,
+                (OpKind::Insert, Status::Err) if reply.code == ErrCode::Capacity => {
+                    CompletionKind::InsertFailed
+                }
+                (OpKind::Delete, Status::Ok) => CompletionKind::Deleted(true),
+                (OpKind::Delete, Status::Miss) => CompletionKind::Deleted(false),
+                // Admin replies surface their payload as a hit; only the
+                // blocking admin paths submit resizes and stats.
+                (OpKind::Resize, Status::Ok) | (OpKind::Stats, Status::Ok) => {
+                    CompletionKind::LookupHit(ValueBytes::from_slice(reply.value))
+                }
+                (_, Status::Err) => CompletionKind::Failed(reply.code.into()),
+                _ => CompletionKind::Failed(OpError::Internal),
+            };
+            out.push(Completion {
+                token: pending.token,
+                kind,
+            });
+            produced += 1;
         }
         produced
     }
@@ -342,11 +225,7 @@ fn prefetch_value_lines(bytes: &[u8]) {
 
 impl KvClient for RemoteClient {
     fn backend(&self) -> &'static str {
-        if self.version >= VERSION_2 {
-            "remote-v2"
-        } else {
-            "remote-v1"
-        }
+        "remote-v2"
     }
 
     fn submit(&mut self, op: KvOp<'_>) -> u64 {
@@ -359,41 +238,15 @@ impl KvClient for RemoteClient {
             KvOp::Delete(KeyRef::Hash(k)) => OpFrame::delete(k),
             KvOp::Delete(KeyRef::Bytes(b)) => OpFrame::delete_bytes(b.to_vec()),
         };
-        if self.version < VERSION_2 {
-            // v1 has no DELETE and answers no INSERT; complete those here.
-            match frame.kind {
-                OpKind::Delete => {
-                    self.immediate.push_back(Completion {
-                        token,
-                        kind: CompletionKind::Failed(OpError::Unsupported),
-                    });
-                    return token;
-                }
-                OpKind::Insert => {
-                    self.enqueue(&frame);
-                    self.immediate.push_back(Completion {
-                        token,
-                        kind: CompletionKind::Inserted,
-                    });
-                    return token;
-                }
-                _ => {}
-            }
-        }
         self.enqueue(&frame);
         self.pending.push_back(PendingRemote { token, frame });
         token
     }
 
     fn poll_completions(&mut self, out: &mut Vec<Completion>) -> usize {
-        let mut produced = 0usize;
-        while let Some(c) = self.immediate.pop_front() {
-            out.push(c);
-            produced += 1;
-        }
         self.flush();
         self.pump_reads();
-        produced += self.resolve_replies(out);
+        let produced = self.resolve_replies(out);
         // A retry resubmission queued above should leave this poll's
         // process, not wait for the next one.
         self.flush();
@@ -401,7 +254,7 @@ impl KvClient for RemoteClient {
     }
 
     fn pending_ops(&self) -> usize {
-        self.pending.len() + self.immediate.len()
+        self.pending.len()
     }
 
     fn recommended_window(&self) -> usize {
@@ -420,11 +273,8 @@ impl KvClient for RemoteClient {
 impl RemoteClient {
     /// Fetch the server's live metrics over the data connection, rendered
     /// as Prometheus text exposition — the same bytes the HTTP stats
-    /// endpoint serves.  v2 only: a v1 server has no STATS opcode.
+    /// endpoint serves.
     pub fn fetch_stats(&mut self) -> Result<String, KvError> {
-        if self.version < VERSION_2 {
-            return Err(KvError::Op(OpError::Unsupported));
-        }
         self.blocking_admin(OpFrame::stats())
     }
 
@@ -436,7 +286,7 @@ impl RemoteClient {
         self.drain_completions(&mut buf)?;
         drop(buf);
         let token = self.take_token();
-        self.encode_for_wire(&frame);
+        encode_op(&mut self.outgoing, &frame);
         self.pending.push_back(PendingRemote { token, frame });
         let mut out = Vec::new();
         let mut idle: u32 = 0;
@@ -454,7 +304,7 @@ impl RemoteClient {
             }
         }
         match out.remove(0).kind {
-            // v2 servers answer Ok with the payload string, or Err{Admin}.
+            // Servers answer Ok with the payload string, or Err{Admin}.
             CompletionKind::LookupHit(v) => Ok(String::from_utf8_lossy(v.as_slice()).into_owned()),
             CompletionKind::Failed(e) => Err(KvError::Op(e)),
             CompletionKind::LookupMiss => Err(KvError::Protocol),
@@ -477,7 +327,7 @@ pub struct PartitionedClient {
 }
 
 impl PartitionedClient {
-    /// Connect one shard per address (v2 preferred, v1 fallback each).
+    /// Connect one shard per address.
     pub fn connect(addrs: &[SocketAddr]) -> std::io::Result<PartitionedClient> {
         assert!(!addrs.is_empty(), "need at least one shard");
         let shards = addrs
@@ -553,8 +403,8 @@ impl KvClient for PartitionedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cphash_kvproto::frame::REQUEST_HEADER_BYTES;
-    use cphash_kvproto::{encode_reply, Reply};
+    use cphash_kvproto::{encode_hello, encode_reply, parse_hello, Reply, HELLO_BYTES};
+    use std::io::Read;
     use std::net::TcpListener;
 
     /// Size of a v2 hash-key lookup on the wire.
@@ -666,31 +516,59 @@ mod tests {
         );
     }
 
-    #[test]
-    fn v1_inserts_stay_fire_and_forget() {
+    /// Point a client at a listener whose first connection is handled by
+    /// `peer`; returns the connect error and how many connections the
+    /// listener saw in all.
+    fn connect_to_stub(peer: impl FnOnce(TcpStream) + Send + 'static) -> (std::io::Error, usize) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = RemoteClient::connect_capped(listener.local_addr().unwrap(), 1).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-        assert_eq!(client.protocol_version(), VERSION_1);
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Take the HELLO first: closing with it unread would turn the
+            // close into a reset.
+            stream.read_exact(&mut [0u8; HELLO_BYTES]).unwrap();
+            peer(stream);
+            listener
+        });
+        let error = RemoteClient::connect(addr)
+            .err()
+            .expect("the stub is not a kvproto server");
+        let listener = server.join().unwrap();
+        // A second attempt would have finished its TCP handshake before
+        // `connect` returned, so it would be waiting in the backlog now.
+        listener.set_nonblocking(true).unwrap();
+        let mut accepted = 1;
+        while listener.accept().is_ok() {
+            accepted += 1;
+        }
+        (error, accepted)
+    }
 
-        // No reply will ever come for a v1 insert (or the delete v1 cannot
-        // express): both complete client-side at the next poll, which is
-        // also when the insert's bytes leave.
-        let insert = client.submit(KvOp::Insert(KeyRef::Hash(5), b"five"));
-        let delete = client.submit(KvOp::Delete(KeyRef::Hash(5)));
-        assert_eq!(client.pending_ops(), 2);
-        assert_eq!(waiting_bytes(&mut server), 0);
-        let mut out = Vec::new();
-        assert_eq!(client.poll_completions(&mut out), 2);
-        assert_eq!(client.pending_ops(), 0);
-        assert_eq!(
-            (out[0].token, &out[0].kind),
-            (insert, &CompletionKind::Inserted)
-        );
-        assert_eq!(
-            (out[1].token, &out[1].kind),
-            (delete, &CompletionKind::Failed(OpError::Unsupported))
-        );
-        assert_eq!(waiting_bytes(&mut server), REQUEST_HEADER_BYTES + 4);
+    #[test]
+    fn connect_reports_a_peer_that_answers_garbage() {
+        let (error, accepted) = connect_to_stub(|mut stream| {
+            stream.write_all(b"HTTP/1.1 400 Bad Request\r\n").unwrap();
+        });
+        assert_eq!(error.kind(), ErrorKind::InvalidData, "{error}");
+        assert_eq!(accepted, 1, "the handshake is attempted once");
+    }
+
+    #[test]
+    fn connect_reports_a_peer_that_closes_on_the_handshake() {
+        let (error, accepted) = connect_to_stub(drop);
+        assert_eq!(error.kind(), ErrorKind::UnexpectedEof, "{error}");
+        assert_eq!(accepted, 1, "the handshake is attempted once");
+    }
+
+    #[test]
+    fn connect_reports_a_peer_that_acks_version_one() {
+        let (error, accepted) = connect_to_stub(|mut stream| {
+            let mut ack = BytesMut::new();
+            encode_hello(&mut ack, 1);
+            stream.write_all(&ack).unwrap();
+        });
+        assert_eq!(error.kind(), ErrorKind::InvalidData, "{error}");
+        assert!(error.to_string().contains("version 1"), "{error}");
+        assert_eq!(accepted, 1, "the handshake is attempted once");
     }
 }

@@ -19,10 +19,9 @@ use std::io::{self, Read};
 
 use bytes::{Buf, BytesMut};
 
-use crate::frame::{Request, RequestKind, Response, REQUEST_HEADER_BYTES, RESPONSE_HEADER_BYTES};
 use crate::v2::{
-    ErrCode, OpFrame, OpKind, Reply, Status, WireKeyRef, FLAG_BYTE_KEY, HELLO_BYTES,
-    OP_HEADER_BYTES, REPLY_HEADER_BYTES, VERSION_1, VERSION_2,
+    ErrCode, OpFrame, OpKind, Reply, Status, WireKeyRef, FLAG_BYTE_KEY, HELLO_BYTES, MAGIC,
+    OP_HEADER_BYTES, REPLY_HEADER_BYTES,
 };
 use crate::{MAX_KEY, MAX_VALUE_BYTES};
 
@@ -38,7 +37,8 @@ pub enum DecodeError {
     BadOpcode(u8),
     /// Value size field exceeds [`MAX_VALUE_BYTES`].
     ValueTooLarge(u64),
-    /// First byte looked like a handshake but the magic did not match.
+    /// The connection did not open with the handshake magic (carries the
+    /// first byte received).
     BadMagic(u8),
     /// Handshake version byte is not a version this peer can speak.
     BadVersion(u8),
@@ -78,140 +78,13 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
     (le_u32(bytes, at) as u64) | ((le_u32(bytes, at + 4) as u64) << 32)
 }
 
-/// A v1 request in place: kind, key, and the value as a slice of the
-/// receive buffer.
-type V1RequestRef<'a> = (RequestKind, u64, &'a [u8]);
-
-/// Take the next complete v1 request off `buffer`, borrowing its value.
-/// The one v1 request parser, shared by [`RequestDecoder`] and
-/// [`ServerDecoder`].
-fn v1_request_ref(buffer: &mut BytesMut) -> Result<Option<V1RequestRef<'_>>, DecodeError> {
-    // Validate the opcode as soon as it is buffered, before waiting for
-    // the rest of the header: a v2 client probing with HELLO (4 bytes,
-    // leading 0xCF) must be rejected immediately, not after its
-    // handshake timeout expires waiting for byte 13.
-    let Some(&opcode) = buffer.first() else {
-        return Ok(None);
-    };
-    let kind = RequestKind::from_byte(opcode).ok_or(DecodeError::BadOpcode(opcode))?;
-    if buffer.len() < REQUEST_HEADER_BYTES {
-        return Ok(None);
-    }
-    let key = le_u64(buffer, 1);
-    let size = le_u32(buffer, 9) as usize;
-    if size > MAX_VALUE_BYTES {
-        return Err(DecodeError::ValueTooLarge(size as u64));
-    }
-    let body = if kind == RequestKind::Insert { size } else { 0 };
-    if buffer.len() < REQUEST_HEADER_BYTES + body {
-        return Ok(None);
-    }
-    let frame = buffer.consume(REQUEST_HEADER_BYTES + body);
-    Ok(Some((kind, key, &frame[REQUEST_HEADER_BYTES..])))
-}
-
-/// Streaming decoder for request frames (server side).
-#[derive(Debug, Default)]
-pub struct RequestDecoder {
-    buffer: BytesMut,
-}
-
-impl RequestDecoder {
-    /// New empty decoder.
-    pub fn new() -> Self {
-        RequestDecoder {
-            buffer: BytesMut::with_capacity(4096),
-        }
-    }
-
-    /// Feed freshly received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Try to decode the next complete request.  `Ok(None)` means more bytes
-    /// are needed.
-    pub fn next_request(&mut self) -> Result<Option<Request>, DecodeError> {
-        Ok(
-            v1_request_ref(&mut self.buffer)?.map(|(kind, key, value)| Request {
-                kind,
-                key,
-                // lint: allow(hot-path) — owned v1 API for tests and benches
-                value: value.to_vec(),
-            }),
-        )
-    }
-
-    /// Decode every complete request currently buffered.
-    pub fn drain(&mut self, out: &mut Vec<Request>) -> Result<usize, DecodeError> {
-        let before = out.len();
-        while let Some(req) = self.next_request()? {
-            out.push(req);
-        }
-        Ok(out.len() - before)
-    }
-}
-
-/// Streaming decoder for response frames (client side).
-#[derive(Debug, Default)]
-pub struct ResponseDecoder {
-    buffer: BytesMut,
-}
-
-impl ResponseDecoder {
-    /// New empty decoder.
-    pub fn new() -> Self {
-        ResponseDecoder {
-            buffer: BytesMut::with_capacity(4096),
-        }
-    }
-
-    /// Feed freshly received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
-    }
-
-    /// Read once from `reader` straight into the decode buffer.  Returns
-    /// the bytes read and whether the read filled the space offered (if it
-    /// did not, the reader had no more).
-    pub fn read_from<R: Read>(&mut self, reader: &mut R) -> io::Result<(usize, bool)> {
-        self.buffer.read_from(reader, MIN_READ_SPARE)
-    }
-
-    /// Try to decode the next complete response.  `Ok(None)` means more
-    /// bytes are needed.
-    pub fn next_response(&mut self) -> Result<Option<Response>, DecodeError> {
-        if self.buffer.len() < RESPONSE_HEADER_BYTES {
-            return Ok(None);
-        }
-        let size = le_u32(&self.buffer, 0) as usize;
-        if size > MAX_VALUE_BYTES {
-            return Err(DecodeError::ValueTooLarge(size as u64));
-        }
-        if self.buffer.len() < RESPONSE_HEADER_BYTES + size {
-            return Ok(None);
-        }
-        self.buffer.advance(RESPONSE_HEADER_BYTES);
-        let value = self.buffer.consume(size);
-        Ok(Some(Response {
-            // lint: allow(hot-path) — owned v1 API (legacy clients, tests)
-            value: (size != 0).then(|| value.to_vec()),
-        }))
-    }
-}
-
 /// A decoded server-side event: either a request, or the connection's
 /// one-time handshake.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerEvent {
-    /// The client sent a HELLO requesting `version`; the server must answer
-    /// with a HELLO-ACK carrying the negotiated version (and, if it
-    /// negotiates down to v1, call [`ServerDecoder::set_wire_version`]).
+    /// The client sent a HELLO requesting `version` (never below
+    /// [`crate::VERSION_2`]); the server must answer with a HELLO-ACK
+    /// carrying the negotiated version.
     Hello {
         /// The version the client asked for.
         requested: u8,
@@ -220,15 +93,11 @@ pub enum ServerEvent {
     Op(ServerOp),
 }
 
-/// One decoded request plus its response obligation.
+/// One decoded request.  Every request is owed exactly one reply frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerOp {
     /// The operation.
     pub frame: OpFrame,
-    /// Whether the client expects a reply frame.  Every v2 request does;
-    /// v1 INSERTs are fire-and-forget ("the server silently performs INSERT
-    /// requests", §4.1).
-    pub wants_response: bool,
 }
 
 /// A [`ServerEvent`] whose request borrows the decoder's receive buffer.
@@ -263,11 +132,6 @@ pub struct ServerOpRef<'a> {
     pub key: WireKeyRef<'a>,
     /// Value bytes (inserts only; empty otherwise).
     pub value: &'a [u8],
-    /// See [`ServerOp::wants_response`].
-    pub wants_response: bool,
-    /// The framing the request arrived in ([`VERSION_1`] or
-    /// [`VERSION_2`]) — which is also the framing its reply must use.
-    pub wire_version: u8,
 }
 
 impl ServerOpRef<'_> {
@@ -280,34 +144,20 @@ impl ServerOpRef<'_> {
                 // lint: allow(hot-path) — the owned API copies by definition
                 value: self.value.to_vec(),
             },
-            wants_response: self.wants_response,
         }
     }
 }
 
-/// Which framing a connection speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WireMode {
-    /// Nothing received yet: the first byte decides.
-    Detect,
-    /// Legacy unversioned frames.
-    V1,
-    /// Versioned typed frames.
-    V2,
-}
-
-/// Streaming, version-negotiating decoder for the server side of a
-/// connection.
+/// Streaming decoder for the server side of a connection: the one-time
+/// HELLO, then typed request frames.
 ///
-/// The first byte received decides the mode: a v1 opcode (1..=3) locks the
-/// connection to v1 framing; the handshake magic starts a v2 session.
-/// Anything else is an error and the connection should be dropped — which
-/// is exactly what a pre-versioning server did with the magic byte, and
-/// what v2 clients rely on for transparent fallback.
+/// A connection whose first byte is not the handshake magic is refused with
+/// [`DecodeError::BadMagic`] as soon as that byte arrives — including the
+/// unversioned frames (opcode byte 1..=3) earlier builds also served — and
+/// a HELLO asking for a version below 2 with [`DecodeError::BadVersion`].
 #[derive(Debug)]
 pub struct ServerDecoder {
     buffer: BytesMut,
-    mode: WireMode,
     hello_seen: bool,
 }
 
@@ -318,11 +168,10 @@ impl Default for ServerDecoder {
 }
 
 impl ServerDecoder {
-    /// New decoder in detection state.
+    /// New decoder awaiting the handshake.
     pub fn new() -> Self {
         ServerDecoder {
             buffer: BytesMut::with_capacity(MIN_READ_SPARE),
-            mode: WireMode::Detect,
             hello_seen: false,
         }
     }
@@ -344,48 +193,20 @@ impl ServerDecoder {
         self.buffer.len()
     }
 
-    /// The framing this connection resolved to (`None` until the first byte
-    /// arrives): [`VERSION_1`] or [`VERSION_2`].
-    pub fn wire_version(&self) -> Option<u8> {
-        match self.mode {
-            WireMode::Detect => None,
-            WireMode::V1 => Some(VERSION_1),
-            WireMode::V2 => Some(VERSION_2),
-        }
-    }
-
-    /// Force the framing for subsequent bytes.  Servers that negotiate a
-    /// HELLO down to v1 call this so the client's following v1 frames parse.
-    pub fn set_wire_version(&mut self, version: u8) {
-        self.mode = if version <= VERSION_1 {
-            WireMode::V1
-        } else {
-            WireMode::V2
-        };
-    }
-
-    /// Let the first buffered byte decide the framing.
-    fn detect(&mut self) -> Result<(), DecodeError> {
-        if self.mode == WireMode::Detect {
-            if let Some(&first) = self.buffer.first() {
-                self.mode = if first == crate::v2::MAGIC[0] {
-                    WireMode::V2
-                } else if RequestKind::from_byte(first).is_some() {
-                    WireMode::V1
-                } else {
-                    return Err(DecodeError::BadOpcode(first));
-                };
-            }
-        }
-        Ok(())
-    }
-
     /// Consume the connection's one-time HELLO if it is what comes next,
     /// returning the version the client asked for.  `Ok(None)` means the
-    /// next thing buffered (if anything) is not a complete handshake.
+    /// handshake is already done, or not yet complete.
     pub fn take_hello(&mut self) -> Result<Option<u8>, DecodeError> {
-        self.detect()?;
-        if self.mode != WireMode::V2 || self.hello_seen || self.buffer.len() < HELLO_BYTES {
+        if self.hello_seen {
+            return Ok(None);
+        }
+        // Judge the first byte as soon as it is buffered: a peer that will
+        // never send the magic must not be held until byte four arrives.
+        match self.buffer.first() {
+            Some(&first) if first != MAGIC[0] => return Err(DecodeError::BadMagic(first)),
+            _ => {}
+        }
+        if self.buffer.len() < HELLO_BYTES {
             return Ok(None);
         }
         let hello = [
@@ -404,57 +225,9 @@ impl ServerDecoder {
     /// receive buffer.  `Ok(None)` means more bytes are needed — or that a
     /// handshake comes first, which [`ServerDecoder::take_hello`] consumes.
     pub fn next_op_ref(&mut self) -> Result<Option<ServerOpRef<'_>>, DecodeError> {
-        self.detect()?;
-        match self.mode {
-            WireMode::V1 => self.next_v1_ref(),
-            WireMode::V2 if self.hello_seen => self.next_v2_ref(),
-            WireMode::V2 | WireMode::Detect => Ok(None),
-        }
-    }
-
-    /// Try to decode the next event without copying it out of the receive
-    /// buffer.  `Ok(None)` means more bytes are needed.
-    pub fn next_event_ref(&mut self) -> Result<Option<ServerEventRef<'_>>, DecodeError> {
-        if let Some(requested) = self.take_hello()? {
-            return Ok(Some(ServerEventRef::Hello { requested }));
-        }
-        Ok(self.next_op_ref()?.map(ServerEventRef::Op))
-    }
-
-    /// Try to decode the next event.  `Ok(None)` means more bytes are
-    /// needed.
-    pub fn next_event(&mut self) -> Result<Option<ServerEvent>, DecodeError> {
-        Ok(self.next_event_ref()?.map(ServerEventRef::into_owned))
-    }
-
-    /// Decode every complete event currently buffered.
-    pub fn drain(&mut self, out: &mut Vec<ServerEvent>) -> Result<usize, DecodeError> {
-        let before = out.len();
-        while let Some(event) = self.next_event()? {
-            out.push(event);
-        }
-        Ok(out.len() - before)
-    }
-
-    fn next_v1_ref(&mut self) -> Result<Option<ServerOpRef<'_>>, DecodeError> {
-        let Some((kind, key, value)) = v1_request_ref(&mut self.buffer)? else {
+        if !self.hello_seen {
             return Ok(None);
-        };
-        let (kind, wants_response) = match kind {
-            RequestKind::Lookup => (OpKind::Lookup, true),
-            RequestKind::Insert => (OpKind::Insert, false),
-            RequestKind::Resize => (OpKind::Resize, true),
-        };
-        Ok(Some(ServerOpRef {
-            kind,
-            key: WireKeyRef::Hash(unmasked_unless_data(kind, key)),
-            value,
-            wants_response,
-            wire_version: VERSION_1,
-        }))
-    }
-
-    fn next_v2_ref(&mut self) -> Result<Option<ServerOpRef<'_>>, DecodeError> {
+        }
         let buffered = &self.buffer[..];
         if buffered.len() < OP_HEADER_BYTES {
             return Ok(None);
@@ -494,9 +267,31 @@ impl ServerDecoder {
                 WireKeyRef::Hash(unmasked_unless_data(kind, key_field))
             },
             value,
-            wants_response: true,
-            wire_version: VERSION_2,
         }))
+    }
+
+    /// Try to decode the next event without copying it out of the receive
+    /// buffer.  `Ok(None)` means more bytes are needed.
+    pub fn next_event_ref(&mut self) -> Result<Option<ServerEventRef<'_>>, DecodeError> {
+        if let Some(requested) = self.take_hello()? {
+            return Ok(Some(ServerEventRef::Hello { requested }));
+        }
+        Ok(self.next_op_ref()?.map(ServerEventRef::Op))
+    }
+
+    /// Try to decode the next event.  `Ok(None)` means more bytes are
+    /// needed.
+    pub fn next_event(&mut self) -> Result<Option<ServerEvent>, DecodeError> {
+        Ok(self.next_event_ref()?.map(ServerEventRef::into_owned))
+    }
+
+    /// Decode every complete event currently buffered.
+    pub fn drain(&mut self, out: &mut Vec<ServerEvent>) -> Result<usize, DecodeError> {
+        let before = out.len();
+        while let Some(event) = self.next_event()? {
+            out.push(event);
+        }
+        Ok(out.len() - before)
     }
 }
 
@@ -598,114 +393,27 @@ impl ReplyDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_insert, encode_lookup, encode_response};
+    use crate::v2::{encode_hello, encode_op, VERSION_2};
     use bytes::{BufMut, BytesMut};
 
-    #[test]
-    fn decodes_back_to_back_requests() {
-        let mut wire = BytesMut::new();
-        encode_lookup(&mut wire, 11);
-        encode_insert(&mut wire, 22, b"hello");
-        encode_lookup(&mut wire, 33);
-
-        let mut dec = RequestDecoder::new();
-        dec.feed(&wire);
-        let mut out = Vec::new();
-        assert_eq!(dec.drain(&mut out).unwrap(), 3);
-        assert_eq!(out[0], Request::lookup(11));
-        assert_eq!(out[1], Request::insert(22, b"hello".to_vec()));
-        assert_eq!(out[2], Request::lookup(33));
-        assert_eq!(dec.buffered(), 0);
+    /// An unversioned LOOKUP as earlier builds framed it:
+    /// `opcode:u8 key:u64le size:u32le`.
+    fn unversioned_frame(opcode: u8, key: u64) -> Vec<u8> {
+        let mut frame = vec![opcode];
+        frame.extend_from_slice(&key.to_le_bytes());
+        frame.extend_from_slice(&0u32.to_le_bytes());
+        frame
     }
 
     #[test]
-    fn handles_bytes_arriving_one_at_a_time() {
+    fn server_decoder_handshakes_then_decodes_ops() {
         let mut wire = BytesMut::new();
-        encode_insert(&mut wire, 7, b"split-value");
-        let mut dec = RequestDecoder::new();
-        let mut decoded = Vec::new();
-        for &b in wire.iter() {
-            dec.feed(&[b]);
-            dec.drain(&mut decoded).unwrap();
-        }
-        assert_eq!(decoded, vec![Request::insert(7, b"split-value".to_vec())]);
-    }
-
-    #[test]
-    fn rejects_bad_opcode_and_oversized_values() {
-        let mut dec = RequestDecoder::new();
-        dec.feed(&[0xFFu8; REQUEST_HEADER_BYTES]);
-        assert_eq!(dec.next_request(), Err(DecodeError::BadOpcode(0xFF)));
-
-        let mut dec = RequestDecoder::new();
-        let mut frame = vec![2u8];
-        frame.extend_from_slice(&5u64.to_le_bytes());
-        frame.extend_from_slice(&(u32::MAX).to_le_bytes());
-        dec.feed(&frame);
-        assert!(matches!(
-            dec.next_request(),
-            Err(DecodeError::ValueTooLarge(_))
-        ));
-        assert!(format!("{}", DecodeError::BadOpcode(3)).contains("opcode"));
-    }
-
-    #[test]
-    fn response_round_trip_hit_and_miss() {
-        let mut wire = BytesMut::new();
-        encode_response(&mut wire, Some(b"v1"));
-        encode_response(&mut wire, None);
-        encode_response(&mut wire, Some(b""));
-        let mut dec = ResponseDecoder::new();
-        dec.feed(&wire);
-        assert_eq!(
-            dec.next_response().unwrap(),
-            Some(Response {
-                value: Some(b"v1".to_vec())
-            })
-        );
-        assert_eq!(dec.next_response().unwrap(), Some(Response { value: None }));
-        // A present-but-empty value is indistinguishable from a miss in this
-        // protocol (size 0), exactly as in the paper's description.
-        assert_eq!(dec.next_response().unwrap(), Some(Response { value: None }));
-        assert_eq!(dec.next_response().unwrap(), None);
-    }
-
-    #[test]
-    fn server_decoder_detects_v1_from_the_first_byte() {
-        let mut wire = BytesMut::new();
-        encode_lookup(&mut wire, 11);
-        encode_insert(&mut wire, 22, b"hello");
-        let mut dec = ServerDecoder::new();
-        dec.feed(&wire);
-        assert_eq!(dec.wire_version(), None);
-        let mut events = Vec::new();
-        assert_eq!(dec.drain(&mut events).unwrap(), 2);
-        assert_eq!(dec.wire_version(), Some(VERSION_1));
-        assert_eq!(
-            events[0],
-            ServerEvent::Op(ServerOp {
-                frame: OpFrame::lookup(11),
-                wants_response: true
-            })
-        );
-        assert_eq!(
-            events[1],
-            ServerEvent::Op(ServerOp {
-                frame: OpFrame::insert(22, b"hello".to_vec()),
-                wants_response: false
-            })
-        );
-    }
-
-    #[test]
-    fn server_decoder_handshakes_then_decodes_v2_ops() {
-        let mut wire = BytesMut::new();
-        crate::v2::encode_hello(&mut wire, VERSION_2);
-        crate::v2::encode_op(
+        encode_hello(&mut wire, VERSION_2);
+        encode_op(
             &mut wire,
             &OpFrame::insert_bytes(b"k".to_vec(), b"v".to_vec()),
         );
-        crate::v2::encode_op(&mut wire, &OpFrame::delete(9));
+        encode_op(&mut wire, &OpFrame::delete(9));
         let mut dec = ServerDecoder::new();
         // One byte at a time: every partial state must hold.
         let mut events = Vec::new();
@@ -713,51 +421,65 @@ mod tests {
             dec.feed(&[b]);
             dec.drain(&mut events).unwrap();
         }
-        assert_eq!(dec.wire_version(), Some(VERSION_2));
-        assert_eq!(events.len(), 3);
+        assert_eq!(dec.buffered(), 0);
         assert_eq!(
-            events[0],
-            ServerEvent::Hello {
-                requested: VERSION_2
-            }
-        );
-        assert_eq!(
-            events[1],
-            ServerEvent::Op(ServerOp {
-                frame: OpFrame::insert_bytes(b"k".to_vec(), b"v".to_vec()),
-                wants_response: true
-            })
-        );
-        assert_eq!(
-            events[2],
-            ServerEvent::Op(ServerOp {
-                frame: OpFrame::delete(9),
-                wants_response: true
-            })
+            events,
+            [
+                ServerEvent::Hello {
+                    requested: VERSION_2
+                },
+                ServerEvent::Op(ServerOp {
+                    frame: OpFrame::insert_bytes(b"k".to_vec(), b"v".to_vec()),
+                }),
+                ServerEvent::Op(ServerOp {
+                    frame: OpFrame::delete(9),
+                }),
+            ]
         );
     }
 
     #[test]
-    fn server_decoder_can_negotiate_down_to_v1_framing() {
+    fn unversioned_streams_are_refused_on_their_first_byte() {
+        // Opcodes 1..=3 opened a connection in the retired unversioned
+        // dialect.  However the bytes are chunked, the first one is enough
+        // to refuse the peer, through either entry point.
+        for opcode in 1..=3u8 {
+            let frame = unversioned_frame(opcode, 11);
+            for cuts in 0u32..1 << (frame.len() - 1) {
+                for via_take_hello in [true, false] {
+                    let mut dec = ServerDecoder::new();
+                    let mut start = 0;
+                    for end in 1..=frame.len() {
+                        if end < frame.len() && cuts & (1 << (end - 1)) == 0 {
+                            continue;
+                        }
+                        dec.feed(&frame[start..end]);
+                        start = end;
+                        let refused = if via_take_hello {
+                            dec.take_hello().map(|_| ())
+                        } else {
+                            dec.next_event().map(|_| ())
+                        };
+                        assert_eq!(refused, Err(DecodeError::BadMagic(opcode)));
+                        assert_eq!(dec.next_op_ref(), Ok(None), "nothing is ever served");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hello_versions_below_two_are_refused_and_above_are_reported() {
         let mut dec = ServerDecoder::new();
-        let mut wire = BytesMut::new();
-        crate::v2::encode_hello(&mut wire, 7); // future version
-        dec.feed(&wire);
+        dec.feed(&[MAGIC[0], MAGIC[1], MAGIC[2], 1]);
+        assert_eq!(dec.next_event(), Err(DecodeError::BadVersion(1)));
+
+        // A future version is the server's to negotiate down.
+        let mut dec = ServerDecoder::new();
+        dec.feed(&[MAGIC[0], MAGIC[1], MAGIC[2], 3]);
         assert_eq!(
             dec.next_event().unwrap(),
-            Some(ServerEvent::Hello { requested: 7 })
-        );
-        // Server decides v1 is the common ground; subsequent frames are v1.
-        dec.set_wire_version(VERSION_1);
-        let mut wire = BytesMut::new();
-        encode_lookup(&mut wire, 5);
-        dec.feed(&wire);
-        assert_eq!(
-            dec.next_event().unwrap(),
-            Some(ServerEvent::Op(ServerOp {
-                frame: OpFrame::lookup(5),
-                wants_response: true
-            }))
+            Some(ServerEvent::Hello { requested: 3 })
         );
     }
 
@@ -766,31 +488,54 @@ mod tests {
         // Garbage first byte.
         let mut dec = ServerDecoder::new();
         dec.feed(&[0x77]);
-        assert_eq!(dec.next_event(), Err(DecodeError::BadOpcode(0x77)));
+        assert_eq!(dec.next_event(), Err(DecodeError::BadMagic(0x77)));
 
         // Bad magic tail.
         let mut dec = ServerDecoder::new();
-        dec.feed(&[crate::v2::MAGIC[0], b'X', b'P', 2]);
+        dec.feed(&[MAGIC[0], b'X', b'P', 2]);
         assert!(matches!(dec.next_event(), Err(DecodeError::BadMagic(_))));
 
+        let hello_then = |frame: &[u8]| {
+            let mut wire = BytesMut::new();
+            encode_hello(&mut wire, VERSION_2);
+            wire.put_slice(frame);
+            let mut dec = ServerDecoder::new();
+            dec.feed(&wire);
+            assert_eq!(
+                dec.next_event().unwrap(),
+                Some(ServerEvent::Hello {
+                    requested: VERSION_2
+                })
+            );
+            dec.next_event()
+        };
+
         // Byte-key flag with a nonzero hash field.
-        let mut dec = ServerDecoder::new();
-        let mut wire = BytesMut::new();
-        crate::v2::encode_hello(&mut wire, VERSION_2);
-        wire.put_u8(OpKind::Lookup as u8);
-        wire.put_u8(FLAG_BYTE_KEY);
-        wire.put_u16_le(1);
-        wire.put_u32_le(0);
-        wire.put_u64_le(5);
-        wire.put_u8(b'k');
-        dec.feed(&wire);
+        let mut frame = BytesMut::new();
+        frame.put_u8(OpKind::Lookup as u8);
+        frame.put_u8(FLAG_BYTE_KEY);
+        frame.put_u16_le(1);
+        frame.put_u32_le(0);
+        frame.put_u64_le(5);
+        frame.put_u8(b'k');
+        assert_eq!(hello_then(&frame), Err(DecodeError::Malformed));
+
+        // Unknown opcode, and a value length past the protocol limit.
         assert_eq!(
-            dec.next_event().unwrap(),
-            Some(ServerEvent::Hello {
-                requested: VERSION_2
-            })
+            hello_then(&[0xFF; OP_HEADER_BYTES]),
+            Err(DecodeError::BadOpcode(0xFF))
         );
-        assert_eq!(dec.next_event(), Err(DecodeError::Malformed));
+        let mut frame = BytesMut::new();
+        frame.put_u8(OpKind::Insert as u8);
+        frame.put_u8(0);
+        frame.put_u16_le(0);
+        frame.put_u32_le(u32::MAX);
+        frame.put_u64_le(5);
+        assert!(matches!(
+            hello_then(&frame),
+            Err(DecodeError::ValueTooLarge(_))
+        ));
+        assert!(format!("{}", DecodeError::BadOpcode(3)).contains("opcode"));
     }
 
     #[test]
@@ -820,21 +565,5 @@ mod tests {
         let mut dec = ReplyDecoder::new();
         dec.feed(&[9u8; REPLY_HEADER_BYTES]);
         assert_eq!(dec.next_reply(), Err(DecodeError::BadStatus(9)));
-    }
-
-    #[test]
-    fn partial_response_waits_for_more_bytes() {
-        let mut wire = BytesMut::new();
-        encode_response(&mut wire, Some(b"abcdef"));
-        let mut dec = ResponseDecoder::new();
-        dec.feed(&wire[..5]);
-        assert_eq!(dec.next_response().unwrap(), None);
-        dec.feed(&wire[5..]);
-        assert_eq!(
-            dec.next_response().unwrap(),
-            Some(Response {
-                value: Some(b"abcdef".to_vec())
-            })
-        );
     }
 }

@@ -1,20 +1,14 @@
-//! kvproto v2: the versioned, typed operations protocol.
-//!
-//! v1 (see [`crate::frame`]) is an unversioned three-opcode frame: u64
-//! LOOKUP / silent INSERT / RESIZE, with a bare size-prefixed response that
-//! cannot distinguish "miss" from "empty value" from "error".  v2 makes the
-//! protocol a typed operations surface:
+//! kvproto v2: the versioned, typed operations protocol — the only dialect
+//! the servers and clients in this tree speak.
 //!
 //! * a **connect-time handshake** (magic + version byte, acked by the
-//!   server with the negotiated version) with transparent v1 fallback —
-//!   v1 clients keep working against v2 servers because no v1 frame starts
-//!   with the magic byte, and v2 clients fall back when a v1 server drops
-//!   the unrecognized handshake;
+//!   server with the negotiated version): a connection that opens with
+//!   anything else is dropped;
 //! * one unified request frame carrying `Lookup | Insert | Delete | Resize`
 //!   over **both u64 hash keys and arbitrary byte-string keys** (the §8.2
-//!   envelope, [`crate::envelope`], becomes the server's job);
+//!   envelope, [`crate::envelope`], is the server's job);
 //! * **every** request gets a response, carrying a typed status
-//!   (`Ok | Miss | Retry | Err{code}`) instead of a bare hit/miss size.
+//!   (`Ok | Miss | Retry | Err{code}`).
 //!
 //! Wire layout (all integers little-endian):
 //!
@@ -32,20 +26,19 @@
 //! zero.  Replies are matched to requests by order — one reply per request,
 //! FIFO per connection.
 
+use std::io::{self, Read, Write};
+
 use bytes::{BufMut, BytesMut};
 
 use crate::MAX_KEY;
 
-/// First handshake byte.  Deliberately outside v1's opcode space (1..=3),
-/// so a server can tell a v2 HELLO from a v1 request by its first byte, and
-/// a v1-only server rejects a HELLO as a bad opcode (closing the
-/// connection, which the v2 client treats as "fall back to v1").
+/// The handshake magic.  Its first byte is outside the opcode space of the
+/// unversioned frames earlier builds spoke (1..=3), so such a peer is
+/// refused on its first byte.
 pub const MAGIC: [u8; 3] = [0xCF, b'C', b'P'];
 
-/// Version byte for the legacy unversioned protocol.
-pub const VERSION_1: u8 = 1;
-
-/// Version byte for the typed operations protocol described here.
+/// Version byte for the typed operations protocol described here; the
+/// lowest (and only) version a HELLO may ask for.
 pub const VERSION_2: u8 = 2;
 
 /// Size of HELLO and HELLO-ACK on the wire.
@@ -74,12 +67,11 @@ pub enum OpKind {
     /// Remove a key.
     Delete = 3,
     /// Admin: re-partition the live table (key packs partitions + pacing,
-    /// see [`crate::pack_resize`]).
+    /// see [`pack_resize`]).
     Resize = 4,
     /// Admin: fetch the server's live metrics snapshot.  The reply value
     /// carries the snapshot serialized in the Prometheus text exposition
     /// format — the same bytes `cpserverd --stats-addr` serves over HTTP.
-    /// v2-only: the v1 opcode space (1..=3) cannot express it.
     Stats = 5,
 }
 
@@ -219,18 +211,15 @@ impl OpFrame {
 
     /// Re-partition to `partitions` with the server's default pacing.
     pub fn resize(partitions: u64) -> OpFrame {
-        OpFrame {
-            kind: OpKind::Resize,
-            key: WireKey::Hash(crate::pack_resize(partitions, 0)),
-            value: Vec::new(),
-        }
+        Self::resize_paced(partitions, 0)
     }
 
-    /// Re-partition with an explicit chunks-per-second pacing budget.
+    /// Re-partition with an explicit chunks-per-second pacing budget
+    /// (0 keeps the server's default).
     pub fn resize_paced(partitions: u64, chunks_per_sec: u32) -> OpFrame {
         OpFrame {
             kind: OpKind::Resize,
-            key: WireKey::Hash(crate::pack_resize(partitions, chunks_per_sec)),
+            key: WireKey::Hash(pack_resize(partitions, chunks_per_sec)),
             value: Vec::new(),
         }
     }
@@ -243,6 +232,27 @@ impl OpFrame {
             key: WireKey::Hash(0),
             value: Vec::new(),
         }
+    }
+}
+
+/// Pack a RESIZE key field: target partition count in the low 16 bits plus
+/// an optional pacing budget in chunk hand-offs per second (0 keeps the
+/// server's default) in bits 16..48.
+pub fn pack_resize(partitions: u64, chunks_per_sec: u32) -> u64 {
+    (partitions & 0xFFFF) | ((chunks_per_sec as u64) << 16)
+}
+
+/// The target partition count packed in a RESIZE key field.
+pub fn resize_partitions(key: u64) -> usize {
+    (key & 0xFFFF) as usize
+}
+
+/// The pacing budget packed in a RESIZE key field (`None` when the client
+/// left it zero, i.e. "use the server's default pacing").
+pub fn resize_chunks_per_sec(key: u64) -> Option<u32> {
+    match ((key >> 16) & 0xFFFF_FFFF) as u32 {
+        0 => None,
+        rate => Some(rate),
     }
 }
 
@@ -399,15 +409,33 @@ pub fn encode_hello(out: &mut BytesMut, version: u8) {
     out.put_u8(version);
 }
 
-/// Parse a HELLO / HELLO-ACK. Returns the version byte.
+/// Parse a HELLO / HELLO-ACK.  Returns the version byte, which is never
+/// below [`VERSION_2`]: no peer in this tree speaks anything older.
 pub fn parse_hello(bytes: &[u8; HELLO_BYTES]) -> Result<u8, crate::DecodeError> {
     if bytes[..3] != MAGIC {
         return Err(crate::DecodeError::BadMagic(bytes[0]));
     }
     match bytes[3] {
-        0 => Err(crate::DecodeError::BadVersion(0)),
+        v if v < VERSION_2 => Err(crate::DecodeError::BadVersion(v)),
         v => Ok(v),
     }
+}
+
+/// The client's half of the handshake, over a blocking stream: send a HELLO
+/// for [`VERSION_2`] and read the ACK.  `InvalidData` when the peer answers
+/// with anything but an ACK for version 2 (a server may only negotiate
+/// down, and nothing below 2 exists); the stream's own error when it
+/// closes (`UnexpectedEof`) or stays silent past its read timeout.
+pub fn client_handshake<S: Read + Write>(stream: &mut S) -> io::Result<()> {
+    stream.write_all(&[MAGIC[0], MAGIC[1], MAGIC[2], VERSION_2])?;
+    let mut ack = [0u8; HELLO_BYTES];
+    stream.read_exact(&mut ack)?;
+    let refused = match parse_hello(&ack) {
+        Ok(VERSION_2) => return Ok(()),
+        Ok(other) => crate::DecodeError::BadVersion(other),
+        Err(e) => e,
+    };
+    Err(io::Error::new(io::ErrorKind::InvalidData, refused))
 }
 
 /// Append an encoded v2 request to `out`.
@@ -464,12 +492,13 @@ mod tests {
         let bytes: [u8; HELLO_BYTES] = buf[..].try_into().unwrap();
         assert_eq!(parse_hello(&bytes).unwrap(), VERSION_2);
         assert!(parse_hello(&[1, b'C', b'P', 2]).is_err());
-        assert!(parse_hello(&[0xCF, b'C', b'P', 0]).is_err());
-    }
-
-    #[test]
-    fn magic_is_outside_v1_opcode_space() {
-        assert!(crate::RequestKind::from_byte(MAGIC[0]).is_none());
+        for old in [0, 1] {
+            assert_eq!(
+                parse_hello(&[0xCF, b'C', b'P', old]),
+                Err(crate::DecodeError::BadVersion(old))
+            );
+        }
+        assert_eq!(parse_hello(&[0xCF, b'C', b'P', 3]), Ok(3));
     }
 
     #[test]
@@ -507,16 +536,35 @@ mod tests {
     }
 
     #[test]
-    fn stats_opcode_round_trips_and_stays_out_of_v1() {
+    fn stats_opcode_round_trips() {
         assert_eq!(OpKind::from_byte(5), Some(OpKind::Stats));
         assert_eq!(OpKind::from_byte(6), None);
-        // v1's opcode space must never grow to cover it: a v1 connection
-        // has no way to ask for stats.
-        assert!(crate::RequestKind::from_byte(OpKind::Stats as u8).is_none());
         let mut buf = BytesMut::new();
         encode_op(&mut buf, &OpFrame::stats());
         assert_eq!(buf.len(), OP_HEADER_BYTES);
         assert_eq!(buf[0], OpKind::Stats as u8);
+    }
+
+    #[test]
+    fn resize_key_packs_partitions_and_pacing() {
+        // Plain resize: partition count only, "default pacing" marker.
+        let WireKey::Hash(plain) = OpFrame::resize(8).key else {
+            panic!("resize frames carry packed hash keys");
+        };
+        assert_eq!(plain, 8);
+        assert_eq!(resize_partitions(plain), 8);
+        assert_eq!(resize_chunks_per_sec(plain), None);
+        assert_eq!(
+            OpFrame::resize_paced(4, 250).key,
+            WireKey::Hash(pack_resize(4, 250))
+        );
+        assert_eq!(resize_chunks_per_sec(pack_resize(4, 250)), Some(250));
+        // The packing keeps the two fields independent.
+        assert_eq!(resize_partitions(pack_resize(0xFFFF, u32::MAX)), 0xFFFF);
+        assert_eq!(
+            resize_chunks_per_sec(pack_resize(3, u32::MAX)),
+            Some(u32::MAX)
+        );
     }
 
     #[test]

@@ -12,8 +12,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{BufMut, BytesMut};
 use cphash_kvproto::{
-    encode_hello, encode_insert, encode_lookup, encode_op, encode_reply, encode_resize_paced,
-    DecodeError, OpFrame, OpKind, Reply, ReplyDecoder, RequestDecoder, ResponseDecoder,
+    encode_hello, encode_op, encode_reply, DecodeError, OpFrame, OpKind, Reply, ReplyDecoder,
     ServerDecoder, ServerEvent, ServerEventRef, WireKeyRef, MAX_VALUE_BYTES, VERSION_2,
 };
 use proptest::prelude::*;
@@ -106,33 +105,26 @@ proptest! {
         prop_assert_eq!(whole_err, pieces_err);
         prop_assert_eq!(whole, pieces);
 
-        // Client-side decoders must hold the same bar.
+        // The client-side decoder must hold the same bar.
         let mut reply = ReplyDecoder::new();
         reply.feed(&bytes);
         while let Ok(Some(_)) = reply.next_reply() {}
-        let mut v1req = RequestDecoder::new();
-        v1req.feed(&bytes);
-        let mut sink = Vec::new();
-        let _ = v1req.drain(&mut sink);
-        let mut v1resp = ResponseDecoder::new();
-        v1resp.feed(&bytes);
-        while let Ok(Some(_)) = v1resp.next_response() {}
     }
 
-    /// Valid streams (v1 and v2, mixed op shapes) decode to exactly the
+    /// Valid streams (any HELLO version, mixed op shapes) decode to exactly the
     /// frames that were encoded, under any chunking, with garbage appended
     /// after a truncation point never reinterpreted as a frame boundary.
     #[test]
     fn valid_streams_round_trip_then_truncate_cleanly(
         args in (
-            1u8..5,
+            VERSION_2..5,
             prop::collection::vec((any::<bool>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..48)), 1..12),
             1usize..48,
             0usize..16,
         ),
     ) {
         let (hello_version, keys, chunk, cut_back) = args;
-        // Build a valid v2 session: hello + a mix of typed ops.
+        // Build a valid session: hello + a mix of typed ops.
         let mut wire = BytesMut::new();
         encode_hello(&mut wire, hello_version);
         let mut expected = vec![ServerEvent::Hello { requested: hello_version }];
@@ -147,10 +139,7 @@ proptest! {
                 _ => OpFrame::resize_paced(*key % 64, (*key >> 32) as u32),
             };
             encode_op(&mut wire, &frame);
-            expected.push(ServerEvent::Op(cphash_kvproto::ServerOp {
-                frame,
-                wants_response: true,
-            }));
+            expected.push(ServerEvent::Op(cphash_kvproto::ServerOp { frame }));
         }
 
         let (events, errored) = decode_chunked(&wire, chunk);
@@ -164,47 +153,6 @@ proptest! {
         prop_assert!(!errored);
         prop_assert!(truncated.len() <= expected.len());
         prop_assert_eq!(&truncated[..], &expected[..truncated.len()]);
-    }
-
-    /// v1 framing holds the same properties through the same decoder.
-    #[test]
-    fn v1_streams_round_trip_under_chunking(
-        args in (
-            prop::collection::vec((0u8..3, any::<u64>(), prop::collection::vec(any::<u8>(), 0..32)), 1..12),
-            1usize..32,
-        ),
-    ) {
-        let (ops, chunk) = args;
-        let mut wire = BytesMut::new();
-        let mut expected = Vec::new();
-        for (kind, key, value) in &ops {
-            match kind {
-                0 => {
-                    encode_lookup(&mut wire, *key);
-                    expected.push(ServerEvent::Op(cphash_kvproto::ServerOp {
-                        frame: OpFrame::lookup(*key),
-                        wants_response: true,
-                    }));
-                }
-                1 => {
-                    encode_insert(&mut wire, *key, value);
-                    expected.push(ServerEvent::Op(cphash_kvproto::ServerOp {
-                        frame: OpFrame::insert(*key, value.clone()),
-                        wants_response: false,
-                    }));
-                }
-                _ => {
-                    encode_resize_paced(&mut wire, *key & 0xFFFF, (*key >> 32) as u32);
-                    expected.push(ServerEvent::Op(cphash_kvproto::ServerOp {
-                        frame: OpFrame::resize_paced(*key & 0xFFFF, (*key >> 32) as u32),
-                        wants_response: true,
-                    }));
-                }
-            }
-        }
-        let (events, errored) = decode_chunked(&wire, chunk);
-        prop_assert!(!errored);
-        prop_assert_eq!(&events, &expected);
     }
 
     /// Version-skewed and bit-flipped streams: corrupting one byte of a
@@ -386,7 +334,6 @@ fn borrowed_frames_never_reach_past_their_own_bytes() {
     for (fill, key_len, val_len) in [(0xAAu8, 5usize, 40usize), (0xBB, 7, 9)] {
         let op = decoder.next_op_ref().unwrap().expect("complete frame");
         assert_eq!(op.kind, OpKind::Insert);
-        assert_eq!(op.wire_version, VERSION_2);
         assert_eq!(op.key, WireKeyRef::Bytes(&vec![fill; key_len]));
         assert_eq!(op.value, &vec![fill; val_len][..]);
     }

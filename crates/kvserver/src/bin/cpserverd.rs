@@ -31,7 +31,7 @@ struct Args {
     /// Pipeline depth (data operations staged per batch).
     batch_size: usize,
     /// Overload shedding threshold (0 = never shed): in-flight operations
-    /// per worker beyond which v2 clients get wire-level Retry replies.
+    /// per worker beyond which lookups get wire-level Retry replies.
     overload_retry: usize,
     /// Front-end driving the client threads (epoll | poll | uring).
     frontend: FrontendKind,
@@ -39,13 +39,9 @@ struct Args {
     /// (including ones only activated by a later grow) per the detected
     /// topology.
     numa: bool,
-    /// Highest kvproto version to negotiate (2 = typed ops; 1 forces the
-    /// legacy unversioned protocol).
-    max_protocol: u8,
-    /// Bind address for the Prometheus stats HTTP endpoint (None = off,
-    /// unless `CPHASH_STATS_ADDR` is set).
+    /// Bind address for the Prometheus stats HTTP endpoint (None = off).
     stats_addr: Option<std::net::SocketAddr>,
-    /// Enable hot-path stage tracing (also via `CPHASH_TRACE=1`).
+    /// Enable hot-path stage tracing.
     trace: bool,
 }
 
@@ -62,9 +58,8 @@ fn parse_args() -> Result<Args, String> {
         migrate_feedback_p99: false,
         batch_size: cphash::DEFAULT_BATCH_SIZE,
         overload_retry: 0,
-        frontend: FrontendKind::from_env(),
+        frontend: FrontendKind::default(),
         numa: false,
-        max_protocol: cphash_kvproto::VERSION_2,
         stats_addr: None,
         trace: false,
     };
@@ -123,16 +118,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--trace" => args.trace = true,
             "--numa" => args.numa = true,
-            "--max-protocol" => {
-                args.max_protocol = value("--max-protocol")?
-                    .parse()
-                    .map_err(|e| format!("bad max-protocol: {e}"))?;
-                if !(1..=2).contains(&args.max_protocol) {
-                    return Err("max-protocol must be 1 or 2".into());
-                }
-            }
             "--help" | "-h" => {
-                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--stats-addr HOST:PORT] [--trace] [--numa] [--max-protocol 1|2]".into())
+                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--stats-addr HOST:PORT] [--trace] [--numa]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -192,18 +179,12 @@ fn main() {
         migration_pacing,
         frontend: args.frontend,
         server_pins,
-        max_protocol: args.max_protocol,
         batch_size: args.batch_size,
         overload_retry: (args.overload_retry > 0).then_some(args.overload_retry),
+        stats_addr: args.stats_addr,
         ..Default::default()
     };
-    // --stats-addr overrides the CPHASH_STATS_ADDR default already folded
-    // into the config; --trace flips tracing on before any hot-path thread
-    // takes its first timestamp.
-    let config = CpServerConfig {
-        stats_addr: args.stats_addr.or(config.stats_addr),
-        ..config
-    };
+    // Flip tracing on before any hot-path thread takes its first timestamp.
     if args.trace {
         cphash_perfmon::trace::set_trace_enabled(true);
     }
@@ -226,13 +207,13 @@ fn main() {
     );
     if args.overload_retry > 0 {
         println!(
-            "overload shedding: v2 clients get wire-level Retry past {} in-flight ops per worker",
+            "overload shedding: lookups get wire-level Retry past {} in-flight ops per worker",
             args.overload_retry
         );
     }
     if args.max_partitions > args.partitions {
         println!(
-            "live resize enabled up to {} partitions (send a RESIZE frame, opcode 3; key bits 0..16 = new count, bits 16..48 = optional chunks/sec budget)",
+            "live resize enabled up to {} partitions (send a RESIZE frame, opcode 4; key bits 0..16 = new count, bits 16..48 = optional chunks/sec budget)",
             args.max_partitions
         );
         println!("default migration pacing: {migration_pacing:?}");

@@ -27,7 +27,7 @@ fn parse_args() -> Result<Args, String> {
         worker_threads: 4,
         capacity_mb: 64,
         stats_secs: 5,
-        frontend: FrontendKind::from_env(),
+        frontend: FrontendKind::default(),
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {

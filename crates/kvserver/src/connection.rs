@@ -7,8 +7,7 @@ use std::net::TcpStream;
 
 use bytes::{Buf, BytesMut};
 use cphash_kvproto::{
-    encode_hello, encode_response, Reply, ServerDecoder, ServerOp, ServerOpRef, Status, VERSION_1,
-    VERSION_2,
+    encode_hello, Reply, ServerDecoder, ServerOp, ServerOpRef, Status, VERSION_2,
 };
 
 use crate::metrics::ServerMetrics;
@@ -25,20 +24,14 @@ use crate::reactor::{RawFd, Reactor};
 /// and requests are decoded in place ([`Connection::next_request`]), so a
 /// request's bytes are copied once — to wherever the server stores them.
 ///
-/// The connection owns protocol-version negotiation: the first byte a
-/// client sends either starts a v2 handshake (answered here with a
-/// HELLO-ACK carrying `min(requested, max_protocol)`) or locks the
-/// connection to v1 framing, and [`Connection::queue_reply`] encodes every
-/// reply in whichever framing was negotiated.
+/// The connection owns the handshake: a client's HELLO is answered here
+/// with a HELLO-ACK carrying `min(requested, 2)`, and a peer that opens
+/// with anything else is closed without a reply byte.
 pub struct Connection {
     stream: TcpStream,
     decoder: ServerDecoder,
     outgoing: BytesMut,
     closed: bool,
-    /// Negotiated protocol version (v1 until a handshake says otherwise).
-    version: u8,
-    /// Highest protocol version the server is willing to speak.
-    max_protocol: u8,
     /// Whether the owning reactor currently has write interest registered
     /// for this connection (output was back-logged at the last flush).
     want_write: bool,
@@ -49,16 +42,8 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Wrap an accepted stream (switched to non-blocking mode), speaking
-    /// up to kvproto v2.
+    /// Wrap an accepted stream (switched to non-blocking mode).
     pub fn new(stream: TcpStream) -> std::io::Result<Self> {
-        Self::with_max_protocol(stream, VERSION_2)
-    }
-
-    /// Wrap an accepted stream, capping the negotiated protocol version
-    /// (`max_protocol` 1 makes the server behave like a pre-versioning
-    /// build for compatibility testing).
-    pub fn with_max_protocol(stream: TcpStream, max_protocol: u8) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         Ok(Connection {
@@ -66,18 +51,10 @@ impl Connection {
             decoder: ServerDecoder::new(),
             outgoing: BytesMut::with_capacity(16 * 1024),
             closed: false,
-            version: VERSION_1,
-            max_protocol: max_protocol.clamp(VERSION_1, VERSION_2),
             want_write: false,
             read_syscalls: 0,
             write_syscalls: 0,
         })
-    }
-
-    /// The protocol version this connection speaks (v1 until a v2
-    /// handshake completes).
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// The raw descriptor, for reactor registration.
@@ -124,16 +101,8 @@ impl Connection {
     /// be dispatched before the connection is touched again.
     pub fn next_request(&mut self) -> Option<ServerOpRef<'_>> {
         match self.decoder.take_hello() {
-            Ok(Some(requested)) => {
-                // Negotiate down to what both sides speak and ack.  If
-                // the common ground is v1, the client's following
-                // frames are legacy-framed; tell the decoder.
-                self.version = requested.min(self.max_protocol);
-                if self.version <= VERSION_1 {
-                    self.decoder.set_wire_version(VERSION_1);
-                }
-                encode_hello(&mut self.outgoing, self.version);
-            }
+            // Negotiate down to what both sides speak and ack.
+            Ok(Some(requested)) => encode_hello(&mut self.outgoing, requested.min(VERSION_2)),
             Ok(None) => {}
             Err(_) => {
                 self.closed = true;
@@ -168,13 +137,7 @@ impl Connection {
         }
     }
 
-    /// Queue a typed reply, encoded in the connection's negotiated framing.
-    ///
-    /// v1 connections get the legacy size-prefixed value frame: `Ok` and
-    /// `Err` carry their bytes (admin status strings travelled as response
-    /// values before status codes existed), `Miss` is the empty frame, and
-    /// `Retry` — which v1 cannot express — degrades to a miss (correct for
-    /// a cache: the client treats it as absent and re-fetches).
+    /// Queue a typed reply.
     pub fn queue_reply(&mut self, reply: &Reply) {
         self.queue_reply_parts(reply.status, reply.code, &reply.value);
     }
@@ -188,14 +151,7 @@ impl Connection {
         code: cphash_kvproto::ErrCode,
         value: &[u8],
     ) {
-        if self.version >= VERSION_2 {
-            cphash_kvproto::encode_reply_parts(&mut self.outgoing, status, code, value);
-            return;
-        }
-        match status {
-            Status::Ok | Status::Err => encode_response(&mut self.outgoing, Some(value)),
-            Status::Miss | Status::Retry => encode_response(&mut self.outgoing, None),
-        }
+        cphash_kvproto::encode_reply_parts(&mut self.outgoing, status, code, value);
     }
 
     /// Attempt to flush queued response bytes. Returns bytes written.
@@ -310,10 +266,35 @@ pub(crate) fn settle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::FrontendKind;
     use bytes::BytesMut;
-    use cphash_kvproto::{encode_insert, encode_lookup, OpKind};
+    use cphash_kvproto::{OpFrame, OpKind, ReplyDecoder};
     use std::io::Read;
     use std::net::TcpListener;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// A server-side [`Connection`] and the client's end of its socket.
+    fn connected_pair() -> (Connection, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        (Connection::new(server_side).unwrap(), client)
+    }
+
+    /// Poll `conn` until `done` holds (a non-blocking read may need a
+    /// moment for the bytes to arrive), collecting decoded requests.
+    fn poll_until(
+        conn: &mut Connection,
+        done: impl Fn(&Connection, &[ServerOp]) -> bool,
+    ) -> Vec<ServerOp> {
+        let mut requests = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !done(conn, &requests) && Instant::now() < deadline {
+            conn.poll_requests(&mut requests);
+        }
+        requests
+    }
 
     #[test]
     fn slab_insert_reuses_freed_slots() {
@@ -327,132 +308,86 @@ mod tests {
     }
 
     #[test]
-    fn decodes_requests_and_writes_responses() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        let mut conn = Connection::new(server_side).unwrap();
+    fn handshake_is_acked_down_to_two_and_ops_reply_typed() {
+        // Version 3 is a client from the future: the server negotiates
+        // down to what it speaks.
+        for requested in [VERSION_2, 3] {
+            let (mut conn, mut client) = connected_pair();
+            let mut wire = BytesMut::new();
+            encode_hello(&mut wire, requested);
+            cphash_kvproto::encode_op(&mut wire, &OpFrame::lookup(10));
+            cphash_kvproto::encode_op(&mut wire, &OpFrame::delete_bytes(b"k".to_vec()));
+            client.write_all(&wire).unwrap();
 
-        // Client sends two requests in one write.
-        let mut wire = BytesMut::new();
-        encode_lookup(&mut wire, 10);
-        encode_insert(&mut wire, 20, b"abc");
-        client.write_all(&wire).unwrap();
+            let requests = poll_until(&mut conn, |_, requests| requests.len() == 2);
+            assert_eq!(requests.len(), 2);
+            assert_eq!(requests[0].frame.kind, OpKind::Lookup);
+            assert_eq!(requests[1].frame.kind, OpKind::Delete);
+            assert!(!conn.is_closed());
 
-        let mut requests = Vec::new();
-        // Non-blocking read may need a moment for the bytes to arrive.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while requests.len() < 2 && std::time::Instant::now() < deadline {
-            conn.poll_requests(&mut requests);
-        }
-        assert_eq!(requests.len(), 2);
-        assert_eq!(conn.version(), VERSION_1);
-        assert_eq!(requests[0].frame.kind, OpKind::Lookup);
-        assert!(requests[0].wants_response);
-        assert_eq!(requests[1].frame.kind, OpKind::Insert);
-        assert!(!requests[1].wants_response, "v1 inserts are silent");
-        assert!(!conn.is_closed());
-
-        // Server responds to the lookup (legacy framing: plain value).
-        conn.queue_reply(&Reply::ok_value(b"value".to_vec()));
-        assert!(conn.pending_output() > 0);
-        while conn.pending_output() > 0 {
-            conn.flush();
-        }
-        let mut buf = [0u8; 16];
-        client.read_exact(&mut buf[..9]).unwrap();
-        assert_eq!(u32::from_le_bytes(buf[0..4].try_into().unwrap()), 5);
-        assert_eq!(&buf[4..9], b"value");
-    }
-
-    #[test]
-    fn v2_handshake_is_acked_and_ops_reply_typed() {
-        use cphash_kvproto::{OpFrame, ReplyDecoder, Status};
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        let mut conn = Connection::new(server_side).unwrap();
-
-        let mut wire = BytesMut::new();
-        cphash_kvproto::encode_hello(&mut wire, VERSION_2);
-        cphash_kvproto::encode_op(&mut wire, &OpFrame::delete_bytes(b"k".to_vec()));
-        client.write_all(&wire).unwrap();
-
-        let mut requests = Vec::new();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while requests.is_empty() && std::time::Instant::now() < deadline {
-            conn.poll_requests(&mut requests);
-        }
-        assert_eq!(conn.version(), VERSION_2);
-        assert_eq!(requests.len(), 1);
-        assert_eq!(requests[0].frame.kind, OpKind::Delete);
-        assert!(requests[0].wants_response);
-
-        conn.queue_reply(&Reply::miss());
-        while conn.pending_output() > 0 {
-            conn.flush();
-        }
-        // Client sees the HELLO-ACK, then the typed reply.
-        let mut ack = [0u8; cphash_kvproto::HELLO_BYTES];
-        client.read_exact(&mut ack).unwrap();
-        assert_eq!(cphash_kvproto::parse_hello(&ack).unwrap(), VERSION_2);
-        let mut decoder = ReplyDecoder::new();
-        let mut buf = [0u8; 64];
-        let reply = loop {
-            if let Some(r) = decoder.next_reply().unwrap() {
-                break r;
+            conn.queue_reply(&Reply::ok_value(b"value".to_vec()));
+            conn.queue_reply(&Reply::miss());
+            while conn.pending_output() > 0 {
+                conn.flush();
             }
-            let n = client.read(&mut buf).unwrap();
-            assert!(n > 0);
-            decoder.feed(&buf[..n]);
-        };
-        assert_eq!(reply.status, Status::Miss);
+            // Client sees the HELLO-ACK, then the typed replies in order.
+            let mut ack = [0u8; cphash_kvproto::HELLO_BYTES];
+            client.read_exact(&mut ack).unwrap();
+            assert_eq!(cphash_kvproto::parse_hello(&ack).unwrap(), VERSION_2);
+            let mut decoder = ReplyDecoder::new();
+            let mut replies = Vec::new();
+            while replies.len() < 2 {
+                match decoder.next_reply().unwrap() {
+                    Some(reply) => replies.push(reply),
+                    None => assert!(decoder.read_from(&mut client).unwrap().0 > 0),
+                }
+            }
+            assert_eq!(replies, [Reply::ok_value(b"value".to_vec()), Reply::miss()]);
+        }
     }
 
     #[test]
-    fn max_protocol_one_negotiates_a_v2_client_down() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        let mut conn = Connection::with_max_protocol(server_side, VERSION_1).unwrap();
+    fn a_peer_that_skips_the_handshake_is_closed_unanswered_and_reclaimed() {
+        let metrics = ServerMetrics::new();
+        let mut reactor = Reactor::new(FrontendKind::default(), Arc::clone(&metrics.frontend));
+        let mut slab: Vec<Option<Connection>> = Vec::new();
+        let mut ready = Vec::new();
+        let (conn, mut client) = connected_pair();
+        assert!(adopt(&mut slab, &mut reactor, &mut ready, conn, |c| c));
+        let slot = ready[0];
 
-        let mut wire = BytesMut::new();
-        cphash_kvproto::encode_hello(&mut wire, VERSION_2);
-        // After a graceful downgrade the client speaks v1 frames.
-        encode_lookup(&mut wire, 3);
-        client.write_all(&wire).unwrap();
+        // A LOOKUP, well-formed in the unversioned dialect earlier builds
+        // also served: `opcode:u8 key:u64le size:u32le`.
+        let mut frame = vec![1u8];
+        frame.extend_from_slice(&7u64.to_le_bytes());
+        frame.extend_from_slice(&0u32.to_le_bytes());
+        client.write_all(&frame).unwrap();
 
-        let mut requests = Vec::new();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while requests.is_empty() && std::time::Instant::now() < deadline {
-            conn.poll_requests(&mut requests);
-        }
-        assert_eq!(conn.version(), VERSION_1);
-        assert_eq!(requests[0].frame.kind, OpKind::Lookup);
-        while conn.pending_output() > 0 {
-            conn.flush();
-        }
-        let mut ack = [0u8; cphash_kvproto::HELLO_BYTES];
-        client.read_exact(&mut ack).unwrap();
-        assert_eq!(cphash_kvproto::parse_hello(&ack).unwrap(), VERSION_1);
+        let conn = slab[slot].as_mut().unwrap();
+        let requests = poll_until(conn, |conn, _| conn.is_closed());
+        assert!(conn.is_closed(), "the peer must be refused");
+        assert!(requests.is_empty(), "nothing it sent may be served");
+        assert_eq!(conn.pending_output(), 0);
+        assert_eq!(settle(conn, &mut reactor, slot, &metrics), Settle::Retired);
+        slab[slot] = None;
+
+        // The peer sees the close and not one reply byte...
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(client.read(&mut [0u8; 16]).unwrap(), 0);
+        assert_eq!(metrics.snapshot().bytes_out, 0);
+        // ...and its slot serves the next connection.
+        let (next, _client) = connected_pair();
+        assert!(adopt(&mut slab, &mut reactor, &mut ready, next, |c| c));
+        assert_eq!(ready, [slot, slot]);
     }
 
     #[test]
     fn peer_close_is_detected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        let mut conn = Connection::new(server_side).unwrap();
+        let (mut conn, client) = connected_pair();
         drop(client);
-        let mut requests = Vec::new();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while !conn.is_closed() && std::time::Instant::now() < deadline {
-            conn.poll_requests(&mut requests);
-        }
+        let requests = poll_until(&mut conn, |conn, _| conn.is_closed());
         assert!(conn.is_closed());
         assert!(requests.is_empty());
     }

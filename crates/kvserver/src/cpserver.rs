@@ -11,7 +11,7 @@ use cphash::{ClientHandle, CompletionKind, CpHash, CpHashConfig, EvictionPolicy,
 use cphash_affinity::HwThreadId;
 use cphash_kvproto::{
     envelope, resize_chunks_per_sec, resize_partitions, ErrCode, OpKind, ServerOpRef, Status,
-    WireKeyRef, VERSION_2,
+    WireKeyRef,
 };
 use cphash_migrate::{MigrationPacer, RepartitionCoordinator};
 use cphash_perfmon::SharedLatencyWindow;
@@ -119,17 +119,14 @@ pub struct CpServerConfig {
     /// request with an explicit chunks-per-second budget).
     pub migration_pacing: MigrationPacing,
     /// Front-end driving the client-thread loops: readiness-based (`epoll`,
-    /// the default, falling back to busy-poll off Linux) or the legacy
-    /// busy-poll (`poll`).
+    /// the default, falling back to busy-poll off Linux), the busy-poll
+    /// baseline (`poll`) or `uring`.
     pub frontend: FrontendKind,
-    /// Highest kvproto version to negotiate (2 = typed ops; 1 makes the
-    /// server behave like a pre-versioning build, for compatibility tests).
-    pub max_protocol: u8,
     /// Pipeline depth for the hash-table servers (operations staged per
     /// batch).
     pub batch_size: usize,
     /// Overload shedding: when a worker has at least this many hash-table
-    /// operations in flight, v2 *lookups* get wire-level `Retry` replies
+    /// operations in flight, *lookups* get wire-level `Retry` replies
     /// instead of being absorbed server-side — exercising the client's
     /// transparent-resubmission path.  Writes are never shed (resubmission
     /// would reorder them behind later same-key operations).  `None` (the
@@ -137,8 +134,6 @@ pub struct CpServerConfig {
     pub overload_retry: Option<usize>,
     /// Address for the Prometheus stats HTTP endpoint (`None` disables it;
     /// port 0 picks a free port, reported by [`CpServer::stats_addr`]).
-    /// The default reads `CPHASH_STATS_ADDR`, so tests and CI can turn the
-    /// endpoint on without touching every construction site.
     pub stats_addr: Option<SocketAddr>,
 }
 
@@ -155,19 +150,12 @@ impl Default for CpServerConfig {
             batch: 1024,
             max_partitions: 0,
             migration_pacing: MigrationPacing::Unpaced,
-            frontend: FrontendKind::from_env(),
-            max_protocol: cphash_kvproto::VERSION_2,
+            frontend: FrontendKind::default(),
             batch_size: cphash::DEFAULT_BATCH_SIZE,
             overload_retry: None,
-            stats_addr: stats_addr_from_env(),
+            stats_addr: None,
         }
     }
-}
-
-/// The `CPHASH_STATS_ADDR` environment default for
-/// [`CpServerConfig::stats_addr`].
-fn stats_addr_from_env() -> Option<SocketAddr> {
-    std::env::var("CPHASH_STATS_ADDR").ok()?.parse().ok()
 }
 
 /// A running CPSERVER.
@@ -248,7 +236,6 @@ impl CpServer {
             let batch = config.batch;
             let admin = resize_enabled.then(|| admin_tx.clone());
             let frontend = config.frontend;
-            let max_protocol = config.max_protocol;
             let overload_retry = config.overload_retry.map(|t| t.max(1));
             // Workers only pay for latency stamping when something will
             // actually sample the window.
@@ -271,7 +258,6 @@ impl CpServer {
                             batch,
                             admin,
                             frontend,
-                            max_protocol,
                             overload_retry,
                             record_latency,
                         )
@@ -378,7 +364,7 @@ impl OutReply {
         }
     }
 
-    /// Wire-level overload shed: the (v2) client resubmits transparently.
+    /// Wire-level overload shed: the client resubmits transparently.
     fn retry() -> Self {
         OutReply {
             status: Status::Retry,
@@ -398,7 +384,7 @@ impl OutReply {
 
 /// State of one response-bearing request, kept in arrival order so the
 /// connection's responses go out in request order (correlation on this
-/// wire is by ordering, v1 and v2 alike).
+/// wire is by ordering).
 enum ReplyState {
     /// Deferred behind an in-flight write of the same key; not submitted.
     WaitingWrite,
@@ -519,13 +505,11 @@ enum TokenTarget {
         seq: u64,
         bytekey: Option<Vec<u8>>,
     },
-    /// A write (v2 connections answer every request; v1 inserts keep their
-    /// fire-and-forget silence).
+    /// A write (insert or delete).
     Write {
         /// The 60-bit hash key, for per-key in-flight accounting.
         key: u64,
-        /// Reply slot, or `None` for silent v1 inserts (and retired
-        /// connections).
+        /// Reply slot, or `None` once the connection has retired.
         reply: Option<(usize, u64)>,
     },
 }
@@ -630,7 +614,6 @@ fn client_worker(
     batch: usize,
     admin: Option<mpsc::Sender<AdminRequest>>,
     frontend: FrontendKind,
-    max_protocol: u8,
     overload_retry: Option<usize>,
     record_latency: bool,
 ) {
@@ -723,16 +706,15 @@ fn client_worker(
         if ready.contains(&LISTENER_TOKEN) {
             drain_accepts(&listener, &mut reactor, LISTENER_TOKEN, &mut accepted);
             for stream in accepted.drain(..) {
-                let adopted =
-                    Connection::with_max_protocol(stream, max_protocol).is_ok_and(|conn| {
-                        crate::connection::adopt(
-                            &mut connections,
-                            &mut reactor,
-                            &mut ready,
-                            ConnState::new(conn, record_latency),
-                            |state| &state.conn,
-                        )
-                    });
+                let adopted = Connection::new(stream).is_ok_and(|conn| {
+                    crate::connection::adopt(
+                        &mut connections,
+                        &mut reactor,
+                        &mut ready,
+                        ConnState::new(conn, record_latency),
+                        |state| &state.conn,
+                    )
+                });
                 if adopted {
                     metrics.note_connection();
                 }
@@ -758,15 +740,9 @@ fn client_worker(
                 let (read, more) = state.conn.read_once();
                 metrics.note_io(read, 0);
                 while let Some(request) = state.conn.next_request() {
-                    let ServerOpRef {
-                        kind,
-                        key,
-                        value,
-                        wants_response,
-                        wire_version,
-                    } = request;
+                    let ServerOpRef { kind, key, value } = request;
                     // Overload shedding: past the configured in-flight
-                    // threshold, answer v2 *lookups* with a wire-level `Retry`
+                    // threshold, answer *lookups* with a wire-level `Retry`
                     // instead of absorbing them — the client's
                     // transparent-resubmission path (`RemoteClient`) re-sends
                     // them when the server has room again.  Writes are never
@@ -782,11 +758,7 @@ fn client_worker(
                     // to pipeline behind them carry no ordering promise
                     // anywhere in this system (the in-process client's
                     // migration-retry resubmission has the same property).
-                    // v1 frames cannot express `Retry` and are absorbed
-                    // as before.
                     if kind == OpKind::Lookup
-                        && wants_response
-                        && wire_version >= VERSION_2
                         && overload_retry.is_some_and(|threshold| handle.outstanding() >= threshold)
                     {
                         metrics.note_retry_emitted();
@@ -831,49 +803,48 @@ fn client_worker(
                             // The envelope may push a near-limit value past
                             // MAX_VALUE_BYTES; storing it would later produce
                             // replies no client decoder accepts.  Refuse
-                            // up-front (byte keys are v2-only, so there is
-                            // always a reply slot to carry the error).
+                            // up-front.
+                            waiting_responses += 1;
+                            let seq = state.replies.enqueue(ReplyState::Submitted);
                             if stored.len() > cphash_kvproto::MAX_VALUE_BYTES {
-                                if wants_response {
-                                    waiting_responses += 1;
-                                    let seq = state.replies.enqueue(ReplyState::Submitted);
-                                    state.replies.resolve(
-                                        seq,
-                                        OutReply::err(
-                                            ErrCode::Capacity,
-                                            b"ERR enveloped value exceeds the protocol limit",
-                                        ),
-                                    );
-                                }
+                                state.replies.resolve(
+                                    seq,
+                                    OutReply::err(
+                                        ErrCode::Capacity,
+                                        b"ERR enveloped value exceeds the protocol limit",
+                                    ),
+                                );
                                 continue;
                             }
-                            let reply = if wants_response {
-                                waiting_responses += 1;
-                                Some((idx, state.replies.enqueue(ReplyState::Submitted)))
-                            } else {
-                                None
-                            };
                             let token = handle.submit_insert(hash, &stored);
-                            tokens.insert(token, TokenTarget::Write { key: hash, reply });
+                            tokens.insert(
+                                token,
+                                TokenTarget::Write {
+                                    key: hash,
+                                    reply: Some((idx, seq)),
+                                },
+                            );
                             inflight_writes.entry(hash).or_default().count += 1;
                         }
                         OpKind::Delete => {
                             let hash = key.hash();
-                            let reply = if wants_response {
-                                waiting_responses += 1;
-                                Some((idx, state.replies.enqueue(ReplyState::Submitted)))
-                            } else {
-                                None
-                            };
+                            waiting_responses += 1;
+                            let seq = state.replies.enqueue(ReplyState::Submitted);
                             let token = handle.submit_delete(hash);
-                            tokens.insert(token, TokenTarget::Write { key: hash, reply });
+                            tokens.insert(
+                                token,
+                                TokenTarget::Write {
+                                    key: hash,
+                                    reply: Some((idx, seq)),
+                                },
+                            );
                             inflight_writes.entry(hash).or_default().count += 1;
                             metrics.note_delete();
                         }
                         OpKind::Stats => {
-                            // v2-only admin op: resolve immediately through the
-                            // ordered reply FIFO with the full metrics snapshot
-                            // in Prometheus text format as the reply value.
+                            // Admin op: resolve immediately through the ordered
+                            // reply FIFO with the full metrics snapshot in
+                            // Prometheus text format as the reply value.
                             metrics.note_stats();
                             waiting_responses += 1;
                             let seq = state.replies.enqueue(ReplyState::Submitted);
@@ -966,7 +937,7 @@ fn client_worker(
                 CompletionKind::LookupHit(_) | CompletionKind::LookupMiss => {
                     // Count the lookup even when its connection already
                     // retired (its target is gone and bytekey unknowable:
-                    // count the raw table hit, as the pre-v2 server did).
+                    // count the raw table hit).
                     let (dest, bytekey) = match target {
                         TokenTarget::Lookup { conn, seq, bytekey } => (Some((conn, seq)), bytekey),
                         _ => (None, None),
@@ -998,8 +969,8 @@ fn client_worker(
                     let TokenTarget::Write { key, reply } = target else {
                         continue;
                     };
-                    // v2 connections get a typed answer for every write;
-                    // v1 inserts stay silent (reply slot never created).
+                    // Every write gets a typed answer, unless its connection
+                    // has retired in the meantime.
                     if let Some((conn_idx, seq)) = reply {
                         if let Some(state) = connections.get_mut(conn_idx).and_then(|c| c.as_mut())
                         {
@@ -1080,32 +1051,38 @@ fn client_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
-    use cphash_kvproto::{encode_insert, encode_lookup, ResponseDecoder};
-    use std::io::{Read, Write};
+    use cphash::{KeyRef, KvClient, KvError, KvOp, OpError, RemoteClient};
+    use cphash_kvproto::ReplyDecoder;
     use std::net::TcpStream;
 
-    fn lookup_roundtrip(
-        stream: &mut TcpStream,
-        decoder: &mut ResponseDecoder,
-        key: u64,
-    ) -> Option<Vec<u8>> {
-        let mut wire = BytesMut::new();
-        encode_lookup(&mut wire, key);
-        stream.write_all(&wire).unwrap();
-        let mut buf = [0u8; 4096];
-        loop {
-            if let Some(resp) = decoder.next_response().unwrap() {
-                return resp.value;
-            }
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0, "server closed the connection");
-            decoder.feed(&buf[..n]);
+    /// Pipeline an insert of `key -> key.to_le_bytes()` for every key and
+    /// wait for all of them to be acknowledged.
+    fn insert_keys(client: &mut RemoteClient, keys: std::ops::Range<u64>) {
+        let expected = keys.end - keys.start;
+        for key in keys {
+            client.submit(KvOp::Insert(KeyRef::Hash(key), &key.to_le_bytes()));
+        }
+        let mut completions = Vec::new();
+        client.drain_completions(&mut completions).unwrap();
+        assert_eq!(completions.len() as u64, expected);
+        assert!(completions
+            .iter()
+            .all(|c| c.kind == CompletionKind::Inserted));
+    }
+
+    /// Every key must read back the value [`insert_keys`] stored.
+    fn assert_keys_hit(client: &mut RemoteClient, keys: std::ops::Range<u64>) {
+        for key in keys {
+            let got = client.get_blocking(KeyRef::Hash(key)).unwrap();
+            assert_eq!(
+                got.as_ref().map(|v| v.as_slice()),
+                Some(&key.to_le_bytes()[..]),
+                "key {key}"
+            );
         }
     }
 
-    /// A server-side [`ConnState`] (speaking v1: no handshake) and the
-    /// client's end of its socket.
+    /// A server-side [`ConnState`] and the client's end of its socket.
     fn conn_state_pair() -> (ConnState, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -1114,26 +1091,22 @@ mod tests {
         (state, client)
     }
 
-    /// Flush what is ready and read the replies that went out.
+    /// Flush what is ready and read the replies that went out: a hit's
+    /// value, or `None` for a miss.
     fn flushed_replies(
         state: &mut ConnState,
         client: &mut TcpStream,
-        decoder: &mut ResponseDecoder,
+        decoder: &mut ReplyDecoder,
     ) -> Vec<Option<Vec<u8>>> {
         let ready = state.flush_ready_responses(None);
         while state.conn.pending_output() > 0 {
             state.conn.flush();
         }
         let mut replies = Vec::new();
-        let mut buf = [0u8; 256];
         while replies.len() < ready {
-            match decoder.next_response().unwrap() {
-                Some(response) => replies.push(response.value),
-                None => {
-                    let n = client.read(&mut buf).unwrap();
-                    assert!(n > 0);
-                    decoder.feed(&buf[..n]);
-                }
+            match decoder.next_reply().unwrap() {
+                Some(reply) => replies.push((reply.status == Status::Ok).then_some(reply.value)),
+                None => assert!(decoder.read_from(client).unwrap().0 > 0),
             }
         }
         replies
@@ -1142,7 +1115,7 @@ mod tests {
     #[test]
     fn replies_resolve_by_index_and_leave_in_request_order() {
         let (mut state, mut client) = conn_state_pair();
-        let mut decoder = ResponseDecoder::new();
+        let mut decoder = ReplyDecoder::new();
         // Five requests: hit, miss, a lookup deferred behind a write, hit,
         // hit — completing in the order 3, 1, 0, (2 released) 4, 2.
         let seqs: Vec<u64> = [
@@ -1264,20 +1237,16 @@ mod tests {
     #[test]
     fn serves_inserts_and_lookups_over_tcp() {
         let mut server = CpServer::start(CpServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
+        let mut client = RemoteClient::connect(server.addr()).unwrap();
 
-        // Miss first.
-        assert_eq!(lookup_roundtrip(&mut stream, &mut decoder, 99), None);
-        // Insert then hit.
-        let mut wire = BytesMut::new();
-        encode_insert(&mut wire, 99, b"cached value");
-        stream.write_all(&wire).unwrap();
-        // Inserts have no response; a subsequent lookup must observe the
-        // value (it travels the same connection, so ordering holds).
-        let got = lookup_roundtrip(&mut stream, &mut decoder, 99);
-        assert_eq!(got.as_deref(), Some(&b"cached value"[..]));
+        // Miss first, then insert and hit: the lookup travels the same
+        // connection as the insert, so ordering holds.
+        assert_eq!(client.get_blocking(KeyRef::Hash(99)).unwrap(), None);
+        assert!(client
+            .insert_blocking(KeyRef::Hash(99), b"cached value")
+            .unwrap());
+        let got = client.get_blocking(KeyRef::Hash(99)).unwrap();
+        assert_eq!(got.unwrap().as_slice(), b"cached value");
 
         assert!(server.metrics().requests() >= 3);
         assert!(server.table_stats().inserts >= 1 || server.metrics().requests() >= 3);
@@ -1296,20 +1265,10 @@ mod tests {
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 std::thread::spawn(move || {
-                    let mut stream = TcpStream::connect(addr).unwrap();
-                    stream.set_nodelay(true).unwrap();
-                    let mut decoder = ResponseDecoder::new();
-                    for i in 0..200u64 {
-                        let key = t * 1_000 + i;
-                        let mut wire = BytesMut::new();
-                        encode_insert(&mut wire, key, &key.to_le_bytes());
-                        stream.write_all(&wire).unwrap();
-                    }
-                    for i in 0..200u64 {
-                        let key = t * 1_000 + i;
-                        let got = lookup_roundtrip(&mut stream, &mut decoder, key);
-                        assert_eq!(got.as_deref(), Some(&key.to_le_bytes()[..]), "key {key}");
-                    }
+                    let mut client = RemoteClient::connect(addr).unwrap();
+                    let keys = t * 1_000..t * 1_000 + 200;
+                    insert_keys(&mut client, keys.clone());
+                    assert_keys_hit(&mut client, keys);
                 })
             })
             .collect();
@@ -1322,7 +1281,6 @@ mod tests {
 
     #[test]
     fn overloaded_server_sheds_with_wire_level_retry() {
-        use cphash::{CompletionKind, KeyRef, KvClient, KvOp, RemoteClient};
         // Threshold 1: any pipelined read depth beyond a single in-flight
         // op is answered with a wire-level Retry, which RemoteClient
         // resubmits transparently — so every operation still completes
@@ -1369,7 +1327,6 @@ mod tests {
 
     #[test]
     fn shedding_preserves_read_your_writes_ordering() {
-        use cphash::{CompletionKind, KeyRef, KvClient, KvOp, RemoteClient};
         // Interleaved dependent pairs under a shed-happy server: a lookup
         // pipelined right behind its own key's insert must never observe a
         // miss (writes are not shed, and a shed lookup resubmits *after*
@@ -1404,50 +1361,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_clients_are_never_shed() {
-        // v1 cannot express Retry; with shedding configured the server must
-        // keep absorbing v1 traffic as before.
-        let mut server = CpServer::start(CpServerConfig {
-            overload_retry: Some(1),
-            ..Default::default()
-        })
-        .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
-        // Pipeline a burst of v1 inserts (silent) and lookups.
-        let mut wire = BytesMut::new();
-        for key in 0..100u64 {
-            encode_insert(&mut wire, key, &key.to_le_bytes());
-        }
-        stream.write_all(&wire).unwrap();
-        for key in 0..100u64 {
-            let got = lookup_roundtrip(&mut stream, &mut decoder, key);
-            assert_eq!(got.as_deref(), Some(&key.to_le_bytes()[..]), "key {key}");
-        }
-        assert_eq!(server.metrics().retries_emitted(), 0);
-        server.shutdown();
-    }
-
-    #[test]
     fn batch_pipeline_counters_are_visible_through_metrics() {
         let mut server = CpServer::start(CpServerConfig {
             batch_size: 16,
             ..Default::default()
         })
         .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
-        let mut wire = BytesMut::new();
-        for key in 0..500u64 {
-            encode_insert(&mut wire, key, &key.to_le_bytes());
-        }
-        stream.write_all(&wire).unwrap();
-        for key in 0..500u64 {
-            let got = lookup_roundtrip(&mut stream, &mut decoder, key);
-            assert_eq!(got.as_deref(), Some(&key.to_le_bytes()[..]));
-        }
+        let mut client = RemoteClient::connect(server.addr()).unwrap();
+        insert_keys(&mut client, 0..500);
+        assert_keys_hit(&mut client, 0..500);
         let batch = server.metrics().batch_stats();
         assert!(batch.batches > 0, "staged rounds must have run: {batch:?}");
         assert!(batch.ops >= 1_000, "every data op runs batched: {batch:?}");
@@ -1457,7 +1379,6 @@ mod tests {
 
     #[test]
     fn latency_feedback_resize_completes_and_samples_the_window() {
-        use cphash_kvproto::encode_resize;
         let mut server = CpServer::start(CpServerConfig {
             partitions: 2,
             max_partitions: 4,
@@ -1469,115 +1390,52 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
-        for key in 0..300u64 {
-            let mut wire = BytesMut::new();
-            encode_insert(&mut wire, key, &key.to_le_bytes());
-            stream.write_all(&wire).unwrap();
-        }
+        let mut client = RemoteClient::connect(server.addr()).unwrap();
+        insert_keys(&mut client, 0..300);
         // Lookups populate the latency window the pacer samples.
-        for key in 0..300u64 {
-            let got = lookup_roundtrip(&mut stream, &mut decoder, key);
-            assert_eq!(got.as_deref(), Some(&key.to_le_bytes()[..]));
-        }
-        let mut wire = BytesMut::new();
-        encode_resize(&mut wire, 4);
-        stream.write_all(&wire).unwrap();
-        let status = {
-            let mut buf = [0u8; 4096];
-            loop {
-                if let Some(resp) = decoder.next_response().unwrap() {
-                    break String::from_utf8(resp.value.expect("status string")).unwrap();
-                }
-                let n = stream.read(&mut buf).unwrap();
-                assert!(n > 0);
-                decoder.feed(&buf[..n]);
-            }
-        };
+        assert_keys_hit(&mut client, 0..300);
+        let status = client.admin_resize(4, 0).unwrap();
         assert!(
             status.starts_with("partitions=4"),
             "unexpected status {status:?}"
         );
         // Every key survives the latency-paced transition.
-        for key in 0..300u64 {
-            let got = lookup_roundtrip(&mut stream, &mut decoder, key);
-            assert_eq!(got.as_deref(), Some(&key.to_le_bytes()[..]), "key {key}");
-        }
+        assert_keys_hit(&mut client, 0..300);
         server.shutdown();
     }
 
     #[test]
     fn static_servers_refuse_resize_frames() {
-        use cphash_kvproto::encode_resize;
         // Default config: max_partitions == 0, table declared static.
         let mut server = CpServer::start(CpServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
+        let mut client = RemoteClient::connect(server.addr()).unwrap();
         // Even a *shrink* (which the router could technically satisfy) must
         // be refused on a static table.
-        let mut wire = BytesMut::new();
-        encode_resize(&mut wire, 1);
-        stream.write_all(&wire).unwrap();
-        let mut buf = [0u8; 256];
-        let status = loop {
-            if let Some(resp) = decoder.next_response().unwrap() {
-                break String::from_utf8(resp.value.expect("status string")).unwrap();
-            }
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0);
-            decoder.feed(&buf[..n]);
-        };
-        assert!(
-            status.starts_with("ERR resize disabled"),
-            "unexpected status {status:?}"
+        assert_eq!(
+            client.admin_resize(1, 0),
+            Err(KvError::Op(OpError::Unsupported))
         );
         // The data path is unaffected.
-        let mut wire = BytesMut::new();
-        encode_insert(&mut wire, 5, b"still works");
-        stream.write_all(&wire).unwrap();
-        let got = lookup_roundtrip(&mut stream, &mut decoder, 5);
-        assert_eq!(got.as_deref(), Some(&b"still works"[..]));
+        insert_keys(&mut client, 5..6);
+        assert_keys_hit(&mut client, 5..6);
         server.shutdown();
     }
 
     #[test]
     fn paced_resize_over_the_wire_reports_paced_waits() {
-        use cphash_kvproto::encode_resize_paced;
         let mut server = CpServer::start(CpServerConfig {
             partitions: 2,
             max_partitions: 4,
             ..Default::default()
         })
         .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
-        for key in 0..200u64 {
-            let mut wire = BytesMut::new();
-            encode_insert(&mut wire, key, &key.to_le_bytes());
-            stream.write_all(&wire).unwrap();
-        }
+        let mut client = RemoteClient::connect(server.addr()).unwrap();
+        insert_keys(&mut client, 0..200);
         // Resize 2 -> 4 with an explicit budget of 250 chunk hand-offs/sec
         // (64 chunks ≈ 256 ms minimum — well above the unpaced hand-off
         // latency, so the bucket must actually delay), overriding the
         // server's default (unpaced) configuration.
-        let mut wire = BytesMut::new();
-        encode_resize_paced(&mut wire, 4, 250);
-        stream.write_all(&wire).unwrap();
-        let status = {
-            let mut buf = [0u8; 4096];
-            loop {
-                if let Some(resp) = decoder.next_response().unwrap() {
-                    break String::from_utf8(resp.value.expect("status string")).unwrap();
-                }
-                let n = stream.read(&mut buf).unwrap();
-                assert!(n > 0, "server closed the connection");
-                decoder.feed(&buf[..n]);
-            }
-        };
+        let status = client.admin_resize(4, 250).unwrap();
         assert!(
             status.starts_with("partitions=4"),
             "unexpected status {status:?}"
@@ -1593,73 +1451,32 @@ mod tests {
             "a finite budget must delay some hand-offs: {status:?}"
         );
         // Data still intact after the paced transition.
-        for key in 0..200u64 {
-            let got = lookup_roundtrip(&mut stream, &mut decoder, key);
-            assert_eq!(got.as_deref(), Some(&key.to_le_bytes()[..]), "key {key}");
-        }
+        assert_keys_hit(&mut client, 0..200);
         server.shutdown();
     }
 
     #[test]
     fn resize_admin_command_repartitions_the_live_server() {
-        use cphash_kvproto::encode_resize;
         let mut server = CpServer::start(CpServerConfig {
             partitions: 2,
             max_partitions: 4,
             ..Default::default()
         })
         .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
+        let mut client = RemoteClient::connect(server.addr()).unwrap();
 
         // Populate, then resize 2 -> 4 over the wire.
-        for key in 0..500u64 {
-            let mut wire = BytesMut::new();
-            encode_insert(&mut wire, key, &key.to_le_bytes());
-            stream.write_all(&wire).unwrap();
-        }
-        let mut wire = BytesMut::new();
-        encode_resize(&mut wire, 4);
-        stream.write_all(&wire).unwrap();
-        let status = {
-            let mut buf = [0u8; 4096];
-            loop {
-                if let Some(resp) = decoder.next_response().unwrap() {
-                    break String::from_utf8(resp.value.expect("status string")).unwrap();
-                }
-                let n = stream.read(&mut buf).unwrap();
-                assert!(n > 0, "server closed the connection");
-                decoder.feed(&buf[..n]);
-            }
-        };
+        insert_keys(&mut client, 0..500);
+        let status = client.admin_resize(4, 0).unwrap();
         assert!(
             status.starts_with("partitions=4"),
             "unexpected status {status:?}"
         );
-
         // Every key must still be served after the live repartition.
-        for key in 0..500u64 {
-            let got = lookup_roundtrip(&mut stream, &mut decoder, key);
-            assert_eq!(got.as_deref(), Some(&key.to_le_bytes()[..]), "key {key}");
-        }
+        assert_keys_hit(&mut client, 0..500);
 
-        // Out-of-range and mid-size resizes report errors over the wire.
-        let mut wire = BytesMut::new();
-        encode_resize(&mut wire, 64);
-        stream.write_all(&wire).unwrap();
-        let status = {
-            let mut buf = [0u8; 4096];
-            loop {
-                if let Some(resp) = decoder.next_response().unwrap() {
-                    break String::from_utf8(resp.value.expect("status string")).unwrap();
-                }
-                let n = stream.read(&mut buf).unwrap();
-                assert!(n > 0);
-                decoder.feed(&buf[..n]);
-            }
-        };
-        assert!(status.starts_with("ERR"), "unexpected status {status:?}");
+        // Out-of-range resizes report errors over the wire.
+        assert_eq!(client.admin_resize(64, 0), Err(KvError::Op(OpError::Admin)));
         assert_eq!(server.metrics().snapshot().admin_commands, 2);
         server.shutdown();
     }

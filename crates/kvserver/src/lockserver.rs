@@ -44,7 +44,7 @@ impl Default for LockServerConfig {
             typical_value_bytes: 64,
             eviction: EvictionPolicy::Lru,
             lock_kind: LockKind::Spin,
-            frontend: FrontendKind::from_env(),
+            frontend: FrontendKind::default(),
         }
     }
 }
@@ -139,42 +139,27 @@ impl Drop for LockServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
-    use cphash_kvproto::{encode_insert, encode_lookup, ResponseDecoder};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
+    use cphash::{KeyRef, KvClient, RemoteClient};
 
-    fn lookup(stream: &mut TcpStream, decoder: &mut ResponseDecoder, key: u64) -> Option<Vec<u8>> {
-        let mut wire = BytesMut::new();
-        encode_lookup(&mut wire, key);
-        stream.write_all(&wire).unwrap();
-        let mut buf = [0u8; 4096];
-        loop {
-            if let Some(resp) = decoder.next_response().unwrap() {
-                return resp.value;
-            }
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0);
-            decoder.feed(&buf[..n]);
-        }
+    fn lookup(client: &mut RemoteClient, key: u64) -> Option<Vec<u8>> {
+        let hit = client.get_blocking(KeyRef::Hash(key)).unwrap();
+        hit.map(|value| value.as_slice().to_vec())
     }
 
     #[test]
     fn serves_the_same_protocol_as_cpserver() {
         let mut server = LockServer::start(LockServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
-        assert_eq!(lookup(&mut stream, &mut decoder, 7), None);
-        let mut wire = BytesMut::new();
-        encode_insert(&mut wire, 7, b"locked value");
-        stream.write_all(&wire).unwrap();
+        let mut client = RemoteClient::connect(server.addr()).unwrap();
+        assert_eq!(lookup(&mut client, 7), None);
+        assert!(client
+            .insert_blocking(KeyRef::Hash(7), b"locked value")
+            .unwrap());
         assert_eq!(
-            lookup(&mut stream, &mut decoder, 7).as_deref(),
+            lookup(&mut client, 7).as_deref(),
             Some(&b"locked value"[..])
         );
-        assert!(server.table_stats().inserts >= 1);
-        assert!(server.metrics().requests() >= 3);
+        assert_eq!(server.table_stats().inserts, 1);
+        assert_eq!(server.metrics().requests(), 3);
         server.shutdown();
     }
 
@@ -190,15 +175,9 @@ mod tests {
             return;
         };
         assert!(server.addr().is_ipv6());
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let mut decoder = ResponseDecoder::new();
-        let mut wire = BytesMut::new();
-        encode_insert(&mut wire, 9, b"over v6");
-        stream.write_all(&wire).unwrap();
-        assert_eq!(
-            lookup(&mut stream, &mut decoder, 9).as_deref(),
-            Some(&b"over v6"[..])
-        );
+        let mut client = RemoteClient::connect(server.addr()).unwrap();
+        assert!(client.insert_blocking(KeyRef::Hash(9), b"over v6").unwrap());
+        assert_eq!(lookup(&mut client, 9).as_deref(), Some(&b"over v6"[..]));
         server.shutdown();
     }
 
@@ -214,18 +193,15 @@ mod tests {
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 std::thread::spawn(move || {
-                    let mut stream = TcpStream::connect(addr).unwrap();
-                    let mut decoder = ResponseDecoder::new();
-                    for i in 0..100u64 {
-                        let key = t * 500 + i;
-                        let mut wire = BytesMut::new();
-                        encode_insert(&mut wire, key, &key.to_le_bytes());
-                        stream.write_all(&wire).unwrap();
+                    let mut client = RemoteClient::connect(addr).unwrap();
+                    for key in t * 500..t * 500 + 100 {
+                        assert!(client
+                            .insert_blocking(KeyRef::Hash(key), &key.to_le_bytes())
+                            .unwrap());
                     }
-                    for i in 0..100u64 {
-                        let key = t * 500 + i;
+                    for key in t * 500..t * 500 + 100 {
                         assert_eq!(
-                            lookup(&mut stream, &mut decoder, key).as_deref(),
+                            lookup(&mut client, key).as_deref(),
                             Some(&key.to_le_bytes()[..])
                         );
                     }

@@ -64,7 +64,7 @@ impl Default for MemcacheConfig {
             capacity_bytes_per_instance: None,
             buckets: 4096,
             eviction: EvictionPolicy::Lru,
-            frontend: FrontendKind::from_env(),
+            frontend: FrontendKind::default(),
             shared_port: false,
         }
     }
@@ -197,33 +197,7 @@ impl Drop for MemcacheCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
-    use cphash_kvproto::{encode_insert, encode_lookup, ResponseDecoder};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-
-    fn lookup(stream: &mut TcpStream, decoder: &mut ResponseDecoder, key: u64) -> Option<Vec<u8>> {
-        let mut wire = BytesMut::new();
-        encode_lookup(&mut wire, key);
-        stream.write_all(&wire).unwrap();
-        let mut buf = [0u8; 4096];
-        loop {
-            if let Some(resp) = decoder.next_response().unwrap() {
-                return resp.value;
-            }
-            match stream.read(&mut buf) {
-                Ok(n) if n > 0 => decoder.feed(&buf[..n]),
-                Ok(_) => panic!("connection closed"),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(e) => panic!("read error: {e}"),
-            }
-        }
-    }
+    use cphash::{KeyRef, KvClient, RemoteClient};
 
     #[test]
     fn cluster_serves_each_instance_independently() {
@@ -237,27 +211,27 @@ mod tests {
         assert_eq!(cluster.instances(), 2);
 
         // Client-side partitioning: even keys to instance 0, odd to 1.
-        let mut streams: Vec<TcpStream> = addrs
+        let mut clients: Vec<RemoteClient> = addrs
             .iter()
-            .map(|a| TcpStream::connect(a).unwrap())
+            .map(|a| RemoteClient::connect(*a).unwrap())
             .collect();
-        let mut decoders = [ResponseDecoder::new(), ResponseDecoder::new()];
         for key in 0..50u64 {
-            let inst = (key % 2) as usize;
-            let mut wire = BytesMut::new();
-            encode_insert(&mut wire, key, &key.to_le_bytes());
-            streams[inst].write_all(&wire).unwrap();
+            let client = &mut clients[(key % 2) as usize];
+            assert!(client
+                .insert_blocking(KeyRef::Hash(key), &key.to_le_bytes())
+                .unwrap());
         }
         for key in 0..50u64 {
-            let inst = (key % 2) as usize;
-            let got = lookup(&mut streams[inst], &mut decoders[inst], key);
-            assert_eq!(got.as_deref(), Some(&key.to_le_bytes()[..]), "key {key}");
+            let got = clients[(key % 2) as usize]
+                .get_blocking(KeyRef::Hash(key))
+                .unwrap();
+            assert_eq!(got.unwrap().as_slice(), key.to_le_bytes(), "key {key}");
         }
         // A key stored on instance 0 is invisible to instance 1 — the
         // instances really are independent.
-        assert_eq!(lookup(&mut streams[1], &mut decoders[1], 0), None);
-        assert!(cluster.total_elements() >= 50);
-        assert!(cluster.metrics().requests() >= 100);
+        assert_eq!(clients[1].get_blocking(KeyRef::Hash(0)).unwrap(), None);
+        assert_eq!(cluster.total_elements(), 50);
+        assert_eq!(cluster.metrics().requests(), 101);
         cluster.shutdown();
     }
 }

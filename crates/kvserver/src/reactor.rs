@@ -96,21 +96,6 @@ impl FrontendKind {
             FrontendKind::Uring => "uring",
         }
     }
-
-    /// Default for this process: `CPHASH_FRONTEND` if set, otherwise epoll
-    /// (which itself falls back to poll off-Linux).
-    ///
-    /// An *invalid* `CPHASH_FRONTEND` value panics rather than silently
-    /// picking a default: the variable exists so CI matrices and operators
-    /// can force a specific front-end, and a typo that quietly ran epoll
-    /// would make an epoll-vs-poll comparison measure epoll twice.
-    pub fn from_env() -> FrontendKind {
-        match std::env::var("CPHASH_FRONTEND") {
-            Ok(v) => FrontendKind::parse(v.trim().to_ascii_lowercase().as_str())
-                .unwrap_or_else(|e| panic!("CPHASH_FRONTEND: {e}")),
-            Err(_) => FrontendKind::default(),
-        }
-    }
 }
 
 impl core::fmt::Display for FrontendKind {
@@ -602,14 +587,14 @@ mod tests {
     fn uring_request_falls_back_to_epoll_when_disabled() {
         // The disable hook makes ring setup fail exactly like a kernel
         // without io_uring; the reactor must come up on epoll.
-        if std::env::var_os("CPHASH_URING_DISABLE").is_some() {
+        if crate::uring::uring_disabled() {
             return; // leave a suite-wide override alone
         }
-        std::env::set_var("CPHASH_URING_DISABLE", "1");
+        std::env::set_var(crate::uring::URING_DISABLE_ENV, "1");
         assert!(!reactor_available(FrontendKind::Uring));
         let r = Reactor::new(FrontendKind::Uring, stats());
         assert_eq!(r.kind(), FrontendKind::Epoll);
-        std::env::remove_var("CPHASH_URING_DISABLE");
+        std::env::remove_var(crate::uring::URING_DISABLE_ENV);
     }
 
     #[test]

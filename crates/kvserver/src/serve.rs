@@ -131,7 +131,6 @@ pub(crate) fn serve_sync<S: SyncStore>(
             metrics.note_io(read, 0);
             did_work |= !requests.is_empty();
             for request in requests.drain(..) {
-                let wants_response = request.wants_response;
                 let OpFrame { kind, key, value } = request.frame;
                 match kind {
                     OpKind::Lookup => {
@@ -160,20 +159,16 @@ pub(crate) fn serve_sync<S: SyncStore>(
                         let ok = stored.len() <= cphash_kvproto::MAX_VALUE_BYTES
                             && store.insert(hash, &stored);
                         metrics.note_insert();
-                        if wants_response {
-                            conn.queue_reply(&if ok {
-                                Reply::ok()
-                            } else {
-                                Reply::err(ErrCode::Capacity, b"ERR table out of capacity".to_vec())
-                            });
-                        }
+                        conn.queue_reply(&if ok {
+                            Reply::ok()
+                        } else {
+                            Reply::err(ErrCode::Capacity, b"ERR table out of capacity".to_vec())
+                        });
                     }
                     OpKind::Delete => {
                         let found = store.delete(key.hash());
                         metrics.note_delete();
-                        if wants_response {
-                            conn.queue_reply(&if found { Reply::ok() } else { Reply::miss() });
-                        }
+                        conn.queue_reply(&if found { Reply::ok() } else { Reply::miss() });
                     }
                     OpKind::Resize => {
                         // These tables are statically sized; report the
@@ -185,8 +180,8 @@ pub(crate) fn serve_sync<S: SyncStore>(
                         ));
                     }
                     OpKind::Stats => {
-                        // v2-only admin op: the reply value is the full
-                        // metrics snapshot in Prometheus text format.
+                        // Admin op: the reply value is the full metrics
+                        // snapshot in Prometheus text format.
                         // Rendering samples the partition counters through
                         // the store's locks, none of which is held here.
                         metrics.note_stats();

@@ -41,8 +41,8 @@
 //! savings — the batched-mutation + multishot design above already
 //! collapses the per-request syscall count below epoll's floor.
 //!
-//! Sizing: `CPHASH_URING_ENTRIES` sets the SQ depth (default 256; the
-//! kernel rounds up to a power of two and sizes the CQ at twice that).
+//! Sizing: the SQ depth is [`ENTRIES`] (the kernel rounds up to a power of
+//! two and sizes the CQ at twice that).
 
 use std::collections::HashMap;
 use std::io;
@@ -52,15 +52,14 @@ use cphash_sync::atomic::plain::{AtomicU32, Ordering};
 
 use crate::reactor::{EventBackend, RawFd};
 
-/// Default submission-queue depth (entries; kernel rounds to a power of 2).
-const DEFAULT_ENTRIES: u32 = 256;
-
-/// Environment variable overriding the submission-queue depth.
-pub const URING_ENTRIES_ENV: &str = "CPHASH_URING_ENTRIES";
+/// Submission-queue depth (entries; kernel rounds to a power of 2).
+const ENTRIES: u32 = 256;
 
 /// Environment variable that, when set to anything but `0`/empty, makes
 /// the uring front-end unavailable as if the kernel lacked io_uring — the
-/// test hook for the capability-fallback path.  Checked by the reactor's
+/// operator's kill switch, and the fallback tests' hook.  It is the one
+/// variable library code reads, and [`uring_disabled`] is the one place
+/// that reads it.  Checked by the reactor's
 /// backend selection, not by [`IoUringReactor::new`] itself, so direct
 /// constructor users (and their tests) are immune to it.
 pub const URING_DISABLE_ENV: &str = "CPHASH_URING_DISABLE";
@@ -146,15 +145,10 @@ impl IoUringReactor {
     /// caller's epoll fallback) on kernels without io_uring or with rings
     /// missing [`REQUIRED_FEATURES`].
     pub fn new() -> io::Result<IoUringReactor> {
-        let entries = std::env::var(URING_ENTRIES_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .map_or(DEFAULT_ENTRIES, |v| v.clamp(8, 4096));
-
         let mut params = libc::io_uring_params::default();
         // SAFETY: `params` is a live, zeroed io_uring_params the kernel
         // fills in; the returned fd is checked before use.
-        let ring = unsafe { libc::io_uring_setup(entries, &mut params) };
+        let ring = unsafe { libc::io_uring_setup(ENTRIES, &mut params) };
         if ring < 0 {
             return Err(io::Error::last_os_error());
         }

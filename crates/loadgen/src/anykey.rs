@@ -76,8 +76,7 @@ pub struct AnyKeyMixResult {
     pub deletes: u64,
     /// Deletes that removed a present key.
     pub delete_hits: u64,
-    /// Operations that completed `Failed(..)` (e.g. DELETE against a
-    /// v1-only backend).
+    /// Operations that completed `Failed(..)`.
     pub failures: u64,
     /// Wall-clock for the timed phase, in nanoseconds.
     pub elapsed_nanos: u64,

@@ -28,11 +28,15 @@ pub mod anykey;
 pub mod driver;
 pub mod ops;
 pub mod scaling;
+#[cfg(test)]
+mod stub_server;
 pub mod tcp;
 pub mod workload;
 
 pub use anykey::{run_anykey_mixed, AnyKeyMixOptions, AnyKeyMixResult};
 pub use driver::{run_cphash, run_lockhash, DriverOptions, RunResult};
 pub use ops::{KeyDistribution, Op, OpStream};
-pub use scaling::{run_connection_scaling, ConnectionScalingOptions, ConnectionScalingResult};
+pub use scaling::{
+    run_connection_scaling, BlockingConn, ConnectionScalingOptions, ConnectionScalingResult,
+};
 pub use workload::WorkloadSpec;

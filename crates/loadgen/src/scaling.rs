@@ -12,13 +12,65 @@
 //! benchmark, which runs this scenario against both the epoll and the
 //! busy-poll front-end and compares wake-ups at equal throughput.
 
-use std::io::{Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use cphash_kvproto::{encode_lookup, ResponseDecoder};
+use cphash_kvproto::{client_handshake, encode_op, OpFrame, ReplyDecoder, ReplyRef};
 use cphash_perfmon::LatencyHistogram;
+
+/// A blocking kvproto connection for harnesses that pace and pipeline by
+/// hand.  (`cphash::RemoteClient` polls a non-blocking socket while it
+/// waits, which would keep a thread busy through exactly the gaps a paced
+/// scenario leaves for the server to sleep in.)
+pub struct BlockingConn {
+    stream: TcpStream,
+    replies: ReplyDecoder,
+}
+
+impl BlockingConn {
+    /// Connect and complete the handshake.
+    pub fn open(addr: SocketAddr) -> io::Result<BlockingConn> {
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        client_handshake(&mut stream)?;
+        Ok(BlockingConn {
+            stream,
+            replies: ReplyDecoder::new(),
+        })
+    }
+
+    /// Write `wire` — whole encoded requests — and block until `expect`
+    /// replies have arrived, handing each to `each` in request order.
+    pub fn exchange(
+        &mut self,
+        wire: &[u8],
+        expect: usize,
+        mut each: impl FnMut(ReplyRef<'_>),
+    ) -> io::Result<()> {
+        self.stream.write_all(wire)?;
+        let mut received = 0;
+        while received < expect {
+            match self.replies.next_reply_ref() {
+                Ok(Some(reply)) => {
+                    each(reply);
+                    received += 1;
+                }
+                Ok(None) => {
+                    if self.replies.read_from(&mut self.stream)?.0 == 0 {
+                        return Err(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "server closed the connection mid-batch",
+                        ));
+                    }
+                }
+                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Options for a connection-scaling run.
 #[derive(Debug, Clone)]
@@ -96,12 +148,8 @@ pub fn run_connection_scaling(
     }
     let idle_open = idle.len();
 
-    let mut active: Vec<(TcpStream, ResponseDecoder)> = (0..opts.active_connections)
-        .map(|_| -> std::io::Result<_> {
-            let stream = TcpStream::connect(opts.addr)?;
-            stream.set_nodelay(true)?;
-            Ok((stream, ResponseDecoder::new()))
-        })
+    let mut active: Vec<BlockingConn> = (0..opts.active_connections)
+        .map(|_| BlockingConn::open(opts.addr))
         .collect::<Result<_, _>>()?;
 
     let batch_interval = opts.target_rps.map(|rps| {
@@ -111,7 +159,6 @@ pub fn run_connection_scaling(
 
     let mut histogram = LatencyHistogram::new();
     let mut wire = BytesMut::with_capacity(opts.pipeline * 16);
-    let mut read_buf = vec![0u8; 64 * 1024];
     let mut sent = 0u64;
     let mut conn_idx = 0usize;
     let started = Instant::now();
@@ -128,35 +175,13 @@ pub fn run_connection_scaling(
         let batch = (opts.requests - sent).min(opts.pipeline as u64) as usize;
         wire.clear();
         for i in 0..batch {
-            encode_lookup(&mut wire, (sent + i as u64) % 4096);
+            encode_op(&mut wire, &OpFrame::lookup((sent + i as u64) % 4096));
         }
-        let (stream, decoder) = &mut active[conn_idx];
+        let conn = &mut active[conn_idx];
         conn_idx = (conn_idx + 1) % opts.active_connections;
 
         let batch_start = Instant::now();
-        stream.write_all(&wire)?;
-        let mut received = 0usize;
-        while received < batch {
-            while let Some(_resp) = decoder
-                .next_response()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            {
-                received += 1;
-                if received == batch {
-                    break;
-                }
-            }
-            if received < batch {
-                let n = stream.read(&mut read_buf)?;
-                if n == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed an active connection mid-batch",
-                    ));
-                }
-                decoder.feed(&read_buf[..n]);
-            }
-        }
+        conn.exchange(&wire, batch, |_| {})?;
         histogram.record(batch_start.elapsed().as_micros() as u64);
         sent += batch as u64;
     }
@@ -175,48 +200,7 @@ pub fn run_connection_scaling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cphash_kvproto::{encode_response, RequestDecoder, RequestKind};
-    use std::net::TcpListener;
-
-    /// Minimal kv-protocol echo server (every lookup misses) that keeps
-    /// idle connections parked without dedicating a thread to each beyond
-    /// what the test needs.
-    fn spawn_stub_server() -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { break };
-                std::thread::spawn(move || {
-                    let mut decoder = RequestDecoder::new();
-                    let mut buf = vec![0u8; 16 * 1024];
-                    let mut out = BytesMut::new();
-                    let mut requests = Vec::new();
-                    loop {
-                        let n = match stream.read(&mut buf) {
-                            Ok(0) | Err(_) => return,
-                            Ok(n) => n,
-                        };
-                        decoder.feed(&buf[..n]);
-                        requests.clear();
-                        if decoder.drain(&mut requests).is_err() {
-                            return;
-                        }
-                        out.clear();
-                        for req in &requests {
-                            if req.kind == RequestKind::Lookup {
-                                encode_response(&mut out, None);
-                            }
-                        }
-                        if !out.is_empty() && stream.write_all(&out).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        addr
-    }
+    use crate::stub_server::spawn_stub_server;
 
     #[test]
     fn scenario_accounts_for_every_request() {

@@ -9,10 +9,7 @@
 //!
 //! Each connection is a [`cphash::RemoteClient`] driven through the
 //! [`cphash::KvClient`] trait — the same client the examples and admin
-//! tools use — so the generator exercises whatever protocol version the
-//! server negotiates (v2 with typed replies, or the legacy v1 framing via
-//! `RemoteClient`'s transparent fallback) without owning any wire code of
-//! its own.
+//! tools use — so the generator owns no wire code of its own.
 
 use std::io::ErrorKind;
 use std::net::SocketAddr;
@@ -132,8 +129,7 @@ pub fn run_tcp_load(spec: &WorkloadSpec, opts: &TcpLoadOptions) -> std::io::Resu
                         sent += batch_ops as u64;
                         // Drain the batch before pipelining the next one, the
                         // way the paper's clients alternate send and receive
-                        // phases.  (On a v1 connection inserts complete
-                        // client-side and only lookups wait on the wire.)
+                        // phases.
                         while client.pending_ops() > 0 {
                             completions.clear();
                             if client.poll_completions(&mut completions) == 0 {
@@ -174,66 +170,7 @@ pub fn run_tcp_load(spec: &WorkloadSpec, opts: &TcpLoadOptions) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
-    use cphash_kvproto::{RequestDecoder, RequestKind};
-    use std::io::{Read, Write};
-    use std::net::TcpListener;
-
-    /// A minimal in-test echo server speaking the v1 kv protocol: every
-    /// LOOKUP for an even key hits (returns the key bytes), odd keys miss,
-    /// and INSERTs are swallowed — enough to exercise the load generator's
-    /// pipelining and accounting without pulling in the real servers
-    /// (which live in `cphash-kvserver` and are tested there).  Being
-    /// v1-only it also proves the generator rides `RemoteClient`'s
-    /// transparent v1 fallback: the HELLO connection is rejected as a bad
-    /// opcode and the client reconnects speaking v1.
-    fn spawn_stub_server() -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { break };
-                // The real servers disable Nagle (kvserver sets nodelay on
-                // accept); without it the per-op client writes and delayed
-                // ACKs handshake into 40 ms stalls per response burst.
-                let _ = stream.set_nodelay(true);
-                std::thread::spawn(move || {
-                    let mut decoder = RequestDecoder::new();
-                    let mut buf = vec![0u8; 16 * 1024];
-                    let mut out = BytesMut::new();
-                    let mut requests = Vec::new();
-                    loop {
-                        let n = match stream.read(&mut buf) {
-                            Ok(0) | Err(_) => return,
-                            Ok(n) => n,
-                        };
-                        decoder.feed(&buf[..n]);
-                        requests.clear();
-                        if decoder.drain(&mut requests).is_err() {
-                            return;
-                        }
-                        out.clear();
-                        for req in &requests {
-                            if req.kind == RequestKind::Lookup {
-                                if req.key % 2 == 0 {
-                                    cphash_kvproto::encode_response(
-                                        &mut out,
-                                        Some(&req.key.to_le_bytes()),
-                                    );
-                                } else {
-                                    cphash_kvproto::encode_response(&mut out, None);
-                                }
-                            }
-                        }
-                        if !out.is_empty() && stream.write_all(&out).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        addr
-    }
+    use crate::stub_server::spawn_stub_server;
 
     #[test]
     fn load_generator_accounts_for_every_request() {
@@ -259,19 +196,5 @@ mod tests {
         assert!(result.lookup_hits <= result.lookups);
         assert!(result.throughput() > 0.0);
         assert!(result.throughput_per(2) < result.throughput());
-    }
-
-    #[test]
-    fn load_generator_negotiates_v1_against_legacy_servers() {
-        let addr = spawn_stub_server();
-        let mut client = RemoteClient::connect(addr).expect("connect");
-        assert_eq!(client.protocol_version(), 1);
-        client.submit(KvOp::Get(KeyRef::Hash(4)));
-        let mut out = Vec::new();
-        while client.poll_completions(&mut out) == 0 {
-            assert!(client.is_alive(), "stub dropped the v1 connection");
-            std::thread::yield_now();
-        }
-        assert!(matches!(out[0].kind, CompletionKind::LookupHit(_)));
     }
 }

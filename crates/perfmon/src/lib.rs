@@ -24,7 +24,7 @@
 //!   Prometheus-text renderer (what `cpserverd --stats-addr` serves).
 //! * [`trace`] — zero-cost-when-off, cycle-stamped stage tracing of the
 //!   operation hot path, with per-thread event rings and per-stage
-//!   histograms (`CPHASH_TRACE` / `cpserverd --trace`).
+//!   histograms (`cpserverd --trace`).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -15,9 +15,8 @@
 //! into the message ring); the rest on the server side (pulling a lane
 //! batch, the staged pipeline's two passes, and pushing responses).
 //!
-//! **Cost model.**  Tracing is off unless the `CPHASH_TRACE` environment
-//! variable (or `cpserverd --trace`, via [`set_trace_enabled`]) turns it
-//! on.  When off, a [`StageSpan`] is one relaxed atomic load and a branch
+//! **Cost model.**  Tracing is off until [`set_trace_enabled`] turns it on
+//! (`cpserverd --trace` does).  When off, a [`StageSpan`] is one relaxed atomic load and a branch
 //! per *batch* (not per operation) — the `ablate_prefetch --strict` gate
 //! holds this to ≤ 2 % of hot-loop throughput.  When on, each span costs
 //! two timestamp reads plus one uncontended mutex'd ring push.
@@ -27,7 +26,7 @@
 
 use cphash_sync::atomic::plain::{AtomicBool, AtomicUsize, Ordering};
 use std::cell::OnceCell;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 
 use crate::cycles::cycles_now;
 use crate::histogram::LatencyHistogram;
@@ -94,7 +93,6 @@ pub struct TraceEvent {
 pub const DEFAULT_RING_CAPACITY: usize = 16 * 1024;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
 static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 static THREADS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
 
@@ -102,36 +100,14 @@ thread_local! {
     static RING: OnceCell<Arc<ThreadRing>> = const { OnceCell::new() };
 }
 
-/// Read `CPHASH_TRACE` / `CPHASH_TRACE_RING` exactly once (before any
-/// explicit [`set_trace_enabled`] / [`set_ring_capacity`] can be
-/// overridden by them).
-#[inline]
-fn env_init() {
-    ENV_INIT.call_once(|| {
-        if let Ok(v) = std::env::var("CPHASH_TRACE") {
-            let off = matches!(v.as_str(), "" | "0" | "false" | "off");
-            if !off {
-                ENABLED.store(true, Ordering::Relaxed); // relaxed: diagnostic gauge; guards no data
-            }
-        }
-        if let Ok(v) = std::env::var("CPHASH_TRACE_RING") {
-            if let Ok(events) = v.parse::<usize>() {
-                RING_CAPACITY.store(events.max(1), Ordering::Relaxed); // relaxed: diagnostic gauge; guards no data
-            }
-        }
-    });
-}
-
 /// Is stage tracing currently on?
 #[inline]
 pub fn trace_enabled() -> bool {
-    env_init();
     ENABLED.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
 }
 
 /// Turn tracing on or off at runtime (`cpserverd --trace`, tests).
 pub fn set_trace_enabled(on: bool) {
-    env_init();
     ENABLED.store(on, Ordering::Relaxed); // relaxed: diagnostic gauge; guards no data
 }
 

@@ -7,19 +7,11 @@
 //! 3. the memcached-style baseline cluster behind a client-side
 //!    partitioning client,
 //!
-//! with identical observable results; plus both directions of version
-//! skew: a v1 client against a v2 server, and a v2 client against v1-only
-//! servers (graceful HELLO downgrade *and* the drop-and-reconnect
-//! fallback).
-
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+//! with identical observable results.
 
 use cphash_suite::kvserver::{CpServer, CpServerConfig, MemcacheCluster, MemcacheConfig};
 use cphash_suite::loadgen::{run_anykey_mixed, AnyKeyMixOptions};
-use cphash_suite::{
-    CpHash, CpHashConfig, KeyRef, KvClient, KvError, OpError, PartitionedClient, RemoteClient,
-};
+use cphash_suite::{CpHash, CpHashConfig, KeyRef, KvClient, PartitionedClient, RemoteClient};
 
 fn scenario() -> AnyKeyMixOptions {
     AnyKeyMixOptions {
@@ -129,160 +121,4 @@ fn one_scenario_three_backends_identical_results() {
     assert_eq!(in_proc.observation(), memcache.observation());
     assert!(in_proc.get_hits > 0 && in_proc.delete_hits > 0);
     assert_eq!(in_proc.failures, 0);
-}
-
-/// A v1 client (pre-versioning frames, no handshake) must still complete
-/// u64 lookups and inserts against a v2 server.
-#[test]
-fn v1_client_against_v2_server() {
-    use bytes::BytesMut;
-    use cphash_suite::kvproto::{encode_insert, encode_lookup, ResponseDecoder};
-
-    let mut server = CpServer::start(CpServerConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut decoder = ResponseDecoder::new();
-    let mut wire = BytesMut::new();
-    encode_insert(&mut wire, 7, b"legacy value");
-    encode_lookup(&mut wire, 7);
-    encode_lookup(&mut wire, 8);
-    stream.write_all(&wire).unwrap();
-    let mut responses = Vec::new();
-    let mut buf = [0u8; 4096];
-    while responses.len() < 2 {
-        if let Some(r) = decoder.next_response().unwrap() {
-            responses.push(r);
-            continue;
-        }
-        let n = stream.read(&mut buf).unwrap();
-        assert!(n > 0, "server closed a v1 connection");
-        decoder.feed(&buf[..n]);
-    }
-    assert_eq!(responses[0].value.as_deref(), Some(&b"legacy value"[..]));
-    assert_eq!(responses[1].value, None);
-
-    // The capped RemoteClient is the same wire dialect; DELETE degrades to
-    // a typed Unsupported failure instead of desyncing the stream.
-    let mut v1 = RemoteClient::connect_capped(server.addr(), 1).unwrap();
-    assert_eq!(v1.protocol_version(), 1);
-    assert!(v1.insert_blocking(KeyRef::Hash(9), b"nine").unwrap());
-    assert_eq!(
-        v1.get_blocking(KeyRef::Hash(9))
-            .unwrap()
-            .unwrap()
-            .as_slice(),
-        b"nine"
-    );
-    // Byte keys ride the client-side envelope in v1 mode.
-    assert!(v1.insert_blocking(KeyRef::Bytes(b"k:1"), b"v1").unwrap());
-    assert_eq!(
-        v1.get_blocking(KeyRef::Bytes(b"k:1"))
-            .unwrap()
-            .unwrap()
-            .as_slice(),
-        b"v1"
-    );
-    assert_eq!(
-        v1.delete_blocking(KeyRef::Hash(9)),
-        Err(KvError::Op(OpError::Unsupported))
-    );
-    drop(v1);
-    server.shutdown();
-}
-
-/// A v2 client against a server capped at v1: the HELLO is acked with
-/// version 1 and the same connection continues in legacy framing.
-#[test]
-fn v2_client_downgrades_gracefully_against_capped_server() {
-    let mut server = CpServer::start(CpServerConfig {
-        max_protocol: 1,
-        ..Default::default()
-    })
-    .unwrap();
-    let mut client = RemoteClient::connect(server.addr()).unwrap();
-    assert_eq!(client.protocol_version(), 1, "HELLO acked down to v1");
-    assert!(client.insert_blocking(KeyRef::Hash(5), b"five").unwrap());
-    assert_eq!(
-        client
-            .get_blocking(KeyRef::Hash(5))
-            .unwrap()
-            .unwrap()
-            .as_slice(),
-        b"five"
-    );
-    assert!(client.insert_blocking(KeyRef::Bytes(b"bk"), b"bv").unwrap());
-    assert_eq!(
-        client
-            .get_blocking(KeyRef::Bytes(b"bk"))
-            .unwrap()
-            .unwrap()
-            .as_slice(),
-        b"bv"
-    );
-    assert_eq!(client.get_blocking(KeyRef::Bytes(b"absent")).unwrap(), None);
-    drop(client);
-    server.shutdown();
-}
-
-/// A v2 client against a *pre-versioning* server that has never heard of
-/// the handshake: the server drops the connection on the magic byte and
-/// the client transparently reconnects speaking v1.
-#[test]
-fn v2_client_falls_back_when_a_v1_only_server_drops_the_handshake() {
-    // Minimal legacy server: first bad opcode closes the connection,
-    // otherwise it answers lookups with key bytes for even keys.
-    fn spawn_legacy_server() -> SocketAddr {
-        use cphash_suite::kvproto::{encode_response, RequestDecoder, RequestKind};
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { break };
-                std::thread::spawn(move || {
-                    let mut decoder = RequestDecoder::new();
-                    let mut buf = [0u8; 4096];
-                    let mut out = bytes::BytesMut::new();
-                    let mut requests = Vec::new();
-                    loop {
-                        let n = match stream.read(&mut buf) {
-                            Ok(0) | Err(_) => return,
-                            Ok(n) => n,
-                        };
-                        decoder.feed(&buf[..n]);
-                        requests.clear();
-                        if decoder.drain(&mut requests).is_err() {
-                            return; // drop on protocol violation, like the real v1 servers
-                        }
-                        out.clear();
-                        for req in &requests {
-                            if req.kind == RequestKind::Lookup {
-                                if req.key % 2 == 0 {
-                                    encode_response(&mut out, Some(&req.key.to_le_bytes()));
-                                } else {
-                                    encode_response(&mut out, None);
-                                }
-                            }
-                        }
-                        if !out.is_empty() && stream.write_all(&out).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        addr
-    }
-
-    let addr = spawn_legacy_server();
-    let mut client = RemoteClient::connect(addr).unwrap();
-    assert_eq!(client.protocol_version(), 1, "fell back after the drop");
-    assert_eq!(
-        client
-            .get_blocking(KeyRef::Hash(4))
-            .unwrap()
-            .unwrap()
-            .as_slice(),
-        &4u64.to_le_bytes()
-    );
-    assert_eq!(client.get_blocking(KeyRef::Hash(3)).unwrap(), None);
 }

@@ -3,19 +3,29 @@
 //! An accept/close storm across workers must leak no file descriptors and
 //! lose no responses, and the event-driven front-end's wake-ups must be
 //! bounded by *activity*, not by how many (idle) connections a worker
-//! holds.  The whole file honours `CPHASH_FRONTEND`, so CI runs it under
-//! both the epoll and the busy-poll front-end.
+//! holds.  The storm tests run the front-end [`frontend`] names, so CI
+//! repeats the file once per front-end.
 
 use bytes::BytesMut;
-use cphash_suite::kvproto::{encode_insert, encode_lookup, ResponseDecoder};
+use cphash_suite::kvproto::{encode_op, OpFrame, Status};
 use cphash_suite::kvserver::reactor::{reactor_available, FrontendKind, Reactor};
 use cphash_suite::kvserver::{
     CpServer, CpServerConfig, FrontendStats, LockServer, LockServerConfig, MemcacheCluster,
     MemcacheConfig,
 };
-use std::io::{Read, Write};
+use cphash_suite::loadgen::BlockingConn;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// The front-end under test: `CPHASH_FRONTEND` when the harness sets it,
+/// the shipped default otherwise.  A typo panics rather than quietly
+/// testing the default twice.
+fn frontend() -> FrontendKind {
+    match std::env::var("CPHASH_FRONTEND") {
+        Ok(v) => FrontendKind::parse(&v).unwrap_or_else(|e| panic!("CPHASH_FRONTEND: {e}")),
+        Err(_) => FrontendKind::default(),
+    }
+}
 
 /// Number of open file descriptors of this process (Linux); `None` where
 /// /proc is unavailable.
@@ -25,26 +35,25 @@ fn open_fds() -> Option<usize> {
         .map(|dir| dir.count())
 }
 
+/// One short-lived connection: handshake, then an insert and a lookup of
+/// the same key in one write; both must be answered, the lookup with the
+/// value just stored.
 fn roundtrip(addr: std::net::SocketAddr, key: u64) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut decoder = ResponseDecoder::new();
+    let mut conn = BlockingConn::open(addr).unwrap();
     let mut wire = BytesMut::new();
-    encode_insert(&mut wire, key, &key.to_le_bytes());
-    encode_lookup(&mut wire, key);
-    stream.write_all(&wire).unwrap();
-    let mut buf = [0u8; 4096];
-    let value = loop {
-        if let Some(resp) = decoder.next_response().unwrap() {
-            break resp.value;
-        }
-        let n = stream.read(&mut buf).unwrap();
-        assert!(n > 0, "server closed the connection mid-roundtrip");
-        decoder.feed(&buf[..n]);
-    };
+    encode_op(&mut wire, &OpFrame::insert(key, key.to_le_bytes()));
+    encode_op(&mut wire, &OpFrame::lookup(key));
+    let mut replies = Vec::new();
+    conn.exchange(&wire, 2, |reply| {
+        replies.push((reply.status, reply.value.to_vec()))
+    })
+    .unwrap();
     assert_eq!(
-        value.as_deref(),
-        Some(&key.to_le_bytes()[..]),
+        replies,
+        [
+            (Status::Ok, Vec::new()),
+            (Status::Ok, key.to_le_bytes().to_vec())
+        ],
         "lost or corrupted response for key {key}"
     );
 }
@@ -71,6 +80,7 @@ fn cpserver_accept_close_storm_leaks_nothing() {
     let mut server = CpServer::start(CpServerConfig {
         client_threads: 2,
         partitions: 2,
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -106,6 +116,7 @@ fn lockserver_accept_close_storm_leaks_nothing() {
     let mut server = LockServer::start(LockServerConfig {
         worker_threads: 2,
         partitions: 64,
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -125,6 +136,7 @@ fn lockserver_accept_close_storm_leaks_nothing() {
 fn memcache_accept_close_storm_leaks_nothing() {
     let mut cluster = MemcacheCluster::start(MemcacheConfig {
         instances: 1,
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -171,26 +183,13 @@ fn wakeups_bounded_by_activity_not_connection_count() {
     // Fixed activity: 40 pipelined batches on one connection.
     const BATCHES: u64 = 40;
     const PIPELINE: u64 = 50;
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut decoder = ResponseDecoder::new();
-    let mut buf = [0u8; 64 * 1024];
+    let mut conn = BlockingConn::open(addr).unwrap();
     for b in 0..BATCHES {
         let mut wire = BytesMut::new();
         for i in 0..PIPELINE {
-            encode_lookup(&mut wire, b * PIPELINE + i);
+            encode_op(&mut wire, &OpFrame::lookup(b * PIPELINE + i));
         }
-        stream.write_all(&wire).unwrap();
-        let mut received = 0;
-        while received < PIPELINE {
-            if let Some(_resp) = decoder.next_response().unwrap() {
-                received += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0);
-            decoder.feed(&buf[..n]);
-        }
+        conn.exchange(&wire, PIPELINE as usize, |_| {}).unwrap();
         // A small gap between batches: a connection-scanning front-end
         // would burn wake-ups here, an event-driven one sleeps.
         std::thread::sleep(Duration::from_millis(2));

@@ -21,7 +21,8 @@ use cphash_suite::alloc::{SlabAllocator, SlabConfig};
 use cphash_suite::channel::{ring, RingConfig};
 use cphash_suite::hashcore::{EvictionPolicy, Partition, PartitionConfig};
 use cphash_suite::kvproto::{
-    encode_insert, encode_lookup, encode_response, RequestDecoder, RequestKind, ResponseDecoder,
+    encode_hello, encode_op, encode_reply, OpFrame, Reply, ReplyDecoder, ServerDecoder,
+    ServerEvent, ServerOp, VERSION_2,
 };
 use cphash_suite::perfmon::{trace, LatencyHistogram, StageSpan, TraceStage};
 use cphash_suite::table::protocol;
@@ -206,47 +207,48 @@ proptest! {
         ),
         split in 1usize..64,
     ) {
-        // Encode a stream of frames, then decode it in arbitrary-sized
-        // slices; the decoded sequence must match exactly.
+        // Encode a session — the handshake, then a stream of frames — and
+        // decode it in arbitrary-sized slices; the decoded sequence must
+        // match exactly.
         let mut wire = BytesMut::new();
+        encode_hello(&mut wire, VERSION_2);
+        let mut expected = vec![ServerEvent::Hello { requested: VERSION_2 }];
         for (is_lookup, key, value) in &frames {
-            if *is_lookup {
-                encode_lookup(&mut wire, *key);
+            let frame = if *is_lookup {
+                OpFrame::lookup(*key)
             } else {
-                encode_insert(&mut wire, *key, value);
-            }
+                OpFrame::insert(*key, value.clone())
+            };
+            encode_op(&mut wire, &frame);
+            expected.push(ServerEvent::Op(ServerOp { frame }));
         }
-        let mut decoder = RequestDecoder::new();
+        let mut decoder = ServerDecoder::new();
         let mut decoded = Vec::new();
         for piece in wire.chunks(split) {
             decoder.feed(piece);
             decoder.drain(&mut decoded).unwrap();
         }
-        prop_assert_eq!(decoded.len(), frames.len());
-        for (req, (is_lookup, key, value)) in decoded.iter().zip(frames.iter()) {
-            prop_assert_eq!(req.key, *key);
-            if *is_lookup {
-                prop_assert_eq!(req.kind, RequestKind::Lookup);
-            } else {
-                prop_assert_eq!(req.kind, RequestKind::Insert);
-                prop_assert_eq!(&req.value, value);
-            }
-        }
+        prop_assert_eq!(decoded, expected);
     }
 
     #[test]
-    fn kv_responses_roundtrip(values in prop::collection::vec(prop::option::of(prop::collection::vec(any::<u8>(), 1..100)), 1..20)) {
+    fn kv_responses_roundtrip(values in prop::collection::vec(prop::option::of(prop::collection::vec(any::<u8>(), 0..100)), 1..20)) {
+        // A hit may carry an empty value; it must not read as a miss.
+        let replies: Vec<Reply> = values
+            .iter()
+            .map(|v| v.clone().map_or_else(Reply::miss, Reply::ok_value))
+            .collect();
         let mut wire = BytesMut::new();
-        for v in &values {
-            encode_response(&mut wire, v.as_deref());
+        for reply in &replies {
+            encode_reply(&mut wire, reply);
         }
-        let mut decoder = ResponseDecoder::new();
+        let mut decoder = ReplyDecoder::new();
         decoder.feed(&wire);
-        for v in &values {
-            let decoded = decoder.next_response().unwrap().expect("frame present");
-            prop_assert_eq!(&decoded.value, v);
+        for reply in &replies {
+            let decoded = decoder.next_reply().unwrap().expect("frame present");
+            prop_assert_eq!(&decoded, reply);
         }
-        prop_assert!(decoder.next_response().unwrap().is_none());
+        prop_assert!(decoder.next_reply().unwrap().is_none());
     }
 
     #[test]

@@ -1,12 +1,24 @@
 //! End-to-end tests of the three key/value servers over real TCP
 //! connections, driven by the bundled load generator — the §7 setup shrunk
-//! to test size.
+//! to test size.  Every server here runs the front-end [`frontend`] names,
+//! so CI repeats the file once per front-end.
 
 use cphash_suite::kvserver::{
-    CpServer, CpServerConfig, LockServer, LockServerConfig, MemcacheCluster, MemcacheConfig,
+    CpServer, CpServerConfig, FrontendKind, LockServer, LockServerConfig, MemcacheCluster,
+    MemcacheConfig,
 };
 use cphash_suite::loadgen::tcp::{run_tcp_load, TcpLoadOptions};
 use cphash_suite::loadgen::WorkloadSpec;
+
+/// The front-end under test: `CPHASH_FRONTEND` when the harness sets it,
+/// the shipped default otherwise.  A typo panics rather than quietly
+/// testing the default twice.
+fn frontend() -> FrontendKind {
+    match std::env::var("CPHASH_FRONTEND") {
+        Ok(v) => FrontendKind::parse(&v).unwrap_or_else(|e| panic!("CPHASH_FRONTEND: {e}")),
+        Err(_) => FrontendKind::default(),
+    }
+}
 
 fn small_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -28,6 +40,7 @@ fn cpserver_load_at_depth(batch_size: usize) {
         capacity_bytes: Some(64 * 1024),
         typical_value_bytes: 8,
         batch_size,
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -84,6 +97,7 @@ fn lockserver_under_tcp_load() {
         partitions: 64,
         capacity_bytes: Some(64 * 1024),
         typical_value_bytes: 8,
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -109,6 +123,7 @@ fn memcache_style_cluster_under_partitioned_load() {
     let mut cluster = MemcacheCluster::start(MemcacheConfig {
         instances: 2,
         capacity_bytes_per_instance: Some(32 * 1024),
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -182,17 +197,26 @@ fn delete_over_tcp_against_every_server() {
         );
     }
 
-    let mut cpserver = CpServer::start(CpServerConfig::default()).unwrap();
+    let mut cpserver = CpServer::start(CpServerConfig {
+        frontend: frontend(),
+        ..Default::default()
+    })
+    .unwrap();
     delete_roundtrip(cpserver.addr());
     assert!(cpserver.metrics().deletes() >= 3);
     cpserver.shutdown();
 
-    let mut lockserver = LockServer::start(LockServerConfig::default()).unwrap();
+    let mut lockserver = LockServer::start(LockServerConfig {
+        frontend: frontend(),
+        ..Default::default()
+    })
+    .unwrap();
     delete_roundtrip(lockserver.addr());
     lockserver.shutdown();
 
     let mut cluster = MemcacheCluster::start(MemcacheConfig {
         instances: 1,
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -210,6 +234,7 @@ fn overload_retry_sheds_to_the_client_resubmission_path() {
     // transparently), while the server's metrics prove shedding happened.
     let mut server = CpServer::start(CpServerConfig {
         overload_retry: Some(1),
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -257,7 +282,11 @@ fn oversized_envelope_is_refused_not_stored() {
     // MAX_VALUE_BYTES — and a stored oversized envelope would later produce
     // lookup replies no client decoder accepts, killing innocent readers'
     // connections.  The server must refuse the insert instead.
-    let mut server = CpServer::start(CpServerConfig::default()).unwrap();
+    let mut server = CpServer::start(CpServerConfig {
+        frontend: frontend(),
+        ..Default::default()
+    })
+    .unwrap();
     let mut client = RemoteClient::connect(server.addr()).unwrap();
     let big = vec![0x5Au8; MAX_VALUE_BYTES - 2];
     assert!(
@@ -286,57 +315,38 @@ fn oversized_envelope_is_refused_not_stored() {
 #[test]
 fn all_three_servers_agree_on_protocol_semantics() {
     // Insert a known key into each server and read it back through the same
-    // wire protocol; a miss must come back as an empty frame.
-    use bytes::BytesMut;
-    use cphash_suite::kvproto::{encode_insert, encode_lookup, ResponseDecoder};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
+    // client; a miss must come back as a typed miss, not an empty value.
+    use cphash_suite::{KeyRef, KvClient, RemoteClient};
 
     fn roundtrip(addr: std::net::SocketAddr) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut decoder = ResponseDecoder::new();
-        let mut wire = BytesMut::new();
-        encode_insert(&mut wire, 77, b"same value everywhere");
-        encode_lookup(&mut wire, 77);
-        encode_lookup(&mut wire, 78);
-        stream.write_all(&wire).unwrap();
-        let mut responses = Vec::new();
-        let mut buf = [0u8; 4096];
-        while responses.len() < 2 {
-            if let Some(r) = decoder.next_response().unwrap() {
-                responses.push(r);
-                continue;
-            }
-            match stream.read(&mut buf) {
-                Ok(n) if n > 0 => decoder.feed(&buf[..n]),
-                Ok(_) => panic!("connection closed early"),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(e) => panic!("read error: {e}"),
-            }
-        }
-        assert_eq!(
-            responses[0].value.as_deref(),
-            Some(&b"same value everywhere"[..])
-        );
-        assert_eq!(responses[1].value, None);
+        let mut client = RemoteClient::connect(addr).unwrap();
+        assert!(client
+            .insert_blocking(KeyRef::Hash(77), b"same value everywhere")
+            .unwrap());
+        let hit = client.get_blocking(KeyRef::Hash(77)).unwrap();
+        assert_eq!(hit.unwrap().as_slice(), b"same value everywhere");
+        assert_eq!(client.get_blocking(KeyRef::Hash(78)).unwrap(), None);
     }
 
-    let mut cpserver = CpServer::start(CpServerConfig::default()).unwrap();
+    let mut cpserver = CpServer::start(CpServerConfig {
+        frontend: frontend(),
+        ..Default::default()
+    })
+    .unwrap();
     roundtrip(cpserver.addr());
     cpserver.shutdown();
 
-    let mut lockserver = LockServer::start(LockServerConfig::default()).unwrap();
+    let mut lockserver = LockServer::start(LockServerConfig {
+        frontend: frontend(),
+        ..Default::default()
+    })
+    .unwrap();
     roundtrip(lockserver.addr());
     lockserver.shutdown();
 
     let mut cluster = MemcacheCluster::start(MemcacheConfig {
         instances: 1,
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -357,6 +367,7 @@ fn busy_worker_still_serves_new_connections_promptly() {
     let mut server = CpServer::start(CpServerConfig {
         client_threads: 1,
         partitions: 1,
+        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();

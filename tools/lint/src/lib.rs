@@ -13,8 +13,8 @@
 //! 4. `hot-path` — files tagged `// cphash-lint: hot-path` must not call
 //!    panicking or allocating constructs on shipped lines.
 //! 5. `env-read` — no `std::env::var` / `var_os` outside binaries and the
-//!    few library modules that still read a `CPHASH_*` variable
-//!    ([`ENV_READERS`]).  Configuration reaches a library through its
+//!    one library module that reads a variable ([`ENV_READERS`]: the
+//!    io_uring kill switch).  Configuration reaches a library through its
 //!    config structs; the list can only shrink.
 //!
 //! Escapes: a `// lint: allow(<rule>)` comment on the line itself or in the
@@ -81,15 +81,10 @@ fn is_facade(path: &Path) -> bool {
     p.ends_with("crates/sync/src/atomic.rs")
 }
 
-/// Library modules that still read an environment variable (`CPHASH_TRACE*`,
-/// `CPHASH_FRONTEND`, `CPHASH_URING_*`, `CPHASH_STATS_ADDR`).  Remove an
-/// entry when its read moves into process start-up; never add one.
-pub const ENV_READERS: [&str; 4] = [
-    "crates/perfmon/src/trace.rs",
-    "crates/kvserver/src/reactor.rs",
-    "crates/kvserver/src/uring.rs",
-    "crates/kvserver/src/cpserver.rs",
-];
+/// The library module that reads an environment variable:
+/// `uring::uring_disabled` consults `CPHASH_URING_DISABLE`, the operator's
+/// kill switch for the io_uring front-end.  Never add an entry.
+pub const ENV_READERS: [&str; 1] = ["crates/kvserver/src/uring.rs"];
 
 /// Files allowed to read the environment: binaries (a process may consult
 /// its own environment at start-up) and [`ENV_READERS`].
@@ -455,6 +450,7 @@ fn f(x: Option<u32>) -> u32 {
             "crates/core/src/config.rs",
             "crates/lockhash/src/config.rs",
             "crates/kvserver/src/acceptor.rs",
+            "crates/kvserver/src/reactor.rs",
         ] {
             let v = lint_str(library, read);
             assert_eq!(v.len(), 1, "{library}");
