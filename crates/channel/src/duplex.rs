@@ -5,8 +5,10 @@
 //! that: a request ring (client → server) and a response ring
 //! (server → client), returning the client-side and server-side endpoints.
 
+use std::sync::Arc;
+
 use crate::ring::{ring, Consumer, Producer, RingConfig};
-use crate::{ChannelStats, QueueFull};
+use crate::{ChannelStats, Doorbell, QueueFull};
 
 /// Client-side endpoint: sends requests, receives responses.
 pub struct DuplexClient<Req, Resp> {
@@ -42,6 +44,14 @@ where
 }
 
 impl<Req: Copy + Send, Resp: Copy + Send> DuplexClient<Req, Resp> {
+    /// Ring `doorbell` from every [`DuplexClient::flush`] that has queued
+    /// requests since the previous one (see [`Producer::with_doorbell`]).
+    /// All the request rings of one server share one doorbell.
+    pub fn with_doorbell(mut self, doorbell: Arc<Doorbell>) -> Self {
+        self.requests = self.requests.with_doorbell(doorbell);
+        self
+    }
+
     /// Queue a request (published lazily, a cache line at a time).
     #[inline]
     pub fn try_send(&mut self, request: Req) -> Result<(), QueueFull<Req>> {
@@ -54,9 +64,19 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexClient<Req, Resp> {
         self.requests.push_blocking(request)
     }
 
-    /// Publish any partially-filled request line to the server.
+    /// Publish any partially-filled request line to the server without
+    /// waking it (see [`Producer::publish`]); a [`DuplexClient::flush`]
+    /// must follow before the sender goes quiet.
     #[inline]
-    pub fn flush(&mut self) {
+    pub fn publish(&mut self) {
+        self.requests.publish()
+    }
+
+    /// Publish any partially-filled request line to the server and wake
+    /// it if it sleeps behind a doorbell.  Returns whether it did wake the
+    /// server (see [`Producer::flush`]).
+    #[inline]
+    pub fn flush(&mut self) -> bool {
         self.requests.flush()
     }
 
@@ -130,7 +150,7 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexServer<Req, Resp> {
     /// Publish any partially-filled response line to the client.
     #[inline]
     pub fn flush(&mut self) {
-        self.responses.flush()
+        self.responses.flush();
     }
 
     /// Number of requests currently visible from the client.

@@ -27,15 +27,19 @@
 //! * [`duplex`] — a client↔server pair of rings (requests one way,
 //!   responses the other), the unit CPHash instantiates per
 //!   (client, server) pair.
+//! * [`Doorbell`] — the flag a consumer sleeps behind once all its rings
+//!   have been empty for a while, rung by its producers' explicit flushes.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod doorbell;
 pub mod duplex;
 pub mod ring;
 pub mod single_slot;
 pub mod stats;
 
+pub use doorbell::Doorbell;
 pub use duplex::{duplex, DuplexClient, DuplexServer};
 pub use ring::{ring, Consumer, Producer, RingBuffer, RingConfig};
 pub use single_slot::SingleSlotChannel;

@@ -38,7 +38,7 @@ use cphash_sync::ModelUnsafeCell;
 
 use cphash_cacheline::{CacheAligned, CACHE_LINE_SIZE};
 
-use crate::{ChannelStats, QueueFull};
+use crate::{ChannelStats, Doorbell, QueueFull};
 
 /// Configuration of a ring buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +150,8 @@ pub fn ring<T: Copy + Send>(config: RingConfig) -> (Producer<T>, Consumer<T>) {
             published_write: 0,
             cached_read: 0,
             flush_threshold,
+            doorbell: None,
+            rung_write: 0,
             _not_sync: PhantomData,
         },
         Consumer {
@@ -175,10 +177,26 @@ pub struct Producer<T> {
     /// ring looks full — avoids touching the shared line on every push.
     cached_read: u64,
     flush_threshold: usize,
+    /// The consumer's doorbell, if it may sleep (see [`Doorbell`]).
+    doorbell: Option<Arc<Doorbell>>,
+    /// `temp_write` at the last explicit flush, i.e. the last time the
+    /// doorbell was considered.  Separate from `published_write` because a
+    /// full cache line publishes itself inside `try_push` without ringing:
+    /// the explicit flush that follows finds nothing left to publish and
+    /// must still ring for those messages.
+    rung_write: u64,
     _not_sync: PhantomData<core::cell::Cell<()>>,
 }
 
 impl<T: Copy + Send> Producer<T> {
+    /// Ring `doorbell` from every explicit [`Producer::flush`] that has
+    /// queued something since the previous one: for a consumer that goes to
+    /// sleep behind it when all its rings stay empty.
+    pub fn with_doorbell(mut self, doorbell: Arc<Doorbell>) -> Self {
+        self.doorbell = Some(doorbell);
+        self
+    }
+
     /// Try to enqueue a message. Automatically publishes the write index
     /// once a full cache line of messages has accumulated.
     ///
@@ -206,11 +224,11 @@ impl<T: Copy + Send> Producer<T> {
         self.temp_write += 1;
         self.shared
             .temp_write_index
-            // relaxed: diagnostic gauge only; the release store in flush()
+            // relaxed: diagnostic gauge only; the release store in publish()
             // is what publishes data.
             .store(self.temp_write, plain::Ordering::Relaxed);
         if self.temp_write - self.published_write >= self.flush_threshold as u64 {
-            self.flush();
+            self.publish();
         }
         Ok(())
     }
@@ -223,7 +241,9 @@ impl<T: Copy + Send> Producer<T> {
     /// Returns how many messages were accepted (a full ring accepts fewer
     /// than `messages.len()`, possibly zero); the batch is published
     /// immediately, partial cache lines included, since batch producers are
-    /// at the end of their gathering round by definition.
+    /// at the end of their gathering round by definition.  Publishing is
+    /// not ringing: a producer with a doorbell still owes the explicit
+    /// [`Producer::flush`].
     pub fn push_batch(&mut self, messages: &[T]) -> usize {
         let capacity = self.shared.mask + 1;
         let mut free = (capacity - (self.temp_write - self.cached_read)) as usize;
@@ -250,10 +270,10 @@ impl<T: Copy + Send> Producer<T> {
         self.temp_write += n as u64;
         self.shared
             .temp_write_index
-            // relaxed: diagnostic gauge only; the release store in flush()
+            // relaxed: diagnostic gauge only; the release store in publish()
             // is what publishes data.
             .store(self.temp_write, plain::Ordering::Relaxed);
-        self.flush();
+        self.publish();
         n
     }
 
@@ -276,9 +296,34 @@ impl<T: Copy + Send> Producer<T> {
     }
 
     /// Publish all written messages to the consumer (update the shared
-    /// write index).  The paper's clients call this at the end of a batch.
+    /// write index) and, if the consumer may sleep, wake it.  The paper's
+    /// clients call this at the end of a batch; the ring contract is that a
+    /// sender always does, which is what lets the consumer sleep at all.
+    ///
+    /// Returns whether this flush woke a sleeping consumer — the woken
+    /// thread is often queued behind the caller on the caller's own CPU, so
+    /// a caller about to spin for the reply should yield once first.
     #[inline]
-    pub fn flush(&mut self) {
+    pub fn flush(&mut self) -> bool {
+        self.publish();
+        if self.rung_write == self.temp_write {
+            return false;
+        }
+        self.rung_write = self.temp_write;
+        match &self.doorbell {
+            Some(doorbell) => doorbell.ring(),
+            None => false,
+        }
+    }
+
+    /// Update the shared write index without ringing: the consumer sees the
+    /// messages the next time it looks, and is not woken if it does not
+    /// look.  For a sender that wants a busy consumer to start on a batch
+    /// early and will [`Producer::flush`] before it stops sending — the
+    /// flush's fence stalls on the stores just made, so one per round is
+    /// better than two.
+    #[inline]
+    pub fn publish(&mut self) {
         if self.temp_write != self.published_write {
             self.shared
                 .write_index

@@ -46,7 +46,9 @@ proptest! {
                     // never exceed the ring capacity.
                     prop_assert!(pushed - popped.len() as u64 <= real_capacity);
                 }
-                Action::Flush => tx.flush(),
+                Action::Flush => {
+                    tx.flush();
+                }
                 Action::Pop(n) => {
                     for _ in 0..n {
                         match rx.try_pop() {

@@ -13,13 +13,21 @@
 //! redirect the client to the owning partition.  The invariant is that at
 //! every instant exactly one server will actually execute an operation on a
 //! given key, so no key is ever lost or duplicated while keys move.
+//!
+//! The other departure from §3.2 is that the loop is not continuous: the
+//! paper's server owns a core and accepts the idle polling (41 % of its
+//! time, §6.2); this one may share its CPU with the very client it serves,
+//! so after a short spin over empty lanes it sleeps behind a
+//! [`cphash_channel::Doorbell`] that every client's flush rings (see
+//! [`IDLE_SPIN_BEFORE_PARK`]).
 
 // cphash-lint: hot-path
 use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cphash_affinity::{pin_to_hw_thread, HwThreadId};
-use cphash_channel::DuplexServer;
+use cphash_channel::{Doorbell, DuplexServer};
 use cphash_hashcore::{partition_for_key, ExportOutcome, Partition, PartitionStats};
 use cphash_perfmon::trace::TraceStage;
 use cphash_perfmon::StageSpan;
@@ -44,6 +52,34 @@ const LANE_BATCH: usize = 256;
 /// is run-to-run spread.
 const IDLE_POLLS_PER_YIELD: u32 = 32;
 
+/// How long the lanes stay empty before an idle server stops spinning and
+/// sleeps until a client's flush rings its doorbell.  Sized from the
+/// workload that must *not* sleep: a saturated pipelined client
+/// (`tcp_pipelined_read`) leaves gaps of ~100 µs between bursts typically
+/// and up to 256 µs at its slowest, and a sleep that short is all cost — a
+/// cross-vCPU wake-up (16 µs at best on the reference guest, milliseconds
+/// when the hypervisor is busy) and a CPU gone idle for the scheduler to
+/// reshuffle the closed loop's threads onto (a PR 16 prototype that parked
+/// after 1 024 empty polls took that workload from ~650 k to ~410 k ops/s).
+/// So the spin phase covers them with a margin: in a build that never
+/// parks that workload shows 31–58 gaps per second of 200 µs or more but
+/// 17–24 of 300 µs or more — the stalls of a descheduled client, which no
+/// budget short of milliseconds rides out.  An open-loop client on 1 ms
+/// ticks leaves ~800 µs of silence per tick, which is what parking
+/// reclaims (`tcp_paced_values`: 59.9 → 27.9 µs of CPU per operation at
+/// 20 k ops/s; every further 100 µs of spin costs ~5 µs of that).  A
+/// constant with its measurement, not a knob: on dedicated cores the cost
+/// of sleeping is one futex wake after ≥ 300 µs of silence.
+const IDLE_SPIN_BEFORE_PARK: Duration = Duration::from_micros(300);
+
+/// The same budget for a server that has not served a request yet.  A
+/// thread that has just been spawned is usually waiting for a client that
+/// is still connecting (CPSERVER's first request arrives 0.2–0.8 ms after
+/// the thread starts), so its first sleep would last a few hundred
+/// microseconds and buy nothing; spare `max_partitions` servers, which
+/// may never get one, are asleep 2 ms after start-up instead of 0.3.
+const FIRST_REQUEST_SPIN_BEFORE_PARK: Duration = Duration::from_millis(2);
+
 /// Everything one server thread needs.
 pub(crate) struct ServerThread {
     /// Index of this server / partition.
@@ -57,6 +93,10 @@ pub(crate) struct ServerThread {
     pub pin: Option<HwThreadId>,
     /// Set by the table handle to stop the loop.
     pub stop: Arc<AtomicBool>,
+    /// What this server sleeps behind when idle: rung by the explicit flush
+    /// of every lane's client end (the control plane's included) and by
+    /// shutdown after it raises `stop`.
+    pub doorbell: Arc<Doorbell>,
     /// Shared runtime counters.
     pub stats: Arc<ServerStats>,
     /// Where the final (and periodically refreshed) partition statistics are
@@ -94,6 +134,8 @@ impl ServerThread {
         let mut scratch = Scratch::default();
         let mut words: Vec<u64> = Vec::with_capacity(LANE_BATCH); // lint: allow(hot-path) one-time setup before the loop
         let mut idle_streak: u32 = 0;
+        // When the current idle stretch was first timed (at a yield point).
+        let mut idle_since: Option<Instant> = None;
         let mut iterations: u64 = 0;
 
         // relaxed: stop flag; shutdown needs no ordering
@@ -135,19 +177,38 @@ impl ServerThread {
             if did_work {
                 self.stats.busy_iterations.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
                 idle_streak = 0;
+                idle_since = None;
             } else {
+                // An idle server keeps polling for a while, as the paper's
+                // does, but politely: a PAUSE between empty polls leaves
+                // the core to a hyperthread sibling, and a yield every few
+                // microseconds hands the CPU to whoever waits on this run
+                // queue — with fewer CPUs than busy threads that is the
+                // very client whose requests this loop is waiting for.  The
+                // clock is read at the yield points only, never on the busy
+                // path.  A drain in progress must not sleep: the export is
+                // retried every iteration and nothing rings when the last
+                // client endpoint disappears.
                 self.stats.idle_iterations.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
-                // An idle server keeps polling, as the paper's does, but
-                // politely: a PAUSE between empty polls leaves the core to a
-                // hyperthread sibling, and a yield every few microseconds
-                // hands the CPU to whoever waits on this run queue — with
-                // fewer CPUs than busy threads that is the very client
-                // whose requests this loop is waiting for.
                 idle_streak = idle_streak.wrapping_add(1);
-                if idle_streak.is_multiple_of(IDLE_POLLS_PER_YIELD) {
-                    std::thread::yield_now();
-                } else {
+                if !idle_streak.is_multiple_of(IDLE_POLLS_PER_YIELD) {
                     core::hint::spin_loop();
+                } else {
+                    let now = Instant::now();
+                    let since = *idle_since.get_or_insert(now);
+                    // relaxed: this thread's own counter
+                    let budget = if self.stats.busy_iterations.load(Ordering::Relaxed) == 0 {
+                        FIRST_REQUEST_SPIN_BEFORE_PARK
+                    } else {
+                        IDLE_SPIN_BEFORE_PARK
+                    };
+                    if now.duration_since(since) < budget || migration.draining.is_some() {
+                        std::thread::yield_now();
+                    } else {
+                        self.park_until_rung();
+                        // Whatever ended the sleep starts a fresh spin phase.
+                        idle_since = None;
+                    }
                 }
             }
             // Refresh the shared partition statistics occasionally so the
@@ -159,6 +220,38 @@ impl ServerThread {
 
         *self.partition_stats.lock() = self.partition.stats();
         self.stats.stopped.store(true, Ordering::Release);
+    }
+
+    /// Sleep until a client flush (or shutdown) rings the doorbell — unless
+    /// the re-check behind the raised flag finds a request or the stop flag
+    /// first (see [`Doorbell::park_unless`] for why in that order).  No
+    /// timeout: a parked server makes no iterations at all.
+    #[cold]
+    #[inline(never)] // keeps the sleep path out of the hot loop's body
+    fn park_until_rung(&mut self) {
+        // A sleeping server republishes nothing, and readers expect the
+        // statistics of a quiet table to be exact: publish before sleeping.
+        // (`queue_depth` already reads 0 from this empty iteration.)
+        *self.partition_stats.lock() = self.partition.stats();
+        let (stop, lanes, stats) = (&self.stop, &mut self.lanes, &self.stats);
+        let parked_at = cphash_perfmon::cycles_now();
+        let slept = self.doorbell.park_unless(|| {
+            // relaxed: ordered after the announce by the doorbell's fence
+            let stopping = stop.load(Ordering::Relaxed);
+            let pending = stopping || lanes.iter_mut().any(|l| l.pending_requests() > 0);
+            if !pending {
+                // Counted on the way in, so a scrape of a sleeping server
+                // already shows this sleep.
+                stats.parks.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+            }
+            pending
+        });
+        if slept {
+            let cycles = cphash_perfmon::cycles_now().wrapping_sub(parked_at);
+            self.stats
+                .parked_cycles
+                .fetch_add(cycles, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+        }
     }
 
     /// Process one batch of request words from one client lane.
@@ -524,11 +617,27 @@ mod tests {
     use cphash_channel::{duplex, DuplexClient, RingConfig};
     use cphash_hashcore::PartitionConfig;
 
+    /// Raises the stop flag and rings the doorbell, as `CpHash::shutdown`
+    /// does: a server that went to sleep would never see the flag alone.
+    struct Stopper {
+        stop: Arc<AtomicBool>,
+        doorbell: Arc<Doorbell>,
+    }
+
+    impl Stopper {
+        fn stop(&self) {
+            self.stop.store(true, Ordering::Release);
+            self.doorbell.ring();
+        }
+    }
+
     fn test_server(
         index: usize,
         router: Arc<EpochRouter>,
-    ) -> (DuplexClient<u64, Response>, ServerThread, Arc<AtomicBool>) {
+    ) -> (DuplexClient<u64, Response>, ServerThread, Stopper) {
         let (client, server_end) = duplex::<u64, Response>(RingConfig::with_capacity(1024));
+        let doorbell = Arc::new(Doorbell::new());
+        let client = client.with_doorbell(Arc::clone(&doorbell));
         let stop = Arc::new(AtomicBool::new(false));
         let server = ServerThread {
             index,
@@ -536,6 +645,7 @@ mod tests {
             lanes: vec![server_end],
             pin: None,
             stop: Arc::clone(&stop),
+            doorbell: Arc::clone(&doorbell),
             stats: Arc::new(ServerStats::new()),
             partition_stats: Arc::new(Mutex::new(PartitionStats::default())),
             router,
@@ -543,7 +653,7 @@ mod tests {
             executor: StagedExecutor::new(),
             batch_size: crate::config::DEFAULT_BATCH_SIZE,
         };
-        (client, server, stop)
+        (client, server, Stopper { stop, doorbell })
     }
 
     /// Drive a server thread object synchronously on the current thread by
@@ -585,7 +695,7 @@ mod tests {
                 core::hint::spin_loop();
             }
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.stop();
         handle.join().unwrap();
         responses
     }
@@ -629,7 +739,7 @@ mod tests {
         };
         assert!(resp.is_retry());
         assert_eq!(resp.retry_destination(), 1);
-        stop.store(true, Ordering::Relaxed);
+        stop.stop();
         handle.join().unwrap();
     }
 
@@ -651,7 +761,7 @@ mod tests {
             core::hint::spin_loop();
         };
         assert_eq!(resp, Response::MISS);
-        stop.store(true, Ordering::Relaxed);
+        stop.stop();
         handle.join().unwrap();
     }
 }

@@ -18,6 +18,11 @@ pub struct ServerStats {
     /// Loop iterations that found every queue empty ("the rest of the time
     /// is spent polling idle buffers", §6.2).
     pub idle_iterations: AtomicU64,
+    /// Times the server went to sleep behind its doorbell after its lanes
+    /// stayed empty (it makes no iterations, idle or busy, while asleep).
+    pub parks: AtomicU64,
+    /// Timestamp-counter cycles spent asleep, summed over `parks`.
+    pub parked_cycles: AtomicU64,
     /// Whether the server thread managed to pin itself to its assigned
     /// hardware thread.
     pub pinned: AtomicBool,
@@ -47,9 +52,11 @@ impl ServerStats {
         self.pinned.store(outcome.is_pinned(), Ordering::Relaxed); // relaxed: diagnostic gauge; guards no data
     }
 
-    /// Fraction of loop iterations that found work, in `[0, 1]` — the
-    /// utilization figure §6.2 reports as "server threads spend 59% of the
-    /// time processing … the rest is spent polling idle buffers".
+    /// Fraction of *awake* loop iterations that found work, in `[0, 1]` —
+    /// the utilization figure §6.2 reports as "server threads spend 59% of
+    /// the time processing … the rest is spent polling idle buffers".  A
+    /// parked server makes no iterations, so time asleep counts on neither
+    /// side: see [`ServerStats::parked_cycles`] for that share.
     pub fn utilization(&self) -> f64 {
         let busy = self.busy_iterations.load(Ordering::Relaxed) as f64; // relaxed: diagnostic snapshot; tearing across counters is fine
         let idle = self.idle_iterations.load(Ordering::Relaxed) as f64; // relaxed: diagnostic snapshot; tearing across counters is fine
@@ -78,6 +85,16 @@ impl ServerStats {
     /// Whether the server has exited.
     pub fn is_stopped(&self) -> bool {
         self.stopped.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
+    }
+
+    /// Times the server has gone to sleep so far.
+    pub fn parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
+    }
+
+    /// Cycles the server has spent asleep so far.
+    pub fn parked_cycles(&self) -> u64 {
+        self.parked_cycles.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
     }
 
     /// Most recent inbound queue-depth sample (words drained in one loop

@@ -5,7 +5,7 @@ use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use cphash_channel::{duplex, RingConfig};
+use cphash_channel::{duplex, Doorbell, RingConfig};
 use cphash_hashcore::{Partition, PartitionConfig, PartitionStats};
 use parking_lot::Mutex;
 
@@ -20,10 +20,11 @@ use crate::stats::{ServerStats, TableSnapshot};
 /// shared-memory message lanes connecting them to the client handles.
 ///
 /// When `max_partitions` exceeds the initial partition count, the extra
-/// server threads are spawned up front (idle-polling empty lanes) so the
-/// table can be re-partitioned live: the shared [`EpochRouter`] decides which
-/// servers own keys, and the `cphash-migrate` coordinator moves keys between
-/// them through the [`ControlHandle`].
+/// server threads are spawned up front (asleep behind their doorbells until
+/// the first control message arrives) so the table can be re-partitioned
+/// live: the shared [`EpochRouter`] decides which servers own keys, and the
+/// `cphash-migrate` coordinator moves keys between them through the
+/// [`ControlHandle`].
 ///
 /// Dropping the table (or calling [`CpHash::shutdown`]) stops the server
 /// threads and releases the partitions.  Client handles created from this
@@ -32,6 +33,9 @@ use crate::stats::{ServerStats, TableSnapshot};
 pub struct CpHash {
     config: CpHashConfig,
     stop: Arc<AtomicBool>,
+    /// One per spawned server, shared with the client end of each of its
+    /// lanes; shutdown rings them all so sleeping servers see `stop`.
+    doorbells: Vec<Arc<Doorbell>>,
     servers: Vec<JoinHandle<()>>,
     server_stats: Vec<Arc<ServerStats>>,
     partition_stats: Vec<Arc<Mutex<PartitionStats>>>,
@@ -60,12 +64,13 @@ impl CpHash {
         // lane_matrix[s][c] = server s's endpoint for client c; the last
         // "client" slot is the control plane.
         let lane_owners = config.clients + 1;
+        let doorbells: Vec<_> = (0..spawned).map(|_| Arc::new(Doorbell::new())).collect();
         let mut server_lanes: Vec<Vec<_>> = (0..spawned).map(|_| Vec::new()).collect();
         let mut client_lanes: Vec<Vec<_>> = (0..lane_owners).map(|_| Vec::new()).collect();
         for client_lane_list in client_lanes.iter_mut() {
-            for server_lane_list in server_lanes.iter_mut() {
+            for (server_lane_list, doorbell) in server_lanes.iter_mut().zip(&doorbells) {
                 let (client_end, server_end) = duplex(ring);
-                client_lane_list.push(client_end);
+                client_lane_list.push(client_end.with_doorbell(Arc::clone(doorbell)));
                 server_lane_list.push(server_end);
             }
         }
@@ -91,6 +96,7 @@ impl CpHash {
                 lanes,
                 pin: config.server_pins.get(index).copied(),
                 stop: Arc::clone(&stop),
+                doorbell: Arc::clone(&doorbells[index]),
                 stats: Arc::clone(&stats),
                 partition_stats: Arc::clone(&pstats),
                 router: Arc::clone(&router),
@@ -118,6 +124,7 @@ impl CpHash {
             CpHash {
                 config,
                 stop,
+                doorbells,
                 servers,
                 server_stats,
                 partition_stats,
@@ -174,7 +181,9 @@ impl CpHash {
     }
 
     /// Aggregate partition statistics (hits, evictions, …).  Refreshed
-    /// periodically by the server threads and finally at shutdown.
+    /// periodically by the server threads while they run, whenever one goes
+    /// to sleep (so a table left alone for a moment reads exact), and
+    /// finally at shutdown.
     pub fn partition_stats(&self) -> PartitionStats {
         let mut total = PartitionStats::default();
         for p in &self.partition_stats {
@@ -206,6 +215,9 @@ impl CpHash {
 
     fn shutdown_inner(&mut self) {
         self.stop.store(true, Ordering::Release);
+        for doorbell in &self.doorbells {
+            doorbell.ring();
+        }
         for handle in self.servers.drain(..) {
             let _ = handle.join();
         }
@@ -407,6 +419,67 @@ mod tests {
         assert!(snap.mean_utilization >= 0.0 && snap.mean_utilization <= 1.0);
         drop(clients);
         table.shutdown();
+    }
+
+    /// Poll `done` once a millisecond, for at most ten seconds.  Servers
+    /// park ~300 µs after their last request (2 ms after start-up if they
+    /// never get one); the bound only matters on a host running many tests
+    /// at once.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn partition_stats_are_exact_once_the_table_goes_quiet() {
+        // A sleeping server makes no iterations, so the every-4096th
+        // republish never comes: it publishes right before it sleeps
+        // instead, and a quiet table's shared statistics count every
+        // operation without a shutdown to flush them.
+        let (mut table, mut clients) = CpHash::with_partitions(2, 1);
+        let client = &mut clients[0];
+        for key in 0..300u64 {
+            assert!(client.insert(key, &key.to_le_bytes()).unwrap());
+        }
+        for key in 0..500u64 {
+            assert_eq!(client.get(key).unwrap().is_some(), key < 300);
+        }
+        let exact = eventually(|| {
+            let stats = table.partition_stats();
+            (stats.inserts, stats.lookups, stats.hits) == (300, 500, 300)
+        });
+        assert!(exact, "quiet table reads {:?}", table.partition_stats());
+        drop(clients);
+        table.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_servers_that_are_all_asleep() {
+        // Two active servers that have served a request and two spares that
+        // have never seen a message, all parked: shutdown has to ring every
+        // doorbell, since nothing else will ever wake them.
+        let config = CpHashConfig::new(2, 1).with_max_partitions(4);
+        let (mut table, mut clients) = CpHash::new(config);
+        clients[0].insert(1, b"x").unwrap();
+        clients[0].insert(2, b"y").unwrap();
+        assert!(eventually(|| table
+            .server_stats()
+            .iter()
+            .all(|s| s.parks() >= 1)));
+        let began = std::time::Instant::now();
+        table.shutdown();
+        let took = began.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(50),
+            "shutdown of a sleeping table took {took:?}"
+        );
+        assert!(table.server_stats().iter().all(|s| s.is_stopped()));
     }
 
     #[test]

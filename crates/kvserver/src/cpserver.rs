@@ -299,6 +299,12 @@ impl CpServer {
             .unwrap_or_default()
     }
 
+    /// Live counters of the table's server threads, one entry per spawned
+    /// partition server (empty once the server has shut down).
+    pub fn server_stats(&self) -> &[Arc<cphash::ServerStats>] {
+        self.table.as_ref().map_or(&[], |t| t.server_stats())
+    }
+
     /// Stop every thread and shut the table down.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);

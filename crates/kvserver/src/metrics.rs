@@ -182,6 +182,10 @@ pub struct StatsSnapshot {
     pub batch: BatchStats,
     /// Summed inbound queue-depth sample across server threads.
     pub queue_depth: u64,
+    /// Times the table's server threads went to sleep on empty lanes.
+    pub server_parks: u64,
+    /// Timestamp-counter cycles the table's server threads spent asleep.
+    pub server_parked_cycles: u64,
     /// Migration chunks handed off.
     pub migration_chunks: u64,
     /// Keys moved during live re-partitioning.
@@ -255,9 +259,12 @@ fn merged_batch(sources: &Mutex<Vec<Arc<cphash::ServerStats>>>) -> BatchStats {
     total
 }
 
-/// Sum every attached server's live queue-depth sample.
-fn summed_queue_depth(sources: &Mutex<Vec<Arc<cphash::ServerStats>>>) -> u64 {
-    sources.lock().iter().map(|s| s.queue_depth()).sum()
+/// Sum one gauge or counter over every attached server.
+fn summed(
+    sources: &Mutex<Vec<Arc<cphash::ServerStats>>>,
+    read: fn(&cphash::ServerStats) -> u64,
+) -> u64 {
+    sources.lock().iter().map(|s| read(s)).sum()
 }
 
 impl ServerMetrics {
@@ -360,7 +367,21 @@ impl ServerMetrics {
             "cphash_queue_depth",
             "Request words drained in the most recent loop iteration, summed over server threads",
             &[],
-            move || summed_queue_depth(&s) as f64,
+            move || summed(&s, cphash::ServerStats::queue_depth) as f64,
+        );
+        let s = Arc::clone(&batch_sources);
+        registry.counter_fn(
+            "cphash_server_parks_total",
+            "Times a partition server went to sleep after its lanes stayed empty",
+            &[],
+            move || summed(&s, cphash::ServerStats::parks),
+        );
+        let s = Arc::clone(&batch_sources);
+        registry.counter_fn(
+            "cphash_server_parked_cycles_total",
+            "Timestamp-counter cycles partition servers spent asleep, summed over server threads",
+            &[],
+            move || summed(&s, cphash::ServerStats::parked_cycles),
         );
 
         let p = Arc::clone(&partition_sources);
@@ -493,7 +514,9 @@ impl ServerMetrics {
             conn_read_syscalls: self.conn_read_syscalls.value(),
             conn_write_syscalls: self.conn_write_syscalls.value(),
             batch: self.batch_stats(),
-            queue_depth: summed_queue_depth(&self.batch_sources),
+            queue_depth: summed(&self.batch_sources, cphash::ServerStats::queue_depth),
+            server_parks: summed(&self.batch_sources, cphash::ServerStats::parks),
+            server_parked_cycles: summed(&self.batch_sources, cphash::ServerStats::parked_cycles),
             migration_chunks: self.migration.chunks_moved(),
             migration_keys: self.migration.keys_moved(),
             migration_paced_waits: self.migration.paced_waits(),
@@ -722,6 +745,12 @@ mod tests {
         m.frontend.note_syscalls(9);
         m.migration.note_repartition(7, 700, 1);
         m.migration.set_pacer_rate(3.25);
+        let table_server = Arc::new(cphash::ServerStats::new());
+        table_server.parks.store(6, Ordering::Relaxed);
+        table_server
+            .parked_cycles
+            .store(6_000_000, Ordering::Relaxed);
+        m.attach_batch_sources(&[table_server]);
         m.attach_partition_source(|| cphash::PartitionStats {
             inline_hits: 41,
             overflow_probes: 5,
@@ -790,6 +819,13 @@ mod tests {
             counter("cphash_batch_prefetches_total")
         );
         assert_eq!(unified.queue_depth as f64, gauge("cphash_queue_depth"));
+        assert_eq!(unified.server_parks, counter("cphash_server_parks_total"));
+        assert_eq!(unified.server_parks, 6);
+        assert_eq!(
+            unified.server_parked_cycles,
+            counter("cphash_server_parked_cycles_total")
+        );
+        assert_eq!(unified.server_parked_cycles, 6_000_000);
         assert_eq!(
             unified.migration_chunks,
             counter("cphash_migration_chunks_total")
@@ -825,6 +861,10 @@ mod tests {
         let text = m.render_prometheus();
         let parsed = cphash_perfmon::parse_prometheus_text(&text).expect("rendered text parses");
         assert!(parsed.iter().any(|s| s.name == "cphash_requests_total"));
+        assert!(parsed.iter().any(|s| s.name == "cphash_server_parks_total"));
+        assert!(parsed
+            .iter()
+            .any(|s| s.name == "cphash_server_parked_cycles_total"));
         assert!(parsed
             .iter()
             .any(|s| s.name == "cphash_request_latency_ns_count"));

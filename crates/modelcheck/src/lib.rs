@@ -64,6 +64,35 @@ mod tests {
     }
 
     #[test]
+    fn doorbell_no_lost_wakeup() {
+        let report = suites::check_doorbell_no_lost_wakeup();
+        // 30 172 interleavings at these bounds; far fewer would mean the
+        // consumer stopped reaching its second sleep.
+        assert!(
+            report.executions >= 10_000,
+            "exploration was not exhaustive"
+        );
+        assert_clean(report, "doorbell handshake");
+    }
+
+    #[test]
+    fn doorbell_check_then_announce_is_caught() {
+        let report = suites::check_doorbell_check_then_announce();
+        let v = report
+            .violation
+            .expect("checking the lanes before raising the flag must lose a wake-up");
+        assert!(
+            v.message.contains("lost wake-up"),
+            "expected a lost wake-up, got: {}",
+            v.message
+        );
+        assert!(!v.schedule.is_empty(), "violation must carry a schedule");
+        let replayed = suites::replay_doorbell_check_then_announce(&v.schedule)
+            .expect("the recorded schedule failed to reproduce the lost wake-up");
+        assert_eq!(replayed.message, v.message);
+    }
+
+    #[test]
     fn single_slot_rpc_round_trip() {
         assert_clean(suites::check_single_slot_rpc(), "single-slot RPC");
     }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use cphash::EpochRouter;
 use cphash_alloc::{class_for_size, SlabAllocator};
-use cphash_channel::{ring, RingConfig, SingleSlotChannel};
+use cphash_channel::{ring, Consumer, Doorbell, RingConfig, SingleSlotChannel};
 use cphash_sync::{ArrayLock, ModelUnsafeCell, RawLock, RawSpinLock, TicketLock};
 use loom::{Builder, Report};
 
@@ -119,6 +119,78 @@ pub fn check_ring_shipped_flush() -> Report {
         }
         handle.join().unwrap();
     })
+}
+
+/// How the consumer of the doorbell scenarios goes to sleep: the shipped
+/// [`Doorbell::park_unless`] or the seeded check-then-announce variant.
+type ParkFn = fn(&Doorbell, &mut dyn FnMut() -> bool) -> bool;
+
+/// Two producers, each with its own ring and one message, share one
+/// doorbell; the consumer sleeps behind it until both messages are visible
+/// and has nothing but the doorbell to wake it (the model never wakes a
+/// parked thread on its own, and there is no timeout).  Each producer does
+/// exactly what a CPHash client does: queue, then the explicit `flush()` —
+/// publish, fence, look at the flag, wake if it is up.
+fn doorbell_scenario(park: ParkFn) {
+    // A high flush threshold keeps `try_push` from publishing on its own:
+    // the explicit flush is the only publication and the only ring.
+    let cfg = RingConfig {
+        capacity: 2,
+        flush_threshold: Some(64),
+    };
+    let bell = Arc::new(Doorbell::new());
+    let mut consumers: Vec<Consumer<u64>> = Vec::new();
+    let mut producers = Vec::new();
+    for message in [1u64, 2] {
+        let (tx, rx) = ring::<u64>(cfg);
+        let mut tx = tx.with_doorbell(Arc::clone(&bell));
+        consumers.push(rx);
+        producers.push(loom::thread::spawn(move || {
+            tx.try_push(message).unwrap();
+            tx.flush();
+            // Handed back so the drop (a tracked liveness store) happens
+            // after the join, outside the explored window.
+            tx
+        }));
+    }
+    // "Pending" is the consumer's whole goal here — both messages visible —
+    // so every early return of the park is re-checked by the next call and
+    // the loop ends exactly when nothing is left to wait for.
+    while park(&bell, &mut || {
+        consumers.iter_mut().all(|rx| rx.available() > 0)
+    }) {}
+    for (rx, message) in consumers.iter_mut().zip([1u64, 2]) {
+        assert_eq!(rx.try_pop(), Some(message));
+    }
+    for producer in producers {
+        drop(producer.join().unwrap());
+    }
+}
+
+/// The doorbell handshake as shipped: announce, fence, re-check, sleep on
+/// one side; publish, fence, look, wake on the other.  Exhaustive over two
+/// producers and the consumer: on no interleaving does the consumer stay
+/// asleep with a message published (the explorer reports a parked thread
+/// nobody is left to wake as a lost wake-up).
+pub fn check_doorbell_no_lost_wakeup() -> Report {
+    builder().explore(|| doorbell_scenario(|bell, pending| bell.park_unless(pending)))
+}
+
+/// The seeded-bug regression for the doorbell: the consumer looks at its
+/// rings *before* raising the flag.  A flush that lands in between sees the
+/// flag down and does not wake; the consumer then sleeps on a published
+/// message.  The checker must report the lost wake-up.
+pub fn check_doorbell_check_then_announce() -> Report {
+    builder().explore(seeded_doorbell_scenario)
+}
+
+/// Replay one exact schedule of the seeded doorbell scenario.
+pub fn replay_doorbell_check_then_announce(schedule: &[usize]) -> Option<loom::Violation> {
+    builder().replay(schedule, seeded_doorbell_scenario)
+}
+
+fn seeded_doorbell_scenario() {
+    doorbell_scenario(|bell, pending| bell.park_check_then_announce_for_modelcheck(pending))
 }
 
 /// Single-slot channel: one full RPC round trip, client calling from a

@@ -20,7 +20,7 @@ use std::thread;
 
 use cphash::EpochRouter;
 use cphash_alloc::{class_for_size, SlabAllocator};
-use cphash_channel::{ring, RingConfig, SingleSlotChannel};
+use cphash_channel::{ring, Doorbell, RingConfig, SingleSlotChannel};
 use cphash_sync::{ArrayLock, ModelUnsafeCell, RawLock, RawSpinLock, TicketLock};
 
 /// A tiny xorshift PRNG so each thread can perturb its own schedule
@@ -92,6 +92,72 @@ fn ring_transfer_stress() {
     for j in joins {
         j.join().unwrap();
     }
+}
+
+/// Mirror of `check_doorbell_no_lost_wakeup`, and the half of the argument
+/// the model cannot give: it explores sequentially consistent interleavings,
+/// so it shows the *order* of announce → re-check and publish → look is
+/// right but would pass with both `SeqCst` fences deleted.  Here two
+/// producers publish a million messages through real store buffers while
+/// the consumer tries to sleep after every one it takes; each producer
+/// waits for its message to be consumed before sending the next, so every
+/// round is a fresh race between one flush and one park, and nothing but
+/// the doorbell — no timeout, no periodic poll — can end a sleep.  One lost
+/// wake-up hangs the test.
+///
+/// What it is worth, measured on the 2-CPU reference host: with the
+/// consumer's fence deleted it hangs within seconds in two runs of four;
+/// with only the producer's deleted it passed every time (the consumer's
+/// `mfence` makes its own sequence too slow to fit inside the few
+/// nanoseconds a store hides behind a load there), so that fence rests on
+/// the argument in its `// ordering:` comment, not on this test.
+#[test]
+fn doorbell_publish_park_stress() {
+    const ROUNDS: u64 = 1_000_000;
+    const PRODUCERS: u64 = 2;
+    let bell = Arc::new(Doorbell::new());
+    let mut consumers = Vec::new();
+    let mut joins = Vec::new();
+    for producer in 0..PRODUCERS {
+        let (tx, rx) = ring::<u64>(RingConfig::with_capacity(8));
+        let mut tx = tx.with_doorbell(Arc::clone(&bell));
+        consumers.push(rx);
+        joins.push(thread::spawn(move || {
+            let mut rng = XorShift::new(0xD00B_E110 + producer);
+            for i in 0..ROUNDS / PRODUCERS {
+                tx.try_push(i).unwrap();
+                tx.flush();
+                // Lock-step: the next publish races the consumer's next
+                // attempt to sleep, not a backlog.
+                while tx.free_slots() < tx.capacity() {
+                    cphash_sync::spin_hint();
+                }
+                rng.maybe_yield();
+            }
+        }));
+    }
+    let mut expected = vec![0u64; consumers.len()];
+    let mut received = 0u64;
+    let mut sleeps = 0u64;
+    let mut out = Vec::new();
+    while received < ROUNDS {
+        // Sleep first, drain second: the attempt to sleep comes right
+        // behind the read-index publish that releases the next flush.
+        sleeps += bell.park_unless(|| consumers.iter_mut().any(|rx| rx.available() > 0)) as u64;
+        for (rx, next) in consumers.iter_mut().zip(expected.iter_mut()) {
+            out.clear();
+            rx.pop_batch(&mut out, 8);
+            for &v in &out {
+                assert_eq!(v, *next, "ring lost, duplicated or reordered a slot");
+                *next += 1;
+                received += 1;
+            }
+        }
+    }
+    for j in joins {
+        j.join().unwrap();
+    }
+    assert!(sleeps > 0, "the consumer never actually slept");
 }
 
 /// Mirror of `check_single_slot_rpc`: two client/server pairs (4 threads)

@@ -27,6 +27,7 @@ pub mod atomic;
 pub mod lock_table;
 pub mod spinlock;
 pub mod stats;
+pub mod thread;
 pub mod ticket;
 
 pub use anderson::ArrayLock;
