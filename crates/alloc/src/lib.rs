@@ -16,11 +16,12 @@
 //! knows when to evict (the benchmark's "maximum hash table size" knob is a
 //! byte budget).
 //!
-//! [`SlabAllocator`] implements a segregated-fit allocator: power-of-two
-//! size classes, per-class free lists, chunked backing storage obtained from
-//! the global allocator.  [`ValueHandle`]s are stable raw-pointer handles a
-//! client thread can copy value bytes through while the server thread keeps
-//! ownership of the metadata.
+//! [`SlabAllocator`] implements a segregated-fit allocator: quarter-step
+//! size classes (four per doubling, so a block is less than a quarter
+//! larger than the request it serves), per-class free lists, chunked backing
+//! storage obtained from the global allocator.  [`ValueHandle`]s are stable
+//! raw-pointer handles a client thread can copy value bytes through while
+//! the server thread keeps ownership of the metadata.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -32,5 +33,5 @@ pub mod stats;
 
 pub use remote::RemoteFreeList;
 pub use size_class::{class_for_size, class_size, SizeClass, NUM_CLASSES};
-pub use slab::{SlabAllocator, SlabConfig, ValueHandle};
+pub use slab::{SlabAllocator, SlabConfig, ValueHandle, MAX_VALUE_BYTES};
 pub use stats::AllocStats;

@@ -124,8 +124,7 @@ impl RemoteFreeList {
     /// exists for tests that drain the stack directly.)
     #[cfg(test)]
     pub(crate) fn rebuild_handle(ptr: NonNull<u8>, class: SizeClass) -> ValueHandle {
-        let block = crate::size_class::class_size(class);
-        ValueHandle::from_block(ptr, block, class, block)
+        ValueHandle::new(ptr, crate::size_class::class_size(class), class)
     }
 }
 
@@ -172,6 +171,43 @@ mod tests {
         // the owner so accounting closes.
         for ptr in [p2, p1] {
             let h = RemoteFreeList::rebuild_handle(NonNull::new(ptr as *mut u8).unwrap(), class);
+            a.free(h);
+        }
+        assert_eq!(a.stats().outstanding(), 0);
+    }
+
+    #[test]
+    fn quarter_step_class_round_trips_through_the_owner() {
+        // 1 048 bytes lands in the 1 280-byte class, whose blocks sit at a
+        // stride that is not a power of two: reclaim must credit exactly
+        // that many bytes per block and hand the same blocks out again.
+        let mut a = SlabAllocator::unbounded();
+        let remote = Arc::clone(a.remote_list());
+        let class = class_for_size(1048);
+        assert_eq!(crate::size_class::class_size(class), 1280);
+        let handles: Vec<ValueHandle> = (0..60).map(|_| a.allocate(1048).unwrap()).collect();
+        assert_eq!(a.bytes_in_use(), 60 * 1280);
+        let mut freed: Vec<u64> = handles.iter().map(|h| h.addr()).collect();
+        for h in handles {
+            remote.push(h).unwrap();
+        }
+        assert!(remote.has_pending(class));
+        assert!(!remote.has_pending(class_for_size(1024)));
+        assert_eq!(a.reclaim_remote(), 60);
+        assert_eq!(a.bytes_in_use(), 0);
+        assert_eq!(a.stats().remote_reclaims, 60);
+        let reserved = a.stats().bytes_reserved;
+        let again: Vec<ValueHandle> = (0..60).map(|_| a.allocate(1280).unwrap()).collect();
+        assert_eq!(
+            a.stats().bytes_reserved,
+            reserved,
+            "reclaimed blocks reused"
+        );
+        let mut reused: Vec<u64> = again.iter().map(|h| h.addr()).collect();
+        freed.sort_unstable();
+        reused.sort_unstable();
+        assert_eq!(freed, reused);
+        for h in again {
             a.free(h);
         }
         assert_eq!(a.stats().outstanding(), 0);

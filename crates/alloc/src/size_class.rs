@@ -1,8 +1,13 @@
-//! Power-of-two size classes.
+//! Quarter-step size classes.
 //!
-//! Allocation requests are rounded up to the next power of two (minimum 8
-//! bytes).  Classes above [`MAX_CLASS_BYTES`] are "huge" and served by a
-//! dedicated allocation per value rather than a slab chunk.
+//! Allocation requests are rounded up to the next class: 8 bytes, then
+//! 16/32/48/64, then four classes per doubling (1.25, 1.5, 1.75 and 2 × 2ᵏ)
+//! up to [`MAX_CLASS_BYTES`].  A request of 64 bytes or more therefore
+//! wastes less than a quarter of its block, and every class above the
+//! 8-byte one is a multiple of 16 so the slab's block alignment holds when a
+//! chunk is carved at class-size strides.  Requests above
+//! [`MAX_CLASS_BYTES`] are "huge" and served by a dedicated allocation per
+//! value rather than a slab chunk.
 
 /// Smallest block handed out, in bytes (one 64-bit word — the microbenchmark
 /// values are exactly this size).
@@ -12,9 +17,16 @@ pub const MIN_CLASS_BYTES: usize = 8;
 /// allocations with their own backing chunk.
 pub const MAX_CLASS_BYTES: usize = 1 << 20;
 
-/// Number of slab size classes (8, 16, 32, …, 1 MiB).
+/// log₂ of the first size (64) whose doubling is cut into quarter steps;
+/// below it the steps are a flat 16 bytes.
+const QUARTER_BASE_LOG2: u32 = 6;
+
+/// Number of slab size classes: the 8-byte class, 16/32/48/64, and four per
+/// doubling from 64 up to [`MAX_CLASS_BYTES`].
 pub const NUM_CLASSES: usize =
-    (MAX_CLASS_BYTES.trailing_zeros() - MIN_CLASS_BYTES.trailing_zeros()) as usize + 1;
+    5 + 4 * (MAX_CLASS_BYTES.trailing_zeros() - QUARTER_BASE_LOG2) as usize;
+
+const _: () = assert!(NUM_CLASSES == 61);
 
 /// Index of a size class. `SizeClass(NUM_CLASSES)` is used internally to tag
 /// huge allocations.
@@ -39,18 +51,23 @@ impl SizeClass {
 /// around even for empty values).
 #[inline]
 pub fn class_for_size(size: usize) -> SizeClass {
-    let size = size.max(MIN_CLASS_BYTES);
+    if size <= MIN_CLASS_BYTES {
+        return SizeClass(0);
+    }
     if size > MAX_CLASS_BYTES {
         return SizeClass::HUGE;
     }
-    let class = size
-        .next_power_of_two()
-        .trailing_zeros()
-        .saturating_sub(MIN_CLASS_BYTES.trailing_zeros()) as usize;
-    SizeClass(class)
+    // `last` is the highest byte offset the block must cover.  Its top set
+    // bit picks the doubling and the two bits below it the quarter; under 64
+    // the doubling is pinned so the same shift yields the flat 16-byte steps.
+    let last = size - 1;
+    let log2 = (usize::BITS - 1 - last.leading_zeros()).max(QUARTER_BASE_LOG2);
+    let quarter = last >> (log2 - 2);
+    SizeClass(1 + 4 * (log2 - QUARTER_BASE_LOG2) as usize + quarter)
 }
 
-/// Number of usable bytes in a block of the given class.
+/// Number of usable bytes in a block of the given class — the exact inverse
+/// of [`class_for_size`].
 ///
 /// For [`SizeClass::HUGE`] the block size equals the request, so callers
 /// must track it themselves; this function panics to catch misuse.
@@ -60,7 +77,17 @@ pub fn class_size(class: SizeClass) -> usize {
         !class.is_huge(),
         "huge allocations have no fixed class size"
     );
-    MIN_CLASS_BYTES << class.0
+    let Some(step) = class.0.checked_sub(1) else {
+        return MIN_CLASS_BYTES;
+    };
+    // Steps 0..4 are 16/32/48/64; from there every group of four is one
+    // doubling cut into quarters 5/4 .. 8/4.
+    let (quarter, shift) = if step < 4 {
+        (step, QUARTER_BASE_LOG2 as usize - 2)
+    } else {
+        (4 + step % 4, QUARTER_BASE_LOG2 as usize - 3 + step / 4)
+    };
+    (quarter + 1) << shift
 }
 
 #[cfg(test)]
@@ -69,8 +96,8 @@ mod tests {
 
     #[test]
     fn class_count_matches_range() {
-        // 8 = 2^3, 1 MiB = 2^20 → 18 classes.
-        assert_eq!(NUM_CLASSES, 18);
+        // 8, then 16/32/48/64, then 4 × the 14 doublings 64 → 1 MiB.
+        assert_eq!(NUM_CLASSES, 61);
     }
 
     #[test]
@@ -82,25 +109,34 @@ mod tests {
     }
 
     #[test]
-    fn powers_of_two_map_to_their_own_class() {
+    fn class_sizes_map_to_their_own_class() {
         assert_eq!(class_for_size(16), SizeClass(1));
-        assert_eq!(class_for_size(64), SizeClass(3));
-        assert_eq!(class_for_size(4096), SizeClass(9));
+        assert_eq!(class_for_size(64), SizeClass(4));
+        assert_eq!(class_for_size(80), SizeClass(5));
+        assert_eq!(class_for_size(128), SizeClass(8));
         assert_eq!(class_size(class_for_size(4096)), 4096);
+        for c in 0..NUM_CLASSES {
+            assert_eq!(class_for_size(class_size(SizeClass(c))), SizeClass(c));
+        }
     }
 
     #[test]
-    fn non_powers_round_up() {
+    fn requests_between_classes_round_up() {
         assert_eq!(class_for_size(9), SizeClass(1));
         assert_eq!(class_size(class_for_size(9)), 16);
-        assert_eq!(class_size(class_for_size(100)), 128);
-        assert_eq!(class_size(class_for_size(1500)), 2048);
+        assert_eq!(class_size(class_for_size(33)), 48);
+        assert_eq!(class_size(class_for_size(65)), 80);
+        assert_eq!(class_size(class_for_size(100)), 112);
+        assert_eq!(class_size(class_for_size(1048)), 1280);
+        assert_eq!(class_size(class_for_size(1500)), 1536);
     }
 
     #[test]
     fn huge_requests_are_tagged() {
         assert_eq!(class_for_size(MAX_CLASS_BYTES), SizeClass(NUM_CLASSES - 1));
+        assert_eq!(class_size(SizeClass(NUM_CLASSES - 1)), MAX_CLASS_BYTES);
         assert!(class_for_size(MAX_CLASS_BYTES + 1).is_huge());
+        assert!(class_for_size(usize::MAX).is_huge());
         assert!(SizeClass::HUGE.is_huge());
     }
 
@@ -111,10 +147,42 @@ mod tests {
     }
 
     #[test]
-    fn every_class_size_fits_its_requests() {
-        for size in 1..=4096usize {
-            let class = class_for_size(size);
-            assert!(class_size(class) >= size, "size={size}");
+    fn every_class_above_the_word_is_a_multiple_of_sixteen() {
+        let mut previous = 0;
+        for c in 0..NUM_CLASSES {
+            let bytes = class_size(SizeClass(c));
+            assert!(bytes > previous, "class {c} does not grow");
+            assert!(
+                c == 0 || bytes.is_multiple_of(16),
+                "class {c} is {bytes} bytes"
+            );
+            previous = bytes;
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a million rounds of safe arithmetic")]
+    fn every_request_fits_its_class_with_bounded_waste() {
+        let mut previous = SizeClass(0);
+        for size in 1..=MAX_CLASS_BYTES {
+            let class = class_for_size(size);
+            assert!(class >= previous, "size={size}: class went down");
+            previous = class;
+            let block = class_size(class);
+            assert!(block >= size, "size={size} block={block}");
+            // The next class down must not have fitted.
+            assert!(
+                class.0 == 0 || class_size(SizeClass(class.0 - 1)) < size,
+                "size={size} skipped a class"
+            );
+            if size >= 64 {
+                assert!(
+                    (block - size) * 4 < size,
+                    "size={size} wastes {} of {block}",
+                    block - size
+                );
+            }
+        }
+        assert!(class_for_size(MAX_CLASS_BYTES + 1).is_huge());
     }
 }

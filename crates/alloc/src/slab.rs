@@ -10,9 +10,14 @@ use crate::stats::AllocStats;
 
 /// Maximum guaranteed block alignment. Blocks are aligned to
 /// `min(block_bytes, BLOCK_ALIGN)`: the 8-byte class hands out 8-aligned
-/// words, every larger class hands out 16-aligned blocks (what the C
-/// implementation's malloc would have provided).
+/// words, every larger class is a multiple of 16 bytes and hands out
+/// 16-aligned blocks (what the C implementation's malloc would have
+/// provided).
 pub const BLOCK_ALIGN: usize = 16;
+
+/// Longest value a [`ValueHandle`] can describe: the handle keeps the
+/// length in 32 bits, the width the CPHash response word carries it in.
+pub const MAX_VALUE_BYTES: usize = u32::MAX as usize;
 
 /// Alignment guaranteed for a block of `block_bytes` usable bytes.
 pub const fn alignment_for(block_bytes: usize) -> usize {
@@ -53,6 +58,17 @@ impl SlabConfig {
     }
 }
 
+/// Bytes a block of `class` holding a `len`-byte value is accounted as: the
+/// class size, or the value's own length for a huge block.
+#[inline]
+fn block_bytes_of(class: SizeClass, len: usize) -> usize {
+    if class.is_huge() {
+        len
+    } else {
+        class_size(class)
+    }
+}
+
 /// A stable handle to an allocated value block.
 ///
 /// The handle is what travels in CPHash response messages: the server
@@ -64,10 +80,16 @@ impl SlabConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueHandle {
     ptr: NonNull<u8>,
-    len: usize,
-    class: SizeClass,
-    block_bytes: usize,
+    /// Requested length; at most [`MAX_VALUE_BYTES`].
+    len: u32,
+    /// Size-class index, `NUM_CLASSES` for a huge block.  The block size is
+    /// derived from it (or from `len` for huge blocks), not stored.
+    class: u8,
 }
+
+// One handle sits in every element header, so its size is bytes per key.
+const _: () = assert!(core::mem::size_of::<ValueHandle>() == 16);
+const _: () = assert!(NUM_CLASSES <= u8::MAX as usize);
 
 // SAFETY: the handle is just a pointer + sizes; synchronization of the
 // pointed-to bytes is the CPHash protocol's responsibility (refcounts and
@@ -79,7 +101,7 @@ impl ValueHandle {
     /// Length, in bytes, that was requested for this value.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Returns `true` for zero-length values.
@@ -91,7 +113,7 @@ impl ValueHandle {
     /// Bytes actually reserved (the size class the request rounded up to).
     #[inline]
     pub fn block_bytes(&self) -> usize {
-        self.block_bytes
+        block_bytes_of(self.class(), self.len())
     }
 
     /// Raw pointer to the first byte of the block.
@@ -110,22 +132,16 @@ impl ValueHandle {
     /// The size class this block belongs to.
     #[inline]
     pub(crate) fn class(&self) -> SizeClass {
-        self.class
+        SizeClass(self.class as usize)
     }
 
-    /// Rebuild a handle from its raw parts (remote free-list tests).
-    #[cfg(test)]
-    pub(crate) fn from_block(
-        ptr: NonNull<u8>,
-        len: usize,
-        class: SizeClass,
-        block_bytes: usize,
-    ) -> ValueHandle {
+    /// A handle to `len` bytes at `ptr`, in a block of `class`.
+    pub(crate) fn new(ptr: NonNull<u8>, len: usize, class: SizeClass) -> ValueHandle {
+        debug_assert!(len <= MAX_VALUE_BYTES && class.0 <= NUM_CLASSES);
         ValueHandle {
             ptr,
-            len,
-            class,
-            block_bytes,
+            len: len as u32,
+            class: class.0 as u8,
         }
     }
 
@@ -138,7 +154,7 @@ impl ValueHandle {
     #[inline]
     pub unsafe fn as_slice(&self) -> &[u8] {
         // SAFETY: contract forwarded to the caller.
-        unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len()) }
     }
 
     /// Copy `data` into the block starting at byte 0.
@@ -149,14 +165,14 @@ impl ValueHandle {
     /// writes it) and that `data.len() <= self.len()`.
     #[inline]
     pub unsafe fn copy_from(&self, data: &[u8]) {
-        debug_assert!(data.len() <= self.len);
+        debug_assert!(data.len() <= self.len());
         // SAFETY: contract forwarded to the caller; regions cannot overlap
         // because `data` is a safe Rust slice distinct from this raw block.
         unsafe {
             core::ptr::copy_nonoverlapping(
                 data.as_ptr(),
                 self.ptr.as_ptr(),
-                data.len().min(self.len),
+                data.len().min(self.len()),
             );
         }
     }
@@ -245,28 +261,37 @@ impl SlabAllocator {
         }
     }
 
+    /// Could an allocation of `size` bytes succeed with every other block
+    /// freed?  `false` means no amount of eviction makes room: the value is
+    /// longer than a handle can describe or its block exceeds the whole
+    /// budget.
+    pub fn could_ever_fit(&self, size: usize) -> bool {
+        size <= MAX_VALUE_BYTES
+            && self
+                .config
+                .capacity_bytes
+                .is_none_or(|cap| Self::block_bytes_for(size) <= cap)
+    }
+
     /// The number of accounted bytes an allocation of `size` bytes consumes.
     pub fn block_bytes_for(size: usize) -> usize {
-        let class = class_for_size(size);
-        if class.is_huge() {
-            size
-        } else {
-            class_size(class)
-        }
+        block_bytes_of(class_for_size(size), size)
     }
 
     /// Allocate a block able to hold `size` bytes.
     ///
     /// Returns `None` when the capacity budget would be exceeded — the
     /// partition reacts by evicting the LRU element and retrying, which is
-    /// exactly the eviction loop of the paper's INSERT path.
+    /// exactly the eviction loop of the paper's INSERT path — and, before
+    /// the global allocator is asked for anything, for a `size` above
+    /// [`MAX_VALUE_BYTES`], which no eviction can help
+    /// ([`SlabAllocator::could_ever_fit`] tells the two apart).
     pub fn allocate(&mut self, size: usize) -> Option<ValueHandle> {
+        if size > MAX_VALUE_BYTES {
+            return None;
+        }
         let class = class_for_size(size);
-        let block_bytes = if class.is_huge() {
-            size
-        } else {
-            class_size(class)
-        };
+        let block_bytes = block_bytes_of(class, size);
         if let Some(cap) = self.config.capacity_bytes {
             if self.stats.bytes_in_use + block_bytes > cap {
                 self.stats.capacity_refusals += 1;
@@ -283,12 +308,7 @@ impl SlabAllocator {
         self.stats.bytes_in_use += block_bytes;
         self.stats.blocks_in_use += 1;
         self.stats.total_allocs += 1;
-        Some(ValueHandle {
-            ptr,
-            len: size,
-            class,
-            block_bytes,
-        })
+        Some(ValueHandle::new(ptr, size, class))
     }
 
     /// Return a block to the allocator.
@@ -297,19 +317,21 @@ impl SlabAllocator {
     /// Panics (in debug builds) if accounting would go negative, which means
     /// a double free.
     pub fn free(&mut self, handle: ValueHandle) {
-        debug_assert!(self.stats.bytes_in_use >= handle.block_bytes, "double free");
+        let block_bytes = handle.block_bytes();
+        debug_assert!(self.stats.bytes_in_use >= block_bytes, "double free");
         debug_assert!(self.stats.blocks_in_use >= 1, "double free");
-        self.stats.bytes_in_use -= handle.block_bytes;
+        self.stats.bytes_in_use -= block_bytes;
         self.stats.blocks_in_use -= 1;
         self.stats.total_frees += 1;
-        if handle.class.is_huge() {
-            let layout = Self::huge_layout(handle.len);
+        let class = handle.class();
+        if class.is_huge() {
+            let layout = Self::huge_layout(handle.len());
             // SAFETY: the pointer was produced by `allocate_huge` with the
             // same layout and has not been freed before (checked by the
             // accounting asserts above).
             unsafe { dealloc(handle.ptr.as_ptr(), layout) };
         } else {
-            self.free_lists[handle.class.0].push(handle.ptr);
+            self.free_lists[class.0].push(handle.ptr);
         }
     }
 
@@ -543,9 +565,59 @@ mod tests {
     fn accounting_tracks_class_rounding() {
         let mut a = SlabAllocator::unbounded();
         let h = a.allocate(100).unwrap();
-        assert_eq!(a.bytes_in_use(), 128);
-        assert_eq!(SlabAllocator::block_bytes_for(100), 128);
+        assert_eq!(a.bytes_in_use(), 112);
+        assert_eq!(SlabAllocator::block_bytes_for(100), 112);
+        assert_eq!(h.block_bytes(), 112);
         a.free(h);
+        assert_eq!(SlabAllocator::block_bytes_for(1048), 1280);
+        assert_eq!(SlabAllocator::block_bytes_for(1500), 1536);
+    }
+
+    #[test]
+    fn a_quarter_step_class_carves_its_chunk_without_overlap() {
+        // 1 280 does not divide 64 KiB: the chunk holds 51 blocks and the
+        // 256-byte tail is never reserved.
+        let mut a = SlabAllocator::unbounded();
+        let handles: Vec<ValueHandle> = (0..51).map(|_| a.allocate(1048).unwrap()).collect();
+        assert_eq!(a.stats().bytes_reserved, 51 * 1280);
+        let mut addrs: Vec<u64> = handles.iter().map(|h| h.addr()).collect();
+        addrs.sort_unstable();
+        for pair in addrs.windows(2) {
+            assert_eq!(pair[1] - pair[0], 1280);
+        }
+        for h in &handles {
+            assert_eq!(h.addr() % BLOCK_ALIGN as u64, 0);
+            // SAFETY: block freshly allocated, single-threaded; writing the
+            // whole block would trample a neighbour if blocks overlapped.
+            unsafe { h.copy_from(&[h.addr() as u8; 1048]) };
+        }
+        for h in &handles {
+            // SAFETY: blocks are live and not concurrently written.
+            assert!(unsafe { h.as_slice() }.iter().all(|&b| b == h.addr() as u8));
+        }
+        // The 52nd block needs a second chunk.
+        let extra = a.allocate(1048).unwrap();
+        assert_eq!(a.stats().bytes_reserved, 2 * 51 * 1280);
+        a.free(extra);
+        for h in handles {
+            a.free(h);
+        }
+        assert_eq!(a.bytes_in_use(), 0);
+    }
+
+    #[test]
+    fn lengths_past_32_bits_are_refused_before_any_allocation() {
+        let mut a = SlabAllocator::unbounded();
+        assert!(!a.could_ever_fit(MAX_VALUE_BYTES + 1));
+        assert!(a.allocate(MAX_VALUE_BYTES + 1).is_none());
+        assert!(a.allocate(usize::MAX).is_none());
+        assert_eq!(a.stats().bytes_reserved, 0, "nothing was requested");
+        assert_eq!(a.stats().total_allocs, 0);
+        assert!(a.could_ever_fit(MAX_VALUE_BYTES));
+
+        let bounded = SlabAllocator::new(SlabConfig::with_capacity(64));
+        assert!(bounded.could_ever_fit(64));
+        assert!(!bounded.could_ever_fit(65), "65 B rounds to an 80 B block");
     }
 
     #[test]
@@ -559,7 +631,7 @@ mod tests {
     #[test]
     fn blocks_are_aligned() {
         let mut a = SlabAllocator::unbounded();
-        for size in [1usize, 8, 24, 100, 4096] {
+        for size in [1usize, 8, 24, 40, 100, 1048, 4096, 5000] {
             let h = a.allocate(size).unwrap();
             let align = alignment_for(h.block_bytes()) as u64;
             assert_eq!(h.addr() % align, 0, "size={size} align={align}");

@@ -257,6 +257,9 @@ impl Response {
             addr > 1 && addr != Self::RETRY_ADDR,
             "value addresses never alias the sentinel values"
         );
+        // The size has the upper 32 bits of `meta`; the allocator refuses
+        // longer values (`cphash_alloc::MAX_VALUE_BYTES`), so none gets here.
+        debug_assert!(size <= u32::MAX as usize, "value size overflows 32 bits");
         Response {
             addr,
             meta: ((size as u64) << 32) | id.0 as u64,

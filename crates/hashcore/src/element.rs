@@ -27,6 +27,9 @@ pub enum ElementState {
 /// LRU list" (§3.1), plus the allocator handle for the value bytes and the
 /// intrusive links of the per-chunk migration index (so exporting one
 /// migration chunk walks only that chunk's elements, never the whole table).
+///
+/// The bucket and migration chunk a key hashes to are *not* stored: only the
+/// unlink paths need them, and one `hash64(key)` gives both.
 #[derive(Debug)]
 pub(crate) struct Element {
     pub key: u64,
@@ -37,7 +40,6 @@ pub(crate) struct Element {
     /// evicted or deleted while clients still hold references is unlinked
     /// but not yet freed.
     pub linked: bool,
-    pub bucket: u32,
     /// Overflow-chain links.  An element that resides in one of its bucket
     /// line's tagged slots is *not* on the chain: both links stay NIL until the bucket overflows past its
     /// inline capacity (see `partition::BucketLine`).
@@ -45,27 +47,23 @@ pub(crate) struct Element {
     pub bucket_prev: u32,
     pub lru_next: u32,
     pub lru_prev: u32,
-    /// Migration chunk this key hashes to (cached so unlinking needs no
-    /// re-hash).
-    pub chunk: u32,
+    /// Links of the key's migration-chunk membership list.
     pub chunk_next: u32,
     pub chunk_prev: u32,
 }
 
 impl Element {
-    pub(crate) fn new(key: u64, value: ValueHandle, bucket: u32, chunk: u32) -> Self {
+    pub(crate) fn new(key: u64, value: ValueHandle) -> Self {
         Element {
             key,
             value,
             refcount: 0,
             state: ElementState::NotReady,
             linked: true,
-            bucket,
             bucket_next: NIL,
             bucket_prev: NIL,
             lru_next: NIL,
             lru_prev: NIL,
-            chunk,
             chunk_next: NIL,
             chunk_prev: NIL,
         }
@@ -79,6 +77,12 @@ pub(crate) enum Slot {
     Occupied(Element),
     Free { next_free: u32 },
 }
+
+// One slot per key, so its size is bytes per key — and cache lines per
+// probe: a 56-byte slot touches one or two, the 80-byte one it replaces
+// touched two or three.  The enum tag rides in the spare values of the
+// element's flag bytes.
+const _: () = assert!(core::mem::size_of::<Slot>() <= 56);
 
 impl Slot {
     pub(crate) fn element(&self) -> &Element {
@@ -110,10 +114,8 @@ mod tests {
     fn new_elements_start_not_ready_and_linked() {
         let mut a = SlabAllocator::unbounded();
         let v = a.allocate(8).unwrap();
-        let e = Element::new(7, v, 3, 5);
+        let e = Element::new(7, v);
         assert_eq!(e.key, 7);
-        assert_eq!(e.bucket, 3);
-        assert_eq!(e.chunk, 5);
         assert_eq!(e.chunk_next, NIL);
         assert_eq!(e.state, ElementState::NotReady);
         assert!(e.linked);
@@ -126,7 +128,7 @@ mod tests {
     fn slot_accessors() {
         let mut a = SlabAllocator::unbounded();
         let v = a.allocate(8).unwrap();
-        let mut slot = Slot::Occupied(Element::new(1, v, 0, 0));
+        let mut slot = Slot::Occupied(Element::new(1, v));
         assert!(slot.is_occupied());
         assert_eq!(slot.element().key, 1);
         slot.element_mut().refcount += 1;

@@ -45,8 +45,15 @@ pub fn partition_for_key(key: u64, partitions: usize) -> usize {
 /// chunk indices permanently empty.
 #[inline]
 pub fn migration_chunk(key: u64, chunks: usize) -> usize {
+    chunk_from_hash(hash64(key), chunks)
+}
+
+/// [`migration_chunk`] with the hash already computed — one `hash64`
+/// evaluation gives a key's bucket, tag and chunk.
+#[inline]
+pub fn chunk_from_hash(hash: u64, chunks: usize) -> usize {
     debug_assert!(chunks.is_power_of_two() && chunks <= MAX_MIGRATION_CHUNKS);
-    ((hash64(key) >> 48) & (chunks as u64 - 1)) as usize
+    ((hash >> 48) & (chunks as u64 - 1)) as usize
 }
 
 /// Largest supported migration-chunk count (the chunk index is 16 hash

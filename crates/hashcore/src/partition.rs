@@ -5,8 +5,8 @@ use cphash_alloc::{SlabAllocator, SlabConfig, ValueHandle};
 
 use crate::element::{Element, ElementId, ElementState, Slot, NIL};
 use crate::hash::{
-    bucket_for_key, bucket_from_hash, hash64, key_tag, key_tag_from_hash, migration_chunk,
-    MAX_MIGRATION_CHUNKS,
+    bucket_for_key, bucket_from_hash, chunk_from_hash, hash64, key_tag, key_tag_from_hash,
+    migration_chunk, MAX_MIGRATION_CHUNKS,
 };
 use crate::policy::EvictionPolicy;
 use crate::stats::PartitionStats;
@@ -241,8 +241,8 @@ pub struct Partition {
     /// Dense pool of linked element ids, maintained only under random
     /// eviction so victims can be drawn uniformly in O(1).
     random_pool: Vec<u32>,
-    /// For each slot, its index in `random_pool` (only meaningful while
-    /// linked and under random eviction).
+    /// For each slot, its index in `random_pool` (meaningful while linked).
+    /// Grown with `slots` under random eviction only; empty under LRU.
     pool_index: Vec<u32>,
     /// Heads of the per-chunk intrusive membership lists: every linked
     /// element sits in exactly one list, chosen by `migration_chunk` of its
@@ -424,6 +424,13 @@ impl Partition {
     ) -> Result<InsertReservation, InsertError> {
         let key = prep.key;
         self.stats.inserts += 1;
+        // A value no amount of eviction makes room for is refused before it
+        // costs the partition anything: the key's old value and every other
+        // element stay.
+        if !self.allocator.could_ever_fit(size) {
+            self.stats.failed_inserts += 1;
+            return Err(InsertError::ValueTooLarge);
+        }
         // Remove any existing element with this key to avoid duplicates.
         if let Some(existing) = self.find_in_bucket(key, prep.bucket, prep.tag) {
             self.unlink(existing);
@@ -438,12 +445,7 @@ impl Partition {
                 None => {
                     if !self.evict_one() {
                         self.stats.failed_inserts += 1;
-                        let budget = self.allocator.capacity().unwrap_or(usize::MAX);
-                        return Err(if SlabAllocator::block_bytes_for(size) > budget {
-                            InsertError::ValueTooLarge
-                        } else {
-                            InsertError::OutOfMemory
-                        });
+                        return Err(InsertError::OutOfMemory);
                     }
                 }
             }
@@ -451,7 +453,7 @@ impl Partition {
 
         let bucket = prep.bucket;
         let chunk = migration_chunk(key, self.chunk_heads.len());
-        let idx = self.alloc_slot(Element::new(key, value, bucket as u32, chunk as u32));
+        let idx = self.alloc_slot(Element::new(key, value));
         // The new element holds one reference on behalf of the inserting
         // client until `mark_ready` releases it, so it cannot be freed out
         // from under the client while the value bytes are being copied.
@@ -688,7 +690,6 @@ impl Partition {
         while cur != NIL {
             self.stats.export_elements_visited += 1;
             let e = self.slots[cur as usize].element();
-            debug_assert_eq!(e.chunk as usize, chunk, "element in wrong chunk list");
             if leaving(e.key) {
                 if e.state == ElementState::Ready {
                     matching.push(cur);
@@ -820,7 +821,6 @@ impl Partition {
                 }
                 let e = self.slots[line.refs[s] as usize].element();
                 assert!(e.linked, "unlinked element in inline slot");
-                assert_eq!(e.bucket as usize, b, "inline element in wrong bucket");
                 assert_eq!(self.bucket_of(e.key), b, "element hashed to wrong bucket");
                 assert_eq!(line.tags[s], key_tag(e.key), "stale inline tag");
                 assert_eq!(e.bucket_prev, NIL, "inline resident with chain links");
@@ -847,7 +847,6 @@ impl Partition {
             while cur != NIL {
                 let e = self.slots[cur as usize].element();
                 assert!(e.linked, "unlinked element in chunk list");
-                assert_eq!(e.chunk as usize, c, "element in wrong chunk list");
                 assert_eq!(
                     migration_chunk(e.key, chunks),
                     c,
@@ -880,6 +879,11 @@ impl Partition {
             }
             EvictionPolicy::Random => {
                 assert_eq!(
+                    self.pool_index.len(),
+                    self.slots.len(),
+                    "pool back-index does not cover the slots"
+                );
+                assert_eq!(
                     self.random_pool.len(),
                     self.len,
                     "random pool length mismatch"
@@ -908,7 +912,6 @@ impl Partition {
         while cur != NIL {
             let e = self.slots[cur as usize].element();
             assert!(e.linked, "unlinked element in bucket chain");
-            assert_eq!(e.bucket as usize, bucket, "element in wrong bucket");
             assert_eq!(e.bucket_prev, prev, "broken bucket back-pointer");
             assert_eq!(
                 self.bucket_of(e.key),
@@ -1004,7 +1007,9 @@ impl Partition {
             let idx = self.slots.len() as u32;
             assert!(idx != NIL, "partition slot space exhausted");
             self.slots.push(Slot::Occupied(element));
-            self.pool_index.push(NIL);
+            if self.eviction == EvictionPolicy::Random {
+                self.pool_index.push(NIL);
+            }
             idx
         }
     }
@@ -1028,7 +1033,6 @@ impl Partition {
     fn link_into_bucket(&mut self, idx: u32, bucket: usize, tag: u8) {
         {
             let e = self.slots[idx as usize].element_mut();
-            e.bucket = bucket as u32;
             e.bucket_next = NIL;
             e.bucket_prev = NIL;
         }
@@ -1049,10 +1053,10 @@ impl Partition {
         }
     }
 
-    fn unlink_from_bucket(&mut self, idx: u32) {
-        let (prev, next, bucket) = {
+    fn unlink_from_bucket(&mut self, idx: u32, bucket: usize) {
+        let (prev, next) = {
             let e = self.slots[idx as usize].element();
-            (e.bucket_prev, e.bucket_next, e.bucket as usize)
+            (e.bucket_prev, e.bucket_next)
         };
         let line = &mut self.buckets[bucket];
         if let Some(s) = line.slot_of_ref(idx) {
@@ -1109,10 +1113,10 @@ impl Partition {
         self.chunk_heads[chunk] = idx;
     }
 
-    fn unlink_from_chunk(&mut self, idx: u32) {
-        let (prev, next, chunk) = {
+    fn unlink_from_chunk(&mut self, idx: u32, chunk: usize) {
+        let (prev, next) = {
             let e = self.slots[idx as usize].element();
-            (e.chunk_prev, e.chunk_next, e.chunk as usize)
+            (e.chunk_prev, e.chunk_next)
         };
         if prev != NIL {
             self.slots[prev as usize].element_mut().chunk_next = next;
@@ -1155,9 +1159,11 @@ impl Partition {
     /// Unlink an element from the table (bucket + recency structures).
     /// Frees it immediately if unreferenced, otherwise defers.
     fn unlink(&mut self, idx: u32) {
-        self.unlink_from_bucket(idx);
+        // The element does not store where it is filed; its key says.
+        let hash = hash64(self.slots[idx as usize].element().key);
+        self.unlink_from_bucket(idx, bucket_from_hash(hash, self.buckets.len()));
         self.unlink_from_recency(idx);
-        self.unlink_from_chunk(idx);
+        self.unlink_from_chunk(idx, chunk_from_hash(hash, self.chunk_heads.len()));
         self.len -= 1;
         let refcount = {
             let e = self.slots[idx as usize].element_mut();
@@ -1418,6 +1424,66 @@ mod tests {
         let err = p.insert(1, 1024).unwrap_err();
         assert_eq!(err, InsertError::ValueTooLarge);
         assert!(format!("{err}").contains("capacity"));
+    }
+
+    #[test]
+    fn oversized_insert_leaves_the_partition_untouched() {
+        let mut p = small(Some(64 * 1024));
+        let mut key = 0u64;
+        while p.stats().evictions == 0 {
+            p.insert_copy(key, &[key as u8; 1024]).unwrap();
+            key += 1;
+        }
+        let newest = key - 1;
+        let (len, evictions, bytes) = (p.len(), p.stats().evictions, p.bytes_in_use());
+        // 1 MiB can never fit a 64 KiB budget: the answer must not cost the
+        // key's old value or anyone else's.
+        let err = p.insert(newest, 1 << 20).unwrap_err();
+        assert_eq!(err, InsertError::ValueTooLarge);
+        assert_eq!(p.len(), len);
+        assert_eq!(p.stats().evictions, evictions);
+        assert_eq!(p.stats().replacements, 0);
+        assert_eq!(p.stats().failed_inserts, 1);
+        assert_eq!(p.bytes_in_use(), bytes);
+        let mut buf = Vec::new();
+        assert!(p.lookup_copy(newest, &mut buf), "old value survives");
+        assert_eq!(buf, vec![newest as u8; 1024]);
+        p.check_invariants();
+    }
+
+    #[test]
+    fn value_length_past_32_bits_is_rejected_not_truncated() {
+        // Unbounded, so only the handle's 32-bit length stands in the way;
+        // refused before the allocator asks the system for 4 GiB.
+        let mut p = small(None);
+        p.insert_copy(1, &[1; 8]).unwrap();
+        let too_long = cphash_alloc::MAX_VALUE_BYTES + 1;
+        assert_eq!(
+            p.insert(1, too_long).unwrap_err(),
+            InsertError::ValueTooLarge
+        );
+        assert_eq!(
+            p.insert(2, usize::MAX).unwrap_err(),
+            InsertError::ValueTooLarge
+        );
+        assert!(p.contains(1) && !p.contains(2));
+        assert_eq!(p.bytes_in_use(), 8);
+        p.check_invariants();
+    }
+
+    #[test]
+    fn pool_index_is_only_kept_under_random_eviction() {
+        let mut lru = small(None);
+        let mut random =
+            Partition::new(PartitionConfig::new(64, None).with_eviction(EvictionPolicy::Random));
+        for key in 0..100u64 {
+            lru.insert_copy(key, &[0; 8]).unwrap();
+            random.insert_copy(key, &[0; 8]).unwrap();
+        }
+        assert!(lru.pool_index.is_empty(), "LRU pays nothing per slot");
+        assert_eq!(random.pool_index.len(), 100);
+        lru.check_invariants();
+        random.check_invariants();
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use bytes::BytesMut;
 use proptest::prelude::*;
 
-use cphash_suite::alloc::{SlabAllocator, SlabConfig};
+use cphash_suite::alloc::{class_size, SizeClass, SlabAllocator, SlabConfig};
 use cphash_suite::channel::{ring, RingConfig};
 use cphash_suite::hashcore::{EvictionPolicy, Partition, PartitionConfig};
 use cphash_suite::kvproto::{
@@ -272,7 +272,9 @@ proptest! {
 
     #[test]
     fn allocator_blocks_never_overlap_and_accounting_balances(
-        sizes in prop::collection::vec(1usize..512, 1..100),
+        // Sizes one below, on and one above a class boundary (8 B .. 8 KiB):
+        // where a mis-rounded request would land in a block too small for it.
+        sizes in prop::collection::vec((0usize..33, 0usize..3), 1..100),
         capacity in prop::option::of(4096usize..65536),
     ) {
         let mut allocator = SlabAllocator::new(SlabConfig {
@@ -280,12 +282,17 @@ proptest! {
             ..SlabConfig::default()
         });
         let mut live: Vec<cphash_suite::alloc::ValueHandle> = Vec::new();
-        for (i, &size) in sizes.iter().enumerate() {
+        for (i, &(class, step)) in sizes.iter().enumerate() {
+            let boundary = class_size(SizeClass(class));
+            let size = boundary - 1 + step;
             if i % 3 == 2 && !live.is_empty() {
                 // Free an arbitrary live block.
                 let h = live.swap_remove(i % live.len());
                 allocator.free(h);
             } else if let Some(handle) = allocator.allocate(size) {
+                prop_assert!(handle.block_bytes() >= size);
+                prop_assert_eq!(handle.block_bytes() == boundary, step < 2);
+                prop_assert_eq!(handle.block_bytes(), SlabAllocator::block_bytes_for(size));
                 live.push(handle);
             }
             // No two live blocks may overlap.
@@ -297,6 +304,10 @@ proptest! {
             for pair in ranges.windows(2) {
                 prop_assert!(pair[0].1 <= pair[1].0, "live blocks overlap");
             }
+            prop_assert_eq!(
+                allocator.bytes_in_use(),
+                live.iter().map(|h| h.block_bytes()).sum::<usize>()
+            );
             if let Some(cap) = capacity {
                 prop_assert!(allocator.bytes_in_use() <= cap);
             }
