@@ -1,10 +1,10 @@
-//! Command-line arguments shared by every figure binary.
+//! Command-line arguments of the `figures` subcommand.
 
 use std::path::PathBuf;
 
 /// Parsed harness arguments.
 ///
-/// Supported flags (every binary accepts the same set):
+/// Supported flags (every figure accepts the same set):
 ///
 /// * `--quick` — shrink sweeps and operation counts for a fast smoke run.
 /// * `--ops N` — override the number of operations per measured point.
@@ -43,24 +43,10 @@ impl HarnessArgs {
                     let v = iter.next().ok_or("--csv needs a path")?;
                     parsed.csv_path = Some(PathBuf::from(v));
                 }
-                "--help" | "-h" => {
-                    return Err("usage: [--quick] [--ops N] [--threads N] [--csv PATH]".to_string())
-                }
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
         Ok(parsed)
-    }
-
-    /// Parse from the process arguments, exiting with a message on error.
-    pub fn from_env() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(message) => {
-                eprintln!("{message}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// The operation count to use for one measured point, given a default

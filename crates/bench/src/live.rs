@@ -3,7 +3,7 @@
 //!
 //! [`live_repartition_ablation`] measures throughput before, during and
 //! after a live 2→4 grow, against a statically 4-partitioned table as the
-//! baseline (`ablate_live_repartition`).
+//! baseline (`figures live-repartition`).
 
 use cphash_sync::atomic::plain::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -288,8 +288,9 @@ pub fn live_repartition_ablation(scale: &MachineScale, ops_per_phase: u64) -> Fi
     let clients = scale.pairs.clamp(1, 4);
     let keys: u64 = 10_000;
     let mut report = FigureReport::new(
-        "Ablation: live 2→4 repartition under load — unpaced vs paced vs a static 4-partition table",
-        "phase (0=before, 1=during migration, 2=after)",
+        "live 2→4 repartition under load, unpaced vs paced vs a static 4-partition table, \
+         by phase (0 = before, 1 = during migration, 2 = after; dip columns: 0 = unpaced, 1 = paced)",
+        "phase",
         "operations/second",
     );
 

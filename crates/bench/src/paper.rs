@@ -1,16 +1,17 @@
-//! The paper's own headline numbers, for side-by-side printing.
+//! The paper's own claims, one per figure, for side-by-side printing.
 //!
 //! Absolute throughput on the 80-core testbed is not reproducible on a
-//! laptop-class host; what the harnesses check (and EXPERIMENTS.md records)
-//! is the *shape*: who wins, by roughly what factor, and where the
-//! crossovers sit.  These constants are the paper's claims, quoted where the
-//! figures/text state them.
+//! laptop-class host; what the `figures` binary prints (and the committed
+//! EXPERIMENTS.md records) is the *shape*: who wins, by roughly what factor,
+//! and where the crossovers sit.  These are the paper's statements, quoted
+//! where its figures and text make them.
 
-/// §1 / §6.1: CPHash throughput advantage over LockHash in the cached
-/// working-set range (256 KB – 128 MB): "a factor of 1.6× to 2×".
-pub const FIG5_SPEEDUP_RANGE: (f64, f64) = (1.6, 2.0);
+/// §1 / §6.1.
+pub const FIG5: &str = "§6.1, Figure 5: CPHash out-performs LockHash by a factor of 1.6× to 2× \
+    while the working set fits the caches (256 KB – 128 MB); the two converge once every \
+    operation misses to DRAM.";
 
-/// Figure 6: cycles per operation.
+/// Figure 6: cycles per operation at a 1 MB working set.
 pub mod fig6 {
     /// CPHash client cycles per operation.
     pub const CPHASH_CLIENT_CYCLES: f64 = 1126.0;
@@ -18,68 +19,65 @@ pub mod fig6 {
     pub const CPHASH_SERVER_CYCLES: f64 = 672.0;
     /// LockHash cycles per operation.
     pub const LOCKHASH_CYCLES: f64 = 3664.0;
-    /// Per-operation L2 misses (client, server, lockhash).
-    pub const L2_MISSES: (f64, f64, f64) = (1.0, 2.5, 2.4);
-    /// Per-operation L3 misses (client, server, lockhash).
-    pub const L3_MISSES: (f64, f64, f64) = (1.9, 1.2, 4.6);
-    /// L2 miss cost in cycles (cphash, lockhash).
-    pub const L2_COST: (f64, f64) = (64.0, 170.0);
-    /// L3 miss cost in cycles (cphash, lockhash).
-    pub const L3_COST: (f64, f64) = (381.0, 1421.0);
 }
 
-/// Figure 7 totals: (L2 misses/op, L3 misses/op).
-pub mod fig7 {
-    /// LockHash total misses per operation.
-    pub const LOCKHASH_TOTAL: (f64, f64) = (2.4, 4.6);
-    /// CPHash client totals.
-    pub const CPHASH_CLIENT_TOTAL: (f64, f64) = (1.0, 1.9);
-    /// CPHash server totals.
-    pub const CPHASH_SERVER_TOTAL: (f64, f64) = (2.5, 1.2);
-}
+/// §6.2.  The second paragraph is this reproduction's own limit.
+pub const FIG6_7: &str = "§6.2, Figures 6–7: at a 1 MB working set an operation costs 1 126 \
+    cycles on a CPHash client thread plus 672 on a server thread, against 3 664 on a LockHash \
+    thread; server threads spend 59 % of their time processing operations.  The paper \
+    attributes the gap to cache misses, counted per function with hardware counters \
+    (Figure 7).\n\n\
+    Here the per-function cycles are the server's own `perfmon::trace` stage sums (*send \
+    messages* = `ring_enqueue`, *receive* = `drain`, *execute* = `prepare` + `prefetch` + \
+    `execute`, *send responses* = `reply_publish`), and *unattributed* is the thread's wall \
+    cycles minus those, so each row adds up to its measured total.  Miss counts per function \
+    need hardware counters this host does not expose: they are not reproduced, and no \
+    modelled substitute is printed.";
 
-/// §6.3: with random eviction the advantage drops but stays significant
-/// ("1.45× at 4 MB").
-pub const FIG8_SPEEDUP_AT_4MB: f64 = 1.45;
+/// §6.3.
+pub const FIG8: &str = "§6.3, Figure 8: with random eviction instead of LRU the CPHash \
+    advantage shrinks (to 1.45× at 4 MB) but remains.";
 
-/// §7: hash-table work is ~30 % of CPSERVER's per-request cost, so the
-/// 1.6× table win translates into ~11 % at most; measured ~5 %.
-pub const FIG13_SERVER_SPEEDUP: f64 = 1.05;
+/// Figure 9.
+pub const FIG9: &str = "Figure 9: throughput rises as capacity shrinks (more lookups \
+    miss, more of the table fits in cache); CPHash stays ahead throughout.";
 
-/// §6.2: server threads spend 59 % of their time processing operations.
-pub const SERVER_UTILIZATION: f64 = 0.59;
+/// Figure 10.
+pub const FIG10: &str = "Figure 10: higher INSERT fractions reduce throughput for both \
+    tables; CPHash's advantage is not sensitive to the ratio.";
 
-/// Compare a measured CPHash/LockHash throughput ratio against the paper's
-/// Figure 5 claim, returning a short verdict string for the report.
-pub fn verdict_fig5(ratio: f64) -> String {
-    let (lo, hi) = FIG5_SPEEDUP_RANGE;
-    if ratio >= lo {
-        format!("measured {ratio:.2}x — matches the paper's {lo:.1}x–{hi:.1}x claim")
-    } else if ratio >= 1.0 {
-        format!("measured {ratio:.2}x — CPHash ahead but below the paper's {lo:.1}x–{hi:.1}x")
-    } else {
-        format!("measured {ratio:.2}x — CPHash behind LockHash at this point")
-    }
-}
+/// Figure 11.
+pub const FIG11: &str = "Figure 11: LockHash's per-thread throughput degrades as threads \
+    span more sockets; CPHash stays near-flat (near-linear total scaling).  Socket granularity \
+    in the paper, client/server-pair granularity here.";
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Figure 12.
+pub const FIG12: &str = "Figure 12: both tables do best with SMT siblings sharing cores \
+    on fewer sockets; CPHash gains more from the extra hardware threads.  On a host without \
+    SMT, or without permission to set CPU affinity, the three configurations differ only in \
+    thread count.";
 
-    #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn constants_are_sane() {
-        assert!(FIG5_SPEEDUP_RANGE.0 < FIG5_SPEEDUP_RANGE.1);
-        assert!(fig6::LOCKHASH_CYCLES > fig6::CPHASH_CLIENT_CYCLES);
-        assert!(fig6::L3_COST.1 > fig6::L3_COST.0);
-        assert!(FIG8_SPEEDUP_AT_4MB > 1.0);
-        assert!(SERVER_UTILIZATION > 0.0 && SERVER_UTILIZATION < 1.0);
-    }
+/// §7.
+pub const FIG13: &str = "§7, Figure 13: CPSERVER is about 5 % faster than LOCKSERVER — \
+    hash-table work is only ~30 % of each request, so the 1.6× table win can be worth 11 % at \
+    most.";
 
-    #[test]
-    fn verdict_strings_cover_all_cases() {
-        assert!(verdict_fig5(1.8).contains("matches"));
-        assert!(verdict_fig5(1.2).contains("ahead"));
-        assert!(verdict_fig5(0.8).contains("behind"));
-    }
-}
+/// §7.
+pub const FIG14: &str = "§7, Figure 14: CPSERVER and LOCKSERVER both clearly out-perform the \
+    per-core memcached deployment; LockServer leads at low core counts, CPServer at high.  \
+    Stock memcached is a C program outside this repository; one single-lock instance per core \
+    with client-side key partitioning stands in for it, because that structure — a coarse \
+    lock, no batching of hash-table work — is what the comparison exercises.";
+
+/// §8.2 (the paper's future work), not a figure.
+pub const ANYKEY: &str = "§8.2 leaves keys of any size as future work; not a paper figure.  \
+    One deterministic get/set/delete stream over byte-string keys runs through the `KvClient` \
+    trait against the in-process table, CPSERVER over TCP and the memcached-style cluster; \
+    the run fails unless all three agree on every hit, delete-hit and failure count.";
+
+/// §8.1 (the paper's future work), not a figure.
+pub const LIVE_REPARTITION: &str = "§8.1 leaves choosing the number of server threads at run \
+    time as future work; not a paper figure.  A live 2→4 repartition under load: the \
+    migration window shows the worst-case dip; once the watermark covers every chunk, routing \
+    is a single atomic load again and throughput returns to the level of a table built with \
+    4 partitions.";

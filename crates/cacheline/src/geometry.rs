@@ -1,9 +1,8 @@
 //! Address ↔ cache-line arithmetic.
 //!
-//! The software cache model ([`cphash-cachesim`]) tracks state per *line*,
-//! not per byte; the ring buffers flush when a *line* worth of messages has
-//! been produced. Both need the same small set of address computations,
-//! collected here.
+//! The partition's bucket array is probed a *line* at a time, and the ring
+//! buffers flush when a *line* worth of messages has been produced.  Both
+//! need the same small set of address computations, collected here.
 
 use crate::CACHE_LINE_SIZE;
 

@@ -46,7 +46,6 @@ pub mod anykey;
 pub mod client;
 pub mod config;
 pub mod control;
-pub mod dynamic;
 pub mod kv;
 mod pipeline;
 pub mod protocol;
@@ -60,7 +59,6 @@ pub use anykey::AnyKeyClient;
 pub use client::{ClientHandle, Completion, CompletionKind, OpError, TableError, ValueBytes};
 pub use config::{CpHashConfig, MigrationPacing, DEFAULT_BATCH_SIZE};
 pub use control::ControlHandle;
-pub use dynamic::{Recommendation, ServerLoadController};
 pub use kv::{KeyRef, KvClient, KvError, KvOp};
 pub use protocol::{MigrationBatch, MigrationStep, OpCode, Request, Response};
 pub use remote::{PartitionedClient, RemoteClient};

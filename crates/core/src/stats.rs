@@ -6,7 +6,7 @@ use cphash_affinity::PinOutcome;
 use cphash_perfmon::{BatchCounters, BatchStats};
 
 /// Counters one server thread updates while running; read by the table
-/// handle, the dynamic-server controller and the benchmark reports.
+/// handle and the benchmark reports.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Requests (protocol messages) processed.

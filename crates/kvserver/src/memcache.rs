@@ -7,8 +7,7 @@
 //! instances."  Stock memcached is a C program outside this reproduction's
 //! scope; what the comparison actually exercises is its *structure* — one
 //! coarse lock per instance, a thread per connection, no batching of
-//! hash-table work — so that is what [`MemcacheCluster`] reproduces (the
-//! substitution is documented in `DESIGN.md` §4).
+//! hash-table work — so that is what [`MemcacheCluster`] reproduces.
 //!
 //! Each instance owns a single [`cphash_hashcore::Partition`] behind one
 //! global mutex and serves every connection from one instance thread

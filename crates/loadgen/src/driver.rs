@@ -14,7 +14,7 @@ use cphash::{CompletionKind, CpHash, CpHashConfig};
 use cphash_affinity::{pin_to_hw_thread, HwThreadId};
 use cphash_hashcore::{EvictionPolicy, PartitionStats};
 use cphash_lockhash::{LockHash, LockHashConfig, LockKind};
-use cphash_perfmon::{DataSeries, Stopwatch};
+use cphash_perfmon::{trace, DataSeries, Stopwatch};
 
 use crate::ops::{working_set_keys, Op, OpStream};
 use crate::workload::WorkloadSpec;
@@ -108,16 +108,6 @@ impl RunResult {
             0.0
         } else {
             self.operations as f64 / self.elapsed_secs
-        }
-    }
-
-    /// Queries per second divided by a unit count (per hardware thread, per
-    /// core, per socket — Figures 11 and 14).
-    pub fn throughput_per(&self, units: usize) -> f64 {
-        if units == 0 {
-            0.0
-        } else {
-            self.throughput() / units as f64
         }
     }
 
@@ -243,6 +233,11 @@ pub fn run_cphash(spec: &WorkloadSpec, opts: &DriverOptions) -> RunResult {
         }
         completions.clear();
         client.drain(&mut completions).expect("prefill completes");
+        // A traced run (`figures breakdown`) divides the stage cycles by the
+        // timed phase's operations, so the prefill's spans must not count.
+        if trace::trace_enabled() {
+            trace::reset();
+        }
     }
 
     let barrier = Arc::new(Barrier::new(opts.client_threads + 1));
@@ -554,8 +549,6 @@ mod tests {
             timeline: DataSeries::new("x"),
         };
         assert_eq!(r.throughput(), 500.0);
-        assert_eq!(r.throughput_per(10), 50.0);
-        assert_eq!(r.throughput_per(0), 0.0);
         assert_eq!(r.hit_rate(), 0.5);
     }
 }

@@ -67,15 +67,6 @@ impl TcpLoadResult {
             self.operations as f64 / self.elapsed_secs
         }
     }
-
-    /// Requests per second per unit (per core for Figure 14).
-    pub fn throughput_per(&self, units: usize) -> f64 {
-        if units == 0 {
-            0.0
-        } else {
-            self.throughput() / units as f64
-        }
-    }
 }
 
 /// Drive `spec.operations` requests at the server and measure throughput.
@@ -195,6 +186,5 @@ mod tests {
         assert!(result.lookup_hits > 0);
         assert!(result.lookup_hits <= result.lookups);
         assert!(result.throughput() > 0.0);
-        assert!(result.throughput_per(2) < result.throughput());
     }
 }

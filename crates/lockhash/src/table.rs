@@ -315,23 +315,32 @@ mod tests {
     #[test]
     fn lock_contention_is_visible_in_stats() {
         let table = Arc::new(LockHash::with_partitions(1)); // force contention
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        // Two CPUs can run four short loops one after the other, so the
+        // writers keep going in rounds until a collision has been counted.
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let table = Arc::clone(&table);
                 std::thread::spawn(move || {
-                    for k in 0..5_000u64 {
-                        table.insert(k % 100, &k.to_le_bytes());
+                    let mut issued = 0u64;
+                    while table.lock_stats().contended() == 0
+                        && std::time::Instant::now() < deadline
+                    {
+                        for k in 0..1_000u64 {
+                            table.insert(k % 100, &k.to_le_bytes());
+                        }
+                        issued += 1_000;
                     }
+                    issued
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let issued: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         let stats = table.lock_stats();
-        assert_eq!(stats.acquisitions(), 4 * 5_000);
-        // With a single partition and four writers some contention is
-        // essentially guaranteed.
-        assert!(stats.contended() > 0);
+        assert_eq!(stats.acquisitions(), issued);
+        assert!(
+            stats.contended() > 0,
+            "one partition, four writers, {issued} inserts and no contended acquisition"
+        );
     }
 }

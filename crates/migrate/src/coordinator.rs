@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use cphash::control::ControlHandle;
 use cphash::protocol::{MigrationBatch, MigrationStep, Request};
 use cphash::router::TransitionError;
-use cphash::{Recommendation, TableError};
+use cphash::TableError;
 use cphash_hashcore::partition_for_key;
 
 use crate::pacer::MigrationPacer;
@@ -139,33 +139,6 @@ impl RepartitionCoordinator {
     /// Largest partition count this table supports (`max_partitions`).
     pub fn max_partitions(&self) -> usize {
         self.control.router().max_partitions()
-    }
-
-    /// Apply a controller recommendation: resize on `Grow`/`Shrink`, do
-    /// nothing on `Keep`.
-    pub fn apply(
-        &mut self,
-        recommendation: Recommendation,
-    ) -> Result<Option<MigrationReport>, MigrateError> {
-        self.apply_paced(recommendation, &mut MigrationPacer::unpaced())
-    }
-
-    /// Like [`RepartitionCoordinator::apply`], but pacing the chunk
-    /// hand-offs through `pacer`.
-    pub fn apply_paced(
-        &mut self,
-        recommendation: Recommendation,
-        pacer: &mut MigrationPacer,
-    ) -> Result<Option<MigrationReport>, MigrateError> {
-        match recommendation {
-            Recommendation::Keep(_) => Ok(None),
-            Recommendation::Grow(n) | Recommendation::Shrink(n) => {
-                if n == self.active_partitions() {
-                    return Ok(None);
-                }
-                self.resize_to_paced(n, pacer).map(Some)
-            }
-        }
     }
 
     /// Re-partition the live table to `new_partitions` server threads,

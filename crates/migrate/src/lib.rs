@@ -1,8 +1,7 @@
 //! # cphash-migrate — online repartitioning for CPHash
 //!
 //! The paper (§8.1) leaves "dynamically deciding how many cores to use for
-//! server threads" as future work; `cphash::dynamic::ServerLoadController`
-//! implements the *decision* half.  This crate implements the *actuation*
+//! server threads" as future work.  This crate implements the *actuation*
 //! half: re-partitioning a **live** table with no lost or duplicated keys
 //! while clients keep issuing operations.
 //!

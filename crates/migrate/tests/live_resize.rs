@@ -104,34 +104,6 @@ fn resize_rejects_out_of_range_and_reports_no_ops() {
 }
 
 #[test]
-fn controller_recommendations_drive_the_coordinator() {
-    use cphash::Recommendation;
-    let (mut table, clients, mut coordinator) = elastic_table(2, 4, 1);
-    assert!(coordinator
-        .apply(Recommendation::Keep(2))
-        .unwrap()
-        .is_none());
-    let report = coordinator
-        .apply(Recommendation::Grow(3))
-        .unwrap()
-        .expect("grow ran");
-    assert_eq!(report.to_partitions, 3);
-    assert_eq!(table.partitions(), 3);
-    // A recommendation matching the current size is a no-op.
-    assert!(coordinator
-        .apply(Recommendation::Grow(3))
-        .unwrap()
-        .is_none());
-    let report = coordinator
-        .apply(Recommendation::Shrink(1))
-        .unwrap()
-        .expect("shrink ran");
-    assert_eq!(report.to_partitions, 1);
-    drop(clients);
-    table.shutdown();
-}
-
-#[test]
 fn resize_after_shutdown_reports_server_gone() {
     let (mut table, clients, mut coordinator) = elastic_table(2, 4, 1);
     drop(clients);

@@ -1,9 +1,8 @@
 //! Measurement utilities for the CPHash evaluation.
 //!
 //! The paper's numbers were gathered with a small profiling library built on
-//! `rdtsc`/`rdpmc` plus a kernel module (§5).  Hardware performance counters
-//! are replaced in this reproduction by the software cache model
-//! (`cphash-cachesim`); the timing half lives here:
+//! `rdtsc`/`rdpmc` plus a kernel module (§5).  This reproduction has the
+//! timing half only (miss counts need hardware counters):
 //!
 //! * [`cycles`] — a timestamp-counter reader (`rdtsc` on x86-64, a
 //!   monotonic-clock fallback elsewhere) and cycle↔time conversion.

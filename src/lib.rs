@@ -12,7 +12,6 @@
 //! | [`alloc`] | `cphash-alloc` | the per-partition value allocator |
 //! | [`sync`] | `cphash-sync` | spinlock / ticket / Anderson locks |
 //! | [`affinity`] | `cphash-affinity` | topology modelling and thread pinning |
-//! | [`cachesim`] | `cphash-cachesim` | the software cache model behind Figures 6–7 |
 //! | [`cacheline`] | `cphash-cacheline` | cache-line geometry and packing arithmetic |
 //! | [`kvproto`] | `cphash-kvproto` | the CPSERVER/LOCKSERVER wire protocol |
 //! | [`kvserver`] | `cphash-kvserver` | CPSERVER, LOCKSERVER and the memcached-style baseline |
@@ -39,7 +38,6 @@ pub use cphash as table;
 pub use cphash_affinity as affinity;
 pub use cphash_alloc as alloc;
 pub use cphash_cacheline as cacheline;
-pub use cphash_cachesim as cachesim;
 pub use cphash_channel as channel;
 pub use cphash_hashcore as hashcore;
 pub use cphash_kvproto as kvproto;

@@ -2,6 +2,7 @@
 //! capacity pressure, reference-count safety under eviction, and clean
 //! shutdown while traffic is in flight.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cphash_suite::loadgen::{run_cphash, run_lockhash, DriverOptions, WorkloadSpec};
@@ -53,46 +54,51 @@ fn many_clients_hammer_one_cphash_table() {
 fn values_held_across_eviction_remain_readable() {
     // The §3.2 dangling-pointer scenario: a client holds a looked-up value
     // while other traffic evicts it; the bytes must stay valid until the
-    // reference is released.  The sync API releases references internally,
-    // so this test drives the pattern through interleaved pipelined clients.
+    // reference is released.
     let (mut table, mut handles) = CpHash::new(CpHashConfig::new(2, 2).with_capacity(2 * 1024, 8));
     let mut writer = handles.pop().unwrap();
     let mut reader = handles.pop().unwrap();
 
-    // Seed some values.
     for key in 0..64u64 {
         assert!(reader.insert(key, &key.to_le_bytes()).unwrap());
     }
-    // Reader pipelines lookups while the writer floods the table with new
-    // keys, forcing every old element to be evicted.
+    // Look every seeded key up once and keep the value references.
+    let keys_by_token: HashMap<u64, u64> = (0..64u64)
+        .map(|key| (reader.submit_lookup(key), key))
+        .collect();
+    let mut completions = Vec::new();
+    reader.drain(&mut completions).unwrap();
+    let held: Vec<_> = completions
+        .into_iter()
+        .map(|c| match c.kind {
+            CompletionKind::LookupHit(value) => (keys_by_token[&c.token], value),
+            other => panic!(
+                "seeded key {} not found: {other:?}",
+                keys_by_token[&c.token]
+            ),
+        })
+        .collect();
+    assert_eq!(held.len(), 64);
+
+    // The flood runs to completion while the references are held: 3 000
+    // inserts into a 2 KiB table evict every seeded element.
     let writer_thread = std::thread::spawn(move || {
         for key in 1_000..4_000u64 {
             writer.insert(key, &key.to_le_bytes()).unwrap();
         }
         writer
     });
-    let mut completions = Vec::new();
-    let mut observed_hits = 0;
-    for _ in 0..50 {
-        for key in 0..64u64 {
-            reader.submit_lookup(key);
-        }
-        completions.clear();
-        reader.drain(&mut completions).unwrap();
-        for c in &completions {
-            if let CompletionKind::LookupHit(v) = &c.kind {
-                let value = u64::from_le_bytes(v.as_slice().try_into().unwrap());
-                assert!(value < 64, "value bytes were corrupted or reused: {value}");
-                observed_hits += 1;
-            }
-        }
-    }
     let _writer = writer_thread.join().unwrap();
-    // Early rounds hit before eviction caught up.
-    assert!(observed_hits > 0);
+
+    for (key, value) in &held {
+        let read = u64::from_le_bytes(value.as_slice().try_into().unwrap());
+        assert!(read < 64, "value bytes were corrupted or reused: {read}");
+        assert_eq!(read, *key);
+    }
+    drop(held);
+    // Partition statistics are exact once the servers have stopped.
     table.shutdown();
-    let stats = table.partition_stats();
-    assert!(stats.evictions > 0);
+    assert!(table.partition_stats().evictions > 0);
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Integration tests for the pipelined client API, the arbitrary-key
-//! adapter (§8.2) and the dynamic-server controller (§8.1) working together
-//! against a live table.
+//! adapter (§8.2) and the server-utilization snapshot (§6.2) against a live
+//! table.
 
-use cphash_suite::table::{Recommendation, ServerLoadController};
 use cphash_suite::{AnyKeyClient, CompletionKind, CpHash, CpHashConfig};
 
 #[test]
@@ -79,7 +78,7 @@ fn anykey_adapter_supports_string_keys_end_to_end() {
 }
 
 #[test]
-fn server_utilization_feeds_the_dynamic_controller() {
+fn server_utilization_is_reported_under_load() {
     let (mut table, mut clients) = CpHash::new(CpHashConfig::new(2, 1));
     let client = &mut clients[0];
     // Generate some load so the servers record busy iterations.
@@ -96,16 +95,6 @@ fn server_utilization_feeds_the_dynamic_controller() {
     let snapshot = table.snapshot();
     assert!(snapshot.operations >= 20_000);
     assert!(snapshot.mean_utilization > 0.0 && snapshot.mean_utilization <= 1.0);
-
-    let controller = ServerLoadController::default();
-    let recommendation = controller.recommend(table.server_stats(), table.partitions());
-    // Whatever the direction, the recommendation must stay within bounds and
-    // be derived from the measured utilization.
-    match recommendation {
-        Recommendation::Keep(n) | Recommendation::Grow(n) | Recommendation::Shrink(n) => {
-            assert!(n >= 1);
-        }
-    }
     drop(clients);
     table.shutdown();
 }

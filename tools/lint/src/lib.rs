@@ -1,6 +1,6 @@
 //! Repo-local static lint pass for concurrency and configuration hygiene.
 //!
-//! Five rules, all line-oriented (see [`RULES`]):
+//! Six rules, all line-oriented (see [`RULES`]):
 //!
 //! 1. `raw-atomic` — no `std::sync::atomic` / `core::sync::atomic` imports
 //!    or paths outside the `cphash-sync` facade.  Everything goes through
@@ -16,6 +16,9 @@
 //!    one library module that reads a variable ([`ENV_READERS`]: the
 //!    io_uring kill switch).  Configuration reaches a library through its
 //!    config structs; the list can only shrink.
+//! 6. `doc-ref` — a `*.md` file named in a `//!` / `///` comment, or
+//!    anywhere in [`CHECKED_DOCUMENTS`], exists in the repository, so a
+//!    deleted document takes its citations with it.
 //!
 //! Escapes: a `// lint: allow(<rule>)` comment on the line itself or in the
 //! contiguous comment block directly above waives that rule for that line;
@@ -32,12 +35,13 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Names of the rules, in evaluation order.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     "raw-atomic",
     "relaxed-justification",
     "safety-comment",
     "hot-path",
     "env-read",
+    "doc-ref",
 ];
 
 /// One lint finding.
@@ -289,6 +293,71 @@ pub fn lint_source(path: &Path, source: &str) -> Vec<Violation> {
     out
 }
 
+/// Markdown documents whose every line is checked by `doc-ref` (source
+/// files are checked in their doc comments only).
+pub const CHECKED_DOCUMENTS: [&str; 2] = ["README.md", "bench/README.md"];
+
+/// Rule 6: every `*.md` name on a checked line must be one of `known` (the
+/// repository's Markdown files, as paths relative to its root; a bare file
+/// name matches in any directory).  In a `.rs` file only doc comments are
+/// checked lines.
+pub fn lint_doc_refs(path: &Path, text: &str, known: &[String]) -> Vec<Violation> {
+    let source_file = path.extension().is_some_and(|e| e == "rs");
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let trimmed = line.trim_start();
+        let doc_comment = trimmed.starts_with("//!") || trimmed.starts_with("///");
+        if (source_file && !doc_comment) || has_waiver(line, "doc-ref") {
+            continue;
+        }
+        for (end, _) in line.match_indices(".md") {
+            let is_name_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+            if line[end + 3..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_') {
+                continue;
+            }
+            let stem = line[..end]
+                .rfind(|c: char| !is_name_char(c))
+                .map_or(0, |before| before + 1);
+            let name = line[stem..end + 3].trim_start_matches("./");
+            let exists = known
+                .iter()
+                .any(|k| k == name || k.ends_with(&format!("/{name}")));
+            if name.len() > 3 && !exists {
+                out.push(Violation {
+                    file: path.to_path_buf(),
+                    line: i + 1,
+                    rule: "doc-ref",
+                    message: format!("`{name}` is not a file in this repository"),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Every `.md` file under `root`, as `/`-separated paths relative to it
+/// (build output and git metadata excluded).
+pub fn markdown_files(root: &Path) -> std::io::Result<Vec<String>> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if path.is_dir() {
+                if !matches!(&*name, "target" | ".git" | ".bench_build") {
+                    walk(root, &path, out)?;
+                }
+            } else if name.ends_with(".md") {
+                let rel = path.strip_prefix(root).unwrap_or(&path);
+                out.push(rel.to_string_lossy().replace('\\', "/"));
+            }
+        }
+        Ok(())
+    }
+    let mut out = Vec::new();
+    walk(root, root, &mut out)?;
+    Ok(out)
+}
+
 fn is_excluded(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
     p.contains("/vendor/")
@@ -317,7 +386,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lint the repo rooted at `root`: every `.rs` file under `crates/*/src`
-/// and the root package's `src/`.
+/// and the root package's `src/`, plus [`CHECKED_DOCUMENTS`].
 pub fn run(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     let crates = root.join("crates");
@@ -335,16 +404,22 @@ pub fn run(root: &Path) -> std::io::Result<Report> {
     }
     files.sort();
 
+    let known = markdown_files(root)?;
     let mut report = Report::default();
     for file in &files {
         let source = std::fs::read_to_string(file)?;
         let rel = file.strip_prefix(root).unwrap_or(file);
+        report.violations.extend(lint_source(rel, &source));
         report
             .violations
-            .extend(lint_source(rel, &source).into_iter().map(|mut v| {
-                v.file = rel.to_path_buf();
-                v
-            }));
+            .extend(lint_doc_refs(rel, &source, &known));
+        report.files_checked += 1;
+    }
+    for document in CHECKED_DOCUMENTS {
+        let text = std::fs::read_to_string(root.join(document))?;
+        report
+            .violations
+            .extend(lint_doc_refs(Path::new(document), &text, &known));
         report.files_checked += 1;
     }
     report
@@ -469,6 +544,29 @@ fn f(x: Option<u32>) -> u32 {
         assert!(lint_str("crates/core/src/x.rs", waived).is_empty());
         // Command-line arguments are not the environment.
         assert!(lint_str("crates/core/src/x.rs", "std::env::args().skip(1);\n").is_empty());
+    }
+
+    #[test]
+    fn doc_refs_must_name_existing_markdown_files() {
+        let known = ["README.md".to_string(), "bench/README.md".to_string()];
+        let src = "\
+//! See MISSING.md §4 and `bench/README.md`; README.md has the rest.
+/// Recorded in ./EXPERIMENTS.md.
+// a plain comment may say NOTES.md
+let s = \"GONE.md\";
+/// Not a name: foo.mdx, .md alone.
+/// Gone on purpose: OLD.md (lint: allow(doc-ref) history)
+";
+        let v = lint_doc_refs(Path::new("crates/core/src/x.rs"), src, &known);
+        let found: Vec<(usize, &str)> = v.iter().map(|v| (v.line, v.rule)).collect();
+        assert_eq!(found, [(1, "doc-ref"), (2, "doc-ref")]);
+        assert!(v[0].message.contains("`MISSING.md`"));
+        assert!(v[1].message.contains("`EXPERIMENTS.md`"));
+
+        // A checked document is read on every line.
+        let v = lint_doc_refs(Path::new("README.md"), "see NOTES.md\n", &known);
+        assert_eq!(v.len(), 1);
+        assert!(lint_doc_refs(Path::new("README.md"), "see README.md\n", &known).is_empty());
     }
 
     #[test]

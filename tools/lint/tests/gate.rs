@@ -2,8 +2,9 @@
 //!
 //! `cargo test -p cphash-lint` fails if any shipped source under
 //! `crates/*/src` violates the concurrency- or configuration-hygiene rules
-//! (an environment read outside the listed modules included), printing every
-//! finding as `file:line: [rule] message` so the offending site is one
+//! (an environment read outside the listed modules included), or if a doc
+//! comment or README cites a Markdown file that does not exist, printing
+//! every finding as `file:line: [rule] message` so the offending site is one
 //! click away.
 
 use std::path::Path;
@@ -76,5 +77,26 @@ fn a_seeded_env_read_fails_the_gate() {
             shipped.contains("env::var(") || shipped.contains("env::var_os("),
             "{module} no longer reads the environment: drop it from ENV_READERS"
         );
+    }
+}
+
+#[test]
+fn a_seeded_dangling_doc_reference_fails_the_gate() {
+    let known = cphash_lint::markdown_files(repo_root()).expect("markdown walk failed");
+    assert!(known.iter().any(|k| k == "EXPERIMENTS.md"), "{known:?}");
+    // The two citations this rule was written for: a design document that
+    // never existed, next to a report that does.
+    let src = "//! Hardware counters are modelled (see MISSING.md §4);\n\
+               //! results are recorded in EXPERIMENTS.md.\n";
+    let module = "crates/bench/src/lib.rs";
+    let v = cphash_lint::lint_doc_refs(Path::new(module), src, &known);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0]
+        .to_string()
+        .starts_with(&format!("{module}:1: [doc-ref] `MISSING.md`")));
+    for document in cphash_lint::CHECKED_DOCUMENTS {
+        let v = cphash_lint::lint_doc_refs(Path::new(document), "see NO_SUCH.md\n", &known);
+        assert_eq!(v.len(), 1, "{document}");
+        assert!(repo_root().join(document).is_file(), "{document}");
     }
 }
