@@ -291,12 +291,8 @@ impl SlabAllocator {
             return None;
         }
         let class = class_for_size(size);
-        let block_bytes = block_bytes_of(class, size);
-        if let Some(cap) = self.config.capacity_bytes {
-            if self.stats.bytes_in_use + block_bytes > cap {
-                self.stats.capacity_refusals += 1;
-                return None;
-            }
+        if !self.take_budget(block_bytes_of(class, size)) {
+            return None;
         }
 
         let ptr = if class.is_huge() {
@@ -305,10 +301,26 @@ impl SlabAllocator {
             self.allocate_classed(class)
         };
 
-        self.stats.bytes_in_use += block_bytes;
         self.stats.blocks_in_use += 1;
         self.stats.total_allocs += 1;
         Some(ValueHandle::new(ptr, size, class))
+    }
+
+    /// Charge the budget what a block for `size` bytes would cost, without
+    /// taking one: the owner keeps the bytes in storage of its own (a value
+    /// small enough to live in its element header) but evicts exactly where
+    /// it would have had the value gone through [`SlabAllocator::allocate`].
+    /// Returns `false`, like a refused allocation, when the budget would be
+    /// exceeded.  Undone by [`SlabAllocator::uncharge`] with the same `size`.
+    pub fn charge(&mut self, size: usize) -> bool {
+        self.take_budget(Self::block_bytes_for(size))
+    }
+
+    /// Return what [`SlabAllocator::charge`] took for a `size`-byte value.
+    pub fn uncharge(&mut self, size: usize) {
+        let block_bytes = Self::block_bytes_for(size);
+        debug_assert!(self.stats.bytes_in_use >= block_bytes, "double uncharge");
+        self.stats.bytes_in_use -= block_bytes;
     }
 
     /// Return a block to the allocator.
@@ -366,6 +378,19 @@ impl SlabAllocator {
         (0..NUM_CLASSES)
             .map(|c| self.reclaim_remote_class(SizeClass(c)))
             .sum()
+    }
+
+    /// Account `block_bytes` more as in use, unless that would exceed the
+    /// budget.
+    fn take_budget(&mut self, block_bytes: usize) -> bool {
+        if let Some(cap) = self.config.capacity_bytes {
+            if self.stats.bytes_in_use + block_bytes > cap {
+                self.stats.capacity_refusals += 1;
+                return false;
+            }
+        }
+        self.stats.bytes_in_use += block_bytes;
+        true
     }
 
     fn allocate_classed(&mut self, class: SizeClass) -> NonNull<u8> {
@@ -497,6 +522,27 @@ mod tests {
         let h3 = a.allocate(8).unwrap();
         a.free(h2);
         a.free(h3);
+    }
+
+    #[test]
+    fn a_charge_costs_what_the_block_would_and_takes_none() {
+        let mut a = SlabAllocator::new(SlabConfig::with_capacity(32));
+        for _ in 0..3 {
+            assert!(a.charge(5), "5 B is charged as an 8 B block");
+        }
+        let block = a.allocate(8).unwrap();
+        assert_eq!(a.bytes_in_use(), 32);
+        assert!(!a.charge(0), "an empty value still costs a block's bytes");
+        assert_eq!(a.stats().capacity_refusals, 1);
+        assert_eq!(a.stats().blocks_in_use, 1);
+        assert_eq!(a.stats().bytes_reserved, 64 * 1024, "one chunk, one block");
+        a.uncharge(5);
+        assert!(a.charge(0));
+        a.free(block);
+        for size in [5, 5, 0] {
+            a.uncharge(size);
+        }
+        assert_eq!(a.bytes_in_use(), 0);
     }
 
     #[test]

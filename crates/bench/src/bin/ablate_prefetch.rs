@@ -15,7 +15,9 @@
 //!      CPU overlap their misses (memory-level parallelism the scalar
 //!      loop's interleaved bookkeeping never exposes);
 //!    * `prefetch` — prepare + software-prefetch every bucket line, then
-//!      execute (what the server's staged executor ships).
+//!      read each line and prefetch the element slot behind every matching
+//!      tag, then execute (what the server's staged executor ships, both
+//!      staging passes).
 //!
 //!    `--strict` exits nonzero unless `prefetch ≥ 1.1 × scalar` here —
 //!    this isolates the server mechanism, so the gate holds even on hosts
@@ -164,7 +166,14 @@ fn run_hot(partition: &mut Partition, arm: HotArm, args: &Args) -> f64 {
                 preps.push(prep);
                 kinds.push(r % 100 < args.insert_pct);
             }
-            // Stage 2: execute the batch in order.
+            // Stage 2 (prefetch arm): the element pass over the arriving
+            // lines.
+            if arm == HotArm::Prefetch {
+                for prep in &preps {
+                    partition.prefetch_element(prep);
+                }
+            }
+            // Stage 3: execute the batch in order.
             for (prep, is_insert) in preps.iter().zip(kinds.iter()) {
                 if *is_insert {
                     partition
@@ -206,6 +215,11 @@ fn run_hot_hooked(partition: &mut Partition, args: &Args) -> f64 {
             partition.prefetch_prepared(&prep);
             preps.push(prep);
             kinds.push(r % 100 < args.insert_pct);
+        }
+        span.finish(n as u32);
+        let span = StageSpan::begin(TraceStage::Prefetch);
+        for prep in &preps {
+            partition.prefetch_element(prep);
         }
         span.finish(n as u32);
         let span = StageSpan::begin(TraceStage::Execute);

@@ -23,7 +23,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use cphash_channel::DuplexClient;
-use cphash_hashcore::MAX_KEY;
+use cphash_hashcore::{InlineValue, INLINE_VALUE_BYTES, MAX_KEY};
 use cphash_perfmon::trace::TraceStage;
 use cphash_perfmon::StageSpan;
 
@@ -103,6 +103,30 @@ impl ValueBytes {
     /// Is the value empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The value by value, if it is short enough to ride in a message word
+    /// (fixed-size moves only: this is on the submit path of every insert).
+    fn as_inline(&self) -> Option<InlineValue> {
+        match self {
+            ValueBytes::Inline { len, data } if *len as usize <= INLINE_VALUE_BYTES => {
+                let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = *data;
+                let word = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
+                Some(InlineValue::from_word(word, *len as usize))
+            }
+            _ => None,
+        }
+    }
+}
+
+impl From<InlineValue> for ValueBytes {
+    fn from(value: InlineValue) -> ValueBytes {
+        let mut data = [0u8; 16];
+        data[..INLINE_VALUE_BYTES].copy_from_slice(&value.word().to_le_bytes());
+        ValueBytes::Inline {
+            len: value.len() as u8,
+            data,
+        }
     }
 }
 
@@ -450,14 +474,20 @@ impl ClientHandle {
     fn dispatch(&mut self, dest: usize, pending: Pending) {
         let dest = dest.min(self.lanes.len() - 1);
         let lane = &mut self.lanes[dest];
-        let (w0, w1) = match &pending {
-            Pending::Lookup { key, .. } => encode(&Request::Lookup { key: *key }),
-            Pending::Insert { key, value, .. } => encode(&Request::Insert {
-                key: *key,
-                size: value.len() as u64,
-            }),
-            Pending::Delete { key, .. } => encode(&Request::Delete { key: *key }),
-        };
+        let (w0, w1) = encode(&match &pending {
+            Pending::Lookup { key, .. } => Request::Lookup { key: *key },
+            // The length alone decides: a value that fits a message word
+            // rides in the request, anything longer is reserved and then
+            // copied through the pointer the server answers with.
+            Pending::Insert { key, value, .. } => match value.as_inline() {
+                Some(value) => Request::InsertInline { key: *key, value },
+                None => Request::Insert {
+                    key: *key,
+                    size: value.len() as u64,
+                },
+            },
+            Pending::Delete { key, .. } => Request::Delete { key: *key },
+        });
         lane.pending.push_back(pending);
         lane.outgoing.push_back(w0);
         if let Some(w1) = w1 {
@@ -678,10 +708,10 @@ impl ClientHandle {
     }
 
     /// One round of progress on one lane: send queued requests, drain
-    /// responses, process them (which may queue follow-up Ready/Decref
-    /// messages), send those too, and flush.  Retry responses do not complete their
-    /// operation; they are collected into `resubmissions` for the caller to
-    /// re-route.
+    /// responses, process them (which, for values that travel by pointer,
+    /// queues follow-up Ready/Decref messages), send those too, and flush.
+    /// Retry responses do not complete their operation; they are collected
+    /// into `resubmissions` for the caller to re-route.
     fn pump_lane(
         lane: &mut Lane,
         resp_buf: &mut Vec<Response>,
@@ -756,7 +786,14 @@ impl ClientHandle {
         }
         Applied::Done(match pending {
             Pending::Lookup { token, .. } => {
-                if response.has_value() {
+                if let Some(value) = response.inline_value() {
+                    // The value came in the reply and the server has let go
+                    // of the element: nothing to read through, no `Decref`.
+                    Completion {
+                        token,
+                        kind: CompletionKind::LookupHit(value.into()),
+                    }
+                } else if response.has_value() {
                     // SAFETY: the server incremented the element's reference
                     // count before responding, and READY values are never
                     // written again, so reading `value_size` bytes at `addr`
@@ -805,9 +842,16 @@ impl ClientHandle {
                         kind: CompletionKind::Inserted,
                     }
                 } else {
+                    // No pointer: the answer to an insert that carried its
+                    // value (stored and published already, or not), or a
+                    // refused reservation.
                     Completion {
                         token,
-                        kind: CompletionKind::InsertFailed,
+                        kind: if response.is_hit() {
+                            CompletionKind::Inserted
+                        } else {
+                            CompletionKind::InsertFailed
+                        },
                     }
                 }
             }
@@ -846,6 +890,26 @@ mod tests {
         let big = ValueBytes::from_slice(&[7u8; 100]);
         assert!(matches!(big, ValueBytes::Heap(_)));
         assert_eq!(big.len(), 100);
+
+        // At most 8 bytes convert to and from the message-word form; bytes
+        // a caller left past `len` do not travel.
+        for len in 0..=16usize {
+            let bytes: Vec<u8> = (1..=len as u8).collect();
+            let value = ValueBytes::from_slice(&bytes);
+            match value.as_inline() {
+                Some(inline) => {
+                    assert!(len <= 8);
+                    assert_eq!(inline.as_slice(), bytes);
+                    assert_eq!(ValueBytes::from(inline), value);
+                }
+                None => assert!(len > 8),
+            }
+        }
+        let dirty = ValueBytes::Inline {
+            len: 2,
+            data: [0xEE; 16],
+        };
+        assert_eq!(dirty.as_inline(), InlineValue::new(&[0xEE; 2]));
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!    **asynchronous message passing over shared-memory ring buffers**,
 //!    batching many requests per cache-line transfer;
 //! 3. returns **pointers to values** (with reference counting and deferred
-//!    frees) so large values are copied by the client, not the server.
+//!    frees) so large values are copied by the client, not the server —
+//!    and values that fit a message word (at most 8 bytes) in the messages
+//!    themselves, with no pointer, pin or follow-up message at all (see
+//!    [`protocol`]).
 //!
 //! ## Quick start
 //!

@@ -6,20 +6,26 @@
 //! bucket for every request before touching any of them, so the batch's
 //! DRAM misses overlap instead of serializing (§3.4, §6.2).
 //! [`StagedExecutor`] is that loop: *prepare* (hash) every operation of the
-//! batch, prefetch each one's bucket line, then execute them all; the
-//! server thread publishes the replies as one ring batch.  The staging pass
-//! is pure address arithmetic — the hint targets the bucket's own cache
-//! line, which holds the key tags and element refs of the common case, so
-//! staging never reads table memory and one prefetched line usually
-//! resolves the whole probe.
+//! batch and prefetch each one's bucket line, then — the lines arriving —
+//! read each one and prefetch the element behind every matching tag, then
+//! execute them all; the server thread publishes the replies as one ring
+//! batch.  The first pass is pure address arithmetic: the hint targets the
+//! bucket's own cache line, which holds the key tags and element refs of
+//! the common case.  The second is a group prefetch over the probe's next
+//! dependent miss (element header, where a short value lives too): it waits
+//! for at most the first line, and every later line's miss overlaps with
+//! it.
 //!
 //! The responses are independent of the batch depth — a depth of 1 is
 //! per-operation processing, and `tests/pipeline_equivalence.rs` holds
 //! every other depth to it under random operation mixes — because the
-//! staging pass decides nothing: every decision (migration diverts
+//! staging passes decide nothing: every decision (migration diverts
 //! included) still happens at execute time, in request order.
 
-use cphash_hashcore::{migration_chunk, partition_for_key, BucketRef, Partition};
+use cphash_hashcore::{
+    migration_chunk, partition_for_key, BucketRef, InlineValue, InsertReservation, Partition,
+    StoredValue, INLINE_VALUE_BYTES,
+};
 use cphash_perfmon::trace::{trace_enabled, TraceStage};
 use cphash_perfmon::{BatchCounters, StageSpan};
 use std::collections::HashMap;
@@ -27,25 +33,30 @@ use std::collections::HashMap;
 use crate::protocol::{MigrationStep, Response};
 use crate::router::{EpochRouter, RouterSnapshot};
 
-/// The kind of a client data operation (the response-bearing subset of the
-/// wire opcodes; control messages never enter the pipeline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DataOpKind {
+/// One decoded client data operation, ready for staged execution (the
+/// table-operation subset of the wire opcodes; control messages never enter
+/// the pipeline).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DataOp {
     /// Key lookup.
-    Lookup,
-    /// Key insert (the `size` field carries the value size).
-    Insert,
+    Lookup { key: u64 },
+    /// Reservation for a value of `size` bytes the client will copy in.
+    Insert { key: u64, size: u64 },
+    /// Insert of the value the request carried.
+    InsertInline { key: u64, value: InlineValue },
     /// Key delete.
-    Delete,
+    Delete { key: u64 },
 }
 
-/// One decoded data operation, ready for staged execution.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DataOp {
-    pub kind: DataOpKind,
-    pub key: u64,
-    /// Value size in bytes (inserts only; 0 otherwise).
-    pub size: u64,
+impl DataOp {
+    pub(crate) fn key(&self) -> u64 {
+        match *self {
+            DataOp::Lookup { key }
+            | DataOp::Insert { key, .. }
+            | DataOp::InsertInline { key, .. }
+            | DataOp::Delete { key } => key,
+        }
+    }
 }
 
 /// Per-server migration bookkeeping. Entries are validated lazily against
@@ -152,41 +163,62 @@ impl OpCtx<'_> {
 
     /// Execute one prepared data operation, producing its response.
     fn execute(&mut self, op: &DataOp, prep: BucketRef) -> Response {
-        match op.kind {
-            DataOpKind::Lookup => match self.divert(op.key, false) {
-                Some(dest) => Response::retry(dest),
-                None => match self.partition.lookup_prepared(prep) {
-                    Some(hit) => Response::with_value(hit.value.addr(), hit.id, hit.value.len()),
-                    None => Response::MISS,
-                },
-            },
-            DataOpKind::Insert => match self.divert(op.key, true) {
-                Some(dest) => Response::retry(dest),
-                None => match self.partition.insert_prepared(prep, op.size as usize) {
-                    Ok(reservation) => Response::with_value(
-                        reservation.value.addr(),
-                        reservation.id,
-                        op.size as usize,
-                    ),
-                    Err(_) => Response::MISS,
-                },
-            },
-            DataOpKind::Delete => match self.divert(op.key, false) {
-                Some(dest) => Response::retry(dest),
-                None => {
-                    if self.partition.delete_prepared(prep) {
-                        Response::FOUND
-                    } else {
-                        Response::MISS
+        // A reservation for a value short enough to ride in its request is
+        // not something the client sends; refusing it here, before it costs
+        // the partition anything, keeps one representation for short values.
+        if matches!(*op, DataOp::Insert { size, .. } if size <= INLINE_VALUE_BYTES as u64) {
+            return Response::MISS;
+        }
+        let is_insert = matches!(op, DataOp::Insert { .. } | DataOp::InsertInline { .. });
+        if let Some(dest) = self.divert(prep.key(), is_insert) {
+            return Response::retry(dest);
+        }
+        match *op {
+            DataOp::Lookup { .. } => match self.partition.lookup_prepared(prep) {
+                Some(hit) => match hit.value {
+                    StoredValue::Block(handle) => {
+                        Response::with_value(handle.addr(), hit.id, handle.len())
                     }
-                }
+                    StoredValue::Inline(value) => {
+                        // The reply carries the bytes, so the pin ends here
+                        // and the client owes no `Decref`.
+                        self.partition.decref(hit.id);
+                        Response::with_inline(value)
+                    }
+                },
+                None => Response::MISS,
             },
+            DataOp::Insert { size, .. } => {
+                match self.partition.insert_prepared(prep, size as usize) {
+                    Ok(InsertReservation {
+                        id,
+                        value: Some(handle),
+                    }) => Response::with_value(handle.addr(), id, size as usize),
+                    // No room — a reservation without a block is one of a
+                    // size refused above.
+                    _ => Response::MISS,
+                }
+            }
+            DataOp::InsertInline { value, .. } => {
+                match self.partition.insert_inline_prepared(prep, value) {
+                    Ok(()) => Response::FOUND,
+                    Err(_) => Response::MISS,
+                }
+            }
+            DataOp::Delete { .. } => {
+                if self.partition.delete_prepared(prep) {
+                    Response::FOUND
+                } else {
+                    Response::MISS
+                }
+            }
         }
     }
 }
 
-/// The staged pipeline: prepare (hash) the whole batch, prefetch every
-/// operation's bucket, then execute the batch in order.
+/// The staged pipeline: prepare (hash) the whole batch and prefetch every
+/// operation's bucket line, prefetch the elements those lines point at, then
+/// execute the batch in order.
 ///
 /// By the time operation *i* executes, the prefetches for operations
 /// *i+1..n* are in flight — the memory-level parallelism a one-at-a-time
@@ -213,30 +245,39 @@ impl StagedExecutor {
         counters: &BatchCounters,
     ) {
         // Stage 1: pure arithmetic + cache hints, no table memory touched.
+        // Stage 2, the element pass: read each line (the batch's first may
+        // still be on its way; the rest arrive behind it) and hint the
+        // element slots its matching tags point at.
         self.refs.clear();
         if trace_enabled() {
-            // Traced path: prepare and prefetch run as separate passes so
-            // each gets its own cycle-stamped span.  Responses stay
-            // byte-identical (staging is pure arithmetic + hints); only the
-            // prefetch overlap differs slightly, and only while tracing.
+            // Traced path: prepare and the two prefetch passes run apart so
+            // each stage gets its own cycle-stamped span.  Responses stay
+            // byte-identical (staging decides nothing); only the prefetch
+            // overlap differs slightly, and only while tracing.
             let span = StageSpan::begin(TraceStage::Prepare);
             for op in ops {
-                self.refs.push(ctx.partition.prepare(op.key));
+                self.refs.push(ctx.partition.prepare(op.key()));
             }
             span.finish(ops.len() as u32);
             let span = StageSpan::begin(TraceStage::Prefetch);
             for prep in self.refs.iter() {
                 ctx.partition.prefetch_prepared(prep);
             }
+            for prep in self.refs.iter() {
+                ctx.partition.prefetch_element(prep);
+            }
             span.finish(ops.len() as u32);
         } else {
             for op in ops {
-                let prep = ctx.partition.prepare(op.key);
+                let prep = ctx.partition.prepare(op.key());
                 ctx.partition.prefetch_prepared(&prep);
                 self.refs.push(prep);
             }
+            for prep in self.refs.iter() {
+                ctx.partition.prefetch_element(prep);
+            }
         }
-        // Stage 2: execute in request order; early operations overlap with
+        // Stage 3: execute in request order; early operations overlap with
         // the still-in-flight prefetches of later ones.
         let span = StageSpan::begin(TraceStage::Execute);
         for (op, prep) in ops.iter().zip(self.refs.iter()) {

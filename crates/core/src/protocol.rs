@@ -6,19 +6,33 @@
 //! Because keys are limited to 60 bits (§3.1), the top four bits of each
 //! word carry the opcode:
 //!
-//! | opcode | payload word 0 (low 60 bits) | extra word |
-//! |--------|------------------------------|------------|
-//! | `Lookup` | key                        | —          |
-//! | `Insert` | key                        | value size in bytes |
-//! | `Ready`  | element id                 | —          |
-//! | `Decref` | element id                 | —          |
-//! | `Delete` | key                        | —          |
+//! | opcode | payload word 0 (low 60 bits) | extra words |
+//! |--------|------------------------------|-------------|
+//! | `Lookup` | key                        | —           |
+//! | `Insert` | key                        | value size in bytes (more than 8) |
+//! | `Ready`  | element id                 | —           |
+//! | `Decref` | element id                 | —           |
+//! | `Delete` | key                        | —           |
+//! | `MigratePrepare` / `MigrateOut` | chunk, old and new partition count | — |
+//! | `MigrateIn` | chunk, old and new partition count | batch address |
+//! | `InsertInline` | key                  | value bytes (at most 7) with their count in the top byte |
+//! | `InsertWord` | key                    | value bytes (exactly 8) |
 //!
 //! Responses travel server → client as 16-byte [`Response`] structs (a value
 //! address plus element id and size), four per cache line — the same
 //! packing the paper uses for insert messages.
+//!
+//! §3.2 hands values over by pointer because they can be large: the server
+//! allocates, the client copies, and `Ready` / `Decref` bracket the copy.
+//! A value of at most [`INLINE_VALUE_BYTES`] bytes fits in a message word,
+//! so it travels *in* the messages instead — `InsertInline` (or, when the
+//! 8 bytes leave no room for their count, `InsertWord`) carries it to the
+//! server, which stores it in the element and publishes it at once, and
+//! a hit returns it in the reply ([`Response::with_inline`]) with the
+//! element already unpinned — and neither `Ready` nor `Decref` is ever
+//! sent for it.  The value's length alone selects the form.
 
-use cphash_hashcore::{ElementId, MAX_KEY};
+use cphash_hashcore::{ElementId, InlineValue, INLINE_VALUE_BYTES, MAX_KEY};
 
 /// Operation codes carried in the top four bits of a request word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,9 +57,30 @@ pub enum OpCode {
     MigrateOut = 7,
     /// Hand a *destination* server an extracted batch to absorb.
     MigrateIn = 8,
+    /// Insert a key whose value, shorter than [`INLINE_VALUE_BYTES`] bytes,
+    /// rides in the request's second word under its length; the server
+    /// stores and publishes it in one step and responds with whether it
+    /// could.
+    InsertInline = 9,
+    /// [`OpCode::InsertInline`] for a value of exactly
+    /// [`INLINE_VALUE_BYTES`] bytes: the second word is the value.
+    InsertWord = 10,
 }
 
 impl OpCode {
+    /// Is this a table operation (answered through the staged pipeline), as
+    /// opposed to a control message (executed on its own, in place)?
+    pub fn is_data(self) -> bool {
+        matches!(
+            self,
+            OpCode::Lookup
+                | OpCode::Insert
+                | OpCode::InsertInline
+                | OpCode::InsertWord
+                | OpCode::Delete
+        )
+    }
+
     fn from_bits(bits: u64) -> Option<OpCode> {
         match bits {
             1 => Some(OpCode::Lookup),
@@ -56,6 +91,8 @@ impl OpCode {
             6 => Some(OpCode::MigratePrepare),
             7 => Some(OpCode::MigrateOut),
             8 => Some(OpCode::MigrateIn),
+            9 => Some(OpCode::InsertInline),
+            10 => Some(OpCode::InsertWord),
             _ => None,
         }
     }
@@ -102,12 +139,21 @@ pub enum Request {
         /// The 60-bit key.
         key: u64,
     },
-    /// Insert `key` with a value of `size` bytes.
+    /// Reserve space for `key` with a value of `size` bytes, more than
+    /// [`INLINE_VALUE_BYTES`] (the server refuses a shorter one: it has no
+    /// second representation for short values).
     Insert {
         /// The 60-bit key.
         key: u64,
         /// Value size in bytes.
         size: u64,
+    },
+    /// Insert `key` with the value the request carries.
+    InsertInline {
+        /// The 60-bit key.
+        key: u64,
+        /// The value.
+        value: InlineValue,
     },
     /// Publish a previously reserved element.
     Ready {
@@ -147,7 +193,7 @@ pub enum Request {
 /// Number of ring words a request occupies.
 pub fn request_words(request: &Request) -> usize {
     match request {
-        Request::Insert { .. } | Request::MigrateIn { .. } => 2,
+        Request::Insert { .. } | Request::InsertInline { .. } | Request::MigrateIn { .. } => 2,
         _ => 1,
     }
 }
@@ -155,36 +201,56 @@ pub fn request_words(request: &Request) -> usize {
 const OP_SHIFT: u32 = 60;
 const PAYLOAD_MASK: u64 = (1 << OP_SHIFT) - 1;
 
+/// Where a short inline value's length sits in its word: above the (at
+/// most seven) bytes.
+const INLINE_LEN_SHIFT: u32 = 56;
+
+/// The value an inline insert's second word carries (`op` is
+/// [`OpCode::InsertInline`] or [`OpCode::InsertWord`]).  A length a client
+/// could not have written is clamped, not trusted.
+pub(crate) fn inline_from_word(op: OpCode, word: u64) -> InlineValue {
+    if op == OpCode::InsertWord {
+        InlineValue::from_word(word, INLINE_VALUE_BYTES)
+    } else {
+        let len = (word >> INLINE_LEN_SHIFT) as usize;
+        InlineValue::from_word(word, len.min(INLINE_VALUE_BYTES - 1))
+    }
+}
+
 /// Encode a request into one or two ring words (the second word is `None`
 /// for single-word requests).
+#[inline]
 pub fn encode(request: &Request) -> (u64, Option<u64>) {
+    let word = |op: OpCode, payload: u64| ((op as u64) << OP_SHIFT) | payload;
     match *request {
         Request::Lookup { key } => {
             debug_assert!(key <= MAX_KEY);
-            (((OpCode::Lookup as u64) << OP_SHIFT) | key, None)
+            (word(OpCode::Lookup, key), None)
         }
         Request::Insert { key, size } => {
             debug_assert!(key <= MAX_KEY);
-            (((OpCode::Insert as u64) << OP_SHIFT) | key, Some(size))
+            (word(OpCode::Insert, key), Some(size))
         }
-        Request::Ready { id } => (((OpCode::Ready as u64) << OP_SHIFT) | id.0 as u64, None),
-        Request::Decref { id } => (((OpCode::Decref as u64) << OP_SHIFT) | id.0 as u64, None),
+        Request::InsertInline { key, value } => {
+            debug_assert!(key <= MAX_KEY);
+            if value.len() == INLINE_VALUE_BYTES {
+                (word(OpCode::InsertWord, key), Some(value.word()))
+            } else {
+                let len = (value.len() as u64) << INLINE_LEN_SHIFT;
+                (word(OpCode::InsertInline, key), Some(len | value.word()))
+            }
+        }
+        Request::Ready { id } => (word(OpCode::Ready, id.0 as u64), None),
+        Request::Decref { id } => (word(OpCode::Decref, id.0 as u64), None),
         Request::Delete { key } => {
             debug_assert!(key <= MAX_KEY);
-            (((OpCode::Delete as u64) << OP_SHIFT) | key, None)
+            (word(OpCode::Delete, key), None)
         }
-        Request::MigratePrepare { step } => (
-            ((OpCode::MigratePrepare as u64) << OP_SHIFT) | step.to_payload(),
-            None,
-        ),
-        Request::MigrateOut { step } => (
-            ((OpCode::MigrateOut as u64) << OP_SHIFT) | step.to_payload(),
-            None,
-        ),
-        Request::MigrateIn { step, batch_addr } => (
-            ((OpCode::MigrateIn as u64) << OP_SHIFT) | step.to_payload(),
-            Some(batch_addr),
-        ),
+        Request::MigratePrepare { step } => (word(OpCode::MigratePrepare, step.to_payload()), None),
+        Request::MigrateOut { step } => (word(OpCode::MigrateOut, step.to_payload()), None),
+        Request::MigrateIn { step, batch_addr } => {
+            (word(OpCode::MigrateIn, step.to_payload()), Some(batch_addr))
+        }
     }
 }
 
@@ -195,8 +261,8 @@ pub fn decode_word(word: u64) -> Option<(OpCode, u64)> {
     Some((op, word & PAYLOAD_MASK))
 }
 
-/// Reassemble a full request from its first word and (for inserts) the
-/// extra word.
+/// Reassemble a full request from its first word and (for two-word
+/// requests) the extra word.
 pub fn decode(word: u64, extra: Option<u64>) -> Option<Request> {
     let (op, payload) = decode_word(word)?;
     Some(match op {
@@ -204,6 +270,10 @@ pub fn decode(word: u64, extra: Option<u64>) -> Option<Request> {
         OpCode::Insert => Request::Insert {
             key: payload,
             size: extra?,
+        },
+        OpCode::InsertInline | OpCode::InsertWord => Request::InsertInline {
+            key: payload,
+            value: inline_from_word(op, extra?),
         },
         OpCode::Ready => Request::Ready {
             id: ElementId(payload as u32),
@@ -226,19 +296,25 @@ pub fn decode(word: u64, extra: Option<u64>) -> Option<Request> {
 }
 
 /// A response from a server thread: where the value lives plus the element
-/// id the client must hand back (`Ready`/`Decref`) and the value size.
+/// id the client must hand back (`Ready`/`Decref`) and the value size — or,
+/// for a hit on a value of at most [`INLINE_VALUE_BYTES`] bytes, the value
+/// itself, with nothing to hand back.
 ///
 /// Exactly 16 bytes so four responses pack into one cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct Response {
     /// Address of the value bytes; 0 means "not found" (for lookups) or
-    /// "failed" (for inserts), 1 means "found/deleted" for responses that
-    /// carry no data pointer.
+    /// "failed" (for inserts), 1 means "found/deleted/inserted" for
+    /// responses that carry no data pointer.  In an inline response, the
+    /// value bytes themselves — any word, the sentinels included.
     pub addr: u64,
-    /// Low 32 bits: element id. High 32 bits: value size in bytes.
+    /// Low 32 bits: element id, or [`Response::INLINE_ID`] for an inline
+    /// response. High 32 bits: value size in bytes.
     pub meta: u64,
 }
+
+const _: () = assert!(core::mem::size_of::<Response>() == 16);
 
 impl Response {
     /// The miss/failure response.
@@ -251,6 +327,33 @@ impl Response {
     /// heap pointers and can never be all-ones.
     const RETRY_ADDR: u64 = u64::MAX;
 
+    /// The element id that marks a response carrying the value itself.  No
+    /// element has it: it is the partition's "no slot" link value.
+    const INLINE_ID: u64 = u32::MAX as u64;
+
+    /// Build a response carrying the value itself.  The server has already
+    /// dropped its pin on the element: there is nothing to `Decref`.
+    pub fn with_inline(value: InlineValue) -> Response {
+        Response {
+            addr: value.word(),
+            meta: ((value.len() as u64) << 32) | Self::INLINE_ID,
+        }
+    }
+
+    /// The value an inline response carries; `None` for every other kind.
+    /// Tested before the `addr` sentinels mean anything: an inline value's
+    /// word may be any of them.
+    #[inline]
+    pub fn inline_value(&self) -> Option<InlineValue> {
+        self.is_inline()
+            .then(|| InlineValue::from_word(self.addr, self.value_size()))
+    }
+
+    #[inline]
+    fn is_inline(&self) -> bool {
+        self.meta & 0xFFFF_FFFF == Self::INLINE_ID
+    }
+
     /// Build a response carrying a value location.
     pub fn with_value(addr: u64, id: ElementId, size: usize) -> Response {
         debug_assert!(
@@ -260,6 +363,10 @@ impl Response {
         // The size has the upper 32 bits of `meta`; the allocator refuses
         // longer values (`cphash_alloc::MAX_VALUE_BYTES`), so none gets here.
         debug_assert!(size <= u32::MAX as usize, "value size overflows 32 bits");
+        debug_assert!(
+            id.0 as u64 != Self::INLINE_ID,
+            "no element has the inline marker's id"
+        );
         Response {
             addr,
             meta: ((size as u64) << 32) | id.0 as u64,
@@ -288,7 +395,7 @@ impl Response {
 
     /// Does this response redirect the operation to another partition?
     pub fn is_retry(&self) -> bool {
-        self.addr == Self::RETRY_ADDR
+        !self.is_inline() && self.addr == Self::RETRY_ADDR
     }
 
     /// The partition to resubmit to, for a retry response.
@@ -299,12 +406,13 @@ impl Response {
 
     /// Does this response indicate a hit / success?
     pub fn is_hit(&self) -> bool {
-        self.addr != 0 && !self.is_retry()
+        self.is_inline() || (self.addr != 0 && self.addr != Self::RETRY_ADDR)
     }
 
-    /// Does this response carry a usable value pointer?
+    /// Does this response carry a usable value pointer?  (An inline
+    /// response carries the value instead: [`Response::inline_value`].)
     pub fn has_value(&self) -> bool {
-        self.addr > 1 && !self.is_retry()
+        !self.is_inline() && self.addr > 1 && self.addr != Self::RETRY_ADDR
     }
 
     /// The element id encoded in the response.
@@ -402,21 +510,17 @@ mod tests {
         ];
         for step in cases {
             assert_eq!(MigrationStep::from_payload(step.to_payload()), step);
-            let (w0, w1) = encode(&Request::MigrateOut { step });
-            assert_eq!(decode(w0, w1), Some(Request::MigrateOut { step }));
-            let (w0, w1) = encode(&Request::MigratePrepare { step });
-            assert_eq!(decode(w0, w1), Some(Request::MigratePrepare { step }));
-            let (w0, w1) = encode(&Request::MigrateIn {
-                step,
-                batch_addr: 0xBEEF_0000,
-            });
-            assert_eq!(
-                decode(w0, w1),
-                Some(Request::MigrateIn {
+            for request in [
+                Request::MigrateOut { step },
+                Request::MigratePrepare { step },
+                Request::MigrateIn {
                     step,
-                    batch_addr: 0xBEEF_0000
-                })
-            );
+                    batch_addr: 0xBEEF_0000,
+                },
+            ] {
+                let (w0, w1) = encode(&request);
+                assert_eq!(decode(w0, w1), Some(request));
+            }
         }
     }
 
@@ -447,10 +551,33 @@ mod tests {
     #[test]
     fn request_words_match_paper_packing() {
         // Lookups are one 8-byte word → 8 per cache line; inserts are two
-        // words (16 bytes) → 4 per cache line.
-        assert_eq!(request_words(&Request::Lookup { key: 1 }), 1);
-        assert_eq!(request_words(&Request::Insert { key: 1, size: 8 }), 2);
-        assert_eq!(request_words(&Request::Decref { id: ElementId(3) }), 1);
+        // words (16 bytes) → 4 per cache line — whether the second word is
+        // the size of a value to reserve room for or a short value itself.
+        let inline = Request::InsertInline {
+            key: 1,
+            value: InlineValue::new(&[7; 8]).unwrap(),
+        };
+        let step = MigrationStep::from_payload(0);
+        for (request, words) in [
+            (Request::Lookup { key: 1 }, 1),
+            (Request::Insert { key: 1, size: 64 }, 2),
+            (inline, 2),
+            (Request::Ready { id: ElementId(3) }, 1),
+            (Request::Decref { id: ElementId(3) }, 1),
+            (Request::Delete { key: 1 }, 1),
+            (Request::MigratePrepare { step }, 1),
+            (Request::MigrateOut { step }, 1),
+            (
+                Request::MigrateIn {
+                    step,
+                    batch_addr: 16,
+                },
+                2,
+            ),
+        ] {
+            assert_eq!(request_words(&request), words, "{request:?}");
+            assert_eq!(1 + encode(&request).1.iter().len(), words, "{request:?}");
+        }
         assert_eq!(core::mem::size_of::<Response>(), 16);
         assert_eq!(cphash_cacheline::packing::messages_per_line(8), 8);
         assert_eq!(cphash_cacheline::packing::messages_per_line(16), 4);
@@ -471,10 +598,82 @@ mod tests {
                 id: ElementId(u32::MAX - 1),
             },
             Request::Delete { key: 99 },
+            Request::InsertInline {
+                key: MAX_KEY,
+                value: InlineValue::new(&[]).unwrap(),
+            },
+            Request::InsertInline {
+                key: 42,
+                value: InlineValue::new(&[0xFF; 7]).unwrap(),
+            },
+            Request::InsertInline {
+                key: 42,
+                value: InlineValue::from_word(u64::MAX, 8),
+            },
         ];
         for case in cases {
             let (w0, w1) = encode(&case);
             assert_eq!(decode(w0, w1), Some(case), "case {case:?}");
+        }
+    }
+
+    #[test]
+    fn inline_insert_words_are_key_then_bytes_under_their_length() {
+        let (w0, w1) = encode(&Request::InsertInline {
+            key: 5,
+            value: InlineValue::new(&[0xAA, 0xBB, 0xCC]).unwrap(),
+        });
+        assert_eq!(decode_word(w0), Some((OpCode::InsertInline, 5)));
+        assert_eq!(w1, Some((3 << 56) | 0xCC_BBAA));
+        // Eight bytes leave no room for a length: the opcode says it.
+        let (w0, w1) = encode(&Request::InsertInline {
+            key: 5,
+            value: InlineValue::from_word(u64::MAX, 8),
+        });
+        assert_eq!(decode_word(w0), Some((OpCode::InsertWord, 5)));
+        assert_eq!(w1, Some(u64::MAX));
+        for op in [OpCode::InsertInline, OpCode::InsertWord, OpCode::Insert] {
+            assert!(op.is_data());
+        }
+        assert!(!OpCode::Ready.is_data() && !OpCode::MigrateIn.is_data());
+        // Short of its second word the message is incomplete; a length a
+        // client could not have written is clamped, not trusted, and bytes
+        // past the length are not kept.
+        assert_eq!(decode(w0, None), None);
+        let (short, _) = encode(&Request::InsertInline {
+            key: 5,
+            value: InlineValue::new(&[]).unwrap(),
+        });
+        assert_eq!(
+            decode(short, Some(u64::MAX)),
+            Some(Request::InsertInline {
+                key: 5,
+                value: InlineValue::new(&[0xFF; 7]).unwrap(),
+            })
+        );
+    }
+
+    #[test]
+    fn inline_responses_are_told_apart_before_the_sentinels() {
+        // The value words that are MISS / FOUND / RETRY addresses in every
+        // other response, and one that looks like a pointer.
+        for word in [0u64, 1, u64::MAX, 0x7F00_DEAD_BEE0] {
+            for len in [0usize, 1, 7, 8] {
+                let value = InlineValue::from_word(word, len);
+                let r = Response::with_inline(value);
+                assert_eq!(r.inline_value(), Some(value), "{word:#x}/{len}");
+                assert!(r.is_hit() && !r.is_retry() && !r.has_value());
+                assert_eq!(r.value_size(), len);
+            }
+        }
+        for r in [
+            Response::MISS,
+            Response::FOUND,
+            Response::retry(3),
+            Response::with_value(0x1000, ElementId(u32::MAX - 1), 64),
+            Response::with_batch(0x2000, 12),
+        ] {
+            assert_eq!(r.inline_value(), None, "{r:?}");
         }
     }
 

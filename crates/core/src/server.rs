@@ -28,13 +28,15 @@ use std::time::{Duration, Instant};
 
 use cphash_affinity::{pin_to_hw_thread, HwThreadId};
 use cphash_channel::{Doorbell, DuplexServer};
-use cphash_hashcore::{partition_for_key, ExportOutcome, Partition, PartitionStats};
+use cphash_hashcore::{partition_for_key, ElementId, ExportOutcome, Partition, PartitionStats};
 use cphash_perfmon::trace::TraceStage;
 use cphash_perfmon::StageSpan;
 use parking_lot::Mutex;
 
-use crate::pipeline::{step_is_current, DataOp, DataOpKind, MigrationState, OpCtx, StagedExecutor};
-use crate::protocol::{decode_word, MigrationBatch, MigrationStep, OpCode, Response};
+use crate::pipeline::{step_is_current, DataOp, MigrationState, OpCtx, StagedExecutor};
+use crate::protocol::{
+    decode_word, inline_from_word, MigrationBatch, MigrationStep, OpCode, Response,
+};
 use crate::router::EpochRouter;
 use crate::stats::ServerStats;
 
@@ -263,7 +265,9 @@ impl ServerThread {
     /// then execute everything, then publish all the replies with one ring
     /// synchronization.  Control messages are executed scalar, exactly
     /// where they appeared, so the request order every client observes is
-    /// identical to the pre-pipeline server's.
+    /// identical to the pre-pipeline server's.  Every `Ready` and `Decref`
+    /// therefore cuts a run short (`ServerStats::run_cuts`); operations on
+    /// values short enough to travel in the messages send neither.
     fn process_lane_batch(
         &mut self,
         lane_idx: usize,
@@ -277,39 +281,33 @@ impl ServerThread {
             // depth; stop (without consuming) at the first control message.
             scratch.ops.clear();
             while i < words.len() && scratch.ops.len() < self.batch_size {
-                let word = words[i];
-                let Some((op, payload)) = decode_word(word) else {
+                let Some((op, key)) = decode_word(words[i]) else {
                     // Corrupt word: skip it. This cannot happen with the
                     // provided client, but a malformed word must not take
                     // the whole server down.
                     i += 1;
                     continue;
                 };
-                let kind = match op {
-                    OpCode::Lookup => DataOpKind::Lookup,
-                    OpCode::Insert => DataOpKind::Insert,
-                    OpCode::Delete => DataOpKind::Delete,
-                    _ => break,
-                };
+                if !op.is_data() {
+                    if !scratch.ops.is_empty() {
+                        self.stats.run_cuts.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                    }
+                    break;
+                }
                 i += 1;
                 self.stats.messages.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
-                let size = if kind == DataOpKind::Insert {
-                    // The size travels in the next word, which may still be
-                    // in flight if it crossed a cache-line flush boundary.
-                    match words.get(i) {
-                        Some(&w) => {
-                            i += 1;
-                            w
-                        }
-                        None => self.wait_for_extra_word(lane_idx),
-                    }
-                } else {
-                    0
-                };
-                scratch.ops.push(DataOp {
-                    kind,
-                    key: payload,
-                    size,
+                scratch.ops.push(match op {
+                    OpCode::Lookup => DataOp::Lookup { key },
+                    OpCode::Delete => DataOp::Delete { key },
+                    OpCode::Insert => DataOp::Insert {
+                        key,
+                        size: self.extra_word(lane_idx, words, &mut i),
+                    },
+                    // The two opcodes of an insert that carries its value.
+                    _ => DataOp::InsertInline {
+                        key,
+                        value: inline_from_word(op, self.extra_word(lane_idx, words, &mut i)),
+                    },
                 });
             }
             if !scratch.ops.is_empty() {
@@ -319,7 +317,7 @@ impl ServerThread {
             // breaks before one, at the depth bound, or at the end).
             if i < words.len() {
                 if let Some((op, payload)) = decode_word(words[i]) {
-                    if !matches!(op, OpCode::Lookup | OpCode::Insert | OpCode::Delete) {
+                    if !op.is_data() {
                         i += 1;
                         self.stats.messages.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
                         self.process_control(op, payload, lane_idx, words, &mut i, migration);
@@ -372,20 +370,22 @@ impl ServerThread {
         migration: &mut MigrationState,
     ) {
         match op {
-            OpCode::Lookup | OpCode::Insert | OpCode::Delete => {
+            OpCode::Lookup
+            | OpCode::Insert
+            | OpCode::InsertInline
+            | OpCode::InsertWord
+            | OpCode::Delete => {
                 // lint: allow(hot-path) dispatch invariant, not a data path
                 unreachable!("data operations go through the pipeline")
             }
             OpCode::Ready => {
-                self.partition
-                    .mark_ready(cphash_hashcore::ElementId(payload as u32));
+                self.partition.mark_ready(ElementId(payload as u32));
                 if migration.draining.is_some() {
                     self.try_finish_drain(migration);
                 }
             }
             OpCode::Decref => {
-                self.partition
-                    .decref(cphash_hashcore::ElementId(payload as u32));
+                self.partition.decref(ElementId(payload as u32));
             }
             OpCode::MigratePrepare => {
                 let step = MigrationStep::from_payload(payload);
@@ -421,13 +421,7 @@ impl ServerThread {
                 }
             }
             OpCode::MigrateIn => {
-                let addr = match words.get(*i) {
-                    Some(&w) => {
-                        *i += 1;
-                        w
-                    }
-                    None => self.wait_for_extra_word(lane_idx),
-                };
+                let addr = self.extra_word(lane_idx, words, i);
                 let step = MigrationStep::from_payload(payload);
                 let mut absorbed = 0usize;
                 // The sentinel address 1 is an empty (and final)
@@ -553,7 +547,20 @@ impl ServerThread {
             .retain(|chunk, step| step_is_current(step, *chunk, &snap));
     }
 
-    /// Spin until the second word of a two-word request becomes visible.
+    /// The next trailing word of a multi-word request: the next drained
+    /// word, or — when the message crossed a cache-line flush boundary and
+    /// the rest is still in flight — the next one the lane delivers.
+    fn extra_word(&mut self, lane_idx: usize, words: &[u64], i: &mut usize) -> u64 {
+        match words.get(*i) {
+            Some(&word) => {
+                *i += 1;
+                word
+            }
+            None => self.wait_for_extra_word(lane_idx),
+        }
+    }
+
+    /// Spin until the next word of a multi-word request becomes visible.
     /// The sender always flushes after queueing a batch, so this terminates
     /// unless the sender vanishes — in which case we bail out with a zero
     /// word (the insert degenerates to an empty value).
@@ -615,7 +622,7 @@ mod tests {
     use super::*;
     use crate::protocol::{encode, Request};
     use cphash_channel::{duplex, DuplexClient, RingConfig};
-    use cphash_hashcore::PartitionConfig;
+    use cphash_hashcore::{InlineValue, PartitionConfig};
 
     /// Raises the stop flag and rings the doorbell, as `CpHash::shutdown`
     /// does: a server that went to sleep would never see the flag alone.
@@ -663,11 +670,7 @@ mod tests {
         let (mut client, server, stop) = test_server(0, router);
 
         for r in &requests {
-            let (w0, w1) = encode(r);
-            client.send_blocking(w0);
-            if let Some(w1) = w1 {
-                client.send_blocking(w1);
-            }
+            send(&mut client, r);
         }
         client.flush();
 
@@ -678,6 +681,7 @@ mod tests {
                     r,
                     Request::Lookup { .. }
                         | Request::Insert { .. }
+                        | Request::InsertInline { .. }
                         | Request::Delete { .. }
                         | Request::MigratePrepare { .. }
                         | Request::MigrateOut { .. }
@@ -687,17 +691,36 @@ mod tests {
             .count();
 
         let handle = std::thread::spawn(move || server.run());
-        let mut responses = Vec::new();
-        while responses.len() < expected_responses {
-            if let Some(r) = client.try_recv() {
-                responses.push(r);
-            } else {
-                core::hint::spin_loop();
-            }
-        }
+        let responses = (0..expected_responses)
+            .map(|_| recv_one(&mut client))
+            .collect();
         stop.stop();
         handle.join().unwrap();
         responses
+    }
+
+    fn send(client: &mut DuplexClient<u64, Response>, request: &Request) {
+        let (w0, w1) = encode(request);
+        client.send_blocking(w0);
+        if let Some(w1) = w1 {
+            client.send_blocking(w1);
+        }
+    }
+
+    fn recv_one(client: &mut DuplexClient<u64, Response>) -> Response {
+        loop {
+            if let Some(r) = client.try_recv() {
+                return r;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    fn inline(key: u64, bytes: &[u8]) -> Request {
+        Request::InsertInline {
+            key,
+            value: InlineValue::new(bytes).unwrap(),
+        }
     }
 
     #[test]
@@ -708,10 +731,195 @@ mod tests {
 
     #[test]
     fn insert_reserves_space_and_returns_location() {
-        let responses = run_one_exchange(vec![Request::Insert { key: 9, size: 8 }]);
+        let responses = run_one_exchange(vec![Request::Insert { key: 9, size: 64 }]);
         assert_eq!(responses.len(), 1);
         assert!(responses[0].has_value());
-        assert_eq!(responses[0].value_size(), 8);
+        assert_eq!(responses[0].value_size(), 64);
+    }
+
+    #[test]
+    fn a_short_value_goes_in_with_its_request_and_comes_back_in_the_reply() {
+        // The awkward words first: bytes that read as the MISS, FOUND and
+        // RETRY sentinels anywhere else.
+        let values: [&[u8]; 6] = [
+            &0u64.to_le_bytes(),
+            &1u64.to_le_bytes(),
+            &u64::MAX.to_le_bytes(),
+            &[],
+            &[0xFF; 7],
+            &[0; 1],
+        ];
+        let mut requests = Vec::new();
+        for (key, bytes) in values.iter().enumerate() {
+            requests.push(inline(key as u64, bytes));
+            requests.push(Request::Lookup { key: key as u64 });
+        }
+        let responses = run_one_exchange(requests);
+        for (pair, bytes) in responses.chunks(2).zip(values) {
+            assert_eq!(pair[0], Response::FOUND, "stored and published at once");
+            let got = pair[1].inline_value().expect("the reply carries the value");
+            assert_eq!(got.as_slice(), bytes);
+            assert!(pair[1].is_hit() && !pair[1].is_retry() && !pair[1].has_value());
+        }
+    }
+
+    #[test]
+    fn inline_hits_leave_nothing_pinned_and_cut_no_run() {
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let (mut client, server, stop) = test_server(0, router);
+        let stats = Arc::clone(&server.stats);
+        let partition_stats = Arc::clone(&server.partition_stats);
+        // 8 bytes, then 64 over it, then 8 again: the element changes
+        // representation both ways under one key.  No reply is awaited in
+        // between, so one drain sees the whole script.
+        let mut script = vec![inline(3, &[8; 8]), Request::Lookup { key: 3 }];
+        script.push(Request::Insert { key: 3, size: 64 });
+        script.push(Request::Lookup { key: 3 }); // NOT-READY: a miss
+        script.push(inline(3, &[9; 8]));
+        script.extend([Request::Lookup { key: 3 }, Request::Delete { key: 3 }]);
+        script.push(Request::Lookup { key: 3 });
+        for request in &script {
+            send(&mut client, request);
+        }
+        client.flush();
+        let handle = std::thread::spawn(move || server.run());
+        let replies: Vec<Response> = script.iter().map(|_| recv_one(&mut client)).collect();
+        assert_eq!(replies[0], Response::FOUND);
+        assert_eq!(replies[1].inline_value().unwrap().as_slice(), [8; 8]);
+        assert!(replies[2].has_value() && replies[2].value_size() == 64);
+        assert_eq!(replies[3], Response::MISS);
+        assert_eq!(replies[4], Response::FOUND);
+        assert_eq!(replies[5].inline_value().unwrap().as_slice(), [9; 8]);
+        assert_eq!(replies[6], Response::FOUND);
+        assert_eq!(replies[7], Response::MISS);
+        // The abandoned 64-byte reservation still holds its insertion
+        // reference; `Ready` releases it, and that control message is the
+        // only thing in this exchange that could have cut a run — it comes
+        // after an awaited reply, so it does not.
+        send(
+            &mut client,
+            &Request::Ready {
+                id: replies[2].element_id(),
+            },
+        );
+        client.flush();
+        stop.stop();
+        handle.join().unwrap();
+        assert_eq!(stats.run_cuts(), 0);
+        assert_eq!(stats.operations(), script.len() as u64);
+        let table = *partition_stats.lock();
+        assert_eq!((table.hits, table.replacements, table.deletes), (2, 2, 1));
+    }
+
+    #[test]
+    fn a_run_cut_is_counted_where_a_control_message_ends_it() {
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let (mut client, server, stop) = test_server(0, router);
+        let stats = Arc::clone(&server.stats);
+        send(&mut client, &Request::Insert { key: 1, size: 64 });
+        client.flush();
+        let handle = std::thread::spawn(move || server.run());
+        let reserved = recv_one(&mut client);
+        // Five words inside one ring line, published by one flush, so one
+        // drain: three lookups, the `Ready` that cuts their run, a lookup.
+        let ready = Request::Ready {
+            id: reserved.element_id(),
+        };
+        let script = [
+            Request::Lookup { key: 2 },
+            Request::Lookup { key: 2 },
+            Request::Lookup { key: 2 },
+            ready,
+            Request::Lookup { key: 1 },
+        ];
+        for request in &script {
+            send(&mut client, request);
+        }
+        client.flush();
+        for _ in 0..3 {
+            assert_eq!(recv_one(&mut client), Response::MISS);
+        }
+        assert!(
+            recv_one(&mut client).has_value(),
+            "published by the Ready ahead of it"
+        );
+        stop.stop();
+        handle.join().unwrap();
+        assert_eq!(stats.run_cuts(), 1);
+    }
+
+    #[test]
+    fn a_reservation_for_a_short_value_is_refused_untouched() {
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let (mut client, server, stop) = test_server(0, router);
+        let partition_stats = Arc::clone(&server.partition_stats);
+        let mut script = vec![inline(5, &[5; 8])];
+        script.extend((0..=8).map(|size| Request::Insert { key: 5, size }));
+        script.push(Request::Lookup { key: 5 });
+        for request in &script {
+            send(&mut client, request);
+        }
+        client.flush();
+        let handle = std::thread::spawn(move || server.run());
+        let replies: Vec<Response> = script.iter().map(|_| recv_one(&mut client)).collect();
+        stop.stop();
+        handle.join().unwrap();
+        assert_eq!(replies[0], Response::FOUND);
+        assert!(replies[1..10].iter().all(|r| *r == Response::MISS));
+        assert_eq!(
+            replies[10].inline_value().unwrap().as_slice(),
+            [5; 8],
+            "the key's value survives the refusals"
+        );
+        let table = *partition_stats.lock();
+        assert_eq!(
+            (table.inserts, table.replacements, table.failed_inserts),
+            (1, 0, 0),
+            "the refusals never reached the partition"
+        );
+    }
+
+    #[test]
+    fn trailing_words_may_arrive_a_flush_later() {
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let (mut client, server, stop) = test_server(0, router);
+        let (w0, w1) = encode(&inline(6, &[6; 8]));
+        let handle = std::thread::spawn(move || server.run());
+        // One word per flush: the server drains the opcode word alone and
+        // must wait for the value word.
+        for word in [w0, w1.unwrap()] {
+            client.send_blocking(word);
+            client.flush();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(recv_one(&mut client), Response::FOUND);
+        send(&mut client, &Request::Lookup { key: 6 });
+        client.flush();
+        assert_eq!(
+            recv_one(&mut client).inline_value().unwrap().as_slice(),
+            [6; 8]
+        );
+        stop.stop();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_client_gone_mid_message_does_not_hang_the_server() {
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let (mut client, server, stop) = test_server(0, router);
+        let stats = Arc::clone(&server.stats);
+        let (opcode_word, _) = encode(&inline(7, &[7; 8]));
+        client.send_blocking(opcode_word);
+        client.flush();
+        drop(client);
+        let handle = std::thread::spawn(move || server.run());
+        // The missing word reads as zero (a zeroed value) and the operation
+        // still completes; the reply goes nowhere.
+        while stats.operations() == 0 {
+            std::thread::yield_now();
+        }
+        stop.stop();
+        handle.join().unwrap();
     }
 
     #[test]
@@ -727,8 +935,7 @@ mod tests {
         let router = Arc::new(EpochRouter::new(2, 64, 2));
         let foreign_key = (0..).find(|k| partition_for_key(*k, 2) == 1).unwrap();
         let (mut client, server, stop) = test_server(0, Arc::clone(&router));
-        let (w0, _) = encode(&Request::Lookup { key: foreign_key });
-        client.send_blocking(w0);
+        send(&mut client, &Request::Lookup { key: foreign_key });
         client.flush();
         let handle = std::thread::spawn(move || server.run());
         let resp = loop {
@@ -750,8 +957,7 @@ mod tests {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
         let (mut client, server, stop) = test_server(0, router);
         client.send_blocking(0);
-        let (w0, _) = encode(&Request::Lookup { key: 1 });
-        client.send_blocking(w0);
+        send(&mut client, &Request::Lookup { key: 1 });
         client.flush();
         let handle = std::thread::spawn(move || server.run());
         let resp = loop {

@@ -40,6 +40,12 @@ pub struct ServerStats {
     /// Batch-pipeline counters (staged rounds, their occupancy, prefetches
     /// issued).
     pub batch: BatchCounters,
+    /// Staged runs that stopped short of the pipeline depth because the
+    /// next message was a control message (`Ready`, `Decref`, migration
+    /// plumbing), which executes on its own, in place.  With `batch`'s
+    /// round count this says why occupancy is what it is: a closed loop of
+    /// lookups on values that travel by pointer cuts a run per `Decref`.
+    pub run_cuts: AtomicU64,
 }
 
 impl ServerStats {
@@ -95,6 +101,11 @@ impl ServerStats {
     /// Cycles the server has spent asleep so far.
     pub fn parked_cycles(&self) -> u64 {
         self.parked_cycles.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
+    }
+
+    /// Staged runs cut short by a control message so far.
+    pub fn run_cuts(&self) -> u64 {
+        self.run_cuts.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
     }
 
     /// Most recent inbound queue-depth sample (words drained in one loop

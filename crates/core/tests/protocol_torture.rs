@@ -201,3 +201,140 @@ fn tables_with_one_partition_and_many_clients_still_serialize_correctly() {
     assert!(snapshot.operations >= 4 * 6_000);
     table.shutdown();
 }
+
+/// The value every write of `key` stores: its length is picked by the key,
+/// on both sides of the 8-byte boundary between a value that rides in the
+/// request / reply words (`InsertInline`, no `Ready`, no `Decref`) and one
+/// that is reserved, copied through a pointer and unpinned (§3.2).
+fn boundary_value(key: u64) -> Vec<u8> {
+    let len = [0usize, 7, 8, 9, 64][key as usize % 5];
+    (0..len)
+        .map(|i| (key as u8).wrapping_add(i as u8))
+        .collect()
+}
+
+#[test]
+fn both_value_forms_survive_heavy_pipelining_on_tiny_rings() {
+    // 64-slot rings wrap constantly, and a lane batch or a published cache
+    // line (8 words) often ends between an insert's two words, so the
+    // server's wait for a message's second word is on the common path.
+    let config = CpHashConfig {
+        ring_capacity: 64,
+        ..CpHashConfig::new(3, 2)
+    };
+    let (mut table, clients) = CpHash::new(config);
+    let workers: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut client)| {
+            std::thread::spawn(move || {
+                let mut rng = Rng(0x5EED + i as u64);
+                let mut key_of = std::collections::HashMap::new();
+                let mut completions = Vec::new();
+                let mut hits = 0u64;
+                let mut check =
+                    |completions: &mut Vec<cphash::Completion>,
+                     key_of: &mut std::collections::HashMap<u64, u64>| {
+                        for c in completions.drain(..) {
+                            let key = key_of.remove(&c.token).expect("known token");
+                            match c.kind {
+                                CompletionKind::LookupHit(v) => {
+                                    assert_eq!(v.as_slice(), boundary_value(key), "key {key}");
+                                    hits += 1;
+                                }
+                                CompletionKind::LookupMiss
+                                | CompletionKind::Inserted
+                                | CompletionKind::Deleted(_) => {}
+                                other => panic!("key {key}: {other:?}"),
+                            }
+                        }
+                    };
+                for _ in 0..40_000u32 {
+                    let r = rng.next();
+                    let key = r % 1_000;
+                    let token = match (r >> 32) % 10 {
+                        0..=2 => client.submit_insert(key, &boundary_value(key)),
+                        3..=8 => client.submit_lookup(key),
+                        _ => client.submit_delete(key),
+                    };
+                    key_of.insert(token, key);
+                    if client.outstanding() >= 48 {
+                        client.poll(&mut completions);
+                        check(&mut completions, &mut key_of);
+                    }
+                }
+                client.drain(&mut completions).unwrap();
+                check(&mut completions, &mut key_of);
+                assert!(key_of.is_empty(), "every submission completed");
+                hits
+            })
+        })
+        .collect();
+    let hits: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+    assert!(hits > 10_000, "only {hits} lookups hit");
+    table.shutdown();
+    let cuts: u64 = table.server_stats().iter().map(|s| s.run_cuts()).sum();
+    assert!(
+        cuts > 0,
+        "no Ready or Decref of a 9- or 64-byte value cut a run"
+    );
+}
+
+#[test]
+fn a_stream_of_short_values_sends_no_control_message() {
+    let (mut table, mut clients) = CpHash::new(CpHashConfig::new(2, 1));
+    let client = &mut clients[0];
+    let mut completions = Vec::new();
+    let mut hits = 0usize;
+    for round in 0..20_000u64 {
+        let key = round % 512;
+        client.submit_insert(key, &key.to_le_bytes()[..(key % 9) as usize]);
+        client.submit_lookup(key);
+        if client.outstanding() >= 256 {
+            client.poll(&mut completions);
+        }
+    }
+    client.drain(&mut completions).unwrap();
+    for c in &completions {
+        match &c.kind {
+            CompletionKind::LookupHit(_) => hits += 1,
+            CompletionKind::Inserted => {}
+            other => panic!("{other:?}"),
+        }
+    }
+    assert_eq!(
+        hits, 20_000,
+        "each lookup follows its key's insert on one lane"
+    );
+    drop(clients);
+    table.shutdown();
+    // Every reply carried its value and every insert its bytes: nothing was
+    // ever pinned across a message, and no run of operations was cut.
+    assert!(table.server_stats().iter().all(|s| s.run_cuts() == 0));
+    let stats = table.partition_stats();
+    assert_eq!((stats.hits, stats.deferred_frees), (20_000, 0));
+    assert_eq!(table.snapshot().operations, 40_000);
+}
+
+#[test]
+fn a_client_dropped_mid_pipeline_does_not_wedge_the_servers() {
+    let (mut table, mut clients) = CpHash::new(CpHashConfig::new(2, 2));
+    let mut survivor = clients.pop().unwrap();
+    let mut doomed = clients.pop().unwrap();
+    // Queue far more two-word inserts than the rings hold and walk away
+    // without ever polling: whatever part of the last message made it onto a
+    // ring, the server must finish or abandon it on its own.
+    for key in 0..5_000u64 {
+        doomed.submit_insert(key, &key.to_le_bytes());
+    }
+    drop(doomed);
+    for key in 10_000..12_000u64 {
+        assert!(survivor.insert(key, &key.to_le_bytes()).unwrap());
+        assert_eq!(
+            survivor.get(key).unwrap().unwrap().as_slice(),
+            key.to_le_bytes()
+        );
+    }
+    drop(survivor);
+    table.shutdown();
+}

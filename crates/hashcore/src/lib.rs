@@ -18,7 +18,10 @@
 //! * an element header holding the key, value size, reference count and the
 //!   four list pointers,
 //! * values allocated out of a per-partition [`cphash_alloc::SlabAllocator`]
-//!   whose byte budget is the partition's share of the table capacity,
+//!   whose byte budget is the partition's share of the table capacity —
+//!   except values of at most [`INLINE_VALUE_BYTES`] bytes, which live in
+//!   the element header (where the handle to their block would be) and are
+//!   charged to the budget as if they had taken the block,
 //! * reference counting with deferred frees, so a value returned to a
 //!   client is never recycled while the client may still be reading it.
 //!
@@ -36,7 +39,7 @@ pub mod partition;
 pub mod policy;
 pub mod stats;
 
-pub use element::{ElementId, ElementState};
+pub use element::{ElementId, ElementState, InlineValue, StoredValue, INLINE_VALUE_BYTES};
 pub use hash::{
     hash64, key_tag, migration_chunk, partition_for_key, MAX_KEY, MAX_MIGRATION_CHUNKS,
 };

@@ -3,7 +3,9 @@
 
 use cphash_alloc::{SlabAllocator, SlabConfig, ValueHandle};
 
-use crate::element::{Element, ElementId, ElementState, Slot, NIL};
+use crate::element::{
+    Element, ElementId, ElementState, InlineValue, Slot, StoredValue, INLINE_VALUE_BYTES, NIL,
+};
 use crate::hash::{
     bucket_for_key, bucket_from_hash, chunk_from_hash, hash64, key_tag, key_tag_from_hash,
     migration_chunk, MAX_MIGRATION_CHUNKS,
@@ -176,24 +178,28 @@ struct ProbeOutcome {
 }
 
 /// A successful lookup: the element id (for the later `Decref`) and the
-/// handle through which the caller may read the value bytes.
+/// value — its bytes if the element holds them, else the handle through
+/// which the caller may read them.
 #[derive(Debug, Clone, Copy)]
 pub struct LookupHit {
     /// Id to pass back to [`Partition::decref`] when done reading.
     pub id: ElementId,
-    /// Handle to the value bytes (valid until the matching `decref`).
-    pub value: ValueHandle,
+    /// The value (a block handle is valid until the matching `decref`).
+    pub value: StoredValue,
 }
 
 /// A successful insert reservation: space has been allocated and the element
-/// linked in NOT-READY state; the caller copies the value bytes through
-/// `value` and then calls [`Partition::mark_ready`].
+/// linked in NOT-READY state; the caller copies the value bytes in —
+/// through `value`, then [`Partition::mark_ready`], or with
+/// [`Partition::fill_and_ready`] — to publish it.
 #[derive(Debug, Clone, Copy)]
 pub struct InsertReservation {
     /// Id to pass to [`Partition::mark_ready`] once the value is copied.
     pub id: ElementId,
-    /// Handle the value bytes must be written through.
-    pub value: ValueHandle,
+    /// Handle the value bytes must be written through; `None` for a value
+    /// of at most [`INLINE_VALUE_BYTES`] bytes, which lives in the element
+    /// and only [`Partition::fill_and_ready`] can write.
+    pub value: Option<ValueHandle>,
 }
 
 /// Result of a [`Partition::export_matching`] call.
@@ -367,6 +373,37 @@ impl Partition {
         cphash_cacheline::prefetch_read(&self.buckets[prep.bucket]);
     }
 
+    /// Second staging pass: read the (prefetched) bucket line of a prepared
+    /// operation and hint the element slot behind every tag that matches —
+    /// both lines of a slot that straddles two — so the probe's second
+    /// dependent miss overlaps with the rest of the batch too.  Decides
+    /// nothing: execution probes the line again.
+    #[inline]
+    pub fn prefetch_element(&self, prep: &BucketRef) {
+        let line = &self.buckets[prep.bucket];
+        // Which slot matches is as good as random, so the tags are compared
+        // without branching on any of them; the loop over the matches then
+        // runs once for a resident key and not at all for most absent ones.
+        let mut matches = 0u8;
+        for s in 0..INLINE_SLOTS {
+            matches |= u8::from(line.tags[s] == prep.tag) << s;
+        }
+        matches &= line.used;
+        while matches != 0 {
+            let s = matches.trailing_zeros() as usize;
+            matches &= matches - 1;
+            // A ref in a live line is a slot index; `get` keeps a hint
+            // from ever being a panic path.
+            if let Some(slot) = self.slots.get(line.refs[s] as usize) {
+                let first = slot as *const Slot as *const u8;
+                cphash_cacheline::prefetch_read(first);
+                cphash_cacheline::prefetch_read(
+                    first.wrapping_add(core::mem::size_of::<Slot>() - 1),
+                );
+            }
+        }
+    }
+
     /// Look up `key`.  On a hit the element's reference count is
     /// incremented; the caller must eventually call [`Partition::decref`]
     /// with the returned id (this is the `Decref` message of the CPHash
@@ -392,7 +429,7 @@ impl Partition {
         self.stats.hits += 1;
         Some(LookupHit {
             id: ElementId(idx),
-            value: e.value,
+            value: e.value(),
         })
     }
 
@@ -411,6 +448,10 @@ impl Partition {
     /// then memory is allocated — evicting victims as needed — and the new
     /// element is linked in NOT-READY state.  The caller copies the value
     /// through the returned handle and then calls [`Partition::mark_ready`].
+    ///
+    /// A value of at most [`INLINE_VALUE_BYTES`] bytes takes no block: it
+    /// lives in the element.  The byte budget is charged what its block
+    /// would have cost, so eviction happens exactly where it would have.
     pub fn insert(&mut self, key: u64, size: usize) -> Result<InsertReservation, InsertError> {
         self.insert_prepared(self.prepare(key), size)
     }
@@ -422,6 +463,37 @@ impl Partition {
         prep: BucketRef,
         size: usize,
     ) -> Result<InsertReservation, InsertError> {
+        let (idx, value) = self.link_new(prep, size, None)?;
+        Ok(InsertReservation {
+            id: ElementId(idx),
+            value: match value {
+                StoredValue::Block(handle) => Some(handle),
+                StoredValue::Inline(_) => None,
+            },
+        })
+    }
+
+    /// Insert a value short enough to live in the element, READY at once:
+    /// there are no bytes left to copy, so the element never exists in
+    /// NOT-READY state.  Replacement, eviction and the budget are exactly
+    /// [`Partition::insert_prepared`]'s.
+    pub fn insert_inline_prepared(
+        &mut self,
+        prep: BucketRef,
+        value: InlineValue,
+    ) -> Result<(), InsertError> {
+        self.link_new(prep, value.len(), Some(value)).map(|_| ())
+    }
+
+    /// The body of every insert: make room for `size` bytes and link a new
+    /// element for the key — NOT-READY and holding the inserter's
+    /// reference, or, given the bytes of an inline value, READY.
+    fn link_new(
+        &mut self,
+        prep: BucketRef,
+        size: usize,
+        ready: Option<InlineValue>,
+    ) -> Result<(u32, StoredValue), InsertError> {
         let key = prep.key;
         self.stats.inserts += 1;
         // A value no amount of eviction makes room for is refused before it
@@ -440,7 +512,14 @@ impl Partition {
         // Allocate, evicting until the value fits (or nothing is left to
         // evict).
         let value = loop {
-            match self.allocator.allocate(size) {
+            let stored = if size <= INLINE_VALUE_BYTES {
+                self.allocator
+                    .charge(size)
+                    .then(|| StoredValue::Inline(ready.unwrap_or(InlineValue::from_word(0, size))))
+            } else {
+                self.allocator.allocate(size).map(StoredValue::Block)
+            };
+            match stored {
                 Some(v) => break v,
                 None => {
                     if !self.evict_one() {
@@ -453,19 +532,22 @@ impl Partition {
 
         let bucket = prep.bucket;
         let chunk = migration_chunk(key, self.chunk_heads.len());
-        let idx = self.alloc_slot(Element::new(key, value));
-        // The new element holds one reference on behalf of the inserting
-        // client until `mark_ready` releases it, so it cannot be freed out
-        // from under the client while the value bytes are being copied.
-        self.slots[idx as usize].element_mut().refcount = 1;
+        let mut element = Element::new(key, value);
+        if ready.is_some() {
+            element.state = ElementState::Ready;
+        } else {
+            // The new element holds one reference on behalf of the inserting
+            // client until `mark_ready` releases it, so it cannot be freed
+            // out from under the client while the value bytes are being
+            // copied.
+            element.refcount = 1;
+        }
+        let idx = self.alloc_slot(element);
         self.link_into_bucket(idx, bucket, prep.tag);
         self.link_into_recency(idx);
         self.link_into_chunk(idx, chunk);
         self.len += 1;
-        Ok(InsertReservation {
-            id: ElementId(idx),
-            value,
-        })
+        Ok((idx, value))
     }
 
     /// Publish an element inserted via [`Partition::insert`]: mark the value
@@ -540,16 +622,22 @@ impl Partition {
     /// [`Partition::insert`], and `&mut self` proves no other thread is
     /// inside this partition.
     pub fn fill_and_ready(&mut self, id: ElementId, data: &[u8]) {
-        let e = self.slots[id.0 as usize].element();
+        let e = self.slots[id.0 as usize].element_mut();
         assert_eq!(
             e.state,
             ElementState::NotReady,
             "fill_and_ready on a READY element"
         );
-        assert!(data.len() <= e.value.len(), "value larger than reservation");
-        // SAFETY: see doc comment — the element is NOT-READY so no reader
-        // holds the handle, and the partition is exclusively borrowed.
-        unsafe { e.value.copy_from(data) };
+        match e.value() {
+            StoredValue::Block(handle) => {
+                assert!(data.len() <= handle.len(), "value larger than reservation");
+                // SAFETY: see doc comment — the element is NOT-READY so no
+                // reader holds the handle, and the partition is exclusively
+                // borrowed.
+                unsafe { handle.copy_from(data) };
+            }
+            StoredValue::Inline(_) => e.fill_inline(data),
+        }
         self.mark_ready(id);
     }
 
@@ -558,13 +646,21 @@ impl Partition {
     /// Safe because the caller's [`LookupHit`] holds a reference (the
     /// element cannot have been freed) and READY values are never written
     /// again (§3.2's protocol only writes values before `Ready`).
+    ///
+    /// A hit on a value that lives in its element carries the bytes itself:
+    /// they are copied from the hit and the element is not touched.
     pub fn read_value(&self, hit: &LookupHit, out: &mut Vec<u8>) {
-        let e = self.slots[hit.id.0 as usize].element();
-        assert!(e.refcount > 0, "read_value without a live reference");
-        // SAFETY: see doc comment.
-        let bytes = unsafe { e.value.as_slice() };
+        let value = match hit.value {
+            inline @ StoredValue::Inline(_) => inline,
+            StoredValue::Block(_) => {
+                let e = self.slots[hit.id.0 as usize].element();
+                assert!(e.refcount > 0, "read_value without a live reference");
+                e.value()
+            }
+        };
         out.clear();
-        out.extend_from_slice(bytes);
+        // SAFETY: see doc comment.
+        out.extend_from_slice(unsafe { value.as_slice() });
     }
 
     /// Convenience for lock-based callers: look up `key`, copy its value
@@ -584,9 +680,15 @@ impl Partition {
     /// Convenience for lock-based callers: insert `key` with `value` bytes,
     /// copying and publishing in one step.
     pub fn insert_copy(&mut self, key: u64, value: &[u8]) -> Result<(), InsertError> {
-        let reservation = self.insert(key, value.len())?;
-        self.fill_and_ready(reservation.id, value);
-        Ok(())
+        let prep = self.prepare(key);
+        match InlineValue::new(value) {
+            Some(inline) => self.insert_inline_prepared(prep, inline),
+            None => {
+                let reservation = self.insert_prepared(prep, value.len())?;
+                self.fill_and_ready(reservation.id, value);
+                Ok(())
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -755,7 +857,7 @@ impl Partition {
             // SAFETY: the element is READY and this partition is exclusively
             // borrowed, so the value bytes are fully written and stable (the
             // protocol never writes a READY value again).
-            let bytes = unsafe { e.value.as_slice() }.to_vec();
+            let bytes = unsafe { e.value().as_slice() }.to_vec();
             entries.push((e.key, bytes));
             self.unlink(idx);
             self.stats.exported += 1;
@@ -859,6 +961,26 @@ impl Partition {
             }
         }
         assert_eq!(chunk_seen, self.len, "chunk index does not cover the table");
+
+        // The byte budget counts every value still held — linked, or
+        // unlinked with its free deferred — at what its block costs, whether
+        // or not it took one.
+        let held: usize = self
+            .slots
+            .iter()
+            .map(|slot| match slot {
+                Slot::Occupied(e) => match e.value() {
+                    StoredValue::Block(handle) => handle.block_bytes(),
+                    StoredValue::Inline(value) => SlabAllocator::block_bytes_for(value.len()),
+                },
+                Slot::Free { .. } => 0,
+            })
+            .sum();
+        assert_eq!(
+            held,
+            self.bytes_in_use(),
+            "bytes_in_use does not match the elements' values"
+        );
 
         match self.eviction {
             EvictionPolicy::Lru => {
@@ -1021,13 +1143,21 @@ impl Partition {
             let e = self.slots[idx as usize].element();
             debug_assert!(!e.linked);
             debug_assert_eq!(e.refcount, 0);
-            e.value
+            e.value()
         };
-        self.allocator.free(value);
+        self.free_value(value);
         self.slots[idx as usize] = Slot::Free {
             next_free: self.free_head,
         };
         self.free_head = idx;
+    }
+
+    /// Give back what an element's value holds of the byte budget.
+    fn free_value(&mut self, value: StoredValue) {
+        match value {
+            StoredValue::Block(handle) => self.allocator.free(handle),
+            StoredValue::Inline(value) => self.allocator.uncharge(value.len()),
+        }
     }
 
     fn link_into_bucket(&mut self, idx: u32, bucket: usize, tag: u8) {
@@ -1242,12 +1372,11 @@ impl Drop for Partition {
         // Return every outstanding value to the allocator (including
         // deferred-free elements still pinned by references — at partition
         // teardown those references are by definition dead).
-        for slot in &mut self.slots {
+        for slot in core::mem::take(&mut self.slots) {
             if let Slot::Occupied(e) = slot {
-                self.allocator.free(e.value);
+                self.free_value(e.value());
             }
         }
-        self.slots.clear();
     }
 }
 
@@ -1345,6 +1474,78 @@ mod tests {
         assert!(!p.contains(1), "LRU victim evicted");
         assert!(p.contains(2) && p.contains(3) && p.contains(100));
         assert_eq!(p.stats().evictions, 1);
+        p.check_invariants();
+    }
+
+    #[test]
+    fn inline_values_take_no_block_but_the_budget_counts_them() {
+        // The same 4 × 8-byte budget: the fifth insert evicts although no
+        // value ever took a block.
+        let mut p = small(Some(32));
+        for key in 0..4u64 {
+            p.insert_copy(key, &key.to_le_bytes()).unwrap();
+        }
+        assert_eq!(p.bytes_in_use(), 32);
+        assert_eq!(p.allocator.stats().total_allocs, 0, "no block was taken");
+        // Pin key 0 (which also makes it most recently used).
+        let hit = p.lookup(0).unwrap();
+        assert!(matches!(hit.value, StoredValue::Inline(v) if v.word() == 0 && v.len() == 8));
+        p.insert_copy(100, &[9; 8]).unwrap();
+        assert!(!p.contains(1), "LRU victim evicted");
+        assert_eq!((p.stats().evictions, p.len()), (1, 4));
+        // LRU → MRU is now 2, 3, 0, 100.  The third insert reaches the
+        // pinned key 0: unlinking it releases nothing, so 100 goes as well.
+        for key in 101..104u64 {
+            p.insert_copy(key, &key.to_le_bytes()).unwrap();
+            p.check_invariants();
+        }
+        assert!(!p.contains(0) && !p.contains(100));
+        assert_eq!((p.stats().deferred_frees, p.len()), (1, 3));
+        assert_eq!(p.bytes_in_use(), 32, "the pinned value is still charged");
+        let mut buf = Vec::new();
+        p.read_value(&hit, &mut buf);
+        assert_eq!(buf, 0u64.to_le_bytes());
+        p.decref(hit.id);
+        assert_eq!(p.bytes_in_use(), 24);
+        for key in 101..104u64 {
+            assert!(p.delete(key));
+        }
+        assert_eq!(p.bytes_in_use(), 0);
+        p.check_invariants();
+    }
+
+    #[test]
+    fn values_on_both_sides_of_the_inline_boundary_round_trip() {
+        let mut p = small(None);
+        let mut buf = Vec::new();
+        for (key, len) in [0usize, 7, 8, 9].into_iter().enumerate() {
+            let value: Vec<u8> = (0..len as u8).map(|b| !b).collect();
+            let r = p.insert(key as u64, len).unwrap();
+            assert_eq!(r.value.is_none(), len <= INLINE_VALUE_BYTES);
+            p.fill_and_ready(r.id, &value);
+            let hit = p.lookup(key as u64).unwrap();
+            assert_eq!(
+                matches!(hit.value, StoredValue::Inline(_)),
+                len <= INLINE_VALUE_BYTES
+            );
+            p.read_value(&hit, &mut buf);
+            assert_eq!(buf, value, "length {len}");
+            p.decref(hit.id);
+        }
+        // 0, 7 and 8 bytes are charged an 8-byte block each, 9 bytes its 16.
+        assert_eq!(p.bytes_in_use(), 3 * 8 + 16);
+        // Replacing across the boundary, both ways, on one key.
+        for len in [8usize, 64, 8] {
+            p.insert_copy(2, &vec![len as u8; len]).unwrap();
+            assert!(p.lookup_copy(2, &mut buf));
+            assert_eq!(buf, vec![len as u8; len]);
+            p.check_invariants();
+        }
+        assert_eq!(p.bytes_in_use(), 3 * 8 + 16);
+        for key in 0..4u64 {
+            assert!(p.delete(key));
+        }
+        assert_eq!(p.bytes_in_use(), 0);
         p.check_invariants();
     }
 
@@ -1573,6 +1774,7 @@ mod tests {
             assert!(prep.bucket() < staged.bucket_count());
             assert_eq!(prep.tag(), crate::hash::key_tag(key));
             staged.prefetch_prepared(&prep);
+            staged.prefetch_element(&prep);
             let r1 = staged.insert_prepared(prep, 8).unwrap();
             staged.fill_and_ready(r1.id, &key.to_le_bytes());
             let r2 = direct.insert(key, 8).unwrap();
@@ -1581,6 +1783,7 @@ mod tests {
         for key in 0..220u64 {
             let prep = staged.prepare(key);
             staged.prefetch_prepared(&prep);
+            staged.prefetch_element(&prep);
             let a = staged.lookup_prepared(prep);
             let b = direct.lookup(key);
             assert_eq!(a.is_some(), b.is_some(), "key {key}");

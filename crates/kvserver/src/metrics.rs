@@ -186,6 +186,9 @@ pub struct StatsSnapshot {
     pub server_parks: u64,
     /// Timestamp-counter cycles the table's server threads spent asleep.
     pub server_parked_cycles: u64,
+    /// Staged runs the table's server threads ended short of the pipeline
+    /// depth at a control message (`Ready` / `Decref` / migration).
+    pub server_run_cuts: u64,
     /// Migration chunks handed off.
     pub migration_chunks: u64,
     /// Keys moved during live re-partitioning.
@@ -383,6 +386,13 @@ impl ServerMetrics {
             &[],
             move || summed(&s, cphash::ServerStats::parked_cycles),
         );
+        let s = Arc::clone(&batch_sources);
+        registry.counter_fn(
+            "cphash_server_run_cuts_total",
+            "Staged runs ended short of the pipeline depth by a control message (Ready, Decref, migration); values of at most 8 bytes send none",
+            &[],
+            move || summed(&s, cphash::ServerStats::run_cuts),
+        );
 
         let p = Arc::clone(&partition_sources);
         registry.counter_fn(
@@ -517,6 +527,7 @@ impl ServerMetrics {
             queue_depth: summed(&self.batch_sources, cphash::ServerStats::queue_depth),
             server_parks: summed(&self.batch_sources, cphash::ServerStats::parks),
             server_parked_cycles: summed(&self.batch_sources, cphash::ServerStats::parked_cycles),
+            server_run_cuts: summed(&self.batch_sources, cphash::ServerStats::run_cuts),
             migration_chunks: self.migration.chunks_moved(),
             migration_keys: self.migration.keys_moved(),
             migration_paced_waits: self.migration.paced_waits(),
@@ -750,6 +761,7 @@ mod tests {
         table_server
             .parked_cycles
             .store(6_000_000, Ordering::Relaxed);
+        table_server.run_cuts.store(17, Ordering::Relaxed);
         m.attach_batch_sources(&[table_server]);
         m.attach_partition_source(|| cphash::PartitionStats {
             inline_hits: 41,
@@ -826,6 +838,11 @@ mod tests {
             counter("cphash_server_parked_cycles_total")
         );
         assert_eq!(unified.server_parked_cycles, 6_000_000);
+        assert_eq!(
+            unified.server_run_cuts,
+            counter("cphash_server_run_cuts_total")
+        );
+        assert_eq!(unified.server_run_cuts, 17);
         assert_eq!(
             unified.migration_chunks,
             counter("cphash_migration_chunks_total")

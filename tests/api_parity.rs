@@ -11,7 +11,10 @@
 
 use cphash_suite::kvserver::{CpServer, CpServerConfig, MemcacheCluster, MemcacheConfig};
 use cphash_suite::loadgen::{run_anykey_mixed, AnyKeyMixOptions};
-use cphash_suite::{CpHash, CpHashConfig, KeyRef, KvClient, PartitionedClient, RemoteClient};
+use cphash_suite::{
+    CpHash, CpHashConfig, KeyRef, KvClient, LockHash, LockHashConfig, PartitionedClient,
+    RemoteClient,
+};
 
 fn scenario() -> AnyKeyMixOptions {
     AnyKeyMixOptions {
@@ -121,4 +124,105 @@ fn one_scenario_three_backends_identical_results() {
     assert_eq!(in_proc.observation(), memcache.observation());
     assert!(in_proc.get_hits > 0 && in_proc.delete_hits > 0);
     assert_eq!(in_proc.failures, 0);
+}
+
+/// Hash-key get / insert / delete on a backend, with or without the trait
+/// (LockHash is a plain shared table).
+trait HashKeyStore {
+    fn put(&mut self, key: u64, value: &[u8]) -> bool;
+    fn fetch(&mut self, key: u64) -> Option<Vec<u8>>;
+    fn remove(&mut self, key: u64) -> bool;
+}
+
+impl<C: KvClient> HashKeyStore for C {
+    fn put(&mut self, key: u64, value: &[u8]) -> bool {
+        self.insert_blocking(KeyRef::Hash(key), value).unwrap()
+    }
+    fn fetch(&mut self, key: u64) -> Option<Vec<u8>> {
+        let value = self.get_blocking(KeyRef::Hash(key)).unwrap();
+        value.map(|v| v.as_slice().to_vec())
+    }
+    fn remove(&mut self, key: u64) -> bool {
+        self.delete_blocking(KeyRef::Hash(key)).unwrap()
+    }
+}
+
+struct Locked(LockHash);
+
+impl HashKeyStore for Locked {
+    fn put(&mut self, key: u64, value: &[u8]) -> bool {
+        self.0.insert(key, value)
+    }
+    fn fetch(&mut self, key: u64) -> Option<Vec<u8>> {
+        self.0.get(key)
+    }
+    fn remove(&mut self, key: u64) -> bool {
+        self.0.delete(key)
+    }
+}
+
+/// Values on both sides of the 8-byte boundary — at or under it a value
+/// lives in its element and travels in the CPHash request and reply words,
+/// over it it takes a slab block and travels by pointer — and, among the
+/// 8-byte ones, the words that mean MISS, FOUND and RETRY in a reply that
+/// carries no value.
+fn run_short_value_script(store: &mut dyn HashKeyStore) -> Vec<String> {
+    let mut log = Vec::new();
+    let values: Vec<Vec<u8>> = vec![
+        0u64.to_le_bytes().to_vec(),
+        1u64.to_le_bytes().to_vec(),
+        u64::MAX.to_le_bytes().to_vec(),
+        Vec::new(),
+        vec![0xA7; 7],
+        vec![0xA8; 8],
+        vec![0xA9; 9],
+    ];
+    for (key, value) in values.iter().enumerate() {
+        let key = 1_000 + key as u64;
+        assert!(store.put(key, value));
+        assert_eq!(store.fetch(key).as_ref(), Some(value), "key {key}");
+        log.push(format!("{key}={:?}", store.fetch(key)));
+    }
+    // One key replaced across the boundary and back.
+    for len in [8usize, 64, 8] {
+        let value = vec![len as u8; len];
+        assert!(store.put(1_000, &value));
+        assert_eq!(store.fetch(1_000), Some(value), "replace with {len} bytes");
+        log.push(format!("replace{len}={:?}", store.fetch(1_000)));
+    }
+    for key in 1_000..1_000 + values.len() as u64 {
+        assert!(store.remove(key), "key {key}");
+        log.push(format!("gone{key}={:?}", store.fetch(key)));
+        assert!(!store.remove(key));
+    }
+    log
+}
+
+#[test]
+fn short_values_round_trip_identically_on_every_backend() {
+    let (mut table, mut clients) = CpHash::new(CpHashConfig::new(2, 1));
+    let in_proc = run_short_value_script(&mut clients[0]);
+    drop(clients);
+    table.shutdown();
+    // Nothing is left behind, pinned or charged.
+    let stats = table.partition_stats();
+    assert_eq!((stats.deletes, stats.deferred_frees), (7, 0));
+
+    let mut locked = Locked(LockHash::new(LockHashConfig::new(4)));
+    let lockhash = run_short_value_script(&mut locked);
+    assert_eq!(locked.0.bytes_in_use(), 0);
+
+    let mut server = CpServer::start(CpServerConfig {
+        client_threads: 1,
+        partitions: 2,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut remote = RemoteClient::connect(server.addr()).unwrap();
+    let cpserver = run_short_value_script(&mut remote);
+    drop(remote);
+    server.shutdown();
+
+    assert_eq!(in_proc, lockhash);
+    assert_eq!(in_proc, cpserver);
 }

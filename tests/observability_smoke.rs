@@ -108,6 +108,7 @@ fn stats_endpoint_serves_monotone_metrics_under_load() {
         "cphash_batch_rounds_total",
         "cphash_batch_occupancy",
         "cphash_queue_depth",
+        "cphash_server_run_cuts_total",
         "cphash_migration_chunks_total",
         "cphash_migration_pacer_rate",
         "cphash_retries_emitted_total",
@@ -133,6 +134,14 @@ fn stats_endpoint_serves_monotone_metrics_under_load() {
     assert!(
         reads + writes < requests,
         "{reads} reads + {writes} writes for {requests} requests"
+    );
+    // Why batch occupancy is what it is, from the counters alone: the
+    // workload's 8-byte values travel in the request and reply words, so no
+    // `Ready` or `Decref` ever ended a staged run early.
+    assert!(sample_value(&end, "cphash_batch_rounds_total").unwrap() > 0.0);
+    assert_eq!(
+        sample_value(&end, "cphash_server_run_cuts_total"),
+        Some(0.0)
     );
     // Every stage of the traced pipeline recorded samples, exported under
     // its stage label.
@@ -206,6 +215,10 @@ fn stats_opcode_answers_on_every_server() {
     let samples = fetch_and_check(cpserver.addr());
     // The STATS round-trip itself is counted as an admin command.
     assert!(sample_value(&samples, "cphash_admin_commands_total").is_some());
+    assert_eq!(
+        sample_value(&samples, "cphash_server_run_cuts_total"),
+        Some(0.0)
+    );
     cpserver.shutdown();
 
     let mut lockserver = LockServer::start(LockServerConfig {

@@ -58,9 +58,21 @@ enum PartitionOp {
     Delete { key: u64 },
 }
 
+/// Value lengths weighted towards both sides of the 8-byte boundary between
+/// a value kept in its element and one kept in a slab block.
+fn value_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(7usize),
+        Just(8usize),
+        Just(9usize),
+        1usize..64
+    ]
+}
+
 fn partition_op() -> impl Strategy<Value = PartitionOp> {
     prop_oneof![
-        (0u64..64, 1usize..64).prop_map(|(key, len)| PartitionOp::Insert { key, len }),
+        (0u64..64, value_len()).prop_map(|(key, len)| PartitionOp::Insert { key, len }),
         (0u64..64).prop_map(|key| PartitionOp::Lookup { key }),
         (0u64..64).prop_map(|key| PartitionOp::Delete { key }),
     ]
@@ -256,17 +268,22 @@ proptest! {
         key in 0u64..=cphash_suite::MAX_KEY,
         size in any::<u64>(),
         id in any::<u32>(),
-        selector in 0u8..5,
+        selector in 0u8..6,
     ) {
-        use cphash_suite::hashcore::ElementId;
+        use cphash_suite::hashcore::{ElementId, InlineValue};
         let request = match selector {
             0 => protocol::Request::Lookup { key },
             1 => protocol::Request::Insert { key, size },
             2 => protocol::Request::Ready { id: ElementId(id) },
             3 => protocol::Request::Decref { id: ElementId(id) },
+            4 => protocol::Request::InsertInline {
+                key,
+                value: InlineValue::new(&size.to_le_bytes()[..id as usize % 9]).unwrap(),
+            },
             _ => protocol::Request::Delete { key },
         };
         let (w0, w1) = protocol::encode(&request);
+        prop_assert_eq!(1 + w1.iter().len(), protocol::request_words(&request));
         prop_assert_eq!(protocol::decode(w0, w1), Some(request));
     }
 
