@@ -8,17 +8,14 @@
 //! storm one thread (and one listen queue) throttles the whole server.
 //! Here every worker owns a listener on the server's address instead
 //! ([`shard_listeners`]) and accepts for itself ([`drain_accepts`]) — no
-//! hand-off thread, no cross-thread wake-up, and with the io_uring
-//! front-end the accept itself happens in-kernel (multishot accept).  Where
-//! the kernel can load-balance (`SO_REUSEPORT`: Linux, IPv4) each worker
-//! gets its own socket and accept queue; elsewhere the workers share one
-//! bound socket through `try_clone` and whichever is awake accepts.
+//! hand-off thread, no cross-thread wake-up.  Where the kernel can
+//! load-balance (`SO_REUSEPORT`: Linux, IPv4) each worker gets its own
+//! socket and accept queue; elsewhere the workers share one bound socket
+//! through `try_clone` and whichever is awake accepts.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
-
-use crate::reactor::Reactor;
 
 /// Build one non-blocking listener per shard, all accepting on `bind`
 /// (port 0 picks a port once; every listener reports the resolved address).
@@ -111,32 +108,8 @@ fn reuseport_listener(ip: std::net::Ipv4Addr, port: u16) -> io::Result<TcpListen
 }
 
 /// Collect every connection currently acceptable on a worker-owned
-/// listener: from the reactor's in-kernel accept queue when the backend
-/// owns accepting (io_uring multishot accept), otherwise via non-blocking
-/// `accept(2)` until `WouldBlock`.
-pub fn drain_accepts(
-    listener: &TcpListener,
-    reactor: &mut Reactor,
-    token: usize,
-    out: &mut Vec<TcpStream>,
-) {
-    #[cfg(unix)]
-    {
-        let mut fds: Vec<crate::reactor::RawFd> = Vec::new();
-        if reactor.take_accepted(token, &mut fds) {
-            for fd in fds {
-                // SAFETY: the backend accepted this fd in-kernel and hands
-                // ownership over exactly once, here.
-                out.push(unsafe {
-                    use std::os::fd::FromRawFd;
-                    TcpStream::from_raw_fd(fd)
-                });
-            }
-            return;
-        }
-    }
-    #[cfg(not(unix))]
-    let _ = reactor;
+/// listener: non-blocking `accept(2)` until `WouldBlock`.
+pub fn drain_accepts(listener: &TcpListener, out: &mut Vec<TcpStream>) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => out.push(stream),
@@ -156,7 +129,7 @@ pub fn drain_accepts(
 mod tests {
     use super::*;
     use crate::metrics::FrontendStats;
-    use crate::reactor::{raw_fd_of, FrontendKind, LISTENER_TOKEN};
+    use crate::reactor::{raw_fd_of, Reactor, LISTENER_TOKEN};
     use std::sync::Arc;
 
     /// Accept everything pending on every listener of a shard set, waiting
@@ -166,9 +139,8 @@ mod tests {
         let mut reactors: Vec<Reactor> = listeners
             .iter()
             .map(|l| {
-                let mut r =
-                    Reactor::new(FrontendKind::default(), Arc::new(FrontendStats::default()));
-                r.register_listener(raw_fd_of(l), LISTENER_TOKEN).unwrap();
+                let mut r = Reactor::new(Arc::new(FrontendStats::default())).unwrap();
+                r.register(raw_fd_of(l), LISTENER_TOKEN, false).unwrap();
                 r
             })
             .collect();
@@ -181,15 +153,15 @@ mod tests {
                 ready.clear();
                 r.wait(&mut ready, Some(Duration::from_millis(5))).unwrap();
                 if ready.contains(&LISTENER_TOKEN) {
-                    drain_accepts(l, r, LISTENER_TOKEN, &mut accepted);
+                    drain_accepts(l, &mut accepted);
                     counts[i] += accepted.drain(..).count();
                 }
             }
         }
         // One more look at every listener: a connection must not be
         // acceptable twice.
-        for (i, (l, r)) in listeners.iter().zip(reactors.iter_mut()).enumerate() {
-            drain_accepts(l, r, LISTENER_TOKEN, &mut accepted);
+        for (i, l) in listeners.iter().enumerate() {
+            drain_accepts(l, &mut accepted);
             counts[i] += accepted.drain(..).count();
         }
         counts

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use cphash::{CpHashConfig, MigrationPacing};
 use cphash_affinity::Topology;
-use cphash_kvserver::{CpServer, CpServerConfig, FrontendKind};
+use cphash_kvserver::{CpServer, CpServerConfig};
 
 struct Args {
     port: u16,
@@ -33,8 +33,6 @@ struct Args {
     /// Overload shedding threshold (0 = never shed): in-flight operations
     /// per worker beyond which lookups get wire-level Retry replies.
     overload_retry: usize,
-    /// Front-end driving the client threads (epoll | poll | uring).
-    frontend: FrontendKind,
     /// NUMA-aware server placement: pin every spawnable server thread
     /// (including ones only activated by a later grow) per the detected
     /// topology.
@@ -58,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
         migrate_feedback_p99: false,
         batch_size: cphash::DEFAULT_BATCH_SIZE,
         overload_retry: 0,
-        frontend: FrontendKind::default(),
         numa: false,
         stats_addr: None,
         trace: false,
@@ -108,7 +105,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad overload-retry: {e}"))?
             }
-            "--frontend" => args.frontend = FrontendKind::parse(&value("--frontend")?)?,
             "--stats-addr" => {
                 args.stats_addr = Some(
                     value("--stats-addr")?
@@ -119,7 +115,7 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => args.trace = true,
             "--numa" => args.numa = true,
             "--help" | "-h" => {
-                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--stats-addr HOST:PORT] [--trace] [--numa]".into())
+                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--stats-addr HOST:PORT] [--trace] [--numa]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -177,7 +173,6 @@ fn main() {
         capacity_bytes: Some(args.capacity_mb * 1024 * 1024),
         typical_value_bytes: 64,
         migration_pacing,
-        frontend: args.frontend,
         server_pins,
         batch_size: args.batch_size,
         overload_retry: (args.overload_retry > 0).then_some(args.overload_retry),
@@ -196,12 +191,11 @@ fn main() {
         }
     };
     println!(
-        "CPSERVER listening on {} ({} partitions, {} client threads, {} MiB cache, {} front-end, pipeline depth {}{})",
+        "CPSERVER listening on {} ({} partitions, {} client threads, {} MiB cache, pipeline depth {}{})",
         server.addr(),
         args.partitions,
         args.client_threads,
         args.capacity_mb,
-        args.frontend,
         args.batch_size,
         if args.numa { ", NUMA pinning" } else { "" }
     );

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use cphash_kvserver::{FrontendKind, LockServer, LockServerConfig};
+use cphash_kvserver::{LockServer, LockServerConfig};
 
 struct Args {
     port: u16,
@@ -16,8 +16,6 @@ struct Args {
     worker_threads: usize,
     capacity_mb: usize,
     stats_secs: u64,
-    /// Front-end driving the worker threads (epoll | poll | uring).
-    frontend: FrontendKind,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -27,7 +25,6 @@ fn parse_args() -> Result<Args, String> {
         worker_threads: 4,
         capacity_mb: 64,
         stats_secs: 5,
-        frontend: FrontendKind::default(),
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -49,9 +46,8 @@ fn parse_args() -> Result<Args, String> {
             "--stats-secs" => {
                 args.stats_secs = value("--stats-secs")?.parse().map_err(|e| format!("bad stats-secs: {e}"))?
             }
-            "--frontend" => args.frontend = FrontendKind::parse(&value("--frontend")?)?,
             "--help" | "-h" => {
-                return Err("usage: lockserverd [--port N] [--partitions N] [--worker-threads N] [--capacity-mb N] [--stats-secs N] [--frontend epoll|poll|uring]".into())
+                return Err("usage: lockserverd [--port N] [--partitions N] [--worker-threads N] [--capacity-mb N] [--stats-secs N]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -76,7 +72,6 @@ fn main() {
         partitions: args.partitions,
         capacity_bytes: Some(args.capacity_mb * 1024 * 1024),
         typical_value_bytes: 64,
-        frontend: args.frontend,
         ..Default::default()
     };
     let server = match LockServer::start(config) {
@@ -87,12 +82,11 @@ fn main() {
         }
     };
     println!(
-        "LOCKSERVER listening on {} ({} partitions, {} worker threads, {} MiB cache, {} front-end)",
+        "LOCKSERVER listening on {} ({} partitions, {} worker threads, {} MiB cache)",
         server.addr(),
         args.partitions,
         args.worker_threads,
-        args.capacity_mb,
-        args.frontend
+        args.capacity_mb
     );
     println!("press Ctrl-C to stop");
 

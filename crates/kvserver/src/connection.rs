@@ -266,7 +266,6 @@ pub(crate) fn settle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reactor::FrontendKind;
     use bytes::BytesMut;
     use cphash_kvproto::{OpFrame, OpKind, ReplyDecoder};
     use std::io::Read;
@@ -349,7 +348,7 @@ mod tests {
     #[test]
     fn a_peer_that_skips_the_handshake_is_closed_unanswered_and_reclaimed() {
         let metrics = ServerMetrics::new();
-        let mut reactor = Reactor::new(FrontendKind::default(), Arc::clone(&metrics.frontend));
+        let mut reactor = Reactor::new(Arc::clone(&metrics.frontend)).unwrap();
         let mut slab: Vec<Option<Connection>> = Vec::new();
         let mut ready = Vec::new();
         let (conn, mut client) = connected_pair();

@@ -19,7 +19,7 @@ use cphash_perfmon::SharedLatencyWindow;
 use crate::acceptor::{drain_accepts, shard_listeners};
 use crate::connection::Connection;
 use crate::metrics::{MigrationProgress, ServerMetrics};
-use crate::reactor::{raw_fd_of, FrontendKind, Reactor, LISTENER_TOKEN};
+use crate::reactor::{raw_fd_of, Reactor, LISTENER_TOKEN};
 use crate::stats_http::spawn_stats_listener;
 
 /// An admin resize request in flight from a client thread to the admin
@@ -118,10 +118,6 @@ pub struct CpServerConfig {
     /// Default pacing for live resizes (RESIZE frames may override it per
     /// request with an explicit chunks-per-second budget).
     pub migration_pacing: MigrationPacing,
-    /// Front-end driving the client-thread loops: readiness-based (`epoll`,
-    /// the default, falling back to busy-poll off Linux), the busy-poll
-    /// baseline (`poll`) or `uring`.
-    pub frontend: FrontendKind,
     /// Pipeline depth for the hash-table servers (operations staged per
     /// batch).
     pub batch_size: usize,
@@ -150,7 +146,6 @@ impl Default for CpServerConfig {
             batch: 1024,
             max_partitions: 0,
             migration_pacing: MigrationPacing::Unpaced,
-            frontend: FrontendKind::default(),
             batch_size: cphash::DEFAULT_BATCH_SIZE,
             overload_retry: None,
             stats_addr: None,
@@ -235,7 +230,6 @@ impl CpServer {
             let metrics = Arc::clone(&metrics);
             let batch = config.batch;
             let admin = resize_enabled.then(|| admin_tx.clone());
-            let frontend = config.frontend;
             let overload_retry = config.overload_retry.map(|t| t.max(1));
             // Workers only pay for latency stamping when something will
             // actually sample the window.
@@ -257,7 +251,6 @@ impl CpServer {
                             metrics,
                             batch,
                             admin,
-                            frontend,
                             overload_retry,
                             record_latency,
                         )
@@ -619,17 +612,16 @@ fn client_worker(
     metrics: Arc<ServerMetrics>,
     batch: usize,
     admin: Option<mpsc::Sender<AdminRequest>>,
-    frontend: FrontendKind,
     overload_retry: Option<usize>,
     record_latency: bool,
 ) {
-    let mut reactor = Reactor::new(frontend, Arc::clone(&metrics.frontend));
-    // The listener is this worker's only source of connections (with
-    // io_uring the backend accepts in-kernel via multishot accept and hands
-    // finished fds over `take_accepted`); unwatched, the worker would be
-    // deaf forever, so fail loudly at startup instead.
+    // The listener is this worker's only source of connections; without a
+    // reactor watching it the worker would be deaf forever, so fail loudly
+    // at startup instead.
+    let mut reactor =
+        Reactor::new(Arc::clone(&metrics.frontend)).expect("creating the worker's reactor");
     reactor
-        .register_listener(raw_fd_of(&listener), LISTENER_TOKEN)
+        .register(raw_fd_of(&listener), LISTENER_TOKEN, false)
         .expect("registering the worker's listener on the reactor");
     let mut accepted: Vec<TcpStream> = Vec::new();
     // Connection slab: indices stay stable (they double as reactor tokens)
@@ -710,7 +702,7 @@ fn client_worker(
         // connection that already has bytes buffered is served by the
         // dispatch loop just below.
         if ready.contains(&LISTENER_TOKEN) {
-            drain_accepts(&listener, &mut reactor, LISTENER_TOKEN, &mut accepted);
+            drain_accepts(&listener, &mut accepted);
             for stream in accepted.drain(..) {
                 let adopted = Connection::new(stream).is_ok_and(|conn| {
                     crate::connection::adopt(

@@ -23,14 +23,14 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-//! All three front-ends are event-driven: each worker sits on a
-//! [`reactor::Reactor`] (io_uring or epoll on Linux — with per-process
-//! fallback uring → epoll → busy-poll — and a `--frontend poll` baseline
-//! behind the same trait), so idle connections cost nothing and worker CPU
-//! scales with requests served.  The accept path is sharded: every worker
-//! owns a listener on the server's address and accepts for itself — a
-//! `SO_REUSEPORT` socket the kernel load-balances over where that exists,
-//! a clone of one shared socket elsewhere ([`acceptor::shard_listeners`]).
+//! All three servers are event-driven: each worker sits on a
+//! [`reactor::Reactor`] (epoll on Linux; a busy-poll backend behind the same
+//! trait where epoll does not exist), so idle connections cost nothing and
+//! worker CPU scales with requests served.  The accept path is sharded:
+//! every worker owns a listener on the server's address and accepts for
+//! itself — a `SO_REUSEPORT` socket the kernel load-balances over where that
+//! exists, a clone of one shared socket elsewhere
+//! ([`acceptor::shard_listeners`]).
 
 pub mod acceptor;
 pub mod connection;
@@ -41,12 +41,10 @@ pub mod metrics;
 pub mod reactor;
 mod serve;
 pub mod stats_http;
-#[cfg(target_os = "linux")]
-pub mod uring;
 
 pub use cpserver::{CpServer, CpServerConfig};
 pub use lockserver::{LockServer, LockServerConfig};
 pub use memcache::{MemcacheCluster, MemcacheConfig};
 pub use metrics::{FrontendStats, MigrationProgress, ServerMetrics, StatsSnapshot};
-pub use reactor::{FrontendKind, Reactor};
+pub use reactor::Reactor;
 pub use stats_http::spawn_stats_listener;

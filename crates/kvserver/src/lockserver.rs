@@ -9,7 +9,6 @@ use cphash_lockhash::{EvictionPolicy, LockHash, LockHashConfig, LockKind};
 
 use crate::acceptor::shard_listeners;
 use crate::metrics::ServerMetrics;
-use crate::reactor::FrontendKind;
 use crate::serve::serve_sync;
 
 /// Configuration for [`LockServer`].
@@ -30,8 +29,6 @@ pub struct LockServerConfig {
     pub eviction: EvictionPolicy,
     /// Lock algorithm.
     pub lock_kind: LockKind,
-    /// Front-end driving the worker loops (readiness-based or busy-poll).
-    pub frontend: FrontendKind,
 }
 
 impl Default for LockServerConfig {
@@ -44,7 +41,6 @@ impl Default for LockServerConfig {
             typical_value_bytes: 64,
             eviction: EvictionPolicy::Lru,
             lock_kind: LockKind::Spin,
-            frontend: FrontendKind::default(),
         }
     }
 }
@@ -86,13 +82,10 @@ impl LockServer {
             let stop = Arc::clone(&stop);
             let metrics = Arc::clone(&metrics);
             let table = Arc::clone(&table);
-            let frontend = config.frontend;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("lockserver-worker-{index}"))
-                    .spawn(move || {
-                        serve_sync(listener, &*table, "LOCKSERVER", &stop, &metrics, frontend)
-                    })
+                    .spawn(move || serve_sync(listener, &*table, "LOCKSERVER", &stop, &metrics))
                     .expect("spawning a worker thread"),
             );
         }

@@ -28,9 +28,7 @@ use std::thread::JoinHandle;
 use cphash_hashcore::{EvictionPolicy, Partition, PartitionConfig};
 use parking_lot::Mutex;
 
-use crate::acceptor::shard_listeners;
 use crate::metrics::ServerMetrics;
-use crate::reactor::FrontendKind;
 use crate::serve::serve_sync;
 
 /// Configuration for a [`MemcacheCluster`].
@@ -44,16 +42,6 @@ pub struct MemcacheConfig {
     pub buckets: usize,
     /// Eviction policy (memcached uses LRU).
     pub eviction: EvictionPolicy,
-    /// Front-end driving each instance's loop.
-    pub frontend: FrontendKind,
-    /// Bind every instance to one shared port ([`shard_listeners`]) instead
-    /// of a port per instance.  `false` (the default) preserves the
-    /// paper's §7 deployment — clients partition the key space across
-    /// per-instance ports — so [`MemcacheCluster::addrs`] stays meaningful;
-    /// `true` models a churn-friendly front door where the kernel spreads
-    /// connections over instances (every `addrs()` entry is then the same
-    /// address).
-    pub shared_port: bool,
 }
 
 impl Default for MemcacheConfig {
@@ -63,8 +51,6 @@ impl Default for MemcacheConfig {
             capacity_bytes_per_instance: None,
             buckets: 4096,
             eviction: EvictionPolicy::Lru,
-            frontend: FrontendKind::default(),
-            shared_port: false,
         }
     }
 }
@@ -92,25 +78,9 @@ impl MemcacheCluster {
         let mut instances = Vec::with_capacity(config.instances);
         let mut threads = Vec::new();
 
-        // Shared-port mode: one listener set over a single port, the
-        // kernel spreading connections over instances.  Per-instance ports
-        // (the paper's deployment) otherwise.
-        let mut shared = if config.shared_port {
-            let loopback = "127.0.0.1:0".parse().expect("literal address");
-            Some(shard_listeners(loopback, config.instances)?)
-        } else {
-            None
-        };
-
         for index in 0..config.instances {
-            let listener = match &mut shared {
-                Some((_, listeners)) => listeners.pop().expect("one listener per instance"),
-                None => {
-                    let l = TcpListener::bind("127.0.0.1:0")?;
-                    l.set_nonblocking(true)?;
-                    l
-                }
-            };
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            listener.set_nonblocking(true)?;
             let addr = listener.local_addr()?;
             let store = Arc::new(Mutex::new(Partition::new(PartitionConfig {
                 buckets: config.buckets,
@@ -131,19 +101,11 @@ impl MemcacheCluster {
 
             let stop_flag = Arc::clone(&stop);
             let metrics_ref = Arc::clone(&metrics);
-            let frontend = config.frontend;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("memcache-{index}"))
                     .spawn(move || {
-                        serve_sync(
-                            listener,
-                            &*store,
-                            "memcached",
-                            &stop_flag,
-                            &metrics_ref,
-                            frontend,
-                        )
+                        serve_sync(listener, &*store, "memcached", &stop_flag, &metrics_ref)
                     })
                     .expect("spawning a memcache instance"),
             );

@@ -20,11 +20,9 @@ use parking_lot::Mutex;
 /// Front-end reactor counters: how often workers wake and how much each
 /// wake-up accomplishes.
 ///
-/// The interesting property is what bounds `wakeups`: with the epoll
-/// front-end it is bounded by *activity* (batches of bytes arriving), with
-/// the busy-poll front-end by *loop iterations* — which is why the
-/// connection-scaling benchmark compares exactly this counter at equal
-/// throughput.
+/// The interesting property is what bounds `wakeups`: under epoll it is
+/// bounded by *activity* (batches of bytes arriving), under the busy-poll
+/// fallback by *loop iterations*.
 #[derive(Debug, Default)]
 pub struct FrontendStats {
     /// `wait` calls that delivered at least one readiness event.
@@ -33,9 +31,7 @@ pub struct FrontendStats {
     pub events: AtomicU64,
     /// Blocking `wait` calls that timed out with nothing to do.
     pub idle_sleeps: AtomicU64,
-    /// Syscalls the backend issued (mutations + waits).  The io_uring
-    /// backend batches interest-list mutations into its waits, so this is
-    /// the counter the churn-storm ablation compares across front-ends.
+    /// Syscalls the backend issued (interest-list mutations + waits).
     pub syscalls: AtomicU64,
 }
 

@@ -12,8 +12,12 @@
 //!   sockets the worker is back-logged on).  Idle connections cost nothing.
 //! * [`PollReactor`] is the portable fallback: it reports every registered
 //!   connection as "maybe ready" on each call — the legacy busy-poll
-//!   behaviour behind the same [`EventBackend`] trait, so non-Linux builds
-//!   and the `--frontend poll` baseline share the worker loops unchanged.
+//!   behaviour behind the same [`EventBackend`] trait, so builds for hosts
+//!   without epoll share the worker loops unchanged.
+//!
+//! Which of the two runs is a fact of the platform ([`Reactor::new`]), not
+//! an option.  [`Reactor::with_backend`] is the seam through which tests
+//! drive the worker-facing contract against a backend of their choosing.
 //!
 //! New connections arrive on a listener the worker itself owns, registered
 //! under [`LISTENER_TOKEN`] (see [`crate::acceptor`]).  Cross-thread
@@ -22,8 +26,7 @@
 //! immediately instead of on a poll tick.
 //!
 //! Every [`Reactor`] records [`crate::metrics::FrontendStats`]: wake-ups,
-//! events per wake-up and idle sleeps, which is how the connection-scaling
-//! benchmark (`ablate_frontend`) quantifies the win.
+//! events per wake-up, idle sleeps and syscalls.
 
 use std::io;
 use std::sync::Arc;
@@ -59,88 +62,6 @@ pub fn raw_fd_of<T>(_io: &T) -> RawFd {
     -1
 }
 
-/// Which front-end drives a server's worker loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontendKind {
-    /// Readiness-based: sleep in `epoll_wait`, wake per event (Linux).
-    /// On hosts without epoll this silently degrades to [`FrontendKind::Poll`].
-    #[default]
-    Epoll,
-    /// Legacy busy-poll: scan every connection each loop iteration.
-    Poll,
-    /// io_uring completion rings (Linux 5.11+): batched interest-list
-    /// mutations, multishot poll/accept, zero-syscall drains (see
-    /// [`crate::uring::IoUringReactor`]).  Falls back to epoll — logging
-    /// once — on kernels without io_uring.
-    Uring,
-}
-
-impl FrontendKind {
-    /// Parse a `--frontend` flag value.
-    pub fn parse(s: &str) -> Result<FrontendKind, String> {
-        match s {
-            "epoll" => Ok(FrontendKind::Epoll),
-            "poll" => Ok(FrontendKind::Poll),
-            "uring" | "io_uring" => Ok(FrontendKind::Uring),
-            other => Err(format!(
-                "unknown frontend {other:?} (expected epoll|poll|uring)"
-            )),
-        }
-    }
-
-    /// The flag spelling of this kind.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FrontendKind::Epoll => "epoll",
-            FrontendKind::Poll => "poll",
-            FrontendKind::Uring => "uring",
-        }
-    }
-}
-
-impl core::fmt::Display for FrontendKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Is a *real* readiness backend (not the busy-poll fallback) available for
-/// `kind` on this host?
-pub fn reactor_available(kind: FrontendKind) -> bool {
-    match kind {
-        FrontendKind::Poll => true,
-        FrontendKind::Epoll => {
-            #[cfg(target_os = "linux")]
-            {
-                // SAFETY: epoll_create1 takes no pointers; the fd is checked before use.
-                let fd = unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) };
-                if fd >= 0 {
-                    // SAFETY: the probe fd was just created above and is owned here.
-                    unsafe { libc::close(fd) };
-                    return true;
-                }
-                false
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                false
-            }
-        }
-        FrontendKind::Uring => {
-            #[cfg(target_os = "linux")]
-            {
-                // A full constructor probe (syscall + required feature
-                // bits), plus the CPHASH_URING_DISABLE test hook.
-                !crate::uring::uring_disabled() && crate::uring::IoUringReactor::new().is_ok()
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                false
-            }
-        }
-    }
-}
-
 /// The readiness interface both backends implement.
 ///
 /// Tokens are caller-chosen `usize` identifiers (connection slab slots, plus
@@ -157,22 +78,6 @@ pub trait EventBackend {
     /// `timeout` of `None` polls without blocking; `Some(d)` may sleep up to
     /// `d` waiting for the first event.
     fn wait(&mut self, ready: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<usize>;
-
-    /// Start watching a *listening* socket under `token`.  Backends with
-    /// in-kernel accept (io_uring multishot) arm it here; everyone else
-    /// treats the listener as an ordinary readable descriptor and the
-    /// caller accepts via `accept(2)` when the token reports ready.
-    fn register_listener(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
-        self.register(fd, token, false)
-    }
-
-    /// Collect connections the backend accepted in-kernel for `token`.
-    /// Returns `true` when this backend owns accepting for the token (the
-    /// caller must **not** call `accept(2)`, even if `out` came back
-    /// empty); `false` means the caller accepts the ordinary way.
-    fn take_accepted(&mut self, _token: usize, _out: &mut Vec<RawFd>) -> bool {
-        false
-    }
 
     /// Drain the backend's syscall counter: how many syscalls it issued
     /// since the last drain.  The busy-poll backend never syscalls (0).
@@ -243,9 +148,11 @@ impl EventBackend for EpollReactor {
     }
 
     fn wait(&mut self, ready: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<usize> {
+        // epoll_wait counts whole milliseconds: round a blocking wait up so
+        // a sub-millisecond timeout sleeps instead of returning at once.
         let timeout_ms: i32 = match timeout {
             None => 0,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
+            Some(d) => d.as_nanos().div_ceil(1_000_000).clamp(1, i32::MAX as u128) as i32,
         };
         let n = loop {
             self.syscalls += 1;
@@ -341,97 +248,38 @@ impl EventBackend for PollReactor {
     }
 }
 
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll(EpollReactor),
-    #[cfg(target_os = "linux")]
-    Uring(crate::uring::IoUringReactor),
-    Poll(PollReactor),
-}
-
-/// A worker's reactor: the chosen backend plus shared front-end statistics.
-///
-/// Requesting [`FrontendKind::Uring`] on a kernel without io_uring logs
-/// once and degrades to epoll; requesting [`FrontendKind::Epoll`] on a
-/// host without epoll support transparently degrades to the poll backend.
-/// [`Reactor::kind`] reports what actually runs.
+/// A worker's reactor: the platform's backend plus shared front-end
+/// statistics.
 pub struct Reactor {
-    backend: Backend,
+    backend: Box<dyn EventBackend>,
     stats: Arc<FrontendStats>,
 }
 
 impl Reactor {
-    /// Build a reactor of the requested kind, falling back (uring → epoll
-    /// → busy-poll) when the host cannot provide the requested mechanism.
-    pub fn new(kind: FrontendKind, stats: Arc<FrontendStats>) -> Reactor {
-        let backend = Self::build_backend(kind);
+    /// Build the platform's reactor: epoll on Linux, the busy-poll
+    /// [`PollReactor`] where epoll does not exist.  On Linux a failing
+    /// `epoll_create1` is the caller's start-up error, never a silent
+    /// busy-poll.
+    pub fn new(stats: Arc<FrontendStats>) -> io::Result<Reactor> {
+        #[cfg(target_os = "linux")]
+        let backend = EpollReactor::new()?;
+        #[cfg(not(target_os = "linux"))]
+        let backend = PollReactor::new();
+        Ok(Reactor::with_backend(Box::new(backend), stats))
+    }
+
+    /// Wrap a caller-built backend: how tests run the worker-facing
+    /// contract against a backend other than the platform's.
+    pub fn with_backend(backend: Box<dyn EventBackend>, stats: Arc<FrontendStats>) -> Reactor {
         let mut reactor = Reactor { backend, stats };
         // Fold setup-time syscalls into the stats from the start.
         reactor.drain_syscalls();
         reactor
     }
 
-    #[cfg(target_os = "linux")]
-    fn build_backend(kind: FrontendKind) -> Backend {
-        match kind {
-            FrontendKind::Uring => match if crate::uring::uring_disabled() {
-                Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "disabled by CPHASH_URING_DISABLE",
-                ))
-            } else {
-                crate::uring::IoUringReactor::new()
-            } {
-                Ok(u) => Backend::Uring(u),
-                Err(e) => {
-                    // One log line per process, not one per worker: every
-                    // worker of every server hits this on an old kernel.
-                    static FALLBACK_LOGGED: std::sync::Once = std::sync::Once::new();
-                    FALLBACK_LOGGED.call_once(|| {
-                        eprintln!(
-                            "cphash: io_uring front-end unavailable ({e}); falling back to epoll"
-                        );
-                    });
-                    Self::build_backend(FrontendKind::Epoll)
-                }
-            },
-            FrontendKind::Epoll => match EpollReactor::new() {
-                Ok(e) => Backend::Epoll(e),
-                Err(_) => Backend::Poll(PollReactor::new()),
-            },
-            FrontendKind::Poll => Backend::Poll(PollReactor::new()),
-        }
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn build_backend(_kind: FrontendKind) -> Backend {
-        Backend::Poll(PollReactor::new())
-    }
-
-    /// The kind actually running (after any fallback).
-    pub fn kind(&self) -> FrontendKind {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => FrontendKind::Epoll,
-            #[cfg(target_os = "linux")]
-            Backend::Uring(_) => FrontendKind::Uring,
-            Backend::Poll(_) => FrontendKind::Poll,
-        }
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn EventBackend {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e,
-            #[cfg(target_os = "linux")]
-            Backend::Uring(u) => u,
-            Backend::Poll(p) => p,
-        }
-    }
-
     /// Move the backend's syscall delta into the shared stats.
     fn drain_syscalls(&mut self) {
-        let n = self.backend_mut().take_syscalls();
+        let n = self.backend.take_syscalls();
         if n > 0 {
             self.stats.note_syscalls(n);
         }
@@ -440,35 +288,21 @@ impl Reactor {
     /// Start watching `fd` under `token` (read interest; `writable` adds
     /// write interest).
     pub fn register(&mut self, fd: RawFd, token: usize, writable: bool) -> io::Result<()> {
-        let r = self.backend_mut().register(fd, token, writable);
+        let r = self.backend.register(fd, token, writable);
         self.drain_syscalls();
         r
-    }
-
-    /// Start watching a listening socket under `token` (see
-    /// [`EventBackend::register_listener`]).
-    pub fn register_listener(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
-        let r = self.backend_mut().register_listener(fd, token);
-        self.drain_syscalls();
-        r
-    }
-
-    /// Collect in-kernel-accepted connections for `token` (see
-    /// [`EventBackend::take_accepted`]).
-    pub fn take_accepted(&mut self, token: usize, out: &mut Vec<RawFd>) -> bool {
-        self.backend_mut().take_accepted(token, out)
     }
 
     /// Change the interest set of a registered descriptor.
     pub fn rearm(&mut self, fd: RawFd, token: usize, writable: bool) -> io::Result<()> {
-        let r = self.backend_mut().rearm(fd, token, writable);
+        let r = self.backend.rearm(fd, token, writable);
         self.drain_syscalls();
         r
     }
 
     /// Stop watching `fd`.
     pub fn deregister(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
-        let r = self.backend_mut().deregister(fd, token);
+        let r = self.backend.deregister(fd, token);
         self.drain_syscalls();
         r
     }
@@ -478,7 +312,7 @@ impl Reactor {
     /// an idle sleep is a blocking wait that timed out empty).
     pub fn wait(&mut self, ready: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<usize> {
         let blocking = timeout.is_some();
-        let n = self.backend_mut().wait(ready, timeout)?;
+        let n = self.backend.wait(ready, timeout)?;
         self.drain_syscalls();
         if n > 0 {
             self.stats.note_wakeup(n as u64);
@@ -491,9 +325,9 @@ impl Reactor {
 
 /// A cross-thread wake-up handle for one worker's reactor.
 ///
-/// With the epoll backend this wraps an `eventfd` the worker registers under
+/// On Linux this wraps an `eventfd` the worker registers under
 /// [`WAKER_TOKEN`]; `wake` makes a sleeping `epoll_wait` return immediately.
-/// With the poll backend (which never sleeps for long) it is a no-op.
+/// Elsewhere (the poll backend never sleeps for long) it is a no-op.
 #[derive(Clone)]
 pub struct Waker {
     inner: Arc<WakerInner>,
@@ -504,16 +338,13 @@ struct WakerInner {
 }
 
 impl Waker {
-    /// Create a waker for a worker running the given front-end.
-    pub fn new(kind: FrontendKind) -> Waker {
-        let fd = match kind {
-            #[cfg(target_os = "linux")]
-            // SAFETY: eventfd takes no pointers; -1 on failure is kept as "no fd".
-            FrontendKind::Epoll | FrontendKind::Uring => unsafe {
-                libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK)
-            },
-            _ => -1,
-        };
+    /// Create a waker for a worker's reactor.
+    pub fn new() -> Waker {
+        #[cfg(target_os = "linux")]
+        // SAFETY: eventfd takes no pointers; -1 on failure is kept as "no fd".
+        let fd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
+        #[cfg(not(target_os = "linux"))]
+        let fd = -1;
         Waker {
             inner: Arc::new(WakerInner { fd }),
         }
@@ -547,6 +378,12 @@ impl Waker {
     }
 }
 
+impl Default for Waker {
+    fn default() -> Waker {
+        Waker::new()
+    }
+}
+
 impl Drop for WakerInner {
     fn drop(&mut self) {
         #[cfg(target_os = "linux")]
@@ -568,39 +405,8 @@ mod tests {
     }
 
     #[test]
-    fn frontend_kind_parses_and_displays() {
-        assert_eq!(FrontendKind::parse("epoll").unwrap(), FrontendKind::Epoll);
-        assert_eq!(FrontendKind::parse("poll").unwrap(), FrontendKind::Poll);
-        assert_eq!(FrontendKind::parse("uring").unwrap(), FrontendKind::Uring);
-        assert_eq!(
-            FrontendKind::parse("io_uring").unwrap(),
-            FrontendKind::Uring
-        );
-        assert!(FrontendKind::parse("kqueue").is_err());
-        assert_eq!(FrontendKind::Epoll.to_string(), "epoll");
-        assert_eq!(FrontendKind::Poll.to_string(), "poll");
-        assert_eq!(FrontendKind::Uring.to_string(), "uring");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn uring_request_falls_back_to_epoll_when_disabled() {
-        // The disable hook makes ring setup fail exactly like a kernel
-        // without io_uring; the reactor must come up on epoll.
-        if crate::uring::uring_disabled() {
-            return; // leave a suite-wide override alone
-        }
-        std::env::set_var(crate::uring::URING_DISABLE_ENV, "1");
-        assert!(!reactor_available(FrontendKind::Uring));
-        let r = Reactor::new(FrontendKind::Uring, stats());
-        assert_eq!(r.kind(), FrontendKind::Epoll);
-        std::env::remove_var(crate::uring::URING_DISABLE_ENV);
-    }
-
-    #[test]
     fn poll_backend_reports_every_registration() {
-        let mut r = Reactor::new(FrontendKind::Poll, stats());
-        assert_eq!(r.kind(), FrontendKind::Poll);
+        let mut r = Reactor::with_backend(Box::new(PollReactor::new()), stats());
         r.register(10, 0, false).unwrap();
         r.register(11, 1, false).unwrap();
         let mut ready = Vec::new();
@@ -612,9 +418,10 @@ mod tests {
         assert_eq!(ready, vec![1]);
     }
 
+    #[cfg(not(target_os = "linux"))]
     #[test]
     fn waker_is_inert_for_the_poll_backend() {
-        let w = Waker::new(FrontendKind::Poll);
+        let w = Waker::new();
         assert!(w.fd().is_none());
         w.wake(); // must not panic
         w.drain();
@@ -623,10 +430,8 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_reactor_sees_socket_data_and_waker() {
-        assert!(reactor_available(FrontendKind::Epoll));
         let s = stats();
-        let mut r = Reactor::new(FrontendKind::Epoll, Arc::clone(&s));
-        assert_eq!(r.kind(), FrontendKind::Epoll);
+        let mut r = Reactor::new(Arc::clone(&s)).unwrap();
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -638,7 +443,7 @@ mod tests {
         };
         r.register(fd, 7, false).unwrap();
 
-        let waker = Waker::new(FrontendKind::Epoll);
+        let waker = Waker::new();
         r.register(waker.fd().unwrap(), WAKER_TOKEN, false).unwrap();
 
         // Nothing ready: a zero-timeout wait yields no tokens, and a short
@@ -677,11 +482,27 @@ mod tests {
         assert!(!ready.contains(&7));
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_sub_millisecond_timeout_sleeps() {
+        // epoll_wait counts whole milliseconds; a 200 µs timeout must round
+        // up to a real sleep, not down to a poll booked as an idle sleep.
+        let s = stats();
+        let mut r = Reactor::new(Arc::clone(&s)).unwrap();
+        let mut ready = Vec::new();
+        let timeout = Duration::from_micros(200);
+        let started = std::time::Instant::now();
+        assert_eq!(r.wait(&mut ready, Some(timeout)).unwrap(), 0);
+        assert!(started.elapsed() >= timeout, "{:?}", started.elapsed());
+        assert!(ready.is_empty());
+        assert_eq!(s.idle_sleeps(), 1);
+    }
+
     #[test]
     fn degraded_epoll_request_still_works() {
         // Off Linux this exercises the fallback; on Linux it simply builds
         // the real thing. Either way the API holds.
-        let mut r = Reactor::new(FrontendKind::Epoll, stats());
+        let mut r = Reactor::new(stats()).unwrap();
         let mut ready = Vec::new();
         assert_eq!(r.wait(&mut ready, None).unwrap(), 0);
     }

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use crate::acceptor::drain_accepts;
 use crate::connection::{adopt, settle, Connection, Settle};
 use crate::metrics::ServerMetrics;
-use crate::reactor::{raw_fd_of, FrontendKind, Reactor, LISTENER_TOKEN};
+use crate::reactor::{raw_fd_of, Reactor, LISTENER_TOKEN};
 
 /// A table whose operations complete before the call returns; concurrency
 /// control is the store's own business.
@@ -75,16 +75,14 @@ pub(crate) fn serve_sync<S: SyncStore>(
     server: &str,
     stop: &AtomicBool,
     metrics: &ServerMetrics,
-    frontend: FrontendKind,
 ) {
-    let mut reactor = Reactor::new(frontend, Arc::clone(&metrics.frontend));
-    // The listener is this worker's only source of connections; unwatched,
-    // the worker would be deaf forever, so fail loudly at startup instead.
-    // `register_listener` lets the io_uring backend accept in-kernel
-    // (multishot accept); elsewhere it is a plain read-interest
-    // registration.
+    // The listener is this worker's only source of connections; without a
+    // reactor watching it the worker would be deaf forever, so fail loudly
+    // at startup instead.
+    let mut reactor =
+        Reactor::new(Arc::clone(&metrics.frontend)).expect("creating the worker's reactor");
     reactor
-        .register_listener(raw_fd_of(&listener), LISTENER_TOKEN)
+        .register(raw_fd_of(&listener), LISTENER_TOKEN, false)
         .expect("registering the worker's listener on the reactor");
     let mut connections: Vec<Option<Connection>> = Vec::new();
     let mut accepted: Vec<std::net::TcpStream> = Vec::new();
@@ -109,9 +107,7 @@ pub(crate) fn serve_sync<S: SyncStore>(
             let token = ready[ready_idx];
             ready_idx += 1;
             if token == LISTENER_TOKEN {
-                // Accept everything pending: kernel-accepted fds from the
-                // uring backend, or accept(2) until WouldBlock elsewhere.
-                drain_accepts(&listener, &mut reactor, LISTENER_TOKEN, &mut accepted);
+                drain_accepts(&listener, &mut accepted);
                 for stream in accepted.drain(..) {
                     let adopted = Connection::new(stream).is_ok_and(|conn| {
                         adopt(&mut connections, &mut reactor, &mut ready, conn, |c| c)

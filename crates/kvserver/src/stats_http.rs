@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::metrics::{FrontendStats, ServerMetrics};
-use crate::reactor::{raw_fd_of, FrontendKind, Reactor};
+use crate::reactor::{raw_fd_of, Reactor};
 
 /// Reactor token for the listening socket (connection tokens are slab
 /// indices, far below this).
@@ -66,18 +66,13 @@ pub fn spawn_stats_listener(
     Ok((bound, handle))
 }
 
-/// The endpoint's reactor: always the readiness backend when available,
-/// whatever front-end the server's workers were told to run (a scraper
-/// arriving every few seconds is the opposite of a busy-poll workload),
-/// with its *own* front-end stats block so scrape activity never pollutes
-/// the server's reactor counters.
-fn scrape_reactor() -> Reactor {
-    Reactor::new(FrontendKind::default(), Arc::new(FrontendStats::default()))
-}
-
 /// The endpoint's reactor loop.
 fn serve(listener: TcpListener, metrics: Arc<ServerMetrics>, stop: Arc<AtomicBool>) {
-    let mut reactor = scrape_reactor();
+    // Its *own* front-end stats block, so scrape activity never pollutes the
+    // server's reactor counters.
+    let Ok(mut reactor) = Reactor::new(Arc::new(FrontendStats::default())) else {
+        return;
+    };
     if reactor
         .register(raw_fd_of(&listener), LISTENER_TOKEN, false)
         .is_err()
@@ -237,17 +232,6 @@ mod tests {
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         out
-    }
-
-    #[test]
-    fn the_endpoint_sleeps_in_the_readiness_backend() {
-        use crate::reactor::reactor_available;
-        let expected = if reactor_available(FrontendKind::Epoll) {
-            FrontendKind::Epoll
-        } else {
-            FrontendKind::Poll
-        };
-        assert_eq!(scrape_reactor().kind(), expected);
     }
 
     #[test]

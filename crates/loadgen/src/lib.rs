@@ -17,9 +17,6 @@
 //!   return throughput plus table statistics.
 //! * [`tcp`] — a TCP load generator speaking the CPSERVER/LOCKSERVER wire
 //!   protocol, used by the Figure 13/14 harnesses.
-//! * [`scaling`] — the connection-scaling scenario: park thousands of idle
-//!   connections and drive a paced request stream, used to compare the
-//!   epoll and busy-poll front-ends.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -27,7 +24,6 @@
 pub mod anykey;
 pub mod driver;
 pub mod ops;
-pub mod scaling;
 #[cfg(test)]
 mod stub_server;
 pub mod tcp;
@@ -36,7 +32,4 @@ pub mod workload;
 pub use anykey::{run_anykey_mixed, AnyKeyMixOptions, AnyKeyMixResult};
 pub use driver::{run_cphash, run_lockhash, DriverOptions, RunResult};
 pub use ops::{KeyDistribution, Op, OpStream};
-pub use scaling::{
-    run_connection_scaling, BlockingConn, ConnectionScalingOptions, ConnectionScalingResult,
-};
 pub use workload::WorkloadSpec;

@@ -1,24 +1,12 @@
 //! End-to-end tests of the three key/value servers over real TCP
 //! connections, driven by the bundled load generator — the §7 setup shrunk
-//! to test size.  Every server here runs the front-end [`frontend`] names,
-//! so CI repeats the file once per front-end.
+//! to test size.
 
 use cphash_suite::kvserver::{
-    CpServer, CpServerConfig, FrontendKind, LockServer, LockServerConfig, MemcacheCluster,
-    MemcacheConfig,
+    CpServer, CpServerConfig, LockServer, LockServerConfig, MemcacheCluster, MemcacheConfig,
 };
 use cphash_suite::loadgen::tcp::{run_tcp_load, TcpLoadOptions};
 use cphash_suite::loadgen::WorkloadSpec;
-
-/// The front-end under test: `CPHASH_FRONTEND` when the harness sets it,
-/// the shipped default otherwise.  A typo panics rather than quietly
-/// testing the default twice.
-fn frontend() -> FrontendKind {
-    match std::env::var("CPHASH_FRONTEND") {
-        Ok(v) => FrontendKind::parse(&v).unwrap_or_else(|e| panic!("CPHASH_FRONTEND: {e}")),
-        Err(_) => FrontendKind::default(),
-    }
-}
 
 fn small_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -40,7 +28,6 @@ fn cpserver_load_at_depth(batch_size: usize) {
         capacity_bytes: Some(64 * 1024),
         typical_value_bytes: 8,
         batch_size,
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -97,7 +84,6 @@ fn lockserver_under_tcp_load() {
         partitions: 64,
         capacity_bytes: Some(64 * 1024),
         typical_value_bytes: 8,
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -123,7 +109,6 @@ fn memcache_style_cluster_under_partitioned_load() {
     let mut cluster = MemcacheCluster::start(MemcacheConfig {
         instances: 2,
         capacity_bytes_per_instance: Some(32 * 1024),
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -198,7 +183,6 @@ fn delete_over_tcp_against_every_server() {
     }
 
     let mut cpserver = CpServer::start(CpServerConfig {
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -207,7 +191,6 @@ fn delete_over_tcp_against_every_server() {
     cpserver.shutdown();
 
     let mut lockserver = LockServer::start(LockServerConfig {
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -216,7 +199,6 @@ fn delete_over_tcp_against_every_server() {
 
     let mut cluster = MemcacheCluster::start(MemcacheConfig {
         instances: 1,
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -234,7 +216,6 @@ fn overload_retry_sheds_to_the_client_resubmission_path() {
     // transparently), while the server's metrics prove shedding happened.
     let mut server = CpServer::start(CpServerConfig {
         overload_retry: Some(1),
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -283,7 +264,6 @@ fn oversized_envelope_is_refused_not_stored() {
     // lookup replies no client decoder accepts, killing innocent readers'
     // connections.  The server must refuse the insert instead.
     let mut server = CpServer::start(CpServerConfig {
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -329,7 +309,6 @@ fn all_three_servers_agree_on_protocol_semantics() {
     }
 
     let mut cpserver = CpServer::start(CpServerConfig {
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -337,7 +316,6 @@ fn all_three_servers_agree_on_protocol_semantics() {
     cpserver.shutdown();
 
     let mut lockserver = LockServer::start(LockServerConfig {
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -346,7 +324,6 @@ fn all_three_servers_agree_on_protocol_semantics() {
 
     let mut cluster = MemcacheCluster::start(MemcacheConfig {
         instances: 1,
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();
@@ -367,7 +344,6 @@ fn busy_worker_still_serves_new_connections_promptly() {
     let mut server = CpServer::start(CpServerConfig {
         client_threads: 1,
         partitions: 1,
-        frontend: frontend(),
         ..Default::default()
     })
     .unwrap();

@@ -12,10 +12,9 @@
 //!    `// SAFETY: …` comment (same line or in the comment block directly above).
 //! 4. `hot-path` — files tagged `// cphash-lint: hot-path` must not call
 //!    panicking or allocating constructs on shipped lines.
-//! 5. `env-read` — no `std::env::var` / `var_os` outside binaries and the
-//!    one library module that reads a variable ([`ENV_READERS`]: the
-//!    io_uring kill switch).  Configuration reaches a library through its
-//!    config structs; the list can only shrink.
+//! 5. `env-read` — no `std::env::var` / `var_os` outside binaries: no
+//!    library module reads the environment.  Configuration reaches a
+//!    library through its config structs.
 //! 6. `doc-ref` — a `*.md` file named in a `//!` / `///` comment, or
 //!    anywhere in [`CHECKED_DOCUMENTS`], exists in the repository, so a
 //!    deleted document takes its citations with it.
@@ -85,18 +84,11 @@ fn is_facade(path: &Path) -> bool {
     p.ends_with("crates/sync/src/atomic.rs")
 }
 
-/// The library module that reads an environment variable:
-/// `uring::uring_disabled` consults `CPHASH_URING_DISABLE`, the operator's
-/// kill switch for the io_uring front-end.  Never add an entry.
-pub const ENV_READERS: [&str; 1] = ["crates/kvserver/src/uring.rs"];
-
-/// Files allowed to read the environment: binaries (a process may consult
-/// its own environment at start-up) and [`ENV_READERS`].
+/// Files allowed to read the environment: binaries only (a process may
+/// consult its own environment at start-up).
 fn may_read_env(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
-    p.contains("/src/bin/")
-        || p.ends_with("/src/main.rs")
-        || ENV_READERS.iter().any(|m| p.ends_with(m))
+    p.contains("/src/bin/") || p.ends_with("/src/main.rs")
 }
 
 /// Strip string literals and `//` comments' *content* is still needed for
@@ -257,8 +249,7 @@ pub fn lint_source(path: &Path, source: &str) -> Vec<Violation> {
             }
         }
 
-        // Rule 5: the environment is read by binaries and the listed
-        // modules only.
+        // Rule 5: the environment is read by binaries only.
         if !env_reader
             && (code.contains("env::var(") || code.contains("env::var_os("))
             && !waived(&lines, i, comment, "env-read")
@@ -268,7 +259,7 @@ pub fn lint_source(path: &Path, source: &str) -> Vec<Violation> {
                 line: lineno,
                 rule: "env-read",
                 message: "environment read in a library module; take the value through a \
-                          config struct (binaries and `ENV_READERS` are exempt)"
+                          config struct (only binaries are exempt)"
                     .to_string(),
             });
         }
@@ -518,7 +509,7 @@ fn f(x: Option<u32>) -> u32 {
     }
 
     #[test]
-    fn env_reads_flagged_outside_binaries_and_the_listed_modules() {
+    fn env_reads_flagged_outside_binaries() {
         let read = "let v = std::env::var(\"CPHASH_SOME_KNOB\");\n";
         for library in [
             "crates/hashcore/src/partition.rs",
@@ -534,10 +525,10 @@ fn f(x: Option<u32>) -> u32 {
         let os = "if std::env::var_os(\"X\").is_some() {}\n";
         assert_eq!(lint_str("crates/core/src/x.rs", os)[0].rule, "env-read");
 
-        for exempt in ENV_READERS.iter().copied().chain([
+        for exempt in [
             "crates/kvserver/src/bin/cpserverd.rs",
             "tools/lint/src/main.rs",
-        ]) {
+        ] {
             assert!(lint_str(exempt, read).is_empty(), "{exempt}");
         }
         let waived = "let v = std::env::var(\"X\"); // lint: allow(env-read) probe\n";
