@@ -22,10 +22,12 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
+use cphash_cacheline::CacheAligned;
 use cphash_channel::DuplexClient;
 use cphash_hashcore::{InlineValue, INLINE_VALUE_BYTES, MAX_KEY};
 use cphash_perfmon::trace::TraceStage;
 use cphash_perfmon::StageSpan;
+use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 
 use crate::protocol::{encode, Request, Response};
 use crate::router::EpochRouter;
@@ -35,6 +37,11 @@ use crate::router::EpochRouter;
 /// capacity guarantees the client/server pair can never deadlock with both
 /// rings full.
 const OUTSTANDING_FRACTION_OF_RING: usize = 4;
+
+/// A client's "asleep" flag: raised while the client is blocked with
+/// nothing in flight (see [`ClientHandle::asleep_during`]) and for good once
+/// the handle is dropped; every server reads it at its idle yield points.
+pub(crate) type SleepFlag = Arc<CacheAligned<AtomicBool>>;
 
 /// Errors surfaced by the client API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,6 +317,9 @@ pub struct ClientHandle {
     /// trait, by token: their raw completions carry the §8.2 envelope and
     /// are translated (collision check included) by the trait's poll.
     pub(crate) anykey_gets: HashMap<u64, Vec<u8>>,
+    /// Raised by [`ClientHandle::asleep_during`] and by `Drop`; shared with
+    /// every server this handle has a lane to.
+    asleep: SleepFlag,
 }
 
 impl ClientHandle {
@@ -317,6 +327,7 @@ impl ClientHandle {
         lanes: Vec<DuplexClient<u64, Response>>,
         ring_capacity: usize,
         router: Arc<EpochRouter>,
+        asleep: SleepFlag,
     ) -> Self {
         ClientHandle {
             lanes: lanes.into_iter().map(Lane::new).collect(),
@@ -330,6 +341,7 @@ impl ClientHandle {
             write_order: WriteOrderMap::default(),
             deferred_writes: 0,
             anykey_gets: HashMap::new(),
+            asleep,
         }
     }
 
@@ -367,6 +379,28 @@ impl ClientHandle {
     /// returned by [`ClientHandle::poll`].
     pub fn outstanding(&self) -> usize {
         self.outstanding
+    }
+
+    /// Run `blocking` — a call that puts this thread to sleep, such as a
+    /// reactor wait with a timeout — with the handle announced asleep, and
+    /// take the announcement down when it returns.
+    ///
+    /// While every client of a server is announced asleep, nothing can
+    /// reach that server until one of them wakes, so it parks after a short
+    /// spin instead of its full idle budget (see `server.rs`).  The
+    /// announcement is advisory: a server that reads it late parks a little
+    /// later or earlier, and a request flushed meanwhile still rings its
+    /// doorbell, so nothing is lost.  Call it only with nothing in flight
+    /// and only around a blocking call — a raised flag beside a busy loop
+    /// sends the servers to sleep under the loop's feet.
+    pub fn asleep_during<R>(&self, blocking: impl FnOnce() -> R) -> R {
+        debug_assert_eq!(self.outstanding, 0, "asleep with operations in flight");
+        // relaxed: advisory flag; a stale read moves a park, never loses a message
+        self.asleep.store(true, Ordering::Relaxed);
+        let result = blocking();
+        // relaxed: advisory flag; a stale read moves a park, never loses a message
+        self.asleep.store(false, Ordering::Relaxed);
+        result
     }
 
     /// A soft bound on how many operations should be left outstanding before
@@ -863,6 +897,14 @@ impl ClientHandle {
     }
 }
 
+impl Drop for ClientHandle {
+    /// A handle that is gone sends nothing: it counts as asleep for good.
+    fn drop(&mut self) {
+        // relaxed: advisory flag; a stale read moves a park, never loses a message
+        self.asleep.store(true, Ordering::Relaxed);
+    }
+}
+
 impl core::fmt::Debug for ClientHandle {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ClientHandle")
@@ -916,5 +958,19 @@ mod tests {
     fn errors_display() {
         assert!(format!("{}", TableError::ServerGone).contains("shut down"));
         assert!(format!("{}", TableError::KeyTooLarge).contains("60 bits"));
+    }
+
+    #[test]
+    fn the_asleep_flag_is_up_only_around_the_blocking_call_and_after_drop() {
+        let asleep = SleepFlag::default();
+        let lanes = vec![cphash_channel::duplex(cphash_channel::RingConfig::with_capacity(64)).0];
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let handle = ClientHandle::new(lanes, 64, router, Arc::clone(&asleep));
+        let up = || asleep.load(Ordering::Relaxed); // relaxed: single-threaded test
+        assert!(!up(), "a fresh handle is awake");
+        assert!(handle.asleep_during(up), "raised inside the call");
+        assert!(!up(), "lowered after it");
+        drop(handle);
+        assert!(up(), "a dropped handle counts as asleep");
     }
 }

@@ -136,26 +136,10 @@ pub trait KvClient {
         Err(KvError::Op(OpError::Unsupported))
     }
 
-    /// Block (spinning) until every pending operation has completed,
-    /// appending completions to `out`.
+    /// Block (spinning, then yielding) until every pending operation has
+    /// completed, appending completions to `out`.
     fn drain_completions(&mut self, out: &mut Vec<Completion>) -> Result<(), KvError> {
-        let mut idle: u32 = 0;
-        while self.pending_ops() > 0 {
-            if self.poll_completions(out) == 0 {
-                if !self.is_alive() {
-                    return Err(KvError::Disconnected);
-                }
-                idle = idle.saturating_add(1);
-                if idle > 128 {
-                    std::thread::yield_now();
-                } else {
-                    core::hint::spin_loop();
-                }
-            } else {
-                idle = 0;
-            }
-        }
-        Ok(())
+        poll_until(self, out, |client, _| client.pending_ops() == 0)
     }
 
     /// Blocking get. Drains the pipeline (see the module docs).
@@ -197,19 +181,46 @@ pub trait KvClient {
 /// completions drained along the way are discarded — the blocking helpers
 /// are documented as pipeline-draining.
 fn wait_for<C: KvClient + ?Sized>(client: &mut C, token: u64) -> Result<CompletionKind, KvError> {
-    let mut buf = Vec::new();
     let mut found = None;
-    while found.is_none() {
-        buf.clear();
-        if client.poll_completions(&mut buf) == 0 {
-            if !client.is_alive() {
-                return Err(KvError::Disconnected);
-            }
+    poll_until(client, &mut Vec::new(), |_, buf| {
+        found = buf.drain(..).find(|c| c.token == token).map(|c| c.kind);
+        found.is_some()
+    })?;
+    Ok(found.expect("poll_until returns Ok only once done"))
+}
+
+/// Fruitless polls the blocking helpers spin through before they start
+/// yielding their CPU once per poll.
+const FRUITLESS_POLLS_BEFORE_YIELD: u32 = 128;
+
+/// The blocking helpers' wait: poll until `done` holds, spinning for a
+/// while after a fruitless poll and then yielding once per poll.  On a host
+/// with fewer CPUs than busy threads the backend that would answer (an
+/// in-process partition server, CPSERVER's worker) may be waiting for this
+/// very CPU, and a caller that only spins keeps it waiting out a whole
+/// time slice.
+fn poll_until<C: KvClient + ?Sized>(
+    client: &mut C,
+    out: &mut Vec<Completion>,
+    mut done: impl FnMut(&C, &mut Vec<Completion>) -> bool,
+) -> Result<(), KvError> {
+    let mut fruitless: u32 = 0;
+    while !done(client, out) {
+        if client.poll_completions(out) > 0 {
+            fruitless = 0;
+            continue;
+        }
+        if !client.is_alive() {
+            return Err(KvError::Disconnected);
+        }
+        fruitless = fruitless.saturating_add(1);
+        if fruitless > FRUITLESS_POLLS_BEFORE_YIELD {
+            std::thread::yield_now();
+        } else {
             core::hint::spin_loop();
         }
-        found = buf.drain(..).find(|c| c.token == token).map(|c| c.kind);
     }
-    Ok(found.expect("loop exits only when found"))
+    Ok(())
 }
 
 impl KvClient for crate::ClientHandle {

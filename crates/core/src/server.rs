@@ -17,9 +17,14 @@
 //! The other departure from §3.2 is that the loop is not continuous: the
 //! paper's server owns a core and accepts the idle polling (41 % of its
 //! time, §6.2); this one may share its CPU with the very client it serves,
-//! so after a short spin over empty lanes it sleeps behind a
-//! [`cphash_channel::Doorbell`] that every client's flush rings (see
-//! [`IDLE_SPIN_BEFORE_PARK`]).
+//! so after a spin over empty lanes it sleeps behind a
+//! [`cphash_channel::Doorbell`] that every client's flush rings.  How long
+//! it spins depends on what its clients are doing: while every client
+//! handle is blocked with nothing in flight (CPSERVER's workers announce
+//! their reactor sleeps, a dropped handle counts as asleep) no request can
+//! come until one of them wakes, so the spin is one wake-up's worth
+//! ([`CLIENTS_ASLEEP_SPIN_BEFORE_PARK`]); otherwise it covers the gaps of a
+//! closed-loop client ([`IDLE_SPIN_BEFORE_PARK`]).
 
 // cphash-lint: hot-path
 use cphash_sync::atomic::plain::{AtomicBool, Ordering};
@@ -33,6 +38,7 @@ use cphash_perfmon::trace::TraceStage;
 use cphash_perfmon::StageSpan;
 use parking_lot::Mutex;
 
+use crate::client::SleepFlag;
 use crate::pipeline::{step_is_current, DataOp, MigrationState, OpCtx, StagedExecutor};
 use crate::protocol::{
     decode_word, inline_from_word, MigrationBatch, MigrationStep, OpCode, Response,
@@ -55,8 +61,38 @@ const LANE_BATCH: usize = 256;
 const IDLE_POLLS_PER_YIELD: u32 = 32;
 
 /// How long the lanes stay empty before an idle server stops spinning and
-/// sleeps until a client's flush rings its doorbell.  Sized from the
-/// workload that must *not* sleep: a saturated pipelined client
+/// sleeps until a client's flush rings its doorbell, while every client is
+/// announced asleep (see [`crate::ClientHandle::asleep_during`]).  Nothing
+/// can arrive before one of them wakes, so spinning only pays when a
+/// client is about to be woken by the very round trip it is waiting on.
+/// Sized from a log₂ histogram of "idle stretch in which every client was
+/// asleep → next request" on the 2-CPU reference host, in a build whose
+/// budget here was 300 µs so that no gap was cut short by a park:
+/// `tcp_pipelined_read`'s prefill (window-8 round trips, ~1 030 such gaps
+/// per set-up) sits at 16–32 µs (10–54 %) and 32–64 µs (44–88 %) with at
+/// most 3 gaps of 128 µs or more; its timed phase has 100 k in 12 s —
+/// 11 % under 32 µs, 56 % at 32–64, 31 % at 64–128; `tcp_paced_values`
+/// has one per 1 ms tick, 98 % of them at 0.5–2 ms.  The closed loop's
+/// gaps are better slept through than spun: while the CPSERVER worker
+/// sleeps, the CPU this loop spins on is the one the load generator needs.
+/// Three untraced 15 s runs per budget, median throughput / CPU per op /
+/// `setup_s`: 300 µs 1.64 M / 1.15 µs / 39 ms, 128 µs 1.64 M / 1.16 / 39,
+/// 64 µs 1.64 M / 1.14 / 40, **30 µs** 1.82 M / 0.93 / 35, 15 µs 1.92 M /
+/// 0.81 / 49, 0 1.89 M / 0.84 / 45.  Below 30 µs more and more of the
+/// prefill's round trips pay a futex wake (with 30 µs only 21–59 of ~1 030
+/// gaps end in a park: 88–95 % come in under 32 µs once nothing spins
+/// beside the generator), so this is the shortest budget that keeps
+/// `setup_s`; the open loop's tick now costs 30 µs of spin instead of 300
+/// (`tcp_paced_values` `cpu_us_per_op` 22.7 → 9.7 µs over ten pairs).
+const CLIENTS_ASLEEP_SPIN_BEFORE_PARK: Duration = Duration::from_micros(30);
+
+/// How long the lanes stay empty before an idle server stops spinning and
+/// sleeps, while some client may still send without announcing — which
+/// means an in-process handle that is alive: CPSERVER's workers announce
+/// every blocking wait, so since PR 25 the reasoning below binds only
+/// in-process clients (a closed loop of them leaves the same kind of gaps).
+/// It was sized on the workload that must *not* sleep, when the worker
+/// did not announce: a saturated pipelined client
 /// (`tcp_pipelined_read`) leaves gaps of ~100 µs between bursts typically
 /// and up to 256 µs at its slowest, and a sleep that short is all cost — a
 /// cross-vCPU wake-up (16 µs at best on the reference guest, milliseconds
@@ -74,12 +110,15 @@ const IDLE_POLLS_PER_YIELD: u32 = 32;
 /// of sleeping is one futex wake after ≥ 300 µs of silence.
 const IDLE_SPIN_BEFORE_PARK: Duration = Duration::from_micros(300);
 
-/// The same budget for a server that has not served a request yet.  A
-/// thread that has just been spawned is usually waiting for a client that
-/// is still connecting (CPSERVER's first request arrives 0.2–0.8 ms after
-/// the thread starts), so its first sleep would last a few hundred
-/// microseconds and buy nothing; spare `max_partitions` servers, which
-/// may never get one, are asleep 2 ms after start-up instead of 0.3.
+/// The same budget for a server that has not served a request yet, while
+/// some client does not announce its sleeps.  A thread that has just been
+/// spawned is usually waiting for a client that is still connecting
+/// (CPSERVER's first request arrives 0.2–0.8 ms after the thread starts),
+/// so its first sleep would last a few hundred microseconds and buy
+/// nothing; spare `max_partitions` servers, which may never get one, are
+/// asleep 2 ms after start-up instead of 0.3.  CPSERVER's workers wait for
+/// their first connection announced, so its servers take the short budget
+/// from the start.
 const FIRST_REQUEST_SPIN_BEFORE_PARK: Duration = Duration::from_millis(2);
 
 /// Everything one server thread needs.
@@ -99,6 +138,10 @@ pub(crate) struct ServerThread {
     /// of every lane's client end (the control plane's included) and by
     /// shutdown after it raises `stop`.
     pub doorbell: Arc<Doorbell>,
+    /// One "asleep" flag per client lane, in lane order; the control lane
+    /// has none — coordinator flushes ring the doorbell, and a drain in
+    /// progress never parks anyway.
+    pub clients_asleep: Vec<SleepFlag>,
     /// Shared runtime counters.
     pub stats: Arc<ServerStats>,
     /// Where the final (and periodically refreshed) partition statistics are
@@ -136,8 +179,9 @@ impl ServerThread {
         let mut scratch = Scratch::default();
         let mut words: Vec<u64> = Vec::with_capacity(LANE_BATCH); // lint: allow(hot-path) one-time setup before the loop
         let mut idle_streak: u32 = 0;
-        // When the current idle stretch was first timed (at a yield point).
-        let mut idle_since: Option<Instant> = None;
+        // When the current idle stretch was first timed (at a yield point),
+        // by the clock and by the cycle counter.
+        let mut idle_since: Option<(Instant, u64)> = None;
         let mut iterations: u64 = 0;
 
         // relaxed: stop flag; shutdown needs no ordering
@@ -197,17 +241,21 @@ impl ServerThread {
                     core::hint::spin_loop();
                 } else {
                     let now = Instant::now();
-                    let since = *idle_since.get_or_insert(now);
+                    let (since, since_cycles) =
+                        *idle_since.get_or_insert_with(|| (now, cphash_perfmon::cycles_now()));
                     // relaxed: this thread's own counter
-                    let budget = if self.stats.busy_iterations.load(Ordering::Relaxed) == 0 {
-                        FIRST_REQUEST_SPIN_BEFORE_PARK
-                    } else {
+                    let served = self.stats.busy_iterations.load(Ordering::Relaxed) > 0;
+                    let budget = if self.clients_asleep() {
+                        CLIENTS_ASLEEP_SPIN_BEFORE_PARK
+                    } else if served {
                         IDLE_SPIN_BEFORE_PARK
+                    } else {
+                        FIRST_REQUEST_SPIN_BEFORE_PARK
                     };
                     if now.duration_since(since) < budget || migration.draining.is_some() {
                         std::thread::yield_now();
                     } else {
-                        self.park_until_rung();
+                        self.park_until_rung(since_cycles);
                         // Whatever ended the sleep starts a fresh spin phase.
                         idle_since = None;
                     }
@@ -224,13 +272,23 @@ impl ServerThread {
         self.stats.stopped.store(true, Ordering::Release);
     }
 
+    /// Whether every client that can send this server a request is blocked
+    /// right now (or gone) — read at idle yield points only.
+    fn clients_asleep(&self) -> bool {
+        self.clients_asleep
+            .iter()
+            // relaxed: advisory flag; a stale read moves a park, never loses a message
+            .all(|asleep| asleep.load(Ordering::Relaxed))
+    }
+
     /// Sleep until a client flush (or shutdown) rings the doorbell — unless
     /// the re-check behind the raised flag finds a request or the stop flag
     /// first (see [`Doorbell::park_unless`] for why in that order).  No
-    /// timeout: a parked server makes no iterations at all.
+    /// timeout: a parked server makes no iterations at all.  `spin_began`
+    /// is the cycle count at which the spin this sleep ends began.
     #[cold]
     #[inline(never)] // keeps the sleep path out of the hot loop's body
-    fn park_until_rung(&mut self) {
+    fn park_until_rung(&mut self, spin_began: u64) {
         // A sleeping server republishes nothing, and readers expect the
         // statistics of a quiet table to be exact: publish before sleeping.
         // (`queue_depth` already reads 0 from this empty iteration.)
@@ -243,7 +301,9 @@ impl ServerThread {
             let pending = stopping || lanes.iter_mut().any(|l| l.pending_requests() > 0);
             if !pending {
                 // Counted on the way in, so a scrape of a sleeping server
-                // already shows this sleep.
+                // already shows this sleep and the spin that preceded it.
+                let spun = parked_at.saturating_sub(spin_began);
+                stats.idle_spin_cycles.fetch_add(spun, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
                 stats.parks.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
             }
             pending
@@ -653,6 +713,7 @@ mod tests {
             pin: None,
             stop: Arc::clone(&stop),
             doorbell: Arc::clone(&doorbell),
+            clients_asleep: vec![SleepFlag::default()],
             stats: Arc::new(ServerStats::new()),
             partition_stats: Arc::new(Mutex::new(PartitionStats::default())),
             router,
@@ -948,6 +1009,93 @@ mod tests {
         assert_eq!(resp.retry_destination(), 1);
         stop.stop();
         handle.join().unwrap();
+    }
+
+    /// Serve `rounds` lookups; after each, leave the server alone — with
+    /// its one client announced asleep or not — until it parks, and return
+    /// the spin before each park in microseconds.
+    fn spin_before_each_park(announce: bool, rounds: u64) -> Vec<f64> {
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let (mut client, server, stop) = test_server(0, router);
+        let stats = Arc::clone(&server.stats);
+        let asleep = Arc::clone(&server.clients_asleep[0]);
+        let handle = std::thread::spawn(move || server.run());
+        let cycles_per_us = cphash_perfmon::estimate_cycles_per_second(10) / 1e6;
+        let mut spins = Vec::new();
+        for key in 0..rounds {
+            send(&mut client, &Request::Lookup { key });
+            client.flush();
+            assert_eq!(recv_one(&mut client), Response::MISS);
+            let (parks, spun) = (stats.parks(), stats.idle_spin_cycles());
+            asleep.store(announce, Ordering::Relaxed); // relaxed: advisory flag, as in the client
+            while stats.parks() == parks || stats.idle_spin_cycles() == spun {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            asleep.store(false, Ordering::Relaxed); // relaxed: advisory flag, as in the client
+            spins.push((stats.idle_spin_cycles() - spun) as f64 / cycles_per_us);
+        }
+        stop.stop();
+        handle.join().unwrap();
+        spins
+    }
+
+    #[test]
+    fn a_server_whose_clients_all_sleep_parks_after_a_short_spin() {
+        // The shortest of a few spins (30–50 µs each on a quiet 2-CPU
+        // host), so a server descheduled for a slice now and then cannot
+        // fail it; a busy loop holding a CPU for the whole test can.
+        let spins = spin_before_each_park(true, 16);
+        let shortest = spins.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(
+            shortest < IDLE_SPIN_BEFORE_PARK.as_micros() as f64 / 2.0,
+            "spins before parking with the client asleep: {spins:.0?} µs"
+        );
+    }
+
+    #[test]
+    fn a_client_that_never_announces_keeps_the_full_spin() {
+        // The in-process path is unchanged: every park waits out the whole
+        // budget (the clock and the cycle counter may disagree by a little).
+        let spins = spin_before_each_park(false, 4);
+        let budget = IDLE_SPIN_BEFORE_PARK.as_micros() as f64;
+        assert!(
+            spins.iter().all(|&spin| spin > 0.9 * budget),
+            "spins before parking with the client awake: {spins:.0?} µs"
+        );
+    }
+
+    #[test]
+    fn raise_submit_lower_alternations_lose_no_request() {
+        // The flag is advisory: a server that parks because it read "asleep"
+        // a moment before the request was flushed is still rung awake.
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let (mut client, server, stop) = test_server(0, router);
+        let stats = Arc::clone(&server.stats);
+        let asleep = Arc::clone(&server.clients_asleep[0]);
+        let handle = std::thread::spawn(move || server.run());
+        for round in 0..2_000u64 {
+            asleep.store(true, Ordering::Relaxed); // relaxed: advisory flag, as in the client
+            if round % 4 == 0 {
+                // Long enough for the short spin to run out.
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            send(&mut client, &inline(round % 16, &round.to_le_bytes()));
+            client.flush();
+            asleep.store(false, Ordering::Relaxed); // relaxed: advisory flag, as in the client
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let reply = loop {
+                if let Some(r) = client.try_recv() {
+                    break r;
+                }
+                assert!(Instant::now() < deadline, "round {round}: request lost");
+                std::thread::yield_now();
+            };
+            assert_eq!(reply, Response::FOUND);
+        }
+        stop.stop();
+        handle.join().unwrap();
+        assert_eq!(stats.operations(), 2_000);
+        assert!(stats.parks() > 0, "the server never parked");
     }
 
     #[test]

@@ -23,6 +23,10 @@ pub struct ServerStats {
     pub parks: AtomicU64,
     /// Timestamp-counter cycles spent asleep, summed over `parks`.
     pub parked_cycles: AtomicU64,
+    /// Timestamp-counter cycles spent spinning over empty lanes before
+    /// each of `parks`: from the first yield point of the idle stretch to
+    /// the park that ended it.  Divided by `parks`, the spin a sleep costs.
+    pub idle_spin_cycles: AtomicU64,
     /// Whether the server thread managed to pin itself to its assigned
     /// hardware thread.
     pub pinned: AtomicBool,
@@ -101,6 +105,11 @@ impl ServerStats {
     /// Cycles the server has spent asleep so far.
     pub fn parked_cycles(&self) -> u64 {
         self.parked_cycles.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
+    }
+
+    /// Cycles the server has spun on empty lanes before its sleeps so far.
+    pub fn idle_spin_cycles(&self) -> u64 {
+        self.idle_spin_cycles.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
     }
 
     /// Staged runs cut short by a control message so far.

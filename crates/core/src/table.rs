@@ -9,7 +9,7 @@ use cphash_channel::{duplex, Doorbell, RingConfig};
 use cphash_hashcore::{Partition, PartitionConfig, PartitionStats};
 use parking_lot::Mutex;
 
-use crate::client::ClientHandle;
+use crate::client::{ClientHandle, SleepFlag};
 use crate::config::CpHashConfig;
 use crate::control::ControlHandle;
 use crate::router::EpochRouter;
@@ -75,6 +75,9 @@ impl CpHash {
             }
         }
 
+        // One "asleep" flag per client handle, read by every server; the
+        // control plane has none (see `ServerThread::clients_asleep`).
+        let asleep: Vec<SleepFlag> = (0..config.clients).map(|_| SleepFlag::default()).collect();
         let stop = Arc::new(AtomicBool::new(false));
         let mut servers = Vec::with_capacity(spawned);
         let mut server_stats = Vec::with_capacity(spawned);
@@ -97,6 +100,7 @@ impl CpHash {
                 pin: config.server_pins.get(index).copied(),
                 stop: Arc::clone(&stop),
                 doorbell: Arc::clone(&doorbells[index]),
+                clients_asleep: asleep.clone(),
                 stats: Arc::clone(&stats),
                 partition_stats: Arc::clone(&pstats),
                 router: Arc::clone(&router),
@@ -114,9 +118,13 @@ impl CpHash {
         }
 
         let mut client_lanes = client_lanes.into_iter();
-        let clients = (&mut client_lanes)
-            .take(config.clients)
-            .map(|lanes| ClientHandle::new(lanes, config.ring_capacity, Arc::clone(&router)))
+        // `asleep` leads the zip, so the control lanes stay in the iterator.
+        let clients = asleep
+            .into_iter()
+            .zip(&mut client_lanes)
+            .map(|(asleep, lanes)| {
+                ClientHandle::new(lanes, config.ring_capacity, Arc::clone(&router), asleep)
+            })
             .collect();
         let control_lanes = client_lanes.next().expect("control lane set exists");
 

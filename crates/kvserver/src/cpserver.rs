@@ -684,7 +684,13 @@ fn client_worker(
         } else {
             let spun_out = ring_polls == RING_POLLS_PER_REACTOR_WAIT;
             ring_polls = 0;
-            let _ = reactor.wait(&mut ready, timeout);
+            // A blocking wait is announced: with nothing in flight, no
+            // request reaches the partition servers until it returns, so
+            // they park after a short spin instead of their full budget.
+            let _ = match timeout {
+                Some(_) => handle.asleep_during(|| reactor.wait(&mut ready, timeout)),
+                None => reactor.wait(&mut ready, None),
+            };
             if spun_out && ready.is_empty() {
                 fruitless_rounds += 1;
                 if fruitless_rounds >= FRUITLESS_ROUNDS_BEFORE_YIELD {

@@ -182,6 +182,10 @@ pub struct StatsSnapshot {
     pub server_parks: u64,
     /// Timestamp-counter cycles the table's server threads spent asleep.
     pub server_parked_cycles: u64,
+    /// Timestamp-counter cycles the table's server threads spun on empty
+    /// lanes before going to sleep (divided by `server_parks`: the spin
+    /// per sleep).
+    pub server_idle_spin_cycles: u64,
     /// Staged runs the table's server threads ended short of the pipeline
     /// depth at a control message (`Ready` / `Decref` / migration).
     pub server_run_cuts: u64,
@@ -384,6 +388,13 @@ impl ServerMetrics {
         );
         let s = Arc::clone(&batch_sources);
         registry.counter_fn(
+            "cphash_server_idle_spin_cycles_total",
+            "Timestamp-counter cycles partition servers spun on empty lanes before going to sleep, summed over server threads",
+            &[],
+            move || summed(&s, cphash::ServerStats::idle_spin_cycles),
+        );
+        let s = Arc::clone(&batch_sources);
+        registry.counter_fn(
             "cphash_server_run_cuts_total",
             "Staged runs ended short of the pipeline depth by a control message (Ready, Decref, migration); values of at most 8 bytes send none",
             &[],
@@ -523,6 +534,10 @@ impl ServerMetrics {
             queue_depth: summed(&self.batch_sources, cphash::ServerStats::queue_depth),
             server_parks: summed(&self.batch_sources, cphash::ServerStats::parks),
             server_parked_cycles: summed(&self.batch_sources, cphash::ServerStats::parked_cycles),
+            server_idle_spin_cycles: summed(
+                &self.batch_sources,
+                cphash::ServerStats::idle_spin_cycles,
+            ),
             server_run_cuts: summed(&self.batch_sources, cphash::ServerStats::run_cuts),
             migration_chunks: self.migration.chunks_moved(),
             migration_keys: self.migration.keys_moved(),
@@ -757,6 +772,9 @@ mod tests {
         table_server
             .parked_cycles
             .store(6_000_000, Ordering::Relaxed);
+        table_server
+            .idle_spin_cycles
+            .store(180_000, Ordering::Relaxed);
         table_server.run_cuts.store(17, Ordering::Relaxed);
         m.attach_batch_sources(&[table_server]);
         m.attach_partition_source(|| cphash::PartitionStats {
@@ -835,6 +853,11 @@ mod tests {
         );
         assert_eq!(unified.server_parked_cycles, 6_000_000);
         assert_eq!(
+            unified.server_idle_spin_cycles,
+            counter("cphash_server_idle_spin_cycles_total")
+        );
+        assert_eq!(unified.server_idle_spin_cycles, 180_000);
+        assert_eq!(
             unified.server_run_cuts,
             counter("cphash_server_run_cuts_total")
         );
@@ -878,6 +901,9 @@ mod tests {
         assert!(parsed
             .iter()
             .any(|s| s.name == "cphash_server_parked_cycles_total"));
+        assert!(parsed
+            .iter()
+            .any(|s| s.name == "cphash_server_idle_spin_cycles_total"));
         assert!(parsed
             .iter()
             .any(|s| s.name == "cphash_request_latency_ns_count"));

@@ -30,14 +30,28 @@ fn idle_iterations(server: &CpServer) -> Vec<u64> {
         .collect()
 }
 
+fn server_parks(server: &CpServer) -> u64 {
+    server.server_stats().iter().map(|s| s.parks()).sum()
+}
+
+fn server_spin_cycles(server: &CpServer) -> u64 {
+    server
+        .server_stats()
+        .iter()
+        .map(|s| s.idle_spin_cycles())
+        .sum()
+}
+
 /// 2 000 single-operation round trips, each after a 1 ms pause — long
 /// enough for the server to have gone back to sleep.  A lost wake-up has no
-/// timeout to rescue it, so "all complete" is the assertion.
-fn paced_round_trips(client: &mut impl KvClient, label: &str) {
+/// timeout to rescue it, so "all complete" is the assertion.  `after_pause`
+/// runs at the end of each pause, before the request.
+fn paced_round_trips(client: &mut impl KvClient, label: &str, mut after_pause: impl FnMut()) {
     const ROUNDS: u64 = 2_000;
     let mut worst = Duration::ZERO;
     for i in 0..ROUNDS {
         std::thread::sleep(Duration::from_millis(1));
+        after_pause();
         let key = KeyRef::Hash(i % 64);
         let began = Instant::now();
         if i % 4 == 0 {
@@ -101,8 +115,62 @@ fn an_idle_server_sleeps_and_wakes_on_demand() {
     );
 
     // (c) Sleeping and waking two thousand times loses no request, over the
-    // wire and in process.
-    paced_round_trips(&mut remote, "RemoteClient");
+    // wire and in process.  Over the wire the worker announces each of its
+    // reactor sleeps, so the partition servers park after a short spin
+    // instead of 300 µs, and the blocking helper yields instead of
+    // starving the server it waits for: what the whole exchange costs in
+    // CPU and in spin per sleep is held too.  The spin is sampled pause by
+    // pause: a pause that held exactly one park (the server's, after the
+    // previous reply) adds that park's spin.
+    let mut spins: Vec<u64> = Vec::new();
+    let mut last = (server_parks(&server), server_spin_cycles(&server));
+    #[cfg(target_os = "linux")]
+    let cpu_before = process_cpu();
+    paced_round_trips(&mut remote, "RemoteClient", || {
+        let now = (server_parks(&server), server_spin_cycles(&server));
+        if now.0 == last.0 + 1 {
+            spins.push(now.1 - last.1);
+        }
+        last = now;
+    });
+    spins.sort_unstable();
+    let cycles_per_us = cphash_suite::perfmon::estimate_cycles_per_second(10) / 1e6;
+    let quartile_us = |q: usize| spins[spins.len() * q / 4] as f64 / cycles_per_us;
+    let (q1, q2, q3) = (quartile_us(1), quartile_us(2), quartile_us(3));
+    eprintln!(
+        "RemoteClient: {} single-park pauses, spin per park quartiles {q1:.1} / {q2:.1} / {q3:.1} µs",
+        spins.len()
+    );
+    // Measured on the 2-CPU reference host: one park per round trip; spin
+    // before it, lower quartile / median, 61–97 / 68–113 µs in debug builds
+    // (the worker itself takes that long to get from the reply to its
+    // announced `epoll_wait`), 31–48 / 31–53 µs in release ones.  A busy
+    // loop holding one of the two CPUs moved the lower quartile to 43–98 µs.
+    // Before the announcement every park waited out 300 µs.
+    assert!(
+        spins.len() >= 1_000,
+        "only {} single-park pauses",
+        spins.len()
+    );
+    assert!(
+        q1 < 200.0,
+        "spin per park quartiles {q1:.1} / {q2:.1} / {q3:.1} µs with the worker asleep"
+    );
+    #[cfg(target_os = "linux")]
+    {
+        // Measured on the same host: 0.23–0.48 s for the whole exchange in
+        // debug builds, 0.13–0.30 s in release ones (~2.5 s of wall time).
+        // Before, 5.8–6.6 s in debug builds: the test thread spun on its
+        // socket without yielding, starving the partition server it was
+        // waiting for, and every server sleep cost a 300 µs spin.  (With a
+        // busy loop started beside it, one run in five read 2.6 s.)
+        let burnt = process_cpu() - cpu_before;
+        eprintln!("RemoteClient: {burnt:?} of process CPU");
+        assert!(
+            burnt < Duration::from_secs(1),
+            "2 000 paced round trips burnt {burnt:?} of CPU"
+        );
+    }
     drop(remote);
     server.shutdown();
 
@@ -112,7 +180,7 @@ fn an_idle_server_sleeps_and_wakes_on_demand() {
         max_partitions: 4,
         ..Default::default()
     });
-    paced_round_trips(&mut clients[0], "in-process");
+    paced_round_trips(&mut clients[0], "in-process", || {});
     let parks: u64 = table.server_stats().iter().map(|s| s.parks()).sum();
     assert!(
         parks >= 1_000,

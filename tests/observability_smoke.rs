@@ -109,6 +109,8 @@ fn stats_endpoint_serves_monotone_metrics_under_load() {
         "cphash_batch_occupancy",
         "cphash_queue_depth",
         "cphash_server_run_cuts_total",
+        "cphash_server_parks_total",
+        "cphash_server_idle_spin_cycles_total",
         "cphash_migration_chunks_total",
         "cphash_migration_pacer_rate",
         "cphash_retries_emitted_total",
