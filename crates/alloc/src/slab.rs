@@ -281,7 +281,7 @@ impl SlabAllocator {
     /// Allocate a block able to hold `size` bytes.
     ///
     /// Returns `None` when the capacity budget would be exceeded — the
-    /// partition reacts by evicting the LRU element and retrying, which is
+    /// partition reacts by evicting an element and retrying, which is
     /// exactly the eviction loop of the paper's INSERT path — and, before
     /// the global allocator is asked for anything, for a `size` above
     /// [`MAX_VALUE_BYTES`], which no eviction can help

@@ -43,7 +43,7 @@ pub const FIGURES: [Figure; 11] = [
         name: "working-set",
         paper_figures: &[5],
         claim: paper::FIG5,
-        run: |scale, args| working_set_sweep(scale, args, EvictionPolicy::Lru),
+        run: |scale, args| working_set_sweep(scale, args, EvictionPolicy::Clock),
     },
     Figure {
         name: "breakdown",
@@ -206,7 +206,7 @@ pub fn compare_sweep(
 }
 
 /// Figures 5 and 8: throughput of both tables over a range of working-set
-/// sizes (LRU for Figure 5, random eviction for Figure 8).
+/// sizes (CLOCK for Figure 5, random eviction for Figure 8).
 fn working_set_sweep(
     scale: &MachineScale,
     args: &HarnessArgs,
@@ -222,7 +222,7 @@ fn working_set_sweep(
         format!(
             "throughput vs working set size ({} eviction)",
             match eviction {
-                EvictionPolicy::Lru => "LRU",
+                EvictionPolicy::Clock => "CLOCK",
                 EvictionPolicy::Random => "random",
             }
         ),

@@ -141,7 +141,7 @@ pub struct CpHashConfig {
     /// Buckets per partition. Default sizes the table for roughly one
     /// element per bucket given 8-byte values and the byte budget.
     pub buckets_per_partition: usize,
-    /// Eviction policy (LRU by default, Random for the §6.3 variant).
+    /// Eviction policy (CLOCK by default, Random for the §6.3 variant).
     pub eviction: EvictionPolicy,
     /// Message-ring capacity per client/server lane, in 8-byte words.
     pub ring_capacity: usize,
@@ -176,7 +176,7 @@ impl Default for CpHashConfig {
             clients: 1,
             capacity_bytes: None,
             buckets_per_partition: 1024,
-            eviction: EvictionPolicy::Lru,
+            eviction: EvictionPolicy::Clock,
             ring_capacity: 4096,
             server_pins: Vec::new(),
             seed: 0xC0FF_EE00,

@@ -4,13 +4,13 @@
 //! Kaashoek, *CPHash: A Cache-Partitioned Hash Table* (MIT CSAIL TR 2011-051
 //! / PPoPP 2012).
 //!
-//! CPHash is a fixed-capacity, LRU-evicting concurrent hash table designed
+//! CPHash is a fixed-capacity, evicting concurrent hash table designed
 //! for large multicore machines.  Instead of protecting shared buckets with
 //! locks, it:
 //!
 //! 1. **partitions** the table, assigning each partition to a *server
 //!    thread* pinned to its own hardware thread, so each partition's
-//!    buckets, LRU list and allocator stay in that core's cache;
+//!    buckets, elements and allocator stay in that core's cache;
 //! 2. has client threads ship operations to the owning server through
 //!    **asynchronous message passing over shared-memory ring buffers**,
 //!    batching many requests per cache-line transfer;

@@ -245,7 +245,8 @@ impl ServerThread {
                         *idle_since.get_or_insert_with(|| (now, cphash_perfmon::cycles_now()));
                     // relaxed: this thread's own counter
                     let served = self.stats.busy_iterations.load(Ordering::Relaxed) > 0;
-                    let budget = if self.clients_asleep() {
+                    let clients_asleep = self.clients_asleep();
+                    let budget = if clients_asleep {
                         CLIENTS_ASLEEP_SPIN_BEFORE_PARK
                     } else if served {
                         IDLE_SPIN_BEFORE_PARK
@@ -255,7 +256,7 @@ impl ServerThread {
                     if now.duration_since(since) < budget || migration.draining.is_some() {
                         std::thread::yield_now();
                     } else {
-                        self.park_until_rung(since_cycles);
+                        self.park_until_rung(since_cycles, clients_asleep);
                         // Whatever ended the sleep starts a fresh spin phase.
                         idle_since = None;
                     }
@@ -285,10 +286,11 @@ impl ServerThread {
     /// the re-check behind the raised flag finds a request or the stop flag
     /// first (see [`Doorbell::park_unless`] for why in that order).  No
     /// timeout: a parked server makes no iterations at all.  `spin_began`
-    /// is the cycle count at which the spin this sleep ends began.
+    /// is the cycle count at which the spin this sleep ends began, and
+    /// `clients_asleep` says whether it ran on the clients-asleep budget.
     #[cold]
     #[inline(never)] // keeps the sleep path out of the hot loop's body
-    fn park_until_rung(&mut self, spin_began: u64) {
+    fn park_until_rung(&mut self, spin_began: u64, clients_asleep: bool) {
         // A sleeping server republishes nothing, and readers expect the
         // statistics of a quiet table to be exact: publish before sleeping.
         // (`queue_depth` already reads 0 from this empty iteration.)
@@ -305,6 +307,9 @@ impl ServerThread {
                 let spun = parked_at.saturating_sub(spin_began);
                 stats.idle_spin_cycles.fetch_add(spun, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
                 stats.parks.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                if clients_asleep {
+                    stats.clients_asleep_parks.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                }
             }
             pending
         });
@@ -1011,57 +1016,53 @@ mod tests {
         handle.join().unwrap();
     }
 
-    /// Serve `rounds` lookups; after each, leave the server alone — with
-    /// its one client announced asleep or not — until it parks, and return
-    /// the spin before each park in microseconds.
-    fn spin_before_each_park(announce: bool, rounds: u64) -> Vec<f64> {
+    /// Serve `rounds` lookups with the server's one client announced asleep
+    /// throughout or never, leaving the server alone after each until it
+    /// parks.  Returns the server's counters and prints the spin before
+    /// each park (a reading of the host, not an assertion).
+    fn park_after_each_of(announce: bool, rounds: u64) -> Arc<ServerStats> {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
         let (mut client, server, stop) = test_server(0, router);
         let stats = Arc::clone(&server.stats);
-        let asleep = Arc::clone(&server.clients_asleep[0]);
+        // relaxed: advisory flag, as in the client
+        server.clients_asleep[0].store(announce, Ordering::Relaxed);
         let handle = std::thread::spawn(move || server.run());
         let cycles_per_us = cphash_perfmon::estimate_cycles_per_second(10) / 1e6;
         let mut spins = Vec::new();
         for key in 0..rounds {
+            // Read before the request: on the short budget the server may
+            // park before this thread is back from the reply.
+            let (parks, spun) = (stats.parks(), stats.idle_spin_cycles());
             send(&mut client, &Request::Lookup { key });
             client.flush();
             assert_eq!(recv_one(&mut client), Response::MISS);
-            let (parks, spun) = (stats.parks(), stats.idle_spin_cycles());
-            asleep.store(announce, Ordering::Relaxed); // relaxed: advisory flag, as in the client
             while stats.parks() == parks || stats.idle_spin_cycles() == spun {
                 std::thread::sleep(Duration::from_micros(100));
             }
-            asleep.store(false, Ordering::Relaxed); // relaxed: advisory flag, as in the client
             spins.push((stats.idle_spin_cycles() - spun) as f64 / cycles_per_us);
         }
         stop.stop();
         handle.join().unwrap();
-        spins
+        eprintln!("announce {announce}: spin before each park {spins:.0?} µs");
+        stats
     }
 
     #[test]
     fn a_server_whose_clients_all_sleep_parks_after_a_short_spin() {
-        // The shortest of a few spins (30–50 µs each on a quiet 2-CPU
-        // host), so a server descheduled for a slice now and then cannot
-        // fail it; a busy loop holding a CPU for the whole test can.
-        let spins = spin_before_each_park(true, 16);
-        let shortest = spins.iter().copied().fold(f64::INFINITY, f64::min);
-        assert!(
-            shortest < IDLE_SPIN_BEFORE_PARK.as_micros() as f64 / 2.0,
-            "spins before parking with the client asleep: {spins:.0?} µs"
-        );
+        // Which budget ran, not how long it took: the time depends on the
+        // host (30–50 µs each on a quiet 2-CPU host, more beside a busy
+        // neighbour), the budget does not.
+        let stats = park_after_each_of(true, 16);
+        assert!(stats.parks() >= 16);
+        assert_eq!(stats.clients_asleep_parks(), stats.parks());
     }
 
     #[test]
     fn a_client_that_never_announces_keeps_the_full_spin() {
-        // The in-process path is unchanged: every park waits out the whole
-        // budget (the clock and the cycle counter may disagree by a little).
-        let spins = spin_before_each_park(false, 4);
-        let budget = IDLE_SPIN_BEFORE_PARK.as_micros() as f64;
-        assert!(
-            spins.iter().all(|&spin| spin > 0.9 * budget),
-            "spins before parking with the client awake: {spins:.0?} µs"
-        );
+        // The in-process path is unchanged: no park takes the short budget.
+        let stats = park_after_each_of(false, 4);
+        assert!(stats.parks() >= 4);
+        assert_eq!(stats.clients_asleep_parks(), 0);
     }
 
     #[test]

@@ -21,6 +21,10 @@ pub struct ServerStats {
     /// Times the server went to sleep behind its doorbell after its lanes
     /// stayed empty (it makes no iterations, idle or busy, while asleep).
     pub parks: AtomicU64,
+    /// Of `parks`, those whose spin ran on the short budget of a server
+    /// whose every client was announced asleep (see
+    /// [`crate::ClientHandle::asleep_during`]) instead of the full one.
+    pub clients_asleep_parks: AtomicU64,
     /// Timestamp-counter cycles spent asleep, summed over `parks`.
     pub parked_cycles: AtomicU64,
     /// Timestamp-counter cycles spent spinning over empty lanes before
@@ -100,6 +104,11 @@ impl ServerStats {
     /// Times the server has gone to sleep so far.
     pub fn parks(&self) -> u64 {
         self.parks.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
+    }
+
+    /// Sleeps so far that followed the clients-asleep spin budget.
+    pub fn clients_asleep_parks(&self) -> u64 {
+        self.clients_asleep_parks.load(Ordering::Relaxed) // relaxed: diagnostic snapshot; tearing across counters is fine
     }
 
     /// Cycles the server has spent asleep so far.

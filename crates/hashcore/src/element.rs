@@ -1,4 +1,4 @@
-//! Element headers and their intrusive list links.
+//! Element headers and their overflow-chain links.
 
 use cphash_alloc::ValueHandle;
 
@@ -9,7 +9,7 @@ use cphash_alloc::ValueHandle;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ElementId(pub u32);
 
-/// Sentinel "null" link used by the intrusive lists.
+/// Sentinel "null" link used by the overflow chains and the free list.
 pub(crate) const NIL: u32 = u32::MAX;
 
 /// Publication state of an element's value (paper §3.2).
@@ -134,14 +134,13 @@ union ValueStorage {
 const IN_BLOCK: u8 = u8::MAX;
 
 /// One element header: "the key, the reference count, the size of the value
-/// (in bytes), and doubly-linked-list pointers for the bucket and for the
-/// LRU list" (§3.1), plus the value itself or the allocator handle to it,
-/// and the intrusive links of the per-chunk migration index (so exporting
-/// one migration chunk walks only that chunk's elements, never the whole
-/// table).
+/// (in bytes), and doubly-linked-list pointers for the bucket" (§3.1), plus
+/// the value itself or the allocator handle to it, and a CLOCK reference
+/// bit where §3.1 threads an LRU list (see `Partition::evict_one`).
 ///
-/// The bucket and migration chunk a key hashes to are *not* stored: only the
-/// unlink paths need them, and one `hash64(key)` gives both.
+/// The bucket a key hashes to is *not* stored: only the unlink paths need
+/// it, and one `hash64(key)` gives it — and, since a bucket's top index
+/// bits are the key's migration chunk, the chunk too.
 pub(crate) struct Element {
     pub key: u64,
     storage: ValueStorage,
@@ -149,20 +148,18 @@ pub(crate) struct Element {
     /// Length of the inline value, or [`IN_BLOCK`].
     inline_len: u8,
     pub state: ElementState,
-    /// Still linked into the bucket/LRU lists?  An element that has been
-    /// evicted or deleted while clients still hold references is unlinked
-    /// but not yet freed.
+    /// Still linked into its bucket?  An element that has been evicted or
+    /// deleted while clients still hold references is unlinked but not yet
+    /// freed.
     pub linked: bool,
+    /// CLOCK reference bit: set by a hit, cleared by the eviction hand as
+    /// it passes.
+    pub referenced: bool,
     /// Overflow-chain links.  An element that resides in one of its bucket
     /// line's tagged slots is *not* on the chain: both links stay NIL until the bucket overflows past its
     /// inline capacity (see `partition::BucketLine`).
     pub bucket_next: u32,
     pub bucket_prev: u32,
-    pub lru_next: u32,
-    pub lru_prev: u32,
-    /// Links of the key's migration-chunk membership list.
-    pub chunk_next: u32,
-    pub chunk_prev: u32,
 }
 
 impl Element {
@@ -178,12 +175,9 @@ impl Element {
             inline_len,
             state: ElementState::NotReady,
             linked: true,
+            referenced: false,
             bucket_next: NIL,
             bucket_prev: NIL,
-            lru_next: NIL,
-            lru_prev: NIL,
-            chunk_next: NIL,
-            chunk_prev: NIL,
         }
     }
 
@@ -241,10 +235,10 @@ pub(crate) enum Slot {
 }
 
 // One slot per key, so its size is bytes per key — and cache lines per
-// probe: a 56-byte slot touches one or two.  The enum tag rides in the spare
+// probe: a 40-byte slot touches one or two.  The enum tag rides in the spare
 // values of the element's flag bytes; a value of up to 8 bytes rides in the
 // space the handle to its block would take.
-const _: () = assert!(core::mem::size_of::<Slot>() <= 56);
+const _: () = assert!(core::mem::size_of::<Slot>() <= 40);
 
 impl Slot {
     pub(crate) fn element(&self) -> &Element {
@@ -279,9 +273,8 @@ mod tests {
         let e = Element::new(7, StoredValue::Block(v));
         assert_eq!(e.key, 7);
         assert_eq!(e.value(), StoredValue::Block(v));
-        assert_eq!(e.chunk_next, NIL);
         assert_eq!(e.state, ElementState::NotReady);
-        assert!(e.linked);
+        assert!(e.linked && !e.referenced);
         assert_eq!(e.refcount, 0);
         assert_eq!(e.bucket_next, NIL);
         a.free(v);

@@ -34,11 +34,13 @@ pub fn partition_for_key(key: u64, partitions: usize) -> usize {
 ///
 /// Online repartitioning moves the key space between server threads one
 /// chunk at a time: a chunk is a 1/`chunks` slice of the hash space, chosen
-/// by the *top* hash bits so it is decorrelated both from partition
-/// selection (modulo over the full hash) and bucket selection (bits 17+).
+/// by the *top* hash bits so it is decorrelated from partition selection
+/// (modulo over the full hash) and from the key tag (the low byte).
 /// Clients and servers agree on this pure function, so a single shared
 /// watermark ("chunks below `w` are migrated") describes migration progress
-/// exactly.
+/// exactly.  Inside a partition the chunk is the top of the bucket index
+/// (see `PartitionConfig::migration_chunks`), so a chunk is a run of bucket
+/// lines.
 ///
 /// At most [`MAX_MIGRATION_CHUNKS`] chunks are supported — the chunk index
 /// is drawn from hash bits 48..64, so larger counts would leave the upper
@@ -60,29 +62,12 @@ pub fn chunk_from_hash(hash: u64, chunks: usize) -> usize {
 /// bits).
 pub const MAX_MIGRATION_CHUNKS: usize = 1 << 16;
 
-/// The bucket within a partition for `key`, out of `buckets` buckets
-/// (a power of two).
-#[inline]
-pub fn bucket_for_key(key: u64, buckets: usize) -> usize {
-    bucket_from_hash(hash64(key), buckets)
-}
-
-/// [`bucket_for_key`] with the hash already computed — lets two-phase
-/// callers derive bucket and tag from one `hash64` evaluation.
-#[inline]
-pub fn bucket_from_hash(hash: u64, buckets: usize) -> usize {
-    debug_assert!(buckets.is_power_of_two());
-    // Use the upper bits so that partition selection (modulo) and bucket
-    // selection stay decorrelated.
-    ((hash >> 17) & (buckets as u64 - 1)) as usize
-}
-
 /// The 8-bit key tag stored in a bucket's inline cache line.
 ///
 /// Drawn from the hash's *low* byte so it is decorrelated from bucket
-/// selection (bits 17+), partition selection (modulo over the full hash)
-/// and migration chunks (bits 48..64): two keys in the same bucket still
-/// collide on the tag only with probability ~2⁻⁸.
+/// selection (bits 17+ under the chunk bits), partition selection (modulo
+/// over the full hash) and migration chunks (bits 48..64): two keys in the
+/// same bucket still collide on the tag only with probability ~2⁻⁸.
 #[inline]
 pub fn key_tag(key: u64) -> u8 {
     key_tag_from_hash(hash64(key))
@@ -137,41 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn bucket_selection_respects_power_of_two() {
-        for key in 0..1000u64 {
-            assert!(bucket_for_key(key, 1024) < 1024);
-        }
-    }
-
-    #[test]
-    fn bucket_and_partition_are_decorrelated() {
-        // Keys that share a partition should still spread over buckets.
-        let mut buckets = HashSet::new();
-        for key in 0..100_000u64 {
-            if partition_for_key(key, 80) == 0 {
-                buckets.insert(bucket_for_key(key, 256));
-            }
-        }
-        assert!(
-            buckets.len() > 200,
-            "only {} distinct buckets",
-            buckets.len()
-        );
-    }
-
-    #[test]
-    fn key_tags_are_stable_and_decorrelated_from_buckets() {
+    fn key_tags_are_stable() {
         assert_eq!(key_tag(42), key_tag(42));
         assert_eq!(key_tag(7), key_tag_from_hash(hash64(7)));
-        // Keys sharing one bucket must still spread over (almost) all 256
-        // tag values, or the tag would reject nothing.
-        let mut tags = HashSet::new();
-        for key in 0..200_000u64 {
-            if bucket_for_key(key, 64) == 0 {
-                tags.insert(key_tag(key));
-            }
-        }
-        assert!(tags.len() > 240, "only {} distinct tags", tags.len());
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //! * a bucket array of 64-byte-aligned *tagged bucket lines* — each bucket
 //!   packs its first [`partition::INLINE_SLOTS`] entries as 8-bit key tags
 //!   plus `u32` element refs inline in the bucket's own cache line,
-//!   overflowing to an intrusive doubly-linked chain only past that,
-//! * an LRU list threaded through the same element headers (or no list at
-//!   all under the random-eviction policy of §6.3),
-//! * an element header holding the key, value size, reference count and the
-//!   four list pointers,
+//!   overflowing to an intrusive doubly-linked chain only past that; the
+//!   top bits of a bucket's index are its keys' migration chunk, so one
+//!   chunk is a run of lines,
+//! * CLOCK eviction where §3.1 has an LRU list: a reference bit per element
+//!   that a hit sets, and a hand that sweeps the element slots when an
+//!   insert is over budget (or random eviction, the §6.3 variant),
+//! * an element header holding the key, value size, reference count, the
+//!   reference bit and the two overflow-chain pointers,
 //! * values allocated out of a per-partition [`cphash_alloc::SlabAllocator`]
 //!   whose byte budget is the partition's share of the table capacity —
 //!   except values of at most [`INLINE_VALUE_BYTES`] bytes, which live in

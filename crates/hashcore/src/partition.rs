@@ -1,4 +1,4 @@
-//! The partition: a single-threaded hash table with LRU eviction,
+//! The partition: a single-threaded hash table with CLOCK eviction,
 //! reference counting and deferred frees.
 
 use cphash_alloc::{SlabAllocator, SlabConfig, ValueHandle};
@@ -7,8 +7,7 @@ use crate::element::{
     Element, ElementId, ElementState, InlineValue, Slot, StoredValue, INLINE_VALUE_BYTES, NIL,
 };
 use crate::hash::{
-    bucket_for_key, bucket_from_hash, chunk_from_hash, hash64, key_tag, key_tag_from_hash,
-    migration_chunk, MAX_MIGRATION_CHUNKS,
+    chunk_from_hash, hash64, key_tag, key_tag_from_hash, migration_chunk, MAX_MIGRATION_CHUNKS,
 };
 use crate::policy::EvictionPolicy;
 use crate::stats::PartitionStats;
@@ -22,15 +21,17 @@ pub struct PartitionConfig {
     /// Byte budget for the values stored in this partition; `None` disables
     /// eviction-by-capacity (the table only grows).
     pub capacity_bytes: Option<usize>,
-    /// Eviction policy (LRU by default, random for the §6.3 variant).
+    /// Eviction policy (CLOCK by default, random for the §6.3 variant).
     pub eviction: EvictionPolicy,
-    /// Seed for the random-eviction PRNG (ignored under LRU).
+    /// Seed for the random-eviction PRNG (ignored under CLOCK).
     pub seed: u64,
     /// Number of migration chunks the key space is cut into (a power of
-    /// two).  The partition keeps an intrusive per-chunk membership index so
-    /// that exporting one chunk for live re-partitioning walks only that
-    /// chunk's elements instead of scanning the whole table.  Must match the
-    /// table's `migration_chunks`.
+    /// two).  The top log₂(`migration_chunks`) bits of a bucket's index are
+    /// its keys' chunk, so one chunk is a contiguous run of bucket lines and
+    /// exporting it for live re-partitioning walks only those lines instead
+    /// of scanning the whole table.  With fewer buckets than chunks one line
+    /// holds several chunks, and the export filters the line by chunk.
+    /// Must match the table's `migration_chunks`.
     pub migration_chunks: usize,
 }
 
@@ -39,7 +40,7 @@ impl Default for PartitionConfig {
         PartitionConfig {
             buckets: 1024,
             capacity_bytes: None,
-            eviction: EvictionPolicy::Lru,
+            eviction: EvictionPolicy::Clock,
             seed: 0x1234_5678,
             migration_chunks: 64,
         }
@@ -239,22 +240,25 @@ impl std::error::Error for InsertError {}
 /// A single-threaded hash-table partition (see the crate docs).
 pub struct Partition {
     buckets: Vec<BucketLine>,
-    bucket_mask: usize,
+    /// The bucket index of a hash is its migration chunk shifted left by
+    /// `chunk_shl` and right by `chunk_shr` (at most one of them non-zero:
+    /// log₂ of buckets per chunk, or of chunks per bucket), or'd with the
+    /// hash bits from 17 up under `low_mask`.
+    migration_chunks: usize,
+    chunk_shl: u32,
+    chunk_shr: u32,
+    low_mask: u64,
     slots: Vec<Slot>,
     free_head: u32,
-    lru_head: u32,
-    lru_tail: u32,
+    /// The slot the CLOCK hand inspects next (may equal `slots.len()`,
+    /// which wraps to 0).
+    hand: u32,
     /// Dense pool of linked element ids, maintained only under random
     /// eviction so victims can be drawn uniformly in O(1).
     random_pool: Vec<u32>,
     /// For each slot, its index in `random_pool` (meaningful while linked).
-    /// Grown with `slots` under random eviction only; empty under LRU.
+    /// Grown with `slots` under random eviction only; empty under CLOCK.
     pool_index: Vec<u32>,
-    /// Heads of the per-chunk intrusive membership lists: every linked
-    /// element sits in exactly one list, chosen by `migration_chunk` of its
-    /// key.  Maintained at insert/unlink time so a per-chunk export walks
-    /// only the chunk's elements.
-    chunk_heads: Vec<u32>,
     len: usize,
     eviction: EvictionPolicy,
     allocator: SlabAllocator,
@@ -275,16 +279,22 @@ impl Partition {
             capacity_bytes: config.capacity_bytes,
             ..SlabConfig::default()
         };
+        let (bucket_bits, chunk_bits) = (
+            buckets.trailing_zeros(),
+            config.migration_chunks.trailing_zeros(),
+        );
+        let chunk_shl = bucket_bits.saturating_sub(chunk_bits);
         Partition {
             buckets: vec![BucketLine::EMPTY; buckets],
-            bucket_mask: buckets - 1,
+            migration_chunks: config.migration_chunks,
+            chunk_shl,
+            chunk_shr: chunk_bits.saturating_sub(bucket_bits),
+            low_mask: (1u64 << chunk_shl) - 1,
             slots: Vec::new(),
             free_head: NIL,
-            lru_head: NIL,
-            lru_tail: NIL,
+            hand: 0,
             random_pool: Vec::new(),
             pool_index: Vec::new(),
-            chunk_heads: vec![NIL; config.migration_chunks],
             len: 0,
             eviction: config.eviction,
             allocator: SlabAllocator::new(alloc_config),
@@ -322,9 +332,9 @@ impl Partition {
         self.allocator.set_capacity(capacity_bytes);
     }
 
-    /// Number of migration chunks the per-chunk export index is keyed by.
+    /// Number of migration chunks the bucket index is cut into.
     pub fn migration_chunks(&self) -> usize {
-        self.chunk_heads.len()
+        self.migration_chunks
     }
 
     /// Number of buckets.
@@ -358,7 +368,7 @@ impl Partition {
         let hash = hash64(key);
         BucketRef {
             key,
-            bucket: bucket_from_hash(hash, self.bucket_mask + 1),
+            bucket: self.bucket_of_hash(hash),
             tag: key_tag_from_hash(hash),
         }
     }
@@ -407,7 +417,7 @@ impl Partition {
     /// Look up `key`.  On a hit the element's reference count is
     /// incremented; the caller must eventually call [`Partition::decref`]
     /// with the returned id (this is the `Decref` message of the CPHash
-    /// protocol).  Under LRU the element moves to the head of the LRU list.
+    /// protocol).  The hit sets the element's CLOCK reference bit.
     pub fn lookup(&mut self, key: u64) -> Option<LookupHit> {
         self.lookup_prepared(self.prepare(key))
     }
@@ -417,14 +427,16 @@ impl Partition {
     pub fn lookup_prepared(&mut self, prep: BucketRef) -> Option<LookupHit> {
         self.stats.lookups += 1;
         let idx = self.find_in_bucket(prep.key, prep.bucket, prep.tag)?;
-        if self.slots[idx as usize].element().state != ElementState::Ready {
+        let e = self.slots[idx as usize].element_mut();
+        if e.state != ElementState::Ready {
             // NOT-READY elements are invisible to lookups (§3.2).
             return None;
         }
-        if self.eviction.maintains_lru() {
-            self.lru_move_to_head(idx);
+        // The pin writes the element's line anyway; the reference bit rides
+        // along, stored only when it changes.
+        if !e.referenced {
+            e.referenced = true;
         }
-        let e = self.slots[idx as usize].element_mut();
         e.refcount += 1;
         self.stats.hits += 1;
         Some(LookupHit {
@@ -434,7 +446,7 @@ impl Partition {
     }
 
     /// Check whether a READY element with `key` is present, without touching
-    /// reference counts or the LRU list.
+    /// reference counts or the reference bit.
     pub fn contains(&self, key: u64) -> bool {
         self.find_linked(key)
             .map(|idx| self.slots[idx as usize].element().state == ElementState::Ready)
@@ -530,8 +542,6 @@ impl Partition {
             }
         };
 
-        let bucket = prep.bucket;
-        let chunk = migration_chunk(key, self.chunk_heads.len());
         let mut element = Element::new(key, value);
         if ready.is_some() {
             element.state = ElementState::Ready;
@@ -543,9 +553,8 @@ impl Partition {
             element.refcount = 1;
         }
         let idx = self.alloc_slot(element);
-        self.link_into_bucket(idx, bucket, prep.tag);
-        self.link_into_recency(idx);
-        self.link_into_chunk(idx, chunk);
+        self.link_into_bucket(idx, prep.bucket, prep.tag);
+        self.link_into_pool(idx);
         self.len += 1;
         Ok((idx, value))
     }
@@ -597,10 +606,11 @@ impl Partition {
     }
 
     /// Evict one element according to the eviction policy. Returns `false`
-    /// when nothing is left to evict.
+    /// when nothing is left to evict.  A victim that clients still hold
+    /// references to is unlinked and its free deferred, as any unlink's.
     pub fn evict_one(&mut self) -> bool {
         let victim = match self.eviction {
-            EvictionPolicy::Lru => self.lru_tail,
+            EvictionPolicy::Clock => self.clock_victim(),
             EvictionPolicy::Random => self.random_victim(),
         };
         if victim == NIL {
@@ -717,9 +727,9 @@ impl Partition {
     }
 
     /// Extract the linked elements of one migration chunk whose keys match
-    /// `leaving`, using the per-chunk membership index: only the chunk's own
-    /// elements are visited, never the rest of the table.  Semantics
-    /// (NOT-READY deferral included) are identical to filtering
+    /// `leaving`, walking only the chunk's run of bucket lines (see
+    /// [`PartitionConfig::migration_chunks`]), never the rest of the table.
+    /// Semantics (NOT-READY deferral included) are identical to filtering
     /// [`Partition::export_matching`] by the chunk, which debug builds
     /// assert by cross-checking against the scan path.
     pub fn export_chunk(&mut self, chunk: usize, leaving: impl Fn(u64) -> bool) -> ExportOutcome {
@@ -763,8 +773,8 @@ impl Partition {
         }
     }
 
-    /// Collect the export candidates by scanning every slot (the legacy
-    /// path, kept for whole-table exports and as the debug cross-check).
+    /// Collect the export candidates by scanning every slot (whole-table
+    /// exports, and the reference the chunk walk is cross-checked against).
     fn gather_scan(&mut self, leaving: &impl Fn(u64) -> bool) -> (Vec<u32>, usize) {
         self.stats.full_export_scans += 1;
         let mut matching: Vec<u32> = Vec::new();
@@ -784,28 +794,46 @@ impl Partition {
         (matching, not_ready)
     }
 
-    /// Collect the export candidates by walking one chunk's membership list.
+    /// Collect the export candidates by walking one chunk's bucket lines:
+    /// their inline refs, then their overflow chains.
     fn gather_chunk(&mut self, chunk: usize, leaving: &impl Fn(u64) -> bool) -> (Vec<u32>, usize) {
+        assert!(chunk < self.migration_chunks, "no migration chunk {chunk}");
+        // Lines shared by several chunks hold other chunks' keys too.
+        let shared = self.chunk_shr > 0;
+        let first = (chunk << self.chunk_shl) >> self.chunk_shr;
+        let lines = &self.buckets[first..first + (1 << self.chunk_shl)];
         let mut matching: Vec<u32> = Vec::new();
-        let mut not_ready = 0usize;
-        let mut cur = self.chunk_heads[chunk];
-        while cur != NIL {
-            self.stats.export_elements_visited += 1;
-            let e = self.slots[cur as usize].element();
-            if leaving(e.key) {
-                if e.state == ElementState::Ready {
-                    matching.push(cur);
-                } else {
-                    not_ready += 1;
+        let (mut not_ready, mut visited) = (0usize, 0u64);
+        for line in lines {
+            let inline = (0..INLINE_SLOTS)
+                .filter(|s| line.used & (1 << s) != 0)
+                .map(|s| line.refs[s]);
+            let linked = |idx: u32| (idx != NIL).then_some(idx);
+            let chain = core::iter::successors(linked(line.overflow), |&idx| {
+                linked(self.slots[idx as usize].element().bucket_next)
+            });
+            for idx in inline.chain(chain) {
+                visited += 1;
+                let e = self.slots[idx as usize].element();
+                if shared && migration_chunk(e.key, self.migration_chunks) != chunk {
+                    continue;
+                }
+                if leaving(e.key) {
+                    if e.state == ElementState::Ready {
+                        matching.push(idx);
+                    } else {
+                        not_ready += 1;
+                    }
                 }
             }
-            cur = e.chunk_next;
         }
+        self.stats.export_elements_visited += visited;
         (matching, not_ready)
     }
 
-    /// Debug-build cross-check: the per-chunk index walk must select exactly
-    /// the candidates a full-table scan restricted to the chunk would.
+    /// Debug-build cross-check: the walk of a chunk's lines must select
+    /// exactly the candidates a full-table scan restricted to the chunk
+    /// would.
     #[cfg(debug_assertions)]
     fn cross_check_chunk_gather(
         &self,
@@ -814,7 +842,7 @@ impl Partition {
         matching: &[u32],
         not_ready: usize,
     ) {
-        let chunks = self.chunk_heads.len();
+        let chunks = self.migration_chunks;
         let mut scan_matching: Vec<u32> = Vec::new();
         let mut scan_not_ready = 0usize;
         for (idx, slot) in self.slots.iter().enumerate() {
@@ -833,11 +861,11 @@ impl Partition {
         scan_matching.sort_unstable();
         assert_eq!(
             indexed, scan_matching,
-            "chunk index selected a different export set than the full scan"
+            "chunk walk selected a different export set than the full scan"
         );
         assert_eq!(
             not_ready, scan_not_ready,
-            "chunk index disagrees with the full scan about NOT-READY blockers"
+            "chunk walk disagrees with the full scan about NOT-READY blockers"
         );
     }
 
@@ -883,7 +911,7 @@ impl Partition {
         Ok(())
     }
 
-    /// Iterate over the keys of all READY elements (test/debug helper).
+    /// The keys of all READY elements, in slot order (test/debug helper).
     pub fn keys(&self) -> Vec<u64> {
         let mut keys = Vec::with_capacity(self.len);
         for slot in &self.slots {
@@ -896,25 +924,13 @@ impl Partition {
         keys
     }
 
-    /// Keys in least-recently-used → most-recently-used order (LRU policy
-    /// only; test/debug helper).
-    pub fn lru_order(&self) -> Vec<u64> {
-        let mut keys = Vec::new();
-        let mut cur = self.lru_tail;
-        while cur != NIL {
-            let e = self.slots[cur as usize].element();
-            keys.push(e.key);
-            cur = e.lru_prev;
-        }
-        keys
-    }
-
     /// Verify every internal invariant; used by tests and debug assertions.
     ///
     /// Panics with a description of the first violated invariant.
     pub fn check_invariants(&self) {
         // Every bucket (inline slots + chain) is consistent and contains
-        // only linked elements hashed to that bucket.
+        // only linked elements hashed to that bucket — which, the chunk
+        // being the top of the bucket index, files each under its chunk.
         let mut linked_seen = 0usize;
         for (b, line) in self.buckets.iter().enumerate() {
             for s in 0..INLINE_SLOTS {
@@ -939,29 +955,6 @@ impl Partition {
         }
         assert_eq!(linked_seen, self.len, "len does not match bucket contents");
 
-        // Every chunk list is consistent and together the lists cover
-        // exactly the linked elements, each filed under its key's chunk.
-        let chunks = self.chunk_heads.len();
-        let mut chunk_seen = 0usize;
-        for (c, &head) in self.chunk_heads.iter().enumerate() {
-            let mut cur = head;
-            let mut prev = NIL;
-            while cur != NIL {
-                let e = self.slots[cur as usize].element();
-                assert!(e.linked, "unlinked element in chunk list");
-                assert_eq!(
-                    migration_chunk(e.key, chunks),
-                    c,
-                    "element hashed to wrong chunk"
-                );
-                assert_eq!(e.chunk_prev, prev, "broken chunk back-pointer");
-                chunk_seen += 1;
-                prev = cur;
-                cur = e.chunk_next;
-            }
-        }
-        assert_eq!(chunk_seen, self.len, "chunk index does not cover the table");
-
         // The byte budget counts every value still held — linked, or
         // unlinked with its free deferred — at what its block costs, whether
         // or not it took one.
@@ -982,41 +975,27 @@ impl Partition {
             "bytes_in_use does not match the elements' values"
         );
 
-        match self.eviction {
-            EvictionPolicy::Lru => {
-                // The LRU list contains exactly the linked elements.
-                let mut count = 0usize;
-                let mut cur = self.lru_head;
-                let mut prev = NIL;
-                while cur != NIL {
-                    let e = self.slots[cur as usize].element();
-                    assert!(e.linked, "unlinked element in LRU list");
-                    assert_eq!(e.lru_prev, prev, "broken LRU back-pointer");
-                    count += 1;
-                    prev = cur;
-                    cur = e.lru_next;
-                }
-                assert_eq!(prev, self.lru_tail, "LRU tail does not terminate the list");
-                assert_eq!(count, self.len, "LRU list length mismatch");
-            }
-            EvictionPolicy::Random => {
+        assert!(
+            self.hand as usize <= self.slots.len(),
+            "CLOCK hand past the slots"
+        );
+        if self.eviction == EvictionPolicy::Random {
+            assert_eq!(
+                self.pool_index.len(),
+                self.slots.len(),
+                "pool back-index does not cover the slots"
+            );
+            assert_eq!(
+                self.random_pool.len(),
+                self.len,
+                "random pool length mismatch"
+            );
+            for (i, &idx) in self.random_pool.iter().enumerate() {
                 assert_eq!(
-                    self.pool_index.len(),
-                    self.slots.len(),
-                    "pool back-index does not cover the slots"
+                    self.pool_index[idx as usize] as usize, i,
+                    "pool back-index broken"
                 );
-                assert_eq!(
-                    self.random_pool.len(),
-                    self.len,
-                    "random pool length mismatch"
-                );
-                for (i, &idx) in self.random_pool.iter().enumerate() {
-                    assert_eq!(
-                        self.pool_index[idx as usize] as usize, i,
-                        "pool back-index broken"
-                    );
-                    assert!(self.slots[idx as usize].element().linked);
-                }
+                assert!(self.slots[idx as usize].element().linked);
             }
         }
     }
@@ -1047,18 +1026,21 @@ impl Partition {
         seen
     }
 
+    /// The bucket of a key with this hash: its migration chunk on top,
+    /// hash bits 17 and up below (see [`PartitionConfig::migration_chunks`]).
+    #[inline]
+    fn bucket_of_hash(&self, hash: u64) -> usize {
+        let chunk = chunk_from_hash(hash, self.migration_chunks) as u64;
+        (((chunk << self.chunk_shl) >> self.chunk_shr) | ((hash >> 17) & self.low_mask)) as usize
+    }
+
     fn bucket_of(&self, key: u64) -> usize {
-        bucket_for_key(key, self.bucket_mask + 1)
+        self.bucket_of_hash(hash64(key))
     }
 
     fn find_linked(&self, key: u64) -> Option<u32> {
-        let hash = hash64(key);
-        self.probe_bucket(
-            key,
-            bucket_from_hash(hash, self.bucket_mask + 1),
-            key_tag_from_hash(hash),
-        )
-        .found
+        let prep = self.prepare(key);
+        self.probe_bucket(key, prep.bucket, prep.tag).found
     }
 
     /// Probe one bucket for `key` without touching statistics (shared by
@@ -1230,70 +1212,34 @@ impl Partition {
         e.bucket_prev = NIL;
     }
 
-    fn link_into_chunk(&mut self, idx: u32, chunk: usize) {
-        let head = self.chunk_heads[chunk];
-        {
-            let e = self.slots[idx as usize].element_mut();
-            e.chunk_next = head;
-            e.chunk_prev = NIL;
+    /// File a newly linked element in the random-eviction pool (CLOCK needs
+    /// no structure: its hand walks the slots).
+    fn link_into_pool(&mut self, idx: u32) {
+        if self.eviction == EvictionPolicy::Random {
+            self.pool_index[idx as usize] = self.random_pool.len() as u32;
+            self.random_pool.push(idx);
         }
-        if head != NIL {
-            self.slots[head as usize].element_mut().chunk_prev = idx;
-        }
-        self.chunk_heads[chunk] = idx;
     }
 
-    fn unlink_from_chunk(&mut self, idx: u32, chunk: usize) {
-        let (prev, next) = {
-            let e = self.slots[idx as usize].element();
-            (e.chunk_prev, e.chunk_next)
-        };
-        if prev != NIL {
-            self.slots[prev as usize].element_mut().chunk_next = next;
-        } else {
-            self.chunk_heads[chunk] = next;
-        }
-        if next != NIL {
-            self.slots[next as usize].element_mut().chunk_prev = prev;
-        }
-        let e = self.slots[idx as usize].element_mut();
-        e.chunk_next = NIL;
-        e.chunk_prev = NIL;
-    }
-
-    fn link_into_recency(&mut self, idx: u32) {
-        match self.eviction {
-            EvictionPolicy::Lru => self.lru_push_head(idx),
-            EvictionPolicy::Random => {
-                self.pool_index[idx as usize] = self.random_pool.len() as u32;
-                self.random_pool.push(idx);
+    fn unlink_from_pool(&mut self, idx: u32) {
+        if self.eviction == EvictionPolicy::Random {
+            let pool_idx = self.pool_index[idx as usize] as usize;
+            let last = *self.random_pool.last().expect("pool not empty");
+            self.random_pool.swap_remove(pool_idx);
+            if last != idx {
+                self.pool_index[last as usize] = pool_idx as u32;
             }
+            self.pool_index[idx as usize] = NIL;
         }
     }
 
-    fn unlink_from_recency(&mut self, idx: u32) {
-        match self.eviction {
-            EvictionPolicy::Lru => self.lru_remove(idx),
-            EvictionPolicy::Random => {
-                let pool_idx = self.pool_index[idx as usize] as usize;
-                let last = *self.random_pool.last().expect("pool not empty");
-                self.random_pool.swap_remove(pool_idx);
-                if last != idx {
-                    self.pool_index[last as usize] = pool_idx as u32;
-                }
-                self.pool_index[idx as usize] = NIL;
-            }
-        }
-    }
-
-    /// Unlink an element from the table (bucket + recency structures).
-    /// Frees it immediately if unreferenced, otherwise defers.
+    /// Unlink an element from the table (bucket + random pool).  Frees it
+    /// immediately if unreferenced, otherwise defers.
     fn unlink(&mut self, idx: u32) {
         // The element does not store where it is filed; its key says.
-        let hash = hash64(self.slots[idx as usize].element().key);
-        self.unlink_from_bucket(idx, bucket_from_hash(hash, self.buckets.len()));
-        self.unlink_from_recency(idx);
-        self.unlink_from_chunk(idx, chunk_from_hash(hash, self.chunk_heads.len()));
+        let bucket = self.bucket_of(self.slots[idx as usize].element().key);
+        self.unlink_from_bucket(idx, bucket);
+        self.unlink_from_pool(idx);
         self.len -= 1;
         let refcount = {
             let e = self.slots[idx as usize].element_mut();
@@ -1307,54 +1253,38 @@ impl Partition {
         }
     }
 
-    fn lru_push_head(&mut self, idx: u32) {
-        let old_head = self.lru_head;
-        {
-            let e = self.slots[idx as usize].element_mut();
-            e.lru_next = old_head;
-            e.lru_prev = NIL;
+    /// Advance the CLOCK hand to the next linked element whose reference
+    /// bit is clear, clearing the set bits it passes, and return it (`NIL`
+    /// when nothing is linked).  Free slots and unlinked ones (frees
+    /// deferred by outstanding references) are skipped.  One sweep clears
+    /// every bit it does not stop at, so two sweeps always find a victim.
+    /// Runs only when an insert is over budget.
+    fn clock_victim(&mut self) -> u32 {
+        if self.len == 0 {
+            return NIL;
         }
-        if old_head != NIL {
-            self.slots[old_head as usize].element_mut().lru_prev = idx;
+        let slots = self.slots.len() as u32;
+        for _ in 0..=2 * slots {
+            if self.hand >= slots {
+                self.hand = 0;
+            }
+            let idx = self.hand;
+            self.hand += 1;
+            if let Slot::Occupied(e) = &mut self.slots[idx as usize] {
+                if e.linked {
+                    if !e.referenced {
+                        return idx;
+                    }
+                    e.referenced = false;
+                }
+            }
         }
-        self.lru_head = idx;
-        if self.lru_tail == NIL {
-            self.lru_tail = idx;
-        }
-    }
-
-    fn lru_remove(&mut self, idx: u32) {
-        let (prev, next) = {
-            let e = self.slots[idx as usize].element();
-            (e.lru_prev, e.lru_next)
-        };
-        if prev != NIL {
-            self.slots[prev as usize].element_mut().lru_next = next;
-        } else {
-            self.lru_head = next;
-        }
-        if next != NIL {
-            self.slots[next as usize].element_mut().lru_prev = prev;
-        } else {
-            self.lru_tail = prev;
-        }
-        let e = self.slots[idx as usize].element_mut();
-        e.lru_prev = NIL;
-        e.lru_next = NIL;
-    }
-
-    fn lru_move_to_head(&mut self, idx: u32) {
-        if self.lru_head == idx {
-            return;
-        }
-        self.lru_remove(idx);
-        self.lru_push_head(idx);
+        unreachable!("{} linked elements, none in {slots} slots", self.len)
     }
 
     fn random_victim(&mut self) -> u32 {
         if self.random_pool.is_empty() {
-            // Under LRU policy the pool is unused; fall back to the tail.
-            return self.lru_tail;
+            return NIL;
         }
         // xorshift64*
         let mut x = self.rng_state;
@@ -1458,20 +1388,21 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_follows_recency() {
-        // Capacity of exactly 4 × 8-byte values.
+    fn clock_eviction_gives_a_referenced_key_a_second_chance() {
+        // Capacity of exactly 4 × 8-byte values, in slots 0..4.
         let mut p = small(Some(32));
         for key in 0..4u64 {
             p.insert_copy(key, &key.to_le_bytes()).unwrap();
         }
         assert_eq!(p.len(), 4);
-        // Touch key 0 so it becomes most-recently used.
+        // A hit sets key 0's reference bit.
         let mut buf = Vec::new();
         assert!(p.lookup_copy(0, &mut buf));
-        // Inserting a 5th value evicts key 1 (the least recently used).
+        // Inserting a 5th value: the hand clears key 0's bit and evicts
+        // key 1, the first key it finds unreferenced.
         p.insert_copy(100, &[9; 8]).unwrap();
-        assert!(p.contains(0), "recently used key survives");
-        assert!(!p.contains(1), "LRU victim evicted");
+        assert!(p.contains(0), "referenced key survives");
+        assert!(!p.contains(1), "CLOCK victim evicted");
         assert!(p.contains(2) && p.contains(3) && p.contains(100));
         assert_eq!(p.stats().evictions, 1);
         p.check_invariants();
@@ -1487,14 +1418,16 @@ mod tests {
         }
         assert_eq!(p.bytes_in_use(), 32);
         assert_eq!(p.allocator.stats().total_allocs, 0, "no block was taken");
-        // Pin key 0 (which also makes it most recently used).
+        // Pin key 0 (which also sets its reference bit).
         let hit = p.lookup(0).unwrap();
         assert!(matches!(hit.value, StoredValue::Inline(v) if v.word() == 0 && v.len() == 8));
         p.insert_copy(100, &[9; 8]).unwrap();
-        assert!(!p.contains(1), "LRU victim evicted");
+        assert!(!p.contains(1), "CLOCK victim evicted");
         assert_eq!((p.stats().evictions, p.len()), (1, 4));
-        // LRU → MRU is now 2, 3, 0, 100.  The third insert reaches the
-        // pinned key 0: unlinking it releases nothing, so 100 goes as well.
+        // The hand cleared key 0's bit on its way to key 1, whose slot key
+        // 100 took; it now points at 2, then 3, then 0 and 100.  The third
+        // insert reaches the pinned key 0: unlinking it releases nothing, so
+        // 100 goes as well.
         for key in 101..104u64 {
             p.insert_copy(key, &key.to_le_bytes()).unwrap();
             p.check_invariants();
@@ -1550,19 +1483,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_order_is_observable() {
-        let mut p = small(None);
-        for key in 0..3u64 {
-            p.insert_copy(key, &[0; 8]).unwrap();
-        }
-        // Order (LRU → MRU): 0, 1, 2.
-        assert_eq!(p.lru_order(), vec![0, 1, 2]);
-        let mut buf = Vec::new();
-        p.lookup_copy(0, &mut buf);
-        assert_eq!(p.lru_order(), vec![1, 2, 0]);
-    }
-
-    #[test]
     fn random_eviction_keeps_count_bounded() {
         let mut p = Partition::new(
             PartitionConfig::new(64, Some(64)).with_eviction(EvictionPolicy::Random),
@@ -1584,13 +1504,13 @@ mod tests {
         let mut p = small(Some(16));
         p.insert_copy(1, &11u64.to_le_bytes()).unwrap();
         p.insert_copy(2, &22u64.to_le_bytes()).unwrap();
-        // Hold a reference to key 1's value, then touch key 2 so that key 1
-        // becomes the LRU victim.
+        // Hold a reference to key 1's value; both keys get their reference
+        // bits set.
         let hit = p.lookup(1).unwrap();
         let mut buf = Vec::new();
         assert!(p.lookup_copy(2, &mut buf));
-        // Inserting key 3 forces eviction of key 1 (referenced → deferred)
-        // and then key 2 (freed immediately).
+        // Inserting key 3: the hand clears both bits, then evicts key 1
+        // (pinned → deferred) and key 2 (freed immediately).
         p.insert_copy(3, &[7; 8]).unwrap();
         assert!(!p.contains(1) && !p.contains(2));
         assert!(p.contains(3));
@@ -1674,16 +1594,16 @@ mod tests {
 
     #[test]
     fn pool_index_is_only_kept_under_random_eviction() {
-        let mut lru = small(None);
+        let mut clock = small(None);
         let mut random =
             Partition::new(PartitionConfig::new(64, None).with_eviction(EvictionPolicy::Random));
         for key in 0..100u64 {
-            lru.insert_copy(key, &[0; 8]).unwrap();
+            clock.insert_copy(key, &[0; 8]).unwrap();
             random.insert_copy(key, &[0; 8]).unwrap();
         }
-        assert!(lru.pool_index.is_empty(), "LRU pays nothing per slot");
+        assert!(clock.pool_index.is_empty(), "CLOCK pays nothing per slot");
         assert_eq!(random.pool_index.len(), 100);
-        lru.check_invariants();
+        clock.check_invariants();
         random.check_invariants();
     }
 
@@ -1733,8 +1653,8 @@ mod tests {
     #[test]
     fn evicting_a_not_ready_reservation_defers_until_ready() {
         let mut p = small(Some(16));
-        // Reserve space for key 2 but do not fill it yet; it is the oldest
-        // element and therefore the first LRU victim.
+        // Reserve space for key 2 but do not fill it yet; it is in slot 0,
+        // where the hand starts, and therefore the first CLOCK victim.
         let r = p.insert(2, 8).unwrap();
         p.insert_copy(1, &[1; 8]).unwrap();
         // Inserting key 3 forces eviction of the NOT-READY reservation
@@ -1804,8 +1724,8 @@ mod tests {
             let prep = staged.prepare(key);
             assert_eq!(staged.delete_prepared(prep), direct.delete(key));
         }
-        assert_eq!(staged.len(), direct.len());
-        assert_eq!(staged.lru_order(), direct.lru_order());
+        assert_eq!(staged.keys(), direct.keys());
+        assert_eq!(staged.stats(), direct.stats());
         staged.check_invariants();
         direct.check_invariants();
     }
@@ -1998,7 +1918,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_index_survives_churn_and_eviction() {
+    fn chunk_walks_export_everything_after_churn_and_eviction() {
         let chunks = 8;
         let mut p =
             Partition::new(PartitionConfig::new(64, Some(256)).with_migration_chunks(chunks));
@@ -2012,7 +1932,7 @@ mod tests {
             }
             p.check_invariants();
         }
-        // Export every chunk; everything must leave, through the index.
+        // Export every chunk; everything must leave, chunk by chunk.
         p.reset_stats();
         let mut total = 0usize;
         for chunk in 0..chunks {

@@ -27,12 +27,13 @@ pub struct PartitionStats {
     pub exported: u64,
     /// Elements absorbed from another partition by live migration.
     pub absorbed: u64,
-    /// Slots / chunk-list nodes visited while selecting export candidates.
-    /// Per-chunk exports keep this proportional to the chunk's population;
-    /// full-table exports add the whole slot count per call.
+    /// Slots / elements visited while selecting export candidates.
+    /// Per-chunk exports walk only the chunk's bucket lines, so this stays
+    /// proportional to the chunk's population; full-table exports add the
+    /// whole slot count per call.
     pub export_elements_visited: u64,
-    /// Export calls that scanned every slot (the legacy whole-table path).
-    /// Stays zero when migration uses the per-chunk index.
+    /// Export calls that scanned every slot (the whole-table path).  Stays
+    /// zero when migration exports by chunk.
     pub full_export_scans: u64,
     /// Probes resolved by a bucket line's *inline* tagged slots — the
     /// common case one bucket-line prefetch fully covers.

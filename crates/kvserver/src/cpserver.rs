@@ -141,7 +141,7 @@ impl Default for CpServerConfig {
             partitions: 2,
             capacity_bytes: None,
             typical_value_bytes: 64,
-            eviction: EvictionPolicy::Lru,
+            eviction: EvictionPolicy::Clock,
             server_pins: Vec::new(),
             batch: 1024,
             max_partitions: 0,

@@ -39,7 +39,7 @@ impl Default for LockServerConfig {
             partitions: 256,
             capacity_bytes: None,
             typical_value_bytes: 64,
-            eviction: EvictionPolicy::Lru,
+            eviction: EvictionPolicy::Clock,
             lock_kind: LockKind::Spin,
         }
     }

@@ -40,7 +40,8 @@ pub struct MemcacheConfig {
     pub capacity_bytes_per_instance: Option<usize>,
     /// Bucket count per instance's table.
     pub buckets: usize,
-    /// Eviction policy (memcached uses LRU).
+    /// Eviction policy (memcached evicts by recency, which CLOCK
+    /// approximates).
     pub eviction: EvictionPolicy,
 }
 
@@ -50,7 +51,7 @@ impl Default for MemcacheConfig {
             instances: 2,
             capacity_bytes_per_instance: None,
             buckets: 4096,
-            eviction: EvictionPolicy::Lru,
+            eviction: EvictionPolicy::Clock,
         }
     }
 }

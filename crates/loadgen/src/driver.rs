@@ -48,7 +48,7 @@ impl Default for DriverOptions {
         DriverOptions {
             client_threads: 4,
             partitions: 4,
-            eviction: EvictionPolicy::Lru,
+            eviction: EvictionPolicy::Clock,
             client_pins: Vec::new(),
             server_pins: Vec::new(),
             lock_kind: LockKind::Spin,

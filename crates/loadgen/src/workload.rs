@@ -51,7 +51,7 @@ impl Default for WorkloadSpec {
 
 impl WorkloadSpec {
     /// The Figure 5/8 sweep point at a given working-set size: capacity
-    /// equal to the working set, 30 % inserts, LRU.
+    /// equal to the working set, 30 % inserts, CLOCK eviction.
     pub fn working_set_point(working_set_bytes: usize, operations: u64) -> Self {
         WorkloadSpec {
             working_set_bytes,

@@ -6,15 +6,15 @@ use cphash_sync::LockKind;
 /// Configuration for a [`crate::LockHash`] table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockHashConfig {
-    /// Number of partitions, each with its own lock and LRU list.  The paper
-    /// uses 4,096, "which we experimentally determined to be optimal".
+    /// Number of partitions, each with its own lock and eviction state.  The
+    /// paper uses 4,096, "which we experimentally determined to be optimal".
     pub partitions: usize,
     /// Total byte budget across all partitions (`None` = unbounded).
     pub capacity_bytes: Option<usize>,
     /// Buckets per partition.
     pub buckets_per_partition: usize,
-    /// Eviction policy.  Under [`EvictionPolicy::Random`] no LRU lists are
-    /// maintained, mirroring §6.3 (the paper additionally switches to
+    /// Eviction policy.  [`EvictionPolicy::Random`] mirrors §6.3, which
+    /// maintains no LRU lists (the paper additionally switches to
     /// per-bucket locks in that mode; configure more, smaller partitions to
     /// model that granularity).
     pub eviction: EvictionPolicy,
@@ -31,7 +31,7 @@ impl Default for LockHashConfig {
             partitions: 4096,
             capacity_bytes: None,
             buckets_per_partition: 64,
-            eviction: EvictionPolicy::Lru,
+            eviction: EvictionPolicy::Clock,
             lock_kind: LockKind::Spin,
             seed: 0xBA5E_BA11,
         }
@@ -91,7 +91,7 @@ mod tests {
         let c = LockHashConfig::default();
         assert_eq!(c.partitions, 4096);
         assert_eq!(c.lock_kind, LockKind::Spin);
-        assert_eq!(c.eviction, EvictionPolicy::Lru);
+        assert_eq!(c.eviction, EvictionPolicy::Clock);
         c.validate();
     }
 

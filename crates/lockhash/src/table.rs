@@ -12,7 +12,7 @@ use crate::config::LockHashConfig;
 ///
 /// All methods take `&self`; each operation acquires exactly one partition
 /// lock, performs the operation with the same partition code CPHash uses,
-/// updates that partition's LRU list, and releases the lock — the sequence
+/// updates that partition's eviction state, and releases the lock — the sequence
 /// §4.2 describes for LOCKSERVER's client threads.
 pub struct LockHash {
     locks: LockTable,
@@ -51,7 +51,7 @@ impl LockHash {
         }
     }
 
-    /// Build with the paper's defaults (4,096 partitions, spinlocks, LRU).
+    /// Build with the paper's defaults (4,096 partitions, spinlocks, CLOCK eviction).
     pub fn with_partitions(partitions: usize) -> Self {
         Self::new(LockHashConfig::new(partitions))
     }

@@ -7,11 +7,11 @@ use cphash_suite::{CpHash, CpHashConfig, EvictionPolicy};
 
 fn main() {
     // A table with 4 partitions (one server thread each) and 2 client
-    // handles, limited to 64 KiB of values with LRU eviction — a miniature
+    // handles, limited to 64 KiB of values with CLOCK eviction — a miniature
     // version of the key/value cache the paper targets.
     let config = CpHashConfig::new(4, 2)
         .with_capacity(64 * 1024, 8)
-        .with_eviction(EvictionPolicy::Lru);
+        .with_eviction(EvictionPolicy::Clock);
     let (mut table, mut clients) = CpHash::new(config);
     println!(
         "started a CPHash table with {} partitions",
@@ -47,7 +47,7 @@ fn main() {
             hits += 1;
         }
     }
-    println!("{hits} of 10000 keys survived under the 64 KiB budget (LRU keeps the newest)");
+    println!("{hits} of 10000 keys survived under the 64 KiB budget (CLOCK keeps the newest)");
 
     // The second client handle can be used from another thread.
     let mut other = clients.pop().unwrap();

@@ -10,8 +10,8 @@ use cphash_suite::loadgen::{
 use cphash_suite::EvictionPolicy;
 
 fn main() {
-    // 4 MB of cached page fragments, but only 1 MB of cache budget: the LRU
-    // list has to keep the popular fragments resident.
+    // 4 MB of cached page fragments, but only 1 MB of cache budget: CLOCK
+    // eviction has to keep the popular fragments resident.
     let spec = WorkloadSpec {
         working_set_bytes: 4 << 20,
         capacity_bytes: 1 << 20,
@@ -37,13 +37,13 @@ fn main() {
     let cp_opts = DriverOptions {
         client_threads: pairs,
         partitions: pairs,
-        eviction: EvictionPolicy::Lru,
+        eviction: EvictionPolicy::Clock,
         ..Default::default()
     };
     let lh_opts = DriverOptions {
         client_threads: pairs * 2,
         partitions: 1024,
-        eviction: EvictionPolicy::Lru,
+        eviction: EvictionPolicy::Clock,
         ..Default::default()
     };
 

@@ -34,6 +34,14 @@ fn server_parks(server: &CpServer) -> u64 {
     server.server_stats().iter().map(|s| s.parks()).sum()
 }
 
+fn server_clients_asleep_parks(server: &CpServer) -> u64 {
+    server
+        .server_stats()
+        .iter()
+        .map(|s| s.clients_asleep_parks())
+        .sum()
+}
+
 fn server_spin_cycles(server: &CpServer) -> u64 {
     server
         .server_stats()
@@ -116,14 +124,16 @@ fn an_idle_server_sleeps_and_wakes_on_demand() {
 
     // (c) Sleeping and waking two thousand times loses no request, over the
     // wire and in process.  Over the wire the worker announces each of its
-    // reactor sleeps, so the partition servers park after a short spin
-    // instead of 300 µs, and the blocking helper yields instead of
-    // starving the server it waits for: what the whole exchange costs in
-    // CPU and in spin per sleep is held too.  The spin is sampled pause by
+    // reactor sleeps, so the partition servers park on the short
+    // clients-asleep budget instead of 300 µs, and the blocking helper
+    // yields instead of starving the server it waits for.  Which budget
+    // ran is held; what the exchange costs in CPU and in spin per sleep
+    // depends on the host and is printed.  The spin is sampled pause by
     // pause: a pause that held exactly one park (the server's, after the
     // previous reply) adds that park's spin.
     let mut spins: Vec<u64> = Vec::new();
     let mut last = (server_parks(&server), server_spin_cycles(&server));
+    let asleep_parks_before = server_clients_asleep_parks(&server);
     #[cfg(target_os = "linux")]
     let cpu_before = process_cpu();
     paced_round_trips(&mut remote, "RemoteClient", || {
@@ -152,25 +162,21 @@ fn an_idle_server_sleeps_and_wakes_on_demand() {
         "only {} single-park pauses",
         spins.len()
     );
+    let asleep_parks = server_clients_asleep_parks(&server) - asleep_parks_before;
+    eprintln!("RemoteClient: {asleep_parks} parks on the clients-asleep budget");
     assert!(
-        q1 < 200.0,
-        "spin per park quartiles {q1:.1} / {q2:.1} / {q3:.1} µs with the worker asleep"
+        asleep_parks >= 1_000,
+        "only {asleep_parks} of the paced pauses ended on the clients-asleep budget"
     );
+    // Measured on the same host: 0.23–0.48 s for the whole exchange in
+    // debug builds, 0.13–0.30 s in release ones (~2.5 s of wall time), and
+    // 2.6 s in one run in five with a busy loop started beside it.  Before
+    // the announcement, 5.8–6.6 s in debug builds.
     #[cfg(target_os = "linux")]
-    {
-        // Measured on the same host: 0.23–0.48 s for the whole exchange in
-        // debug builds, 0.13–0.30 s in release ones (~2.5 s of wall time).
-        // Before, 5.8–6.6 s in debug builds: the test thread spun on its
-        // socket without yielding, starving the partition server it was
-        // waiting for, and every server sleep cost a 300 µs spin.  (With a
-        // busy loop started beside it, one run in five read 2.6 s.)
-        let burnt = process_cpu() - cpu_before;
-        eprintln!("RemoteClient: {burnt:?} of process CPU");
-        assert!(
-            burnt < Duration::from_secs(1),
-            "2 000 paced round trips burnt {burnt:?} of CPU"
-        );
-    }
+    eprintln!(
+        "RemoteClient: {:?} of process CPU",
+        process_cpu() - cpu_before
+    );
     drop(remote);
     server.shutdown();
 
@@ -181,10 +187,18 @@ fn an_idle_server_sleeps_and_wakes_on_demand() {
         ..Default::default()
     });
     paced_round_trips(&mut clients[0], "in-process", || {});
-    let parks: u64 = table.server_stats().iter().map(|s| s.parks()).sum();
+    let stats = table.server_stats();
+    let parks: u64 = stats.iter().map(|s| s.parks()).sum();
     assert!(
         parks >= 1_000,
         "servers left alone for a millisecond at a time slept only {parks} times"
+    );
+    // An in-process handle never announces, so every park took the full
+    // spin.
+    let asleep_parks: u64 = stats.iter().map(|s| s.clients_asleep_parks()).sum();
+    assert_eq!(
+        asleep_parks, 0,
+        "an unannounced client's server took the short spin"
     );
     drop(clients);
     table.shutdown();

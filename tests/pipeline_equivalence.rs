@@ -174,7 +174,7 @@ proptest! {
     fn equivalence_holds_under_eviction_pressure(
         ops in prop::collection::vec(script_op(), 1..200),
     ) {
-        // A tight byte budget makes inserts evict (LRU order is part of
+        // A tight byte budget makes inserts evict (CLOCK order is part of
         // the observable behaviour: a diverging depth would surface as
         // different lookup hits/misses).
         let capacity = Some(2 * 1024);

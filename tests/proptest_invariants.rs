@@ -1,7 +1,7 @@
 //! Property-based tests on the core data structures and protocols:
 //!
-//! * the partition behaves like a reference `HashMap` + LRU model under
-//!   arbitrary operation sequences (and never exceeds its byte budget);
+//! * the partition behaves like a reference `HashMap` under arbitrary
+//!   operation sequences (and never exceeds its byte budget);
 //! * the ring buffer never loses, duplicates or reorders messages for
 //!   arbitrary push/pop interleavings;
 //! * the wire protocol and the CPHash request encoding round-trip arbitrary
@@ -151,13 +151,13 @@ proptest! {
     }
 
     #[test]
-    fn bounded_partition_never_exceeds_budget_and_keeps_lru_order(
+    fn bounded_partition_never_exceeds_budget_and_keeps_its_invariants(
         ops in prop::collection::vec(partition_op(), 1..300),
         capacity in 64usize..512,
         random_eviction in any::<bool>(),
         buckets in bucket_count(),
     ) {
-        let policy = if random_eviction { EvictionPolicy::Random } else { EvictionPolicy::Lru };
+        let policy = if random_eviction { EvictionPolicy::Random } else { EvictionPolicy::Clock };
         let mut partition = Partition::new(
             PartitionConfig::new(buckets, Some(capacity)).with_eviction(policy),
         );

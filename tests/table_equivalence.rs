@@ -95,7 +95,7 @@ fn lockhash_matches_a_reference_map_without_eviction() {
 #[test]
 fn both_tables_agree_under_identical_bounded_workloads() {
     // With a capacity bound the two tables may evict *different* victims
-    // (CPHash has per-partition LRU over a different partition count), but
+    // (CPHash has per-partition CLOCK over a different partition count), but
     // global invariants must match: every key that is present maps to the
     // value last written for it, and neither table exceeds its byte budget.
     // 256 distinct 8-byte values = 2 KiB of data squeezed into a 512-byte
