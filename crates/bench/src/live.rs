@@ -178,7 +178,7 @@ pub struct DipMeasurement {
     pub during_qps: f64,
     /// Aggregate throughput after the migration.
     pub after_qps: f64,
-    /// Slowest [`SAMPLE_WINDOW`] that overlapped the migration.
+    /// Slowest `SAMPLE_WINDOW` that overlapped the migration.
     pub min_window_qps: f64,
     /// Dip depth: `1 - mean(overlapping windows) / before_qps`, clamped at
     /// 0 — the average foreground deficit while the migration was actually
@@ -187,7 +187,7 @@ pub struct DipMeasurement {
     /// dominated by scheduler noise.)
     pub dip_depth: f64,
     /// Total time of migration-overlapping windows whose throughput fell
-    /// below [`DIP_THRESHOLD`] of the baseline.
+    /// below `DIP_THRESHOLD` of the baseline.
     pub dip_duration: Duration,
     /// Operations redirected by retry responses during the run.
     pub redirected: u64,

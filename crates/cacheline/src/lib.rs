@@ -13,9 +13,6 @@
 //! * [`CacheAligned`] — a `#[repr(align(64))]` wrapper that forces a value to
 //!   start on a line boundary so that independently-written fields never
 //!   share a line (false sharing).
-//! * [`geometry`] — address ↔ line-index arithmetic used by the cache model
-//!   and by the ring buffers to detect "a whole line worth of messages has
-//!   been produced".
 //! * [`packing`] — messages-per-line arithmetic backing the paper's claim
 //!   that eight 8-byte lookups (or four 16-byte inserts) fit in one line,
 //!   plus the tagged-bucket line geometry (how many 8-bit tags + `u32`
@@ -27,7 +24,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod geometry;
 pub mod packing;
 pub mod prefetch;
 
@@ -45,40 +41,6 @@ pub use prefetch::{prefetch_read, prefetch_supported};
 /// hard-coding 64.
 pub const CACHE_LINE_SIZE: usize = 64;
 
-/// Number of 64-bit words in one cache line.
-pub const WORDS_PER_LINE: usize = CACHE_LINE_SIZE / core::mem::size_of::<u64>();
-
-/// Round `n` up to the next multiple of the cache-line size.
-///
-/// Used when sizing value allocations and ring-buffer storage so that
-/// adjacent objects never straddle a line owned by another writer.
-#[inline]
-pub const fn round_up_to_line(n: usize) -> usize {
-    (n + CACHE_LINE_SIZE - 1) & !(CACHE_LINE_SIZE - 1)
-}
-
-/// Round `n` down to a multiple of the cache-line size.
-#[inline]
-pub const fn round_down_to_line(n: usize) -> usize {
-    n & !(CACHE_LINE_SIZE - 1)
-}
-
-/// Number of cache lines needed to hold `n` bytes.
-///
-/// A zero-byte object occupies zero lines (the paper's element header
-/// describes the value as "zero or more cache lines following the header",
-/// §3.1).
-#[inline]
-pub const fn lines_for_bytes(n: usize) -> usize {
-    n.div_ceil(CACHE_LINE_SIZE)
-}
-
-/// Returns `true` if `n` is a multiple of the cache-line size.
-#[inline]
-pub const fn is_line_multiple(n: usize) -> bool {
-    n.is_multiple_of(CACHE_LINE_SIZE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,50 +48,5 @@ mod tests {
     #[test]
     fn line_size_is_a_power_of_two() {
         assert!(CACHE_LINE_SIZE.is_power_of_two());
-        assert_eq!(WORDS_PER_LINE, 8);
-    }
-
-    #[test]
-    fn round_up_basics() {
-        assert_eq!(round_up_to_line(0), 0);
-        assert_eq!(round_up_to_line(1), 64);
-        assert_eq!(round_up_to_line(63), 64);
-        assert_eq!(round_up_to_line(64), 64);
-        assert_eq!(round_up_to_line(65), 128);
-    }
-
-    #[test]
-    fn round_down_basics() {
-        assert_eq!(round_down_to_line(0), 0);
-        assert_eq!(round_down_to_line(1), 0);
-        assert_eq!(round_down_to_line(64), 64);
-        assert_eq!(round_down_to_line(127), 64);
-        assert_eq!(round_down_to_line(128), 128);
-    }
-
-    #[test]
-    fn lines_for_bytes_basics() {
-        assert_eq!(lines_for_bytes(0), 0);
-        assert_eq!(lines_for_bytes(1), 1);
-        assert_eq!(lines_for_bytes(64), 1);
-        assert_eq!(lines_for_bytes(65), 2);
-        assert_eq!(lines_for_bytes(8 * 64), 8);
-    }
-
-    #[test]
-    fn is_line_multiple_basics() {
-        assert!(is_line_multiple(0));
-        assert!(is_line_multiple(64));
-        assert!(is_line_multiple(640));
-        assert!(!is_line_multiple(1));
-        assert!(!is_line_multiple(63));
-    }
-
-    #[test]
-    fn round_up_then_down_is_identity_on_multiples() {
-        for n in (0..4096).step_by(64) {
-            assert_eq!(round_up_to_line(n), n);
-            assert_eq!(round_down_to_line(n), n);
-        }
     }
 }

@@ -12,9 +12,10 @@
 //! > "CPHASH incurs about 1.5 cache misses, on average, to send and receive
 //! > two messages per operation."
 //!
-//! The functions here capture that arithmetic so the ring buffers, the cache
-//! model, and the Figure 6/7 harness all agree on how many messages share a
-//! line transfer.
+//! [`messages_per_line`] captures the first half of that arithmetic (the
+//! protocol's layout test pins the message sizes with it);
+//! [`bucket_inline_slots`] does the same for the tagged bucket line the
+//! partition sizes its buckets with.
 
 use crate::CACHE_LINE_SIZE;
 
@@ -29,33 +30,6 @@ pub const fn messages_per_line(msg_size: usize) -> usize {
         return usize::MAX;
     }
     CACHE_LINE_SIZE / msg_size
-}
-
-/// Number of cache-line transfers needed to move `n` messages of
-/// `msg_size` bytes from producer to consumer, assuming messages are packed
-/// contiguously and flushed one full line at a time.
-#[inline]
-pub const fn lines_for_messages(n: usize, msg_size: usize) -> usize {
-    if n == 0 {
-        return 0;
-    }
-    let per_line = messages_per_line(msg_size);
-    if per_line == 0 {
-        // One message spans multiple lines.
-        return n * crate::lines_for_bytes(msg_size);
-    }
-    n.div_ceil(per_line)
-}
-
-/// Average number of line transfers *per message* for a batch of `n`
-/// messages — the quantity that drops from 1.0 (single-slot channel) towards
-/// `1 / messages_per_line` as batching improves.
-#[inline]
-pub fn lines_per_message(n: usize, msg_size: usize) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    lines_for_messages(n, msg_size) as f64 / n as f64
 }
 
 /// Bytes of one inline bucket entry's key tag (see
@@ -95,41 +69,6 @@ pub const fn bucket_inline_slots(line_bytes: usize) -> usize {
     }
 }
 
-/// Bytes of one bucket line actually populated by `slots` inline entries
-/// (header word + refs + overflow head); the rest of the line is padding.
-#[inline]
-pub const fn bucket_line_used_bytes(slots: usize) -> usize {
-    8 + slots * BUCKET_REF_BYTES + BUCKET_OVERFLOW_BYTES
-}
-
-/// Paper constant: bytes in a `Lookup` request message (8-byte key).
-pub const LOOKUP_MSG_BYTES: usize = 8;
-
-/// Paper constant: bytes in an `Insert` request message (8-byte key +
-/// 8-byte size/value-pointer word).
-pub const INSERT_MSG_BYTES: usize = 16;
-
-/// Summary of the packing behaviour of one message type, used by the
-/// benchmark harness to print the §6.2 claims next to measured values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackingSummary {
-    /// Size of one message in bytes.
-    pub msg_size: usize,
-    /// Messages that fit in a single cache line.
-    pub per_line: usize,
-    /// Line transfers needed for a 1,000-message batch.
-    pub lines_per_1000: usize,
-}
-
-/// Compute the packing summary for a message size.
-pub const fn summarize(msg_size: usize) -> PackingSummary {
-    PackingSummary {
-        msg_size,
-        per_line: messages_per_line(msg_size),
-        lines_per_1000: lines_for_messages(1000, msg_size),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,44 +76,9 @@ mod tests {
     #[test]
     fn paper_packing_claims_hold() {
         // Eight 8-byte lookup messages per line.
-        assert_eq!(messages_per_line(LOOKUP_MSG_BYTES), 8);
-        // Four 16-byte insert messages per line.
-        assert_eq!(messages_per_line(INSERT_MSG_BYTES), 4);
-    }
-
-    #[test]
-    fn lines_for_messages_basics() {
-        assert_eq!(lines_for_messages(0, 8), 0);
-        assert_eq!(lines_for_messages(1, 8), 1);
-        assert_eq!(lines_for_messages(8, 8), 1);
-        assert_eq!(lines_for_messages(9, 8), 2);
-        assert_eq!(lines_for_messages(16, 16), 4);
-        assert_eq!(lines_for_messages(1000, 8), 125);
-    }
-
-    #[test]
-    fn oversized_messages_fall_back_to_per_message_lines() {
-        // A 128-byte message needs two lines each.
-        assert_eq!(lines_for_messages(3, 128), 6);
-    }
-
-    #[test]
-    fn lines_per_message_approaches_packing_limit() {
-        // A single message costs a full line.
-        assert!((lines_per_message(1, 8) - 1.0).abs() < 1e-12);
-        // A big batch of lookups approaches 1/8 line per message.
-        let amortized = lines_per_message(10_000, 8);
-        assert!((amortized - 0.125).abs() < 1e-3, "amortized={amortized}");
-    }
-
-    #[test]
-    fn summary_matches_components() {
-        let s = summarize(8);
-        assert_eq!(s.per_line, 8);
-        assert_eq!(s.lines_per_1000, 125);
-        let s = summarize(16);
-        assert_eq!(s.per_line, 4);
-        assert_eq!(s.lines_per_1000, 250);
+        assert_eq!(messages_per_line(8), 8);
+        // Four 16-byte insert messages (key + value-pointer word) per line.
+        assert_eq!(messages_per_line(16), 4);
     }
 
     #[test]
@@ -183,27 +87,10 @@ mod tests {
         // word, 7 refs + overflow head fill 32 more bytes — 40 of 64 used.
         let n = bucket_inline_slots(CACHE_LINE_SIZE);
         assert_eq!(n, 7);
-        assert_eq!(bucket_line_used_bytes(n), 40);
-        assert!(bucket_line_used_bytes(n) <= CACHE_LINE_SIZE);
+        assert_eq!(8 + n * BUCKET_REF_BYTES + BUCKET_OVERFLOW_BYTES, 40);
         // The header bound (not the body bound) is what caps a 64-byte
         // line; a hypothetical 32-byte line is body-capped instead.
         assert_eq!(bucket_inline_slots(32), 5);
         assert_eq!(bucket_inline_slots(8), 0);
-    }
-
-    #[test]
-    fn send_and_receive_two_messages_is_about_one_and_a_half_lines() {
-        // The §6.2 claim: one operation = request (packed with 7 others)
-        // + response (packed similarly) + the read-index update amortized
-        // over a line's worth of messages.  With 8-per-line packing the
-        // request side costs 1/8 line and the response side 1 full line of
-        // value-pointer responses per 8 ops plus the data access; the
-        // measured constant in the paper is ~1.5 misses for two messages.
-        // Here we just check our arithmetic brackets that constant when a
-        // realistic mix is used.
-        let request_lines = lines_per_message(1024, LOOKUP_MSG_BYTES);
-        let response_lines = lines_per_message(1024, INSERT_MSG_BYTES);
-        let per_op = request_lines + response_lines;
-        assert!(per_op > 0.3 && per_op < 1.5, "per_op={per_op}");
     }
 }

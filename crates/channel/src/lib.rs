@@ -18,13 +18,13 @@
 //!   line, so "the server can receive several messages using only a single
 //!   cache miss".
 //!
-//! This crate implements both designs for arbitrary `Copy` message types:
+//! This crate implements the circular-buffer design, the one CPHash uses, for
+//! arbitrary `Copy` message types; every message, control messages
+//! included, rides a ring:
 //!
-//! * [`SingleSlotChannel`] — the single-value design, used as the ablation
-//!   baseline (`ablate_channel` bench) and for low-rate control messages.
 //! * [`RingBuffer`] / [`Producer`] / [`Consumer`] — the batched circular
-//!   buffer, the design CPHash actually uses.
-//! * [`duplex`] — a client↔server pair of rings (requests one way,
+//!   buffer.
+//! * [`duplex()`] — a client↔server pair of rings (requests one way,
 //!   responses the other), the unit CPHash instantiates per
 //!   (client, server) pair.
 //! * [`Doorbell`] — the flag a consumer sleeps behind once all its rings
@@ -36,13 +36,11 @@
 pub mod doorbell;
 pub mod duplex;
 pub mod ring;
-pub mod single_slot;
 pub mod stats;
 
 pub use doorbell::Doorbell;
 pub use duplex::{duplex, DuplexClient, DuplexServer};
 pub use ring::{ring, Consumer, Producer, RingBuffer, RingConfig};
-pub use single_slot::SingleSlotChannel;
 pub use stats::ChannelStats;
 
 /// Error returned when a bounded queue cannot accept another message.

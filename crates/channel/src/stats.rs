@@ -8,7 +8,7 @@
 
 use cphash_sync::atomic::plain::{AtomicU64, Ordering};
 
-/// Shared counters for one ring buffer (or one single-slot channel).
+/// Shared counters for one ring buffer.
 #[derive(Debug, Default)]
 pub struct ChannelStats {
     messages_pushed: AtomicU64,

@@ -309,7 +309,7 @@ pub struct Response {
     /// responses that carry no data pointer.  In an inline response, the
     /// value bytes themselves — any word, the sentinels included.
     pub addr: u64,
-    /// Low 32 bits: element id, or [`Response::INLINE_ID`] for an inline
+    /// Low 32 bits: element id, or `Response::INLINE_ID` for an inline
     /// response. High 32 bits: value size in bytes.
     pub meta: u64,
 }

@@ -49,7 +49,7 @@ struct PendingRemote {
 /// encodes the request into a client-side buffer, and the buffered bytes
 /// leave in one `write` at the next `poll_completions` (or blocking
 /// helper), at an explicit [`RemoteClient::flush`], or as soon as
-/// [`FLUSH_THRESHOLD`] bytes are queued.  A pipelined batch therefore
+/// `FLUSH_THRESHOLD` bytes are queued.  A pipelined batch therefore
 /// costs one syscall, not one per operation — and a caller that submits
 /// and never polls or flushes sends nothing.
 pub struct RemoteClient {

@@ -531,8 +531,9 @@ impl ServerThread {
     /// Attempt the extraction for `step`. `Some(response)` when the chunk
     /// was exported (or empty), `None` while NOT-READY inserts block it.
     ///
-    /// Uses the partition's per-chunk membership index, so the extraction
-    /// cost is proportional to the chunk's population — not the table size.
+    /// A chunk is a contiguous run of the partition's bucket lines, so the
+    /// extraction walks only those lines and their overflow chains: its cost
+    /// is proportional to the chunk's share of the table, not the table size.
     fn export_step(&mut self, step: MigrationStep) -> Option<Response> {
         let me = self.index;
         let outcome = self.partition.export_chunk(step.chunk, |key| {

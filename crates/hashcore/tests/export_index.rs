@@ -1,11 +1,12 @@
-//! Property test for the per-chunk export index: for arbitrary
-//! insert/remove/export interleavings, exporting one chunk through the
-//! intrusive membership index must produce exactly what the legacy
-//! full-table scan restricted to that chunk produces.
+//! Property test for the per-chunk export: for arbitrary
+//! insert/remove/export interleavings, exporting one chunk by walking its
+//! run of bucket lines must produce exactly what the full-table scan
+//! restricted to that chunk produces.
 //!
 //! Two partitions are fed the same operation stream in lockstep; one
-//! exports with [`Partition::export_chunk`] (index walk), the other with
-//! [`Partition::export_matching`] (slot scan filtered by the chunk).  Any
+//! exports with [`Partition::export_chunk`] (the chunk's bucket lines and
+//! their overflow chains), the other with [`Partition::export_matching`]
+//! (slot scan filtered by the chunk).  Any
 //! divergence — in extracted sets, deferral decisions, or the surviving
 //! table contents — fails the property.
 

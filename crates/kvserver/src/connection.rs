@@ -19,7 +19,7 @@ use crate::reactor::{RawFd, Reactor};
 /// Worker threads own a set of these registered on a
 /// [`crate::reactor::Reactor`]; the reactor reports which are ready and the
 /// worker drains each, which is how the paper's client threads
-/// "monitor TCP connections assigned to [them] and gather as many requests
+/// "monitor TCP connections assigned to \[them\] and gather as many requests
 /// as possible".  The socket reads land directly in the decoder's buffer
 /// and requests are decoded in place ([`Connection::next_request`]), so a
 /// request's bytes are copied once — to wherever the server stores them.

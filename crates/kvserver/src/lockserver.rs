@@ -5,7 +5,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use cphash_lockhash::{EvictionPolicy, LockHash, LockHashConfig, LockKind};
+use cphash_lockhash::{EvictionPolicy, LockHash, LockHashConfig};
 
 use crate::acceptor::shard_listeners;
 use crate::metrics::ServerMetrics;
@@ -27,8 +27,6 @@ pub struct LockServerConfig {
     pub typical_value_bytes: usize,
     /// Eviction policy.
     pub eviction: EvictionPolicy,
-    /// Lock algorithm.
-    pub lock_kind: LockKind,
 }
 
 impl Default for LockServerConfig {
@@ -40,7 +38,6 @@ impl Default for LockServerConfig {
             capacity_bytes: None,
             typical_value_bytes: 64,
             eviction: EvictionPolicy::Clock,
-            lock_kind: LockKind::Spin,
         }
     }
 }
@@ -57,9 +54,8 @@ pub struct LockServer {
 impl LockServer {
     /// Start the server.
     pub fn start(config: LockServerConfig) -> std::io::Result<LockServer> {
-        let mut table_config = LockHashConfig::new(config.partitions)
-            .with_eviction(config.eviction)
-            .with_lock_kind(config.lock_kind);
+        let mut table_config =
+            LockHashConfig::new(config.partitions).with_eviction(config.eviction);
         if let Some(capacity) = config.capacity_bytes {
             table_config = table_config.with_capacity(capacity, config.typical_value_bytes.max(1));
         }

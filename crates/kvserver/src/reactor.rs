@@ -1,6 +1,6 @@
 //! The per-worker readiness reactor behind every server front-end.
 //!
-//! The paper's client threads "monitor TCP connections assigned to [them]
+//! The paper's client threads "monitor TCP connections assigned to \[them\]
 //! and gather as many requests as possible" (§4.1).  The original
 //! reproduction implemented that monitoring as a round-robin busy-poll over
 //! non-blocking sockets, so worker CPU burned in proportion to *connections
@@ -20,10 +20,7 @@
 //! drive the worker-facing contract against a backend of their choosing.
 //!
 //! New connections arrive on a listener the worker itself owns, registered
-//! under [`LISTENER_TOKEN`] (see [`crate::acceptor`]).  Cross-thread
-//! wake-ups travel through a [`Waker`]: an `eventfd` registered on the
-//! worker's epoll set, so another thread can end a worker's sleep
-//! immediately instead of on a poll tick.
+//! under [`LISTENER_TOKEN`] (see [`crate::acceptor`]).
 //!
 //! Every [`Reactor`] records [`crate::metrics::FrontendStats`]: wake-ups,
 //! events per wake-up, idle sleeps and syscalls.
@@ -42,9 +39,6 @@ pub type RawFd = std::os::unix::io::RawFd;
 /// Raw file descriptor type used by the reactor API (non-Unix stand-in).
 #[cfg(not(unix))]
 pub type RawFd = i32;
-
-/// Token reserved for the worker's [`Waker`] registration.
-pub const WAKER_TOKEN: usize = usize::MAX;
 
 /// Token reserved for the worker's own listening socket.
 pub const LISTENER_TOKEN: usize = usize::MAX - 1;
@@ -65,7 +59,7 @@ pub fn raw_fd_of<T>(_io: &T) -> RawFd {
 /// The readiness interface both backends implement.
 ///
 /// Tokens are caller-chosen `usize` identifiers (connection slab slots, plus
-/// [`WAKER_TOKEN`]); `wait` reports ready tokens, not descriptors.
+/// [`LISTENER_TOKEN`]); `wait` reports ready tokens, not descriptors.
 pub trait EventBackend {
     /// Start watching `fd` under `token`.  `writable` additionally requests
     /// write-readiness (for connections with back-logged output).
@@ -323,77 +317,6 @@ impl Reactor {
     }
 }
 
-/// A cross-thread wake-up handle for one worker's reactor.
-///
-/// On Linux this wraps an `eventfd` the worker registers under
-/// [`WAKER_TOKEN`]; `wake` makes a sleeping `epoll_wait` return immediately.
-/// Elsewhere (the poll backend never sleeps for long) it is a no-op.
-#[derive(Clone)]
-pub struct Waker {
-    inner: Arc<WakerInner>,
-}
-
-struct WakerInner {
-    fd: RawFd,
-}
-
-impl Waker {
-    /// Create a waker for a worker's reactor.
-    pub fn new() -> Waker {
-        #[cfg(target_os = "linux")]
-        // SAFETY: eventfd takes no pointers; -1 on failure is kept as "no fd".
-        let fd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
-        #[cfg(not(target_os = "linux"))]
-        let fd = -1;
-        Waker {
-            inner: Arc::new(WakerInner { fd }),
-        }
-    }
-
-    /// The descriptor the worker should register under [`WAKER_TOKEN`], if
-    /// this waker is backed by one.
-    pub fn fd(&self) -> Option<RawFd> {
-        (self.inner.fd >= 0).then_some(self.inner.fd)
-    }
-
-    /// Wake the owning worker (best-effort; a full eventfd counter already
-    /// means a wake-up is pending).
-    pub fn wake(&self) {
-        #[cfg(target_os = "linux")]
-        if self.inner.fd >= 0 {
-            let one: u64 = 1;
-            // SAFETY: fd was checked >= 0; the buffer is a live 8-byte u64.
-            unsafe { libc::write(self.inner.fd, (&one as *const u64).cast(), 8) };
-        }
-    }
-
-    /// Consume pending wake-ups so the (level-triggered) readiness clears.
-    pub fn drain(&self) {
-        #[cfg(target_os = "linux")]
-        if self.inner.fd >= 0 {
-            let mut counter: u64 = 0;
-            // SAFETY: fd was checked >= 0; the buffer is a live mutable 8-byte u64.
-            unsafe { libc::read(self.inner.fd, (&mut counter as *mut u64).cast(), 8) };
-        }
-    }
-}
-
-impl Default for Waker {
-    fn default() -> Waker {
-        Waker::new()
-    }
-}
-
-impl Drop for WakerInner {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if self.fd >= 0 {
-            // SAFETY: fd is owned by this waker, checked >= 0, and Drop runs once.
-            unsafe { libc::close(self.fd) };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,18 +341,9 @@ mod tests {
         assert_eq!(ready, vec![1]);
     }
 
-    #[cfg(not(target_os = "linux"))]
-    #[test]
-    fn waker_is_inert_for_the_poll_backend() {
-        let w = Waker::new();
-        assert!(w.fd().is_none());
-        w.wake(); // must not panic
-        w.drain();
-    }
-
     #[cfg(target_os = "linux")]
     #[test]
-    fn epoll_reactor_sees_socket_data_and_waker() {
+    fn epoll_reactor_sees_socket_data() {
         let s = stats();
         let mut r = Reactor::new(Arc::clone(&s)).unwrap();
 
@@ -442,9 +356,6 @@ mod tests {
             server_side.as_raw_fd()
         };
         r.register(fd, 7, false).unwrap();
-
-        let waker = Waker::new();
-        r.register(waker.fd().unwrap(), WAKER_TOKEN, false).unwrap();
 
         // Nothing ready: a zero-timeout wait yields no tokens, and a short
         // blocking wait counts as an idle sleep.
@@ -463,18 +374,6 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(ready, vec![7]);
         assert!(s.wakeups.load(core::sync::atomic::Ordering::Relaxed) >= 1);
-
-        // The waker wakes it too, and draining clears the readiness.
-        waker.wake();
-        ready.clear();
-        r.wait(&mut ready, Some(Duration::from_secs(2))).unwrap();
-        assert!(ready.contains(&WAKER_TOKEN));
-        waker.drain();
-        ready.clear();
-        // Socket data was never consumed, so token 7 stays level-ready, but
-        // the waker token must be gone.
-        r.wait(&mut ready, None).unwrap();
-        assert!(!ready.contains(&WAKER_TOKEN));
 
         r.deregister(fd, 7).unwrap();
         ready.clear();

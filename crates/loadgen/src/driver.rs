@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use cphash::{CompletionKind, CpHash, CpHashConfig};
 use cphash_affinity::{pin_to_hw_thread, HwThreadId};
 use cphash_hashcore::{EvictionPolicy, PartitionStats};
-use cphash_lockhash::{LockHash, LockHashConfig, LockKind};
+use cphash_lockhash::{LockHash, LockHashConfig};
 use cphash_perfmon::{trace, DataSeries, Stopwatch};
 
 use crate::ops::{working_set_keys, Op, OpStream};
@@ -32,8 +32,6 @@ pub struct DriverOptions {
     pub client_pins: Vec<HwThreadId>,
     /// Hardware threads to pin CPHash server threads to (empty = unpinned).
     pub server_pins: Vec<HwThreadId>,
-    /// Lock algorithm for LockHash.
-    pub lock_kind: LockKind,
     /// Message-ring capacity for CPHash lanes.
     pub ring_capacity: usize,
     /// Pipeline depth for CPHash servers (operations staged per batch).
@@ -51,7 +49,6 @@ impl Default for DriverOptions {
             eviction: EvictionPolicy::Clock,
             client_pins: Vec::new(),
             server_pins: Vec::new(),
-            lock_kind: LockKind::Spin,
             ring_capacity: 4096,
             server_batch_size: cphash::DEFAULT_BATCH_SIZE,
             timeline_sample_ms: 100,
@@ -344,8 +341,7 @@ pub fn run_lockhash(spec: &WorkloadSpec, opts: &DriverOptions) -> RunResult {
     spec.validate();
     let config = LockHashConfig::new(opts.partitions)
         .with_capacity(spec.capacity_bytes, spec.value_bytes)
-        .with_eviction(opts.eviction)
-        .with_lock_kind(opts.lock_kind);
+        .with_eviction(opts.eviction);
     let table = Arc::new(LockHash::new(config));
 
     if spec.prefill {

@@ -1,7 +1,6 @@
 //! LockHash configuration.
 
 use cphash_hashcore::EvictionPolicy;
-use cphash_sync::LockKind;
 
 /// Configuration for a [`crate::LockHash`] table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,9 +17,6 @@ pub struct LockHashConfig {
     /// per-bucket locks in that mode; configure more, smaller partitions to
     /// model that granularity).
     pub eviction: EvictionPolicy,
-    /// Lock algorithm protecting each partition (spinlock in the paper;
-    /// ticket / Anderson for the lock ablation).
-    pub lock_kind: LockKind,
     /// Seed for partition-local randomness.
     pub seed: u64,
 }
@@ -32,7 +28,6 @@ impl Default for LockHashConfig {
             capacity_bytes: None,
             buckets_per_partition: 64,
             eviction: EvictionPolicy::Clock,
-            lock_kind: LockKind::Spin,
             seed: 0xBA5E_BA11,
         }
     }
@@ -64,12 +59,6 @@ impl LockHashConfig {
         self
     }
 
-    /// Set the lock algorithm.
-    pub fn with_lock_kind(mut self, lock_kind: LockKind) -> Self {
-        self.lock_kind = lock_kind;
-        self
-    }
-
     /// Per-partition byte budget.
     pub fn partition_capacity(&self) -> Option<usize> {
         self.capacity_bytes
@@ -90,7 +79,6 @@ mod tests {
     fn defaults_match_the_paper() {
         let c = LockHashConfig::default();
         assert_eq!(c.partitions, 4096);
-        assert_eq!(c.lock_kind, LockKind::Spin);
         assert_eq!(c.eviction, EvictionPolicy::Clock);
         c.validate();
     }
@@ -104,11 +92,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = LockHashConfig::new(8)
-            .with_eviction(EvictionPolicy::Random)
-            .with_lock_kind(LockKind::Anderson);
+        let c = LockHashConfig::new(8).with_eviction(EvictionPolicy::Random);
         assert_eq!(c.eviction, EvictionPolicy::Random);
-        assert_eq!(c.lock_kind, LockKind::Anderson);
     }
 
     #[test]

@@ -26,4 +26,3 @@ pub use config::LockHashConfig;
 pub use table::LockHash;
 
 pub use cphash_hashcore::{EvictionPolicy, PartitionStats};
-pub use cphash_sync::LockKind;

@@ -1,9 +1,9 @@
 //! The model-check suites for the repo's concurrency cores.
 //!
 //! Each function builds one small, closed concurrent scenario over the real
-//! shipped types (`cphash-channel` rings and single-slot channels, the
-//! `cphash-core` epoch router, the `cphash-alloc` remote free list, the
-//! `cphash-sync` lock family) and hands it to the vendored loom-style
+//! shipped types (`cphash-channel` rings and doorbell, the `cphash-core`
+//! epoch router, the `cphash-alloc` remote free list, the `cphash-sync`
+//! spinlock) and hands it to the vendored loom-style
 //! explorer, which enumerates every interleaving of the tracked atomic
 //! operations at these bounds.  The returned [`Report`] carries the
 //! execution count and, on failure, a [`loom::Violation`] with the exact
@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use cphash::EpochRouter;
 use cphash_alloc::{class_for_size, SlabAllocator};
-use cphash_channel::{ring, Consumer, Doorbell, RingConfig, SingleSlotChannel};
-use cphash_sync::{ArrayLock, ModelUnsafeCell, RawLock, RawSpinLock, TicketLock};
+use cphash_channel::{ring, Consumer, Doorbell, RingConfig};
+use cphash_sync::{ModelUnsafeCell, RawSpinLock};
 use loom::{Builder, Report};
 
 /// A builder with suite-appropriate bounds: exhaustive, but with a branch
@@ -193,28 +193,6 @@ fn seeded_doorbell_scenario() {
     doorbell_scenario(|bell, pending| bell.park_check_then_announce_for_modelcheck(pending))
 }
 
-/// Single-slot channel: one full RPC round trip, client calling from a
-/// model thread, server polling `try_serve`.  Asserts the response matches
-/// on every interleaving (the EMPTY→REQUEST→RESPONSE→EMPTY state machine
-/// hands the two slots back and forth race-free).
-pub fn check_single_slot_rpc() -> Report {
-    builder().explore(|| {
-        let ch = SingleSlotChannel::<u64, u64>::new();
-        let client = ch.clone();
-        let handle = loom::thread::spawn(move || {
-            assert_eq!(client.call(5), 6);
-        });
-        let mut served = false;
-        while !served {
-            served = ch.try_serve(|x| x + 1);
-            if !served {
-                cphash_sync::spin_hint();
-            }
-        }
-        handle.join().unwrap();
-    })
-}
-
 /// Epoch router: a coordinator runs a full 2-chunk transition while an
 /// observer snapshots concurrently.  Asserts that within one epoch the
 /// watermark never moves backwards, counts stay in range, and a completed
@@ -296,122 +274,35 @@ pub fn check_slab_remote_freelist() -> Report {
     })
 }
 
-/// Mutual exclusion for any [`RawLock`]: two threads increment a shared
+/// Mutual exclusion for the TTAS spinlock: two threads increment a shared
 /// cell under the lock; the model's race detector proves the critical
 /// sections never overlap and the final count is exact.
-pub fn check_mutual_exclusion<L: RawLock + 'static>() -> Report {
+pub fn check_mutual_exclusion() -> Report {
     builder().explore(|| {
-        let shared = Arc::new((L::default(), ModelUnsafeCell::new(0u64)));
+        let shared = Arc::new((RawSpinLock::new(), ModelUnsafeCell::new(0u64)));
         let s2 = Arc::clone(&shared);
         let handle = loom::thread::spawn(move || {
-            s2.0.raw_lock();
+            s2.0.lock();
             s2.1.with_mut(|p| {
                 // SAFETY: model-checked — the lock must make this access
                 // exclusive on every explored schedule.
                 unsafe { *p += 1 }
             });
-            s2.0.raw_unlock();
+            s2.0.unlock();
         });
-        shared.0.raw_lock();
+        shared.0.lock();
         shared.1.with_mut(|p| {
             // SAFETY: as above.
             unsafe { *p += 1 }
         });
-        shared.0.raw_unlock();
+        shared.0.unlock();
         handle.join().unwrap();
-        shared.0.raw_lock();
+        shared.0.lock();
         let total = shared.1.with(|p| {
             // SAFETY: read under the lock after both writers finished.
             unsafe { *p }
         });
-        shared.0.raw_unlock();
+        shared.0.unlock();
         assert_eq!(total, 2, "lost increment — mutual exclusion broken");
-    })
-}
-
-/// Mutual exclusion for the TTAS spinlock.
-pub fn check_spinlock_mutex() -> Report {
-    check_mutual_exclusion::<RawSpinLock>()
-}
-
-/// Mutual exclusion for the ticket lock.
-pub fn check_ticket_mutex() -> Report {
-    check_mutual_exclusion::<TicketLock>()
-}
-
-/// Mutual exclusion for Anderson's array lock.
-pub fn check_anderson_mutex() -> Report {
-    check_mutual_exclusion::<ArrayLock>()
-}
-
-/// FIFO hand-off for the ticket lock: while the main thread holds the
-/// lock, a waiter enqueues (observed via `queue_depth`); after the release
-/// the waiter must acquire before the main thread can re-acquire, on every
-/// interleaving.
-pub fn check_ticket_fifo() -> Report {
-    builder().explore(|| {
-        let shared = Arc::new((TicketLock::default(), ModelUnsafeCell::new(Vec::new())));
-        shared.0.raw_lock();
-        let s2 = Arc::clone(&shared);
-        let waiter = loom::thread::spawn(move || {
-            s2.0.raw_lock();
-            s2.1.with_mut(|p| {
-                // SAFETY: guarded by the lock just acquired.
-                unsafe { (*p).push(1u32) }
-            });
-            s2.0.raw_unlock();
-        });
-        // Wait until the waiter holds the older ticket...
-        while shared.0.queue_depth() < 2 {
-            cphash_sync::spin_hint();
-        }
-        // ...then release and immediately contend again with a newer one.
-        shared.0.raw_unlock();
-        shared.0.raw_lock();
-        shared.1.with_mut(|p| {
-            // SAFETY: guarded by the lock just acquired.
-            unsafe { (*p).push(2u32) }
-        });
-        shared.0.raw_unlock();
-        waiter.join().unwrap();
-        let order = shared.1.with(|p| {
-            // SAFETY: both writers joined/finished; read-only now.
-            unsafe { (*p).clone() }
-        });
-        assert_eq!(order, vec![1, 2], "ticket lock let a newer ticket overtake");
-    })
-}
-
-/// FIFO hand-off for Anderson's array lock, same shape as the ticket
-/// suite; enqueueing is observed via `tickets_taken`.
-pub fn check_anderson_fifo() -> Report {
-    builder().explore(|| {
-        let shared = Arc::new((ArrayLock::with_slots(4), ModelUnsafeCell::new(Vec::new())));
-        shared.0.raw_lock();
-        let s2 = Arc::clone(&shared);
-        let waiter = loom::thread::spawn(move || {
-            s2.0.raw_lock();
-            s2.1.with_mut(|p| {
-                // SAFETY: guarded by the lock just acquired.
-                unsafe { (*p).push(1u32) }
-            });
-            s2.0.raw_unlock();
-        });
-        while shared.0.tickets_taken() < 2 {
-            cphash_sync::spin_hint();
-        }
-        shared.0.raw_unlock();
-        shared.0.raw_lock();
-        shared.1.with_mut(|p| {
-            // SAFETY: guarded by the lock just acquired.
-            unsafe { (*p).push(2u32) }
-        });
-        shared.0.raw_unlock();
-        waiter.join().unwrap();
-        let order = shared.1.with(|p| {
-            // SAFETY: both writers joined/finished; read-only now.
-            unsafe { (*p).clone() }
-        });
-        assert_eq!(order, vec![1, 2], "array lock let a later waiter overtake");
     })
 }

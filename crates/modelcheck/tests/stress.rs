@@ -20,8 +20,8 @@ use std::thread;
 
 use cphash::EpochRouter;
 use cphash_alloc::{class_for_size, SlabAllocator};
-use cphash_channel::{ring, Doorbell, RingConfig, SingleSlotChannel};
-use cphash_sync::{ArrayLock, ModelUnsafeCell, RawLock, RawSpinLock, TicketLock};
+use cphash_channel::{ring, Doorbell, RingConfig};
+use cphash_sync::{ModelUnsafeCell, RawSpinLock};
 
 /// A tiny xorshift PRNG so each thread can perturb its own schedule
 /// deterministically (no external crates, no global state).
@@ -160,53 +160,6 @@ fn doorbell_publish_park_stress() {
     assert!(sleeps > 0, "the consumer never actually slept");
 }
 
-/// Mirror of `check_single_slot_rpc`: two client/server pairs (4 threads)
-/// run thousands of round trips through the EMPTY→REQUEST→RESPONSE state
-/// machine; every response must match its request.
-#[test]
-fn single_slot_rpc_stress() {
-    const CALLS: u64 = 10_000;
-    let mut joins = Vec::new();
-    for pair in 0..2u64 {
-        let ch = SingleSlotChannel::<u64, u64>::new();
-        let server = ch.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_server = Arc::clone(&stop);
-        joins.push(thread::spawn(move || {
-            let mut rng = XorShift::new(0x5151_5151 + pair);
-            while !stop_server.load(Ordering::Relaxed) {
-                if !server.try_serve(|x| x.wrapping_mul(3) + 1) {
-                    // An idle spin must hand the core over, not burn its
-                    // quantum: on a one-core box the client cannot run
-                    // (and produce a request) until we are descheduled.
-                    thread::yield_now();
-                }
-                rng.maybe_yield();
-            }
-        }));
-        joins.push(thread::spawn(move || {
-            let mut rng = XorShift::new(0xC0FF_EE00 + pair);
-            for i in 0..CALLS {
-                while !ch.try_send_request(i) {
-                    thread::yield_now();
-                }
-                let resp = loop {
-                    if let Some(resp) = ch.try_take_response() {
-                        break resp;
-                    }
-                    thread::yield_now();
-                };
-                assert_eq!(resp, i.wrapping_mul(3) + 1, "RPC answered wrong call");
-                rng.maybe_yield();
-            }
-            stop.store(true, Ordering::Relaxed);
-        }));
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
-}
-
 /// Mirror of `check_router_watermark_monotonic`: one coordinator cycles
 /// the router through repeated full transitions while three observers
 /// snapshot continuously.  Within one epoch the watermark never moves
@@ -313,25 +266,26 @@ fn slab_remote_freelist_stress() {
 }
 
 /// Mirror of `check_mutual_exclusion`: four threads hammer one counter
-/// under the lock; the total must be exact.
-fn lock_mutex_stress<L: RawLock + Send + Sync + 'static>(lock: L) {
+/// under the spinlock; the total must be exact.
+#[test]
+fn spinlock_mutex_stress() {
     const THREADS: u64 = 4;
     const INCREMENTS: u64 = 10_000;
-    let shared = Arc::new((lock, ModelUnsafeCell::new(0u64)));
+    let shared = Arc::new((RawSpinLock::new(), ModelUnsafeCell::new(0u64)));
     let mut joins = Vec::new();
     for t in 0..THREADS {
         let shared = Arc::clone(&shared);
         joins.push(thread::spawn(move || {
             let mut rng = XorShift::new(0xA5A5_0000 + t);
             for _ in 0..INCREMENTS {
-                shared.0.raw_lock();
+                shared.0.lock();
                 shared.1.with_mut(|p| {
                     // SAFETY: exclusive by mutual exclusion of the lock —
                     // exactly the property under test; the model-check
                     // suite proves it for the small bound, this hammers it.
                     unsafe { *p += 1 }
                 });
-                shared.0.raw_unlock();
+                shared.0.unlock();
                 rng.maybe_yield();
             }
         }));
@@ -347,99 +301,5 @@ fn lock_mutex_stress<L: RawLock + Send + Sync + 'static>(lock: L) {
         total,
         THREADS * INCREMENTS,
         "lost increment — mutual exclusion broken"
-    );
-}
-
-#[test]
-fn spinlock_mutex_stress() {
-    lock_mutex_stress(RawSpinLock::default());
-}
-
-#[test]
-fn ticket_mutex_stress() {
-    lock_mutex_stress(TicketLock::default());
-}
-
-#[test]
-fn anderson_mutex_stress() {
-    lock_mutex_stress(ArrayLock::with_slots(8));
-}
-
-/// Mirror of `check_ticket_fifo`: while the main thread holds the lock,
-/// four waiters enqueue in a known order (each spawn gated on the queue
-/// depth observing the previous one).  After the release they must
-/// acquire in exactly that order.
-#[test]
-fn ticket_fifo_stress() {
-    let shared = Arc::new((TicketLock::default(), ModelUnsafeCell::new(Vec::new())));
-    shared.0.raw_lock();
-    let mut joins = Vec::new();
-    for id in 1..=4u32 {
-        let shared_w = Arc::clone(&shared);
-        joins.push(thread::spawn(move || {
-            let mut rng = XorShift::new(0x7777_0000 + u64::from(id));
-            rng.maybe_yield();
-            shared_w.0.raw_lock();
-            shared_w.1.with_mut(|p| {
-                // SAFETY: guarded by the lock just acquired.
-                unsafe { (*p).push(id) }
-            });
-            shared_w.0.raw_unlock();
-        }));
-        // The holder's ticket plus one per waiter spawned so far.
-        while shared.0.queue_depth() < 1 + id {
-            cphash_sync::spin_hint();
-        }
-    }
-    shared.0.raw_unlock();
-    for j in joins {
-        j.join().unwrap();
-    }
-    let order = shared.1.with(|p| {
-        // SAFETY: all writers joined; read-only now.
-        unsafe { (*p).clone() }
-    });
-    assert_eq!(
-        order,
-        vec![1, 2, 3, 4],
-        "ticket lock let a newer ticket overtake"
-    );
-}
-
-/// Mirror of `check_anderson_fifo`, same gated-enqueue shape with the
-/// array lock's `tickets_taken` as the observation point.
-#[test]
-fn anderson_fifo_stress() {
-    let shared = Arc::new((ArrayLock::with_slots(8), ModelUnsafeCell::new(Vec::new())));
-    shared.0.raw_lock();
-    let mut joins = Vec::new();
-    for id in 1..=4u32 {
-        let shared_w = Arc::clone(&shared);
-        joins.push(thread::spawn(move || {
-            let mut rng = XorShift::new(0x8888_0000 + u64::from(id));
-            rng.maybe_yield();
-            shared_w.0.raw_lock();
-            shared_w.1.with_mut(|p| {
-                // SAFETY: guarded by the lock just acquired.
-                unsafe { (*p).push(id) }
-            });
-            shared_w.0.raw_unlock();
-        }));
-        while shared.0.tickets_taken() < 1 + id as usize {
-            cphash_sync::spin_hint();
-        }
-    }
-    shared.0.raw_unlock();
-    for j in joins {
-        j.join().unwrap();
-    }
-    let order = shared.1.with(|p| {
-        // SAFETY: all writers joined; read-only now.
-        unsafe { (*p).clone() }
-    });
-    assert_eq!(
-        order,
-        vec![1, 2, 3, 4],
-        "array lock let a later waiter overtake"
     );
 }

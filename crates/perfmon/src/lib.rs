@@ -6,8 +6,8 @@
 //!
 //! * [`cycles`] — a timestamp-counter reader (`rdtsc` on x86-64, a
 //!   monotonic-clock fallback elsewhere) and cycle↔time conversion.
-//! * [`timer`] — stopwatches and throughput meters for "queries / second"
-//!   style results.
+//! * [`timer`] — the wall-clock stopwatch behind "queries / second" style
+//!   results.
 //! * [`histogram`] — log-bucketed latency histograms with percentile
 //!   extraction.
 //! * [`series`] — labelled (x, y) series and CSV/gnuplot-style rendering,
@@ -47,6 +47,6 @@ pub use registry::{
     MetricsRegistry, MetricsSnapshot, ParsedSample,
 };
 pub use series::{DataPoint, DataSeries, FigureReport};
-pub use timer::{Stopwatch, ThroughputMeter};
+pub use timer::Stopwatch;
 pub use trace::{StageSpan, TraceEvent, TraceReport, TraceStage};
 pub use window::SharedLatencyWindow;

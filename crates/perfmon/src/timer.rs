@@ -1,4 +1,4 @@
-//! Wall-clock stopwatches and throughput meters.
+//! Wall-clock stopwatches.
 
 use std::time::{Duration, Instant};
 
@@ -33,65 +33,6 @@ impl Default for Stopwatch {
     }
 }
 
-/// Accumulates an operation count against elapsed wall-clock time and
-/// reports "queries / second" figures like the paper's throughput graphs.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputMeter {
-    started: Instant,
-    operations: u64,
-}
-
-impl ThroughputMeter {
-    /// Start a new measurement window.
-    pub fn start() -> Self {
-        ThroughputMeter {
-            started: Instant::now(),
-            operations: 0,
-        }
-    }
-
-    /// Record `n` completed operations.
-    pub fn record(&mut self, n: u64) {
-        self.operations += n;
-    }
-
-    /// Total operations recorded.
-    pub fn operations(&self) -> u64 {
-        self.operations
-    }
-
-    /// Elapsed seconds since the meter started.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Operations per second over the whole window.
-    pub fn ops_per_second(&self) -> f64 {
-        let secs = self.elapsed_secs();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.operations as f64 / secs
-        }
-    }
-
-    /// Operations per second per `units` participants (the per-hardware-
-    /// thread and per-core figures of Figures 11 and 14).
-    pub fn ops_per_second_per(&self, units: usize) -> f64 {
-        if units == 0 {
-            0.0
-        } else {
-            self.ops_per_second() / units as f64
-        }
-    }
-}
-
-impl Default for ThroughputMeter {
-    fn default() -> Self {
-        ThroughputMeter::start()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,17 +43,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         assert!(sw.elapsed_secs() > 0.0);
         assert!(sw.elapsed() >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn throughput_accumulates() {
-        let mut meter = ThroughputMeter::start();
-        meter.record(500);
-        meter.record(500);
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(meter.operations(), 1000);
-        assert!(meter.ops_per_second() > 0.0);
-        assert!(meter.ops_per_second_per(4) < meter.ops_per_second());
-        assert_eq!(meter.ops_per_second_per(0), 0.0);
     }
 }

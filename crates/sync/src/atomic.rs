@@ -1,7 +1,7 @@
 //! The workspace atomics facade.
 //!
 //! Every concurrency core in the tree (`cphash-channel` rings, the epoch
-//! router, the slab remote free-list, the lock family) imports its atomics
+//! router, the slab remote free-list, the spinlock) imports its atomics
 //! from here instead of `std::sync::atomic`.  Normally the re-exports *are*
 //! the std types — zero cost, identical codegen.  Under
 //! `RUSTFLAGS="--cfg cphash_model"` they swap to the vendored loom model
@@ -25,14 +25,10 @@
 // the lint allowlists exactly this file.
 
 #[cfg(not(cphash_model))]
-pub use std::sync::atomic::{
-    fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-};
+pub use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(cphash_model)]
-pub use loom::sync::atomic::{
-    fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-};
+pub use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Diagnostics-only atomics: always `std`, never modeled.
 ///
@@ -40,9 +36,7 @@ pub use loom::sync::atomic::{
 /// through here generate no scheduling points.  Never guard data with
 /// these — the model checker cannot see them.
 pub mod plain {
-    pub use std::sync::atomic::{
-        AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-    };
+    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 }
 
 /// CPU spin hint: [`std::hint::spin_loop`] normally; in model mode a

@@ -11,54 +11,27 @@
 //! > cache miss to release. In contrast, an uncontended spinlock requires
 //! > one cache miss to acquire and no cache misses to release."
 //!
-//! This crate provides the three lock families that discussion references —
-//! a test-and-test-and-set [`SpinLock`], a FIFO [`TicketLock`], and
-//! Anderson's array lock ([`ArrayLock`]) — behind a common [`RawLock`]
-//! trait so the baseline table (and the lock-ablation benchmark) can be
-//! instantiated with any of them.  [`LockTable`] packages a cache-line
-//! padded array of locks, one per partition or per bucket, exactly as
-//! LOCKHASH and LOCKSERVER need.
+//! This crate provides that spinlock ([`RawSpinLock`], test-and-test-and-set)
+//! and [`LockTable`], a cache-line padded array of them, one per partition
+//! or per bucket, exactly as LOCKHASH and LOCKSERVER need.  It is also the
+//! home of the workspace's [`atomic`] and [`thread`] facades, which the
+//! model checker swaps under `--cfg cphash_model`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod anderson;
 pub mod atomic;
 pub mod lock_table;
 pub mod spinlock;
 pub mod stats;
 pub mod thread;
-pub mod ticket;
 
-pub use anderson::ArrayLock;
 pub use atomic::{spin_hint, ModelUnsafeCell};
-pub use lock_table::{LockKind, LockTable};
-pub use spinlock::{RawSpinLock, SpinLock, SpinLockGuard};
+pub use lock_table::LockTable;
+pub use spinlock::RawSpinLock;
 pub use stats::LockStats;
-pub use ticket::TicketLock;
 
-/// A raw mutual-exclusion primitive.
-///
-/// `lock`/`unlock` pairs must be balanced by the caller; the safe wrappers
-/// ([`SpinLock`], [`LockTable`]) enforce this with RAII guards.  The trait
-/// exists so LOCKHASH can be measured with different lock algorithms without
-/// touching the hash-table code (the paper's §6.2 spinlock-vs-Anderson
-/// discussion becomes an ablation benchmark).
-pub trait RawLock: Send + Sync + Default {
-    /// Acquire the lock, spinning until it is available.
-    fn raw_lock(&self);
-
-    /// Try to acquire the lock without spinning. Returns `true` on success.
-    fn raw_try_lock(&self) -> bool;
-
-    /// Release the lock. Must only be called by the current holder.
-    fn raw_unlock(&self);
-
-    /// Human-readable name used in benchmark output.
-    fn name() -> &'static str;
-}
-
-/// Exponential-backoff helper shared by the spinning loops.
+/// Exponential-backoff helper for the spinlock's contended path.
 ///
 /// Spins with `core::hint::spin_loop` a growing number of times, then
 /// yields to the scheduler once the backoff saturates so that oversubscribed

@@ -6,130 +6,42 @@
 //! locks on one cache line and re-introduce exactly the coherence traffic
 //! the fine-grained design is trying to avoid, so each lock is padded to its
 //! own line.  `LockTable` wraps that array together with acquisition
-//! statistics and a runtime-selectable lock algorithm.
+//! statistics.
 
 use cphash_cacheline::CacheAligned;
 
-use crate::{ArrayLock, LockStats, RawLock, RawSpinLock, TicketLock};
+use crate::{LockStats, RawSpinLock};
 
-/// Which lock algorithm a [`LockTable`] uses.
-///
-/// The paper's LOCKHASH uses [`LockKind::Spin`]; the others exist for the
-/// lock ablation (§6.2's spinlock-vs-Anderson discussion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LockKind {
-    /// Test-and-test-and-set spinlock (the paper's choice).
-    #[default]
-    Spin,
-    /// FIFO ticket lock.
-    Ticket,
-    /// Anderson's array-based queueing lock.
-    Anderson,
-}
-
-impl LockKind {
-    /// All lock kinds, for sweeps.
-    pub const ALL: [LockKind; 3] = [LockKind::Spin, LockKind::Ticket, LockKind::Anderson];
-
-    /// Short name used in benchmark output.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockKind::Spin => RawSpinLock::name(),
-            LockKind::Ticket => TicketLock::name(),
-            LockKind::Anderson => ArrayLock::name(),
-        }
-    }
-}
-
-enum Slot {
-    Spin(CacheAligned<RawSpinLock>),
-    Ticket(CacheAligned<TicketLock>),
-    Anderson(Box<ArrayLock>),
-}
-
-impl Slot {
-    #[inline]
-    fn lock(&self) -> bool {
-        match self {
-            Slot::Spin(l) => {
-                if l.raw_try_lock() {
-                    true
-                } else {
-                    l.raw_lock();
-                    false
-                }
-            }
-            Slot::Ticket(l) => {
-                if l.raw_try_lock() {
-                    true
-                } else {
-                    l.raw_lock();
-                    false
-                }
-            }
-            Slot::Anderson(l) => {
-                if l.raw_try_lock() {
-                    true
-                } else {
-                    l.raw_lock();
-                    false
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn unlock(&self) {
-        match self {
-            Slot::Spin(l) => l.raw_unlock(),
-            Slot::Ticket(l) => l.raw_unlock(),
-            Slot::Anderson(l) => l.raw_unlock(),
-        }
-    }
-}
-
-/// An array of `n` independent locks, each padded to its own cache line,
-/// with shared acquisition statistics.
+/// An array of `n` independent spinlocks, each padded to its own cache
+/// line, with shared acquisition statistics.
 ///
 /// LOCKHASH indexes it by partition id; the per-bucket-locking variant
 /// indexes it by bucket id modulo the table length.
 pub struct LockTable {
-    slots: Box<[Slot]>,
-    kind: LockKind,
+    locks: Box<[CacheAligned<RawSpinLock>]>,
     stats: LockStats,
 }
 
 impl LockTable {
-    /// Create a table of `n` locks of the given kind.
-    pub fn new(n: usize, kind: LockKind) -> Self {
+    /// Create a table of `n` locks.
+    pub fn new(n: usize) -> Self {
         assert!(n > 0, "a lock table needs at least one lock");
-        let slots: Vec<Slot> = (0..n)
-            .map(|_| match kind {
-                LockKind::Spin => Slot::Spin(CacheAligned::new(RawSpinLock::new())),
-                LockKind::Ticket => Slot::Ticket(CacheAligned::new(TicketLock::new())),
-                LockKind::Anderson => Slot::Anderson(Box::default()),
-            })
-            .collect();
         LockTable {
-            slots: slots.into_boxed_slice(),
-            kind,
+            locks: (0..n)
+                .map(|_| CacheAligned::new(RawSpinLock::new()))
+                .collect(),
             stats: LockStats::new(),
         }
     }
 
     /// Number of locks in the table.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.locks.len()
     }
 
     /// Returns `true` if the table has no locks (never constructible).
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The lock algorithm in use.
-    pub fn kind(&self) -> LockKind {
-        self.kind
+        self.locks.is_empty()
     }
 
     /// Acquisition statistics for the whole table.
@@ -138,31 +50,30 @@ impl LockTable {
     }
 
     /// Acquire lock `index` (modulo the table size) and return an RAII guard.
+    ///
+    /// Tries the fast path first so an acquisition that found the lock held
+    /// is counted as contended.
     #[inline]
     pub fn lock(&self, index: usize) -> TableGuard<'_> {
-        let slot = &self.slots[index % self.slots.len()];
-        let uncontended = slot.lock();
-        self.stats.record_acquire(!uncontended, 1);
-        TableGuard { slot }
-    }
-
-    /// Run `f` while holding lock `index`.
-    #[inline]
-    pub fn with_lock<R>(&self, index: usize, f: impl FnOnce() -> R) -> R {
-        let _guard = self.lock(index);
-        f()
+        let lock = &self.locks[index % self.locks.len()];
+        let contended = !lock.try_lock();
+        if contended {
+            lock.lock();
+        }
+        self.stats.record_acquire(contended);
+        TableGuard { lock }
     }
 }
 
 /// RAII guard for one lock in a [`LockTable`].
 pub struct TableGuard<'a> {
-    slot: &'a Slot,
+    lock: &'a RawSpinLock,
 }
 
 impl Drop for TableGuard<'_> {
     #[inline]
     fn drop(&mut self) {
-        self.slot.unlock();
+        self.lock.unlock();
     }
 }
 
@@ -173,25 +84,21 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn builds_every_kind() {
-        for kind in LockKind::ALL {
-            let t = LockTable::new(8, kind);
-            assert_eq!(t.len(), 8);
-            assert!(!t.is_empty());
-            assert_eq!(t.kind(), kind);
-            assert!(!kind.name().is_empty());
-        }
+    fn builds_a_table() {
+        let t = LockTable::new(8);
+        assert_eq!(t.len(), 8);
+        assert!(!t.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "at least one lock")]
     fn zero_locks_panics() {
-        let _ = LockTable::new(0, LockKind::Spin);
+        let _ = LockTable::new(0);
     }
 
     #[test]
     fn indices_wrap_modulo_len() {
-        let t = LockTable::new(4, LockKind::Spin);
+        let t = LockTable::new(4);
         let g = t.lock(1);
         // Index 5 maps to the same lock as index 1 and must block; use
         // try-lock semantics indirectly by locking a different slot.
@@ -202,46 +109,36 @@ mod tests {
     }
 
     #[test]
-    fn with_lock_returns_closure_value() {
-        let t = LockTable::new(2, LockKind::Ticket);
-        let v = t.with_lock(0, || 42);
-        assert_eq!(v, 42);
-    }
-
-    #[test]
     fn parallel_counters_per_slot_are_exact() {
-        for kind in LockKind::ALL {
-            const THREADS: usize = 4;
-            const ITERS: usize = 2_000;
-            let table = Arc::new(LockTable::new(2, kind));
-            let counters = Arc::new([
-                std::sync::atomic::AtomicU64::new(0),
-                std::sync::atomic::AtomicU64::new(0),
-            ]);
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let table = Arc::clone(&table);
-                    let counters = Arc::clone(&counters);
-                    thread::spawn(move || {
-                        for i in 0..ITERS {
-                            let idx = (t + i) % 2;
-                            table.with_lock(idx, || {
-                                let v = counters[idx].load(std::sync::atomic::Ordering::Relaxed);
-                                counters[idx].store(v + 1, std::sync::atomic::Ordering::Relaxed);
-                            });
-                        }
-                    })
+        const THREADS: usize = 4;
+        const ITERS: usize = 2_000;
+        let table = Arc::new(LockTable::new(2));
+        let counters = Arc::new([
+            std::sync::atomic::AtomicU64::new(0),
+            std::sync::atomic::AtomicU64::new(0),
+        ]);
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let table = Arc::clone(&table);
+                let counters = Arc::clone(&counters);
+                thread::spawn(move || {
+                    for i in 0..ITERS {
+                        let idx = (t + i) % 2;
+                        let _guard = table.lock(idx);
+                        let v = counters[idx].load(std::sync::atomic::Ordering::Relaxed);
+                        counters[idx].store(v + 1, std::sync::atomic::Ordering::Relaxed);
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let total: u64 = counters
-                .iter()
-                .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-                .sum();
-            assert_eq!(total, (THREADS * ITERS) as u64, "kind={kind:?}");
-            assert_eq!(table.stats().acquisitions(), (THREADS * ITERS) as u64);
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        let total: u64 = counters
+            .iter()
+            .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
+            .sum();
+        assert_eq!(total, (THREADS * ITERS) as u64);
+        assert_eq!(table.stats().acquisitions(), (THREADS * ITERS) as u64);
     }
 }

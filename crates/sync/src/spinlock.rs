@@ -1,10 +1,8 @@
-//! Test-and-test-and-set spinlock — the lock LOCKHASH actually uses.
+//! Test-and-test-and-set spinlock — the lock LOCKHASH uses.
 
 use crate::atomic::{AtomicBool, Ordering};
-use core::cell::UnsafeCell;
-use core::ops::{Deref, DerefMut};
 
-use crate::{Backoff, RawLock};
+use crate::Backoff;
 
 /// A test-and-test-and-set spinlock.
 ///
@@ -17,6 +15,9 @@ use crate::{Backoff, RawLock};
 /// The contended path first spins on a plain load (keeping the line in
 /// shared state) and only retries the swap when the lock looks free, with
 /// exponential backoff to bound coherence traffic.
+///
+/// `lock`/`unlock` pairs must be balanced by the caller; [`crate::LockTable`]
+/// enforces this with an RAII guard.
 #[derive(Default)]
 pub struct RawSpinLock {
     locked: AtomicBool,
@@ -30,18 +31,9 @@ impl RawSpinLock {
         }
     }
 
-    /// Returns `true` if the lock is currently held by some thread.
+    /// Acquire the lock, spinning until it is available.
     #[inline]
-    pub fn is_locked(&self) -> bool {
-        // relaxed: advisory snapshot for stats/debug output; never used to
-        // guard data.
-        self.locked.load(Ordering::Relaxed)
-    }
-}
-
-impl RawLock for RawSpinLock {
-    #[inline]
-    fn raw_lock(&self) {
+    pub fn lock(&self) {
         let mut backoff = Backoff::new();
         loop {
             if !self.locked.swap(true, Ordering::Acquire) {
@@ -56,209 +48,30 @@ impl RawLock for RawSpinLock {
         }
     }
 
+    /// Try to acquire the lock without spinning. Returns `true` on success.
     #[inline]
-    fn raw_try_lock(&self) -> bool {
+    pub fn try_lock(&self) -> bool {
         !self.locked.swap(true, Ordering::Acquire)
     }
 
+    /// Release the lock. Must only be called by the current holder.
     #[inline]
-    fn raw_unlock(&self) {
+    pub fn unlock(&self) {
         self.locked.store(false, Ordering::Release);
-    }
-
-    fn name() -> &'static str {
-        "spinlock"
-    }
-}
-
-/// A value protected by a [`RawSpinLock`], with an RAII guard API mirroring
-/// `std::sync::Mutex` (minus poisoning — a panicking critical section in
-/// this workspace is a bug, not a recoverable condition).
-pub struct SpinLock<T: ?Sized> {
-    raw: RawSpinLock,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: the lock provides the necessary exclusion; `T: Send` is required
-// because the protected value moves between threads.
-unsafe impl<T: ?Sized + Send> Send for SpinLock<T> {}
-unsafe impl<T: ?Sized + Send> Sync for SpinLock<T> {}
-
-impl<T> SpinLock<T> {
-    /// Create a new spinlock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        SpinLock {
-            raw: RawSpinLock::new(),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Consume the lock and return the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-impl<T: ?Sized> SpinLock<T> {
-    /// Acquire the lock, spinning until it is available.
-    #[inline]
-    pub fn lock(&self) -> SpinLockGuard<'_, T> {
-        self.raw.raw_lock();
-        SpinLockGuard { lock: self }
-    }
-
-    /// Try to acquire the lock without spinning.
-    #[inline]
-    pub fn try_lock(&self) -> Option<SpinLockGuard<'_, T>> {
-        if self.raw.raw_try_lock() {
-            Some(SpinLockGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` if the lock is currently held.
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.raw.is_locked()
-    }
-
-    /// Get a mutable reference to the protected value without locking.
-    /// Safe because `&mut self` proves exclusive access.
-    #[inline]
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-impl<T: Default> Default for SpinLock<T> {
-    fn default() -> Self {
-        SpinLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + core::fmt::Debug> core::fmt::Debug for SpinLock<T> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self.try_lock() {
-            Some(guard) => f.debug_struct("SpinLock").field("data", &&*guard).finish(),
-            None => f.write_str("SpinLock(<locked>)"),
-        }
-    }
-}
-
-/// RAII guard returned by [`SpinLock::lock`]. Releases the lock on drop.
-pub struct SpinLockGuard<'a, T: ?Sized> {
-    lock: &'a SpinLock<T>,
-}
-
-impl<T: ?Sized> Deref for SpinLockGuard<'_, T> {
-    type Target = T;
-
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: holding the guard means holding the lock.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for SpinLockGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: holding the guard means holding the lock exclusively.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for SpinLockGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lock.raw.raw_unlock();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
-
-    #[test]
-    fn uncontended_lock_unlock() {
-        let lock = SpinLock::new(5u64);
-        {
-            let mut g = lock.lock();
-            *g += 1;
-        }
-        assert_eq!(*lock.lock(), 6);
-        assert!(!lock.is_locked());
-    }
 
     #[test]
     fn try_lock_fails_while_held() {
-        let lock = SpinLock::new(());
-        let g = lock.lock();
-        assert!(lock.try_lock().is_none());
-        drop(g);
-        assert!(lock.try_lock().is_some());
-    }
-
-    #[test]
-    fn into_inner_and_get_mut() {
-        let mut lock = SpinLock::new(7);
-        *lock.get_mut() = 9;
-        assert_eq!(lock.into_inner(), 9);
-    }
-
-    #[test]
-    fn debug_formats_both_states() {
-        let lock = SpinLock::new(1u8);
-        assert!(format!("{lock:?}").contains('1'));
-        let g = lock.lock();
-        assert!(format!("{lock:?}").contains("locked"));
-        drop(g);
-    }
-
-    #[test]
-    fn counter_is_consistent_under_contention() {
-        const THREADS: usize = 8;
-        const ITERS: usize = 10_000;
-        let lock = Arc::new(SpinLock::new(0u64));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                thread::spawn(move || {
-                    for _ in 0..ITERS {
-                        *lock.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*lock.lock(), (THREADS * ITERS) as u64);
-    }
-
-    #[test]
-    fn mutual_exclusion_no_overlap() {
-        // Each thread records entry/exit; with proper exclusion the critical
-        // section flag can never be observed set by another thread.
-        let lock = Arc::new(SpinLock::new(false));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                thread::spawn(move || {
-                    for _ in 0..5_000 {
-                        let mut g = lock.lock();
-                        assert!(!*g, "another thread inside the critical section");
-                        *g = true;
-                        *g = false;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let lock = RawSpinLock::new();
+        lock.lock();
+        assert!(!lock.try_lock());
+        lock.unlock();
+        assert!(lock.try_lock());
+        lock.unlock();
     }
 }

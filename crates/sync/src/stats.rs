@@ -11,13 +11,12 @@ use crate::atomic::plain::{AtomicU64, Ordering};
 
 /// Counters describing how a set of locks has been used.
 ///
-/// All counters are monotonically increasing and updated with relaxed
+/// Both counters are monotonically increasing and updated with relaxed
 /// atomics; they are read only when printing reports.
 #[derive(Debug, Default)]
 pub struct LockStats {
     acquisitions: AtomicU64,
     contended: AtomicU64,
-    spin_iterations: AtomicU64,
 }
 
 impl LockStats {
@@ -26,21 +25,17 @@ impl LockStats {
         LockStats {
             acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
-            spin_iterations: AtomicU64::new(0),
         }
     }
 
-    /// Record one acquisition. `contended` says whether the fast path failed
-    /// and `spins` how many retry iterations were needed.
+    /// Record one acquisition; `contended` says whether the fast path failed.
     #[inline]
-    pub fn record_acquire(&self, contended: bool, spins: u64) {
+    pub fn record_acquire(&self, contended: bool) {
         // relaxed: monotonic stat counter, read only by diagnostics
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         if contended {
             // relaxed: monotonic stat counter, read only by diagnostics
             self.contended.fetch_add(1, Ordering::Relaxed);
-            // relaxed: monotonic stat counter, read only by diagnostics
-            self.spin_iterations.fetch_add(spins, Ordering::Relaxed);
         }
     }
 
@@ -56,12 +51,6 @@ impl LockStats {
         self.contended.load(Ordering::Relaxed)
     }
 
-    /// Total spin-loop iterations across all contended acquisitions.
-    pub fn spin_iterations(&self) -> u64 {
-        // relaxed: monotonic stat counter, read only by diagnostics
-        self.spin_iterations.load(Ordering::Relaxed)
-    }
-
     /// Fraction of acquisitions that were contended, in `[0, 1]`.
     pub fn contention_ratio(&self) -> f64 {
         let acq = self.acquisitions();
@@ -70,37 +59,6 @@ impl LockStats {
         } else {
             self.contended() as f64 / acq as f64
         }
-    }
-
-    /// Reset all counters to zero (between benchmark phases).
-    pub fn reset(&self) {
-        // relaxed: monotonic stat counter, read only by diagnostics
-        self.acquisitions.store(0, Ordering::Relaxed);
-        // relaxed: monotonic stat counter, read only by diagnostics
-        self.contended.store(0, Ordering::Relaxed);
-        // relaxed: monotonic stat counter, read only by diagnostics
-        self.spin_iterations.store(0, Ordering::Relaxed);
-    }
-
-    /// Merge another counter block into this one.
-    pub fn merge(&self, other: &LockStats) {
-        self.acquisitions
-            // relaxed: monotonic stat counter, read only by diagnostics
-            .fetch_add(other.acquisitions(), Ordering::Relaxed);
-        self.contended
-            // relaxed: monotonic stat counter, read only by diagnostics
-            .fetch_add(other.contended(), Ordering::Relaxed);
-        self.spin_iterations
-            // relaxed: monotonic stat counter, read only by diagnostics
-            .fetch_add(other.spin_iterations(), Ordering::Relaxed);
-    }
-}
-
-impl Clone for LockStats {
-    fn clone(&self) -> Self {
-        let s = LockStats::new();
-        s.merge(self);
-        s
     }
 }
 
@@ -112,36 +70,11 @@ mod tests {
     fn records_and_ratios() {
         let s = LockStats::new();
         assert_eq!(s.contention_ratio(), 0.0);
-        s.record_acquire(false, 0);
-        s.record_acquire(true, 10);
-        s.record_acquire(true, 20);
+        s.record_acquire(false);
+        s.record_acquire(true);
+        s.record_acquire(true);
         assert_eq!(s.acquisitions(), 3);
         assert_eq!(s.contended(), 2);
-        assert_eq!(s.spin_iterations(), 30);
         assert!((s.contention_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = LockStats::new();
-        s.record_acquire(true, 5);
-        s.reset();
-        assert_eq!(s.acquisitions(), 0);
-        assert_eq!(s.contended(), 0);
-        assert_eq!(s.spin_iterations(), 0);
-    }
-
-    #[test]
-    fn merge_and_clone_accumulate() {
-        let a = LockStats::new();
-        let b = LockStats::new();
-        a.record_acquire(false, 0);
-        b.record_acquire(true, 7);
-        a.merge(&b);
-        assert_eq!(a.acquisitions(), 2);
-        assert_eq!(a.contended(), 1);
-        let c = a.clone();
-        assert_eq!(c.acquisitions(), 2);
-        assert_eq!(c.spin_iterations(), 7);
     }
 }

@@ -8,11 +8,10 @@
 //! | [`table`] | `cphash` | the cache-partitioned hash table itself (CPHASH) |
 //! | [`lockhash`] | `cphash-lockhash` | the fine-grained-locking baseline (LOCKHASH) |
 //! | [`hashcore`] | `cphash-hashcore` | the shared partition data structure |
-//! | [`channel`] | `cphash-channel` | shared-memory message passing (rings + single slot) |
+//! | [`channel`] | `cphash-channel` | shared-memory message passing (batched rings) |
 //! | [`alloc`] | `cphash-alloc` | the per-partition value allocator |
-//! | [`sync`] | `cphash-sync` | spinlock / ticket / Anderson locks |
 //! | [`affinity`] | `cphash-affinity` | topology modelling and thread pinning |
-//! | [`cacheline`] | `cphash-cacheline` | cache-line geometry and packing arithmetic |
+//! | [`cacheline`] | `cphash-cacheline` | cache-line size, alignment, packing arithmetic and prefetch |
 //! | [`kvproto`] | `cphash-kvproto` | the CPSERVER/LOCKSERVER wire protocol |
 //! | [`kvserver`] | `cphash-kvserver` | CPSERVER, LOCKSERVER and the memcached-style baseline |
 //! | [`loadgen`] | `cphash-loadgen` | workload generation and benchmark drivers |

@@ -3,8 +3,8 @@
 //! Both front-end backends (epoll, and the busy-poll fallback of platforms
 //! without it) must present the same observable behaviour to the workers:
 //! level-triggered readiness, registration/deregistration that takes
-//! effect, write-interest toggling via `rearm`, waker delivery, and
-//! survival of an fd closed while still armed.  The same scenarios run
+//! effect, write-interest toggling via `rearm`, and survival of an fd
+//! closed while still armed.  The same scenarios run
 //! against the platform's reactor and — through `Reactor::with_backend` —
 //! against `PollReactor`, so a backend cannot pass by being exercised only
 //! through its own unit tests.
@@ -16,7 +16,7 @@
 //! backend reports every registered token on every call by design, and
 //! workers absorb the spurious wake-ups as `WouldBlock` reads.
 
-use cphash_suite::kvserver::reactor::{raw_fd_of, PollReactor, Reactor, Waker, WAKER_TOKEN};
+use cphash_suite::kvserver::reactor::{raw_fd_of, PollReactor, Reactor};
 use cphash_suite::kvserver::FrontendStats;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -149,37 +149,6 @@ fn write_interest_toggles_via_rearm() {
             );
         }
         reactor.deregister(fd, 9).unwrap();
-    }
-}
-
-#[test]
-fn waker_delivery_wakes_a_sleeping_reactor() {
-    for (kind, mut reactor, readiness_based) in backends() {
-        let waker = Waker::new();
-        let Some(fd) = waker.fd() else {
-            // No eventfd off Linux: the waker is inert and busy-poll workers
-            // never sleep for long.  Nothing to conform.
-            continue;
-        };
-        reactor.register(fd, WAKER_TOKEN, false).unwrap();
-
-        let remote = waker.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            remote.wake();
-        });
-        assert!(
-            wait_for(&mut reactor, WAKER_TOKEN, Duration::from_secs(2)),
-            "{kind}: wake() did not surface WAKER_TOKEN"
-        );
-        t.join().unwrap();
-        waker.drain();
-        if readiness_based {
-            assert!(
-                !wait_for(&mut reactor, WAKER_TOKEN, Duration::from_millis(50)),
-                "{kind}: drained waker still firing"
-            );
-        }
     }
 }
 
