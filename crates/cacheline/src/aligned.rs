@@ -6,10 +6,10 @@ use core::ops::{Deref, DerefMut};
 /// Forces the wrapped value to begin on a cache-line boundary and to occupy
 /// a whole number of cache lines.
 ///
-/// The message-passing indices of the ring buffers (read index, write index,
-/// temporary write index) are each wrapped in `CacheAligned` so the producer
-/// and consumer never invalidate each other's lines when updating their own
-/// private index — the paper calls this out explicitly: "The read index,
+/// The shared indices of the ring buffers (read index, write index) and each
+/// side's counters are wrapped in `CacheAligned` so the producer and
+/// consumer never invalidate each other's lines when updating their own —
+/// the paper calls this out explicitly: "The read index,
 /// write index and temporary write index are aligned in memory to avoid
 /// false sharing" (§3.4).
 ///

@@ -29,6 +29,13 @@
 //!   (client, server) pair.
 //! * [`Doorbell`] — the flag a consumer sleeps behind once all its rings
 //!   have been empty for a while, rung by its producers' explicit flushes.
+//!
+//! **One writer per line.** Every cache line a ring shares between its two
+//! threads is written by one side only — the read index and the consumer's
+//! counters by the consumer, the write index and the producer's counters by
+//! the producer — so a message moves a line once, and a diagnostic never
+//! moves one at all.  `ring_lines_have_one_writer_each` in `ring.rs` checks
+//! the layout.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

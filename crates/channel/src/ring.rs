@@ -19,13 +19,14 @@
 //! > reading all the operations in a cache line."
 //!
 //! The implementation below is a single-producer / single-consumer ring of
-//! `Copy` messages with exactly those three indices, each padded to its own
-//! cache line.  Indices increase monotonically (they are *counts*, not
+//! `Copy` messages with exactly those three indices: the shared read and
+//! write indices each on a cache line of its own, the temporary one private
+//! to the producer.  Indices increase monotonically (they are *counts*, not
 //! wrapped offsets), which makes the full/empty arithmetic overflow-free for
 //! any realistic run length and keeps the invariants easy to state:
 //!
-//! * `read_index <= write_index <= temp_write_index`
-//! * `temp_write_index - read_index <= capacity`
+//! * `read_index <= write_index <= temp_write`
+//! * `temp_write - read_index <= capacity`
 //
 // cphash-lint: hot-path
 
@@ -33,7 +34,7 @@ use core::marker::PhantomData;
 use core::mem::MaybeUninit;
 use std::sync::Arc;
 
-use cphash_sync::atomic::{plain, AtomicBool, AtomicU64, Ordering};
+use cphash_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use cphash_sync::ModelUnsafeCell;
 
 use cphash_cacheline::{CacheAligned, CACHE_LINE_SIZE};
@@ -82,21 +83,22 @@ impl RingConfig {
 }
 
 /// Shared state of one single-producer single-consumer ring.
+///
+/// The paper's temporary write index is not here: only the producer ever
+/// reads or writes it, so it lives in [`Producer`] (`temp_write`).
 pub struct RingBuffer<T> {
+    /// Read-only after construction, like `mask`: the two share a line no
+    /// index or counter is on (every `CacheAligned` field fills whole lines
+    /// of its own).  The liveness flags beside them change once, on drop.
     buffer: Box<[ModelUnsafeCell<MaybeUninit<T>>]>,
     mask: u64,
     /// Consumer-owned: first message not yet consumed.
     read_index: CacheAligned<AtomicU64>,
     /// Producer-published: first message not yet produced *and visible*.
     write_index: CacheAligned<AtomicU64>,
-    /// Producer-private progress (only the producer writes it; stored here
-    /// so the structure mirrors the paper's layout and so the consumer-side
-    /// diagnostics can report it).  Always a plain std atomic — it is a
-    /// diagnostic gauge, never a synchronization point, and keeping it out
-    /// of the model halves the tracked-op count per push.
-    temp_write_index: CacheAligned<plain::AtomicU64>,
     producer_alive: AtomicBool,
     consumer_alive: AtomicBool,
+    /// One line of counters per side (see [`ChannelStats`]).
     stats: ChannelStats,
 }
 
@@ -137,7 +139,6 @@ pub fn ring<T: Copy + Send>(config: RingConfig) -> (Producer<T>, Consumer<T>) {
         mask: capacity as u64 - 1,
         read_index: CacheAligned::new(AtomicU64::new(0)),
         write_index: CacheAligned::new(AtomicU64::new(0)),
-        temp_write_index: CacheAligned::new(plain::AtomicU64::new(0)),
         producer_alive: AtomicBool::new(true),
         consumer_alive: AtomicBool::new(true),
         stats: ChannelStats::new(),
@@ -168,8 +169,8 @@ pub fn ring<T: Copy + Send>(config: RingConfig) -> (Producer<T>, Consumer<T>) {
 /// Producing (client → server) half of a ring.
 pub struct Producer<T> {
     shared: Arc<RingBuffer<T>>,
-    /// Producer-private count of messages written (the "temporary write
-    /// index" of the paper).
+    /// Producer-private count of messages written: the paper's "temporary
+    /// write index", which no other thread needs to see.
     temp_write: u64,
     /// Last value stored to the shared write index.
     published_write: u64,
@@ -222,11 +223,6 @@ impl<T: Copy + Send> Producer<T> {
             unsafe { (*p).write(message) };
         });
         self.temp_write += 1;
-        self.shared
-            .temp_write_index
-            // relaxed: diagnostic gauge only; the release store in publish()
-            // is what publishes data.
-            .store(self.temp_write, plain::Ordering::Relaxed);
         if self.temp_write - self.published_write >= self.flush_threshold as u64 {
             self.publish();
         }
@@ -268,11 +264,6 @@ impl<T: Copy + Send> Producer<T> {
             });
         }
         self.temp_write += n as u64;
-        self.shared
-            .temp_write_index
-            // relaxed: diagnostic gauge only; the release store in publish()
-            // is what publishes data.
-            .store(self.temp_write, plain::Ordering::Relaxed);
         self.publish();
         n
     }
@@ -330,8 +321,7 @@ impl<T: Copy + Send> Producer<T> {
                 .store(self.temp_write, Ordering::Release);
             let newly = self.temp_write - self.published_write;
             self.published_write = self.temp_write;
-            self.shared.stats.add_pushed(newly);
-            self.shared.stats.add_flush();
+            self.shared.stats.add_flush(newly);
         }
     }
 
@@ -349,8 +339,7 @@ impl<T: Copy + Send> Producer<T> {
                 .store(self.temp_write, Ordering::Relaxed);
             let newly = self.temp_write - self.published_write;
             self.published_write = self.temp_write;
-            self.shared.stats.add_pushed(newly);
-            self.shared.stats.add_flush();
+            self.shared.stats.add_flush(newly);
         }
     }
 
@@ -637,6 +626,7 @@ mod tests {
     fn cross_thread_transfer_preserves_every_message() {
         const N: u64 = 200_000;
         let (mut tx, mut rx) = ring::<u64>(RingConfig::with_capacity(1024));
+        let shared = Arc::clone(&tx.shared);
         let producer = thread::spawn(move || {
             for i in 0..N {
                 tx.push_blocking(i);
@@ -660,6 +650,45 @@ mod tests {
         producer.join().unwrap();
         let sum = consumer.join().unwrap();
         assert_eq!(sum, (N - 1) * N / 2);
+        // Each side's single-writer adds lose nothing to the other side's.
+        let stats = shared.stats();
+        assert_eq!(stats.messages_pushed(), N);
+        assert_eq!(stats.messages_popped(), N);
+        assert!((1..=N).contains(&stats.flushes()), "{}", stats.flushes());
+        assert!(
+            (1..=N).contains(&stats.read_index_updates()),
+            "{}",
+            stats.read_index_updates()
+        );
+    }
+
+    #[test]
+    fn ring_lines_have_one_writer_each() {
+        let (tx, _rx) = ring::<u64>(RingConfig::with_capacity(64));
+        let shared = &*tx.shared;
+        let line = |addr: usize| addr / CACHE_LINE_SIZE;
+        let [producer_counters, consumer_counters] = shared.stats.line_addresses();
+        let hot = [
+            (
+                "read_index",
+                line(&*shared.read_index as *const AtomicU64 as usize),
+            ),
+            (
+                "write_index",
+                line(&*shared.write_index as *const AtomicU64 as usize),
+            ),
+            ("producer counters", line(producer_counters)),
+            ("consumer counters", line(consumer_counters)),
+        ];
+        let descriptor = [
+            ("buffer", line(&shared.buffer as *const _ as usize)),
+            ("mask", line(&shared.mask as *const u64 as usize)),
+        ];
+        for (i, (a, line_a)) in hot.iter().enumerate() {
+            for (b, line_b) in hot[i + 1..].iter().chain(&descriptor) {
+                assert_ne!(line_a, line_b, "{a} shares a cache line with {b}");
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,32 @@
 //! * a **synchronous API** — [`ClientHandle::get`], [`ClientHandle::insert`],
 //!   [`ClientHandle::delete`] — implemented on top of the pipeline, for
 //!   straightforward callers (the quickstart example, tests).
+//!
+//! **Per-key write order.** Writes to one key travel one lane in
+//! submission order, and a lane is FIFO, so while routing stands still two
+//! pipelined writes to a key execute in the order they were submitted.  Only
+//! a routing change breaks that: a server bounces a write that was
+//! dispatched under an older mapping (or that lands on a chunk in
+//! mid-hand-off), and the client's resubmission could then run after a later
+//! write to the same key that went straight to the new owner.  So the
+//! client orders same-key writes only across a routing change: while the
+//! router sits, stable, at the epoch every in-flight write was dispatched
+//! under, `write_order` is empty and untouched.  At the edge — the first
+//! write submitted under a new epoch or mid-transition, or the first write
+//! bounced — the writes already in flight are *seeded* into the map as a
+//! per-key in-flight count, read off the lanes' `pending` queues (a count,
+//! because two same-key writes may already share a lane).  Seeding rather
+//! than draining the pre-edge writes: a drain would hold every write, to
+//! every key, behind the slowest of them for as long as the transition
+//! bounces it, where the seed holds back only later writes to a key that
+//! has one in flight, for one pass over the pending queues per edge.  Two
+//! same-key writes that already share a lane at the edge stay in order:
+//! within a transition a server that bounces one write to a key bounces
+//! every later write to it (`pipeline.rs::divert`; deletes wait out a drain
+//! like inserts), so the bounced one is held until the later one is bounced
+//! too, and both go out again in order.  A key leaves the map when its last
+//! tracked write finishes; once the router is stable again, writes to keys
+//! not in the map go out untracked.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -227,6 +253,16 @@ enum Pending {
     },
 }
 
+impl Pending {
+    /// The key, if this is a write (insert or delete).
+    fn write_key(&self) -> Option<u64> {
+        match self {
+            Pending::Insert { key, .. } | Pending::Delete { key, .. } => Some(*key),
+            Pending::Lookup { .. } => None,
+        }
+    }
+}
+
 /// What applying a response to a pending operation produced.
 enum Applied {
     /// The operation finished.
@@ -259,7 +295,20 @@ impl Hasher for KeyHasher {
     }
 }
 
-type WriteOrderMap = HashMap<u64, VecDeque<Pending>, BuildHasherDefault<KeyHasher>>;
+/// Ordering state of one key in `write_order`.
+#[derive(Default)]
+struct KeyOrder {
+    /// Writes to the key dispatched and not yet finished (more than one
+    /// only for writes that were already in flight together at the edge).
+    in_flight: u32,
+    /// Writes waiting for `in_flight` to reach zero, in dispatch order: the
+    /// first `bounced` are in-flight writes a server bounced while an
+    /// earlier one was still out, the rest later submissions.
+    held: VecDeque<Pending>,
+    bounced: usize,
+}
+
+type WriteOrderMap = HashMap<u64, KeyOrder, BuildHasherDefault<KeyHasher>>;
 
 /// Per-server communication lane and its bookkeeping.
 struct Lane {
@@ -299,17 +348,24 @@ pub struct ClientHandle {
     /// Operations redirected by retry responses during live
     /// re-partitioning (diagnostic counter).
     retries: u64,
-    /// Per-key write ordering. A key present in this map has exactly one
-    /// response-bearing *write* (insert/delete) in flight; the queue holds
-    /// later writes to the same key, dispatched one at a time as their
-    /// predecessors complete.  Without this, a write that a mid-migration
-    /// server bounces with a retry response could be resubmitted *after* a
-    /// later pipelined write to the same key that was routed straight to the
-    /// new owner — silently reinstating the older value (see
-    /// `tests/pipeline_reorder.rs`).  Lookups are not serialized: the
-    /// pipelined API makes no read-after-write promise, and holding reads
-    /// back would penalize hot keys.
+    /// Per-key write ordering across a routing change (see the module
+    /// docs).  Live only then: a key is here while a write to it that was
+    /// in flight at the edge, or dispatched while the router was in
+    /// transition, is unfinished; later writes to the key wait in its
+    /// `held` queue and go out one at a time.  Without this, a write that a
+    /// mid-migration server bounces with a retry response could be
+    /// resubmitted *after* a later pipelined write to the same key that was
+    /// routed straight to the new owner — silently reinstating the older
+    /// value (see `tests/pipeline_reorder.rs`).  Empty and never looked up
+    /// while the router is stable at `stable_epoch`.  Lookups are not
+    /// serialized: the pipelined API makes no read-after-write promise, and
+    /// holding reads back would penalize hot keys.
     write_order: WriteOrderMap,
+    /// The router epoch every untracked in-flight write was dispatched
+    /// under, with the router stable; `None` while every in-flight write is
+    /// in `write_order` (the router was last seen in transition, or a write
+    /// was bounced since).
+    stable_epoch: Option<u8>,
     /// Writes held back (at least once) to preserve per-key write order
     /// (diagnostic counter).
     deferred_writes: u64,
@@ -329,6 +385,8 @@ impl ClientHandle {
         router: Arc<EpochRouter>,
         asleep: SleepFlag,
     ) -> Self {
+        let snap = router.snapshot();
+        let stable_epoch = (!snap.in_transition()).then_some(snap.epoch);
         ClientHandle {
             lanes: lanes.into_iter().map(Lane::new).collect(),
             router,
@@ -339,6 +397,7 @@ impl ClientHandle {
             resp_buf: Vec::with_capacity(256),
             retries: 0,
             write_order: WriteOrderMap::default(),
+            stable_epoch,
             deferred_writes: 0,
             anykey_gets: HashMap::new(),
             asleep,
@@ -451,23 +510,61 @@ impl ClientHandle {
         token
     }
 
-    /// Queue a write, holding it back if an earlier write to the same key is
-    /// still in flight (see the `write_order` field).
+    /// Queue a write.  Across a routing change it goes through
+    /// `write_order` and is held back while an earlier write to the same key
+    /// is in flight; otherwise it goes straight to its lane.
     fn submit_write(&mut self, key: u64, pending: Pending) {
         self.outstanding += 1;
-        match self.write_order.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut in_flight) => {
-                in_flight.get_mut().push_back(pending);
+        let snap = self.router.snapshot();
+        let stable = !snap.in_transition();
+        if !stable || self.stable_epoch != Some(snap.epoch) {
+            // The edge, if untracked writes are in flight: they were
+            // dispatched under an epoch the router has left, so may bounce.
+            if self.stable_epoch.is_some() {
+                self.track_in_flight_writes(&[]);
+            }
+            self.stable_epoch = stable.then_some(snap.epoch);
+        }
+        // Stable, a key with nothing tracked has nothing in flight that can
+        // bounce, and its write goes out untracked.
+        if !stable || self.write_order.contains_key(&key) {
+            let order = self.write_order.entry(key).or_default();
+            if order.in_flight > 0 || !order.held.is_empty() {
+                order.held.push_back(pending);
                 self.deferred_writes += 1;
                 return;
             }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(VecDeque::new());
-            }
+            order.in_flight = 1;
         }
-        let lane_idx = self.partition_of(key);
+        let lane_idx = snap.route(key, self.router.chunks());
         self.dispatch(lane_idx, pending);
         self.make_progress_if_backlogged(lane_idx);
+    }
+
+    /// Seed `write_order` at a routing edge: every write now in flight — on
+    /// the lanes' `pending` queues, or among `bounced`, just taken off them —
+    /// counts against its key, so later writes to the key wait for it.
+    /// Keys whose tracked writes have all finished release their next held
+    /// write or leave the map.
+    fn track_in_flight_writes(&mut self, bounced: &[(usize, Pending)]) {
+        for order in self.write_order.values_mut() {
+            order.in_flight = 0;
+        }
+        let in_flight = self.lanes.iter().flat_map(|lane| lane.pending.iter());
+        for pending in in_flight.chain(bounced.iter().map(|(_, p)| p)) {
+            if let Some(key) = pending.write_key() {
+                self.write_order.entry(key).or_default().in_flight += 1;
+            }
+        }
+        let idle: Vec<u64> = self
+            .write_order
+            .iter()
+            .filter(|(_, order)| order.in_flight == 0)
+            .map(|(&key, _)| key)
+            .collect();
+        for key in idle {
+            self.release_next_write(key);
+        }
     }
 
     /// Push queued requests towards the servers and collect any completions
@@ -482,6 +579,7 @@ impl ClientHandle {
         }
         let mut resubmissions: Vec<(usize, Pending)> = Vec::new();
         let mut finished_writes: Vec<u64> = Vec::new();
+        let track_writes = !self.write_order.is_empty();
         for lane_idx in 0..self.lanes.len() {
             Self::pump_lane(
                 &mut self.lanes[lane_idx],
@@ -489,18 +587,38 @@ impl ClientHandle {
                 &mut self.outstanding,
                 out,
                 &mut resubmissions,
-                &mut finished_writes,
+                track_writes.then_some(&mut finished_writes),
             );
+        }
+        self.settle(resubmissions, &finished_writes);
+        out.len() - before
+    }
+
+    /// After a round of pumping: resubmit the operations servers bounced and
+    /// let the tracked writes that finished release their keys' next ones.
+    fn settle(&mut self, resubmissions: Vec<(usize, Pending)>, finished_writes: &[u64]) {
+        let bounced_write = resubmissions.iter().any(|(_, p)| p.write_key().is_some());
+        let mut finished_writes = finished_writes;
+        if bounced_write && self.stable_epoch.is_some() {
+            // A bounce is a routing edge too.  The seed counts what is still
+            // in flight, so this round's finished writes are already off it.
+            self.track_in_flight_writes(&resubmissions);
+            self.stable_epoch = None;
+            finished_writes = &[];
         }
         // Operations bounced by a mid-migration server: re-encode them onto
         // the owning partition's lane (they keep their token, so callers
         // never observe the redirect).
         for (dest, pending) in resubmissions {
             self.retries += 1;
-            self.dispatch(dest, pending);
+            match pending.write_key() {
+                Some(key) => self.requeue_bounced_write(key, dest, pending),
+                None => self.dispatch(dest, pending),
+            }
         }
-        self.release_deferred_writes(&finished_writes);
-        out.len() - before
+        for &key in finished_writes {
+            self.finish_tracked_write(key);
+        }
     }
 
     /// Queue an operation on a destination lane (fresh submissions, retry
@@ -529,22 +647,51 @@ impl ClientHandle {
         }
     }
 
-    /// For every completed write, either dispatch the next deferred write to
-    /// the key's *current* owner or clear the key's in-flight marker.
-    fn release_deferred_writes(&mut self, finished: &[u64]) {
-        for &key in finished {
-            let next = match self.write_order.get_mut(&key) {
-                Some(queue) => queue.pop_front(),
-                None => continue,
-            };
-            match next {
-                Some(pending) => {
-                    let dest = self.partition_of(key);
-                    self.dispatch(dest, pending);
-                }
-                None => {
-                    self.write_order.remove(&key);
-                }
+    /// A write bounced: resubmit it if no earlier write to its key is still
+    /// out, else hold it ahead of the key's later writes.
+    fn requeue_bounced_write(&mut self, key: u64, dest: usize, pending: Pending) {
+        let Some(order) = self.write_order.get_mut(&key) else {
+            return self.dispatch(dest, pending);
+        };
+        order.in_flight = order.in_flight.saturating_sub(1);
+        if order.in_flight == 0 && order.bounced == 0 {
+            order.in_flight = 1;
+            self.dispatch(dest, pending);
+            return;
+        }
+        order.held.insert(order.bounced, pending);
+        order.bounced += 1;
+        if order.in_flight == 0 {
+            self.release_next_write(key);
+        }
+    }
+
+    /// A tracked write completed: once none of its key's is in flight,
+    /// dispatch the next held one.
+    fn finish_tracked_write(&mut self, key: u64) {
+        if let Some(order) = self.write_order.get_mut(&key) {
+            order.in_flight = order.in_flight.saturating_sub(1);
+            if order.in_flight == 0 {
+                self.release_next_write(key);
+            }
+        }
+    }
+
+    /// Dispatch `key`'s next held write to its *current* owner, or drop the
+    /// key from `write_order` when nothing is held.
+    fn release_next_write(&mut self, key: u64) {
+        let Some(order) = self.write_order.get_mut(&key) else {
+            return;
+        };
+        match order.held.pop_front() {
+            Some(pending) => {
+                order.bounced = order.bounced.saturating_sub(1);
+                order.in_flight = 1;
+                let dest = self.partition_of(key);
+                self.dispatch(dest, pending);
+            }
+            None => {
+                self.write_order.remove(&key);
             }
         }
     }
@@ -652,20 +799,17 @@ impl ClientHandle {
         let mut spill = Vec::new();
         let mut resubmissions = Vec::new();
         let mut finished_writes = Vec::new();
+        let track_writes = !self.write_order.is_empty();
         Self::pump_lane(
             &mut self.lanes[lane_idx],
             &mut self.resp_buf,
             &mut self.outstanding,
             &mut spill,
             &mut resubmissions,
-            &mut finished_writes,
+            track_writes.then_some(&mut finished_writes),
         );
         self.stashed.extend(spill);
-        for (dest, pending) in resubmissions {
-            self.retries += 1;
-            self.dispatch(dest, pending);
-        }
-        self.release_deferred_writes(&finished_writes);
+        self.settle(resubmissions, &finished_writes);
     }
 
     /// Wait (spinning) for a specific token, stashing every other completion
@@ -745,14 +889,16 @@ impl ClientHandle {
     /// responses, process them (which, for values that travel by pointer,
     /// queues follow-up Ready/Decref messages), send those too, and flush.
     /// Retry responses do not complete their operation; they are collected
-    /// into `resubmissions` for the caller to re-route.
+    /// into `resubmissions` for the caller to re-route.  The keys of
+    /// completed writes go to `finished_writes` when the caller is tracking
+    /// write order.
     fn pump_lane(
         lane: &mut Lane,
         resp_buf: &mut Vec<Response>,
         outstanding: &mut usize,
         out: &mut Vec<Completion>,
         resubmissions: &mut Vec<(usize, Pending)>,
-        finished_writes: &mut Vec<u64>,
+        mut finished_writes: Option<&mut Vec<u64>>,
     ) {
         // Publish now so a busy server starts on the requests while the
         // responses below are processed, but ring once per round, at its
@@ -787,16 +933,14 @@ impl ClientHandle {
                 .pending
                 .pop_front()
                 .expect("server sent a response with nothing pending");
-            let write_key = match &pending {
-                Pending::Insert { key, .. } | Pending::Delete { key, .. } => Some(*key),
-                Pending::Lookup { .. } => None,
-            };
+            let write_key = pending.write_key();
             match Self::complete(lane, pending, response) {
                 Applied::Done(completion) => {
                     *outstanding -= 1;
                     out.push(completion);
-                    if let Some(key) = write_key {
-                        finished_writes.push(key);
+                    if let (Some(key), Some(finished)) = (write_key, finished_writes.as_deref_mut())
+                    {
+                        finished.push(key);
                     }
                 }
                 Applied::Resubmit { dest, pending } => {

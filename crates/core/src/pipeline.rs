@@ -98,7 +98,7 @@ impl OpCtx<'_> {
     /// Decide whether a data operation on `key` must be redirected instead
     /// of served here. Returns the partition to retry at (possibly this
     /// one, meaning "ask again shortly").
-    fn divert(&mut self, key: u64, is_insert: bool) -> Option<usize> {
+    fn divert(&mut self, key: u64, is_write: bool) -> Option<usize> {
         let chunks = self.router.chunks();
         let snap = self.router.snapshot();
         let owner = snap.route(key, chunks);
@@ -148,12 +148,14 @@ impl OpCtx<'_> {
                 self.migration.outgoing.remove(&chunk);
             }
         }
-        if is_insert {
+        if is_write {
             if let Some((_, step)) = self.migration.draining {
                 if step.chunk == chunk && partition_for_key(key, step.new_partitions) != self.index
                 {
                     // A new insert of a leaving key would keep extending the
                     // drain; hold the client off until extraction happens.
+                    // Deletes wait too: one served here while an earlier
+                    // insert of its key is bounced would run ahead of it.
                     return Some(self.index);
                 }
             }
@@ -169,8 +171,8 @@ impl OpCtx<'_> {
         if matches!(*op, DataOp::Insert { size, .. } if size <= INLINE_VALUE_BYTES as u64) {
             return Response::MISS;
         }
-        let is_insert = matches!(op, DataOp::Insert { .. } | DataOp::InsertInline { .. });
-        if let Some(dest) = self.divert(prep.key(), is_insert) {
+        let is_write = !matches!(op, DataOp::Lookup { .. });
+        if let Some(dest) = self.divert(prep.key(), is_write) {
             return Response::retry(dest);
         }
         match *op {

@@ -27,7 +27,7 @@
 //! closed-loop client ([`IDLE_SPIN_BEFORE_PARK`]).
 
 // cphash-lint: hot-path
-use cphash_sync::atomic::plain::{AtomicBool, Ordering};
+use cphash_sync::atomic::plain::{single_writer_add, AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -221,7 +221,7 @@ impl ServerThread {
                 self.try_finish_drain(&mut migration);
             }
             if did_work {
-                self.stats.busy_iterations.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                single_writer_add(&self.stats.busy_iterations, 1);
                 idle_streak = 0;
                 idle_since = None;
             } else {
@@ -235,7 +235,7 @@ impl ServerThread {
                 // path.  A drain in progress must not sleep: the export is
                 // retried every iteration and nothing rings when the last
                 // client endpoint disappears.
-                self.stats.idle_iterations.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                single_writer_add(&self.stats.idle_iterations, 1);
                 idle_streak = idle_streak.wrapping_add(1);
                 if !idle_streak.is_multiple_of(IDLE_POLLS_PER_YIELD) {
                     core::hint::spin_loop();
@@ -305,19 +305,17 @@ impl ServerThread {
                 // Counted on the way in, so a scrape of a sleeping server
                 // already shows this sleep and the spin that preceded it.
                 let spun = parked_at.saturating_sub(spin_began);
-                stats.idle_spin_cycles.fetch_add(spun, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
-                stats.parks.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                single_writer_add(&stats.idle_spin_cycles, spun);
+                single_writer_add(&stats.parks, 1);
                 if clients_asleep {
-                    stats.clients_asleep_parks.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                    single_writer_add(&stats.clients_asleep_parks, 1);
                 }
             }
             pending
         });
         if slept {
             let cycles = cphash_perfmon::cycles_now().wrapping_sub(parked_at);
-            self.stats
-                .parked_cycles
-                .fetch_add(cycles, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+            single_writer_add(&self.stats.parked_cycles, cycles);
         }
     }
 
@@ -340,6 +338,8 @@ impl ServerThread {
         migration: &mut MigrationState,
         scratch: &mut Scratch,
     ) {
+        // Counted here and added to the shared counter once per batch.
+        let mut messages = 0u64;
         let mut i = 0usize;
         while i < words.len() {
             // Collect a run of data operations, bounded by the pipeline
@@ -355,12 +355,12 @@ impl ServerThread {
                 };
                 if !op.is_data() {
                     if !scratch.ops.is_empty() {
-                        self.stats.run_cuts.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                        single_writer_add(&self.stats.run_cuts, 1);
                     }
                     break;
                 }
                 i += 1;
-                self.stats.messages.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                messages += 1;
                 scratch.ops.push(match op {
                     OpCode::Lookup => DataOp::Lookup { key },
                     OpCode::Delete => DataOp::Delete { key },
@@ -384,12 +384,13 @@ impl ServerThread {
                 if let Some((op, payload)) = decode_word(words[i]) {
                     if !op.is_data() {
                         i += 1;
-                        self.stats.messages.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                        messages += 1;
                         self.process_control(op, payload, lane_idx, words, &mut i, migration);
                     }
                 }
             }
         }
+        single_writer_add(&self.stats.messages, messages);
     }
 
     /// Run one collected batch of data operations through the executor and
@@ -416,9 +417,7 @@ impl ServerThread {
             );
         }
         debug_assert_eq!(scratch.replies.len(), scratch.ops.len());
-        self.stats
-            .operations
-            .fetch_add(scratch.ops.len() as u64, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+        single_writer_add(&self.stats.operations, scratch.ops.len() as u64);
         let span = StageSpan::begin(TraceStage::ReplyPublish);
         self.respond_batch(lane_idx, &scratch.replies);
         span.finish(scratch.replies.len() as u32);
@@ -514,9 +513,7 @@ impl ServerThread {
                     // getting "retry here" answers until they land.
                     migration.incoming.remove(&step.chunk);
                 }
-                self.stats
-                    .keys_migrated_in
-                    .fetch_add(absorbed as u64, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                single_writer_add(&self.stats.keys_migrated_in, absorbed as u64);
                 self.respond(
                     lane_idx,
                     Response {
@@ -541,9 +538,7 @@ impl ServerThread {
         });
         match outcome {
             ExportOutcome::Extracted(entries) => {
-                self.stats
-                    .keys_migrated_out
-                    .fetch_add(entries.len() as u64, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                single_writer_add(&self.stats.keys_migrated_out, entries.len() as u64);
                 if entries.is_empty() {
                     Some(Response::FOUND)
                 } else {
@@ -576,9 +571,7 @@ impl ServerThread {
                         .export_chunk_abandoning_reservations(step.chunk, |key| {
                             partition_for_key(key, step.new_partitions) != me
                         });
-                    self.stats
-                        .keys_migrated_out
-                        .fetch_add(entries.len() as u64, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+                    single_writer_add(&self.stats.keys_migrated_out, entries.len() as u64);
                     if entries.is_empty() {
                         Response::FOUND
                     } else {
@@ -633,7 +626,6 @@ impl ServerThread {
     fn wait_for_extra_word(&mut self, lane_idx: usize) -> u64 {
         loop {
             if let Some(w) = self.lanes[lane_idx].try_recv() {
-                self.stats.messages.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
                 return w;
             }
             if !self.lanes[lane_idx].is_client_alive() {

@@ -6,10 +6,13 @@ use cphash_affinity::PinOutcome;
 use cphash_perfmon::{BatchCounters, BatchStats};
 
 /// Counters one server thread updates while running; read by the table
-/// handle and the benchmark reports.
+/// handle and the benchmark reports.  The server thread is every counter's
+/// only writer, so it adds with `single_writer_add` (a load and a store, no
+/// locked read-modify-write).
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    /// Requests (protocol messages) processed.
+    /// Requests (protocol messages) processed; added once per drained lane
+    /// batch.
     pub messages: AtomicU64,
     /// Hash-table operations completed (lookup/insert/delete).
     pub operations: AtomicU64,

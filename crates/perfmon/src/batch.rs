@@ -9,11 +9,14 @@
 //! occupancy** — how many operations each synchronization round actually
 //! carried, i.e. how much DRAM latency the pipeline had the opportunity to
 //! overlap.
+//
+// cphash-lint: hot-path
 
-use cphash_sync::atomic::plain::{AtomicU64, Ordering};
+use cphash_sync::atomic::plain::{single_writer_add, AtomicU64, Ordering};
 
 /// Lock-free batch-pipeline counters, updated by one server thread and read
-/// by anyone.
+/// by anyone.  That thread is the only writer, so its adds are plain loads
+/// and stores.
 #[derive(Debug, Default)]
 pub struct BatchCounters {
     /// Batched execution rounds completed.
@@ -34,9 +37,9 @@ impl BatchCounters {
     /// `prefetches` bucket prefetches.
     #[inline]
     pub fn note_batch(&self, ops: u64, prefetches: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
-        self.ops.fetch_add(ops, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
-        self.prefetches.fetch_add(prefetches, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
+        single_writer_add(&self.batches, 1);
+        single_writer_add(&self.ops, ops);
+        single_writer_add(&self.prefetches, prefetches);
     }
 
     /// A plain snapshot of the current counter values.

@@ -37,6 +37,19 @@ pub use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering
 /// these — the model checker cannot see them.
 pub mod plain {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+    /// Add `n` to a counter that only the calling thread writes: a relaxed
+    /// load and a relaxed store, no `lock`-prefixed read-modify-write.
+    /// Readers on other threads see every value in order, one add at a
+    /// time.  A second writer would lose adds: a counter several threads
+    /// bump keeps its `fetch_add`.
+    #[inline]
+    pub fn single_writer_add(counter: &AtomicU64, n: u64) {
+        // relaxed: this thread's own latest store; nothing else writes it
+        let value = counter.load(Ordering::Relaxed).wrapping_add(n);
+        // relaxed: diagnostic counter; the store publishes only its value
+        counter.store(value, Ordering::Relaxed);
+    }
 }
 
 /// CPU spin hint: [`std::hint::spin_loop`] normally; in model mode a

@@ -11,7 +11,8 @@
 //! 3. `safety-comment` — every `unsafe` block is preceded by a
 //!    `// SAFETY: …` comment (same line or in the comment block directly above).
 //! 4. `hot-path` — files tagged `// cphash-lint: hot-path` must not call
-//!    panicking or allocating constructs on shipped lines.
+//!    panicking or allocating constructs on shipped lines, nor a locked
+//!    read-modify-write (`fetch_add` / `fetch_sub`).
 //! 5. `env-read` — no `std::env::var` / `var_os` outside binaries: no
 //!    library module reads the environment.  Configuration reaches a
 //!    library through its config structs.
@@ -157,7 +158,13 @@ fn waived(lines: &[&str], i: usize, comment: &str, rule: &str) -> bool {
     has_waiver(comment, rule) || comment_block_above(lines, i, &format!("lint: allow({rule}"))
 }
 
-/// Constructs banned on hot-path lines: things that can panic or allocate.
+/// Why a hot path may not bump a counter with a locked read-modify-write.
+const LOCKED_RMW: &str = "is a locked read-modify-write: a counter with one writer uses \
+                          `cphash_sync::atomic::plain::single_writer_add`; a counter with \
+                          several writers takes a `lint: allow(hot-path)` naming them";
+
+/// Constructs banned on hot-path lines: things that can panic or allocate,
+/// and locked read-modify-writes.
 const HOT_PATH_BANNED: &[(&str, &str)] = &[
     ("panic!(", "panics"),
     ("unreachable!(", "panics"),
@@ -178,6 +185,8 @@ const HOT_PATH_BANNED: &[(&str, &str)] = &[
     (".to_owned()", "allocates"),
     (".to_vec()", "allocates"),
     ("format!(", "allocates"),
+    (".fetch_add(", LOCKED_RMW),
+    (".fetch_sub(", LOCKED_RMW),
 ];
 
 /// Lint one file's contents.  `path` is used for reporting and the facade
@@ -506,6 +515,22 @@ fn f(x: Option<u32>) -> u32 {
         assert!(lint_str("crates/core/src/x.rs", tagged).is_empty());
         let untagged = "let v = x.unwrap();\n";
         assert!(lint_str("crates/core/src/x.rs", untagged).is_empty());
+    }
+
+    #[test]
+    fn hot_path_bans_locked_counter_adds_unless_waived() {
+        let src = "\
+// cphash-lint: hot-path
+fn f(stats: &Stats) {
+    stats.ops.fetch_add(1, Ordering::Relaxed); // relaxed: counter
+    // lint: allow(hot-path) every worker thread bumps this one
+    stats.shared.fetch_sub(1, Ordering::Relaxed); // relaxed: counter
+}
+";
+        let v = lint_str("crates/core/src/x.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (3, "hot-path"));
+        assert!(v[0].message.contains("single_writer_add"));
     }
 
     #[test]
