@@ -107,6 +107,7 @@ pub enum ValueBytes {
 
 impl ValueBytes {
     /// Build from a byte slice.
+    #[inline]
     pub fn from_slice(bytes: &[u8]) -> ValueBytes {
         if bytes.len() <= 16 {
             let mut data = [0u8; 16];
@@ -237,7 +238,7 @@ pub struct Completion {
 /// One queued operation awaiting its response (per lane, FIFO). The key is
 /// kept so a *retry* response (the owning partition changed under live
 /// re-partitioning) can resubmit the operation to its new owner.
-enum Pending {
+pub(crate) enum Pending {
     Lookup {
         token: u64,
         key: u64,
@@ -255,7 +256,7 @@ enum Pending {
 
 impl Pending {
     /// The key, if this is a write (insert or delete).
-    fn write_key(&self) -> Option<u64> {
+    pub(crate) fn write_key(&self) -> Option<u64> {
         match self {
             Pending::Insert { key, .. } | Pending::Delete { key, .. } => Some(*key),
             Pending::Lookup { .. } => None,
@@ -271,11 +272,11 @@ enum Applied {
     Resubmit { dest: usize, pending: Pending },
 }
 
-/// Cheap fixed hasher for the per-key write-order map.  The map is
-/// client-local and keyed by `u64`, so SipHash's DoS resistance buys
+/// Cheap fixed hasher for the client's per-key and per-token maps.  They
+/// are client-local and keyed by `u64`, so SipHash's DoS resistance buys
 /// nothing on this hot path; one splitmix-style mix is plenty.
 #[derive(Default)]
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn finish(&self) -> u64 {
@@ -308,7 +309,10 @@ struct KeyOrder {
     bounced: usize,
 }
 
-type WriteOrderMap = HashMap<u64, KeyOrder, BuildHasherDefault<KeyHasher>>;
+/// A `u64`-keyed map hashed with [`KeyHasher`].
+pub(crate) type U64Map<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+
+type WriteOrderMap = U64Map<KeyOrder>;
 
 /// Per-server communication lane and its bookkeeping.
 struct Lane {
@@ -359,7 +363,8 @@ pub struct ClientHandle {
     /// value (see `tests/pipeline_reorder.rs`).  Empty and never looked up
     /// while the router is stable at `stable_epoch`.  Lookups are not
     /// serialized: the pipelined API makes no read-after-write promise, and
-    /// holding reads back would penalize hot keys.
+    /// holding reads back would penalize hot keys (the [`crate::KvClient`]
+    /// impl does hold them, in `kv`).
     write_order: WriteOrderMap,
     /// The router epoch every untracked in-flight write was dispatched
     /// under, with the router stable; `None` while every in-flight write is
@@ -369,10 +374,10 @@ pub struct ClientHandle {
     /// Writes held back (at least once) to preserve per-key write order
     /// (diagnostic counter).
     deferred_writes: u64,
-    /// Byte-string keys of lookups submitted through the [`crate::kv::KvClient`]
-    /// trait, by token: their raw completions carry the §8.2 envelope and
-    /// are translated (collision check included) by the trait's poll.
-    pub(crate) anykey_gets: HashMap<u64, Vec<u8>>,
+    /// What the [`crate::kv::KvClient`] impl keeps on top of the pipeline:
+    /// byte keys awaiting their envelope check, and lookups held behind
+    /// same-key writes.
+    pub(crate) kv: crate::kv::KvState,
     /// Raised by [`ClientHandle::asleep_during`] and by `Drop`; shared with
     /// every server this handle has a lane to.
     asleep: SleepFlag,
@@ -399,7 +404,7 @@ impl ClientHandle {
             write_order: WriteOrderMap::default(),
             stable_epoch,
             deferred_writes: 0,
-            anykey_gets: HashMap::new(),
+            kv: Default::default(),
             asleep,
         }
     }
@@ -475,8 +480,13 @@ impl ClientHandle {
 
     /// Queue a lookup. Returns the token its [`Completion`] will carry.
     pub fn submit_lookup(&mut self, key: u64) -> u64 {
-        let key = key & MAX_KEY;
         let token = self.take_token();
+        self.queue_lookup(token, key & MAX_KEY);
+        token
+    }
+
+    #[inline]
+    fn queue_lookup(&mut self, token: u64, key: u64) {
         let lane_idx = self.partition_of(key);
         let (w0, _) = encode(&Request::Lookup { key });
         let lane = &mut self.lanes[lane_idx];
@@ -484,7 +494,17 @@ impl ClientHandle {
         lane.outgoing.push_back(w0);
         self.outstanding += 1;
         self.make_progress_if_backlogged(lane_idx);
-        token
+    }
+
+    /// Queue an operation whose token [`ClientHandle::take_token`] handed
+    /// out earlier, its key already masked.
+    pub(crate) fn submit_taken(&mut self, pending: Pending) {
+        match pending {
+            Pending::Lookup { token, key } => self.queue_lookup(token, key),
+            Pending::Insert { key, .. } | Pending::Delete { key, .. } => {
+                self.submit_write(key, pending)
+            }
+        }
     }
 
     /// Queue an insert of `value` under `key`.
@@ -783,7 +803,7 @@ impl ClientHandle {
     // Internals
     // ------------------------------------------------------------------
 
-    fn take_token(&mut self) -> u64 {
+    pub(crate) fn take_token(&mut self) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
         t

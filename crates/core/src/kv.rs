@@ -25,8 +25,17 @@
 //! helpers (`get_blocking` & co.) are provided for non-pipelined callers —
 //! they drain the pipeline, so do not mix them with in-flight tokens you
 //! still care about.
+//!
+//! Per key, one client's operations take effect in submit order: a get
+//! sees the writes submitted before it and none submitted after it.  Only
+//! a resubmission can break the second half — a lookup bounced by a live
+//! re-partitioning, or shed by an overloaded server — so such a get may
+//! also see a later write.
 
-use crate::client::{Completion, CompletionKind, OpError, ValueBytes};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
+
+use crate::client::{Completion, CompletionKind, OpError, Pending, U64Map, ValueBytes};
 
 /// A key, by reference: the table's native 60-bit hash key or an arbitrary
 /// byte string (routed through the §8.2 envelope hash).
@@ -40,6 +49,7 @@ pub enum KeyRef<'a> {
 
 impl KeyRef<'_> {
     /// The 60-bit hash key this key routes by.
+    #[inline]
     pub fn hash(&self) -> u64 {
         match self {
             KeyRef::Hash(k) => *k & cphash_hashcore::MAX_KEY,
@@ -123,6 +133,18 @@ pub trait KvClient {
     /// Can the backend still make progress?  `false` turns
     /// [`KvClient::drain_completions`] into an error instead of a hang.
     fn is_alive(&self) -> bool;
+
+    /// Run `blocking` — a call that puts this thread to sleep, with nothing
+    /// in flight — announced to the backend as asleep, so a backend that
+    /// spins waiting for work may park sooner.  Advisory; the default just
+    /// runs the call ([`crate::ClientHandle::asleep_during`] is the backend
+    /// that listens).
+    fn asleep_during<R>(&self, blocking: impl FnOnce() -> R) -> R
+    where
+        Self: Sized,
+    {
+        blocking()
+    }
 
     /// Admin: re-partition the backend to `partitions` live servers
     /// (`chunks_per_sec` 0 = backend default pacing).  Drains the pipeline
@@ -223,6 +245,73 @@ fn poll_until<C: KvClient + ?Sized>(
     Ok(())
 }
 
+/// What [`KvClient`]'s impl for [`crate::ClientHandle`] keeps beside the
+/// handle's own pipeline.
+///
+/// **Gets after writes.**  An insert whose value travels by pointer is
+/// two-phase: the server links a NOT-READY element, the client copies the
+/// value in and sends `Ready`.  A lookup queued behind the insert on the
+/// lane would find the element NOT-READY and miss.  So the trait holds a
+/// get back while a write to its key submitted earlier is in flight, and
+/// every later operation on that key waits behind the held get, in submit
+/// order: the get then sees exactly the writes submitted before it.
+/// Tokens are taken at submit, so they stay dense in submit order.  The
+/// inherent pipelined API makes no such promise and pays nothing for it.
+#[derive(Default)]
+pub(crate) struct KvState {
+    /// Byte-string keys of lookups, by token: their raw completions carry
+    /// the §8.2 envelope and are translated (collision check included) by
+    /// the trait's poll.
+    anykey_gets: U64Map<Vec<u8>>,
+    /// The hash key of every write in flight, by token.
+    writes: U64Map<u64>,
+    /// Per hash key with a write in flight: how many, and what waits.
+    keys: U64Map<KeyQueue>,
+    /// Operations waiting in `keys`, not yet submitted to the handle.
+    held: usize,
+}
+
+#[derive(Default)]
+struct KeyQueue {
+    /// Writes to the key submitted to the handle and not yet completed.
+    writes: u32,
+    /// Operations on the key waiting, in submit order; the first is a get.
+    held: VecDeque<Pending>,
+}
+
+impl crate::ClientHandle {
+    /// A write to `key` completed: submit what waited behind it, in order,
+    /// up to the next get that still has a write before it in flight.
+    fn release_after_write(&mut self, key: u64) {
+        let Entry::Occupied(mut entry) = self.kv.keys.entry(key) else {
+            return;
+        };
+        let queue = entry.get_mut();
+        queue.writes -= 1;
+        let mut released = Vec::new();
+        while let Some(next) = queue.held.front() {
+            if next.write_key().is_none() && queue.writes > 0 {
+                break;
+            }
+            let next = queue.held.pop_front().expect("front exists");
+            if next.write_key().is_some() {
+                queue.writes += 1;
+            }
+            released.push(next);
+        }
+        if queue.writes == 0 && queue.held.is_empty() {
+            entry.remove();
+        }
+        self.kv.held -= released.len();
+        for pending in released {
+            if let Pending::Insert { token, .. } | Pending::Delete { token, .. } = pending {
+                self.kv.writes.insert(token, key);
+            }
+            self.submit_taken(pending);
+        }
+    }
+}
+
 impl KvClient for crate::ClientHandle {
     fn backend(&self) -> &'static str {
         "in-process"
@@ -230,47 +319,87 @@ impl KvClient for crate::ClientHandle {
 
     fn submit(&mut self, op: KvOp<'_>) -> u64 {
         use cphash_kvproto::envelope;
-        match op {
-            KvOp::Get(KeyRef::Hash(k)) => self.submit_lookup(k),
-            KvOp::Get(KeyRef::Bytes(b)) => {
-                let token = self.submit_lookup(envelope::hash_key(b));
-                self.anykey_gets.insert(token, b.to_vec());
-                token
+        let token = self.take_token();
+        let (key, pending) = match op {
+            KvOp::Get(k) => {
+                if let KeyRef::Bytes(b) = k {
+                    self.kv.anykey_gets.insert(token, b.to_vec());
+                }
+                let key = k.hash();
+                (key, Pending::Lookup { token, key })
             }
-            KvOp::Insert(KeyRef::Hash(k), value) => self.submit_insert(k, value),
-            KvOp::Insert(KeyRef::Bytes(b), value) => {
-                self.submit_insert(envelope::hash_key(b), &envelope::encode_envelope(b, value))
+            KvOp::Insert(k, value) => {
+                let value = match k {
+                    KeyRef::Hash(_) => ValueBytes::from_slice(value),
+                    KeyRef::Bytes(b) => {
+                        ValueBytes::from_slice(&envelope::encode_envelope(b, value))
+                    }
+                };
+                let key = k.hash();
+                (key, Pending::Insert { token, key, value })
             }
-            KvOp::Delete(key) => self.submit_delete(key.hash()),
+            KvOp::Delete(k) => {
+                let key = k.hash();
+                (key, Pending::Delete { token, key })
+            }
+        };
+        let write = pending.write_key().is_some();
+        let queue = if write {
+            Some(self.kv.keys.entry(key).or_default())
+        } else {
+            self.kv.keys.get_mut(&key)
+        };
+        match queue {
+            Some(queue) if write && queue.held.is_empty() => queue.writes += 1,
+            Some(queue) => {
+                queue.held.push_back(pending);
+                self.kv.held += 1;
+                return token;
+            }
+            None => {}
         }
+        if write {
+            self.kv.writes.insert(token, key);
+        }
+        self.submit_taken(pending);
+        token
     }
 
     fn poll_completions(&mut self, out: &mut Vec<Completion>) -> usize {
         let before = out.len();
         self.poll(out);
-        // Byte-key lookups travel as envelope lookups; unwrap them and
-        // turn collisions into misses (§8.2) before the caller sees them.
-        if !self.anykey_gets.is_empty() {
-            for completion in out[before..].iter_mut() {
-                let Some(wanted) = self.anykey_gets.remove(&completion.token) else {
-                    continue;
-                };
-                if let CompletionKind::LookupHit(envelope) = &completion.kind {
-                    completion.kind = match cphash_kvproto::envelope::unwrap_matching(
-                        envelope.as_slice(),
-                        &wanted,
-                    ) {
+        if self.kv.writes.is_empty() && self.kv.anykey_gets.is_empty() {
+            return out.len() - before;
+        }
+        for completion in out[before..].iter_mut() {
+            let lookup = matches!(
+                completion.kind,
+                CompletionKind::LookupHit(_) | CompletionKind::LookupMiss
+            );
+            if !lookup {
+                if let Some(key) = self.kv.writes.remove(&completion.token) {
+                    self.release_after_write(key);
+                }
+                continue;
+            }
+            // Byte-key lookups travel as envelope lookups; unwrap them and
+            // turn collisions into misses (§8.2) before the caller sees them.
+            let Some(wanted) = self.kv.anykey_gets.remove(&completion.token) else {
+                continue;
+            };
+            if let CompletionKind::LookupHit(envelope) = &completion.kind {
+                completion.kind =
+                    match cphash_kvproto::envelope::unwrap_matching(envelope.as_slice(), &wanted) {
                         Some(value) => CompletionKind::LookupHit(ValueBytes::from_slice(value)),
                         None => CompletionKind::LookupMiss,
                     };
-                }
             }
         }
         out.len() - before
     }
 
     fn pending_ops(&self) -> usize {
-        self.outstanding()
+        self.outstanding() + self.kv.held
     }
 
     fn recommended_window(&self) -> usize {
@@ -280,6 +409,10 @@ impl KvClient for crate::ClientHandle {
 
     fn is_alive(&self) -> bool {
         self.servers_alive()
+    }
+
+    fn asleep_during<R>(&self, blocking: impl FnOnce() -> R) -> R {
+        crate::ClientHandle::asleep_during(self, blocking)
     }
 }
 
@@ -372,6 +505,44 @@ mod tests {
                     other => panic!("unexpected completion {other:?}"),
                 }
             }
+        }
+        drop(clients);
+        table.shutdown();
+    }
+
+    #[test]
+    fn a_get_sees_the_writes_submitted_before_it_and_none_after() {
+        let (mut table, mut clients) = CpHash::with_partitions(2, 1);
+        {
+            let client = &mut clients[0];
+            let (a, b) = ([0xAA; 64], [0xBB; 64]);
+            let ops = [
+                KvOp::Insert(KeyRef::Hash(5), &a),
+                KvOp::Get(KeyRef::Hash(5)),
+                KvOp::Insert(KeyRef::Hash(5), &b),
+                KvOp::Get(KeyRef::Hash(5)),
+                KvOp::Delete(KeyRef::Hash(5)),
+                KvOp::Get(KeyRef::Hash(5)),
+                KvOp::Insert(KeyRef::Bytes(b"k"), &a),
+                KvOp::Get(KeyRef::Bytes(b"k")),
+            ];
+            let tokens: Vec<u64> = ops.iter().map(|&op| client.submit(op)).collect();
+            assert!(
+                tokens.windows(2).all(|w| w[1] == w[0] + 1),
+                "dense tokens in submit order, held operations included"
+            );
+            assert_eq!(client.pending_ops(), ops.len());
+            let mut out = Vec::new();
+            client.drain_completions(&mut out).unwrap();
+            assert_eq!(client.pending_ops(), 0);
+            let kind = |token| out.iter().find(|c| c.token == token).unwrap().kind.clone();
+            let hit = |v: &[u8]| CompletionKind::LookupHit(ValueBytes::from_slice(v));
+            assert_eq!(kind(tokens[1]), hit(&a));
+            assert_eq!(kind(tokens[3]), hit(&b));
+            assert_eq!(kind(tokens[4]), CompletionKind::Deleted(true));
+            assert_eq!(kind(tokens[5]), CompletionKind::LookupMiss);
+            assert_eq!(kind(tokens[7]), hit(&a));
+            assert!(client.kv.keys.is_empty() && client.kv.writes.is_empty());
         }
         drop(clients);
         table.shutdown();

@@ -28,9 +28,18 @@ pub fn hash_key(key: &[u8]) -> u64 {
     acc & MAX_KEY
 }
 
+/// Bytes of the `key_len` header.
+const HEADER_BYTES: usize = 4;
+
+/// The length of the envelope [`encode_envelope`] would build for `key` and
+/// a value of `value_len` bytes, without building it.
+pub fn enveloped_len(key: &[u8], value_len: usize) -> usize {
+    HEADER_BYTES + key.len() + value_len
+}
+
 /// Encode `key ++ value` into a fresh envelope.
 pub fn encode_envelope(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + key.len() + value.len());
+    let mut out = Vec::with_capacity(enveloped_len(key, value.len()));
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(value);
@@ -40,14 +49,12 @@ pub fn encode_envelope(key: &[u8], value: &[u8]) -> Vec<u8> {
 /// Split an envelope back into `(key, value)`.  `None` on a malformed
 /// envelope (truncated header or key).
 pub fn decode_envelope(envelope: &[u8]) -> Option<(&[u8], &[u8])> {
-    if envelope.len() < 4 {
+    let (header, rest) = envelope.split_first_chunk::<HEADER_BYTES>()?;
+    let key_len = u32::from_le_bytes(*header) as usize;
+    if rest.len() < key_len {
         return None;
     }
-    let key_len = u32::from_le_bytes(envelope[..4].try_into().ok()?) as usize;
-    if envelope.len() < 4 + key_len {
-        return None;
-    }
-    Some((&envelope[4..4 + key_len], &envelope[4 + key_len..]))
+    Some(rest.split_at(key_len))
 }
 
 /// Decode an envelope and return the value iff the stored key matches the
@@ -57,34 +64,6 @@ pub fn unwrap_matching<'a>(envelope: &'a [u8], wanted_key: &[u8]) -> Option<&'a 
     decode_envelope(envelope).and_then(|(stored, value)| (stored == wanted_key).then_some(value))
 }
 
-/// The form a server stores for a keyed insert: the 60-bit hash key plus
-/// the value bytes — borrowed as-is for hash keys, the §8.2 envelope for
-/// byte keys.  Shared by every server so the storage encoding cannot
-/// drift between backends.
-pub fn stored_form<'a>(
-    key: crate::WireKeyRef<'_>,
-    value: &'a [u8],
-) -> (u64, std::borrow::Cow<'a, [u8]>) {
-    match key {
-        crate::WireKeyRef::Hash(k) => (k & MAX_KEY, std::borrow::Cow::Borrowed(value)),
-        crate::WireKeyRef::Bytes(b) => (
-            hash_key(b),
-            std::borrow::Cow::Owned(encode_envelope(b, value)),
-        ),
-    }
-}
-
-/// Verify a stored value against the key that looked it up: hash keys pass
-/// the bytes through; byte keys unwrap the envelope and read collisions
-/// (or malformed envelopes) as a miss.  Shared by every server so §8.2
-/// verification cannot drift between backends.
-pub fn verify_stored<'a>(key: crate::WireKeyRef<'_>, stored: &'a [u8]) -> Option<&'a [u8]> {
-    match key {
-        crate::WireKeyRef::Hash(_) => Some(stored),
-        crate::WireKeyRef::Bytes(wanted) => unwrap_matching(stored, wanted),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +71,7 @@ mod tests {
     #[test]
     fn envelope_round_trips() {
         let e = encode_envelope(b"key", b"value bytes");
+        assert_eq!(e.len(), enveloped_len(b"key", b"value bytes".len()));
         assert_eq!(
             decode_envelope(&e),
             Some((&b"key"[..], &b"value bytes"[..]))

@@ -6,9 +6,7 @@ use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 
 use bytes::{Buf, BytesMut};
-use cphash_kvproto::{
-    encode_hello, Reply, ServerDecoder, ServerOp, ServerOpRef, Status, VERSION_2,
-};
+use cphash_kvproto::{encode_hello, ServerDecoder, ServerOpRef, Status, VERSION_2};
 
 use crate::metrics::ServerMetrics;
 use crate::reactor::{RawFd, Reactor};
@@ -62,16 +60,6 @@ impl Connection {
         crate::reactor::raw_fd_of(&self.stream)
     }
 
-    /// Does the reactor currently watch this connection for writability?
-    pub fn wants_write(&self) -> bool {
-        self.want_write
-    }
-
-    /// Record the write-interest state the owning reactor last registered.
-    pub fn set_wants_write(&mut self, want: bool) {
-        self.want_write = want;
-    }
-
     /// Has the peer closed the connection (or a protocol error occurred)?
     pub fn is_closed(&self) -> bool {
         self.closed
@@ -119,32 +107,8 @@ impl Connection {
         }
     }
 
-    /// Read whatever bytes are available and decode complete requests into
-    /// `out` (owned copies — the synchronous servers' path; CPSERVER
-    /// drives [`Connection::read_once`] / [`Connection::next_request`]
-    /// itself).  Returns the number of bytes read.
-    pub fn poll_requests(&mut self, out: &mut Vec<ServerOp>) -> usize {
-        let mut total = 0usize;
-        loop {
-            let (read, more) = self.read_once();
-            total += read;
-            while let Some(op) = self.next_request() {
-                out.push(op.into_owned());
-            }
-            if !more {
-                return total;
-            }
-        }
-    }
-
-    /// Queue a typed reply.
-    pub fn queue_reply(&mut self, reply: &Reply) {
-        self.queue_reply_parts(reply.status, reply.code, &reply.value);
-    }
-
-    /// [`Connection::queue_reply`] from parts — the hot path for lookup
-    /// hits: value bytes go straight into the output buffer without an
-    /// intermediate owned `Reply`.
+    /// Queue a reply from its parts: value bytes go straight into the
+    /// output buffer without an intermediate owned `Reply`.
     pub fn queue_reply_parts(
         &mut self,
         status: Status,
@@ -200,8 +164,8 @@ pub(crate) fn slab_insert<T>(slab: &mut Vec<Option<T>>, item: T) -> usize {
 /// served this pass.  On registration failure the slot is rolled back and
 /// `false` returned (the caller owns any accept-side accounting).
 ///
-/// `conn_of` projects the slab element to its [`Connection`] (identity for
-/// plain slabs; the `ConnState` wrapper for CPSERVER).
+/// `conn_of` projects the slab element to its [`Connection`] (the worker's
+/// per-connection state; identity for a plain slab).
 pub(crate) fn adopt<T>(
     slab: &mut Vec<Option<T>>,
     reactor: &mut Reactor,
@@ -220,27 +184,19 @@ pub(crate) fn adopt<T>(
     }
 }
 
-/// What [`settle`] decided about a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Settle {
-    /// Peer gone: the fd was deregistered; the caller must clear the slot
-    /// (and do any per-server bookkeeping tied to it).
-    Retired,
-    /// Still open; the reactor's write interest matches the output backlog.
-    Open,
-}
-
-/// The shared tail of every worker loop: flush queued output and account
-/// for it (bytes out, plus the `read`/`write` syscalls the connection
-/// issued since it was last settled), then either retire a closed
-/// connection from the reactor or keep the reactor's write interest in
-/// sync with any back-logged output.
+/// The tail of a worker's iteration for one connection: flush queued output
+/// and account for it (bytes out, plus the `read`/`write` syscalls the
+/// connection issued since it was last settled), then either retire a
+/// closed connection from the reactor or keep the reactor's write interest
+/// in sync with any back-logged output.  Returns whether the connection
+/// retired: its fd is deregistered, and the caller must clear its slot (and
+/// any bookkeeping tied to it).
 pub(crate) fn settle(
     conn: &mut Connection,
     reactor: &mut Reactor,
     token: usize,
     metrics: &ServerMetrics,
-) -> Settle {
+) -> bool {
     let written = conn.flush();
     metrics.note_io(0, written);
     metrics.note_conn_syscalls(
@@ -252,14 +208,14 @@ pub(crate) fn settle(
         // (`flush` refuses closed connections), so reclaim immediately —
         // churn cannot leak fds or slots.
         let _ = reactor.deregister(conn.raw_fd(), token);
-        Settle::Retired
+        true
     } else {
         let backlogged = conn.pending_output() > 0;
-        if backlogged != conn.wants_write() {
+        if backlogged != conn.want_write {
             let _ = reactor.rearm(conn.raw_fd(), token, backlogged);
-            conn.set_wants_write(backlogged);
+            conn.want_write = backlogged;
         }
-        Settle::Open
+        false
     }
 }
 
@@ -267,7 +223,7 @@ pub(crate) fn settle(
 mod tests {
     use super::*;
     use bytes::BytesMut;
-    use cphash_kvproto::{OpFrame, OpKind, ReplyDecoder};
+    use cphash_kvproto::{ErrCode, OpFrame, OpKind, Reply, ReplyDecoder, ServerOp};
     use std::io::Read;
     use std::net::TcpListener;
     use std::sync::Arc;
@@ -290,7 +246,10 @@ mod tests {
         let mut requests = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(2);
         while !done(conn, &requests) && Instant::now() < deadline {
-            conn.poll_requests(&mut requests);
+            conn.read_once();
+            while let Some(op) = conn.next_request() {
+                requests.push(op.into_owned());
+            }
         }
         requests
     }
@@ -324,8 +283,8 @@ mod tests {
             assert_eq!(requests[1].frame.kind, OpKind::Delete);
             assert!(!conn.is_closed());
 
-            conn.queue_reply(&Reply::ok_value(b"value".to_vec()));
-            conn.queue_reply(&Reply::miss());
+            conn.queue_reply_parts(Status::Ok, ErrCode::None, b"value");
+            conn.queue_reply_parts(Status::Miss, ErrCode::None, &[]);
             while conn.pending_output() > 0 {
                 conn.flush();
             }
@@ -367,7 +326,7 @@ mod tests {
         assert!(conn.is_closed(), "the peer must be refused");
         assert!(requests.is_empty(), "nothing it sent may be served");
         assert_eq!(conn.pending_output(), 0);
-        assert_eq!(settle(conn, &mut reactor, slot, &metrics), Settle::Retired);
+        assert!(settle(conn, &mut reactor, slot, &metrics), "retired");
         slab[slot] = None;
 
         // The peer sees the close and not one reply byte...

@@ -1,15 +1,18 @@
 //! LOCKSERVER: the LockHash-backed key/value cache server (paper §4.2).
+//!
+//! CPSERVER's worker loop (`serve::serve`) over a lock-per-partition
+//! [`LockHash`]: each operation runs to completion on the worker thread
+//! inside the loop's submit, through the synchronous adapter
+//! (`serve::SyncClient`).
 
-use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use cphash_lockhash::{EvictionPolicy, LockHash, LockHashConfig};
 
 use crate::acceptor::shard_listeners;
 use crate::metrics::ServerMetrics;
-use crate::serve::serve_sync;
+use crate::serve::{ServeCtx, SyncClient, Workers};
 
 /// Configuration for [`LockServer`].
 #[derive(Debug, Clone)]
@@ -45,8 +48,7 @@ impl Default for LockServerConfig {
 /// A running LOCKSERVER.
 pub struct LockServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    workers: Workers,
     table: Arc<LockHash>,
     metrics: Arc<ServerMetrics>,
 }
@@ -61,7 +63,6 @@ impl LockServer {
         }
         let table = Arc::new(LockHash::new(table_config));
 
-        let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServerMetrics::new());
         {
             let table = Arc::clone(&table);
@@ -73,23 +74,17 @@ impl LockServer {
         // the query, updating the LRU list and, finally, releasing the
         // lock", §4.2).
         let (addr, listeners) = shard_listeners(config.bind, config.worker_threads)?;
-        let mut threads = Vec::with_capacity(listeners.len());
+        let mut workers = Workers::new();
+        let ctx = ServeCtx::new(Arc::clone(&metrics));
         for (index, listener) in listeners.into_iter().enumerate() {
-            let stop = Arc::clone(&stop);
-            let metrics = Arc::clone(&metrics);
-            let table = Arc::clone(&table);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("lockserver-worker-{index}"))
-                    .spawn(move || serve_sync(listener, &*table, "LOCKSERVER", &stop, &metrics))
-                    .expect("spawning a worker thread"),
-            );
+            let client = SyncClient::new(Arc::clone(&table));
+            let name = format!("lockserver-worker-{index}");
+            workers.spawn(name, client, listener, ctx.clone());
         }
 
         Ok(LockServer {
             addr,
-            stop,
-            threads,
+            workers,
             table,
             metrics,
         })
@@ -112,16 +107,7 @@ impl LockServer {
 
     /// Stop every thread.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for LockServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.workers.shutdown();
     }
 }
 

@@ -11,25 +11,22 @@
 //!
 //! Each instance owns a single [`cphash_hashcore::Partition`] behind one
 //! global mutex and serves every connection from one instance thread
-//! running the shared synchronous worker loop (`serve::serve_sync`) on a
-//! [`crate::reactor::Reactor`] (the structural property the
-//! comparison needs — one coarse lock, no batching of hash-table work —
-//! is unchanged; the old thread-per-connection loop with its 20 ms
-//! read-timeout busy-wait burned a syscall per connection per tick even
-//! when fully idle).  A cluster starts `instances` of them, each on its own
-//! port; the Figure 14 harness partitions keys across instances on the
+//! running the worker loop all three servers share (`serve::serve`) on a
+//! [`crate::reactor::Reactor`], each operation run to completion under the
+//! lock by the synchronous adapter (`serve::SyncClient`).  That keeps the
+//! structural property the comparison needs: one coarse lock, no batching
+//! of hash-table work.  A cluster starts `instances` of them, each on its
+//! own port; the Figure 14 harness partitions keys across instances on the
 //! client side, exactly as the paper's clients did.
 
-use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use cphash_hashcore::{EvictionPolicy, Partition, PartitionConfig};
 use parking_lot::Mutex;
 
 use crate::metrics::ServerMetrics;
-use crate::serve::serve_sync;
+use crate::serve::{ServeCtx, SyncClient, Workers};
 
 /// Configuration for a [`MemcacheCluster`].
 #[derive(Debug, Clone)]
@@ -64,8 +61,7 @@ struct Instance {
 /// A cluster of single-lock cache instances.
 pub struct MemcacheCluster {
     instances: Vec<Instance>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    workers: Workers,
     metrics: Arc<ServerMetrics>,
 }
 
@@ -74,10 +70,10 @@ impl MemcacheCluster {
     /// loopback port.
     pub fn start(config: MemcacheConfig) -> std::io::Result<MemcacheCluster> {
         assert!(config.instances > 0, "need at least one instance");
-        let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServerMetrics::new());
+        let ctx = ServeCtx::new(Arc::clone(&metrics));
         let mut instances = Vec::with_capacity(config.instances);
-        let mut threads = Vec::new();
+        let mut workers = Workers::new();
 
         for index in 0..config.instances {
             let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -99,23 +95,13 @@ impl MemcacheCluster {
                 let store = Arc::clone(&store);
                 metrics.attach_partition_source(move || store.lock().stats());
             }
-
-            let stop_flag = Arc::clone(&stop);
-            let metrics_ref = Arc::clone(&metrics);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("memcache-{index}"))
-                    .spawn(move || {
-                        serve_sync(listener, &*store, "memcached", &stop_flag, &metrics_ref)
-                    })
-                    .expect("spawning a memcache instance"),
-            );
+            let name = format!("memcache-{index}");
+            workers.spawn(name, SyncClient::new(store), listener, ctx.clone());
         }
 
         Ok(MemcacheCluster {
             instances,
-            stop,
-            threads,
+            workers,
             metrics,
         })
     }
@@ -143,16 +129,7 @@ impl MemcacheCluster {
 
     /// Stop every thread.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for MemcacheCluster {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.workers.shutdown();
     }
 }
 

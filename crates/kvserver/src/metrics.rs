@@ -205,6 +205,18 @@ pub struct StatsSnapshot {
     pub bucket_tag_false_positives: u64,
 }
 
+/// Data requests a worker has counted since it last published them with
+/// [`ServerMetrics::note_requests`]: a worker publishes once per loop
+/// iteration, an atomic add per counter, where counting each request
+/// took two or three.
+#[derive(Debug, Default)]
+pub(crate) struct RequestTally {
+    pub(crate) lookups: u64,
+    pub(crate) hits: u64,
+    pub(crate) inserts: u64,
+    pub(crate) deletes: u64,
+}
+
 /// Request counters, updated by worker threads and read by benchmarks.
 ///
 /// Counters live on the [`MetricsRegistry`] (per-thread sharded atomics);
@@ -594,22 +606,25 @@ impl ServerMetrics {
         }
     }
 
-    pub(crate) fn note_lookup(&self, hit: bool) {
-        self.requests.inc();
-        self.lookups.inc();
-        if hit {
-            self.hits.inc();
+    /// Publish a worker's tally of answered data requests and reset it.
+    pub(crate) fn note_requests(&self, tally: &mut RequestTally) {
+        let RequestTally {
+            lookups,
+            hits,
+            inserts,
+            deletes,
+        } = std::mem::take(tally);
+        for (counter, n) in [
+            (&self.requests, lookups + inserts + deletes),
+            (&self.lookups, lookups),
+            (&self.hits, hits),
+            (&self.inserts, inserts),
+            (&self.deletes, deletes),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
         }
-    }
-
-    pub(crate) fn note_insert(&self) {
-        self.requests.inc();
-        self.inserts.inc();
-    }
-
-    pub(crate) fn note_delete(&self) {
-        self.requests.inc();
-        self.deletes.inc();
     }
 
     pub(crate) fn note_stats(&self) {
@@ -709,9 +724,18 @@ mod tests {
     fn counters_and_hit_rate() {
         let m = ServerMetrics::new();
         assert_eq!(m.hit_rate(), 0.0);
-        m.note_lookup(true);
-        m.note_lookup(false);
-        m.note_insert();
+        let mut tally = RequestTally {
+            lookups: 2,
+            hits: 1,
+            inserts: 1,
+            deletes: 0,
+        };
+        m.note_requests(&mut tally);
+        assert_eq!(
+            tally.lookups + tally.hits + tally.inserts,
+            0,
+            "published and reset"
+        );
         m.note_io(100, 50);
         m.note_connection();
         assert_eq!(m.requests(), 3);
@@ -753,10 +777,12 @@ mod tests {
     #[test]
     fn snapshot_and_registry_agree_on_every_field() {
         let m = ServerMetrics::new();
-        m.note_lookup(true);
-        m.note_lookup(false);
-        m.note_insert();
-        m.note_delete();
+        m.note_requests(&mut RequestTally {
+            lookups: 2,
+            hits: 1,
+            inserts: 1,
+            deletes: 1,
+        });
         m.note_admin();
         m.note_retry_emitted();
         m.note_io(321, 123);

@@ -237,7 +237,11 @@ mod tests {
     #[test]
     fn serves_metrics_and_rejects_unknown_paths() {
         let metrics = Arc::new(ServerMetrics::new());
-        metrics.note_lookup(true);
+        metrics.note_requests(&mut crate::metrics::RequestTally {
+            lookups: 1,
+            hits: 1,
+            ..Default::default()
+        });
         let stop = Arc::new(AtomicBool::new(false));
         let (addr, handle) = spawn_stats_listener(
             "127.0.0.1:0".parse().unwrap(),

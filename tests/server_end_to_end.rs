@@ -254,72 +254,111 @@ fn overload_retry_sheds_to_the_client_resubmission_path() {
 }
 
 #[test]
-fn oversized_envelope_is_refused_not_stored() {
-    use cphash_suite::kvproto::MAX_VALUE_BYTES;
-    use cphash_suite::{KeyRef, KvClient, RemoteClient};
-
-    // A byte-keyed value near the wire limit fits its own frame, but the
-    // server-side §8.2 envelope (4 + key_len extra bytes) would exceed
-    // MAX_VALUE_BYTES — and a stored oversized envelope would later produce
-    // lookup replies no client decoder accepts, killing innocent readers'
-    // connections.  The server must refuse the insert instead.
-    let mut server = CpServer::start(CpServerConfig {
-        ..Default::default()
-    })
-    .unwrap();
-    let mut client = RemoteClient::connect(server.addr()).unwrap();
-    let big = vec![0x5Au8; MAX_VALUE_BYTES - 2];
-    assert!(
-        !client.insert_blocking(KeyRef::Bytes(b"big"), &big).unwrap(),
-        "enveloped value past the limit reads as a capacity refusal"
-    );
-    // The connection survives and the key was not stored.
-    assert_eq!(client.get_blocking(KeyRef::Bytes(b"big")).unwrap(), None);
-    // A maximal value that still fits with its envelope is accepted.
-    let fits = vec![0xA5u8; MAX_VALUE_BYTES - 4 - 3];
-    assert!(client
-        .insert_blocking(KeyRef::Bytes(b"big"), &fits)
-        .unwrap());
-    assert_eq!(
-        client
-            .get_blocking(KeyRef::Bytes(b"big"))
-            .unwrap()
-            .unwrap()
-            .len(),
-        fits.len()
-    );
-    drop(client);
-    server.shutdown();
-}
-
-#[test]
 fn all_three_servers_agree_on_protocol_semantics() {
-    // Insert a known key into each server and read it back through the same
-    // client; a miss must come back as a typed miss, not an empty value.
-    use cphash_suite::{KeyRef, KvClient, RemoteClient};
+    use cphash_suite::{
+        CompletionKind, KeyRef, KvClient, KvError, KvOp, OpError, RemoteClient, ValueBytes,
+    };
 
-    fn roundtrip(addr: std::net::SocketAddr) {
+    // The three servers run one worker loop with a different table behind
+    // it, so every exchange below must read the same on each of them.
+    fn protocol(addr: std::net::SocketAddr) {
         let mut client = RemoteClient::connect(addr).unwrap();
+        // A hit, and a miss that comes back typed rather than as an empty
+        // value.
         assert!(client
             .insert_blocking(KeyRef::Hash(77), b"same value everywhere")
             .unwrap());
         let hit = client.get_blocking(KeyRef::Hash(77)).unwrap();
         assert_eq!(hit.unwrap().as_slice(), b"same value everywhere");
         assert_eq!(client.get_blocking(KeyRef::Hash(78)).unwrap(), None);
+
+        // Same-key insert → lookup pairs pipelined on one connection, with
+        // values too long to ride in a message (CPSERVER's insert is then
+        // two-phase): every lookup reads the insert it followed, and not
+        // the insert or delete of its key pipelined right behind it.
+        let mut lookups = Vec::new();
+        for key in 1_000..1_064u64 {
+            let value = [key as u8; 64];
+            client.submit(KvOp::Insert(KeyRef::Hash(key), &value));
+            lookups.push((key, client.submit(KvOp::Get(KeyRef::Hash(key)))));
+            match key % 3 {
+                0 => client.submit(KvOp::Insert(KeyRef::Hash(key), &[!(key as u8); 64])),
+                1 => client.submit(KvOp::Delete(KeyRef::Hash(key))),
+                _ => continue,
+            };
+        }
+        let mut completions = Vec::new();
+        client.drain_completions(&mut completions).unwrap();
+        for (key, token) in lookups {
+            let completion = completions.iter().find(|c| c.token == token).unwrap();
+            let expected = CompletionKind::LookupHit(ValueBytes::from_slice(&[key as u8; 64]));
+            assert_eq!(completion.kind, expected, "read-after-write of key {key}");
+        }
+
+        // Byte-string keys round-trip through the §8.2 envelope.
+        assert!(client
+            .insert_blocking(KeyRef::Bytes(b"user:7"), b"Ada")
+            .unwrap());
+        let hit = client.get_blocking(KeyRef::Bytes(b"user:7")).unwrap();
+        assert_eq!(hit.unwrap().as_slice(), b"Ada");
+        assert_eq!(client.get_blocking(KeyRef::Bytes(b"user:8")).unwrap(), None);
+
+        // None of these tables can be resized, not even shrunk.
+        assert_eq!(
+            client.admin_resize(1, 0),
+            Err(KvError::Op(OpError::Unsupported))
+        );
     }
 
+    against_every_server(protocol);
+}
+
+#[test]
+fn oversized_envelope_is_refused_not_stored() {
+    use cphash_suite::kvproto::MAX_VALUE_BYTES;
+    use cphash_suite::{KeyRef, KvClient, RemoteClient};
+
+    // A byte-keyed value near the wire limit fits its own frame, but its
+    // envelope (4 + key_len extra bytes) would not — and a stored oversized
+    // envelope would later produce lookup replies no client decoder accepts,
+    // killing innocent readers' connections.  Every server must refuse the
+    // insert as out of capacity instead.
+    fn refused(addr: std::net::SocketAddr) {
+        let mut client = RemoteClient::connect(addr).unwrap();
+        let big = vec![0x5Au8; MAX_VALUE_BYTES - 2];
+        assert!(
+            !client.insert_blocking(KeyRef::Bytes(b"big"), &big).unwrap(),
+            "enveloped value past the limit reads as a capacity refusal"
+        );
+        // The connection survives and the key was not stored.
+        assert_eq!(client.get_blocking(KeyRef::Bytes(b"big")).unwrap(), None);
+        // A maximal value that still fits with its envelope is accepted.
+        let fits = vec![0xA5u8; MAX_VALUE_BYTES - 4 - 3];
+        assert!(client
+            .insert_blocking(KeyRef::Bytes(b"big"), &fits)
+            .unwrap());
+        let hit = client.get_blocking(KeyRef::Bytes(b"big")).unwrap();
+        assert_eq!(hit.unwrap().len(), fits.len());
+    }
+
+    against_every_server(refused);
+}
+
+/// Starts CPSERVER, LOCKSERVER and a one-instance memcached-style cluster in
+/// turn, runs `exchange` against each, and shuts each down again.
+fn against_every_server(exchange: fn(std::net::SocketAddr)) {
     let mut cpserver = CpServer::start(CpServerConfig {
         ..Default::default()
     })
     .unwrap();
-    roundtrip(cpserver.addr());
+    exchange(cpserver.addr());
     cpserver.shutdown();
 
     let mut lockserver = LockServer::start(LockServerConfig {
         ..Default::default()
     })
     .unwrap();
-    roundtrip(lockserver.addr());
+    exchange(lockserver.addr());
     lockserver.shutdown();
 
     let mut cluster = MemcacheCluster::start(MemcacheConfig {
@@ -327,7 +366,7 @@ fn all_three_servers_agree_on_protocol_semantics() {
         ..Default::default()
     })
     .unwrap();
-    roundtrip(cluster.addrs()[0]);
+    exchange(cluster.addrs()[0]);
     cluster.shutdown();
 }
 
