@@ -9,8 +9,8 @@ use cphash_sync::atomic::plain::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use cphash::{ClientHandle, CpHash, CpHashConfig, MigrationPacing};
-use cphash_migrate::{MigrationPacer, MigrationReport, RepartitionCoordinator};
+use cphash::{ClientHandle, CpHash, CpHashConfig};
+use cphash_migrate::{MigrationPacer, MigrationPacing, MigrationReport, RepartitionCoordinator};
 use cphash_perfmon::FigureReport;
 
 use crate::scale::MachineScale;
@@ -221,7 +221,7 @@ pub fn migration_dip(
     let keys: u64 = 10_000;
     let (table, mut handles) = CpHash::new(CpHashConfig::new(2, clients).with_max_partitions(4));
     let mut coordinator = RepartitionCoordinator::new(table.take_control().expect("control"));
-    let mut pacer = MigrationPacer::for_table(&table, pacing);
+    let mut pacer = MigrationPacer::from_config(pacing);
     preload(&mut handles[0], keys);
 
     let (handles, before_qps) = timed_phase(handles, keys, ops_per_phase, 0xA11CE);
@@ -378,7 +378,7 @@ mod tests {
         let dip = migration_dip(
             &tiny_scale(),
             2_000,
-            cphash::MigrationPacing::Rate {
+            MigrationPacing::Rate {
                 chunks_per_sec: 300.0,
             },
         );

@@ -3,118 +3,6 @@
 use cphash_affinity::{HwThreadId, PlacementPlan, Role, ThreadAssignment, Topology};
 use cphash_hashcore::EvictionPolicy;
 
-/// How the repartition coordinator paces chunk hand-offs during a live
-/// resize (see `cphash-migrate`'s `MigrationPacer`).
-///
-/// Lives here (not in `cphash-migrate`) so that table-level configuration —
-/// `CpHashConfig`, CPSERVER's config, benchmark harnesses — can carry the
-/// knob without depending on the migration crate.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum MigrationPacing {
-    /// Hand chunks off back-to-back (PR 1 behaviour): fastest transition,
-    /// deepest foreground-throughput dip.
-    #[default]
-    Unpaced,
-    /// Token bucket: at most `chunks_per_sec` chunk hand-offs per second,
-    /// spreading the migration cost over time at an operator-chosen rate.
-    Rate {
-        /// Chunk hand-offs per second (must be positive).
-        chunks_per_sec: f64,
-    },
-    /// Feedback mode: start at `chunks_per_sec` and sample the
-    /// per-partition inbound queue depth between hand-offs — halving the
-    /// rate while servers are falling behind (`depth > high_depth`) and
-    /// recovering it while they are keeping up (`depth < low_depth`).
-    Feedback {
-        /// Initial (and maximum) chunk hand-offs per second.
-        chunks_per_sec: f64,
-        /// Queue depth (words drained per server loop iteration) above
-        /// which the pacer backs off.
-        high_depth: f64,
-        /// Queue depth below which the pacer speeds back up.
-        low_depth: f64,
-    },
-    /// Feedback on *client-observed latency*: the same
-    /// halve-on-pressure / recover-when-clear controller as
-    /// [`MigrationPacing::Feedback`], but the signal sampled between
-    /// hand-offs is a request-latency p99 (microseconds) from a
-    /// `cphash_perfmon::SharedLatencyWindow` instead of the server queue
-    /// depth — tracking what applications actually feel rather than how
-    /// deep the inbound rings run.
-    FeedbackLatency {
-        /// Initial (and maximum) chunk hand-offs per second.
-        chunks_per_sec: f64,
-        /// Windowed request p99, in microseconds, above which the pacer
-        /// backs off.
-        high_p99_us: f64,
-        /// Windowed request p99 below which the pacer speeds back up.
-        low_p99_us: f64,
-    },
-}
-
-impl MigrationPacing {
-    /// A sensible feedback configuration: back off when servers drain more
-    /// than half a lane batch per iteration, recover below an eighth.
-    pub fn feedback(chunks_per_sec: f64) -> Self {
-        MigrationPacing::Feedback {
-            chunks_per_sec,
-            high_depth: 128.0,
-            low_depth: 32.0,
-        }
-    }
-
-    /// A sensible latency-feedback configuration: back off while the
-    /// windowed request p99 exceeds 2 ms, recover below 500 µs.
-    pub fn latency_feedback(chunks_per_sec: f64) -> Self {
-        MigrationPacing::FeedbackLatency {
-            chunks_per_sec,
-            high_p99_us: 2_000.0,
-            low_p99_us: 500.0,
-        }
-    }
-
-    /// Validate the pacing parameters, panicking on nonsense.
-    pub fn validate(&self) {
-        match *self {
-            MigrationPacing::Unpaced => {}
-            MigrationPacing::Rate { chunks_per_sec } => {
-                assert!(
-                    chunks_per_sec > 0.0 && chunks_per_sec.is_finite(),
-                    "chunks_per_sec must be positive and finite"
-                );
-            }
-            MigrationPacing::Feedback {
-                chunks_per_sec,
-                high_depth,
-                low_depth,
-            } => {
-                assert!(
-                    chunks_per_sec > 0.0 && chunks_per_sec.is_finite(),
-                    "chunks_per_sec must be positive and finite"
-                );
-                assert!(
-                    low_depth >= 0.0 && high_depth >= low_depth,
-                    "feedback thresholds must satisfy 0 <= low_depth <= high_depth"
-                );
-            }
-            MigrationPacing::FeedbackLatency {
-                chunks_per_sec,
-                high_p99_us,
-                low_p99_us,
-            } => {
-                assert!(
-                    chunks_per_sec > 0.0 && chunks_per_sec.is_finite(),
-                    "chunks_per_sec must be positive and finite"
-                );
-                assert!(
-                    low_p99_us >= 0.0 && high_p99_us >= low_p99_us,
-                    "feedback thresholds must satisfy 0 <= low_p99_us <= high_p99_us"
-                );
-            }
-        }
-    }
-}
-
 /// The default pipeline depth (operations staged per batch).
 pub const DEFAULT_BATCH_SIZE: usize = 64;
 
@@ -159,10 +47,6 @@ pub struct CpHashConfig {
     /// re-partitioning (a power of two). More chunks mean smaller, more
     /// frequent migration steps.
     pub migration_chunks: usize,
-    /// Default pacing for live re-partitioning (the coordinator may be
-    /// given a different pacer per resize; this is what table-level tooling
-    /// such as CPSERVER starts from).
-    pub migration_pacing: MigrationPacing,
     /// Pipeline depth: how many data operations a server stages
     /// (hash + prefetch) before executing them.  1 degenerates to
     /// per-operation processing.
@@ -182,7 +66,6 @@ impl Default for CpHashConfig {
             seed: 0xC0FF_EE00,
             max_partitions: 0,
             migration_chunks: 64,
-            migration_pacing: MigrationPacing::Unpaced,
             batch_size: DEFAULT_BATCH_SIZE,
         }
     }
@@ -303,12 +186,6 @@ impl CpHashConfig {
         split_capacity(self.capacity_bytes, partitions)
     }
 
-    /// Set the default migration pacing.
-    pub fn with_migration_pacing(mut self, pacing: MigrationPacing) -> Self {
-        self.migration_pacing = pacing;
-        self
-    }
-
     /// Set the pipeline depth (operations staged per batch; must be ≥ 1).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
@@ -336,7 +213,6 @@ impl CpHashConfig {
             "max_partitions must be 0 (static) or at least the initial partition count"
         );
         assert!(self.batch_size >= 1, "batch_size must be at least 1");
-        self.migration_pacing.validate();
     }
 }
 
@@ -440,65 +316,9 @@ mod tests {
     }
 
     #[test]
-    fn pacing_validation_accepts_sane_configs() {
-        MigrationPacing::Unpaced.validate();
-        MigrationPacing::Rate {
-            chunks_per_sec: 100.0,
-        }
-        .validate();
-        MigrationPacing::feedback(500.0).validate();
-        CpHashConfig::new(2, 1)
-            .with_migration_pacing(MigrationPacing::feedback(250.0))
-            .validate();
-    }
-
-    #[test]
     #[should_panic(expected = "batch_size must be at least 1")]
     fn zero_batch_size_rejected() {
         CpHashConfig::new(2, 1).with_batch_size(0).validate();
-    }
-
-    #[test]
-    fn latency_feedback_pacing_validates() {
-        MigrationPacing::latency_feedback(500.0).validate();
-        CpHashConfig::new(2, 1)
-            .with_migration_pacing(MigrationPacing::FeedbackLatency {
-                chunks_per_sec: 100.0,
-                high_p99_us: 1_000.0,
-                low_p99_us: 100.0,
-            })
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "low_p99_us <= high_p99_us")]
-    fn inverted_latency_thresholds_rejected() {
-        MigrationPacing::FeedbackLatency {
-            chunks_per_sec: 10.0,
-            high_p99_us: 1.0,
-            low_p99_us: 2.0,
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "positive and finite")]
-    fn zero_rate_pacing_rejected() {
-        MigrationPacing::Rate {
-            chunks_per_sec: 0.0,
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "low_depth <= high_depth")]
-    fn inverted_feedback_thresholds_rejected() {
-        MigrationPacing::Feedback {
-            chunks_per_sec: 10.0,
-            high_depth: 1.0,
-            low_depth: 2.0,
-        }
-        .validate();
     }
 
     #[test]

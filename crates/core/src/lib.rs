@@ -60,7 +60,7 @@ pub mod table;
 
 pub use anykey::AnyKeyClient;
 pub use client::{ClientHandle, Completion, CompletionKind, OpError, TableError, ValueBytes};
-pub use config::{CpHashConfig, MigrationPacing, DEFAULT_BATCH_SIZE};
+pub use config::{CpHashConfig, DEFAULT_BATCH_SIZE};
 pub use control::ControlHandle;
 pub use kv::{KeyRef, KvClient, KvError, KvOp};
 pub use protocol::{MigrationBatch, MigrationStep, OpCode, Request, Response};

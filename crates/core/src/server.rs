@@ -210,11 +210,11 @@ impl ServerThread {
                 self.process_lane_batch(lane_idx, &words, &mut migration, &mut scratch);
                 self.lanes[lane_idx].flush();
             }
-            // Publish the inbound queue-depth sample for the migration
-            // pacer's feedback mode (one relaxed store per iteration).
+            // Publish the inbound queue-depth sample for the
+            // `cphash_queue_depth` gauge (one relaxed store per iteration).
             self.stats
                 .queue_depth
-                .store(drained_total as u64, Ordering::Relaxed); // relaxed: queue-depth gauge for the pacer; staleness is benign
+                .store(drained_total as u64, Ordering::Relaxed); // relaxed: diagnostic queue-depth gauge; staleness is benign
 
             iterations += 1;
             if migration.draining.is_some() {

@@ -44,9 +44,8 @@ pub struct ServerStats {
     /// Keys this server absorbed during live re-partitioning.
     pub keys_migrated_in: AtomicU64,
     /// Request words drained from this server's lanes in its most recent
-    /// loop iteration — a live sample of the inbound queue depth.  The
-    /// migration pacer's feedback mode reads this to decide whether the
-    /// server is falling behind while chunks are being handed off.
+    /// loop iteration — a live sample of the inbound queue depth, exported
+    /// per partition as the `cphash_queue_depth` gauge.
     pub queue_depth: AtomicU64,
     /// Batch-pipeline counters (staged rounds, their occupancy, prefetches
     /// issued).

@@ -8,9 +8,10 @@
 
 use std::time::Duration;
 
-use cphash::{CpHashConfig, MigrationPacing};
+use cphash::CpHashConfig;
 use cphash_affinity::Topology;
 use cphash_kvserver::{CpServer, CpServerConfig};
+use cphash_migrate::MigrationPacing;
 
 struct Args {
     port: u16,
@@ -19,15 +20,8 @@ struct Args {
     client_threads: usize,
     capacity_mb: usize,
     stats_secs: u64,
-    /// Default chunk hand-offs per second for live resizes (0 = unpaced).
-    migrate_rate: f64,
-    /// Queue-depth feedback: back off the migration rate while servers
-    /// fall behind.
-    migrate_feedback: bool,
-    /// Latency feedback: back off the migration rate while the
-    /// client-observed request p99 is elevated (alternative to the
-    /// queue-depth signal).
-    migrate_feedback_p99: bool,
+    /// Default pacing for live resizes (`--migrate-rate`, 0 = unpaced).
+    migration_pacing: MigrationPacing,
     /// Pipeline depth (data operations staged per batch).
     batch_size: usize,
     /// Overload shedding threshold (0 = never shed): in-flight operations
@@ -43,7 +37,7 @@ struct Args {
     trace: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         port: 7700,
         partitions: 2,
@@ -51,16 +45,14 @@ fn parse_args() -> Result<Args, String> {
         client_threads: 2,
         capacity_mb: 64,
         stats_secs: 5,
-        migrate_rate: 0.0,
-        migrate_feedback: false,
-        migrate_feedback_p99: false,
+        migration_pacing: MigrationPacing::Unpaced,
         batch_size: cphash::DEFAULT_BATCH_SIZE,
         overload_retry: 0,
         numa: false,
         stats_addr: None,
         trace: false,
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = cli.into_iter();
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| -> Result<String, String> {
             iter.next().ok_or_else(|| format!("{name} needs a value"))
@@ -86,12 +78,22 @@ fn parse_args() -> Result<Args, String> {
                 args.stats_secs = value("--stats-secs")?.parse().map_err(|e| format!("bad stats-secs: {e}"))?
             }
             "--migrate-rate" => {
-                args.migrate_rate = value("--migrate-rate")?
+                let rate: f64 = value("--migrate-rate")?
                     .parse()
-                    .map_err(|e| format!("bad migrate-rate: {e}"))?
+                    .map_err(|e| format!("bad migrate-rate: {e}"))?;
+                if !(rate.is_finite() && rate >= 0.0) {
+                    return Err(format!(
+                        "--migrate-rate must be a finite number >= 0 (0 = unpaced), not {rate}"
+                    ));
+                }
+                args.migration_pacing = if rate > 0.0 {
+                    MigrationPacing::Rate {
+                        chunks_per_sec: rate,
+                    }
+                } else {
+                    MigrationPacing::Unpaced
+                };
             }
-            "--migrate-feedback" => args.migrate_feedback = true,
-            "--migrate-feedback-p99" => args.migrate_feedback_p99 = true,
             "--batch-size" => {
                 args.batch_size = value("--batch-size")?
                     .parse()
@@ -115,16 +117,28 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => args.trace = true,
             "--numa" => args.numa = true,
             "--help" | "-h" => {
-                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--stats-addr HOST:PORT] [--trace] [--numa]".into())
+                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--batch-size N] [--overload-retry N] [--stats-addr HOST:PORT] [--trace] [--numa]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
+    }
+    if args.partitions == 0 {
+        return Err("--partitions must be at least 1".into());
+    }
+    if args.client_threads == 0 {
+        return Err("--client-threads must be at least 1".into());
+    }
+    if args.max_partitions != 0 && args.max_partitions < args.partitions {
+        return Err(format!(
+            "--max-partitions must be 0 (static) or at least --partitions ({})",
+            args.partitions
+        ));
     }
     Ok(args)
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(message) => {
             eprintln!("{message}");
@@ -132,24 +146,6 @@ fn main() {
         }
     };
 
-    let migration_pacing = if args.migrate_feedback_p99 {
-        // Latency feedback: client-observed p99 drives the back-off.
-        let rate = if args.migrate_rate > 0.0 {
-            args.migrate_rate
-        } else {
-            1_000.0
-        };
-        MigrationPacing::latency_feedback(rate)
-    } else {
-        match (args.migrate_rate, args.migrate_feedback) {
-            (rate, true) if rate > 0.0 => MigrationPacing::feedback(rate),
-            (_, true) => MigrationPacing::feedback(1_000.0),
-            (rate, false) if rate > 0.0 => MigrationPacing::Rate {
-                chunks_per_sec: rate,
-            },
-            _ => MigrationPacing::Unpaced,
-        }
-    };
     // NUMA-aware placement: derive pins for *every* spawnable server
     // thread (the grown ones included) from the detected topology, so a
     // live resize lands new partitions on the cores nearest the memory
@@ -172,7 +168,7 @@ fn main() {
         max_partitions: args.max_partitions,
         capacity_bytes: Some(args.capacity_mb * 1024 * 1024),
         typical_value_bytes: 64,
-        migration_pacing,
+        migration_pacing: args.migration_pacing,
         server_pins,
         batch_size: args.batch_size,
         overload_retry: (args.overload_retry > 0).then_some(args.overload_retry),
@@ -210,7 +206,7 @@ fn main() {
             "live resize enabled up to {} partitions (send a RESIZE frame, opcode 4; key bits 0..16 = new count, bits 16..48 = optional chunks/sec budget)",
             args.max_partitions
         );
-        println!("default migration pacing: {migration_pacing:?}");
+        println!("default migration pacing: {:?}", args.migration_pacing);
     }
     if let Some(addr) = server.stats_addr() {
         println!("Prometheus stats endpoint: http://{addr}/metrics");
@@ -253,5 +249,51 @@ fn main() {
         }
         last_requests = s.requests;
         last_wakeups = s.frontend_wakeups;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        parse_args(flags.iter().map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn out_of_range_flags_are_usage_errors_naming_the_flag() {
+        for (flags, named) in [
+            (&["--migrate-rate", "inf"][..], "--migrate-rate"),
+            (&["--migrate-rate", "NaN"], "--migrate-rate"),
+            (&["--migrate-rate", "-5"], "--migrate-rate"),
+            (
+                &["--partitions", "2", "--max-partitions", "1"],
+                "--max-partitions",
+            ),
+            (&["--client-threads", "0"], "--client-threads"),
+            (&["--partitions", "0"], "--partitions"),
+            (&["--migrate-feedback"], "--migrate-feedback"),
+            (&["--migrate-feedback-p99"], "--migrate-feedback-p99"),
+        ] {
+            match parse(flags) {
+                Ok(_) => panic!("{flags:?} was accepted"),
+                Err(message) => assert!(message.contains(named), "{flags:?}: {message}"),
+            }
+        }
+    }
+
+    #[test]
+    fn migrate_rate_zero_is_unpaced_and_positive_is_a_rate() {
+        let pacing = |rate| parse(&["--migrate-rate", rate]).unwrap().migration_pacing;
+        assert_eq!(pacing("0"), MigrationPacing::Unpaced);
+        assert_eq!(
+            pacing("400"),
+            MigrationPacing::Rate {
+                chunks_per_sec: 400.0
+            }
+        );
+        let args = parse(&["--partitions", "2", "--max-partitions", "4"]).unwrap();
+        assert_eq!((args.partitions, args.max_partitions), (2, 4));
+        assert_eq!(args.migration_pacing, MigrationPacing::Unpaced);
     }
 }

@@ -18,7 +18,7 @@ struct Args {
     stats_secs: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         port: 7701,
         partitions: 1024,
@@ -26,7 +26,7 @@ fn parse_args() -> Result<Args, String> {
         capacity_mb: 64,
         stats_secs: 5,
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = cli.into_iter();
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| -> Result<String, String> {
             iter.next().ok_or_else(|| format!("{name} needs a value"))
@@ -52,11 +52,17 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag: {other}")),
         }
     }
+    if args.partitions == 0 {
+        return Err("--partitions must be at least 1".into());
+    }
+    if args.worker_threads == 0 {
+        return Err("--worker-threads must be at least 1".into());
+    }
     Ok(args)
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(message) => {
             eprintln!("{message}");
@@ -106,5 +112,29 @@ fn main() {
             stats.evictions
         );
         last_requests = s.requests;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        parse_args(flags.iter().map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn out_of_range_flags_are_usage_errors_naming_the_flag() {
+        for (flags, named) in [
+            (&["--partitions", "0"][..], "--partitions"),
+            (&["--worker-threads", "0"], "--worker-threads"),
+            (&["--migrate-feedback"], "--migrate-feedback"),
+        ] {
+            match parse(flags) {
+                Ok(_) => panic!("{flags:?} was accepted"),
+                Err(message) => assert!(message.contains(named), "{flags:?}: {message}"),
+            }
+        }
+        assert_eq!(parse(&["--partitions", "8"]).unwrap().partitions, 8);
     }
 }

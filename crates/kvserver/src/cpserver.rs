@@ -9,9 +9,9 @@ use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use cphash::{CpHash, CpHashConfig, EvictionPolicy, MigrationPacing};
+use cphash::{CpHash, CpHashConfig, EvictionPolicy};
 use cphash_affinity::HwThreadId;
-use cphash_migrate::{MigrationPacer, RepartitionCoordinator};
+use cphash_migrate::{MigrationPacer, MigrationPacing, RepartitionCoordinator};
 
 use crate::acceptor::shard_listeners;
 use crate::metrics::ServerMetrics;
@@ -19,11 +19,11 @@ use crate::serve::{AdminRequest, ServeCtx, Workers};
 use crate::stats_http::spawn_stats_listener;
 
 /// The admin thread: serializes resize requests onto the coordinator,
-/// pacing each through the server's default pacer (which keeps its feedback
-/// state across resizes) or a per-request rate override from the wire.
+/// pacing each at the frame's chunks/sec budget, or at the server's
+/// default pacing when the frame carries none.
 fn admin_worker(
     mut coordinator: RepartitionCoordinator,
-    mut default_pacer: MigrationPacer,
+    default_pacing: MigrationPacing,
     requests: mpsc::Receiver<AdminRequest>,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
@@ -32,23 +32,14 @@ fn admin_worker(
     while !stop.load(Ordering::Relaxed) {
         match requests.recv_timeout(Duration::from_millis(20)) {
             Ok(request) => {
-                let (result, rate) = match request.chunks_per_sec {
-                    Some(rate) => {
-                        let mut override_pacer =
-                            MigrationPacer::from_config(MigrationPacing::Rate {
-                                chunks_per_sec: rate as f64,
-                            });
-                        let result = coordinator
-                            .resize_to_paced(request.new_partitions, &mut override_pacer);
-                        (result, override_pacer.current_rate())
-                    }
-                    None => {
-                        let result =
-                            coordinator.resize_to_paced(request.new_partitions, &mut default_pacer);
-                        (result, default_pacer.current_rate())
-                    }
+                let pacing = match request.chunks_per_sec {
+                    Some(rate) => MigrationPacing::Rate {
+                        chunks_per_sec: rate as f64,
+                    },
+                    None => default_pacing,
                 };
-                let status = match result {
+                let mut pacer = MigrationPacer::from_config(pacing);
+                let status = match coordinator.resize_to_paced(request.new_partitions, &mut pacer) {
                     Ok(report) => {
                         // Publish live-repartitioning progress on the
                         // metrics plane before answering the client.
@@ -56,7 +47,7 @@ fn admin_worker(
                             report.chunks as u64,
                             report.keys_moved as u64,
                             report.paced_waits,
-                            rate,
+                            pacer.current_rate(),
                         );
                         format!(
                             "partitions={} moved={} chunks={} paced_waits={}",
@@ -156,8 +147,9 @@ impl CpServer {
         table_config.eviction = config.eviction;
         table_config.server_pins = config.server_pins.clone();
         table_config.max_partitions = config.max_partitions;
-        table_config.migration_pacing = config.migration_pacing;
         table_config.batch_size = config.batch_size;
+        // Refuse a bad default pacing at start, not at the first RESIZE.
+        config.migration_pacing.validate();
         let (table, handles) = CpHash::new(table_config);
 
         let metrics = Arc::new(ServerMetrics::new());
@@ -185,33 +177,15 @@ impl CpServer {
         if resize_enabled {
             let coordinator =
                 RepartitionCoordinator::new(table.take_control().expect("fresh table has control"));
-            // The default pacer samples the table's own queue-depth gauges
-            // (depth feedback) or the workers' shared request-latency
-            // window (latency feedback), so both modes work out of the box.
-            let pacer = match config.migration_pacing {
-                MigrationPacing::FeedbackLatency { .. } => {
-                    MigrationPacer::from_config(config.migration_pacing)
-                        .with_latency_window(Arc::clone(&metrics.latency))
-                }
-                pacing => MigrationPacer::for_table(&table, pacing),
-            };
-            // Workers only pay for latency stamping when something will
-            // actually sample the window: a latency-feedback pacer, which
-            // only exists with an admin thread to run it.
-            if matches!(
-                config.migration_pacing,
-                MigrationPacing::FeedbackLatency { .. }
-            ) {
-                ctx.latency = Some(Arc::clone(&metrics.latency));
-            }
             let (admin, requests) = mpsc::channel();
             ctx.admin = Some(admin);
             let stop = workers.stop_flag();
             let metrics = Arc::clone(&metrics);
+            let pacing = config.migration_pacing;
             workers.keep(
                 std::thread::Builder::new()
                     .name("cpserver-admin".into())
-                    .spawn(move || admin_worker(coordinator, pacer, requests, stop, metrics))
+                    .spawn(move || admin_worker(coordinator, pacing, requests, stop, metrics))
                     .expect("spawning the admin thread"),
             );
         }
@@ -384,29 +358,40 @@ mod tests {
         server.shutdown();
     }
 
+    /// The `paced_waits=K` field of a successful RESIZE status line.
+    fn paced_waits(status: &str) -> u64 {
+        assert!(
+            status.starts_with("partitions=4"),
+            "unexpected status {status:?}"
+        );
+        status
+            .split_whitespace()
+            .find_map(|f| f.strip_prefix("paced_waits="))
+            .expect("status reports paced_waits")
+            .parse()
+            .unwrap()
+    }
+
     #[test]
-    fn latency_feedback_resize_completes_and_samples_the_window() {
+    fn default_rate_pacing_paces_a_resize_without_a_wire_budget() {
         let mut server = CpServer::start(CpServerConfig {
             partitions: 2,
             max_partitions: 4,
-            migration_pacing: MigrationPacing::FeedbackLatency {
-                chunks_per_sec: 5_000.0,
-                high_p99_us: 50_000.0,
-                low_p99_us: 10_000.0,
+            migration_pacing: MigrationPacing::Rate {
+                chunks_per_sec: 250.0,
             },
             ..Default::default()
         })
         .unwrap();
         let mut client = RemoteClient::connect(server.addr()).unwrap();
         insert_keys(&mut client, 0..300);
-        // Lookups populate the latency window the pacer samples.
-        assert_keys_hit(&mut client, 0..300);
+        // No budget on the frame: the server's default rate paces it.
         let status = client.admin_resize(4, 0).unwrap();
         assert!(
-            status.starts_with("partitions=4"),
-            "unexpected status {status:?}"
+            paced_waits(&status) > 0,
+            "the default rate must delay some hand-offs: {status:?}"
         );
-        // Every key survives the latency-paced transition.
+        // Every key survives the paced transition.
         assert_keys_hit(&mut client, 0..300);
         server.shutdown();
     }
@@ -427,17 +412,7 @@ mod tests {
         // server's default (unpaced) configuration.
         let status = client.admin_resize(4, 250).unwrap();
         assert!(
-            status.starts_with("partitions=4"),
-            "unexpected status {status:?}"
-        );
-        let paced_waits: u64 = status
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix("paced_waits="))
-            .expect("status reports paced_waits")
-            .parse()
-            .unwrap();
-        assert!(
-            paced_waits > 0,
+            paced_waits(&status) > 0,
             "a finite budget must delay some hand-offs: {status:?}"
         );
         // Data still intact after the paced transition.

@@ -9,14 +9,14 @@
 //! reads the same rows into the typed view the in-process benchmarks use,
 //! so the two cannot disagree.  Sources that already keep their own
 //! lock-free counters (`FrontendStats`, the table's `ServerStats`, the
-//! latency window, the trace rings) are sampled at scrape time, so
-//! exporting them costs the hot path nothing.
+//! trace rings) are sampled at scrape time, so exporting them costs the
+//! hot path nothing.
 
 use std::sync::Arc;
 
 use cphash::{PartitionStats, ServerStats};
 use cphash_perfmon::trace;
-use cphash_perfmon::{BatchStats, MetricsRegistry, SharedLatencyWindow};
+use cphash_perfmon::{BatchStats, MetricsRegistry};
 use cphash_sync::atomic::plain::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
@@ -162,9 +162,6 @@ enum Source {
     Partitions(fn(&PartitionStats) -> u64),
     /// A ratio or rate.
     Ratio(fn(&Sources) -> f64),
-    /// The request-latency window (read with `peek`, so a scrape never
-    /// steals the migration pacer's samples).
-    Latency,
     /// The trace rings' per-stage histograms, labelled `stage="…"`.
     Stages,
 }
@@ -261,8 +258,6 @@ const ROWS: &[Row] = &[
         help: "Pacer-imposed waits during live re-partitioning" },
     Row { kind: Gauge, name: "cphash_migration_pacer_rate", source: Ratio(|s| f64::from_bits(load(&s.pacer_rate))), field: F64(|s| &mut s.migration_pacer_rate),
         help: "Most recent migration pacer rate in chunks per second" },
-    Row { kind: Histogram, name: "cphash_request_latency_ns", source: Latency, field: Unfilled,
-        help: "Request latency window (enqueue to in-order reply), nanoseconds" },
     Row { kind: Histogram, name: "cphash_stage_cycles", source: Stages, field: Unfilled,
         help: "Cycle-stamped hot-path stage latency (requires tracing enabled)" },
 ];
@@ -276,7 +271,6 @@ fn load(counter: &AtomicU64) -> u64 {
 #[derive(Default)]
 struct Sources {
     frontend: Arc<FrontendStats>,
-    latency: Arc<SharedLatencyWindow>,
     /// Most recent migration pacer rate in chunks/second (`f64` bits).
     pacer_rate: AtomicU64,
     /// The table's partition servers, attached at server start.
@@ -332,10 +326,6 @@ pub struct ServerMetrics {
     sources: Arc<Sources>,
     /// Reactor counters, shared by every worker's front-end.
     pub frontend: Arc<FrontendStats>,
-    /// Windowed request latency (enqueue → in-order reply), the signal
-    /// source for the migration pacer's latency-feedback mode.  Stats
-    /// scrapes read it with `peek` so they never steal the pacer's samples.
-    pub latency: Arc<SharedLatencyWindow>,
 }
 
 impl ServerMetrics {
@@ -356,7 +346,6 @@ impl ServerMetrics {
                 Batch(read) => row.register(&registry, &[], move || read(&s.batch())),
                 Partitions(read) => row.register(&registry, &[], move || read(&s.partitions())),
                 Ratio(read) => registry.gauge_fn(row.name, row.help, &[], move || read(&s)),
-                Latency => registry.histogram_fn(row.name, row.help, &[], move || s.latency.peek()),
                 Stages => {
                     for stage in trace::ALL_STAGES {
                         let labels = [("stage", stage.name())];
@@ -371,7 +360,6 @@ impl ServerMetrics {
             registry,
             counters: counters.try_into().expect("one owned row per slot"),
             frontend: Arc::clone(&sources.frontend),
-            latency: Arc::clone(&sources.latency),
             sources,
         }
     }

@@ -8,15 +8,15 @@
 //! over the message-passing lanes already is one; a table that does its own
 //! locking ([`SyncStore`]) joins through [`SyncClient`], which runs each
 //! operation inside `submit`.  Servers differ in data only ([`ServeCtx`]):
-//! whether RESIZE has an admin thread to go to, whether lookups are shed
-//! under load, whether requests are stamped for a latency window.
+//! whether RESIZE has an admin thread to go to and whether lookups are shed
+//! under load.
 
 use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cphash::{Completion, CompletionKind, KeyRef, KvClient, KvOp, ValueBytes};
 use cphash_hashcore::Partition;
@@ -25,7 +25,6 @@ use cphash_kvproto::{
     WireKeyRef, MAX_VALUE_BYTES,
 };
 use cphash_lockhash::LockHash;
-use cphash_perfmon::SharedLatencyWindow;
 use parking_lot::Mutex;
 
 use crate::acceptor::drain_accepts;
@@ -184,18 +183,15 @@ pub(crate) struct ServeCtx {
     /// Answer lookups with a wire-level `Retry` while at least this many
     /// operations are in flight.
     pub(crate) overload_retry: Option<usize>,
-    /// Stamp each request and record its decode→reply latency here.
-    pub(crate) latency: Option<Arc<SharedLatencyWindow>>,
 }
 
 impl ServeCtx {
-    /// A server with a static table, no shedding and no latency window.
+    /// A server with a static table and no shedding.
     pub(crate) fn new(metrics: Arc<ServerMetrics>) -> Self {
         ServeCtx {
             metrics,
             admin: None,
             overload_retry: None,
-            latency: None,
         }
     }
 }
@@ -308,14 +304,9 @@ fn admin_unavailable() -> OutReply {
     OutReply::err(ErrCode::Admin, b"ERR admin unavailable")
 }
 
-/// One queued response slot on a connection.
-struct PendingReply {
-    /// The answer, once known; written out when it reaches the queue head.
-    reply: Option<OutReply>,
-    /// When the request was decoded, for the latency window; stamped only
-    /// when the server records one.
-    at: Option<Instant>,
-}
+/// One queued response slot on a connection: the answer, once known;
+/// written out when it reaches the queue head.
+type PendingReply = Option<OutReply>;
 
 /// A connection's unanswered requests in arrival order (correlation on this
 /// wire is by ordering).  Sequence numbers are dense and only the head is
@@ -324,18 +315,13 @@ struct PendingReply {
 struct ReplyQueue {
     next_seq: u64,
     pending: VecDeque<PendingReply>,
-    /// Whether to clock-stamp requests for the latency window.
-    stamp_latency: bool,
 }
 
 impl ReplyQueue {
     fn enqueue(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.push_back(PendingReply {
-            reply: None,
-            at: self.stamp_latency.then(Instant::now),
-        });
+        self.pending.push_back(None);
         seq
     }
 
@@ -345,7 +331,7 @@ impl ReplyQueue {
             .checked_sub(head_seq)
             .and_then(|index| self.pending.get_mut(index as usize));
         if let Some(entry) = entry {
-            entry.reply = Some(reply);
+            *entry = Some(reply);
         }
     }
 }
@@ -357,30 +343,21 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(conn: Connection, stamp_latency: bool) -> Self {
+    fn new(conn: Connection) -> Self {
         ConnState {
             conn,
             replies: ReplyQueue {
                 next_seq: 0,
                 pending: VecDeque::new(),
-                stamp_latency,
             },
         }
     }
 
-    /// Write out every response whose predecessors have all been written,
-    /// recording each request's decode→reply latency into `latency` (a
-    /// cross-worker mutex, so only attached when something samples it).
+    /// Write out every response whose predecessors have all been written.
     /// Returns how many responses were queued.
-    fn flush_ready_responses(&mut self, latency: Option<&SharedLatencyWindow>) -> usize {
+    fn flush_ready_responses(&mut self) -> usize {
         let mut wrote = 0usize;
-        while let Some(entry) = self.replies.pending.front_mut() {
-            let Some(reply) = entry.reply.take() else {
-                break;
-            };
-            if let (Some(window), Some(at)) = (latency, entry.at) {
-                window.record_ns(at.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
+        while let Some(reply) = self.replies.pending.front_mut().and_then(Option::take) {
             self.replies.pending.pop_front();
             self.conn
                 .queue_reply_parts(reply.status, reply.code, reply.value.as_slice());
@@ -746,14 +723,13 @@ impl<C: KvClient> Worker<C> {
         // already has bytes buffered is served just below.
         if self.ready.contains(&LISTENER_TOKEN) {
             drain_accepts(&self.listener, &mut self.accepted);
-            let stamp_latency = self.backend.ctx.latency.is_some();
             for stream in self.accepted.drain(..) {
                 let adopted = Connection::new(stream).is_ok_and(|conn| {
                     adopt(
                         &mut self.connections,
                         &mut self.reactor,
                         &mut self.ready,
-                        ConnState::new(conn, stamp_latency),
+                        ConnState::new(conn),
                         |state| &state.conn,
                     )
                 });
@@ -842,12 +818,11 @@ impl<C: KvClient> Worker<C> {
         self.touched.dedup();
         let backend = &mut self.backend;
         backend.ctx.metrics.note_requests(&mut backend.tally);
-        let latency = backend.ctx.latency.as_deref();
         for &idx in self.touched.iter() {
             let Some(state) = self.connections[idx].as_mut() else {
                 continue;
             };
-            self.waiting_responses -= state.flush_ready_responses(latency);
+            self.waiting_responses -= state.flush_ready_responses();
             if settle(
                 &mut state.conn,
                 &mut self.reactor,
@@ -878,7 +853,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
-        let state = ConnState::new(Connection::new(server_side).unwrap(), false);
+        let state = ConnState::new(Connection::new(server_side).unwrap());
         (state, client)
     }
 
@@ -889,7 +864,7 @@ mod tests {
         client: &mut TcpStream,
         decoder: &mut ReplyDecoder,
     ) -> Vec<Option<Vec<u8>>> {
-        let ready = state.flush_ready_responses(None);
+        let ready = state.flush_ready_responses();
         while state.conn.pending_output() > 0 {
             state.conn.flush();
         }

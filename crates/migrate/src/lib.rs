@@ -49,8 +49,4 @@ pub mod pacer;
 pub use coordinator::{
     MigrateError, MigrationReport, RepartitionCoordinator, DEFAULT_MAX_BATCH_BYTES,
 };
-pub use pacer::{MigrationPacer, PacerStats};
-
-// Re-export the pacing knob so callers configuring a pacer need only this
-// crate (the type lives in `cphash::config` so table configs can carry it).
-pub use cphash::MigrationPacing;
+pub use pacer::{MigrationPacer, MigrationPacing, PacerStats};

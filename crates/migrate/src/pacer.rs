@@ -4,45 +4,46 @@
 //! PR 1's coordinator fired chunk hand-offs back-to-back, so the throughput
 //! dip a resize causes was bounded only by the table size.  The
 //! [`MigrationPacer`] turns the hand-off rate into an operator-chosen
-//! budget:
-//!
-//! * **rate mode** — a token bucket allowing at most `chunks_per_sec`
-//!   hand-offs per second;
-//! * **feedback mode** — the same bucket, but between hand-offs the pacer
-//!   samples the per-partition inbound queue depth (the
-//!   [`cphash::ServerStats::queue_depth`] gauge each server publishes every
-//!   loop iteration, smoothed through a [`cphash_perfmon::EwmaGauge`]) and
-//!   halves the rate while servers are falling behind, recovering it while
-//!   they keep up;
-//! * **latency feedback mode** — the same controller driven by a
-//!   *client-observed* signal instead: a windowed request-latency p99 from
-//!   a [`cphash_perfmon::SharedLatencyWindow`] the request path records
-//!   into, tracking what applications actually feel rather than how deep
-//!   the inbound rings run.
+//! budget: a token bucket allowing at most `chunks_per_sec` hand-offs per
+//! second ([`MigrationPacing::Rate`]).
 //!
 //! The pacer is owned by whoever drives the coordinator (CPSERVER's admin
 //! thread, the benchmark harness) and threaded through
 //! [`crate::RepartitionCoordinator::resize_to_paced`].
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cphash::{CpHash, MigrationPacing};
-use cphash_perfmon::{EwmaGauge, SharedLatencyWindow};
+/// How the repartition coordinator paces chunk hand-offs during a live
+/// resize.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum MigrationPacing {
+    /// Hand chunks off back-to-back (PR 1 behaviour): fastest transition,
+    /// deepest foreground-throughput dip.
+    #[default]
+    Unpaced,
+    /// Token bucket: at most `chunks_per_sec` chunk hand-offs per second,
+    /// spreading the migration cost over time at an operator-chosen rate.
+    Rate {
+        /// Chunk hand-offs per second (must be positive).
+        chunks_per_sec: f64,
+    },
+}
+
+impl MigrationPacing {
+    /// Validate the pacing parameters, panicking on nonsense.
+    pub fn validate(&self) {
+        if let MigrationPacing::Rate { chunks_per_sec } = *self {
+            assert!(
+                chunks_per_sec > 0.0 && chunks_per_sec.is_finite(),
+                "chunks_per_sec must be positive and finite"
+            );
+        }
+    }
+}
 
 /// Token-bucket burst: how many hand-offs may fire without waiting after an
 /// idle period.  1.0 keeps the spacing strict.
 const BURST_TOKENS: f64 = 1.0;
-
-/// Feedback never slows below this fraction of the configured rate, so a
-/// permanently saturated table still finishes its transition.
-const MIN_RATE_FRACTION: f64 = 1.0 / 64.0;
-
-/// Multiplicative-increase factor applied while servers keep up.
-const RECOVERY_FACTOR: f64 = 1.25;
-
-/// EWMA smoothing for queue-depth samples.
-const DEPTH_ALPHA: f64 = 0.3;
 
 /// What a pacer has done so far (cumulative; the coordinator reports
 /// per-resize deltas in its [`crate::MigrationReport`]).
@@ -52,26 +53,15 @@ pub struct PacerStats {
     pub paced_waits: u64,
     /// Total time spent waiting on the bucket.
     pub total_wait: Duration,
-    /// Feedback decisions that halved the rate (servers falling behind).
-    pub backoffs: u64,
-    /// Feedback decisions that raised the rate back up.
-    pub recoveries: u64,
-    /// Queue-depth samples taken.
-    pub depth_samples: u64,
 }
 
 /// Paces chunk hand-offs (see the module docs).
+#[derive(Debug)]
 pub struct MigrationPacer {
-    pacing: MigrationPacing,
-    /// Current rate in chunks/sec (feedback moves it inside
-    /// `[min_rate, max_rate]`; rate mode keeps it fixed).
+    /// Hand-offs per second; `f64::INFINITY` when unpaced.
     rate: f64,
-    max_rate: f64,
-    min_rate: f64,
     tokens: f64,
     last_refill: Option<Instant>,
-    gauge: EwmaGauge,
-    probe: Option<Box<dyn FnMut() -> f64 + Send>>,
     stats: PacerStats,
 }
 
@@ -81,82 +71,22 @@ impl MigrationPacer {
         Self::from_config(MigrationPacing::Unpaced)
     }
 
-    /// Build a pacer from a pacing configuration.  Feedback mode needs a
-    /// queue-depth probe ([`MigrationPacer::with_queue_depth_probe`] or
-    /// [`MigrationPacer::for_table`]); without one it degrades to plain
-    /// rate mode at the configured rate.
+    /// Build a pacer from a pacing configuration.
     pub fn from_config(pacing: MigrationPacing) -> Self {
         pacing.validate();
         let rate = match pacing {
             MigrationPacing::Unpaced => f64::INFINITY,
-            MigrationPacing::Rate { chunks_per_sec }
-            | MigrationPacing::Feedback { chunks_per_sec, .. }
-            | MigrationPacing::FeedbackLatency { chunks_per_sec, .. } => chunks_per_sec,
+            MigrationPacing::Rate { chunks_per_sec } => chunks_per_sec,
         };
         MigrationPacer {
-            pacing,
             rate,
-            max_rate: rate,
-            min_rate: (rate * MIN_RATE_FRACTION).max(f64::MIN_POSITIVE),
             tokens: BURST_TOKENS,
             last_refill: None,
-            gauge: EwmaGauge::new(DEPTH_ALPHA),
-            probe: None,
             stats: PacerStats::default(),
         }
     }
 
-    /// Attach a queue-depth probe for feedback mode.  The probe returns the
-    /// current depth (words drained per server loop iteration, maximum over
-    /// the partitions of interest).
-    pub fn with_queue_depth_probe(mut self, probe: impl FnMut() -> f64 + Send + 'static) -> Self {
-        self.probe = Some(Box::new(probe));
-        self
-    }
-
-    /// Attach a latency probe for latency-feedback mode.  The probe returns
-    /// the latest client-observed p99 in microseconds (0.0 when no requests
-    /// completed since the previous sample, which reads as "no pressure").
-    pub fn with_latency_probe(mut self, probe: impl FnMut() -> f64 + Send + 'static) -> Self {
-        self.probe = Some(Box::new(probe));
-        self
-    }
-
-    /// Convenience: a latency probe that takes-and-samples a shared
-    /// [`SharedLatencyWindow`] the serving path records request latencies
-    /// into (CPSERVER's workers do; benchmark drivers can too).
-    pub fn with_latency_window(self, window: Arc<SharedLatencyWindow>) -> Self {
-        self.with_latency_probe(move || window.take_p99_us())
-    }
-
-    /// Convenience: a pacer whose feedback probe reads the given table's
-    /// per-server queue-depth gauges (maximum over all spawned servers —
-    /// idle servers report zero, so they never distort the signal).
-    ///
-    /// [`MigrationPacing::FeedbackLatency`] gets **no** probe here — queue
-    /// depths compared against microsecond thresholds would be nonsense —
-    /// so it degrades to plain rate mode until the caller attaches a real
-    /// latency source with [`MigrationPacer::with_latency_window`] /
-    /// [`MigrationPacer::with_latency_probe`] (CPSERVER wires its workers'
-    /// shared request-latency window).
-    pub fn for_table(table: &CpHash, pacing: MigrationPacing) -> Self {
-        let pacer = Self::from_config(pacing);
-        if matches!(pacer.pacing, MigrationPacing::FeedbackLatency { .. }) {
-            return pacer;
-        }
-        let stats: Vec<_> = table.server_stats().to_vec();
-        pacer.with_queue_depth_probe(move || {
-            stats.iter().map(|s| s.queue_depth()).max().unwrap_or(0) as f64
-        })
-    }
-
-    /// The pacing configuration this pacer was built from.
-    pub fn pacing(&self) -> MigrationPacing {
-        self.pacing
-    }
-
-    /// The current hand-off rate in chunks/sec (`f64::INFINITY` when
-    /// unpaced; feedback mode moves this between backoffs and recoveries).
+    /// The hand-off rate in chunks/sec (`f64::INFINITY` when unpaced).
     pub fn current_rate(&self) -> f64 {
         self.rate
     }
@@ -169,11 +99,9 @@ impl MigrationPacer {
     /// Block until the next chunk hand-off is allowed to start.  Called by
     /// the coordinator before every chunk; a no-op when unpaced.
     pub fn before_chunk(&mut self) {
-        if matches!(self.pacing, MigrationPacing::Unpaced) {
+        if self.rate.is_infinite() {
             return;
         }
-        self.apply_feedback();
-
         let now = Instant::now();
         self.refill(now);
         if self.tokens >= 1.0 {
@@ -194,53 +122,11 @@ impl MigrationPacer {
         let elapsed = now.saturating_duration_since(last).as_secs_f64();
         self.tokens = (self.tokens + elapsed * self.rate).min(BURST_TOKENS);
     }
-
-    /// Sample the pressure probe and adjust the rate (feedback modes with
-    /// a probe attached only).  Queue-depth and latency feedback share the
-    /// controller; only the signal and its thresholds differ.
-    fn apply_feedback(&mut self) {
-        let (high, low) = match self.pacing {
-            MigrationPacing::Feedback {
-                high_depth,
-                low_depth,
-                ..
-            } => (high_depth, low_depth),
-            MigrationPacing::FeedbackLatency {
-                high_p99_us,
-                low_p99_us,
-                ..
-            } => (high_p99_us, low_p99_us),
-            _ => return,
-        };
-        let Some(probe) = self.probe.as_mut() else {
-            return;
-        };
-        let pressure = self.gauge.sample(probe());
-        self.stats.depth_samples += 1;
-        if pressure > high && self.rate > self.min_rate {
-            self.rate = (self.rate * 0.5).max(self.min_rate);
-            self.stats.backoffs += 1;
-        } else if pressure < low && self.rate < self.max_rate {
-            self.rate = (self.rate * RECOVERY_FACTOR).min(self.max_rate);
-            self.stats.recoveries += 1;
-        }
-    }
-}
-
-impl core::fmt::Debug for MigrationPacer {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("MigrationPacer")
-            .field("pacing", &self.pacing)
-            .field("rate", &self.rate)
-            .field("stats", &self.stats)
-            .finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     #[test]
     fn unpaced_never_waits() {
@@ -274,91 +160,19 @@ mod tests {
     }
 
     #[test]
-    fn feedback_backs_off_under_load_and_recovers() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let depth = Arc::new(AtomicU64::new(10_000));
-        let probe_depth = Arc::clone(&depth);
-        let mut pacer = MigrationPacer::from_config(MigrationPacing::Feedback {
-            chunks_per_sec: 10_000.0,
-            high_depth: 128.0,
-            low_depth: 32.0,
-        })
-        .with_queue_depth_probe(move || probe_depth.load(Ordering::Relaxed) as f64);
-
-        for _ in 0..4 {
-            pacer.before_chunk();
-        }
-        assert!(pacer.stats().backoffs >= 3, "{:?}", pacer.stats());
-        let slowed = pacer.current_rate();
-        assert!(slowed < 10_000.0 / 4.0, "rate still {slowed}");
-
-        // Load clears: the rate climbs back towards the configured maximum.
-        depth.store(0, Ordering::Relaxed);
-        for _ in 0..64 {
-            pacer.before_chunk();
-        }
-        assert!(pacer.current_rate() > slowed);
-        assert!(pacer.stats().recoveries > 0);
-        assert!(pacer.stats().depth_samples >= 68);
-    }
-
-    #[test]
-    fn latency_feedback_backs_off_on_high_p99_and_recovers() {
-        let window = Arc::new(SharedLatencyWindow::new());
-        let mut pacer = MigrationPacer::from_config(MigrationPacing::FeedbackLatency {
-            chunks_per_sec: 10_000.0,
-            high_p99_us: 2_000.0,
-            low_p99_us: 500.0,
-        })
-        .with_latency_window(Arc::clone(&window));
-
-        // Clients observe ~16 ms p99: the pacer must back off.
-        for _ in 0..4 {
-            for _ in 0..100 {
-                window.record_ns(16_000_000);
-            }
-            pacer.before_chunk();
-        }
-        assert!(pacer.stats().backoffs >= 3, "{:?}", pacer.stats());
-        let slowed = pacer.current_rate();
-        assert!(slowed < 10_000.0 / 4.0, "rate still {slowed}");
-
-        // Latency clears (empty windows read as no pressure): recover.
-        for _ in 0..64 {
-            pacer.before_chunk();
-        }
-        assert!(pacer.current_rate() > slowed);
-        assert!(pacer.stats().recoveries > 0);
-    }
-
-    #[test]
-    fn latency_feedback_without_probe_degrades_to_rate_mode() {
-        let mut pacer = MigrationPacer::from_config(MigrationPacing::latency_feedback(5_000.0));
-        for _ in 0..8 {
-            pacer.before_chunk();
-        }
-        assert_eq!(pacer.stats().depth_samples, 0);
-        assert_eq!(pacer.current_rate(), 5_000.0);
-        assert!(pacer.stats().paced_waits > 0);
-    }
-
-    #[test]
-    fn feedback_without_probe_degrades_to_rate_mode() {
-        let mut pacer = MigrationPacer::from_config(MigrationPacing::feedback(5_000.0));
-        for _ in 0..8 {
-            pacer.before_chunk();
-        }
-        assert_eq!(pacer.stats().depth_samples, 0);
-        assert_eq!(pacer.current_rate(), 5_000.0);
-        assert!(pacer.stats().paced_waits > 0);
-    }
-
-    #[test]
     #[should_panic(expected = "positive and finite")]
     fn invalid_config_is_rejected_at_construction() {
         MigrationPacer::from_config(MigrationPacing::Rate {
             chunks_per_sec: -1.0,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn zero_rate_pacing_rejected() {
+        MigrationPacing::Rate {
+            chunks_per_sec: 0.0,
+        }
+        .validate();
     }
 }

@@ -12,12 +12,8 @@
 //!   extraction.
 //! * [`series`] — labelled (x, y) series and CSV/gnuplot-style rendering,
 //!   the output format of every figure-regenerating benchmark binary.
-//! * [`load`] — smoothed load gauges (EWMA), the low-pass filter behind the
-//!   migration pacer's queue-depth feedback loop.
 //! * [`batch`] — counters for the batched, prefetch-pipelined server hot
 //!   loop (batches, occupancy, prefetches issued).
-//! * [`window`] — a shared windowed latency histogram, the p99 signal
-//!   source for the migration pacer's latency-feedback mode.
 //! * [`registry`] — the metrics plane: named counters/gauges/histograms
 //!   with per-worker sharded atomics, typed snapshots, and a
 //!   Prometheus-text renderer (what `cpserverd --stats-addr` serves).
@@ -31,17 +27,14 @@
 pub mod batch;
 pub mod cycles;
 pub mod histogram;
-pub mod load;
 pub mod registry;
 pub mod series;
 pub mod timer;
 pub mod trace;
-pub mod window;
 
 pub use batch::{BatchCounters, BatchStats};
 pub use cycles::{cycles_now, estimate_cycles_per_second, CycleSpan};
 pub use histogram::LatencyHistogram;
-pub use load::EwmaGauge;
 pub use registry::{
     parse_prometheus_text, Counter, HistogramSnapshot, MetricSample, MetricValue, MetricsRegistry,
     MetricsSnapshot, ParsedSample,
@@ -49,4 +42,3 @@ pub use registry::{
 pub use series::{DataPoint, DataSeries, FigureReport};
 pub use timer::Stopwatch;
 pub use trace::{StageSpan, TraceEvent, TraceReport, TraceStage};
-pub use window::SharedLatencyWindow;

@@ -15,8 +15,8 @@
 //!   are *registered* as closures and read only at scrape time, so putting
 //!   them on the metrics plane costs the hot path nothing.
 //! * **Non-destructive snapshots** — [`MetricsRegistry::snapshot`] only
-//!   loads; it never resets a source, so a scrape cannot steal samples from
-//!   a feedback controller reading the same source.
+//!   loads; it never resets a source, so one scrape never steals samples
+//!   from the next.
 //!
 //! Rendering follows the Prometheus text exposition format (version 0.0.4):
 //! `# HELP` / `# TYPE` headers per family, `name{labels} value` samples,

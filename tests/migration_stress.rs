@@ -310,12 +310,9 @@ fn paced_resize_keeps_foreground_p99_bounded() {
     // 100 chunks/sec: a 10 ms hand-off interval, comfortably above the
     // natural per-chunk latency even on a loaded single-CPU host, so the
     // bucket genuinely paces (64 chunks ≈ 640 ms transition).
-    let mut pacer = MigrationPacer::for_table(
-        &table,
-        MigrationPacing::Rate {
-            chunks_per_sec: 100.0,
-        },
-    );
+    let mut pacer = MigrationPacer::from_config(MigrationPacing::Rate {
+        chunks_per_sec: 100.0,
+    });
     let stop = Arc::new(AtomicBool::new(false));
 
     let workers: Vec<_> = clients
