@@ -17,8 +17,9 @@ pub enum PinOutcome {
     /// container); the thread keeps its previous affinity mask.
     Refused,
     /// The requested hardware thread does not exist on this machine, so the
-    /// request was ignored (common when replaying a paper-machine placement
-    /// plan on a smaller box).
+    /// request was ignored (common when a placement computed for a larger
+    /// topology, such as [`crate::Topology::paper_machine`], runs on a
+    /// smaller box).
     OutOfRange(HwThreadId),
     /// Pinning is not supported on this platform (non-Linux).
     Unsupported,

@@ -22,10 +22,10 @@ pub struct HwThreadId(pub usize);
 /// Hardware-thread numbering follows the common Linux convention the paper's
 /// machine also used: hw thread `t` of core `c` has id
 /// `t * total_cores + c`, i.e. CPUs `0..N-1` are the first hyperthread of
-/// every core and CPUs `N..2N-1` are the SMT siblings.  The placement
-/// helpers only rely on this model's own numbering, so even if the physical
-/// machine numbers CPUs differently the *relative* placement (client and
-/// server share a core, servers spread across sockets) is preserved.
+/// every core and CPUs `N..2N-1` are the SMT siblings.  Placement only relies
+/// on this model's own numbering, so even if the physical machine numbers
+/// CPUs differently the *relative* placement (servers spread across cores
+/// and sockets) is preserved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
     /// Number of processor packages.
@@ -165,58 +165,6 @@ impl Topology {
     pub const fn hw_thread(&self, core: CoreId, smt: usize) -> HwThreadId {
         HwThreadId(smt * self.total_cores() + core.0)
     }
-
-    /// All cores of one socket, in id order.
-    pub fn cores_of_socket(&self, socket: SocketId) -> impl Iterator<Item = CoreId> + '_ {
-        let start = socket.0 * self.cores_per_socket;
-        (start..start + self.cores_per_socket).map(CoreId)
-    }
-
-    /// All cores of the machine, in id order.
-    pub fn all_cores(&self) -> impl Iterator<Item = CoreId> {
-        (0..self.total_cores()).map(CoreId)
-    }
-
-    /// All hardware threads of the machine, in id order.
-    pub fn all_hw_threads(&self) -> impl Iterator<Item = HwThreadId> {
-        (0..self.total_hw_threads()).map(HwThreadId)
-    }
-
-    /// All hardware threads of the first `sockets` sockets — the
-    /// socket-granularity subsets Figure 11 sweeps over.
-    pub fn hw_threads_of_first_sockets(&self, sockets: usize) -> Vec<HwThreadId> {
-        assert!(sockets <= self.sockets, "asked for more sockets than exist");
-        let mut out = Vec::new();
-        for smt in 0..self.threads_per_core {
-            for s in 0..sockets {
-                for core in self.cores_of_socket(SocketId(s)) {
-                    out.push(self.hw_thread(core, smt));
-                }
-            }
-        }
-        out
-    }
-
-    /// The first SMT thread of every core — the "one hardware thread per
-    /// core" configuration of Figures 12 and 14.
-    pub fn primary_hw_threads(&self) -> Vec<HwThreadId> {
-        self.all_cores().map(|c| self.hw_thread(c, 0)).collect()
-    }
-
-    /// Both SMT threads of the cores in the first `sockets` sockets — the
-    /// "both hardware threads on fewer sockets" configuration of Figure 12.
-    pub fn smt_pairs_of_first_sockets(&self, sockets: usize) -> Vec<HwThreadId> {
-        assert!(sockets <= self.sockets);
-        let mut out = Vec::new();
-        for s in 0..sockets {
-            for core in self.cores_of_socket(SocketId(s)) {
-                for smt in 0..self.threads_per_core {
-                    out.push(self.hw_thread(core, smt));
-                }
-            }
-        }
-        out
-    }
 }
 
 impl Default for Topology {
@@ -258,44 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn cores_of_socket_enumerates_contiguously() {
-        let t = Topology::paper_machine();
-        let s1: Vec<_> = t.cores_of_socket(SocketId(1)).map(|c| c.0).collect();
-        assert_eq!(s1, (10..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn first_sockets_subsets_have_expected_sizes() {
-        let t = Topology::paper_machine();
-        assert_eq!(t.hw_threads_of_first_sockets(1).len(), 20);
-        assert_eq!(t.hw_threads_of_first_sockets(4).len(), 80);
-        assert_eq!(t.hw_threads_of_first_sockets(8).len(), 160);
-        // All from the requested sockets.
-        for hw in t.hw_threads_of_first_sockets(2) {
-            assert!(t.socket_of_hw_thread(hw).0 < 2);
-        }
-    }
-
-    #[test]
-    fn primary_hw_threads_one_per_core() {
-        let t = Topology::paper_machine();
-        let primaries = t.primary_hw_threads();
-        assert_eq!(primaries.len(), 80);
-        for hw in primaries {
-            assert_eq!(t.smt_index(hw), 0);
-        }
-    }
-
-    #[test]
-    fn smt_pairs_cover_both_siblings() {
-        let t = Topology::paper_machine();
-        let pairs = t.smt_pairs_of_first_sockets(4);
-        assert_eq!(pairs.len(), 80);
-        let siblings: usize = pairs.iter().filter(|hw| t.smt_index(**hw) == 1).count();
-        assert_eq!(siblings, 40);
-    }
-
-    #[test]
     fn detect_produces_a_consistent_model() {
         let t = Topology::detect();
         assert!(t.sockets >= 1);
@@ -305,12 +215,5 @@ mod tests {
             t.total_hw_threads(),
             t.sockets * t.cores_per_socket * t.threads_per_core
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "more sockets")]
-    fn too_many_sockets_panics() {
-        let t = Topology::single_socket(4, 2);
-        let _ = t.hw_threads_of_first_sockets(2);
     }
 }

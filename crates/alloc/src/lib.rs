@@ -22,16 +22,19 @@
 //! storage obtained from the global allocator.  [`ValueHandle`]s are stable
 //! raw-pointer handles a client thread can copy value bytes through while
 //! the server thread keeps ownership of the metadata.
+//!
+//! Every block is freed by the allocator that handed it out, on its owner's
+//! thread, so nothing here is atomic.  Live re-partitioning keeps that
+//! true: a migrated value is copied into the new owner's allocator and the
+//! old block is freed by its old owner.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod remote;
 pub mod size_class;
 pub mod slab;
 pub mod stats;
 
-pub use remote::RemoteFreeList;
 pub use size_class::{class_for_size, class_size, SizeClass, NUM_CLASSES};
 pub use slab::{SlabAllocator, SlabConfig, ValueHandle, MAX_VALUE_BYTES};
 pub use stats::AllocStats;

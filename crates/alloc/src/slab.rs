@@ -2,9 +2,7 @@
 
 use core::ptr::NonNull;
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
-use std::sync::Arc;
 
-use crate::remote::RemoteFreeList;
 use crate::size_class::{class_for_size, class_size, SizeClass, NUM_CLASSES};
 use crate::stats::AllocStats;
 
@@ -116,12 +114,6 @@ impl ValueHandle {
         block_bytes_of(self.class(), self.len())
     }
 
-    /// Raw pointer to the first byte of the block.
-    #[inline]
-    pub fn as_ptr(&self) -> *mut u8 {
-        self.ptr.as_ptr()
-    }
-
     /// Numeric address of the block (used by the cache model to attribute
     /// line transfers to value accesses).
     #[inline]
@@ -194,7 +186,6 @@ pub struct SlabAllocator {
     free_lists: Vec<Vec<NonNull<u8>>>,
     chunks: Vec<Chunk>,
     stats: AllocStats,
-    remote: Arc<RemoteFreeList>,
 }
 
 // SAFETY: the allocator is moved into its server thread at startup; all the
@@ -210,17 +201,7 @@ impl SlabAllocator {
             free_lists: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
             chunks: Vec::new(),
             stats: AllocStats::default(),
-            remote: RemoteFreeList::shared(),
         }
-    }
-
-    /// The lock-free remote free list other threads push freed blocks onto.
-    ///
-    /// Clone the `Arc` into any thread that needs to return this
-    /// allocator's blocks without owning the allocator (e.g. the new owner
-    /// of migrated values during re-partitioning).
-    pub fn remote_list(&self) -> &Arc<RemoteFreeList> {
-        &self.remote
     }
 
     /// Create an unbounded allocator with default chunking.
@@ -347,39 +328,6 @@ impl SlabAllocator {
         }
     }
 
-    /// Drain the remote free stack for `class` into the local free list,
-    /// settling the accounting the remote pushers could not touch.
-    /// Returns the number of blocks reclaimed.
-    pub fn reclaim_remote_class(&mut self, class: SizeClass) -> usize {
-        let mut reclaimed = 0usize;
-        // Detach the whole chain in one exchange, then walk it exclusively.
-        let drain = self.remote.pop_all(class);
-        for ptr in drain {
-            self.free_lists[class.0].push(ptr);
-            reclaimed += 1;
-        }
-        if reclaimed > 0 {
-            let bytes = reclaimed * class_size(class);
-            debug_assert!(self.stats.bytes_in_use >= bytes, "remote double free");
-            debug_assert!(self.stats.blocks_in_use >= reclaimed, "remote double free");
-            self.stats.bytes_in_use -= bytes;
-            self.stats.blocks_in_use -= reclaimed;
-            self.stats.total_frees += reclaimed as u64;
-            self.stats.remote_reclaims += reclaimed as u64;
-        }
-        reclaimed
-    }
-
-    /// Drain every class's remote stack.  Called on allocation misses for
-    /// the missing class automatically; call it explicitly before reading
-    /// final accounting or dropping the allocator while remote threads may
-    /// have freed blocks.
-    pub fn reclaim_remote(&mut self) -> usize {
-        (0..NUM_CLASSES)
-            .map(|c| self.reclaim_remote_class(SizeClass(c)))
-            .sum()
-    }
-
     /// Account `block_bytes` more as in use, unless that would exceed the
     /// budget.
     fn take_budget(&mut self, block_bytes: usize) -> bool {
@@ -397,14 +345,6 @@ impl SlabAllocator {
         if let Some(ptr) = self.free_lists[class.0].pop() {
             self.stats.freelist_hits += 1;
             return ptr;
-        }
-        // Local list empty: pull back anything other threads returned
-        // before reserving a fresh chunk.
-        if self.reclaim_remote_class(class) > 0 {
-            self.stats.freelist_hits += 1;
-            return self.free_lists[class.0]
-                .pop()
-                .expect("reclaim_remote_class pushed at least one block");
         }
         self.grow_class(class);
         self.free_lists[class.0]
@@ -453,9 +393,6 @@ impl SlabAllocator {
 
 impl Drop for SlabAllocator {
     fn drop(&mut self) {
-        // Settle any blocks still parked on the remote stack so the
-        // accounting check below sees them as freed.
-        self.reclaim_remote();
         // All slab chunks go back to the global allocator.  Outstanding
         // huge blocks would leak; the partition frees every element before
         // dropping its allocator, so treat leftovers as a logic error in
@@ -549,10 +486,10 @@ mod tests {
     fn freelist_reuses_blocks() {
         let mut a = SlabAllocator::unbounded();
         let h = a.allocate(100).unwrap();
-        let first_ptr = h.as_ptr();
+        let first_addr = h.addr();
         a.free(h);
         let h2 = a.allocate(100).unwrap();
-        assert_eq!(h2.as_ptr(), first_ptr, "freed block should be reused");
+        assert_eq!(h2.addr(), first_addr, "freed block should be reused");
         assert_eq!(a.stats().freelist_hits, 1);
         a.free(h2);
     }

@@ -22,8 +22,6 @@ pub struct AllocStats {
     pub freelist_hits: u64,
     /// Allocations refused because they would exceed the capacity budget.
     pub capacity_refusals: u64,
-    /// Blocks reclaimed from the remote free list (cross-thread frees).
-    pub remote_reclaims: u64,
 }
 
 impl AllocStats {

@@ -55,6 +55,7 @@ use cphash_perfmon::trace::TraceStage;
 use cphash_perfmon::StageSpan;
 use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 
+use crate::kv::SpinThenYield;
 use crate::protocol::{encode, Request, Response};
 use crate::router::EpochRouter;
 
@@ -420,10 +421,9 @@ impl ClientHandle {
         self.router.active_partitions()
     }
 
-    /// The partition that owns `key` right now — exposed so applications
-    /// (CPSERVER) can group work by destination server. During a live
+    /// The partition that owns `key` right now. During a live
     /// re-partitioning the answer follows the shared epoch router.
-    pub fn partition_of(&self, key: u64) -> usize {
+    fn partition_of(&self, key: u64) -> usize {
         self.router.route(key & MAX_KEY)
     }
 
@@ -730,26 +730,16 @@ impl ClientHandle {
     /// appending completions to `out` (including any completions stashed by
     /// earlier synchronous calls).
     pub fn drain(&mut self, out: &mut Vec<Completion>) -> Result<(), TableError> {
-        let mut idle: u32 = 0;
+        let mut wait = SpinThenYield::default();
         loop {
             let produced = self.poll(out);
             if self.outstanding == 0 {
                 return Ok(());
             }
-            if produced == 0 {
-                if self.lanes.iter().any(|l| !l.channel.is_server_alive()) {
-                    return Err(TableError::ServerGone);
-                }
-                idle = idle.saturating_add(1);
-                if idle > 128 {
-                    // On oversubscribed hosts the server may need our core.
-                    std::thread::yield_now();
-                } else {
-                    core::hint::spin_loop();
-                }
-            } else {
-                idle = 0;
+            if produced == 0 && self.lanes.iter().any(|l| !l.channel.is_server_alive()) {
+                return Err(TableError::ServerGone);
             }
+            wait.after_poll(produced);
         }
     }
 
@@ -841,7 +831,7 @@ impl ClientHandle {
             return Ok(self.stashed.remove(pos).expect("position valid").kind);
         }
         let mut buf = Vec::new();
-        let mut idle: u32 = 0;
+        let mut wait = SpinThenYield::default();
         loop {
             buf.clear();
             let produced = self.poll(&mut buf);
@@ -859,17 +849,7 @@ impl ClientHandle {
             if self.lanes.iter().any(|l| !l.channel.is_server_alive()) {
                 return Err(TableError::ServerGone);
             }
-            if produced == 0 {
-                idle = idle.saturating_add(1);
-                if idle > 128 {
-                    // On oversubscribed hosts the server may need our core.
-                    std::thread::yield_now();
-                } else {
-                    core::hint::spin_loop();
-                }
-            } else {
-                idle = 0;
-            }
+            wait.after_poll(produced);
         }
     }
 

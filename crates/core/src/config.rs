@@ -1,6 +1,6 @@
 //! CPHash table configuration.
 
-use cphash_affinity::{HwThreadId, PlacementPlan, Role, ThreadAssignment, Topology};
+use cphash_affinity::{CoreId, HwThreadId, Topology};
 use cphash_hashcore::EvictionPolicy;
 
 /// The default pipeline depth (operations staged per batch).
@@ -100,71 +100,25 @@ impl CpHashConfig {
         self
     }
 
-    /// Pin server threads to the second hardware thread of each core, as in
-    /// the paper's §6.1 placement, using the given topology.
-    pub fn with_paper_placement(mut self, topo: &Topology) -> Self {
-        self.server_pins = (0..self.partitions)
-            .map(|i| {
-                let core = cphash_affinity::CoreId(i % topo.total_cores());
-                topo.hw_thread(core, (topo.threads_per_core - 1).min(1))
-            })
-            .collect();
-        self
-    }
-
     /// Allow live re-partitioning up to `max_partitions` server threads.
     pub fn with_max_partitions(mut self, max_partitions: usize) -> Self {
         self.max_partitions = max_partitions;
         self
     }
 
-    /// Apply the server assignments of a [`PlacementPlan`] as
-    /// `server_pins`, in server-index order.  The plan must provide at
-    /// least one server assignment per spawnable server thread
-    /// ([`CpHashConfig::spawned_partitions`]), so that partitions activated
-    /// by a later live grow are pinned too — not just the initial set.
-    pub fn with_placement_plan(mut self, plan: &PlacementPlan) -> Self {
-        let mut pins: Vec<(usize, HwThreadId)> = plan
-            .assignments
-            .iter()
-            .filter(|a| a.role == Role::Server)
-            .map(|a| (a.index, a.hw_thread))
+    /// NUMA-aware placement for elastic tables: one pin per *spawnable*
+    /// server thread — grown partitions included — with server `i` on core
+    /// `i % total_cores` (cores are numbered socket by socket), on that
+    /// core's second SMT sibling as in §6.1, or on its only hardware thread
+    /// without SMT.  Partition memory is first-touch allocated by its own server
+    /// thread, so pinning the thread that a grow will activate is what
+    /// keeps the new partition's memory local to its socket.
+    pub fn with_numa_placement(mut self, topo: &Topology) -> Self {
+        let smt = (topo.threads_per_core - 1).min(1);
+        self.server_pins = (0..self.spawned_partitions())
+            .map(|i| topo.hw_thread(CoreId(i % topo.total_cores()), smt))
             .collect();
-        pins.sort_by_key(|(index, _)| *index);
-        assert!(
-            pins.len() >= self.spawned_partitions(),
-            "placement plan covers {} servers but the table can grow to {}",
-            pins.len(),
-            self.spawned_partitions()
-        );
-        self.server_pins = pins.into_iter().map(|(_, hw)| hw).collect();
         self
-    }
-
-    /// NUMA-aware placement for elastic tables: build a plan with one
-    /// server assignment per *spawnable* thread — grown partitions included
-    /// — walking the topology's cores in socket order (second SMT sibling,
-    /// as in §6.1), and wire it into `server_pins`.  Partition memory is
-    /// first-touch allocated by its own server thread, so pinning the
-    /// thread that a grow will activate is what keeps the new partition's
-    /// memory local to its socket.
-    pub fn with_numa_placement(self, topo: &Topology) -> Self {
-        let spawned = self.spawned_partitions();
-        let assignments = (0..spawned)
-            .map(|index| {
-                let core = cphash_affinity::CoreId(index % topo.total_cores());
-                ThreadAssignment {
-                    role: Role::Server,
-                    index,
-                    hw_thread: topo.hw_thread(core, (topo.threads_per_core - 1).min(1)),
-                }
-            })
-            .collect();
-        let plan = PlacementPlan {
-            label: format!("numa-elastic-{spawned}-servers"),
-            assignments,
-        };
-        self.with_placement_plan(&plan)
     }
 
     /// The number of server threads the table spawns: `max_partitions`,
@@ -247,7 +201,8 @@ mod tests {
         c.validate();
         // Server i sits on the SMT sibling of core i (paper §6.1 shape).
         for (i, pin) in c.server_pins.iter().enumerate() {
-            assert_eq!(topo.core_of_hw_thread(*pin), cphash_affinity::CoreId(i));
+            assert_eq!(topo.core_of_hw_thread(*pin), CoreId(i));
+            assert_eq!(topo.smt_index(*pin), 1);
         }
         // The grown servers (indices 4..16) spread across sockets rather
         // than piling onto socket 0.
@@ -256,48 +211,48 @@ mod tests {
             .map(|hw| topo.socket_of_hw_thread(*hw).0)
             .collect();
         assert!(sockets.len() > 1, "grown pins span sockets: {sockets:?}");
+
+        // A full paper-machine table: server i on CPU 80 + i.
+        let full = CpHashConfig::new(80, 80).with_numa_placement(&topo);
+        assert_eq!(full.server_pins.len(), 80);
+        assert_eq!(full.server_pins[0], HwThreadId(80));
+        assert_eq!(full.server_pins[79], HwThreadId(159));
+        full.validate();
     }
 
     #[test]
-    fn placement_plan_wires_server_assignments_in_index_order() {
-        let topo = Topology::paper_machine();
-        let cores: Vec<usize> = (0..8).collect();
-        let plan = PlacementPlan::cphash_paired(&topo, &cores);
-        let c = CpHashConfig::new(8, 8).with_placement_plan(&plan);
-        assert_eq!(c.server_pins.len(), 8);
-        for (i, pin) in c.server_pins.iter().enumerate() {
-            let expected = plan
-                .assignments
-                .iter()
-                .find(|a| a.role == Role::Server && a.index == i)
-                .unwrap()
-                .hw_thread;
-            assert_eq!(*pin, expected);
+    fn numa_placement_holds_on_every_topology() {
+        // Every shape of 1-8 sockets x 1-12 cores x 1-2 SMT threads, and
+        // every spawned count from one server to past three per core.
+        for sockets in 1..=8 {
+            for cores_per_socket in 1..=12 {
+                for threads_per_core in 1..=2 {
+                    let topo = Topology {
+                        sockets,
+                        cores_per_socket,
+                        threads_per_core,
+                    };
+                    let cores = topo.total_cores();
+                    for max_partitions in 0..=3 * cores + 1 {
+                        let c = CpHashConfig::new(1, 1)
+                            .with_max_partitions(max_partitions)
+                            .with_numa_placement(&topo);
+                        let spawned = c.spawned_partitions();
+                        assert_eq!(c.server_pins.len(), spawned, "{topo:?}");
+                        for (i, pin) in c.server_pins.iter().enumerate() {
+                            assert!(pin.0 < topo.total_hw_threads(), "{topo:?}");
+                            assert_eq!(topo.core_of_hw_thread(*pin), CoreId(i % cores));
+                        }
+                        if spawned <= cores {
+                            let distinct: std::collections::HashSet<_> =
+                                c.server_pins.iter().collect();
+                            assert_eq!(distinct.len(), spawned, "{topo:?}");
+                        }
+                        c.validate();
+                    }
+                }
+            }
         }
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "placement plan covers")]
-    fn short_placement_plan_is_rejected() {
-        let topo = Topology::paper_machine();
-        let cores: Vec<usize> = (0..4).collect();
-        let plan = PlacementPlan::cphash_paired(&topo, &cores);
-        // 4 server assignments cannot cover a table that grows to 8.
-        let _ = CpHashConfig::new(4, 1)
-            .with_max_partitions(8)
-            .with_placement_plan(&plan);
-    }
-
-    #[test]
-    fn paper_placement_pins_one_server_per_core_sibling() {
-        let topo = Topology::paper_machine();
-        let c = CpHashConfig::new(80, 80).with_paper_placement(&topo);
-        assert_eq!(c.server_pins.len(), 80);
-        // Server i is pinned to the SMT sibling of core i (CPU 80+i).
-        assert_eq!(c.server_pins[0], HwThreadId(80));
-        assert_eq!(c.server_pins[79], HwThreadId(159));
-        c.validate();
     }
 
     #[test]

@@ -211,36 +211,52 @@ fn wait_for<C: KvClient + ?Sized>(client: &mut C, token: u64) -> Result<Completi
     Ok(found.expect("poll_until returns Ok only once done"))
 }
 
-/// Fruitless polls the blocking helpers spin through before they start
-/// yielding their CPU once per poll.
+/// Fruitless polls a blocking wait spins through before it starts
+/// yielding its CPU once per poll.
 const FRUITLESS_POLLS_BEFORE_YIELD: u32 = 128;
 
-/// The blocking helpers' wait: poll until `done` holds, spinning for a
-/// while after a fruitless poll and then yielding once per poll.  On a host
-/// with fewer CPUs than busy threads the backend that would answer (an
-/// in-process partition server, CPSERVER's worker) may be waiting for this
-/// very CPU, and a caller that only spins keeps it waiting out a whole
-/// time slice.
+/// The pause between the polls of every blocking wait (these helpers and
+/// `ClientHandle`'s own `drain` and synchronous calls): spin for a while
+/// after a fruitless poll, then yield once per poll.  On a host with fewer
+/// CPUs than busy threads the backend that would answer (an in-process
+/// partition server, CPSERVER's worker) may be waiting for this very CPU,
+/// and a caller that only spins keeps it waiting out a whole time slice.
+#[derive(Default)]
+pub(crate) struct SpinThenYield {
+    fruitless: u32,
+}
+
+impl SpinThenYield {
+    /// Account a poll that produced `produced` completions, and pause if
+    /// it produced none.
+    pub(crate) fn after_poll(&mut self, produced: usize) {
+        if produced > 0 {
+            self.fruitless = 0;
+            return;
+        }
+        self.fruitless = self.fruitless.saturating_add(1);
+        if self.fruitless > FRUITLESS_POLLS_BEFORE_YIELD {
+            std::thread::yield_now();
+        } else {
+            core::hint::spin_loop();
+        }
+    }
+}
+
+/// The blocking helpers' wait: poll until `done` holds, pausing between
+/// polls as [`SpinThenYield`] does.
 fn poll_until<C: KvClient + ?Sized>(
     client: &mut C,
     out: &mut Vec<Completion>,
     mut done: impl FnMut(&C, &mut Vec<Completion>) -> bool,
 ) -> Result<(), KvError> {
-    let mut fruitless: u32 = 0;
+    let mut wait = SpinThenYield::default();
     while !done(client, out) {
-        if client.poll_completions(out) > 0 {
-            fruitless = 0;
-            continue;
-        }
-        if !client.is_alive() {
+        let produced = client.poll_completions(out);
+        if produced == 0 && !client.is_alive() {
             return Err(KvError::Disconnected);
         }
-        fruitless = fruitless.saturating_add(1);
-        if fruitless > FRUITLESS_POLLS_BEFORE_YIELD {
-            std::thread::yield_now();
-        } else {
-            core::hint::spin_loop();
-        }
+        wait.after_poll(produced);
     }
     Ok(())
 }

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod anykey;
 pub mod client;
 pub mod config;
 pub mod control;
@@ -58,7 +57,6 @@ mod server;
 pub mod stats;
 pub mod table;
 
-pub use anykey::AnyKeyClient;
 pub use client::{ClientHandle, Completion, CompletionKind, OpError, TableError, ValueBytes};
 pub use config::{CpHashConfig, DEFAULT_BATCH_SIZE};
 pub use control::ControlHandle;

@@ -4,10 +4,10 @@
 //! the table's 60-bit key space, store `key ++ value` together as the
 //! value, and on LOOKUP compare the stored key against the requested one —
 //! a mismatch is a hash collision and reads as a miss (acceptable for a
-//! cache).  Historically this lived in a client-side adapter
-//! (`cphash::AnyKeyClient`); kvproto v2 moves it here so *servers* can
-//! store byte-keyed entries and verify key-collision mismatches
-//! themselves, making byte-string keys a first-class wire citizen.
+//! cache).  It lives in the protocol layer so *servers* can store
+//! byte-keyed entries and verify key-collision mismatches themselves,
+//! making byte-string keys a first-class wire citizen; in process,
+//! `cphash::KvClient` with `KeyRef::Bytes` applies the same envelope.
 //!
 //! Envelope layout: `[key_len: u32 LE][key bytes][value bytes]`.
 

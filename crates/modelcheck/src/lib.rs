@@ -101,11 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_remote_freelist_no_double_alloc() {
-        assert_clean(suites::check_slab_remote_freelist(), "remote free list");
-    }
-
-    #[test]
     fn spinlock_mutual_exclusion() {
         assert_clean(suites::check_mutual_exclusion(), "spinlock mutex");
     }

@@ -2,10 +2,9 @@
 //!
 //! Each function builds one small, closed concurrent scenario over the real
 //! shipped types (`cphash-channel` rings and doorbell, the `cphash-core`
-//! epoch router, the `cphash-alloc` remote free list, the `cphash-sync`
-//! spinlock) and hands it to the vendored loom-style
-//! explorer, which enumerates every interleaving of the tracked atomic
-//! operations at these bounds.  The returned [`Report`] carries the
+//! epoch router, the `cphash-sync` spinlock) and hands it to the vendored
+//! loom-style explorer, which enumerates every interleaving of the tracked
+//! atomic operations at these bounds.  The returned [`Report`] carries the
 //! execution count and, on failure, a [`loom::Violation`] with the exact
 //! schedule — feed it to [`loom::Builder::replay`] to re-run that one
 //! interleaving under a debugger.
@@ -21,7 +20,6 @@
 use std::sync::Arc;
 
 use cphash::EpochRouter;
-use cphash_alloc::{class_for_size, SlabAllocator};
 use cphash_channel::{ring, Consumer, Doorbell, RingConfig};
 use cphash_sync::{ModelUnsafeCell, RawSpinLock};
 use loom::{Builder, Report};
@@ -226,51 +224,6 @@ pub fn check_router_watermark_monotonic() -> Report {
         let done = router.snapshot();
         assert_eq!(done.new_partitions, 2);
         assert!(!done.in_transition());
-    })
-}
-
-/// Remote free list: two model threads push blocks of the same class onto
-/// the owner's Treiber stack while the owner drains concurrently with
-/// `reclaim_remote`.  Asserts every pushed block is reclaimed exactly once
-/// and the next allocations reuse them without double-handing any address.
-pub fn check_slab_remote_freelist() -> Report {
-    builder().explore(|| {
-        let mut alloc = SlabAllocator::unbounded();
-        let h1 = alloc.allocate(64).unwrap();
-        let h2 = alloc.allocate(64).unwrap();
-        let pushed = [h1.addr(), h2.addr()];
-        let (r1, r2) = (
-            Arc::clone(alloc.remote_list()),
-            Arc::clone(alloc.remote_list()),
-        );
-        let t1 = loom::thread::spawn(move || r1.push(h1).unwrap());
-        let t2 = loom::thread::spawn(move || r2.push(h2).unwrap());
-        // Drain concurrently with the pushes: the pop-all swap interleaves
-        // with the push CAS loops on every possible schedule.  Target the
-        // one class in play — the full-sweep `reclaim_remote` would add
-        // NUM_CLASSES tracked swaps per spin and explode the state space.
-        let class = class_for_size(64);
-        let mut reclaimed = 0usize;
-        while reclaimed < 2 {
-            reclaimed += alloc.reclaim_remote_class(class);
-            if reclaimed < 2 {
-                cphash_sync::spin_hint();
-            }
-        }
-        t1.join().unwrap();
-        t2.join().unwrap();
-        assert_eq!(reclaimed, 2, "a pushed block vanished or doubled");
-        assert_eq!(alloc.stats().remote_reclaims, 2);
-        assert_eq!(alloc.stats().outstanding(), 0);
-        // The reclaimed blocks are back on the local free list (LIFO top):
-        // re-allocating must hand out both addresses, each exactly once.
-        let a1 = alloc.allocate(64).unwrap();
-        let a2 = alloc.allocate(64).unwrap();
-        assert_ne!(a1.addr(), a2.addr(), "double-alloc of a reclaimed block");
-        assert!(pushed.contains(&a1.addr()) && pushed.contains(&a2.addr()));
-        assert!(!alloc.remote_list().has_pending(class));
-        alloc.free(a1);
-        alloc.free(a2);
     })
 }
 

@@ -13,13 +13,11 @@
 
 #![cfg(not(cphash_model))]
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
 use cphash::EpochRouter;
-use cphash_alloc::{class_for_size, SlabAllocator};
 use cphash_channel::{ring, Doorbell, RingConfig};
 use cphash_sync::{ModelUnsafeCell, RawSpinLock};
 
@@ -210,58 +208,6 @@ fn router_watermark_stress() {
     done.store(true, Ordering::Relaxed);
     for j in joins {
         j.join().unwrap();
-    }
-}
-
-/// Mirror of `check_slab_remote_freelist`: three pusher threads return
-/// blocks to the owner's Treiber stack while the owner drains
-/// concurrently.  Every block must come back exactly once and re-allocate
-/// without any address being handed out twice.
-#[test]
-fn slab_remote_freelist_stress() {
-    const BLOCKS: usize = 300;
-    let mut alloc = SlabAllocator::unbounded();
-    let mut handles: Vec<_> = (0..BLOCKS).map(|_| alloc.allocate(64).unwrap()).collect();
-    let addrs: HashSet<_> = handles.iter().map(|h| h.addr()).collect();
-    assert_eq!(addrs.len(), BLOCKS, "allocator handed an address out twice");
-
-    let mut joins = Vec::new();
-    for pusher in 0..3u64 {
-        let list = Arc::clone(alloc.remote_list());
-        let mine: Vec<_> = handles.split_off(handles.len() - BLOCKS / 3);
-        joins.push(thread::spawn(move || {
-            let mut rng = XorShift::new(0xFEED_FACE + pusher);
-            for h in mine {
-                list.push(h).unwrap();
-                rng.maybe_yield();
-            }
-        }));
-    }
-    assert!(handles.is_empty(), "block count must divide evenly");
-
-    let class = class_for_size(64);
-    let mut reclaimed = 0usize;
-    let mut rng = XorShift::new(0x0BAD_CAFE);
-    while reclaimed < BLOCKS {
-        reclaimed += alloc.reclaim_remote_class(class);
-        rng.maybe_yield();
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
-    assert_eq!(reclaimed, BLOCKS, "a pushed block vanished or doubled");
-    assert_eq!(alloc.stats().outstanding(), 0);
-
-    let again: Vec<_> = (0..BLOCKS).map(|_| alloc.allocate(64).unwrap()).collect();
-    let again_addrs: HashSet<_> = again.iter().map(|h| h.addr()).collect();
-    assert_eq!(
-        again_addrs.len(),
-        BLOCKS,
-        "double-alloc of a reclaimed block"
-    );
-    assert_eq!(again_addrs, addrs, "reclaim fabricated or leaked a block");
-    for h in again {
-        alloc.free(h);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The workspace atomics facade.
 //!
 //! Every concurrency core in the tree (`cphash-channel` rings, the epoch
-//! router, the slab remote free-list, the spinlock) imports its atomics
-//! from here instead of `std::sync::atomic`.  Normally the re-exports *are*
+//! router, the spinlock) imports its atomics from here instead of
+//! `std::sync::atomic`.  Normally the re-exports *are*
 //! the std types — zero cost, identical codegen.  Under
 //! `RUSTFLAGS="--cfg cphash_model"` they swap to the vendored loom model
 //! checker's tracked types, and the same unmodified source becomes

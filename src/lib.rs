@@ -48,9 +48,9 @@ pub use cphash_perfmon as perfmon;
 
 // The names most callers want, at the top level.
 pub use cphash::{
-    AnyKeyClient, BatchStats, ClientHandle, Completion, CompletionKind, CpHash, CpHashConfig,
-    EvictionPolicy, KeyRef, KvClient, KvError, KvOp, OpError, PartitionStats, PartitionedClient,
-    RemoteClient, TableError, ValueBytes, MAX_KEY,
+    BatchStats, ClientHandle, Completion, CompletionKind, CpHash, CpHashConfig, EvictionPolicy,
+    KeyRef, KvClient, KvError, KvOp, OpError, PartitionStats, PartitionedClient, RemoteClient,
+    TableError, ValueBytes, MAX_KEY,
 };
 pub use cphash_kvserver::{CpServer, CpServerConfig, LockServer, LockServerConfig};
 pub use cphash_loadgen::{DriverOptions, RunResult, WorkloadSpec};

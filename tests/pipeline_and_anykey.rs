@@ -1,8 +1,8 @@
-//! Integration tests for the pipelined client API, the arbitrary-key
-//! adapter (§8.2) and the server-utilization snapshot (§6.2) against a live
-//! table.
+//! Integration tests for the pipelined client API, arbitrary-length keys
+//! (§8.2, `KvClient` with `KeyRef::Bytes`) and the server-utilization
+//! snapshot (§6.2) against a live table.
 
-use cphash_suite::{AnyKeyClient, CompletionKind, CpHash, CpHashConfig};
+use cphash_suite::{CompletionKind, CpHash, CpHashConfig, KeyRef, KvClient};
 
 #[test]
 fn pipelined_and_synchronous_apis_interleave_correctly() {
@@ -52,26 +52,36 @@ fn pipelined_and_synchronous_apis_interleave_correctly() {
 fn anykey_adapter_supports_string_keys_end_to_end() {
     let (mut table, mut clients) = CpHash::new(CpHashConfig::new(4, 1));
     {
-        let mut cache = AnyKeyClient::new(&mut clients[0]);
+        let cache = &mut clients[0];
         // A realistic session-cache shape: URL-ish keys, JSON-ish values.
         for i in 0..200u32 {
             let key = format!("/render/user/{i}/dashboard");
             let value = format!("{{\"user\":{i},\"widgets\":[1,2,3]}}");
-            assert!(cache.insert(key.as_bytes(), value.as_bytes()).unwrap());
+            assert!(cache
+                .insert_blocking(KeyRef::Bytes(key.as_bytes()), value.as_bytes())
+                .unwrap());
         }
         for i in 0..200u32 {
             let key = format!("/render/user/{i}/dashboard");
             let value = cache
-                .get(key.as_bytes())
+                .get_blocking(KeyRef::Bytes(key.as_bytes()))
                 .unwrap()
                 .expect("cached page present");
-            assert!(String::from_utf8(value)
+            assert!(String::from_utf8(value.as_slice().to_vec())
                 .unwrap()
                 .contains(&format!("\"user\":{i}")));
         }
-        assert_eq!(cache.get(b"/render/user/9999/dashboard").unwrap(), None);
-        assert!(cache.delete(b"/render/user/0/dashboard").unwrap());
-        assert_eq!(cache.get(b"/render/user/0/dashboard").unwrap(), None);
+        assert!(cache
+            .get_blocking(KeyRef::Bytes(b"/render/user/9999/dashboard"))
+            .unwrap()
+            .is_none());
+        assert!(cache
+            .delete_blocking(KeyRef::Bytes(b"/render/user/0/dashboard"))
+            .unwrap());
+        assert!(cache
+            .get_blocking(KeyRef::Bytes(b"/render/user/0/dashboard"))
+            .unwrap()
+            .is_none());
     }
     drop(clients);
     table.shutdown();
