@@ -18,31 +18,33 @@
 //!   [`ClientHandle::delete`] — implemented on top of the pipeline, for
 //!   straightforward callers (the quickstart example, tests).
 //!
-//! **Per-key write order.** Writes to one key travel one lane in
-//! submission order, and a lane is FIFO, so while routing stands still two
-//! pipelined writes to a key execute in the order they were submitted.  Only
-//! a routing change breaks that: a server bounces a write that was
-//! dispatched under an older mapping (or that lands on a chunk in
-//! mid-hand-off), and the client's resubmission could then run after a later
-//! write to the same key that went straight to the new owner.  So the
-//! client orders same-key writes only across a routing change: while the
-//! router sits, stable, at the epoch every in-flight write was dispatched
-//! under, `write_order` is empty and untouched.  At the edge — the first
-//! write submitted under a new epoch or mid-transition, or the first write
+//! **Per-key order.** Operations on one key travel one lane in submission
+//! order, and a lane is FIFO both ways, so while routing stands still they
+//! execute in submission order: a get sees the writes submitted before it
+//! and none after — behind a two-phase insert too, since the server answers
+//! a lookup with its own lane's reservation (`pipeline.rs`), which this
+//! handle filled when it applied the reservation's reply, earlier on the
+//! lane.  Only a routing change breaks the order: a server bounces a write
+//! dispatched under an older mapping (or landing on a chunk in
+//! mid-hand-off), and its resubmission could run after a later operation on
+//! the key that went straight to the new owner.  So the client orders
+//! operations on a key only across a routing change: while the router
+//! sits, stable, at the epoch every in-flight write was dispatched under,
+//! `write_order` is empty and untouched.  At the edge — the first operation
+//! submitted under a new epoch or mid-transition, or the first write
 //! bounced — the writes already in flight are *seeded* into the map as a
 //! per-key in-flight count, read off the lanes' `pending` queues (a count,
 //! because two same-key writes may already share a lane).  Seeding rather
-//! than draining the pre-edge writes: a drain would hold every write, to
-//! every key, behind the slowest of them for as long as the transition
-//! bounces it, where the seed holds back only later writes to a key that
-//! has one in flight, for one pass over the pending queues per edge.  Two
-//! same-key writes that already share a lane at the edge stay in order:
-//! within a transition a server that bounces one write to a key bounces
-//! every later write to it (`pipeline.rs::divert`; deletes wait out a drain
-//! like inserts), so the bounced one is held until the later one is bounced
-//! too, and both go out again in order.  A key leaves the map when its last
-//! tracked write finishes; once the router is stable again, writes to keys
-//! not in the map go out untracked.
+//! than draining the pre-edge writes: a drain would hold every operation
+//! behind the slowest write for as long as the transition bounces it, where
+//! the seed holds back only later operations on a key with a write in
+//! flight.  Operations on a key that already share a lane at the edge stay
+//! in order: within a transition a server that bounces one write to a key
+//! bounces every later operation on it (`pipeline.rs::divert`), so all go
+//! out again in order.  A key leaves the map when its last tracked write
+//! finishes.  The map cannot rest on the server's order alone: the client
+//! resubmits a bounced write after whatever the server let through behind
+//! it.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -59,11 +61,13 @@ use crate::kv::SpinThenYield;
 use crate::protocol::{encode, Request, Response};
 use crate::router::EpochRouter;
 
-/// Upper bound on outstanding response-bearing operations per lane, as a
-/// fraction of the ring capacity.  Keeping this below the response-ring
-/// capacity guarantees the client/server pair can never deadlock with both
-/// rings full.
-const OUTSTANDING_FRACTION_OF_RING: usize = 4;
+/// Upper bound on outstanding response-bearing operations per lane: a
+/// quarter of the ring, below the response ring's capacity, so the pair can
+/// never deadlock with both rings full.  `dispatch` keeps it, so a server
+/// tracks as many reservations per lane (`LaneReservations`).
+pub(crate) fn outstanding_per_lane(ring_capacity: usize) -> usize {
+    (ring_capacity / 4).max(8)
+}
 
 /// A client's "asleep" flag: raised while the client is blocked with
 /// nothing in flight (see [`ClientHandle::asleep_during`]) and for good once
@@ -239,7 +243,7 @@ pub struct Completion {
 /// One queued operation awaiting its response (per lane, FIFO). The key is
 /// kept so a *retry* response (the owning partition changed under live
 /// re-partitioning) can resubmit the operation to its new owner.
-pub(crate) enum Pending {
+enum Pending {
     Lookup {
         token: u64,
         key: u64,
@@ -256,21 +260,18 @@ pub(crate) enum Pending {
 }
 
 impl Pending {
-    /// The key, if this is a write (insert or delete).
-    pub(crate) fn write_key(&self) -> Option<u64> {
-        match self {
-            Pending::Insert { key, .. } | Pending::Delete { key, .. } => Some(*key),
-            Pending::Lookup { .. } => None,
+    fn key(&self) -> u64 {
+        match *self {
+            Pending::Lookup { key, .. }
+            | Pending::Insert { key, .. }
+            | Pending::Delete { key, .. } => key,
         }
     }
-}
 
-/// What applying a response to a pending operation produced.
-enum Applied {
-    /// The operation finished.
-    Done(Completion),
-    /// The key's owner moved; resubmit the operation to partition `dest`.
-    Resubmit { dest: usize, pending: Pending },
+    /// The key, if this is a write (insert or delete).
+    fn write_key(&self) -> Option<u64> {
+        (!matches!(self, Pending::Lookup { .. })).then(|| self.key())
+    }
 }
 
 /// Cheap fixed hasher for the client's per-key and per-token maps.  They
@@ -303,9 +304,9 @@ struct KeyOrder {
     /// Writes to the key dispatched and not yet finished (more than one
     /// only for writes that were already in flight together at the edge).
     in_flight: u32,
-    /// Writes waiting for `in_flight` to reach zero, in dispatch order: the
-    /// first `bounced` are in-flight writes a server bounced while an
-    /// earlier one was still out, the rest later submissions.
+    /// Operations waiting for `in_flight` to reach zero, in dispatch order:
+    /// the first `bounced` are in-flight operations a server bounced while
+    /// an earlier write was still out, the rest later submissions.
     held: VecDeque<Pending>,
     bounced: usize,
 }
@@ -320,8 +321,10 @@ struct Lane {
     channel: DuplexClient<u64, Response>,
     /// Request words not yet accepted by the ring.
     outgoing: VecDeque<u64>,
-    /// Response-bearing operations in flight, in request order.
+    /// Response-bearing operations routed here, in request order; the last
+    /// `unsent` of them wait for room (see `Lane::send_waiting`).
     pending: VecDeque<Pending>,
+    unsent: usize,
 }
 
 impl Lane {
@@ -330,6 +333,40 @@ impl Lane {
             channel,
             outgoing: VecDeque::new(),
             pending: VecDeque::new(),
+            unsent: 0,
+        }
+    }
+
+    /// Queue the request words of `pending`.
+    fn encode_into(outgoing: &mut VecDeque<u64>, pending: &Pending) {
+        let (w0, w1) = encode(&match pending {
+            Pending::Lookup { key, .. } => Request::Lookup { key: *key },
+            // The length alone decides: a value that fits a message word
+            // rides in the request, anything longer is reserved and then
+            // copied through the pointer the server answers with.
+            Pending::Insert { key, value, .. } => match value.as_inline() {
+                Some(value) => Request::InsertInline { key: *key, value },
+                None => Request::Insert {
+                    key: *key,
+                    size: value.len() as u64,
+                },
+            },
+            Pending::Delete { key, .. } => Request::Delete { key: *key },
+        });
+        outgoing.push_back(w0);
+        if let Some(w1) = w1 {
+            outgoing.push_back(w1);
+        }
+    }
+
+    /// Send the operations that wait, oldest first, while fewer than `room`
+    /// are in flight.  As a `Ready` leaves ahead of every later operation, a
+    /// lane never has more reservations awaiting one than `room` either.
+    fn send_waiting(&mut self, room: usize) {
+        while self.unsent > 0 && self.pending.len() - self.unsent < room {
+            let waiting = &self.pending[self.pending.len() - self.unsent];
+            Self::encode_into(&mut self.outgoing, waiting);
+            self.unsent -= 1;
         }
     }
 }
@@ -353,19 +390,15 @@ pub struct ClientHandle {
     /// Operations redirected by retry responses during live
     /// re-partitioning (diagnostic counter).
     retries: u64,
-    /// Per-key write ordering across a routing change (see the module
-    /// docs).  Live only then: a key is here while a write to it that was
-    /// in flight at the edge, or dispatched while the router was in
-    /// transition, is unfinished; later writes to the key wait in its
-    /// `held` queue and go out one at a time.  Without this, a write that a
-    /// mid-migration server bounces with a retry response could be
-    /// resubmitted *after* a later pipelined write to the same key that was
-    /// routed straight to the new owner — silently reinstating the older
-    /// value (see `tests/pipeline_reorder.rs`).  Empty and never looked up
-    /// while the router is stable at `stable_epoch`.  Lookups are not
-    /// serialized: the pipelined API makes no read-after-write promise, and
-    /// holding reads back would penalize hot keys (the [`crate::KvClient`]
-    /// impl does hold them, in `kv`).
+    /// Per-key ordering across a routing change (see the module docs).
+    /// A key is here while a write to it that was in flight at the edge, or
+    /// dispatched while the router was in transition, is unfinished; later
+    /// operations on the key wait in its `held` queue, and its writes go out
+    /// one at a time.  Without this, a write that a mid-migration server
+    /// bounces could be resubmitted *after* a later pipelined write to the
+    /// same key that went straight to the new owner, silently reinstating
+    /// the older value (`tests/pipeline_reorder.rs`).  Empty and never
+    /// looked up while the router is stable at `stable_epoch`.
     write_order: WriteOrderMap,
     /// The router epoch every untracked in-flight write was dispatched
     /// under, with the router stable; `None` while every in-flight write is
@@ -375,10 +408,10 @@ pub struct ClientHandle {
     /// Writes held back (at least once) to preserve per-key write order
     /// (diagnostic counter).
     deferred_writes: u64,
-    /// What the [`crate::kv::KvClient`] impl keeps on top of the pipeline:
-    /// byte keys awaiting their envelope check, and lookups held behind
-    /// same-key writes.
-    pub(crate) kv: crate::kv::KvState,
+    /// Byte-string keys of the [`crate::KvClient`] impl's lookups, by
+    /// token: their raw completions carry the §8.2 envelope and are
+    /// translated (collision check included) by its poll.
+    pub(crate) anykey_gets: U64Map<Vec<u8>>,
     /// Raised by [`ClientHandle::asleep_during`] and by `Drop`; shared with
     /// every server this handle has a lane to.
     asleep: SleepFlag,
@@ -398,14 +431,14 @@ impl ClientHandle {
             router,
             next_token: 1,
             outstanding: 0,
-            max_outstanding_per_lane: (ring_capacity / OUTSTANDING_FRACTION_OF_RING).max(8),
+            max_outstanding_per_lane: outstanding_per_lane(ring_capacity),
             stashed: VecDeque::new(),
             resp_buf: Vec::with_capacity(256),
             retries: 0,
             write_order: WriteOrderMap::default(),
             stable_epoch,
             deferred_writes: 0,
-            kv: Default::default(),
+            anykey_gets: U64Map::default(),
             asleep,
         }
     }
@@ -419,12 +452,6 @@ impl ClientHandle {
     /// re-partitioning is in flight).
     pub fn partitions(&self) -> usize {
         self.router.active_partitions()
-    }
-
-    /// The partition that owns `key` right now. During a live
-    /// re-partitioning the answer follows the shared epoch router.
-    fn partition_of(&self, key: u64) -> usize {
-        self.router.route(key & MAX_KEY)
     }
 
     /// Operations that were redirected to another partition by live
@@ -481,59 +508,41 @@ impl ClientHandle {
     /// Queue a lookup. Returns the token its [`Completion`] will carry.
     pub fn submit_lookup(&mut self, key: u64) -> u64 {
         let token = self.take_token();
-        self.queue_lookup(token, key & MAX_KEY);
+        self.submit_pending(Pending::Lookup {
+            token,
+            key: key & MAX_KEY,
+        });
         token
-    }
-
-    #[inline]
-    fn queue_lookup(&mut self, token: u64, key: u64) {
-        let lane_idx = self.partition_of(key);
-        let (w0, _) = encode(&Request::Lookup { key });
-        let lane = &mut self.lanes[lane_idx];
-        lane.pending.push_back(Pending::Lookup { token, key });
-        lane.outgoing.push_back(w0);
-        self.outstanding += 1;
-        self.make_progress_if_backlogged(lane_idx);
-    }
-
-    /// Queue an operation whose token [`ClientHandle::take_token`] handed
-    /// out earlier, its key already masked.
-    pub(crate) fn submit_taken(&mut self, pending: Pending) {
-        match pending {
-            Pending::Lookup { token, key } => self.queue_lookup(token, key),
-            Pending::Insert { key, .. } | Pending::Delete { key, .. } => {
-                self.submit_write(key, pending)
-            }
-        }
     }
 
     /// Queue an insert of `value` under `key`.
     pub fn submit_insert(&mut self, key: u64, value: &[u8]) -> u64 {
-        let key = key & MAX_KEY;
         let token = self.take_token();
-        self.submit_write(
-            key,
-            Pending::Insert {
-                token,
-                key,
-                value: ValueBytes::from_slice(value),
-            },
-        );
+        self.submit_pending(Pending::Insert {
+            token,
+            key: key & MAX_KEY,
+            value: ValueBytes::from_slice(value),
+        });
         token
     }
 
     /// Queue a delete.
     pub fn submit_delete(&mut self, key: u64) -> u64 {
-        let key = key & MAX_KEY;
         let token = self.take_token();
-        self.submit_write(key, Pending::Delete { token, key });
+        self.submit_pending(Pending::Delete {
+            token,
+            key: key & MAX_KEY,
+        });
         token
     }
 
-    /// Queue a write.  Across a routing change it goes through
-    /// `write_order` and is held back while an earlier write to the same key
-    /// is in flight; otherwise it goes straight to its lane.
-    fn submit_write(&mut self, key: u64, pending: Pending) {
+    /// Queue an operation, its key already masked.  Across a routing change
+    /// it goes through `write_order`: a write is held back while an earlier
+    /// write to its key is in flight, and a lookup waits behind the writes
+    /// to its key submitted before it.  Otherwise it goes straight to its
+    /// lane.
+    #[inline]
+    fn submit_pending(&mut self, pending: Pending) {
         self.outstanding += 1;
         let snap = self.router.snapshot();
         let stable = !snap.in_transition();
@@ -545,13 +554,15 @@ impl ClientHandle {
             }
             self.stable_epoch = stable.then_some(snap.epoch);
         }
+        let (key, write) = (pending.key(), pending.write_key().is_some());
         // Stable, a key with nothing tracked has nothing in flight that can
-        // bounce, and its write goes out untracked.
-        if !stable || self.write_order.contains_key(&key) {
+        // bounce, and its operation goes out untracked.  A tracked key has
+        // a write in flight, so only a write can find it idle.
+        if (write && !stable) || self.write_order.contains_key(&key) {
             let order = self.write_order.entry(key).or_default();
             if order.in_flight > 0 || !order.held.is_empty() {
                 order.held.push_back(pending);
-                self.deferred_writes += 1;
+                self.deferred_writes += u64::from(write);
                 return;
             }
             order.in_flight = 1;
@@ -594,15 +605,22 @@ impl ClientHandle {
     /// returns 0.
     pub fn poll(&mut self, out: &mut Vec<Completion>) -> usize {
         let before = out.len();
-        while let Some(c) = self.stashed.pop_front() {
-            out.push(c);
-        }
+        out.extend(self.stashed.drain(..));
+        self.pump(0..self.lanes.len(), out);
+        out.len() - before
+    }
+
+    /// One round of progress on `lanes` (see `pump_lane`), then resubmit
+    /// the operations servers bounced and let the tracked writes that
+    /// finished release their keys' next ones.
+    fn pump(&mut self, lanes: core::ops::Range<usize>, out: &mut Vec<Completion>) {
         let mut resubmissions: Vec<(usize, Pending)> = Vec::new();
         let mut finished_writes: Vec<u64> = Vec::new();
         let track_writes = !self.write_order.is_empty();
-        for lane_idx in 0..self.lanes.len() {
+        for lane_idx in lanes {
             Self::pump_lane(
                 &mut self.lanes[lane_idx],
+                self.max_outstanding_per_lane,
                 &mut self.resp_buf,
                 &mut self.outstanding,
                 out,
@@ -610,33 +628,22 @@ impl ClientHandle {
                 track_writes.then_some(&mut finished_writes),
             );
         }
-        self.settle(resubmissions, &finished_writes);
-        out.len() - before
-    }
-
-    /// After a round of pumping: resubmit the operations servers bounced and
-    /// let the tracked writes that finished release their keys' next ones.
-    fn settle(&mut self, resubmissions: Vec<(usize, Pending)>, finished_writes: &[u64]) {
         let bounced_write = resubmissions.iter().any(|(_, p)| p.write_key().is_some());
-        let mut finished_writes = finished_writes;
         if bounced_write && self.stable_epoch.is_some() {
             // A bounce is a routing edge too.  The seed counts what is still
             // in flight, so this round's finished writes are already off it.
             self.track_in_flight_writes(&resubmissions);
             self.stable_epoch = None;
-            finished_writes = &[];
+            finished_writes.clear();
         }
         // Operations bounced by a mid-migration server: re-encode them onto
         // the owning partition's lane (they keep their token, so callers
         // never observe the redirect).
         for (dest, pending) in resubmissions {
             self.retries += 1;
-            match pending.write_key() {
-                Some(key) => self.requeue_bounced_write(key, dest, pending),
-                None => self.dispatch(dest, pending),
-            }
+            self.requeue_bounced(dest, pending);
         }
-        for &key in finished_writes {
+        for key in finished_writes {
             self.finish_tracked_write(key);
         }
     }
@@ -646,36 +653,27 @@ impl ClientHandle {
     fn dispatch(&mut self, dest: usize, pending: Pending) {
         let dest = dest.min(self.lanes.len() - 1);
         let lane = &mut self.lanes[dest];
-        let (w0, w1) = encode(&match &pending {
-            Pending::Lookup { key, .. } => Request::Lookup { key: *key },
-            // The length alone decides: a value that fits a message word
-            // rides in the request, anything longer is reserved and then
-            // copied through the pointer the server answers with.
-            Pending::Insert { key, value, .. } => match value.as_inline() {
-                Some(value) => Request::InsertInline { key: *key, value },
-                None => Request::Insert {
-                    key: *key,
-                    size: value.len() as u64,
-                },
-            },
-            Pending::Delete { key, .. } => Request::Delete { key: *key },
-        });
-        lane.pending.push_back(pending);
-        lane.outgoing.push_back(w0);
-        if let Some(w1) = w1 {
-            lane.outgoing.push_back(w1);
+        if lane.unsent == 0 && lane.pending.len() < self.max_outstanding_per_lane {
+            Lane::encode_into(&mut lane.outgoing, &pending);
+        } else {
+            lane.unsent += 1;
         }
+        lane.pending.push_back(pending);
     }
 
-    /// A write bounced: resubmit it if no earlier write to its key is still
-    /// out, else hold it ahead of the key's later writes.
-    fn requeue_bounced_write(&mut self, key: u64, dest: usize, pending: Pending) {
+    /// An operation bounced: resubmit it unless its key is tracked and an
+    /// earlier write to it is still out, else hold it ahead of the key's
+    /// later submissions.
+    fn requeue_bounced(&mut self, dest: usize, pending: Pending) {
+        let key = pending.key();
+        let write = pending.write_key().is_some();
         let Some(order) = self.write_order.get_mut(&key) else {
             return self.dispatch(dest, pending);
         };
-        order.in_flight = order.in_flight.saturating_sub(1);
+        // Only writes count in `in_flight`.
+        order.in_flight = order.in_flight.saturating_sub(u32::from(write));
         if order.in_flight == 0 && order.bounced == 0 {
-            order.in_flight = 1;
+            order.in_flight = u32::from(write);
             self.dispatch(dest, pending);
             return;
         }
@@ -697,21 +695,24 @@ impl ClientHandle {
         }
     }
 
-    /// Dispatch `key`'s next held write to its *current* owner, or drop the
-    /// key from `write_order` when nothing is held.
+    /// Dispatch the lookups at the front of `key`'s held queue and then its
+    /// next held write to the key's *current* owner, or drop the key from
+    /// `write_order` when no write is held.
     fn release_next_write(&mut self, key: u64) {
-        let Some(order) = self.write_order.get_mut(&key) else {
-            return;
-        };
-        match order.held.pop_front() {
-            Some(pending) => {
-                order.bounced = order.bounced.saturating_sub(1);
-                order.in_flight = 1;
-                let dest = self.partition_of(key);
-                self.dispatch(dest, pending);
-            }
-            None => {
+        let dest = self.router.route(key);
+        while let Some(order) = self.write_order.get_mut(&key) {
+            let Some(pending) = order.held.pop_front() else {
                 self.write_order.remove(&key);
+                return;
+            };
+            order.bounced = order.bounced.saturating_sub(1);
+            let write = pending.write_key().is_some();
+            if write {
+                order.in_flight = 1;
+            }
+            self.dispatch(dest, pending);
+            if write {
+                return;
             }
         }
     }
@@ -793,33 +794,21 @@ impl ClientHandle {
     // Internals
     // ------------------------------------------------------------------
 
-    pub(crate) fn take_token(&mut self) -> u64 {
+    fn take_token(&mut self) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
         t
     }
 
-    /// If a lane has accumulated a deep backlog, push requests and drain
-    /// responses so the rings never overflow no matter how many operations
-    /// the caller queues between polls.
+    /// If a lane is full, push requests and drain responses, so operations
+    /// the caller queues between polls keep moving.
     fn make_progress_if_backlogged(&mut self, lane_idx: usize) {
         if self.lanes[lane_idx].pending.len() < self.max_outstanding_per_lane {
             return;
         }
         let mut spill = Vec::new();
-        let mut resubmissions = Vec::new();
-        let mut finished_writes = Vec::new();
-        let track_writes = !self.write_order.is_empty();
-        Self::pump_lane(
-            &mut self.lanes[lane_idx],
-            &mut self.resp_buf,
-            &mut self.outstanding,
-            &mut spill,
-            &mut resubmissions,
-            track_writes.then_some(&mut finished_writes),
-        );
+        self.pump(lane_idx..lane_idx + 1, &mut spill);
         self.stashed.extend(spill);
-        self.settle(resubmissions, &finished_writes);
     }
 
     /// Wait (spinning) for a specific token, stashing every other completion
@@ -887,13 +876,15 @@ impl ClientHandle {
 
     /// One round of progress on one lane: send queued requests, drain
     /// responses, process them (which, for values that travel by pointer,
-    /// queues follow-up Ready/Decref messages), send those too, and flush.
+    /// queues follow-up Ready/Decref messages), send those and then what
+    /// waited for room, and flush.
     /// Retry responses do not complete their operation; they are collected
     /// into `resubmissions` for the caller to re-route.  The keys of
     /// completed writes go to `finished_writes` when the caller is tracking
     /// write order.
     fn pump_lane(
         lane: &mut Lane,
+        room: usize,
         resp_buf: &mut Vec<Response>,
         outstanding: &mut usize,
         out: &mut Vec<Completion>,
@@ -935,7 +926,7 @@ impl ClientHandle {
                 .expect("server sent a response with nothing pending");
             let write_key = pending.write_key();
             match Self::complete(lane, pending, response) {
-                Applied::Done(completion) => {
+                Ok(completion) => {
                     *outstanding -= 1;
                     out.push(completion);
                     if let (Some(key), Some(finished)) = (write_key, finished_writes.as_deref_mut())
@@ -943,26 +934,28 @@ impl ClientHandle {
                         finished.push(key);
                     }
                 }
-                Applied::Resubmit { dest, pending } => {
-                    resubmissions.push((dest, pending));
-                }
+                Err(bounced) => resubmissions.push(bounced),
             }
         }
-        // Follow-up messages (Ready/Decref) generated above.
+        // Follow-up messages (Ready/Decref) generated above, then, behind
+        // them, the operations that waited for room.
+        lane.send_waiting(room);
         Self::push_outgoing(lane);
         Self::flush_lane(lane);
     }
 
     /// Apply a response to its pending operation, producing the completion
-    /// (or a resubmission) and queueing any follow-up protocol message.
-    fn complete(lane: &mut Lane, pending: Pending, response: Response) -> Applied {
+    /// and queueing any follow-up protocol message — or, if the key's owner
+    /// moved, the partition to resubmit the operation to.
+    fn complete(
+        lane: &mut Lane,
+        pending: Pending,
+        response: Response,
+    ) -> Result<Completion, (usize, Pending)> {
         if response.is_retry() {
-            return Applied::Resubmit {
-                dest: response.retry_destination(),
-                pending,
-            };
+            return Err((response.retry_destination(), pending));
         }
-        Applied::Done(match pending {
+        Ok(match pending {
             Pending::Lookup { token, .. } => {
                 if let Some(value) = response.inline_value() {
                     // The value came in the reply and the server has let go
@@ -973,9 +966,12 @@ impl ClientHandle {
                     }
                 } else if response.has_value() {
                     // SAFETY: the server incremented the element's reference
-                    // count before responding, and READY values are never
-                    // written again, so reading `value_size` bytes at `addr`
-                    // is valid until we send the Decref below.
+                    // count before responding, so reading `value_size` bytes
+                    // at `addr` is valid until we send the Decref below, and
+                    // nothing writes them meanwhile: READY values are never
+                    // written again, and a NOT-READY element is this lane's
+                    // own reservation, which this thread filled when it
+                    // applied the reservation's reply, earlier on the lane.
                     let bytes = unsafe {
                         core::slice::from_raw_parts(
                             response.addr as *const u8,

@@ -30,12 +30,11 @@
 //! sees the writes submitted before it and none submitted after it.  Only
 //! a resubmission can break the second half — a lookup bounced by a live
 //! re-partitioning, or shed by an overloaded server — so such a get may
-//! also see a later write.
+//! also see a later write.  In-process the order is the lane's, and the
+//! handle's inherent pipelined API keeps the same promise (see
+//! [`crate::client`]): the trait adds nothing per key.
 
-use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
-
-use crate::client::{Completion, CompletionKind, OpError, Pending, U64Map, ValueBytes};
+use crate::client::{Completion, CompletionKind, OpError, ValueBytes};
 
 /// A key, by reference: the table's native 60-bit hash key or an arbitrary
 /// byte string (routed through the §8.2 envelope hash).
@@ -261,146 +260,39 @@ fn poll_until<C: KvClient + ?Sized>(
     Ok(())
 }
 
-/// What [`KvClient`]'s impl for [`crate::ClientHandle`] keeps beside the
-/// handle's own pipeline.
-///
-/// **Gets after writes.**  An insert whose value travels by pointer is
-/// two-phase: the server links a NOT-READY element, the client copies the
-/// value in and sends `Ready`.  A lookup queued behind the insert on the
-/// lane would find the element NOT-READY and miss.  So the trait holds a
-/// get back while a write to its key submitted earlier is in flight, and
-/// every later operation on that key waits behind the held get, in submit
-/// order: the get then sees exactly the writes submitted before it.
-/// Tokens are taken at submit, so they stay dense in submit order.  The
-/// inherent pipelined API makes no such promise and pays nothing for it.
-#[derive(Default)]
-pub(crate) struct KvState {
-    /// Byte-string keys of lookups, by token: their raw completions carry
-    /// the §8.2 envelope and are translated (collision check included) by
-    /// the trait's poll.
-    anykey_gets: U64Map<Vec<u8>>,
-    /// The hash key of every write in flight, by token.
-    writes: U64Map<u64>,
-    /// Per hash key with a write in flight: how many, and what waits.
-    keys: U64Map<KeyQueue>,
-    /// Operations waiting in `keys`, not yet submitted to the handle.
-    held: usize,
-}
-
-#[derive(Default)]
-struct KeyQueue {
-    /// Writes to the key submitted to the handle and not yet completed.
-    writes: u32,
-    /// Operations on the key waiting, in submit order; the first is a get.
-    held: VecDeque<Pending>,
-}
-
-impl crate::ClientHandle {
-    /// A write to `key` completed: submit what waited behind it, in order,
-    /// up to the next get that still has a write before it in flight.
-    fn release_after_write(&mut self, key: u64) {
-        let Entry::Occupied(mut entry) = self.kv.keys.entry(key) else {
-            return;
-        };
-        let queue = entry.get_mut();
-        queue.writes -= 1;
-        let mut released = Vec::new();
-        while let Some(next) = queue.held.front() {
-            if next.write_key().is_none() && queue.writes > 0 {
-                break;
-            }
-            let next = queue.held.pop_front().expect("front exists");
-            if next.write_key().is_some() {
-                queue.writes += 1;
-            }
-            released.push(next);
-        }
-        if queue.writes == 0 && queue.held.is_empty() {
-            entry.remove();
-        }
-        self.kv.held -= released.len();
-        for pending in released {
-            if let Pending::Insert { token, .. } | Pending::Delete { token, .. } = pending {
-                self.kv.writes.insert(token, key);
-            }
-            self.submit_taken(pending);
-        }
-    }
-}
-
 impl KvClient for crate::ClientHandle {
     fn backend(&self) -> &'static str {
         "in-process"
     }
 
     fn submit(&mut self, op: KvOp<'_>) -> u64 {
-        use cphash_kvproto::envelope;
-        let token = self.take_token();
-        let (key, pending) = match op {
+        match op {
             KvOp::Get(k) => {
+                let token = self.submit_lookup(k.hash());
                 if let KeyRef::Bytes(b) = k {
-                    self.kv.anykey_gets.insert(token, b.to_vec());
+                    self.anykey_gets.insert(token, b.to_vec());
                 }
-                let key = k.hash();
-                (key, Pending::Lookup { token, key })
+                token
             }
-            KvOp::Insert(k, value) => {
-                let value = match k {
-                    KeyRef::Hash(_) => ValueBytes::from_slice(value),
-                    KeyRef::Bytes(b) => {
-                        ValueBytes::from_slice(&envelope::encode_envelope(b, value))
-                    }
-                };
-                let key = k.hash();
-                (key, Pending::Insert { token, key, value })
+            KvOp::Insert(KeyRef::Hash(k), value) => self.submit_insert(k, value),
+            KvOp::Insert(k @ KeyRef::Bytes(b), value) => {
+                let envelope = cphash_kvproto::envelope::encode_envelope(b, value);
+                self.submit_insert(k.hash(), &envelope)
             }
-            KvOp::Delete(k) => {
-                let key = k.hash();
-                (key, Pending::Delete { token, key })
-            }
-        };
-        let write = pending.write_key().is_some();
-        let queue = if write {
-            Some(self.kv.keys.entry(key).or_default())
-        } else {
-            self.kv.keys.get_mut(&key)
-        };
-        match queue {
-            Some(queue) if write && queue.held.is_empty() => queue.writes += 1,
-            Some(queue) => {
-                queue.held.push_back(pending);
-                self.kv.held += 1;
-                return token;
-            }
-            None => {}
+            KvOp::Delete(k) => self.submit_delete(k.hash()),
         }
-        if write {
-            self.kv.writes.insert(token, key);
-        }
-        self.submit_taken(pending);
-        token
     }
 
     fn poll_completions(&mut self, out: &mut Vec<Completion>) -> usize {
         let before = out.len();
         self.poll(out);
-        if self.kv.writes.is_empty() && self.kv.anykey_gets.is_empty() {
+        if self.anykey_gets.is_empty() {
             return out.len() - before;
         }
+        // Byte-key lookups travel as envelope lookups; unwrap them and turn
+        // collisions into misses (§8.2) before the caller sees them.
         for completion in out[before..].iter_mut() {
-            let lookup = matches!(
-                completion.kind,
-                CompletionKind::LookupHit(_) | CompletionKind::LookupMiss
-            );
-            if !lookup {
-                if let Some(key) = self.kv.writes.remove(&completion.token) {
-                    self.release_after_write(key);
-                }
-                continue;
-            }
-            // Byte-key lookups travel as envelope lookups; unwrap them and
-            // turn collisions into misses (§8.2) before the caller sees them.
-            let Some(wanted) = self.kv.anykey_gets.remove(&completion.token) else {
+            let Some(wanted) = self.anykey_gets.remove(&completion.token) else {
                 continue;
             };
             if let CompletionKind::LookupHit(envelope) = &completion.kind {
@@ -415,7 +307,7 @@ impl KvClient for crate::ClientHandle {
     }
 
     fn pending_ops(&self) -> usize {
-        self.outstanding() + self.kv.held
+        self.outstanding()
     }
 
     fn recommended_window(&self) -> usize {
@@ -558,7 +450,6 @@ mod tests {
             assert_eq!(kind(tokens[4]), CompletionKind::Deleted(true));
             assert_eq!(kind(tokens[5]), CompletionKind::LookupMiss);
             assert_eq!(kind(tokens[7]), hit(&a));
-            assert!(client.kv.keys.is_empty() && client.kv.writes.is_empty());
         }
         drop(clients);
         table.shutdown();

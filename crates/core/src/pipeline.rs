@@ -23,12 +23,12 @@
 //! included) still happens at execute time, in request order.
 
 use cphash_hashcore::{
-    migration_chunk, partition_for_key, BucketRef, InlineValue, InsertReservation, Partition,
-    StoredValue, INLINE_VALUE_BYTES,
+    migration_chunk, partition_for_key, BucketRef, ElementId, InlineValue, InsertReservation,
+    Partition, StoredValue, INLINE_VALUE_BYTES,
 };
 use cphash_perfmon::trace::{trace_enabled, TraceStage};
 use cphash_perfmon::{BatchCounters, StageSpan};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use crate::protocol::{MigrationStep, Response};
 use crate::router::{EpochRouter, RouterSnapshot};
@@ -84,6 +84,35 @@ pub(crate) fn step_is_current(step: &MigrationStep, chunk: usize, snap: &RouterS
         && chunk >= snap.watermark
 }
 
+/// The reservations one client lane made that still wait for their
+/// `Ready`, oldest first, for the lane's own lookups to read (see
+/// [`OpCtx::execute`]); a `Ready` names the front.  The room, allocated up
+/// front, is the client's per-lane limit on operations in flight, which
+/// bounds its reservations awaiting `Ready` (`Lane::send_waiting`).
+/// A reservation past it goes untracked and its lookups miss, as §3.2's do:
+/// no peer can make the server hold more.
+pub(crate) struct LaneReservations(VecDeque<ElementId>);
+
+impl LaneReservations {
+    pub(crate) fn for_ring(ring_capacity: usize) -> Self {
+        let room = crate::client::outstanding_per_lane(ring_capacity);
+        LaneReservations(VecDeque::with_capacity(room))
+    }
+
+    fn track(&mut self, id: ElementId) {
+        if self.0.len() < self.0.capacity() {
+            self.0.push_back(id);
+        }
+    }
+
+    /// The lane's `Ready` for `id` arrived: the front's, unless hand-written.
+    pub(crate) fn ready(&mut self, id: ElementId) {
+        if let Some(pos) = self.0.iter().position(|&held| held == id) {
+            self.0.remove(pos);
+        }
+    }
+}
+
 /// Everything an executor needs to run one batch of data operations:
 /// disjoint borrows of the owning server thread's state.
 pub(crate) struct OpCtx<'a> {
@@ -92,13 +121,15 @@ pub(crate) struct OpCtx<'a> {
     /// The server's partition index.
     pub index: usize,
     pub migration: &'a mut MigrationState,
+    /// The reservations of the lane the batch came in on.
+    pub reservations: &'a mut LaneReservations,
 }
 
 impl OpCtx<'_> {
     /// Decide whether a data operation on `key` must be redirected instead
     /// of served here. Returns the partition to retry at (possibly this
     /// one, meaning "ask again shortly").
-    fn divert(&mut self, key: u64, is_write: bool) -> Option<usize> {
+    fn divert(&mut self, key: u64) -> Option<usize> {
         let chunks = self.router.chunks();
         let snap = self.router.snapshot();
         let owner = snap.route(key, chunks);
@@ -148,16 +179,13 @@ impl OpCtx<'_> {
                 self.migration.outgoing.remove(&chunk);
             }
         }
-        if is_write {
-            if let Some((_, step)) = self.migration.draining {
-                if step.chunk == chunk && partition_for_key(key, step.new_partitions) != self.index
-                {
-                    // A new insert of a leaving key would keep extending the
-                    // drain; hold the client off until extraction happens.
-                    // Deletes wait too: one served here while an earlier
-                    // insert of its key is bounced would run ahead of it.
-                    return Some(self.index);
-                }
+        if let Some((_, step)) = self.migration.draining {
+            if step.chunk == chunk && partition_for_key(key, step.new_partitions) != self.index {
+                // A new insert of a leaving key would keep extending the
+                // drain; hold the client off until extraction happens.
+                // Deletes and lookups wait too: one served here while an
+                // earlier insert of its key is bounced would run ahead of it.
+                return Some(self.index);
             }
         }
         None
@@ -171,12 +199,17 @@ impl OpCtx<'_> {
         if matches!(*op, DataOp::Insert { size, .. } if size <= INLINE_VALUE_BYTES as u64) {
             return Response::MISS;
         }
-        let is_write = !matches!(op, DataOp::Lookup { .. });
-        if let Some(dest) = self.divert(prep.key(), is_write) {
+        if let Some(dest) = self.divert(prep.key()) {
             return Response::retry(dest);
         }
         match *op {
-            DataOp::Lookup { .. } => match self.partition.lookup_prepared(prep) {
+            // A NOT-READY element is visible to the lane that reserved it:
+            // its client copies the value in when it applies the
+            // reservation's reply, which comes before this one on the lane.
+            DataOp::Lookup { .. } => match self
+                .partition
+                .lookup_prepared_or_reserved(prep, |id| self.reservations.0.contains(&id))
+            {
                 Some(hit) => match hit.value {
                     StoredValue::Block(handle) => {
                         Response::with_value(handle.addr(), hit.id, handle.len())
@@ -195,7 +228,10 @@ impl OpCtx<'_> {
                     Ok(InsertReservation {
                         id,
                         value: Some(handle),
-                    }) => Response::with_value(handle.addr(), id, size as usize),
+                    }) => {
+                        self.reservations.track(id);
+                        Response::with_value(handle.addr(), id, size as usize)
+                    }
                     // No room — a reservation without a block is one of a
                     // size refused above.
                     _ => Response::MISS,

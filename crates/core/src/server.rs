@@ -39,7 +39,9 @@ use cphash_perfmon::StageSpan;
 use parking_lot::Mutex;
 
 use crate::client::SleepFlag;
-use crate::pipeline::{step_is_current, DataOp, MigrationState, OpCtx, StagedExecutor};
+use crate::pipeline::{
+    step_is_current, DataOp, LaneReservations, MigrationState, OpCtx, StagedExecutor,
+};
 use crate::protocol::{
     decode_word, inline_from_word, MigrationBatch, MigrationStep, OpCode, Response,
 };
@@ -158,6 +160,9 @@ pub(crate) struct ServerThread {
     pub executor: StagedExecutor,
     /// Pipeline depth: data operations staged per execution round.
     pub batch_size: usize,
+    /// Per lane, in lane order: its reservations still waiting for their
+    /// `Ready`, which its own lookups may read (see `pipeline.rs`).
+    pub reservations: Vec<LaneReservations>,
 }
 
 /// Reusable per-loop scratch buffers (allocated once per server thread).
@@ -408,6 +413,7 @@ impl ServerThread {
                 router: &self.router,
                 index: self.index,
                 migration,
+                reservations: &mut self.reservations[lane_idx],
             };
             self.executor.execute(
                 &mut ctx,
@@ -443,7 +449,9 @@ impl ServerThread {
                 unreachable!("data operations go through the pipeline")
             }
             OpCode::Ready => {
-                self.partition.mark_ready(ElementId(payload as u32));
+                let id = ElementId(payload as u32);
+                self.reservations[lane_idx].ready(id);
+                self.partition.mark_ready(id);
                 if migration.draining.is_some() {
                     self.try_finish_drain(migration);
                 }
@@ -696,37 +704,42 @@ mod tests {
         }
     }
 
+    /// A server with two client lanes, which share one "asleep" flag.
     fn test_server(
         index: usize,
         router: Arc<EpochRouter>,
-    ) -> (DuplexClient<u64, Response>, ServerThread, Stopper) {
-        let (client, server_end) = duplex::<u64, Response>(RingConfig::with_capacity(1024));
+    ) -> ([DuplexClient<u64, Response>; 2], ServerThread, Stopper) {
         let doorbell = Arc::new(Doorbell::new());
-        let client = client.with_doorbell(Arc::clone(&doorbell));
+        let lane = || {
+            let (client, server_end) = duplex::<u64, Response>(RingConfig::with_capacity(1024));
+            (client.with_doorbell(Arc::clone(&doorbell)), server_end)
+        };
+        let ((client0, lane0), (client1, lane1)) = (lane(), lane());
         let stop = Arc::new(AtomicBool::new(false));
         let server = ServerThread {
             index,
             partition: Partition::new(PartitionConfig::new(64, None)),
-            lanes: vec![server_end],
+            lanes: vec![lane0, lane1],
             pin: None,
             stop: Arc::clone(&stop),
             doorbell: Arc::clone(&doorbell),
-            clients_asleep: vec![SleepFlag::default()],
+            clients_asleep: vec![SleepFlag::default(); 2],
             stats: Arc::new(ServerStats::new()),
             partition_stats: Arc::new(Mutex::new(PartitionStats::default())),
             router,
             capacity_total: None,
             executor: StagedExecutor::new(),
             batch_size: crate::config::DEFAULT_BATCH_SIZE,
+            reservations: (0..2).map(|_| LaneReservations::for_ring(1024)).collect(),
         };
-        (client, server, Stopper { stop, doorbell })
+        ([client0, client1], server, Stopper { stop, doorbell })
     }
 
     /// Drive a server thread object synchronously on the current thread by
     /// feeding it requests and then raising the stop flag.
     fn run_one_exchange(requests: Vec<Request>) -> Vec<Response> {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
 
         for r in &requests {
             send(&mut client, r);
@@ -735,18 +748,7 @@ mod tests {
 
         let expected_responses = requests
             .iter()
-            .filter(|r| {
-                matches!(
-                    r,
-                    Request::Lookup { .. }
-                        | Request::Insert { .. }
-                        | Request::InsertInline { .. }
-                        | Request::Delete { .. }
-                        | Request::MigratePrepare { .. }
-                        | Request::MigrateOut { .. }
-                        | Request::MigrateIn { .. }
-                )
-            })
+            .filter(|r| !matches!(r, Request::Ready { .. } | Request::Decref { .. }))
             .count();
 
         let handle = std::thread::spawn(move || server.run());
@@ -825,7 +827,7 @@ mod tests {
     #[test]
     fn inline_hits_leave_nothing_pinned_and_cut_no_run() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
         let stats = Arc::clone(&server.stats);
         let partition_stats = Arc::clone(&server.partition_stats);
         // 8 bytes, then 64 over it, then 8 again: the element changes
@@ -833,7 +835,7 @@ mod tests {
         // between, so one drain sees the whole script.
         let mut script = vec![inline(3, &[8; 8]), Request::Lookup { key: 3 }];
         script.push(Request::Insert { key: 3, size: 64 });
-        script.push(Request::Lookup { key: 3 }); // NOT-READY: a miss
+        script.push(Request::Lookup { key: 3 }); // NOT-READY, but this lane's
         script.push(inline(3, &[9; 8]));
         script.extend([Request::Lookup { key: 3 }, Request::Delete { key: 3 }]);
         script.push(Request::Lookup { key: 3 });
@@ -846,34 +848,32 @@ mod tests {
         assert_eq!(replies[0], Response::FOUND);
         assert_eq!(replies[1].inline_value().unwrap().as_slice(), [8; 8]);
         assert!(replies[2].has_value() && replies[2].value_size() == 64);
-        assert_eq!(replies[3], Response::MISS);
+        assert_eq!(replies[3], replies[2], "the lane reads its own reservation");
         assert_eq!(replies[4], Response::FOUND);
         assert_eq!(replies[5].inline_value().unwrap().as_slice(), [9; 8]);
         assert_eq!(replies[6], Response::FOUND);
         assert_eq!(replies[7], Response::MISS);
         // The abandoned 64-byte reservation still holds its insertion
-        // reference; `Ready` releases it, and that control message is the
-        // only thing in this exchange that could have cut a run — it comes
-        // after an awaited reply, so it does not.
-        send(
-            &mut client,
-            &Request::Ready {
-                id: replies[2].element_id(),
-            },
-        );
+        // reference and the lookup's pin; `Ready` and `Decref` release them,
+        // and those control messages are the only things in this exchange
+        // that could have cut a run — they come after an awaited reply, so
+        // they do not.
+        let id = replies[2].element_id();
+        send(&mut client, &Request::Ready { id });
+        send(&mut client, &Request::Decref { id });
         client.flush();
         stop.stop();
         handle.join().unwrap();
         assert_eq!(stats.run_cuts(), 0);
         assert_eq!(stats.operations(), script.len() as u64);
         let table = *partition_stats.lock();
-        assert_eq!((table.hits, table.replacements, table.deletes), (2, 2, 1));
+        assert_eq!((table.hits, table.replacements, table.deletes), (3, 2, 1));
     }
 
     #[test]
     fn a_run_cut_is_counted_where_a_control_message_ends_it() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
         let stats = Arc::clone(&server.stats);
         send(&mut client, &Request::Insert { key: 1, size: 64 });
         client.flush();
@@ -908,9 +908,76 @@ mod tests {
     }
 
     #[test]
+    fn a_lookup_behind_its_own_lanes_reservation_reads_it_and_no_other_lane_does() {
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let ([mut own, mut other], server, stop) = test_server(0, router);
+        let partition_stats = Arc::clone(&server.partition_stats);
+        let handle = std::thread::spawn(move || server.run());
+        send(&mut own, &Request::Insert { key: 4, size: 64 });
+        send(&mut own, &Request::Lookup { key: 4 });
+        own.flush();
+        let reserved = recv_one(&mut own);
+        let read = recv_one(&mut own);
+        assert_eq!(
+            (read.addr, read.element_id(), read.value_size()),
+            (reserved.addr, reserved.element_id(), 64),
+            "the lookup is answered with the lane's own reservation"
+        );
+        send(&mut other, &Request::Lookup { key: 4 });
+        other.flush();
+        assert_eq!(recv_one(&mut other), Response::MISS, "NOT-READY elsewhere");
+        // `Ready`, then the lookup's `Decref`: no pin is left, so deleting
+        // the key frees its block at once rather than deferring it.
+        let id = reserved.element_id();
+        send(&mut own, &Request::Ready { id });
+        send(&mut own, &Request::Decref { id });
+        send(&mut own, &Request::Delete { key: 4 });
+        own.flush();
+        assert_eq!(recv_one(&mut own), Response::FOUND);
+        stop.stop();
+        handle.join().unwrap();
+        let table = *partition_stats.lock();
+        assert_eq!((table.hits, table.deletes, table.deferred_frees), (1, 1, 0));
+    }
+
+    #[test]
+    fn while_a_chunk_drains_lookups_of_its_leaving_keys_bounce_like_writes() {
+        // Mid 1 → 2: a reservation of a leaving key holds up its chunk's
+        // export.  A lookup of the key served meanwhile could run ahead of
+        // an earlier insert the drain bounced, so it is bounced too.
+        let router = Arc::new(EpochRouter::new(1, 64, 2));
+        router.begin_transition(2).unwrap();
+        let key = (0..).find(|&k| partition_for_key(k, 2) == 1).unwrap();
+        let step = MigrationStep {
+            chunk: cphash_hashcore::migration_chunk(key, router.chunks()),
+            old_partitions: 1,
+            new_partitions: 2,
+        };
+        let ([mut client, mut control], server, stop) = test_server(0, router);
+        let handle = std::thread::spawn(move || server.run());
+        send(&mut client, &Request::Insert { key, size: 64 });
+        client.flush();
+        let reserved = recv_one(&mut client);
+        send(&mut control, &Request::MigrateOut { step });
+        send(&mut control, &Request::Lookup { key });
+        control.flush();
+        let bounced = recv_one(&mut control);
+        assert!(bounced.is_retry() && bounced.retry_destination() == 0);
+        let id = reserved.element_id();
+        send(&mut client, &Request::Ready { id });
+        client.flush();
+        let exported = recv_one(&mut control);
+        // SAFETY: the server leaked this batch for the coordinator to take.
+        let batch = unsafe { MigrationBatch::from_addr(exported.addr) };
+        assert_eq!(batch.entries.len(), 1, "the drain ended at the Ready");
+        stop.stop();
+        handle.join().unwrap();
+    }
+
+    #[test]
     fn a_reservation_for_a_short_value_is_refused_untouched() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
         let partition_stats = Arc::clone(&server.partition_stats);
         let mut script = vec![inline(5, &[5; 8])];
         script.extend((0..=8).map(|size| Request::Insert { key: 5, size }));
@@ -941,7 +1008,7 @@ mod tests {
     #[test]
     fn trailing_words_may_arrive_a_flush_later() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
         let (w0, w1) = encode(&inline(6, &[6; 8]));
         let handle = std::thread::spawn(move || server.run());
         // One word per flush: the server drains the opcode word alone and
@@ -965,7 +1032,7 @@ mod tests {
     #[test]
     fn a_client_gone_mid_message_does_not_hang_the_server() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
         let stats = Arc::clone(&server.stats);
         let (opcode_word, _) = encode(&inline(7, &[7; 8]));
         client.send_blocking(opcode_word);
@@ -993,16 +1060,11 @@ mod tests {
         // owned by partition 1 must bounce with a retry response.
         let router = Arc::new(EpochRouter::new(2, 64, 2));
         let foreign_key = (0..).find(|k| partition_for_key(*k, 2) == 1).unwrap();
-        let (mut client, server, stop) = test_server(0, Arc::clone(&router));
+        let ([mut client, _], server, stop) = test_server(0, Arc::clone(&router));
         send(&mut client, &Request::Lookup { key: foreign_key });
         client.flush();
         let handle = std::thread::spawn(move || server.run());
-        let resp = loop {
-            if let Some(r) = client.try_recv() {
-                break r;
-            }
-            core::hint::spin_loop();
-        };
+        let resp = recv_one(&mut client);
         assert!(resp.is_retry());
         assert_eq!(resp.retry_destination(), 1);
         stop.stop();
@@ -1015,7 +1077,7 @@ mod tests {
     /// each park (a reading of the host, not an assertion).
     fn park_after_each_of(announce: bool, rounds: u64) -> Arc<ServerStats> {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
         let stats = Arc::clone(&server.stats);
         // relaxed: advisory flag, as in the client
         server.clients_asleep[0].store(announce, Ordering::Relaxed);
@@ -1063,7 +1125,7 @@ mod tests {
         // The flag is advisory: a server that parks because it read "asleep"
         // a moment before the request was flushed is still rung awake.
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
         let stats = Arc::clone(&server.stats);
         let asleep = Arc::clone(&server.clients_asleep[0]);
         let handle = std::thread::spawn(move || server.run());
@@ -1097,17 +1159,12 @@ mod tests {
         // A zero word has no valid opcode; the following lookup must still
         // be processed.
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let (mut client, server, stop) = test_server(0, router);
+        let ([mut client, _], server, stop) = test_server(0, router);
         client.send_blocking(0);
         send(&mut client, &Request::Lookup { key: 1 });
         client.flush();
         let handle = std::thread::spawn(move || server.run());
-        let resp = loop {
-            if let Some(r) = client.try_recv() {
-                break r;
-            }
-            core::hint::spin_loop();
-        };
+        let resp = recv_one(&mut client);
         assert_eq!(resp, Response::MISS);
         stop.stop();
         handle.join().unwrap();

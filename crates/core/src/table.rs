@@ -12,6 +12,7 @@ use parking_lot::Mutex;
 use crate::client::{ClientHandle, SleepFlag};
 use crate::config::CpHashConfig;
 use crate::control::ControlHandle;
+use crate::pipeline::LaneReservations;
 use crate::router::EpochRouter;
 use crate::server::ServerThread;
 use crate::stats::{ServerStats, TableSnapshot};
@@ -107,6 +108,9 @@ impl CpHash {
                 capacity_total: config.capacity_bytes,
                 executor: crate::pipeline::StagedExecutor::new(),
                 batch_size: config.batch_size,
+                reservations: (0..lane_owners)
+                    .map(|_| LaneReservations::for_ring(config.ring_capacity))
+                    .collect(),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("cphash-server-{index}"))

@@ -423,13 +423,32 @@ impl Partition {
     }
 
     /// Execute phase of a prepared lookup (see [`BucketRef`]).  Identical
-    /// semantics to [`Partition::lookup`] with the hash precomputed.
+    /// semantics to [`Partition::lookup`] with the hash precomputed:
+    /// NOT-READY elements are invisible (§3.2).
     pub fn lookup_prepared(&mut self, prep: BucketRef) -> Option<LookupHit> {
+        self.lookup_prepared_or_reserved(prep, |_| false)
+    }
+
+    /// [`Partition::lookup_prepared`], except that a NOT-READY element is
+    /// a hit too — pinned, like any — when `reserved` accepts its id.  The
+    /// reservation's bytes are its inserter's to write until
+    /// [`Partition::mark_ready`], so only a caller that knows the reader
+    /// sees them written first may accept one: CPHash's server accepts the
+    /// reservations of the lane the lookup came in on, because that client
+    /// applies the lane's replies in order.  READY hits take the same path
+    /// as in `lookup_prepared`.
+    #[inline]
+    pub fn lookup_prepared_or_reserved(
+        &mut self,
+        prep: BucketRef,
+        reserved: impl FnOnce(ElementId) -> bool,
+    ) -> Option<LookupHit> {
         self.stats.lookups += 1;
         let idx = self.find_in_bucket(prep.key, prep.bucket, prep.tag)?;
         let e = self.slots[idx as usize].element_mut();
-        if e.state != ElementState::Ready {
-            // NOT-READY elements are invisible to lookups (§3.2).
+        if e.state != ElementState::Ready && !reserved(ElementId(idx)) {
+            // NOT-READY elements are invisible to lookups (§3.2), except
+            // where the caller accepts the reservation as its reader's own.
             return None;
         }
         // The pin writes the element's line anyway; the reference bit rides
@@ -627,10 +646,9 @@ impl Partition {
 
     /// Copy `data` into a NOT-READY reservation and publish it.
     ///
-    /// Safe because NOT-READY elements are invisible to lookups, so the only
-    /// handle to the bytes is the reservation the caller got from
-    /// [`Partition::insert`], and `&mut self` proves no other thread is
-    /// inside this partition.
+    /// Safe because no safe code reads a NOT-READY element's bytes
+    /// ([`Partition::read_value`] refuses one), and `&mut self` proves no
+    /// other thread is inside this partition.
     pub fn fill_and_ready(&mut self, id: ElementId, data: &[u8]) {
         let e = self.slots[id.0 as usize].element_mut();
         assert_eq!(
@@ -642,8 +660,8 @@ impl Partition {
             StoredValue::Block(handle) => {
                 assert!(data.len() <= handle.len(), "value larger than reservation");
                 // SAFETY: see doc comment — the element is NOT-READY so no
-                // reader holds the handle, and the partition is exclusively
-                // borrowed.
+                // safe reader reads through the handle, and the partition is
+                // exclusively borrowed.
                 unsafe { handle.copy_from(data) };
             }
             StoredValue::Inline(_) => e.fill_inline(data),
@@ -655,7 +673,8 @@ impl Partition {
     ///
     /// Safe because the caller's [`LookupHit`] holds a reference (the
     /// element cannot have been freed) and READY values are never written
-    /// again (§3.2's protocol only writes values before `Ready`).
+    /// again (§3.2's protocol only writes values before `Ready`).  Panics on
+    /// a hit on a NOT-READY reservation, whose bytes may not be written yet.
     ///
     /// A hit on a value that lives in its element carries the bytes itself:
     /// they are copied from the hit and the element is not touched.
@@ -664,7 +683,10 @@ impl Partition {
             inline @ StoredValue::Inline(_) => inline,
             StoredValue::Block(_) => {
                 let e = self.slots[hit.id.0 as usize].element();
-                assert!(e.refcount > 0, "read_value without a live reference");
+                assert!(
+                    e.refcount > 0 && e.state == ElementState::Ready,
+                    "read_value without a live reference to a READY value"
+                );
                 e.value()
             }
         };
@@ -1354,6 +1376,13 @@ mod tests {
             "NOT-READY element must not be returned"
         );
         assert!(!p.contains(1));
+        let prep = p.prepare(1);
+        assert!(p
+            .lookup_prepared_or_reserved(prep, |id| id != r.id)
+            .is_none());
+        let own = p.lookup_prepared_or_reserved(prep, |id| id == r.id);
+        assert_eq!(own.expect("the accepted reservation hits").id, r.id);
+        p.decref(r.id);
         p.fill_and_ready(r.id, &[1; 8]);
         let first = p.lookup(1).expect("READY element is visible");
         let second = p.lookup(1).expect("repeat lookup also hits");

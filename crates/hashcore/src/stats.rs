@@ -7,7 +7,8 @@
 pub struct PartitionStats {
     /// Lookup operations served.
     pub lookups: u64,
-    /// Lookups that found a READY element.
+    /// Lookups that found a READY element (or a NOT-READY one the caller
+    /// accepted, see [`crate::Partition::lookup_prepared_or_reserved`]).
     pub hits: u64,
     /// Insert operations served (reservations handed out).
     pub inserts: u64,

@@ -4,8 +4,9 @@
 //!
 //! Each worker owns a disjoint key slice and tracks a local model of what it
 //! wrote; any divergence between the table and the model — a miss for a
-//! present key, a stale value, a delete disagreeing about presence, or a hit
-//! after a delete (a resurrected duplicate) — fails the test immediately.
+//! present key, a stale value, a delete disagreeing about presence, a hit
+//! after a delete (a resurrected duplicate), or a lookup pipelined behind an
+//! insert that does not read it — fails the test immediately.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -14,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use cphash_suite::migrate::{MigrationPacer, RepartitionCoordinator};
 use cphash_suite::perfmon::LatencyHistogram;
-use cphash_suite::{CpHash, CpHashConfig, MigrationPacing};
+use cphash_suite::{CompletionKind, CpHash, CpHashConfig, MigrationPacing, ValueBytes};
 
 const WORKERS: usize = 3;
 
@@ -67,10 +68,36 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
                 let mut model: HashMap<u64, u64> = HashMap::new();
                 let mut rng = 0x9E37_79B9u64 ^ (worker as u64) << 32 | 1;
                 let mut ops = 0u64;
+                let mut completions = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     let r = xorshift(&mut rng);
                     let key = (r >> 8) % keys_per_worker * WORKERS as u64 + worker as u64;
                     match r % 10 {
+                        // Pipelined behind a two-phase insert on its lane, a
+                        // lookup reads the value just written, whether it is
+                        // served off the reservation or held behind the
+                        // write across a routing change.
+                        0..=4 if key % 2 == 1 && (r >> 4) % 2 == 1 => {
+                            let value = r >> 16;
+                            let insert = client.submit_insert(key, &stored(key, value));
+                            let lookup = client.submit_lookup(key);
+                            completions.clear();
+                            client.drain(&mut completions).unwrap();
+                            for c in &completions {
+                                if c.token == insert {
+                                    assert_eq!(c.kind, CompletionKind::Inserted);
+                                } else if c.token == lookup {
+                                    let expected = ValueBytes::from_slice(&stored(key, value));
+                                    assert_eq!(
+                                        c.kind,
+                                        CompletionKind::LookupHit(expected),
+                                        "pipelined lookup of key {key} missed its insert"
+                                    );
+                                }
+                            }
+                            assert_eq!(completions.len(), 2);
+                            model.insert(key, value);
+                        }
                         0..=4 => {
                             let value = r >> 16;
                             assert!(

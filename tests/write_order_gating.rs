@@ -5,12 +5,13 @@
 //! bookkeeping, so none is ever held back.  Once the router moves — a
 //! transition begins, or a whole one completes — with writes in flight, a
 //! later write to the same key must wait for them: they may be bounced and
-//! resubmitted, and must not land after it.  These schedules are
+//! resubmitted, and must not land after it; nor may a later get to the
+//! key overtake them.  These schedules are
 //! deterministic: the router is moved by hand through the control handle,
 //! and the writes are still queued in the client when it moves.
 
 use cphash_suite::hashcore::partition_for_key;
-use cphash_suite::{CpHash, CpHashConfig};
+use cphash_suite::{CompletionKind, CpHash, CpHashConfig, ValueBytes};
 
 fn value(v: u64) -> [u8; 8] {
     v.to_le_bytes()
@@ -64,6 +65,35 @@ fn a_write_submitted_mid_transition_waits_for_earlier_writes_to_its_key() {
     // No chunk was handed off, so the old count still owns every key.
     control.router().force_complete(2);
     assert_eq!(read(client, key), 3);
+    drop(control);
+    drop(clients);
+    table.shutdown();
+}
+
+#[test]
+fn a_get_submitted_mid_transition_sees_the_held_write_before_it() {
+    let (mut table, mut clients) = CpHash::new(CpHashConfig::new(2, 1).with_max_partitions(4));
+    let control = table.take_control().expect("control");
+    let client = &mut clients[0];
+    let key = 42;
+    client.submit_insert(key, &value(1));
+    control.router().begin_transition(4).expect("begin");
+    client.submit_insert(key, &value(2));
+    assert_eq!(client.write_deferrals(), 1, "the later write is held");
+    // The lookup waits behind the held write rather than overtaking it.
+    let lookup = client.submit_lookup(key);
+    assert_eq!(client.write_deferrals(), 1, "gets are not counted");
+    let mut completions = Vec::new();
+    client.drain(&mut completions).expect("drain");
+    let got = completions
+        .iter()
+        .find(|c| c.token == lookup)
+        .expect("lookup completed");
+    assert_eq!(
+        got.kind,
+        CompletionKind::LookupHit(ValueBytes::from_slice(&value(2)))
+    );
+    control.router().force_complete(2);
     drop(control);
     drop(clients);
     table.shutdown();
