@@ -40,7 +40,7 @@
 //! the seed holds back only later operations on a key with a write in
 //! flight.  Operations on a key that already share a lane at the edge stay
 //! in order: within a transition a server that bounces one write to a key
-//! bounces every later operation on it (`pipeline.rs::divert`), so all go
+//! bounces every later operation on it (`migration::divert`), so all go
 //! out again in order.  A key leaves the map when its last tracked write
 //! finishes.  The map cannot rest on the server's order alone: the client
 //! resubmits a bounced write after whatever the server let through behind

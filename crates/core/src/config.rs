@@ -140,12 +140,6 @@ impl CpHashConfig {
         split_capacity(self.capacity_bytes, partitions)
     }
 
-    /// Set the pipeline depth (operations staged per batch; must be ≥ 1).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
     /// Validate the configuration, panicking with a clear message on
     /// nonsensical values.
     pub fn validate(&self) {
@@ -273,7 +267,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch_size must be at least 1")]
     fn zero_batch_size_rejected() {
-        CpHashConfig::new(2, 1).with_batch_size(0).validate();
+        CpHashConfig {
+            batch_size: 0,
+            ..CpHashConfig::new(2, 1)
+        }
+        .validate();
     }
 
     #[test]

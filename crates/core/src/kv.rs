@@ -29,8 +29,7 @@
 //! Per key, one client's operations take effect in submit order: a get
 //! sees the writes submitted before it and none submitted after it.  Only
 //! a resubmission can break the second half — a lookup bounced by a live
-//! re-partitioning, or shed by an overloaded server — so such a get may
-//! also see a later write.  In-process the order is the lane's, and the
+//! re-partitioning — so such a get may also see a later write.  In-process the order is the lane's, and the
 //! handle's inherent pipelined API keeps the same promise (see
 //! [`crate::client`]): the trait adds nothing per key.
 

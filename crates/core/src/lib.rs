@@ -49,6 +49,7 @@ pub mod client;
 pub mod config;
 pub mod control;
 pub mod kv;
+mod migration;
 mod pipeline;
 pub mod protocol;
 pub mod remote;

@@ -23,15 +23,16 @@
 //! included) still happens at execute time, in request order.
 
 use cphash_hashcore::{
-    migration_chunk, partition_for_key, BucketRef, ElementId, InlineValue, InsertReservation,
-    Partition, StoredValue, INLINE_VALUE_BYTES,
+    BucketRef, ElementId, InlineValue, InsertReservation, Partition, StoredValue,
+    INLINE_VALUE_BYTES,
 };
 use cphash_perfmon::trace::{trace_enabled, TraceStage};
 use cphash_perfmon::{BatchCounters, StageSpan};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use crate::protocol::{MigrationStep, Response};
-use crate::router::{EpochRouter, RouterSnapshot};
+use crate::migration::{divert, MigrationState};
+use crate::protocol::Response;
+use crate::router::EpochRouter;
 
 /// One decoded client data operation, ready for staged execution (the
 /// table-operation subset of the wire opcodes; control messages never enter
@@ -57,31 +58,6 @@ impl DataOp {
             | DataOp::Delete { key } => key,
         }
     }
-}
-
-/// Per-server migration bookkeeping. Entries are validated lazily against
-/// the router snapshot (same transition, chunk not yet past the watermark),
-/// so stale entries are inert and purged opportunistically.
-#[derive(Default)]
-pub(crate) struct MigrationState {
-    /// Chunks this server has extracted and handed off in the current
-    /// transition: requests for keys that left are redirected to their new
-    /// owner until the watermark covers the chunk.
-    pub outgoing: HashMap<usize, MigrationStep>,
-    /// Announced inbound chunks not yet absorbed: requests for keys that
-    /// are still in flight towards this server are answered "retry here".
-    pub incoming: HashMap<usize, MigrationStep>,
-    /// A `MigrateOut` whose extraction is blocked by in-flight inserts:
-    /// (control lane index, step). Retried after every `Ready`.
-    pub draining: Option<(usize, MigrationStep)>,
-}
-
-/// Whether a migration-state entry still describes the live transition.
-pub(crate) fn step_is_current(step: &MigrationStep, chunk: usize, snap: &RouterSnapshot) -> bool {
-    snap.in_transition()
-        && snap.old_partitions == step.old_partitions
-        && snap.new_partitions == step.new_partitions
-        && chunk >= snap.watermark
 }
 
 /// The reservations one client lane made that still wait for their
@@ -120,77 +96,12 @@ pub(crate) struct OpCtx<'a> {
     pub router: &'a EpochRouter,
     /// The server's partition index.
     pub index: usize,
-    pub migration: &'a mut MigrationState,
+    pub migration: &'a MigrationState,
     /// The reservations of the lane the batch came in on.
     pub reservations: &'a mut LaneReservations,
 }
 
 impl OpCtx<'_> {
-    /// Decide whether a data operation on `key` must be redirected instead
-    /// of served here. Returns the partition to retry at (possibly this
-    /// one, meaning "ask again shortly").
-    fn divert(&mut self, key: u64) -> Option<usize> {
-        let chunks = self.router.chunks();
-        let snap = self.router.snapshot();
-        let owner = snap.route(key, chunks);
-        if self.migration.incoming.is_empty()
-            && self.migration.outgoing.is_empty()
-            && self.migration.draining.is_none()
-        {
-            // Steady state: serve what we own, bounce what we don't (a
-            // stale in-flight request routed under an old mapping).
-            return (owner != self.index).then_some(owner);
-        }
-        let chunk = migration_chunk(key, chunks);
-        // An announced inbound chunk must be checked *before* the primary
-        // ownership rule: pre-watermark, an arriving key still routes to
-        // its old owner, so an operation the old owner bounced here would
-        // otherwise be bounced straight back (a ping-pong that only ends at
-        // the watermark). Holding it here instead lets it complete as soon
-        // as `MigrateIn` lands.
-        if let Some(step) = self.migration.incoming.get(&chunk) {
-            if step_is_current(step, chunk, &snap) {
-                if partition_for_key(key, step.new_partitions) == self.index
-                    && partition_for_key(key, step.old_partitions) != self.index
-                {
-                    // The key may be inside a batch that has not been
-                    // absorbed yet; the client must ask again until
-                    // `MigrateIn` lands.
-                    return Some(self.index);
-                }
-            } else {
-                self.migration.incoming.remove(&chunk);
-            }
-        }
-        if owner != self.index {
-            // Routed here under a mapping that no longer applies (stale
-            // in-flight request): bounce to the current owner.
-            return Some(owner);
-        }
-        if let Some(step) = self.migration.outgoing.get(&chunk) {
-            if step_is_current(step, chunk, &snap) {
-                let new_owner = partition_for_key(key, step.new_partitions);
-                if new_owner != self.index {
-                    // Extracted and handed off: the new owner has (or will
-                    // have) the key before the client's retry arrives there.
-                    return Some(new_owner);
-                }
-            } else {
-                self.migration.outgoing.remove(&chunk);
-            }
-        }
-        if let Some((_, step)) = self.migration.draining {
-            if step.chunk == chunk && partition_for_key(key, step.new_partitions) != self.index {
-                // A new insert of a leaving key would keep extending the
-                // drain; hold the client off until extraction happens.
-                // Deletes and lookups wait too: one served here while an
-                // earlier insert of its key is bounced would run ahead of it.
-                return Some(self.index);
-            }
-        }
-        None
-    }
-
     /// Execute one prepared data operation, producing its response.
     fn execute(&mut self, op: &DataOp, prep: BucketRef) -> Response {
         // A reservation for a value short enough to ride in its request is
@@ -199,7 +110,14 @@ impl OpCtx<'_> {
         if matches!(*op, DataOp::Insert { size, .. } if size <= INLINE_VALUE_BYTES as u64) {
             return Response::MISS;
         }
-        if let Some(dest) = self.divert(prep.key()) {
+        let snap = self.router.snapshot();
+        if let Some(dest) = divert(
+            &snap,
+            self.router.chunks(),
+            self.migration,
+            self.index,
+            prep.key(),
+        ) {
             return Response::retry(dest);
         }
         match *op {

@@ -17,14 +17,15 @@ use std::time::Duration;
 
 use bytes::{Buf, BytesMut};
 use cphash_kvproto::{
-    client_handshake, encode_op, ErrCode, OpFrame, OpKind, ReplyDecoder, Status, VERSION_2,
+    client_handshake, encode_op, encode_op_parts, ErrCode, OpFrame, OpKind, ReplyDecoder, Status,
+    WireKeyRef, VERSION_2,
 };
 
 use crate::client::{Completion, CompletionKind, OpError, ValueBytes};
 use crate::kv::{KeyRef, KvClient, KvError, KvOp};
 
-/// Default pipelined-window recommendation for remote backends.
-const DEFAULT_WINDOW: usize = 256;
+/// Pipelined-window recommendation for remote backends.
+const WINDOW: usize = 256;
 
 /// Queued request bytes past which `submit` sends without waiting for the
 /// next poll: a socket send buffer's worth, so a caller that submits far
@@ -39,8 +40,7 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// One operation awaiting its reply, in request order.
 struct PendingRemote {
     token: u64,
-    /// The logical operation, kept so a `Retry` reply can resubmit it.
-    frame: OpFrame,
+    kind: OpKind,
 }
 
 /// A [`KvClient`] over one TCP connection speaking kvproto.
@@ -58,7 +58,6 @@ pub struct RemoteClient {
     reply_decoder: ReplyDecoder,
     pending: VecDeque<PendingRemote>,
     next_token: u64,
-    window: usize,
     dead: Option<ErrorKind>,
     retries: u64,
 }
@@ -81,7 +80,6 @@ impl RemoteClient {
             reply_decoder: ReplyDecoder::new(),
             pending: VecDeque::new(),
             next_token: 1,
-            window: DEFAULT_WINDOW,
             dead: None,
             retries: 0,
         })
@@ -92,14 +90,10 @@ impl RemoteClient {
         VERSION_2
     }
 
-    /// Operations resubmitted after a `Retry` reply.
+    /// `Retry` replies received.  No server of this crate sends one, so
+    /// each failed its operation with [`OpError::Internal`].
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// Override the recommended pipelined window.
-    pub fn set_window(&mut self, window: usize) {
-        self.window = window.max(1);
     }
 
     fn take_token(&mut self) -> u64 {
@@ -126,8 +120,8 @@ impl RemoteClient {
 
     /// Queue the wire bytes for a logical op, sending them only once a
     /// buffer's worth has accumulated.
-    fn enqueue(&mut self, frame: &OpFrame) {
-        encode_op(&mut self.outgoing, frame);
+    fn enqueue(&mut self, kind: OpKind, key: WireKeyRef<'_>, value: &[u8]) {
+        encode_op_parts(&mut self.outgoing, kind, key, value);
         if self.outgoing.len() >= FLUSH_THRESHOLD {
             self.flush();
         }
@@ -172,13 +166,9 @@ impl RemoteClient {
                 break;
             };
             if reply.status == Status::Retry {
-                // Resubmit transparently; the token survives the trip.
                 self.retries += 1;
-                encode_op(&mut self.outgoing, &pending.frame);
-                self.pending.push_back(pending);
-                continue;
             }
-            let kind = match (pending.frame.kind, reply.status) {
+            let kind = match (pending.kind, reply.status) {
                 (OpKind::Lookup, Status::Ok) => {
                     CompletionKind::LookupHit(ValueBytes::from_slice(reply.value))
                 }
@@ -230,27 +220,24 @@ impl KvClient for RemoteClient {
 
     fn submit(&mut self, op: KvOp<'_>) -> u64 {
         let token = self.take_token();
-        let frame = match op {
-            KvOp::Get(KeyRef::Hash(k)) => OpFrame::lookup(k),
-            KvOp::Get(KeyRef::Bytes(b)) => OpFrame::lookup_bytes(b.to_vec()),
-            KvOp::Insert(KeyRef::Hash(k), v) => OpFrame::insert(k, v.to_vec()),
-            KvOp::Insert(KeyRef::Bytes(b), v) => OpFrame::insert_bytes(b.to_vec(), v.to_vec()),
-            KvOp::Delete(KeyRef::Hash(k)) => OpFrame::delete(k),
-            KvOp::Delete(KeyRef::Bytes(b)) => OpFrame::delete_bytes(b.to_vec()),
+        let (kind, key, value) = match op {
+            KvOp::Get(key) => (OpKind::Lookup, key, &[][..]),
+            KvOp::Insert(key, value) => (OpKind::Insert, key, value),
+            KvOp::Delete(key) => (OpKind::Delete, key, &[][..]),
         };
-        self.enqueue(&frame);
-        self.pending.push_back(PendingRemote { token, frame });
+        let key = match key {
+            KeyRef::Hash(k) => WireKeyRef::Hash(k),
+            KeyRef::Bytes(b) => WireKeyRef::Bytes(b),
+        };
+        self.enqueue(kind, key, value);
+        self.pending.push_back(PendingRemote { token, kind });
         token
     }
 
     fn poll_completions(&mut self, out: &mut Vec<Completion>) -> usize {
         self.flush();
         self.pump_reads();
-        let produced = self.resolve_replies(out);
-        // A retry resubmission queued above should leave this poll's
-        // process, not wait for the next one.
-        self.flush();
-        produced
+        self.resolve_replies(out)
     }
 
     fn pending_ops(&self) -> usize {
@@ -258,7 +245,7 @@ impl KvClient for RemoteClient {
     }
 
     fn recommended_window(&self) -> usize {
-        self.window
+        WINDOW
     }
 
     fn is_alive(&self) -> bool {
@@ -287,7 +274,10 @@ impl RemoteClient {
         drop(buf);
         let token = self.take_token();
         encode_op(&mut self.outgoing, &frame);
-        self.pending.push_back(PendingRemote { token, frame });
+        self.pending.push_back(PendingRemote {
+            token,
+            kind: frame.kind,
+        });
         let mut out = Vec::new();
         let mut idle: u32 = 0;
         while out.is_empty() {
@@ -483,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_resubmission_leaves_in_the_same_poll() {
+    fn a_retry_reply_fails_its_operation_and_is_counted() {
         let (mut client, mut server) = connected_pair();
         let token = client.submit(KvOp::Get(KeyRef::Hash(7)));
         client.flush();
@@ -493,27 +483,15 @@ mod tests {
         let mut wire = BytesMut::new();
         encode_reply(&mut wire, &Reply::retry());
         server.write_all(&wire).unwrap();
-        // The poll that sees the Retry re-sends the request itself.
         let mut out = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while client.retries() == 0 && std::time::Instant::now() < deadline {
-            assert_eq!(client.poll_completions(&mut out), 0);
-        }
-        assert_eq!(client.retries(), 1);
-        let mut again = [0u8; LOOKUP_BYTES];
-        server.read_exact(&mut again).unwrap();
-        assert_eq!(again, request);
-
-        wire.clear();
-        encode_reply(&mut wire, &Reply::ok_value(b"seven".to_vec()));
-        server.write_all(&wire).unwrap();
         client.drain_completions(&mut out).unwrap();
+        assert_eq!(client.retries(), 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].token, token);
-        assert_eq!(
-            out[0].kind,
-            CompletionKind::LookupHit(ValueBytes::from_slice(b"seven"))
-        );
+        assert_eq!(out[0].kind, CompletionKind::Failed(OpError::Internal));
+        // Nothing was sent again, and the connection still serves.
+        assert_eq!(waiting_bytes(&mut server), 0);
+        assert!(client.is_alive());
     }
 
     /// Point a client at a listener whose first connection is handled by

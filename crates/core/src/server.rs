@@ -39,9 +39,8 @@ use cphash_perfmon::StageSpan;
 use parking_lot::Mutex;
 
 use crate::client::SleepFlag;
-use crate::pipeline::{
-    step_is_current, DataOp, LaneReservations, MigrationState, OpCtx, StagedExecutor,
-};
+use crate::migration::MigrationState;
+use crate::pipeline::{DataOp, LaneReservations, OpCtx, StagedExecutor};
 use crate::protocol::{
     decode_word, inline_from_word, MigrationBatch, MigrationStep, OpCode, Response,
 };
@@ -163,6 +162,8 @@ pub(crate) struct ServerThread {
     /// Per lane, in lane order: its reservations still waiting for their
     /// `Ready`, which its own lookups may read (see `pipeline.rs`).
     pub reservations: Vec<LaneReservations>,
+    /// The live-resize step this server is in.
+    pub migration: MigrationState,
 }
 
 /// Reusable per-loop scratch buffers (allocated once per server thread).
@@ -180,7 +181,6 @@ impl ServerThread {
         if let Some(hw) = self.pin {
             self.stats.record_pin(pin_to_hw_thread(hw));
         }
-        let mut migration = MigrationState::default();
         let mut scratch = Scratch::default();
         let mut words: Vec<u64> = Vec::with_capacity(LANE_BATCH); // lint: allow(hot-path) one-time setup before the loop
         let mut idle_streak: u32 = 0;
@@ -212,7 +212,7 @@ impl ServerThread {
                 }
                 drained_total += drained;
                 did_work = true;
-                self.process_lane_batch(lane_idx, &words, &mut migration, &mut scratch);
+                self.process_lane_batch(lane_idx, &words, &mut scratch);
                 self.lanes[lane_idx].flush();
             }
             // Publish the inbound queue-depth sample for the
@@ -222,9 +222,7 @@ impl ServerThread {
                 .store(drained_total as u64, Ordering::Relaxed); // relaxed: diagnostic queue-depth gauge; staleness is benign
 
             iterations += 1;
-            if migration.draining.is_some() {
-                self.try_finish_drain(&mut migration);
-            }
+            self.try_finish_drain();
             if did_work {
                 single_writer_add(&self.stats.busy_iterations, 1);
                 idle_streak = 0;
@@ -258,7 +256,7 @@ impl ServerThread {
                     } else {
                         FIRST_REQUEST_SPIN_BEFORE_PARK
                     };
-                    if now.duration_since(since) < budget || migration.draining.is_some() {
+                    if now.duration_since(since) < budget || self.migration.draining().is_some() {
                         std::thread::yield_now();
                     } else {
                         self.park_until_rung(since_cycles, clients_asleep);
@@ -296,6 +294,10 @@ impl ServerThread {
     #[cold]
     #[inline(never)] // keeps the sleep path out of the hot loop's body
     fn park_until_rung(&mut self, spin_began: u64, clients_asleep: bool) {
+        debug_assert!(
+            self.migration.draining().is_none(),
+            "no server parks while draining: nothing rings for the drain"
+        );
         // A sleeping server republishes nothing, and readers expect the
         // statistics of a quiet table to be exact: publish before sleeping.
         // (`queue_depth` already reads 0 from this empty iteration.)
@@ -336,13 +338,7 @@ impl ServerThread {
     /// identical to the pre-pipeline server's.  Every `Ready` and `Decref`
     /// therefore cuts a run short (`ServerStats::run_cuts`); operations on
     /// values short enough to travel in the messages send neither.
-    fn process_lane_batch(
-        &mut self,
-        lane_idx: usize,
-        words: &[u64],
-        migration: &mut MigrationState,
-        scratch: &mut Scratch,
-    ) {
+    fn process_lane_batch(&mut self, lane_idx: usize, words: &[u64], scratch: &mut Scratch) {
         // Counted here and added to the shared counter once per batch.
         let mut messages = 0u64;
         let mut i = 0usize;
@@ -381,7 +377,7 @@ impl ServerThread {
                 });
             }
             if !scratch.ops.is_empty() {
-                self.execute_run(lane_idx, migration, scratch);
+                self.execute_run(lane_idx, scratch);
             }
             // A control message at the run boundary (the inner loop only
             // breaks before one, at the depth bound, or at the end).
@@ -390,7 +386,7 @@ impl ServerThread {
                     if !op.is_data() {
                         i += 1;
                         messages += 1;
-                        self.process_control(op, payload, lane_idx, words, &mut i, migration);
+                        self.process_control(op, payload, lane_idx, words, &mut i);
                     }
                 }
             }
@@ -400,19 +396,14 @@ impl ServerThread {
 
     /// Run one collected batch of data operations through the executor and
     /// publish the replies.
-    fn execute_run(
-        &mut self,
-        lane_idx: usize,
-        migration: &mut MigrationState,
-        scratch: &mut Scratch,
-    ) {
+    fn execute_run(&mut self, lane_idx: usize, scratch: &mut Scratch) {
         scratch.replies.clear();
         {
             let mut ctx = OpCtx {
                 partition: &mut self.partition,
                 router: &self.router,
                 index: self.index,
-                migration,
+                migration: &self.migration,
                 reservations: &mut self.reservations[lane_idx],
             };
             self.executor.execute(
@@ -437,7 +428,6 @@ impl ServerThread {
         lane_idx: usize,
         words: &[u64],
         i: &mut usize,
-        migration: &mut MigrationState,
     ) {
         match op {
             OpCode::Lookup
@@ -452,16 +442,13 @@ impl ServerThread {
                 let id = ElementId(payload as u32);
                 self.reservations[lane_idx].ready(id);
                 self.partition.mark_ready(id);
-                if migration.draining.is_some() {
-                    self.try_finish_drain(migration);
-                }
+                self.try_finish_drain();
             }
             OpCode::Decref => {
                 self.partition.decref(ElementId(payload as u32));
             }
             OpCode::MigratePrepare => {
                 let step = MigrationStep::from_payload(payload);
-                self.purge_stale(migration);
                 // Live capacity re-split: every server active after the
                 // transition is a receiver, so the first prepare it sees
                 // re-budgets its partition to its share of the global
@@ -474,22 +461,19 @@ impl ServerThread {
                             step.new_partitions,
                         ));
                 }
-                migration.incoming.insert(step.chunk, step);
+                self.migration.announce(step);
                 self.respond(lane_idx, Response::FOUND);
             }
             OpCode::MigrateOut => {
                 let step = MigrationStep::from_payload(payload);
-                self.purge_stale(migration);
-                match self.export_step(step) {
+                match self.export_step(step, false) {
                     Some(response) => {
-                        migration.outgoing.insert(step.chunk, step);
+                        self.migration.hand_off(step);
                         self.respond(lane_idx, response);
                     }
-                    None => {
-                        // In-flight inserts block the extraction; the
-                        // response is deferred until they publish.
-                        migration.draining = Some((lane_idx, step));
-                    }
+                    // In-flight inserts block the extraction; the response
+                    // is deferred until they publish.
+                    None => self.migration.drain(step, lane_idx),
                 }
             }
             OpCode::MigrateIn => {
@@ -519,7 +503,7 @@ impl ServerThread {
                     // Only the final delivery completes the chunk: keys
                     // still travelling in a later split batch must keep
                     // getting "retry here" answers until they land.
-                    migration.incoming.remove(&step.chunk);
+                    self.migration.land(step);
                 }
                 single_writer_add(&self.stats.keys_migrated_in, absorbed as u64);
                 self.respond(
@@ -534,63 +518,47 @@ impl ServerThread {
     }
 
     /// Attempt the extraction for `step`. `Some(response)` when the chunk
-    /// was exported (or empty), `None` while NOT-READY inserts block it.
+    /// was exported (or empty), `None` while NOT-READY inserts block it —
+    /// unless `abandon_reservations`, which leaves them behind instead.
     ///
     /// A chunk is a contiguous run of the partition's bucket lines, so the
     /// extraction walks only those lines and their overflow chains: its cost
     /// is proportional to the chunk's share of the table, not the table size.
-    fn export_step(&mut self, step: MigrationStep) -> Option<Response> {
+    fn export_step(&mut self, step: MigrationStep, abandon_reservations: bool) -> Option<Response> {
         let me = self.index;
-        let outcome = self.partition.export_chunk(step.chunk, |key| {
-            partition_for_key(key, step.new_partitions) != me
-        });
-        match outcome {
-            ExportOutcome::Extracted(entries) => {
-                single_writer_add(&self.stats.keys_migrated_out, entries.len() as u64);
-                if entries.is_empty() {
-                    Some(Response::FOUND)
-                } else {
-                    let count = entries.len();
-                    Some(Response::with_batch(
-                        MigrationBatch::new(entries).into_addr(),
-                        count,
-                    ))
-                }
+        let leaving = |key| partition_for_key(key, step.new_partitions) != me;
+        let entries = if abandon_reservations {
+            self.partition
+                .export_chunk_abandoning_reservations(step.chunk, leaving)
+        } else {
+            match self.partition.export_chunk(step.chunk, leaving) {
+                ExportOutcome::Extracted(entries) => entries,
+                ExportOutcome::Pending { .. } => return None,
             }
-            ExportOutcome::Pending { .. } => None,
+        };
+        single_writer_add(&self.stats.keys_migrated_out, entries.len() as u64);
+        if entries.is_empty() {
+            return Some(Response::FOUND);
         }
+        let count = entries.len();
+        Some(Response::with_batch(
+            MigrationBatch::new(entries).into_addr(),
+            count,
+        ))
     }
 
-    /// Retry a drain-blocked extraction (called after `Ready` messages and
-    /// once per loop iteration while draining).
-    fn try_finish_drain(&mut self, migration: &mut MigrationState) {
-        if let Some((lane_idx, step)) = migration.draining {
-            let response = match self.export_step(step) {
-                Some(response) => response,
-                // Blocked on NOT-READY reservations: if every client
-                // endpoint is gone (shutdown with a resize in flight), the
-                // pending `Ready` messages can never arrive — abandon the
-                // dead reservations rather than stalling the coordinator
-                // forever.
-                None if !self.any_client_alive() => {
-                    let me = self.index;
-                    let entries = self
-                        .partition
-                        .export_chunk_abandoning_reservations(step.chunk, |key| {
-                            partition_for_key(key, step.new_partitions) != me
-                        });
-                    single_writer_add(&self.stats.keys_migrated_out, entries.len() as u64);
-                    if entries.is_empty() {
-                        Response::FOUND
-                    } else {
-                        let count = entries.len();
-                        Response::with_batch(MigrationBatch::new(entries).into_addr(), count)
-                    }
-                }
-                None => return,
-            };
-            migration.draining = None;
-            migration.outgoing.insert(step.chunk, step);
+    /// Retry a drain-blocked extraction, if one is in progress (called
+    /// after `Ready` messages and once per loop iteration).  If every
+    /// client endpoint is gone (shutdown with a resize in flight), the
+    /// pending `Ready` messages can never arrive: the dead reservations are
+    /// abandoned rather than stalling the coordinator forever.
+    fn try_finish_drain(&mut self) {
+        let Some((lane_idx, step)) = self.migration.draining() else {
+            return;
+        };
+        let abandon_reservations = !self.any_client_alive();
+        if let Some(response) = self.export_step(step, abandon_reservations) {
+            self.migration.hand_off(step);
             self.respond(lane_idx, response);
             self.lanes[lane_idx].flush();
         }
@@ -601,17 +569,6 @@ impl ServerThread {
     fn any_client_alive(&self) -> bool {
         let clients = self.lanes.len().saturating_sub(1);
         self.lanes[..clients].iter().any(|l| l.is_client_alive())
-    }
-
-    /// Drop migration entries that no longer describe the live transition.
-    fn purge_stale(&self, migration: &mut MigrationState) {
-        let snap = self.router.snapshot();
-        migration
-            .incoming
-            .retain(|chunk, step| step_is_current(step, *chunk, &snap));
-        migration
-            .outgoing
-            .retain(|chunk, step| step_is_current(step, *chunk, &snap));
     }
 
     /// The next trailing word of a multi-word request: the next drained
@@ -731,6 +688,7 @@ mod tests {
             executor: StagedExecutor::new(),
             batch_size: crate::config::DEFAULT_BATCH_SIZE,
             reservations: (0..2).map(|_| LaneReservations::for_ring(1024)).collect(),
+            migration: MigrationState::default(),
         };
         ([client0, client1], server, Stopper { stop, doorbell })
     }

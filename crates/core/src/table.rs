@@ -111,6 +111,7 @@ impl CpHash {
                 reservations: (0..lane_owners)
                     .map(|_| LaneReservations::for_ring(config.ring_capacity))
                     .collect(),
+                migration: Default::default(),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("cphash-server-{index}"))

@@ -761,26 +761,12 @@ impl Partition {
         self.export_gathered(matching, not_ready, false)
     }
 
-    /// Like [`Partition::export_matching`], but matching NOT-READY elements
-    /// are *dropped from the export* instead of deferring it.
+    /// Like [`Partition::export_chunk`], but matching NOT-READY elements are
+    /// *dropped from the export* instead of deferring it.
     ///
     /// Only correct when the reservations can no longer publish — e.g. every
     /// client endpoint is gone during shutdown — otherwise a concurrent
     /// insert's key would be silently stranded on the old owner.
-    pub fn export_matching_abandoning_reservations(
-        &mut self,
-        leaving: impl Fn(u64) -> bool,
-    ) -> Vec<(u64, Vec<u8>)> {
-        let (matching, not_ready) = self.gather_scan(&leaving);
-        match self.export_gathered(matching, not_ready, true) {
-            ExportOutcome::Extracted(entries) => entries,
-            ExportOutcome::Pending { .. } => unreachable!("forced export never defers"),
-        }
-    }
-
-    /// Like [`Partition::export_chunk`], but matching NOT-READY elements are
-    /// *dropped from the export* instead of deferring it (shutdown path; see
-    /// [`Partition::export_matching_abandoning_reservations`]).
     pub fn export_chunk_abandoning_reservations(
         &mut self,
         chunk: usize,
@@ -1857,19 +1843,6 @@ mod tests {
         assert_eq!(buf, 88u64.to_le_bytes());
         p.decref(hit.id);
         assert_eq!(p.bytes_in_use(), 0);
-        p.check_invariants();
-    }
-
-    #[test]
-    fn forced_export_abandons_dead_reservations() {
-        let mut p = small(None);
-        p.insert_copy(2, &[1; 8]).unwrap();
-        let _dead_reservation = p.insert(4, 8).unwrap();
-        let entries = p.export_matching_abandoning_reservations(|k| k % 2 == 0);
-        // The READY element moves; the NOT-READY reservation stays behind.
-        assert_eq!(entries, vec![(2, vec![1; 8])]);
-        assert!(!p.contains(2));
-        assert_eq!(p.len(), 1, "the abandoned reservation is still linked");
         p.check_invariants();
     }
 

@@ -26,9 +26,9 @@ pub use decode::{
     ServerOpRef,
 };
 pub use v2::{
-    client_handshake, encode_hello, encode_op, encode_reply, encode_reply_parts, pack_resize,
-    parse_hello, resize_chunks_per_sec, resize_partitions, ErrCode, OpFrame, OpKind, Reply, Status,
-    WireKey, WireKeyRef, HELLO_BYTES, MAX_KEY_STRING_BYTES, VERSION_2,
+    client_handshake, encode_hello, encode_op, encode_op_parts, encode_reply, encode_reply_parts,
+    pack_resize, parse_hello, resize_chunks_per_sec, resize_partitions, ErrCode, OpFrame, OpKind,
+    Reply, Status, WireKey, WireKeyRef, HELLO_BYTES, MAX_KEY_STRING_BYTES, VERSION_2,
 };
 
 /// Largest value size the servers accept, to bound memory per request

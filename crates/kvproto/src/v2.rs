@@ -265,8 +265,10 @@ pub enum Status {
     /// The key was absent (lookup / delete), or a byte-key lookup hit a
     /// hash collision with a different key (§8.2: reads as a miss).
     Miss = 1,
-    /// The server could not place the operation right now (e.g. it raced a
-    /// live re-partition it cannot hide); the client should resubmit.
+    /// The server could not place the operation right now.  Reserved: no
+    /// server in this workspace sends it (a live re-partition stays behind
+    /// the server's own table client), and `RemoteClient` fails an
+    /// operation that receives one.
     Retry = 2,
     /// The operation failed; `code` says why and the value bytes may carry
     /// a human-readable message.
@@ -443,24 +445,31 @@ pub fn client_handshake<S: Read + Write>(stream: &mut S) -> io::Result<()> {
 /// Panics if a byte-string key exceeds [`MAX_KEY_STRING_BYTES`] — that is a
 /// caller bug, not a wire condition.
 pub fn encode_op(out: &mut BytesMut, frame: &OpFrame) {
-    let (flags, key_len, key_field, key_bytes): (u8, usize, u64, &[u8]) = match &frame.key {
-        WireKey::Hash(k) => (0, 0, *k & MAX_KEY, &[]),
-        WireKey::Bytes(b) => {
+    encode_op_parts(out, frame.kind, frame.key.as_ref(), &frame.value);
+}
+
+/// Append an encoded v2 request from its parts — the path clients use, so
+/// a request's key and value go straight from the caller's borrow into the
+/// output buffer.  Panics as [`encode_op`] does.
+pub fn encode_op_parts(out: &mut BytesMut, kind: OpKind, key: WireKeyRef<'_>, value: &[u8]) {
+    let (flags, key_len, key_field, key_bytes): (u8, usize, u64, &[u8]) = match key {
+        WireKeyRef::Hash(k) => (0, 0, k & MAX_KEY, &[]),
+        WireKeyRef::Bytes(b) => {
             assert!(
                 b.len() <= MAX_KEY_STRING_BYTES,
                 "byte-string keys are limited to {MAX_KEY_STRING_BYTES} bytes"
             );
-            (FLAG_BYTE_KEY, b.len(), 0, b.as_slice())
+            (FLAG_BYTE_KEY, b.len(), 0, b)
         }
     };
-    out.reserve(OP_HEADER_BYTES + key_len + frame.value.len());
-    out.put_u8(frame.kind as u8);
+    out.reserve(OP_HEADER_BYTES + key_len + value.len());
+    out.put_u8(kind as u8);
     out.put_u8(flags);
     out.put_u16_le(key_len as u16);
-    out.put_u32_le(frame.value.len() as u32);
+    out.put_u32_le(value.len() as u32);
     out.put_u64_le(key_field);
     out.put_slice(key_bytes);
-    out.put_slice(&frame.value);
+    out.put_slice(value);
 }
 
 /// Append an encoded v2 reply to `out`.

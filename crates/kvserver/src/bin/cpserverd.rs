@@ -24,9 +24,6 @@ struct Args {
     migration_pacing: MigrationPacing,
     /// Pipeline depth (data operations staged per batch).
     batch_size: usize,
-    /// Overload shedding threshold (0 = never shed): in-flight operations
-    /// per worker beyond which lookups get wire-level Retry replies.
-    overload_retry: usize,
     /// NUMA-aware server placement: pin every spawnable server thread
     /// (including ones only activated by a later grow) per the detected
     /// topology.
@@ -47,7 +44,6 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Args, String> {
         stats_secs: 5,
         migration_pacing: MigrationPacing::Unpaced,
         batch_size: cphash::DEFAULT_BATCH_SIZE,
-        overload_retry: 0,
         numa: false,
         stats_addr: None,
         trace: false,
@@ -102,11 +98,6 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     return Err("batch-size must be at least 1".into());
                 }
             }
-            "--overload-retry" => {
-                args.overload_retry = value("--overload-retry")?
-                    .parse()
-                    .map_err(|e| format!("bad overload-retry: {e}"))?
-            }
             "--stats-addr" => {
                 args.stats_addr = Some(
                     value("--stats-addr")?
@@ -117,7 +108,7 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--trace" => args.trace = true,
             "--numa" => args.numa = true,
             "--help" | "-h" => {
-                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--batch-size N] [--overload-retry N] [--stats-addr HOST:PORT] [--trace] [--numa]".into())
+                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--batch-size N] [--stats-addr HOST:PORT] [--trace] [--numa]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -171,7 +162,6 @@ fn main() {
         migration_pacing: args.migration_pacing,
         server_pins,
         batch_size: args.batch_size,
-        overload_retry: (args.overload_retry > 0).then_some(args.overload_retry),
         stats_addr: args.stats_addr,
         ..Default::default()
     };
@@ -195,12 +185,6 @@ fn main() {
         args.batch_size,
         if args.numa { ", NUMA pinning" } else { "" }
     );
-    if args.overload_retry > 0 {
-        println!(
-            "overload shedding: lookups get wire-level Retry past {} in-flight ops per worker",
-            args.overload_retry
-        );
-    }
     if args.max_partitions > args.partitions {
         println!(
             "live resize enabled up to {} partitions (send a RESIZE frame, opcode 4; key bits 0..16 = new count, bits 16..48 = optional chunks/sec budget)",
@@ -223,7 +207,7 @@ fn main() {
         let s = server.metrics().snapshot();
         let stats = server.table_stats();
         println!(
-            "requests: {:>12} (+{:>10} / {}s)   hit rate {:>5.1}%   elements in cache: lookups={} inserts={} evictions={}   frontend: wakeups={} (+{}) ev/wakeup={:.1} idle_sleeps={} syscalls={}   hotpath: batches={} occupancy={:.1} prefetches={} retries_emitted={}",
+            "requests: {:>12} (+{:>10} / {}s)   hit rate {:>5.1}%   elements in cache: lookups={} inserts={} evictions={}   frontend: wakeups={} (+{}) ev/wakeup={:.1} idle_sleeps={} syscalls={}   hotpath: batches={} occupancy={:.1} prefetches={}",
             s.requests,
             s.requests - last_requests,
             args.stats_secs,
@@ -239,7 +223,6 @@ fn main() {
             s.batch.batches,
             s.batch.avg_occupancy(),
             s.batch.prefetches,
-            s.retries_emitted
         );
         if cphash_perfmon::trace::trace_enabled() {
             let report = cphash_perfmon::trace::snapshot(0);
@@ -274,6 +257,7 @@ mod tests {
             (&["--partitions", "0"], "--partitions"),
             (&["--migrate-feedback"], "--migrate-feedback"),
             (&["--migrate-feedback-p99"], "--migrate-feedback-p99"),
+            (&["--overload-retry", "1"], "--overload-retry"),
         ] {
             match parse(flags) {
                 Ok(_) => panic!("{flags:?} was accepted"),

@@ -96,13 +96,6 @@ pub struct CpServerConfig {
     /// Pipeline depth for the hash-table servers (operations staged per
     /// batch).
     pub batch_size: usize,
-    /// Overload shedding: when a worker has at least this many hash-table
-    /// operations in flight, *lookups* get wire-level `Retry` replies
-    /// instead of being absorbed server-side — exercising the client's
-    /// transparent-resubmission path.  Writes are never shed (resubmission
-    /// would reorder them behind later same-key operations).  `None` (the
-    /// default) never sheds; values below 1 are treated as 1.
-    pub overload_retry: Option<usize>,
     /// Address for the Prometheus stats HTTP endpoint (`None` disables it;
     /// port 0 picks a free port, reported by [`CpServer::stats_addr`]).
     pub stats_addr: Option<SocketAddr>,
@@ -121,7 +114,6 @@ impl Default for CpServerConfig {
             max_partitions: 0,
             migration_pacing: MigrationPacing::Unpaced,
             batch_size: cphash::DEFAULT_BATCH_SIZE,
-            overload_retry: None,
             stats_addr: None,
         }
     }
@@ -173,7 +165,6 @@ impl CpServer {
         // operator declared fixed.
         let resize_enabled = config.max_partitions > config.partitions;
         let mut ctx = ServeCtx::new(Arc::clone(&metrics));
-        ctx.overload_retry = config.overload_retry.map(|t| t.max(1));
         if resize_enabled {
             let coordinator =
                 RepartitionCoordinator::new(table.take_control().expect("fresh table has control"));
@@ -307,16 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn shedding_preserves_read_your_writes_ordering() {
-        // Interleaved dependent pairs under a shed-happy server: a lookup
-        // pipelined right behind its own key's insert must never observe a
-        // miss (writes are not shed, and a shed lookup resubmits *after*
-        // the write, where the client's hold behind writes still covers it).
-        let mut server = CpServer::start(CpServerConfig {
-            overload_retry: Some(1),
-            ..Default::default()
-        })
-        .unwrap();
+    fn pipelined_insert_get_pairs_read_their_own_writes() {
+        // Interleaved dependent pairs: a lookup pipelined right behind its
+        // own key's insert must never observe a miss.
+        let mut server = CpServer::start(CpServerConfig::default()).unwrap();
         let mut client = RemoteClient::connect(server.addr()).unwrap();
         assert_eq!(client.protocol_version(), 2);
         let mut get_tokens = Vec::new();

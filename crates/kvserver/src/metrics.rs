@@ -51,7 +51,8 @@ pub struct StatsSnapshot {
     pub connections: u64,
     /// Admin commands (RESIZE and STATS) received.
     pub admin_commands: u64,
-    /// Wire-level `Retry` replies emitted.
+    /// Always 0: no server sends a wire-level `Retry`.  Kept because the
+    /// benchmark reads it.
     pub retries_emitted: u64,
     /// Reactor waits that delivered events.
     pub frontend_wakeups: u64,
@@ -132,7 +133,6 @@ enum Slot {
     BytesOut,
     Connections,
     AdminCommands,
-    RetriesEmitted,
     ConnReadSyscalls,
     ConnWriteSyscalls,
     MigrationChunks,
@@ -212,8 +212,6 @@ const ROWS: &[Row] = &[
         help: "Connections accepted" },
     Row { kind: Counter, name: "cphash_admin_commands_total", source: Owned(AdminCommands), field: U64(|s| &mut s.admin_commands),
         help: "Admin commands (RESIZE and STATS)" },
-    Row { kind: Counter, name: "cphash_retries_emitted_total", source: Owned(RetriesEmitted), field: U64(|s| &mut s.retries_emitted),
-        help: "Wire-level Retry replies emitted to shed overload" },
     Row { kind: Counter, name: "cphash_conn_read_syscalls_total", source: Owned(ConnReadSyscalls), field: U64(|s| &mut s.conn_read_syscalls),
         help: "read(2) calls issued on client connections" },
     Row { kind: Counter, name: "cphash_conn_write_syscalls_total", source: Owned(ConnWriteSyscalls), field: U64(|s| &mut s.conn_write_syscalls),
@@ -447,11 +445,6 @@ impl ServerMetrics {
         self.counter(AdminCommands).inc();
     }
 
-    pub(crate) fn note_retry_emitted(&self) {
-        self.counter(Requests).inc();
-        self.counter(RetriesEmitted).inc();
-    }
-
     /// Record one completed repartition and the pacer rate it ran at.
     pub(crate) fn note_repartition(&self, chunks: u64, keys: u64, paced_waits: u64, rate: f64) {
         self.counter(MigrationChunks).add(chunks);
@@ -516,14 +509,13 @@ mod tests {
         m.note_io(100, 50);
         m.note_connection();
         m.note_admin();
-        m.note_retry_emitted();
         m.frontend.note_wakeup(4);
         m.frontend.note_wakeup(2);
         m.note_repartition(4, 400, 2, 8.0);
         m.note_repartition(1, 50, 0, 12.5);
         let s = m.snapshot();
-        assert_eq!((s.requests, s.lookups, s.inserts), (5, 2, 1));
-        assert_eq!((s.admin_commands, s.retries_emitted), (1, 1));
+        assert_eq!((s.requests, s.lookups, s.inserts), (4, 2, 1));
+        assert_eq!(s.admin_commands, 1);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!((s.bytes_in, s.bytes_out, s.connections), (100, 50, 1));
         assert_eq!((s.frontend_wakeups, s.frontend_events), (2, 6));
@@ -604,7 +596,15 @@ mod tests {
                 assert_eq!(per_partition, value, "{} per partition", row.name);
             }
         }
-        let debug = format!("{snap:?}");
+        // `retries_emitted` is the one field no row fills: it stays 0.
+        assert_eq!(snap.retries_emitted, 0);
+        let debug = format!(
+            "{:?}",
+            StatsSnapshot {
+                retries_emitted: 1,
+                ..snap
+            }
+        );
         for zero in [": 0,", ": 0 }", ": 0.0"] {
             assert!(!debug.contains(zero), "a field no row fills: {debug}");
         }

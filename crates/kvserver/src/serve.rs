@@ -180,18 +180,14 @@ pub(crate) struct ServeCtx {
     pub(crate) metrics: Arc<ServerMetrics>,
     /// Where RESIZE goes; `None` refuses it (a static table).
     pub(crate) admin: Option<mpsc::Sender<AdminRequest>>,
-    /// Answer lookups with a wire-level `Retry` while at least this many
-    /// operations are in flight.
-    pub(crate) overload_retry: Option<usize>,
 }
 
 impl ServeCtx {
-    /// A server with a static table and no shedding.
+    /// A server with a static table.
     pub(crate) fn new(metrics: Arc<ServerMetrics>) -> Self {
         ServeCtx {
             metrics,
             admin: None,
-            overload_retry: None,
         }
     }
 }
@@ -272,8 +268,7 @@ impl OutReply {
         }
     }
 
-    /// A reply without a value: a write's `Ok`, a `Miss`, or a `Retry` (a
-    /// wire-level overload shed the client resubmits transparently).
+    /// A reply without a value: a write's `Ok` or a `Miss`.
     fn bare(status: Status) -> Self {
         OutReply {
             status,
@@ -514,24 +509,6 @@ impl<C: KvClient> Backend<C> {
         // order (see `cphash::KvClient`): a lookup sees the writes the
         // connection sent before it.
         let op = match kind {
-            // Overload shedding: past the configured in-flight threshold,
-            // answer *lookups* with a wire-level `Retry` instead of
-            // absorbing them — the client's transparent-resubmission path
-            // (`RemoteClient`) re-sends them when the server has room again.
-            // Writes are never shed: a resubmitted write would re-enter the
-            // pipeline *behind* later same-key operations.  A shed lookup
-            // still sees the writes sent before it, but one the client
-            // pipelined *ahead of* a later same-key write may observe that
-            // write after resubmission.
-            OpKind::Lookup
-                if self
-                    .ctx
-                    .overload_retry
-                    .is_some_and(|threshold| self.client.pending_ops() >= threshold) =>
-            {
-                self.ctx.metrics.note_retry_emitted();
-                return Some(OutReply::bare(Status::Retry));
-            }
             OpKind::Lookup => KvOp::Get(key),
             OpKind::Insert => {
                 self.tally.inserts += 1;

@@ -140,7 +140,6 @@ fn stats_endpoint_serves_monotone_metrics_under_load() {
         "cphash_server_idle_spin_cycles_total",
         "cphash_migration_chunks_total",
         "cphash_migration_pacer_rate",
-        "cphash_retries_emitted_total",
         "cphash_frontend_wakeups_total",
         "cphash_frontend_syscalls_total",
         "cphash_conn_read_syscalls_total",

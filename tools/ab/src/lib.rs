@@ -1,0 +1,583 @@
+//! The pure half of `ab`: a minimal JSON reader and writer, order
+//! statistics, and the verdict rule the benchmark's acceptance applies to a
+//! parent / change campaign (see `main.rs` for the half that runs things).
+//!
+//! The rule, per metric and workload, over `n` alternating pairs:
+//! - each pair gives the ratio change / parent;
+//! - "change ahead k / n" counts the pairs in which the change is better;
+//! - an end-to-end metric is **worse** when the median pair ratio is worse
+//!   than its `BENCHMARK.json` bound allows, and **unresolved** when the
+//!   parent's own quartile spread (interquartile range over median) is
+//!   wider than the bound, so that no ratio inside it could be told apart.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(BTreeMap<String, Json>),
+}
+
+impl Json {
+    /// Parse one JSON document (surrounding whitespace allowed).
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            at: 0,
+        };
+        let value = p.value()?;
+        p.skip_ws();
+        if p.at != p.bytes.len() {
+            return Err(format!("trailing bytes at offset {}", p.at));
+        }
+        Ok(value)
+    }
+
+    /// The member `key` of an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(members) => members.get(key),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_array(&self) -> &[Json] {
+        match self {
+            Json::Arr(items) => items,
+            _ => &[],
+        }
+    }
+
+    /// Compact serialization; non-finite numbers become `null`.
+    pub fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, key);
+                    out.push(':');
+                    value.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while self.bytes.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+    }
+
+    fn eat(&mut self, byte: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.bytes.get(self.at) == Some(&byte) {
+            self.at += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at offset {}", byte as char, self.at))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.bytes.get(self.at) {
+            Some(b'{') => {
+                self.at += 1;
+                let mut members = BTreeMap::new();
+                self.skip_ws();
+                if self.bytes.get(self.at) == Some(&b'}') {
+                    self.at += 1;
+                    return Ok(Json::Obj(members));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.eat(b':')?;
+                    members.insert(key, self.value()?);
+                    self.skip_ws();
+                    match self.bytes.get(self.at) {
+                        Some(b',') => self.at += 1,
+                        Some(b'}') => {
+                            self.at += 1;
+                            return Ok(Json::Obj(members));
+                        }
+                        _ => return Err(format!("bad object at offset {}", self.at)),
+                    }
+                }
+            }
+            Some(b'[') => {
+                self.at += 1;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.bytes.get(self.at) == Some(&b']') {
+                    self.at += 1;
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    self.skip_ws();
+                    match self.bytes.get(self.at) {
+                        Some(b',') => self.at += 1,
+                        Some(b']') => {
+                            self.at += 1;
+                            return Ok(Json::Arr(items));
+                        }
+                        _ => return Err(format!("bad array at offset {}", self.at)),
+                    }
+                }
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(_) => {
+                let start = self.at;
+                while self
+                    .bytes
+                    .get(self.at)
+                    .is_some_and(|b| b"+-.eE".contains(b) || b.is_ascii_digit())
+                {
+                    self.at += 1;
+                }
+                let text = std::str::from_utf8(&self.bytes[start..self.at]).unwrap_or("");
+                text.parse()
+                    .map(Json::Num)
+                    .map_err(|_| format!("bad number at offset {start}"))
+            }
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.at..].starts_with(word.as_bytes()) {
+            self.at += word.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at offset {}", self.at))
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if self.bytes.get(self.at) != Some(&b'"') {
+            return Err(format!("expected a string at offset {}", self.at));
+        }
+        self.at += 1;
+        let mut out = Vec::new();
+        loop {
+            let Some(&b) = self.bytes.get(self.at) else {
+                return Err("unterminated string".into());
+            };
+            self.at += 1;
+            match b {
+                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                b'\\' => {
+                    let Some(&escaped) = self.bytes.get(self.at) else {
+                        return Err("unterminated escape".into());
+                    };
+                    self.at += 1;
+                    match escaped {
+                        b'n' => out.push(b'\n'),
+                        b't' => out.push(b'\t'),
+                        b'r' => out.push(b'\r'),
+                        b'b' => out.push(8),
+                        b'f' => out.push(12),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.at..self.at + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or("bad \\u escape")?;
+                            self.at += 4;
+                            let c = char::from_u32(hex).unwrap_or('\u{fffd}');
+                            out.extend_from_slice(c.to_string().as_bytes());
+                        }
+                        other => out.push(other),
+                    }
+                }
+                other => out.push(other),
+            }
+        }
+    }
+}
+
+/// Which way a metric improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    Higher,
+    Lower,
+}
+
+/// A metric the manifest declares: its direction, and a bound for the
+/// end-to-end ones.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MetricSpec {
+    pub better: Better,
+    pub bound: Option<f64>,
+}
+
+/// The metrics `BENCHMARK.json` declares, by name.
+pub fn manifest_metrics(manifest: &Json) -> BTreeMap<String, MetricSpec> {
+    let mut specs = BTreeMap::new();
+    for list in ["end_to_end", "per_layer"] {
+        for entry in manifest.get(list).map(Json::as_array).unwrap_or(&[]) {
+            let (Some(name), Some(better)) = (
+                entry.get("name").and_then(Json::as_str),
+                entry.get("better").and_then(Json::as_str),
+            ) else {
+                continue;
+            };
+            let better = if better == "higher" {
+                Better::Higher
+            } else {
+                Better::Lower
+            };
+            let bound = entry.get("bound").and_then(Json::as_f64);
+            specs.insert(name.to_string(), MetricSpec { better, bound });
+        }
+    }
+    specs
+}
+
+/// The metrics of one run's result line (`{"correct", "attempted",
+/// "failed", "metrics": {name: {"unit", "value"}}}`; a bare number is read
+/// as the value too), with `failed_ops_ratio` derived from the counts when
+/// the run does not print it.
+pub fn run_metrics(result: &Json) -> BTreeMap<String, f64> {
+    let mut out = BTreeMap::new();
+    if let Some(Json::Obj(metrics)) = result.get("metrics") {
+        for (name, metric) in metrics {
+            let value = metric.as_f64().or_else(|| metric.get("value")?.as_f64());
+            if let Some(value) = value {
+                out.insert(name.clone(), value);
+            }
+        }
+    }
+    let count = |key| result.get(key).and_then(Json::as_f64);
+    if let (Some(attempted), Some(failed)) = (count("attempted"), count("failed")) {
+        out.entry("failed_ops_ratio".into())
+            .or_insert(if attempted > 0.0 {
+                failed / attempted
+            } else {
+                0.0
+            });
+    }
+    out
+}
+
+/// Median and quartiles (linear interpolation between order statistics).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quartiles {
+    pub q1: f64,
+    pub median: f64,
+    pub q3: f64,
+}
+
+impl Quartiles {
+    /// `None` for an empty sample.
+    pub fn of(samples: &[f64]) -> Option<Quartiles> {
+        let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
+        if sorted.is_empty() {
+            return None;
+        }
+        sorted.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let pos = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+        };
+        Some(Quartiles {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        })
+    }
+
+    /// Interquartile range over the median (0 when the median is 0).
+    pub fn spread(&self) -> f64 {
+        if self.median == 0.0 {
+            0.0
+        } else {
+            (self.q3 - self.q1) / self.median.abs()
+        }
+    }
+}
+
+/// What a campaign says about one metric on one workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Judgement {
+    pub parent: Quartiles,
+    pub change: Quartiles,
+    /// Pairs in which the change is better (`None` without a direction).
+    pub ahead: Option<usize>,
+    pub pairs: usize,
+    /// Median of change / parent over the pairs.
+    pub median_ratio: f64,
+    pub bound: Option<f64>,
+    /// `ok`, `worse`, `unresolved`, or `-` for a metric without a bound.
+    pub verdict: &'static str,
+}
+
+/// Judge one metric from its paired samples `(parent, change)`.
+pub fn judge(pairs: &[(f64, f64)], spec: Option<MetricSpec>) -> Option<Judgement> {
+    let parents: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+    let changes: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+    let ratios: Vec<f64> = pairs
+        .iter()
+        .filter_map(|&(p, c)| {
+            if p == 0.0 {
+                (c == 0.0).then_some(1.0)
+            } else {
+                Some(c / p)
+            }
+        })
+        .collect();
+    let parent = Quartiles::of(&parents)?;
+    let change = Quartiles::of(&changes)?;
+    let median_ratio = Quartiles::of(&ratios).map_or(f64::NAN, |q| q.median);
+    let ahead = spec.map(|s| {
+        pairs
+            .iter()
+            .filter(|&&(p, c)| match s.better {
+                Better::Higher => c > p,
+                Better::Lower => c < p,
+            })
+            .count()
+    });
+    let bound = spec.and_then(|s| s.bound);
+    let verdict = match (spec, bound) {
+        (Some(spec), Some(bound)) => {
+            let worse_by = match spec.better {
+                Better::Higher => 1.0 - median_ratio,
+                Better::Lower => median_ratio - 1.0,
+            };
+            if parent.spread() > bound {
+                "unresolved"
+            } else if worse_by > bound || median_ratio.is_nan() {
+                "worse"
+            } else {
+                "ok"
+            }
+        }
+        _ => "-",
+    };
+    Some(Judgement {
+        parent,
+        change,
+        ahead,
+        pairs: pairs.len(),
+        median_ratio,
+        bound,
+        verdict,
+    })
+}
+
+/// A number in a table cell: three significant digits, or an integer.
+pub fn cell(v: f64) -> String {
+    let a = v.abs();
+    if a >= 1000.0 || (v == v.trunc() && a < 1e15) {
+        format!("{:.0}", v)
+    } else if a >= 10.0 {
+        format!("{v:.1}")
+    } else if a >= 0.1 {
+        format!("{v:.3}")
+    } else {
+        format!("{v:.3e}")
+    }
+}
+
+/// One Markdown table row for a judged metric.
+pub fn table_row(metric: &str, j: &Judgement) -> String {
+    let quartiles = |q: &Quartiles| format!("{} [{}–{}]", cell(q.median), cell(q.q1), cell(q.q3));
+    format!(
+        "| `{metric}` | {} | {} | {} | ×{:.3} | {} | {} |",
+        quartiles(&j.parent),
+        quartiles(&j.change),
+        j.ahead
+            .map_or("?".to_string(), |k| format!("{k} / {}", j.pairs)),
+        j.median_ratio,
+        j.bound
+            .map_or("-".to_string(), |b| format!("{:.0} %", b * 100.0)),
+        j.verdict
+    )
+}
+
+/// The header of [`table_row`]'s table.
+pub const TABLE_HEADER: &str = "| metric | parent median [q1–q3] | change median [q1–q3] | change ahead | median pair ratio | bound | verdict |\n|---|---|---|---|---|---|---|";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_round_trips_what_the_benchmark_prints() {
+        let line = r#"{"correct":true,"attempted":12,"failed":0,"metrics":{"throughput_ops_s":1.5e6,"latency_p99_us":12.25,"name":"a\"b\\c"}}"#;
+        let parsed = Json::parse(line).unwrap();
+        assert_eq!(parsed.get("correct"), Some(&Json::Bool(true)));
+        let metrics = parsed.get("metrics").unwrap();
+        assert_eq!(
+            metrics.get("throughput_ops_s").and_then(Json::as_f64),
+            Some(1.5e6)
+        );
+        assert_eq!(metrics.get("name").and_then(Json::as_str), Some("a\"b\\c"));
+        let mut out = String::new();
+        parsed.write(&mut out);
+        assert_eq!(Json::parse(&out).unwrap(), parsed);
+        assert!(Json::parse("{\"a\":1} x").is_err());
+        assert!(Json::parse("[1,").is_err());
+        assert_eq!(
+            Json::parse(" [ ] ").unwrap(),
+            Json::Arr(Vec::new()),
+            "empty containers"
+        );
+    }
+
+    #[test]
+    fn a_run_line_gives_its_metric_values_and_failure_share() {
+        let line = r#"{"correct":true,"attempted":200,"failed":2,"metrics":{"throughput_ops_s":{"unit":"1/s","value":5.5e6},"setup_s":0.25}}"#;
+        let metrics = run_metrics(&Json::parse(line).unwrap());
+        assert_eq!(metrics["throughput_ops_s"], 5.5e6);
+        assert_eq!(metrics["setup_s"], 0.25);
+        assert_eq!(metrics["failed_ops_ratio"], 0.01);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        let q = Quartiles::of(&[4.0, 1.0, 3.0, 2.0, 5.0]).unwrap();
+        assert_eq!((q.q1, q.median, q.q3), (2.0, 3.0, 4.0));
+        let q = Quartiles::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert_eq!((q.q1, q.median, q.q3), (1.75, 2.5, 3.25));
+        assert!((q.spread() - 0.6).abs() < 1e-12);
+        assert_eq!(Quartiles::of(&[]), None);
+    }
+
+    fn spec(better: Better, bound: f64) -> Option<MetricSpec> {
+        Some(MetricSpec {
+            better,
+            bound: Some(bound),
+        })
+    }
+
+    #[test]
+    fn the_verdict_follows_the_pair_ratio_and_the_parents_spread() {
+        // A tight parent, a change 10 % slower: inside a 25 % bound.
+        let pairs: Vec<(f64, f64)> = (0..10)
+            .map(|i| (100.0 + i as f64, 90.0 + i as f64))
+            .collect();
+        let j = judge(&pairs, spec(Better::Higher, 0.25)).unwrap();
+        assert_eq!((j.verdict, j.ahead), ("ok", Some(0)));
+        assert!((j.median_ratio - 0.9).abs() < 0.01);
+        // The same numbers judged as a lower-is-better metric lead 10 / 10.
+        let j = judge(&pairs, spec(Better::Lower, 0.25)).unwrap();
+        assert_eq!((j.verdict, j.ahead), ("ok", Some(10)));
+        // 40 % slower is worse than the bound.
+        let slow: Vec<(f64, f64)> = pairs.iter().map(|&(p, _)| (p, p * 0.6)).collect();
+        assert_eq!(
+            judge(&slow, spec(Better::Higher, 0.25)).unwrap().verdict,
+            "worse"
+        );
+        // A parent whose quartiles spread past the bound decides nothing.
+        let noisy: Vec<(f64, f64)> = [50.0, 100.0, 150.0, 200.0]
+            .iter()
+            .map(|&p| (p, p))
+            .collect();
+        assert_eq!(
+            judge(&noisy, spec(Better::Higher, 0.25)).unwrap().verdict,
+            "unresolved"
+        );
+        // Zero on both sides is a ratio of one; no bound, no verdict.
+        let zeros = [(0.0, 0.0); 4];
+        let j = judge(
+            &zeros,
+            Some(MetricSpec {
+                better: Better::Lower,
+                bound: None,
+            }),
+        )
+        .unwrap();
+        assert_eq!((j.median_ratio, j.verdict), (1.0, "-"));
+    }
+
+    #[test]
+    fn the_manifest_gives_directions_and_bounds() {
+        let manifest = Json::parse(
+            r#"{"end_to_end":[{"name":"throughput_ops_s","better":"higher","bound":0.25}],
+                "per_layer":[{"name":"latency_p99_us","better":"lower"}]}"#,
+        )
+        .unwrap();
+        let specs = manifest_metrics(&manifest);
+        assert_eq!(
+            specs["throughput_ops_s"],
+            MetricSpec {
+                better: Better::Higher,
+                bound: Some(0.25)
+            }
+        );
+        assert_eq!(specs["latency_p99_us"].bound, None);
+    }
+}

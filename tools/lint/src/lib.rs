@@ -295,7 +295,7 @@ pub fn lint_source(path: &Path, source: &str) -> Vec<Violation> {
 
 /// Markdown documents whose every line is checked by `doc-ref` (source
 /// files are checked in their doc comments only).
-pub const CHECKED_DOCUMENTS: [&str; 2] = ["README.md", "bench/README.md"];
+pub const CHECKED_DOCUMENTS: [&str; 3] = ["README.md", "bench/README.md", "docs/RETIRED.md"];
 
 /// Rule 6: every `*.md` name on a checked line must be one of `known` (the
 /// repository's Markdown files, as paths relative to its root; a bare file
