@@ -78,18 +78,18 @@ fn block_bytes_of(class: SizeClass, len: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueHandle {
     ptr: NonNull<u8>,
-    /// Requested length; at most [`MAX_VALUE_BYTES`].
+    /// Requested length; at most [`MAX_VALUE_BYTES`].  The block's size
+    /// class is `class_for_size(len)` — the class `allocate` took it from —
+    /// so it is derived, not stored.
     len: u32,
-    /// Size-class index, `NUM_CLASSES` for a huge block.  The block size is
-    /// derived from it (or from `len` for huge blocks), not stored.
-    class: u8,
 }
 
-// One handle sits in every element header, so its size is bytes per key.
+// A handle rides in every block-valued message.  An element keeps the two
+// parts apart instead (see `into_raw_parts`), so the word of padding here
+// costs no bytes per key.
 const _: () = assert!(core::mem::size_of::<ValueHandle>() == 16);
-const _: () = assert!(NUM_CLASSES <= u8::MAX as usize);
 
-// SAFETY: the handle is just a pointer + sizes; synchronization of the
+// SAFETY: the handle is just a pointer + a length; synchronization of the
 // pointed-to bytes is the CPHash protocol's responsibility (refcounts and
 // the NOT-READY/READY hand-off), exactly as in the paper.
 unsafe impl Send for ValueHandle {}
@@ -111,7 +111,7 @@ impl ValueHandle {
     /// Bytes actually reserved (the size class the request rounded up to).
     #[inline]
     pub fn block_bytes(&self) -> usize {
-        block_bytes_of(self.class(), self.len())
+        SlabAllocator::block_bytes_for(self.len())
     }
 
     /// Numeric address of the block (used by the cache model to attribute
@@ -121,20 +121,28 @@ impl ValueHandle {
         self.ptr.as_ptr() as u64
     }
 
-    /// The size class this block belongs to.
+    /// The handle's two parts, the block pointer and the length, for a
+    /// holder that stores them apart; [`ValueHandle::from_raw_parts`] puts
+    /// them back together.
     #[inline]
-    pub(crate) fn class(&self) -> SizeClass {
-        SizeClass(self.class as usize)
+    pub fn into_raw_parts(self) -> (NonNull<u8>, u32) {
+        (self.ptr, self.len)
     }
 
-    /// A handle to `len` bytes at `ptr`, in a block of `class`.
-    pub(crate) fn new(ptr: NonNull<u8>, len: usize, class: SizeClass) -> ValueHandle {
-        debug_assert!(len <= MAX_VALUE_BYTES && class.0 <= NUM_CLASSES);
-        ValueHandle {
-            ptr,
-            len: len as u32,
-            class: class.0 as u8,
-        }
+    /// Rebuild a handle from [`ValueHandle::into_raw_parts`].
+    ///
+    /// # Safety
+    /// `ptr` and `len` must be the parts of one handle an allocator handed
+    /// out: the length picks the size class the block is freed into.
+    #[inline]
+    pub unsafe fn from_raw_parts(ptr: NonNull<u8>, len: u32) -> ValueHandle {
+        ValueHandle { ptr, len }
+    }
+
+    /// The size class this block belongs to.
+    #[inline]
+    fn class(&self) -> SizeClass {
+        class_for_size(self.len())
     }
 
     /// View the value as a byte slice.
@@ -284,7 +292,10 @@ impl SlabAllocator {
 
         self.stats.blocks_in_use += 1;
         self.stats.total_allocs += 1;
-        Some(ValueHandle::new(ptr, size, class))
+        Some(ValueHandle {
+            ptr,
+            len: size as u32,
+        })
     }
 
     /// Charge the budget what a block for `size` bytes would cost, without
@@ -531,6 +542,30 @@ mod tests {
         unsafe { h.copy_from(&[0xAB; 128]) };
         a.free(h);
         assert_eq!(a.bytes_in_use(), 0);
+    }
+
+    #[test]
+    fn a_handle_rebuilt_from_its_raw_parts_frees_its_own_block() {
+        // Every class's largest request and the one past it (the last of
+        // those is huge), the empty value, and one huge size.
+        let mut sizes = vec![0, crate::size_class::MAX_CLASS_BYTES + 4096];
+        for c in 0..NUM_CLASSES {
+            let bytes = class_size(SizeClass(c));
+            sizes.extend([bytes, bytes + 1]);
+        }
+        let mut a = SlabAllocator::unbounded();
+        for size in sizes {
+            let h = a.allocate(size).unwrap();
+            let (ptr, len) = h.into_raw_parts();
+            // SAFETY: the parts of a handle `a` just handed out.
+            let rebuilt = unsafe { ValueHandle::from_raw_parts(ptr, len) };
+            assert_eq!(rebuilt, h);
+            assert_eq!(rebuilt.block_bytes(), h.block_bytes(), "size={size}");
+            assert_eq!(a.bytes_in_use(), h.block_bytes(), "size={size}");
+            a.free(rebuilt);
+            assert_eq!(a.bytes_in_use(), 0, "size={size}");
+        }
+        assert_eq!(a.stats().outstanding(), 0);
     }
 
     #[test]

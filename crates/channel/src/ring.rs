@@ -46,40 +46,25 @@ use crate::{ChannelStats, Doorbell, QueueFull};
 pub struct RingConfig {
     /// Number of message slots (rounded up to a power of two).
     pub capacity: usize,
-    /// Messages the producer accumulates before publishing the shared write
-    /// index.  `None` derives the value from the message size so that one
-    /// flush corresponds to one full cache line (the paper's policy).
-    pub flush_threshold: Option<usize>,
 }
 
 impl Default for RingConfig {
     fn default() -> Self {
-        RingConfig {
-            capacity: 4096,
-            flush_threshold: None,
-        }
+        RingConfig { capacity: 4096 }
     }
 }
 
 impl RingConfig {
-    /// Config with a specific capacity and the default (one cache line)
-    /// flush threshold.
+    /// Config with a specific capacity.
     pub fn with_capacity(capacity: usize) -> Self {
-        RingConfig {
-            capacity,
-            ..Default::default()
-        }
+        RingConfig { capacity }
     }
+}
 
-    fn resolved_flush_threshold<T>(&self) -> usize {
-        match self.flush_threshold {
-            Some(n) => n.max(1),
-            None => {
-                let per_line = CACHE_LINE_SIZE / core::mem::size_of::<T>().max(1);
-                per_line.max(1)
-            }
-        }
-    }
+/// Messages the producer accumulates before publishing the shared write
+/// index: as many as fill one cache line (the paper's policy, §3.4).
+fn line_flush_threshold<T>() -> usize {
+    (CACHE_LINE_SIZE / core::mem::size_of::<T>().max(1)).max(1)
 }
 
 /// Shared state of one single-producer single-consumer ring.
@@ -143,7 +128,7 @@ pub fn ring<T: Copy + Send>(config: RingConfig) -> (Producer<T>, Consumer<T>) {
         consumer_alive: AtomicBool::new(true),
         stats: ChannelStats::new(),
     });
-    let flush_threshold = config.resolved_flush_threshold::<T>();
+    let flush_threshold = line_flush_threshold::<T>();
     (
         Producer {
             shared: Arc::clone(&shared),

@@ -1,5 +1,7 @@
 //! Element headers and their overflow-chain links.
 
+use core::ptr::NonNull;
+
 use cphash_alloc::ValueHandle;
 
 /// Index of an element slot within its partition.
@@ -122,31 +124,43 @@ impl StoredValue {
     }
 }
 
-/// The 16 bytes of an element that hold either the block handle or the
-/// inline bytes; `Element::inline_len` says which.
+/// The 8 bytes of an element that hold either the block pointer or the
+/// inline bytes; `Element::in_block` says which.
 #[derive(Clone, Copy)]
-union ValueStorage {
-    block: ValueHandle,
+union ValueWord {
+    block: NonNull<u8>,
     inline: [u8; INLINE_VALUE_BYTES],
 }
 
-/// `Element::inline_len` of an element whose value is in a slab block.
-const IN_BLOCK: u8 = u8::MAX;
+// SAFETY: the word is a `ValueHandle`'s pointer or plain bytes; a handle is
+// `Send + Sync` (the CPHash protocol synchronises the bytes behind it), and
+// so is its pointer held apart.
+unsafe impl Send for ValueWord {}
+unsafe impl Sync for ValueWord {}
 
 /// One element header: "the key, the reference count, the size of the value
 /// (in bytes), and doubly-linked-list pointers for the bucket" (§3.1), plus
-/// the value itself or the allocator handle to it, and a CLOCK reference
-/// bit where §3.1 threads an LRU list (see `Partition::evict_one`).
+/// the value itself or the pointer to its block, and a CLOCK reference bit
+/// where §3.1 threads an LRU list (see `Partition::evict_one`).  The bucket
+/// list is singly linked: only keys past a bucket line's inline slots are
+/// on it, and unlinking one walks from the line's overflow head.
 ///
 /// The bucket a key hashes to is *not* stored: only the unlink paths need
 /// it, and one `hash64(key)` gives it — and, since a bucket's top index
 /// bits are the key's migration chunk, the chunk too.
+///
+/// 32 bytes, aligned to 32: an element is half a cache line and never
+/// straddles two.
+#[repr(align(32))]
 pub(crate) struct Element {
     pub key: u64,
-    storage: ValueStorage,
+    value: ValueWord,
+    /// The value's length: inline, or the block's (which picks its size
+    /// class, see [`ValueHandle::from_raw_parts`]).
+    len: u32,
     pub refcount: u32,
-    /// Length of the inline value, or [`IN_BLOCK`].
-    inline_len: u8,
+    /// Is the value in a slab block (`value.block`) rather than inline?
+    in_block: bool,
     pub state: ElementState,
     /// Still linked into its bucket?  An element that has been evicted or
     /// deleted while clients still hold references is unlinked but not yet
@@ -155,45 +169,49 @@ pub(crate) struct Element {
     /// CLOCK reference bit: set by a hit, cleared by the eviction hand as
     /// it passes.
     pub referenced: bool,
-    /// Overflow-chain links.  An element that resides in one of its bucket
-    /// line's tagged slots is *not* on the chain: both links stay NIL until the bucket overflows past its
-    /// inline capacity (see `partition::BucketLine`).
+    /// Next element on the bucket's overflow chain.  An element that
+    /// resides in one of its bucket line's tagged slots is *not* on the
+    /// chain: the link stays NIL until the bucket overflows past its inline
+    /// capacity (see `partition::BucketLine`).
     pub bucket_next: u32,
-    pub bucket_prev: u32,
 }
 
 impl Element {
     pub(crate) fn new(key: u64, value: StoredValue) -> Self {
-        let (storage, inline_len) = match value {
-            StoredValue::Block(block) => (ValueStorage { block }, IN_BLOCK),
-            StoredValue::Inline(v) => (ValueStorage { inline: v.bytes }, v.len),
+        let (value, len, in_block) = match value {
+            StoredValue::Block(handle) => {
+                let (block, len) = handle.into_raw_parts();
+                (ValueWord { block }, len, true)
+            }
+            StoredValue::Inline(v) => (ValueWord { inline: v.bytes }, u32::from(v.len), false),
         };
         Element {
             key,
-            storage,
+            value,
+            len,
             refcount: 0,
-            inline_len,
+            in_block,
             state: ElementState::NotReady,
             linked: true,
             referenced: false,
             bucket_next: NIL,
-            bucket_prev: NIL,
         }
     }
 
     /// The element's value: a copy of the inline bytes, or the block handle.
     #[inline]
     pub(crate) fn value(&self) -> StoredValue {
-        if self.inline_len == IN_BLOCK {
-            // SAFETY: `inline_len` is IN_BLOCK only for an element built from
-            // (and never since overwritten over) a block handle.
-            StoredValue::Block(unsafe { self.storage.block })
+        if self.in_block {
+            // SAFETY: `in_block` is set only for an element built from (and
+            // never since refilled over) a block handle, whose parts these
+            // are.
+            StoredValue::Block(unsafe { ValueHandle::from_raw_parts(self.value.block, self.len) })
         } else {
             StoredValue::Inline(InlineValue {
-                // SAFETY: `inline_len` is a length only for an element whose
-                // storage was initialised as `inline`, all 8 bytes of it.
-                bytes: unsafe { self.storage.inline },
-                len: self.inline_len,
+                // SAFETY: an inline element's word was initialised as
+                // `inline`, all 8 bytes of it.
+                bytes: unsafe { self.value.inline },
+                len: self.len as u8,
             })
         }
     }
@@ -205,12 +223,12 @@ impl Element {
     /// If the value is in a block or shorter than `data`.
     pub(crate) fn fill_inline(&mut self, data: &[u8]) {
         assert!(
-            self.inline_len != IN_BLOCK && data.len() <= self.inline_len as usize,
+            !self.in_block && data.len() <= self.len as usize,
             "value larger than reservation"
         );
         let mut bytes = [0u8; INLINE_VALUE_BYTES];
         bytes[..data.len()].copy_from_slice(data);
-        self.storage = ValueStorage { inline: bytes };
+        self.value = ValueWord { inline: bytes };
     }
 }
 
@@ -235,10 +253,10 @@ pub(crate) enum Slot {
 }
 
 // One slot per key, so its size is bytes per key — and cache lines per
-// probe: a 40-byte slot touches one or two.  The enum tag rides in the spare
-// values of the element's flag bytes; a value of up to 8 bytes rides in the
-// space the handle to its block would take.
-const _: () = assert!(core::mem::size_of::<Slot>() <= 40);
+// probe: an aligned 32-byte slot is half a line and touches exactly one.
+// The enum tag rides in the spare values of the element's flag bytes; a
+// value of up to 8 bytes rides in the word its block pointer would take.
+const _: () = assert!(core::mem::size_of::<Slot>() == 32 && core::mem::align_of::<Slot>() == 32);
 
 impl Slot {
     pub(crate) fn element(&self) -> &Element {

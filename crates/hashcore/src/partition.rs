@@ -290,7 +290,11 @@ impl Partition {
             chunk_shl,
             chunk_shr: chunk_bits.saturating_sub(bucket_bits),
             low_mask: (1u64 << chunk_shl) - 1,
-            slots: Vec::new(),
+            // One slot per bucket up front, the load a table is sized for:
+            // the allocator cannot grow an array of 32-byte-aligned slots
+            // in place, so each doubling copies it and holds both copies.
+            // Reserved pages cost nothing until a slot is written.
+            slots: Vec::with_capacity(buckets),
             free_head: NIL,
             hand: 0,
             random_pool: Vec::new(),
@@ -385,9 +389,9 @@ impl Partition {
 
     /// Second staging pass: read the (prefetched) bucket line of a prepared
     /// operation and hint the element slot behind every tag that matches —
-    /// both lines of a slot that straddles two — so the probe's second
-    /// dependent miss overlaps with the rest of the batch too.  Decides
-    /// nothing: execution probes the line again.
+    /// one line each, since an aligned slot never straddles two — so the
+    /// probe's second dependent miss overlaps with the rest of the batch
+    /// too.  Decides nothing: execution probes the line again.
     #[inline]
     pub fn prefetch_element(&self, prep: &BucketRef) {
         let line = &self.buckets[prep.bucket];
@@ -405,11 +409,7 @@ impl Partition {
             // A ref in a live line is a slot index; `get` keeps a hint
             // from ever being a panic path.
             if let Some(slot) = self.slots.get(line.refs[s] as usize) {
-                let first = slot as *const Slot as *const u8;
-                cphash_cacheline::prefetch_read(first);
-                cphash_cacheline::prefetch_read(
-                    first.wrapping_add(core::mem::size_of::<Slot>() - 1),
-                );
+                cphash_cacheline::prefetch_read(slot);
             }
         }
     }
@@ -938,19 +938,25 @@ impl Partition {
     pub fn check_invariants(&self) {
         // Every bucket (inline slots + chain) is consistent and contains
         // only linked elements hashed to that bucket — which, the chunk
-        // being the top of the bucket index, files each under its chunk.
+        // being the top of the bucket index, files each under its chunk —
+        // and every linked element is reached exactly once.
+        let mut reached = vec![false; self.slots.len()];
         let mut linked_seen = 0usize;
         for (b, line) in self.buckets.iter().enumerate() {
             for s in 0..INLINE_SLOTS {
                 if line.used & (1 << s) == 0 {
                     continue;
                 }
-                let e = self.slots[line.refs[s] as usize].element();
+                let idx = line.refs[s] as usize;
+                assert!(
+                    !core::mem::replace(&mut reached[idx], true),
+                    "element filed twice"
+                );
+                let e = self.slots[idx].element();
                 assert!(e.linked, "unlinked element in inline slot");
                 assert_eq!(self.bucket_of(e.key), b, "element hashed to wrong bucket");
                 assert_eq!(line.tags[s], key_tag(e.key), "stale inline tag");
-                assert_eq!(e.bucket_prev, NIL, "inline resident with chain links");
-                assert_eq!(e.bucket_next, NIL, "inline resident with chain links");
+                assert_eq!(e.bucket_next, NIL, "inline resident with a chain link");
                 linked_seen += 1;
             }
             if line.overflow != NIL {
@@ -959,9 +965,15 @@ impl Partition {
                     "free inline slot with a non-empty overflow chain"
                 );
             }
-            linked_seen += self.check_chain(line.overflow, b);
+            linked_seen += self.check_chain(line.overflow, b, &mut reached);
         }
         assert_eq!(linked_seen, self.len, "len does not match bucket contents");
+        let linked = self
+            .slots
+            .iter()
+            .filter(|slot| matches!(slot, Slot::Occupied(e) if e.linked))
+            .count();
+        assert_eq!(linked, self.len, "a linked element no bucket reaches");
 
         // The byte budget counts every value still held — linked, or
         // unlinked with its free deferred — at what its block costs, whether
@@ -1012,23 +1024,25 @@ impl Partition {
     // Internal helpers
     // ------------------------------------------------------------------
 
-    /// Walk one bucket's overflow chain asserting its invariants; returns
-    /// the number of elements on it.
-    fn check_chain(&self, head: u32, bucket: usize) -> usize {
+    /// Walk one bucket's overflow chain asserting its invariants, marking
+    /// each element in `reached` (a second visit — a cycle included —
+    /// fails); returns the number of elements on it.
+    fn check_chain(&self, head: u32, bucket: usize, reached: &mut [bool]) -> usize {
         let mut seen = 0usize;
         let mut cur = head;
-        let mut prev = NIL;
         while cur != NIL {
+            assert!(
+                !core::mem::replace(&mut reached[cur as usize], true),
+                "element filed twice"
+            );
             let e = self.slots[cur as usize].element();
             assert!(e.linked, "unlinked element in bucket chain");
-            assert_eq!(e.bucket_prev, prev, "broken bucket back-pointer");
             assert_eq!(
                 self.bucket_of(e.key),
                 bucket,
                 "element hashed to wrong bucket"
             );
             seen += 1;
-            prev = cur;
             cur = e.bucket_next;
         }
         seen
@@ -1151,73 +1165,54 @@ impl Partition {
     }
 
     fn link_into_bucket(&mut self, idx: u32, bucket: usize, tag: u8) {
-        {
-            let e = self.slots[idx as usize].element_mut();
-            e.bucket_next = NIL;
-            e.bucket_prev = NIL;
-        }
         let line = &mut self.buckets[bucket];
-        if let Some(s) = line.free_slot() {
-            // Inline residents sit in the line itself; their chain pointers
-            // stay NIL.
+        let next = if let Some(s) = line.free_slot() {
+            // Inline residents sit in the line itself; their chain link
+            // stays NIL.
             line.used |= 1 << s;
             line.tags[s] = tag;
             line.refs[s] = idx;
+            NIL
         } else {
-            let head = line.overflow;
-            self.slots[idx as usize].element_mut().bucket_next = head;
-            if head != NIL {
-                self.slots[head as usize].element_mut().bucket_prev = idx;
-            }
-            line.overflow = idx;
-        }
+            core::mem::replace(&mut line.overflow, idx)
+        };
+        self.slots[idx as usize].element_mut().bucket_next = next;
     }
 
     fn unlink_from_bucket(&mut self, idx: u32, bucket: usize) {
-        let (prev, next) = {
-            let e = self.slots[idx as usize].element();
-            (e.bucket_prev, e.bucket_next)
-        };
+        let next = core::mem::replace(&mut self.slots[idx as usize].element_mut().bucket_next, NIL);
         let line = &mut self.buckets[bucket];
         if let Some(s) = line.slot_of_ref(idx) {
-            debug_assert!(
-                prev == NIL && next == NIL,
-                "inline resident with chain links"
-            );
+            debug_assert_eq!(next, NIL, "inline resident with a chain link");
             line.used &= !(1 << s);
             // Keep the layout invariant: no inline slot stays free while the
             // overflow chain is non-empty — promote the chain head into the
             // freed slot.
             let promoted = line.overflow;
             if promoted != NIL {
-                let promoted_next = self.slots[promoted as usize].element().bucket_next;
-                line.overflow = promoted_next;
-                if promoted_next != NIL {
-                    self.slots[promoted_next as usize].element_mut().bucket_prev = NIL;
-                }
-                let promoted_key = {
-                    let e = self.slots[promoted as usize].element_mut();
-                    e.bucket_next = NIL;
-                    e.bucket_prev = NIL;
-                    e.key
-                };
+                let e = self.slots[promoted as usize].element_mut();
+                line.overflow = core::mem::replace(&mut e.bucket_next, NIL);
                 line.used |= 1 << s;
-                line.tags[s] = key_tag(promoted_key);
+                line.tags[s] = key_tag(e.key);
                 line.refs[s] = promoted;
             }
+        } else if line.overflow == idx {
+            line.overflow = next;
         } else {
-            if prev != NIL {
-                self.slots[prev as usize].element_mut().bucket_next = next;
-            } else {
-                line.overflow = next;
-            }
-            if next != NIL {
-                self.slots[next as usize].element_mut().bucket_prev = prev;
+            // The chain has no back-pointers: find the predecessor from the
+            // head.  Chains are rare and short — a line holds its bucket's
+            // first INLINE_SLOTS keys.
+            let mut prev = line.overflow;
+            loop {
+                let e = self.slots[prev as usize].element_mut();
+                if e.bucket_next == idx {
+                    e.bucket_next = next;
+                    break;
+                }
+                debug_assert_ne!(e.bucket_next, NIL, "element missing from its chain");
+                prev = e.bucket_next;
             }
         }
-        let e = self.slots[idx as usize].element_mut();
-        e.bucket_next = NIL;
-        e.bucket_prev = NIL;
     }
 
     /// File a newly linked element in the random-eviction pool (CLOCK needs
@@ -1775,6 +1770,46 @@ mod tests {
             p.check_invariants();
         }
         assert!(p.is_empty());
+    }
+
+    #[test]
+    fn unlinking_anywhere_on_the_singly_linked_chain_keeps_every_other_key() {
+        // One bucket, 7 + 5 keys: five chain behind the full line.  Values
+        // of 16 bytes live in blocks, so each element's pointer and length
+        // must survive the relinking too.
+        let mut p = Partition::new(PartitionConfig::new(1, None));
+        let value = |key: u64| [key.to_le_bytes(), (!key).to_le_bytes()].concat();
+        let total = INLINE_SLOTS as u64 + 5;
+        for key in 0..total {
+            p.insert_copy(key, &value(key)).unwrap();
+        }
+        let chain = |p: &Partition| {
+            let linked = |idx: u32| (idx != NIL).then_some(idx);
+            core::iter::successors(linked(p.buckets[0].overflow), |&idx| {
+                linked(p.slots[idx as usize].element().bucket_next)
+            })
+            .map(|idx| p.slots[idx as usize].element().key)
+            .collect::<Vec<u64>>()
+        };
+        let on_chain = chain(&p);
+        assert_eq!(on_chain.len(), 5);
+        let inline_key = (0..total).find(|k| !on_chain.contains(k)).unwrap();
+        let mut present: Vec<u64> = (0..total).collect();
+        let mut buf = Vec::new();
+        // The head, a middle element, the tail, then an inline key, whose
+        // freed slot takes the chain's new head.
+        for victim in [on_chain[0], on_chain[2], on_chain[4], inline_key] {
+            assert!(p.delete(victim), "key {victim}");
+            present.retain(|&k| k != victim);
+            p.check_invariants();
+            assert!(!p.lookup_copy(victim, &mut buf), "deleted key {victim}");
+            for &key in &present {
+                assert!(p.lookup_copy(key, &mut buf), "key {key}");
+                assert_eq!(buf, value(key), "key {key}");
+            }
+        }
+        assert_eq!(chain(&p), [on_chain[3]], "the promotion took the head");
+        assert_eq!(p.len(), present.len());
     }
 
     #[test]

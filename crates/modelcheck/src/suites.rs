@@ -78,13 +78,10 @@ pub fn replay_ring_seeded_bug(schedule: &[usize]) -> Option<loom::Violation> {
 }
 
 fn seeded_bug_scenario() {
-    // A high flush threshold keeps push_batch/try_push from publishing
-    // on their own; the weak flush below is the only publication.
-    let cfg = RingConfig {
-        capacity: 4,
-        flush_threshold: Some(64),
-    };
-    let (mut tx, mut rx) = ring::<u64>(cfg);
+    // One u64 is an eighth of the line a ring publishes on its own, so
+    // `try_push` does not publish: the weak flush below is the only
+    // publication.
+    let (mut tx, mut rx) = ring::<u64>(RingConfig::with_capacity(4));
     let handle = loom::thread::spawn(move || {
         tx.try_push(7).unwrap();
         tx.flush_weak_for_modelcheck();
@@ -103,11 +100,7 @@ fn seeded_bug_scenario() {
 /// positions — three executions, all explored.
 pub fn check_ring_shipped_flush() -> Report {
     builder().explore(|| {
-        let cfg = RingConfig {
-            capacity: 4,
-            flush_threshold: Some(64),
-        };
-        let (mut tx, mut rx) = ring::<u64>(cfg);
+        let (mut tx, mut rx) = ring::<u64>(RingConfig::with_capacity(4));
         let handle = loom::thread::spawn(move || {
             tx.try_push(7).unwrap();
             tx.flush();
@@ -130,12 +123,10 @@ type ParkFn = fn(&Doorbell, &mut dyn FnMut() -> bool) -> bool;
 /// exactly what a CPHash client does: queue, then the explicit `flush()` —
 /// publish, fence, look at the flag, wake if it is up.
 fn doorbell_scenario(park: ParkFn) {
-    // A high flush threshold keeps `try_push` from publishing on its own:
-    // the explicit flush is the only publication and the only ring.
-    let cfg = RingConfig {
-        capacity: 2,
-        flush_threshold: Some(64),
-    };
+    // One u64 is an eighth of the line a ring publishes on its own, so
+    // `try_push` does not publish: the explicit flush is the only
+    // publication and the only ring.
+    let cfg = RingConfig::with_capacity(2);
     let bell = Arc::new(Doorbell::new());
     let mut consumers: Vec<Consumer<u64>> = Vec::new();
     let mut producers = Vec::new();

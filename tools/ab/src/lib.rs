@@ -470,6 +470,140 @@ pub fn table_row(metric: &str, j: &Judgement) -> String {
 /// The header of [`table_row`]'s table.
 pub const TABLE_HEADER: &str = "| metric | parent median [q1–q3] | change median [q1–q3] | change ahead | median pair ratio | bound | verdict |\n|---|---|---|---|---|---|---|";
 
+/// The whole-machine CPU counters of `/proc/stat`'s first line, in ticks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CpuTimes {
+    /// user + nice + system + idle + iowait + irq + softirq + steal (guest
+    /// time is already inside user and nice).
+    pub total: u64,
+    /// Time the hypervisor ran something else while this host wanted a CPU.
+    pub steal: u64,
+}
+
+impl CpuTimes {
+    /// Parse the `cpu` line of `/proc/stat`'s text.
+    pub fn parse(stat: &str) -> Option<CpuTimes> {
+        let line = stat.lines().find(|l| l.starts_with("cpu "))?;
+        let fields: Vec<u64> = line
+            .split_whitespace()
+            .skip(1)
+            .take(8)
+            .map(str::parse)
+            .collect::<Result<_, _>>()
+            .ok()?;
+        (fields.len() == 8).then(|| CpuTimes {
+            total: fields.iter().sum(),
+            steal: fields[7],
+        })
+    }
+
+    /// Share of the ticks between `self` and the later `after` that were
+    /// stolen (`None` when no tick passed).
+    pub fn steal_share(&self, after: &CpuTimes) -> Option<f64> {
+        let total = after.total.checked_sub(self.total)?;
+        let steal = after.steal.checked_sub(self.steal)?;
+        (total > 0).then(|| steal as f64 / total as f64)
+    }
+}
+
+/// The selected mode of a sysfs multiple-choice file such as
+/// `transparent_hugepage/enabled` (`always [madvise] never` → `madvise`).
+pub fn selected_mode(text: &str) -> Option<&str> {
+    let start = text.find('[')? + 1;
+    let len = text[start..].find(']')?;
+    Some(&text[start..start + len])
+}
+
+/// The PR number of a ledger file name, `BENCH_pr<N>.json`.
+pub fn ledger_pr(file_name: &str) -> Option<u32> {
+    file_name
+        .strip_prefix("BENCH_pr")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
+}
+
+/// One (workload, metric) chained across campaigns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Chain {
+    pub workload: String,
+    pub metric: String,
+    /// The PRs whose campaigns judged this metric, in order.
+    pub prs: Vec<u32>,
+    /// The product of their median pair ratios.
+    pub ratio: f64,
+    /// The worst single step's ratio.
+    pub worst_step: f64,
+    pub bound: Option<f64>,
+    /// `worse` when the chained ratio passes the bound in the worse
+    /// direction (whether or not any one step did), `ok` inside it, `-`
+    /// without a bound.
+    pub verdict: &'static str,
+}
+
+/// How far `ratio` (change / parent) is on the worse side of 1.
+fn worse_by(better: Better, ratio: f64) -> f64 {
+    match better {
+        Better::Higher => 1.0 - ratio,
+        Better::Lower => ratio - 1.0,
+    }
+}
+
+/// Chain every (workload, metric) `median_ratio` of the campaigns `ledgers`
+/// (`(PR number, the campaign's JSON)`, in any order) in PR order, and
+/// judge each product against the metric's bound: a run of steps each
+/// inside the bound can still add up to one past it.
+pub fn trend(ledgers: &[(u32, Json)], specs: &BTreeMap<String, MetricSpec>) -> Vec<Chain> {
+    let mut ordered: Vec<&(u32, Json)> = ledgers.iter().collect();
+    ordered.sort_by_key(|(pr, _)| *pr);
+    let mut chains: BTreeMap<(String, String), Chain> = BTreeMap::new();
+    for (pr, ledger) in ordered {
+        let Some(Json::Obj(workloads)) = ledger.get("workloads") else {
+            continue;
+        };
+        for (workload, report) in workloads {
+            let Some(Json::Obj(verdicts)) = report.get("verdicts") else {
+                continue;
+            };
+            for (metric, verdict) in verdicts {
+                let Some(step) = verdict.get("median_ratio").and_then(Json::as_f64) else {
+                    continue;
+                };
+                let better = specs.get(metric).map_or(Better::Higher, |s| s.better);
+                let chain = chains
+                    .entry((workload.clone(), metric.clone()))
+                    .or_insert_with(|| Chain {
+                        workload: workload.clone(),
+                        metric: metric.clone(),
+                        prs: Vec::new(),
+                        ratio: 1.0,
+                        worst_step: step,
+                        bound: specs.get(metric).and_then(|s| s.bound),
+                        verdict: "-",
+                    });
+                chain.prs.push(*pr);
+                chain.ratio *= step;
+                if worse_by(better, step) > worse_by(better, chain.worst_step) {
+                    chain.worst_step = step;
+                }
+            }
+        }
+    }
+    chains
+        .into_values()
+        .map(|mut chain| {
+            if let (Some(spec), Some(bound)) = (specs.get(&chain.metric), chain.bound) {
+                chain.verdict = if worse_by(spec.better, chain.ratio) > bound {
+                    "worse"
+                } else {
+                    "ok"
+                };
+            }
+            chain
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,5 +713,83 @@ mod tests {
             }
         );
         assert_eq!(specs["latency_p99_us"].bound, None);
+    }
+
+    #[test]
+    fn the_host_fingerprint_reads_steal_and_the_thp_mode() {
+        let before =
+            CpuTimes::parse("cpu  100 0 50 800 10 0 5 35 0 0\ncpu0 50 0 25 400 5 0 2 18 0 0\n")
+                .unwrap();
+        assert_eq!(
+            before,
+            CpuTimes {
+                total: 1000,
+                steal: 35
+            }
+        );
+        let after = CpuTimes::parse("cpu  200 0 100 1550 10 0 5 135 0 0\n").unwrap();
+        assert_eq!(before.steal_share(&after), Some(0.1));
+        assert_eq!(after.steal_share(&after), None, "no tick passed");
+        assert_eq!(CpuTimes::parse("cpu  1 2 3\n"), None);
+        assert_eq!(selected_mode("always [madvise] never\n"), Some("madvise"));
+        assert_eq!(
+            selected_mode("always defer defer+madvise [madvise] never"),
+            Some("madvise")
+        );
+        assert_eq!(selected_mode("never"), None);
+    }
+
+    /// A campaign file with one workload whose metrics have these median
+    /// pair ratios.
+    fn ledger(ratios: &[(&str, f64)]) -> Json {
+        let verdicts = ratios
+            .iter()
+            .map(|&(metric, ratio)| {
+                let mut verdict = BTreeMap::new();
+                verdict.insert("median_ratio".to_string(), Json::Num(ratio));
+                (metric.to_string(), Json::Obj(verdict))
+            })
+            .collect();
+        let mut report = BTreeMap::new();
+        report.insert("verdicts".to_string(), Json::Obj(verdicts));
+        let mut workloads = BTreeMap::new();
+        workloads.insert("w".to_string(), Json::Obj(report));
+        let mut doc = BTreeMap::new();
+        doc.insert("workloads".to_string(), Json::Obj(workloads));
+        Json::Obj(doc)
+    }
+
+    #[test]
+    fn a_trend_flags_a_chain_past_its_bound_though_no_step_was() {
+        let specs = manifest_metrics(
+            &Json::parse(
+                r#"{"end_to_end":[{"name":"throughput_ops_s","better":"higher","bound":0.25},
+                                  {"name":"mem_bytes_per_key","better":"lower","bound":0.1}]}"#,
+            )
+            .unwrap(),
+        );
+        assert_eq!(ledger_pr("BENCH_pr39.json"), Some(39));
+        assert_eq!(ledger_pr("BENCH_ab.json"), None);
+        // Throughput falls 15 % twice: each step inside 25 %, the chain
+        // (×0.7225) past it.  Memory rises 4 % and falls 7 %: inside.
+        let ledgers = [
+            (
+                40,
+                ledger(&[("throughput_ops_s", 0.85), ("mem_bytes_per_key", 0.93)]),
+            ),
+            (
+                39,
+                ledger(&[("throughput_ops_s", 0.85), ("mem_bytes_per_key", 1.04)]),
+            ),
+        ];
+        let chains = trend(&ledgers, &specs);
+        let find = |metric: &str| chains.iter().find(|c| c.metric == metric).unwrap();
+        let throughput = find("throughput_ops_s");
+        assert_eq!(throughput.prs, [39, 40]);
+        assert!((throughput.ratio - 0.7225).abs() < 1e-12);
+        assert_eq!((throughput.worst_step, throughput.verdict), (0.85, "worse"));
+        let memory = find("mem_bytes_per_key");
+        assert!((memory.ratio - 0.9672).abs() < 1e-12);
+        assert_eq!((memory.worst_step, memory.verdict), (1.04, "ok"));
     }
 }

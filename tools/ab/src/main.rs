@@ -5,6 +5,7 @@
 //! ```text
 //! ab <parent-ref> [--pairs 10] [--workload W]... [--seconds 15]
 //!    [--scratch DIR] [--out FILE]
+//! ab trend
 //! ```
 //!
 //! Under the scratch directory (default: `cphash-ab` in the system's
@@ -18,15 +19,26 @@
 //! last stdout line of each run is the benchmark's JSON.  A Markdown table
 //! per workload goes to stdout, and every run's raw result plus the
 //! verdicts to `--out` (default `BENCH_ab.json` at the repository root),
-//! with both commits and a host fingerprint.  Progress goes to stderr, the
-//! runs' own stderr (the builds' included) to `<scratch>/runs.log`.
+//! with both commits and a host fingerprint (CPU, kernel, transparent huge
+//! page modes, and the share of CPU time the hypervisor stole over the
+//! campaign).  Progress goes to stderr, the runs' own stderr (the builds'
+//! included) to `<scratch>/runs.log`.
+//!
+//! `ab trend` reads the repository root's `BENCH_pr<N>.json` campaigns in
+//! PR order and chains each (workload, metric) median pair ratio, so that
+//! a drift whose every step stayed inside its bound still shows: it prints
+//! one table row per chained metric with a bound and fails when a chain
+//! has passed it in the worse direction.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
-use cphash_ab::{judge, manifest_metrics, run_metrics, table_row, Json, TABLE_HEADER};
+use cphash_ab::{
+    cell, judge, ledger_pr, manifest_metrics, run_metrics, selected_mode, table_row, trend,
+    CpuTimes, Json, TABLE_HEADER,
+};
 
 #[derive(Debug)]
 struct Args {
@@ -38,7 +50,7 @@ struct Args {
     out: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: ab <parent-ref> [--pairs N] [--workload W]... [--seconds S] [--scratch DIR] [--out FILE]";
+const USAGE: &str = "usage: ab <parent-ref> [--pairs N] [--workload W]... [--seconds S] [--scratch DIR] [--out FILE]\n       ab trend";
 
 fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
@@ -134,8 +146,22 @@ fn freeze_working_tree(root: &Path, into: &Path) -> Result<usize, String> {
     Ok(copied)
 }
 
-/// CPU model, CPU count and kernel of this host.
-fn host_fingerprint() -> Json {
+/// The whole-machine CPU counters now (`None` off Linux).
+fn cpu_times() -> Option<CpuTimes> {
+    CpuTimes::parse(&fs::read_to_string("/proc/stat").ok()?)
+}
+
+/// The selected mode of one transparent-huge-page setting.
+fn thp_mode(setting: &str) -> Json {
+    fs::read_to_string(format!("/sys/kernel/mm/transparent_hugepage/{setting}"))
+        .ok()
+        .and_then(|text| selected_mode(&text).map(str::to_string))
+        .map_or(Json::Null, Json::Str)
+}
+
+/// CPU model, CPU count, kernel and transparent-huge-page modes of this
+/// host, and the steal share between two CPU-counter readings.
+fn host_fingerprint(steal_share: Option<f64>) -> Json {
     let cpu_model = fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|info| {
@@ -153,6 +179,9 @@ fn host_fingerprint() -> Json {
         ("cpu_model", Json::Str(cpu_model)),
         ("cpus", Json::Num(cpus as f64)),
         ("kernel", Json::Str(kernel)),
+        ("thp_enabled", thp_mode("enabled")),
+        ("thp_defrag", thp_mode("defrag")),
+        ("steal_share", steal_share.map_or(Json::Null, Json::Num)),
     ])
 }
 
@@ -196,11 +225,16 @@ impl Side {
     }
 }
 
-fn campaign(args: &Args) -> Result<(), String> {
+/// The repository root and its parsed `BENCHMARK.json`.
+fn repo_manifest() -> Result<(PathBuf, Json), String> {
     let root = PathBuf::from(git(Path::new("."), &["rev-parse", "--show-toplevel"])?);
-    let manifest_text = fs::read_to_string(root.join("BENCHMARK.json"))
+    let text = fs::read_to_string(root.join("BENCHMARK.json"))
         .map_err(|e| format!("reading BENCHMARK.json: {e}"))?;
-    let manifest = Json::parse(&manifest_text)?;
+    Ok((root, Json::parse(&text)?))
+}
+
+fn campaign(args: &Args) -> Result<(), String> {
+    let (root, manifest) = repo_manifest()?;
     let specs = manifest_metrics(&manifest);
     let workloads: Vec<String> = if args.workloads.is_empty() {
         manifest
@@ -261,6 +295,7 @@ fn campaign(args: &Args) -> Result<(), String> {
         if dirty { " plus edits" } else { "" }
     );
 
+    let cpu_before = cpu_times();
     let mut report = BTreeMap::new();
     let mut any_worse = false;
     for workload in &workloads {
@@ -343,6 +378,17 @@ fn campaign(args: &Args) -> Result<(), String> {
         );
     }
 
+    let steal_share = cpu_before
+        .zip(cpu_times())
+        .and_then(|(before, after)| before.steal_share(&after));
+    let host = host_fingerprint(steal_share);
+    let mode = |key| host.get(key).and_then(Json::as_str).unwrap_or("unknown");
+    println!(
+        "\nHost: steal {} of CPU time over the campaign; THP enabled `{}`, defrag `{}`.",
+        steal_share.map_or("unknown".into(), |s| format!("{:.2} %", s * 100.0)),
+        mode("thp_enabled"),
+        mode("thp_defrag"),
+    );
     let document = obj([
         ("tool", Json::Str("ab".into())),
         (
@@ -359,7 +405,7 @@ fn campaign(args: &Args) -> Result<(), String> {
                 ("uncommitted_edits", Json::Bool(dirty)),
             ]),
         ),
-        ("host", host_fingerprint()),
+        ("host", host),
         ("pairs", Json::Num(args.pairs as f64)),
         ("seconds", Json::Num(args.seconds as f64)),
         ("workloads", Json::Obj(report)),
@@ -380,15 +426,67 @@ fn campaign(args: &Args) -> Result<(), String> {
     }
 }
 
+/// `ab trend`: chain the committed campaigns' median pair ratios.
+fn print_trend() -> Result<(), String> {
+    let (root, manifest) = repo_manifest()?;
+    let specs = manifest_metrics(&manifest);
+    let mut ledgers = Vec::new();
+    for entry in fs::read_dir(&root).map_err(|e| format!("{}: {e}", root.display()))? {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        let Some(pr) = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(ledger_pr)
+        else {
+            continue;
+        };
+        let text = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        ledgers.push((
+            pr,
+            Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?,
+        ));
+    }
+    let chains = trend(&ledgers, &specs);
+    println!("| workload | metric | PRs | chained ratio | worst step | bound | verdict |\n|---|---|---|---|---|---|---|");
+    let mut any_worse = false;
+    for chain in &chains {
+        let Some(bound) = chain.bound else {
+            continue;
+        };
+        let prs: Vec<String> = chain.prs.iter().map(u32::to_string).collect();
+        println!(
+            "| `{}` | `{}` | {} | ×{:.3} | ×{} | {:.0} % | {} |",
+            chain.workload,
+            chain.metric,
+            prs.join(", "),
+            chain.ratio,
+            cell(chain.worst_step),
+            bound * 100.0,
+            chain.verdict
+        );
+        any_worse |= chain.verdict == "worse";
+    }
+    if any_worse {
+        Err("a chained end-to-end metric has passed its bound".into())
+    } else {
+        Ok(())
+    }
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = if cli.first().map(String::as_str) == Some("trend") {
+        print_trend()
+    } else {
+        match parse_args(cli) {
+            Ok(args) => campaign(&args),
+            Err(message) => {
+                eprintln!("{message}");
+                return ExitCode::from(2);
+            }
         }
     };
-    match campaign(&args) {
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("ab: {message}");
