@@ -10,10 +10,11 @@
 //! * the consumer announces `parked`, fences, looks at its rings once
 //!   more, and only then sleeps ([`Doorbell::park_unless`]);
 //! * a producer publishes its write index, fences, and looks at `parked`
-//!   ([`Doorbell::ring`], called from the *explicit*
-//!   [`crate::Producer::flush`] — never from the per-cache-line publish
-//!   inside `try_push`, where the fence would drain the store buffer
-//!   behind every value copy).
+//!   ([`Doorbell::ring`], called from [`crate::Producer::flush`] only —
+//!   never from a bare publish ([`crate::Producer::publish`],
+//!   [`crate::Producer::push_batch`]), which a busy sender makes mid-round
+//!   and where the fence would drain the store buffer behind every value
+//!   copy; `try_push` publishes nothing at all).
 //!
 //! Each side writes its own word and then reads the other's, with a
 //! `SeqCst` fence in between (Dekker's shape): whichever fence comes second

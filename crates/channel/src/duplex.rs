@@ -52,7 +52,8 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexClient<Req, Resp> {
         self
     }
 
-    /// Queue a request (published lazily, a cache line at a time).
+    /// Queue a request; the server sees it at the next
+    /// [`DuplexClient::flush`] or [`DuplexClient::send_batch`].
     #[inline]
     pub fn try_send(&mut self, request: Req) -> Result<(), QueueFull<Req>> {
         self.requests.try_push(request)
@@ -64,16 +65,19 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexClient<Req, Resp> {
         self.requests.push_blocking(request)
     }
 
-    /// Publish any partially-filled request line to the server without
-    /// waking it (see [`Producer::publish`]); a [`DuplexClient::flush`]
-    /// must follow before the sender goes quiet.
+    /// Queue and publish a whole batch of requests with one capacity check
+    /// and one index publish; returns how many were accepted (see
+    /// [`Producer::push_batch`]).  The twin of [`DuplexServer::send_batch`]:
+    /// this is how a client hands one poll round's requests to the ring.
+    /// Publishing is not ringing: a [`DuplexClient::flush`] must follow
+    /// before the sender goes quiet.
     #[inline]
-    pub fn publish(&mut self) {
-        self.requests.publish()
+    pub fn send_batch(&mut self, requests: &[Req]) -> usize {
+        self.requests.push_batch(requests)
     }
 
-    /// Publish any partially-filled request line to the server and wake
-    /// it if it sleeps behind a doorbell.  Returns whether it did wake the
+    /// Publish the queued requests to the server and wake it if it sleeps
+    /// behind a doorbell.  Returns whether it did wake the
     /// server (see [`Producer::flush`]).
     #[inline]
     pub fn flush(&mut self) -> bool {
@@ -90,11 +94,6 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexClient<Req, Resp> {
     #[inline]
     pub fn recv_batch(&mut self, out: &mut Vec<Resp>, max: usize) -> usize {
         self.responses.pop_batch(out, max)
-    }
-
-    /// Number of requests written but not yet published.
-    pub fn pending_unflushed(&self) -> usize {
-        self.requests.pending_unflushed()
     }
 
     /// Whether the server endpoint still exists.
@@ -126,7 +125,8 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexServer<Req, Resp> {
         self.requests.pop_batch(out, max)
     }
 
-    /// Queue a response (published lazily, a cache line at a time).
+    /// Queue a response; the client sees it at the next
+    /// [`DuplexServer::flush`] or [`DuplexServer::send_batch`].
     #[inline]
     pub fn try_send(&mut self, response: Resp) -> Result<(), QueueFull<Resp>> {
         self.responses.try_push(response)
@@ -147,7 +147,7 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexServer<Req, Resp> {
         self.responses.push_batch(responses)
     }
 
-    /// Publish any partially-filled response line to the client.
+    /// Publish the queued responses to the client.
     #[inline]
     pub fn flush(&mut self) {
         self.responses.flush();

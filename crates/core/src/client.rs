@@ -319,8 +319,9 @@ type WriteOrderMap = U64Map<KeyOrder>;
 /// Per-server communication lane and its bookkeeping.
 struct Lane {
     channel: DuplexClient<u64, Response>,
-    /// Request words not yet accepted by the ring.
-    outgoing: VecDeque<u64>,
+    /// Request words not yet accepted by the ring; the next pump hands them
+    /// over in one batch (`ClientHandle::push_outgoing`).
+    outgoing: Vec<u64>,
     /// Response-bearing operations routed here, in request order; the last
     /// `unsent` of them wait for room (see `Lane::send_waiting`).
     pending: VecDeque<Pending>,
@@ -331,14 +332,14 @@ impl Lane {
     fn new(channel: DuplexClient<u64, Response>) -> Self {
         Lane {
             channel,
-            outgoing: VecDeque::new(),
+            outgoing: Vec::new(),
             pending: VecDeque::new(),
             unsent: 0,
         }
     }
 
     /// Queue the request words of `pending`.
-    fn encode_into(outgoing: &mut VecDeque<u64>, pending: &Pending) {
+    fn encode_into(outgoing: &mut Vec<u64>, pending: &Pending) {
         let (w0, w1) = encode(&match pending {
             Pending::Lookup { key, .. } => Request::Lookup { key: *key },
             // The length alone decides: a value that fits a message word
@@ -353,9 +354,9 @@ impl Lane {
             },
             Pending::Delete { key, .. } => Request::Delete { key: *key },
         });
-        outgoing.push_back(w0);
+        outgoing.push(w0);
         if let Some(w1) = w1 {
-            outgoing.push_back(w1);
+            outgoing.push(w1);
         }
     }
 
@@ -842,24 +843,17 @@ impl ClientHandle {
         }
     }
 
-    /// Move outgoing words into the ring (stopping when it is full) and
-    /// publish them.
+    /// Hand the outgoing words to the ring in one batch — one capacity
+    /// check, one publish — keeping what a full ring refuses for the next
+    /// round.
     fn push_outgoing(lane: &mut Lane) {
         if lane.outgoing.is_empty() {
             return;
         }
         let span = StageSpan::begin(TraceStage::RingEnqueue);
-        let mut pushed = 0u32;
-        while let Some(&word) = lane.outgoing.front() {
-            match lane.channel.try_send(word) {
-                Ok(()) => {
-                    lane.outgoing.pop_front();
-                    pushed += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        span.finish(pushed);
+        let n = lane.channel.send_batch(&lane.outgoing);
+        lane.outgoing.drain(..n);
+        span.finish(n as u32);
     }
 
     /// Publish the lane's queued requests, and if that woke a sleeping
@@ -891,12 +885,11 @@ impl ClientHandle {
         resubmissions: &mut Vec<(usize, Pending)>,
         mut finished_writes: Option<&mut Vec<u64>>,
     ) {
-        // Publish now so a busy server starts on the requests while the
-        // responses below are processed, but ring once per round, at its
-        // end: the ring's fence waits for the stores just made to drain,
-        // which is a cross-core miss each time.
+        // The batch is published now, so a busy server starts on the
+        // requests while the responses below are processed, but rung once
+        // per round, at its end: the ring's fence waits for the stores just
+        // made to drain, which is a cross-core miss each time.
         Self::push_outgoing(lane);
-        lane.channel.publish();
 
         resp_buf.clear();
         if lane.channel.recv_batch(resp_buf, usize::MAX) == 0 {
@@ -982,7 +975,7 @@ impl ClientHandle {
                     let (w0, _) = encode(&Request::Decref {
                         id: response.element_id(),
                     });
-                    lane.outgoing.push_back(w0);
+                    lane.outgoing.push(w0);
                     Completion {
                         token,
                         kind: CompletionKind::LookupHit(value),
@@ -1010,7 +1003,7 @@ impl ClientHandle {
                     let (w0, _) = encode(&Request::Ready {
                         id: response.element_id(),
                     });
-                    lane.outgoing.push_back(w0);
+                    lane.outgoing.push(w0);
                     Completion {
                         token,
                         kind: CompletionKind::Inserted,
@@ -1112,5 +1105,60 @@ mod tests {
         assert!(!up(), "lowered after it");
         drop(handle);
         assert!(up(), "a dropped handle counts as asleep");
+    }
+
+    /// A poll round hands its requests to the ring in one publish, and what
+    /// a full ring refuses goes out, in order, at a later poll.  No server
+    /// thread: the test plays the server end of a bare duplex.
+    #[test]
+    fn a_poll_round_publishes_its_requests_once() {
+        const RING: usize = 512;
+        const ROUND: u64 = 64;
+        let (lane, mut server) = cphash_channel::duplex::<u64, Response>(
+            cphash_channel::RingConfig::with_capacity(RING),
+        );
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let mut handle = ClientHandle::new(vec![lane], RING, router, SleepFlag::default());
+        let flushes = |h: &ClientHandle| h.lanes[0].channel.request_stats().flushes();
+        let lookup = |key: u64| encode(&Request::Lookup { key }).0;
+        let mut out = Vec::new();
+        let mut next_key = 0u64;
+        // Rounds that fit: each is one publish, and the server end sees the
+        // round's words at once.  It answers them without consuming the
+        // requests, so the ring fills up, round by round.
+        for round in 1..=(RING as u64 / ROUND) {
+            let before = flushes(&handle);
+            for _ in 0..ROUND {
+                handle.submit_lookup(next_key);
+                next_key += 1;
+            }
+            assert_eq!(flushes(&handle), before, "submitting publishes nothing");
+            handle.poll(&mut out);
+            assert_eq!(flushes(&handle), before + 1, "round {round}: one publish");
+            assert_eq!(server.pending_requests(), (round * ROUND) as usize);
+            let misses = [Response::MISS; ROUND as usize];
+            assert_eq!(server.send_batch(&misses), misses.len());
+            server.flush();
+            out.clear();
+            handle.poll(&mut out);
+            assert_eq!(out.len(), ROUND as usize);
+        }
+        // The ring is full: the next round's first push is refused whole and
+        // publishes nothing; its words wait in the lane.
+        let before = flushes(&handle);
+        for _ in 0..ROUND {
+            handle.submit_lookup(next_key);
+            next_key += 1;
+        }
+        handle.poll(&mut out);
+        assert_eq!(flushes(&handle), before);
+        assert_eq!(server.pending_requests(), RING);
+        let mut words = Vec::new();
+        assert_eq!(server.recv_batch(&mut words, usize::MAX), RING);
+        // Room again: the next poll publishes the rest, once, in order.
+        handle.poll(&mut out);
+        assert_eq!(flushes(&handle), before + 1);
+        assert_eq!(server.recv_batch(&mut words, usize::MAX), ROUND as usize);
+        assert_eq!(words, (0..next_key).map(lookup).collect::<Vec<u64>>());
     }
 }

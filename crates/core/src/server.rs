@@ -572,8 +572,9 @@ impl ServerThread {
     }
 
     /// The next trailing word of a multi-word request: the next drained
-    /// word, or — when the message crossed a cache-line flush boundary and
-    /// the rest is still in flight — the next one the lane delivers.
+    /// word, or — when a full request ring split the message between two
+    /// publishes and the rest is still in flight — the next one the lane
+    /// delivers.
     fn extra_word(&mut self, lane_idx: usize, words: &[u64], i: &mut usize) -> u64 {
         match words.get(*i) {
             Some(&word) => {

@@ -213,11 +213,30 @@ fn boundary_value(key: u64) -> Vec<u8> {
         .collect()
 }
 
+/// Sum of the servers' park counts.
+fn parks(table: &CpHash) -> u64 {
+    table.server_stats().iter().map(|s| s.parks()).sum()
+}
+
+/// Wait until some server has parked since `since` parks; returns the new
+/// count.
+fn wait_for_a_park(table: &CpHash, since: u64) -> u64 {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    loop {
+        let now = parks(table);
+        if now > since {
+            return now;
+        }
+        assert!(std::time::Instant::now() < deadline, "no server parked");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn both_value_forms_survive_heavy_pipelining_on_tiny_rings() {
-    // 64-slot rings wrap constantly, and a lane batch or a published cache
-    // line (8 words) often ends between an insert's two words, so the
-    // server's wait for a message's second word is on the common path.
+    // 64-slot rings wrap constantly, and a full ring often splits an
+    // insert's two words between two publishes, so the server's wait for a
+    // message's second word is on the common path.
     let config = CpHashConfig {
         ring_capacity: 64,
         ..CpHashConfig::new(3, 2)
@@ -266,12 +285,44 @@ fn both_value_forms_survive_heavy_pipelining_on_tiny_rings() {
                 client.drain(&mut completions).unwrap();
                 check(&mut completions, &mut key_of);
                 assert!(key_of.is_empty(), "every submission completed");
-                hits
+                (hits, client)
             })
         })
         .collect();
-    let hits: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+    let (hits, mut clients): (Vec<u64>, Vec<_>) =
+        workers.into_iter().map(|w| w.join().unwrap()).unzip();
+    let hits: u64 = hits.iter().sum();
     assert!(hits > 10_000, "only {hits} lookups hit");
+    // A poll round publishes its staged requests once, and the round's
+    // `Ready` / `Decref` words lead its later publication, so a busy lane
+    // never puts a control word inside a run.  A sleeping server does:
+    // the round's first publish does not ring, so the server wakes at the
+    // round's flush and drains the staged lookup and the `Decref` queued
+    // behind it as one batch.
+    let client = &mut clients[0];
+    let key = 4; // a 64-byte value: reserved, copied, pinned by lookups
+    let mut parked = parks(&table);
+    assert!(client.insert(key, &boundary_value(key)).unwrap());
+    parked = wait_for_a_park(&table, parked);
+    let mut completions = Vec::new();
+    for _ in 0..8 {
+        client.submit_lookup(key);
+        client.flush();
+        // Answered, and asleep again with the reply unread.
+        parked = wait_for_a_park(&table, parked);
+        client.submit_lookup(key);
+        completions.clear();
+        client.drain(&mut completions).unwrap();
+        assert_eq!(completions.len(), 2);
+        for c in &completions {
+            match &c.kind {
+                CompletionKind::LookupHit(v) => assert_eq!(v.as_slice(), boundary_value(key)),
+                other => panic!("key {key}: {other:?}"),
+            }
+        }
+        parked = wait_for_a_park(&table, parked);
+    }
+    drop(clients);
     table.shutdown();
     let cuts: u64 = table.server_stats().iter().map(|s| s.run_cuts()).sum();
     assert!(

@@ -8,7 +8,11 @@
 //! - an end-to-end metric is **worse** when the median pair ratio is worse
 //!   than its `BENCHMARK.json` bound allows, and **unresolved** when the
 //!   parent's own quartile spread (interquartile range over median) is
-//!   wider than the bound, so that no ratio inside it could be told apart.
+//!   wider than the bound, so that no ratio inside it could be told apart;
+//! - one that would be `ok` is a **gain** when the change is ahead in at
+//!   least ⌈0.9·n⌉ pairs and its median beats the parent's, in the better
+//!   direction, by more than that spread: the bar a claimed improvement
+//!   has to clear.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -379,7 +383,8 @@ pub struct Judgement {
     /// Median of change / parent over the pairs.
     pub median_ratio: f64,
     pub bound: Option<f64>,
-    /// `ok`, `worse`, `unresolved`, or `-` for a metric without a bound.
+    /// `gain`, `ok`, `worse`, `unresolved`, or `-` for a metric without a
+    /// bound.
     pub verdict: &'static str,
 }
 
@@ -410,16 +415,19 @@ pub fn judge(pairs: &[(f64, f64)], spec: Option<MetricSpec>) -> Option<Judgement
             .count()
     });
     let bound = spec.and_then(|s| s.bound);
-    let verdict = match (spec, bound) {
-        (Some(spec), Some(bound)) => {
-            let worse_by = match spec.better {
-                Better::Higher => 1.0 - median_ratio,
-                Better::Lower => median_ratio - 1.0,
+    let verdict = match (spec, bound, ahead) {
+        (Some(spec), Some(bound), Some(ahead)) => {
+            let better_by = if parent.median == 0.0 {
+                0.0
+            } else {
+                -worse_by(spec.better, change.median / parent.median)
             };
             if parent.spread() > bound {
                 "unresolved"
-            } else if worse_by > bound || median_ratio.is_nan() {
+            } else if worse_by(spec.better, median_ratio) > bound || median_ratio.is_nan() {
                 "worse"
+            } else if ahead * 10 >= pairs.len() * 9 && better_by > parent.spread() {
+                "gain"
             } else {
                 "ok"
             }
@@ -666,9 +674,10 @@ mod tests {
         let j = judge(&pairs, spec(Better::Higher, 0.25)).unwrap();
         assert_eq!((j.verdict, j.ahead), ("ok", Some(0)));
         assert!((j.median_ratio - 0.9).abs() < 0.01);
-        // The same numbers judged as a lower-is-better metric lead 10 / 10.
+        // The same numbers judged as a lower-is-better metric lead 10 / 10,
+        // by more than the parent's 4 % spread.
         let j = judge(&pairs, spec(Better::Lower, 0.25)).unwrap();
-        assert_eq!((j.verdict, j.ahead), ("ok", Some(10)));
+        assert_eq!((j.verdict, j.ahead), ("gain", Some(10)));
         // 40 % slower is worse than the bound.
         let slow: Vec<(f64, f64)> = pairs.iter().map(|&(p, _)| (p, p * 0.6)).collect();
         assert_eq!(
@@ -695,6 +704,35 @@ mod tests {
         )
         .unwrap();
         assert_eq!((j.median_ratio, j.verdict), (1.0, "-"));
+    }
+
+    #[test]
+    fn a_gain_needs_nine_pairs_in_ten_and_a_median_past_the_parents_spread() {
+        // Parent quartiles 99.25–101.75 around 100.5: a 2.5 % spread.
+        let parents: Vec<f64> = (0..10).map(|i| 96.0 + i as f64).collect();
+        let campaign = |change: &dyn Fn(usize, f64) -> f64| -> Vec<(f64, f64)> {
+            parents
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (p, change(i, p)))
+                .collect()
+        };
+        let verdict = |pairs: &[(f64, f64)], better| judge(pairs, spec(better, 0.25)).unwrap();
+        // 10 / 10 ahead by 10 %, far past the spread.
+        let clear = campaign(&|_, p| p * 1.10);
+        let j = verdict(&clear, Better::Higher);
+        assert_eq!((j.verdict, j.ahead), ("gain", Some(10)));
+        // The same, for a lower-is-better metric.
+        let lower = campaign(&|_, p| p * 0.90);
+        assert_eq!(verdict(&lower, Better::Lower).verdict, "gain");
+        // 8 / 10 ahead is not enough, however far the median moved.
+        let eight = campaign(&|i, p| if i < 2 { p * 0.99 } else { p * 1.10 });
+        let j = verdict(&eight, Better::Higher);
+        assert_eq!((j.verdict, j.ahead), ("ok", Some(8)));
+        // 10 / 10 ahead by 1 %, inside the parent's 2.5 % spread.
+        let inside = campaign(&|_, p| p * 1.01);
+        let j = verdict(&inside, Better::Higher);
+        assert_eq!((j.verdict, j.ahead), ("ok", Some(10)));
     }
 
     #[test]
