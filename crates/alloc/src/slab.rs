@@ -240,16 +240,6 @@ impl SlabAllocator {
         self.stats.bytes_in_use
     }
 
-    /// Would an allocation of `size` bytes fit under the capacity budget
-    /// right now?
-    pub fn would_fit(&self, size: usize) -> bool {
-        let block = Self::block_bytes_for(size);
-        match self.config.capacity_bytes {
-            Some(cap) => self.stats.bytes_in_use + block <= cap,
-            None => true,
-        }
-    }
-
     /// Could an allocation of `size` bytes succeed with every other block
     /// freed?  `false` means no amount of eviction makes room: the value is
     /// longer than a handle can describe or its block exceeds the whole
@@ -464,9 +454,7 @@ mod tests {
         let h2 = a.allocate(32).unwrap();
         assert!(a.allocate(8).is_none());
         assert_eq!(a.stats().capacity_refusals, 1);
-        assert!(!a.would_fit(8));
         a.free(h1);
-        assert!(a.would_fit(8));
         let h3 = a.allocate(8).unwrap();
         a.free(h2);
         a.free(h3);

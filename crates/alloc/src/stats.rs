@@ -29,15 +29,6 @@ impl AllocStats {
     pub fn outstanding(&self) -> u64 {
         self.total_allocs - self.total_frees
     }
-
-    /// Fraction of allocations served from free lists.
-    pub fn freelist_hit_ratio(&self) -> f64 {
-        if self.total_allocs == 0 {
-            0.0
-        } else {
-            self.freelist_hits as f64 / self.total_allocs as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -45,15 +36,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn outstanding_and_ratio() {
+    fn outstanding_is_allocs_minus_frees() {
         let s = AllocStats {
             total_allocs: 10,
             total_frees: 4,
-            freelist_hits: 5,
             ..Default::default()
         };
         assert_eq!(s.outstanding(), 6);
-        assert!((s.freelist_hit_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(AllocStats::default().freelist_hit_ratio(), 0.0);
     }
 }

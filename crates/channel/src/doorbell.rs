@@ -12,7 +12,8 @@
 //! * a producer publishes its write index, fences, and looks at `parked`
 //!   ([`Doorbell::ring`], called from [`crate::Producer::flush`] only —
 //!   never from a bare publish ([`crate::Producer::publish`],
-//!   [`crate::Producer::push_batch`]), which a busy sender makes mid-round
+//!   [`crate::Producer::push_batch`], [`crate::Producer::push_whole`]),
+//!   which a busy sender makes mid-round
 //!   and where the fence would drain the store buffer behind every value
 //!   copy; `try_push` publishes nothing at all).
 //!

@@ -65,15 +65,18 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexClient<Req, Resp> {
         self.requests.push_blocking(request)
     }
 
-    /// Queue and publish a whole batch of requests with one capacity check
-    /// and one index publish; returns how many were accepted (see
-    /// [`Producer::push_batch`]).  The twin of [`DuplexServer::send_batch`]:
-    /// this is how a client hands one poll round's requests to the ring.
-    /// Publishing is not ringing: a [`DuplexClient::flush`] must follow
-    /// before the sender goes quiet.
+    /// Queue and publish a batch of requests whole, with one capacity check
+    /// and one index publish, or — when the ring lacks room for all of
+    /// them — none, returning `false` (see [`Producer::push_whole`]).  This
+    /// is how a client hands one poll round's requests to the ring, and what
+    /// a server may rely on: a message of several words that a client sent
+    /// in one batch is never visible in part, so the server that reads its
+    /// first word can read the rest without waiting.  Publishing is not
+    /// ringing: a [`DuplexClient::flush`] must follow before the sender goes
+    /// quiet.
     #[inline]
-    pub fn send_batch(&mut self, requests: &[Req]) -> usize {
-        self.requests.push_batch(requests)
+    pub fn send_batch(&mut self, requests: &[Req]) -> bool {
+        self.requests.push_whole(requests)
     }
 
     /// Publish the queued requests to the server and wake it if it sleeps
@@ -125,13 +128,6 @@ impl<Req: Copy + Send, Resp: Copy + Send> DuplexServer<Req, Resp> {
         self.requests.pop_batch(out, max)
     }
 
-    /// Queue a response; the client sees it at the next
-    /// [`DuplexServer::flush`] or [`DuplexServer::send_batch`].
-    #[inline]
-    pub fn try_send(&mut self, response: Resp) -> Result<(), QueueFull<Resp>> {
-        self.responses.try_push(response)
-    }
-
     /// Queue a response, spinning until there is room.
     #[inline]
     pub fn send_blocking(&mut self, response: Resp) {
@@ -179,10 +175,8 @@ mod tests {
         let mut reqs = Vec::new();
         server.recv_batch(&mut reqs, 64);
         assert_eq!(reqs.len(), 10);
-        for r in &reqs {
-            server.try_send(r * 10).unwrap();
-        }
-        server.flush();
+        let resps: Vec<u64> = reqs.iter().map(|r| r * 10).collect();
+        assert_eq!(server.send_batch(&resps), 10);
         let mut resps = Vec::new();
         client.recv_batch(&mut resps, 64);
         assert_eq!(resps, (0..10).map(|i| i * 10).collect::<Vec<u64>>());

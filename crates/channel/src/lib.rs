@@ -19,7 +19,7 @@
 //!   cache miss".  This crate keeps the consumer's half and goes further
 //!   on the producer's: a producer publishes only when told to (`publish`,
 //!   `flush`, `push_batch`), never per line, and a CPHash client publishes
-//!   a whole poll round's requests with one `push_batch`.  Per-line
+//!   a whole poll round's requests with one `push_whole`, all or none.  Per-line
 //!   publishing made a 64-operation round cost 8 publishes and left the
 //!   spinning server staging ≈ 41–46 of them per batch; one publish per
 //!   round fills its batch (`ring.rs`, "One publication rule").

@@ -109,13 +109,6 @@ unsafe impl<T: Send> Send for RingBuffer<T> {}
 unsafe impl<T: Send> Sync for RingBuffer<T> {}
 
 impl<T> RingBuffer<T> {
-    /// Messages currently buffered and visible to the consumer.
-    pub fn visible_len(&self) -> usize {
-        let w = self.write_index.load(Ordering::Acquire);
-        let r = self.read_index.load(Ordering::Acquire);
-        (w - r) as usize
-    }
-
     /// Capacity in messages.
     pub fn capacity(&self) -> usize {
         (self.mask + 1) as usize
@@ -237,6 +230,19 @@ impl<T: Copy + Send> Producer<T> {
     /// producer with a doorbell still owes the explicit
     /// [`Producer::flush`].
     pub fn push_batch(&mut self, messages: &[T]) -> usize {
+        self.push_at_least(messages, 1)
+    }
+
+    /// [`Producer::push_batch`] all of `messages` or none of them: when the
+    /// ring lacks room for the whole batch it accepts nothing, publishes
+    /// nothing, and returns `false`.
+    pub fn push_whole(&mut self, messages: &[T]) -> bool {
+        self.push_at_least(messages, messages.len()) == messages.len()
+    }
+
+    /// Enqueue and publish as many of `messages` as fit, if that is at least
+    /// `least` of them (and one), else nothing.
+    fn push_at_least(&mut self, messages: &[T], least: usize) -> usize {
         let capacity = self.shared.mask + 1;
         let mut free = (capacity - (self.temp_write - self.cached_read)) as usize;
         if free < messages.len() {
@@ -244,7 +250,7 @@ impl<T: Copy + Send> Producer<T> {
             free = (capacity - (self.temp_write - self.cached_read)) as usize;
         }
         let n = free.min(messages.len());
-        if n == 0 {
+        if n < least.max(1) {
             if !messages.is_empty() {
                 self.shared.stats.add_full_event();
             }
@@ -716,6 +722,22 @@ mod tests {
         assert_eq!(out, (0..8).collect::<Vec<u32>>());
         // Read-index publication reopens the whole ring.
         assert_eq!(tx.push_batch(&big[2..]), 8);
+    }
+
+    #[test]
+    fn push_whole_takes_all_or_nothing() {
+        let (mut tx, mut rx) = ring::<u32>(RingConfig::with_capacity(8));
+        assert!(tx.push_whole(&[0, 1, 2, 3, 4, 5, 6]));
+        let flushes = tx.stats().flushes();
+        // One slot left: a two-message batch is refused whole, unpublished.
+        assert!(!tx.push_whole(&[7, 8]));
+        assert_eq!((rx.available(), tx.stats().flushes()), (7, flushes));
+        assert!(tx.stats().full_events() >= 1);
+        let mut out = Vec::new();
+        rx.pop_batch(&mut out, 1);
+        assert!(tx.push_whole(&[7, 8]));
+        rx.pop_batch(&mut out, 64);
+        assert_eq!(out, (0..9).collect::<Vec<u32>>());
     }
 
     #[test]

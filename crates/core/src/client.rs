@@ -61,10 +61,22 @@ use crate::kv::SpinThenYield;
 use crate::protocol::{encode, Request, Response};
 use crate::router::EpochRouter;
 
-/// Upper bound on outstanding response-bearing operations per lane: a
-/// quarter of the ring, below the response ring's capacity, so the pair can
-/// never deadlock with both rings full.  `dispatch` keeps it, so a server
-/// tracks as many reservations per lane (`LaneReservations`).
+/// Upper bound on outstanding response-bearing operations per lane, `room`:
+/// a quarter of the ring.  `dispatch` keeps it, so a server tracks as many
+/// reservations per lane (`LaneReservations`), and it is what lets both
+/// directions of a lane send without ever waiting.
+///
+/// * **A reply always has room.**  Every reply still unread on a lane
+///   answers an operation still pending, so at most `room` < ring are.
+/// * **A request never stalls.**  A lane's words not yet read by its server
+///   — in the ring or still staged — are at most `room` pending operations
+///   × 2 words, plus at most `room` `Ready` / `Decref` words: a follow-up
+///   word behind the server's read position answers a reply to an
+///   operation that was pending when that position was written, and each
+///   operation sends at most one.  With the ring at least 64 slots
+///   (`CpHashConfig::validate`) that is at most ¾ of it, so a round's
+///   words, handed over whole (`ClientHandle::push_outgoing`), fit as soon
+///   as the server has read what came before them.
 pub(crate) fn outstanding_per_lane(ring_capacity: usize) -> usize {
     (ring_capacity / 4).max(8)
 }
@@ -320,7 +332,7 @@ type WriteOrderMap = U64Map<KeyOrder>;
 struct Lane {
     channel: DuplexClient<u64, Response>,
     /// Request words not yet accepted by the ring; the next pump hands them
-    /// over in one batch (`ClientHandle::push_outgoing`).
+    /// over whole, in one batch (`ClientHandle::push_outgoing`).
     outgoing: Vec<u64>,
     /// Response-bearing operations routed here, in request order; the last
     /// `unsent` of them wait for room (see `Lane::send_waiting`).
@@ -355,9 +367,7 @@ impl Lane {
             Pending::Delete { key, .. } => Request::Delete { key: *key },
         });
         outgoing.push(w0);
-        if let Some(w1) = w1 {
-            outgoing.push(w1);
-        }
+        outgoing.extend(w1);
     }
 
     /// Send the operations that wait, oldest first, while fewer than `room`
@@ -723,7 +733,7 @@ impl ClientHandle {
     /// explicit flush is useful right before a quiet period.
     pub fn flush(&mut self) {
         for lane in &mut self.lanes {
-            Self::push_outgoing(lane);
+            Self::push_outgoing(lane, self.max_outstanding_per_lane);
             Self::flush_lane(lane);
         }
     }
@@ -843,17 +853,21 @@ impl ClientHandle {
         }
     }
 
-    /// Hand the outgoing words to the ring in one batch — one capacity
-    /// check, one publish — keeping what a full ring refuses for the next
-    /// round.
-    fn push_outgoing(lane: &mut Lane) {
+    /// Hand the outgoing words to the ring whole — one capacity check, one
+    /// publish — or, when it lacks room for all of them, none, keeping them
+    /// for the next round.  So a request is never visible in part, and a
+    /// server that reads its first word reads the rest without waiting;
+    /// `outstanding_per_lane` says why the words always fit eventually.
+    fn push_outgoing(lane: &mut Lane, room: usize) {
         if lane.outgoing.is_empty() {
             return;
         }
+        debug_assert!(lane.outgoing.len() <= 3 * room, "staged past ¾ of the ring");
         let span = StageSpan::begin(TraceStage::RingEnqueue);
-        let n = lane.channel.send_batch(&lane.outgoing);
-        lane.outgoing.drain(..n);
-        span.finish(n as u32);
+        if lane.channel.send_batch(&lane.outgoing) {
+            span.finish(lane.outgoing.len() as u32);
+            lane.outgoing.clear();
+        }
     }
 
     /// Publish the lane's queued requests, and if that woke a sleeping
@@ -889,7 +903,7 @@ impl ClientHandle {
         // requests while the responses below are processed, but rung once
         // per round, at its end: the ring's fence waits for the stores just
         // made to drain, which is a cross-core miss each time.
-        Self::push_outgoing(lane);
+        Self::push_outgoing(lane, room);
 
         resp_buf.clear();
         if lane.channel.recv_batch(resp_buf, usize::MAX) == 0 {
@@ -933,7 +947,7 @@ impl ClientHandle {
         // Follow-up messages (Ready/Decref) generated above, then, behind
         // them, the operations that waited for room.
         lane.send_waiting(room);
-        Self::push_outgoing(lane);
+        Self::push_outgoing(lane, room);
         Self::flush_lane(lane);
     }
 
@@ -1160,5 +1174,49 @@ mod tests {
         assert_eq!(flushes(&handle), before + 1);
         assert_eq!(server.recv_batch(&mut words, usize::MAX), ROUND as usize);
         assert_eq!(words, (0..next_key).map(lookup).collect::<Vec<u64>>());
+    }
+
+    /// A request of two words goes into a ring with one free slot whole or
+    /// not at all: the server end never sees its opcode word without its
+    /// value word.
+    #[test]
+    fn a_request_is_never_published_in_part() {
+        const RING: usize = 64;
+        let (lane, mut server) = cphash_channel::duplex::<u64, Response>(
+            cphash_channel::RingConfig::with_capacity(RING),
+        );
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let mut handle = ClientHandle::new(vec![lane], RING, router, SleepFlag::default());
+        let mut out = Vec::new();
+        // Fill the ring to one free slot with lookups, answered without
+        // being consumed, a quarter of the ring in flight at a time.
+        let room = outstanding_per_lane(RING);
+        for key in 0..RING as u64 - 1 {
+            handle.submit_lookup(key);
+            if handle.outstanding() == room || key == RING as u64 - 2 {
+                handle.poll(&mut out);
+                let misses = vec![Response::MISS; handle.outstanding()];
+                assert_eq!(server.send_batch(&misses), misses.len());
+                handle.poll(&mut out);
+            }
+        }
+        assert_eq!(server.pending_requests(), RING - 1);
+        let flushes = handle.lanes[0].channel.request_stats().flushes();
+        let value = 8u64.to_le_bytes();
+        handle.submit_insert(7, &value);
+        handle.poll(&mut out);
+        assert_eq!(server.pending_requests(), RING - 1, "no word of the insert");
+        let mut words = Vec::new();
+        assert_eq!(server.recv_batch(&mut words, usize::MAX), RING - 1);
+        handle.poll(&mut out);
+        let published = handle.lanes[0].channel.request_stats().flushes() - flushes;
+        assert_eq!(published, 1, "both words in one publish");
+        words.clear();
+        assert_eq!(server.recv_batch(&mut words, usize::MAX), 2);
+        let (w0, w1) = encode(&Request::InsertInline {
+            key: 7,
+            value: InlineValue::new(&value).unwrap(),
+        });
+        assert_eq!(words, [w0, w1.unwrap()]);
     }
 }

@@ -41,8 +41,8 @@ impl ControlHandle {
         self.lanes[server].is_server_alive()
     }
 
-    /// Send a migration request to one server (blocking on ring space) and
-    /// publish it immediately.
+    /// Send a migration request to one server, its words in one batch
+    /// (blocking on ring space), and publish it immediately.
     pub fn send(&mut self, server: usize, request: &Request) -> Result<(), TableError> {
         debug_assert!(matches!(
             request,
@@ -53,9 +53,9 @@ impl ControlHandle {
             return Err(TableError::ServerGone);
         }
         let (w0, w1) = encode(request);
-        lane.send_blocking(w0);
-        if let Some(w1) = w1 {
-            lane.send_blocking(w1);
+        let words = [w0, w1.unwrap_or_default()];
+        while !lane.send_batch(&words[..1 + usize::from(w1.is_some())]) {
+            core::hint::spin_loop();
         }
         lane.flush();
         Ok(())

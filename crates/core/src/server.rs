@@ -14,6 +14,15 @@
 //! every instant exactly one server will actually execute an operation on a
 //! given key, so no key is ever lost or duplicated while keys move.
 //!
+//! One pass of that loop is [`ServerThread::poll_once`]: drain every lane,
+//! serve what it held, publish the replies.  It never waits — no spin, no
+//! park, no clock — because of two rules the client keeps
+//! ([`crate::client::outstanding_per_lane`] has the argument): a request is
+//! published whole, so the trailing word of a message is visible with its
+//! first, and a reply always has room, so publishing one never waits for
+//! the client.  Tests call it directly, thread-free.  [`ServerThread::run`]
+//! is the loop over it, plus the idle policy below.
+//!
 //! The other departure from §3.2 is that the loop is not continuous: the
 //! paper's server owns a core and accepts the idle polling (41 % of its
 //! time, §6.2); this one may share its CPU with the very client it serves,
@@ -164,11 +173,15 @@ pub(crate) struct ServerThread {
     pub reservations: Vec<LaneReservations>,
     /// The live-resize step this server is in.
     pub migration: MigrationState,
+    /// Buffers every pass reuses.
+    pub scratch: Scratch,
 }
 
-/// Reusable per-loop scratch buffers (allocated once per server thread).
+/// Reusable per-pass buffers (grown once, on the first passes).
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
+    /// The request words drained from the current lane.
+    words: Vec<u64>,
     /// The current run of decoded data operations.
     ops: Vec<DataOp>,
     /// One response per operation of the current run.
@@ -176,13 +189,12 @@ struct Scratch {
 }
 
 impl ServerThread {
-    /// Run the server loop until the stop flag is raised.
+    /// Run the server loop until the stop flag is raised: [`Self::poll_once`]
+    /// and, after a pass that found nothing, the idle policy.
     pub(crate) fn run(mut self) {
         if let Some(hw) = self.pin {
             self.stats.record_pin(pin_to_hw_thread(hw));
         }
-        let mut scratch = Scratch::default();
-        let mut words: Vec<u64> = Vec::with_capacity(LANE_BATCH); // lint: allow(hot-path) one-time setup before the loop
         let mut idle_streak: u32 = 0;
         // When the current idle stretch was first timed (at a yield point),
         // by the clock and by the cycle counter.
@@ -191,39 +203,9 @@ impl ServerThread {
 
         // relaxed: stop flag; shutdown needs no ordering
         while !self.stop.load(Ordering::Relaxed) {
-            let mut did_work = false;
-            let mut drained_total = 0usize;
-            for lane_idx in 0..self.lanes.len() {
-                let drained = {
-                    let lane = &mut self.lanes[lane_idx];
-                    words.clear();
-                    // The drain span only covers the ring read; an empty
-                    // drain is dropped unrecorded so idle polling does not
-                    // flood the trace ring.
-                    let span = StageSpan::begin(TraceStage::Drain);
-                    let n = lane.recv_batch(&mut words, LANE_BATCH);
-                    if n > 0 {
-                        span.finish(n as u32);
-                    }
-                    n
-                };
-                if drained == 0 {
-                    continue;
-                }
-                drained_total += drained;
-                did_work = true;
-                self.process_lane_batch(lane_idx, &words, &mut scratch);
-                self.lanes[lane_idx].flush();
-            }
-            // Publish the inbound queue-depth sample for the
-            // `cphash_queue_depth` gauge (one relaxed store per iteration).
-            self.stats
-                .queue_depth
-                .store(drained_total as u64, Ordering::Relaxed); // relaxed: diagnostic queue-depth gauge; staleness is benign
-
+            let drained = self.poll_once();
             iterations += 1;
-            self.try_finish_drain();
-            if did_work {
+            if drained > 0 {
                 single_writer_add(&self.stats.busy_iterations, 1);
                 idle_streak = 0;
                 idle_since = None;
@@ -274,6 +256,39 @@ impl ServerThread {
 
         *self.partition_stats.lock() = self.partition.stats();
         self.stats.stopped.store(true, Ordering::Release);
+    }
+
+    /// One pass over every lane, the control lane last: drain each (at most
+    /// [`LANE_BATCH`] words), serve what it held through the staged
+    /// pipeline and publish the replies; then publish the queue-depth
+    /// sample and retry a blocked drain.  Returns the number of request
+    /// words drained.  It never waits (see the module docs): no spin, no
+    /// park, no clock.
+    pub(crate) fn poll_once(&mut self) -> usize {
+        let mut scratch = core::mem::take(&mut self.scratch);
+        let mut drained_total = 0usize;
+        for lane_idx in 0..self.lanes.len() {
+            scratch.words.clear();
+            // The drain span only covers the ring read; an empty drain is
+            // dropped unrecorded so idle polling does not flood the trace
+            // ring.
+            let span = StageSpan::begin(TraceStage::Drain);
+            let drained = self.lanes[lane_idx].recv_batch(&mut scratch.words, LANE_BATCH);
+            if drained == 0 {
+                continue;
+            }
+            span.finish(drained as u32);
+            drained_total += drained;
+            self.process_lane_batch(lane_idx, &mut scratch);
+        }
+        self.scratch = scratch;
+        // Publish the inbound queue-depth sample for the
+        // `cphash_queue_depth` gauge (one relaxed store per pass).
+        self.stats
+            .queue_depth
+            .store(drained_total as u64, Ordering::Relaxed); // relaxed: diagnostic queue-depth gauge; staleness is benign
+        self.try_finish_drain();
+        drained_total
     }
 
     /// Whether every client that can send this server a request is blocked
@@ -338,7 +353,8 @@ impl ServerThread {
     /// identical to the pre-pipeline server's.  Every `Ready` and `Decref`
     /// therefore cuts a run short (`ServerStats::run_cuts`); operations on
     /// values short enough to travel in the messages send neither.
-    fn process_lane_batch(&mut self, lane_idx: usize, words: &[u64], scratch: &mut Scratch) {
+    fn process_lane_batch(&mut self, lane_idx: usize, scratch: &mut Scratch) {
+        let words = &scratch.words;
         // Counted here and added to the shared counter once per batch.
         let mut messages = 0u64;
         let mut i = 0usize;
@@ -377,7 +393,7 @@ impl ServerThread {
                 });
             }
             if !scratch.ops.is_empty() {
-                self.execute_run(lane_idx, scratch);
+                self.execute_run(lane_idx, &scratch.ops, &mut scratch.replies);
             }
             // A control message at the run boundary (the inner loop only
             // breaks before one, at the depth bound, or at the end).
@@ -396,8 +412,8 @@ impl ServerThread {
 
     /// Run one collected batch of data operations through the executor and
     /// publish the replies.
-    fn execute_run(&mut self, lane_idx: usize, scratch: &mut Scratch) {
-        scratch.replies.clear();
+    fn execute_run(&mut self, lane_idx: usize, ops: &[DataOp], replies: &mut Vec<Response>) {
+        replies.clear();
         {
             let mut ctx = OpCtx {
                 partition: &mut self.partition,
@@ -406,18 +422,14 @@ impl ServerThread {
                 migration: &self.migration,
                 reservations: &mut self.reservations[lane_idx],
             };
-            self.executor.execute(
-                &mut ctx,
-                &scratch.ops,
-                &mut scratch.replies,
-                &self.stats.batch,
-            );
+            self.executor
+                .execute(&mut ctx, ops, replies, &self.stats.batch);
         }
-        debug_assert_eq!(scratch.replies.len(), scratch.ops.len());
-        single_writer_add(&self.stats.operations, scratch.ops.len() as u64);
+        debug_assert_eq!(replies.len(), ops.len());
+        single_writer_add(&self.stats.operations, ops.len() as u64);
         let span = StageSpan::begin(TraceStage::ReplyPublish);
-        self.respond_batch(lane_idx, &scratch.replies);
-        span.finish(scratch.replies.len() as u32);
+        self.respond_batch(lane_idx, replies);
+        span.finish(replies.len() as u32);
     }
 
     /// Process one control message (`Ready`/`Decref`/migration plumbing).
@@ -560,7 +572,6 @@ impl ServerThread {
         if let Some(response) = self.export_step(step, abandon_reservations) {
             self.migration.hand_off(step);
             self.respond(lane_idx, response);
-            self.lanes[lane_idx].flush();
         }
     }
 
@@ -572,72 +583,40 @@ impl ServerThread {
     }
 
     /// The next trailing word of a multi-word request: the next drained
-    /// word, or — when a full request ring split the message between two
-    /// publishes and the rest is still in flight — the next one the lane
-    /// delivers.
+    /// word, or — when the message straddles the [`LANE_BATCH`] drain
+    /// limit — the lane's next word, which is visible already because a
+    /// client publishes every request whole (`DuplexClient::send_batch`).
     fn extra_word(&mut self, lane_idx: usize, words: &[u64], i: &mut usize) -> u64 {
         match words.get(*i) {
             Some(&word) => {
                 *i += 1;
                 word
             }
-            None => self.wait_for_extra_word(lane_idx),
+            None => {
+                let word = self.lanes[lane_idx].try_recv();
+                // lint: allow(hot-path) a broken publication rule must not pass for an empty value
+                word.expect("a request is published whole: its trailing word is visible with it")
+            }
         }
     }
 
-    /// Spin until the next word of a multi-word request becomes visible.
-    /// The sender always flushes after queueing a batch, so this terminates
-    /// unless the sender vanishes — in which case we bail out with a zero
-    /// word (the insert degenerates to an empty value).
-    fn wait_for_extra_word(&mut self, lane_idx: usize) -> u64 {
-        loop {
-            if let Some(w) = self.lanes[lane_idx].try_recv() {
-                return w;
-            }
-            if !self.lanes[lane_idx].is_client_alive() {
-                return 0;
-            }
-            core::hint::spin_loop();
-        }
-    }
-
-    /// Publish a whole run's responses with one ring synchronization,
-    /// spinning only if the response ring is momentarily full (the client
-    /// bounds its outstanding requests below the ring capacity, so the
-    /// common case is exactly one capacity check and one index publish).
+    /// Publish replies with one ring synchronization: one capacity check
+    /// and one index publish.  They always fit — the replies unread on a
+    /// lane are at most its client's `outstanding_per_lane`, less than the
+    /// ring, and the control lane has one message in flight — so a refusal
+    /// is a broken invariant, not back-pressure, and fails loudly.
     fn respond_batch(&mut self, lane_idx: usize, replies: &[Response]) {
-        let lane = &mut self.lanes[lane_idx];
-        let mut sent = 0usize;
-        while sent < replies.len() {
-            sent += lane.send_batch(&replies[sent..]);
-            if sent < replies.len() {
-                if !lane.is_client_alive() {
-                    return;
-                }
-                core::hint::spin_loop();
-            }
-        }
+        let sent = self.lanes[lane_idx].send_batch(replies);
+        // lint: allow(hot-path) a full reply ring means a client broke its in-flight bound
+        assert!(
+            sent == replies.len(),
+            "reply ring full: a client has more operations in flight than its ring holds"
+        );
     }
 
-    /// Queue a response on a lane, spinning if the response ring is
-    /// momentarily full (the client bounds its outstanding requests below
-    /// the ring capacity, so this never spins in practice).
+    /// Publish one reply (see [`Self::respond_batch`]).
     fn respond(&mut self, lane_idx: usize, response: Response) {
-        let lane = &mut self.lanes[lane_idx];
-        let mut r = response;
-        loop {
-            match lane.try_send(r) {
-                Ok(()) => return,
-                Err(full) => {
-                    r = full.message;
-                    lane.flush();
-                    if !lane.is_client_alive() {
-                        return;
-                    }
-                    core::hint::spin_loop();
-                }
-            }
-        }
+        self.respond_batch(lane_idx, &[response]);
     }
 }
 
@@ -648,38 +627,25 @@ mod tests {
     use cphash_channel::{duplex, DuplexClient, RingConfig};
     use cphash_hashcore::{InlineValue, PartitionConfig};
 
-    /// Raises the stop flag and rings the doorbell, as `CpHash::shutdown`
-    /// does: a server that went to sleep would never see the flag alone.
-    struct Stopper {
-        stop: Arc<AtomicBool>,
-        doorbell: Arc<Doorbell>,
-    }
-
-    impl Stopper {
-        fn stop(&self) {
-            self.stop.store(true, Ordering::Release);
-            self.doorbell.ring();
-        }
-    }
-
-    /// A server with two client lanes, which share one "asleep" flag.
+    /// A server with two client lanes, which share one "asleep" flag.  No
+    /// thread runs it: a test sends, calls [`ServerThread::poll_once`] and
+    /// reads the replies, unless it tests `run`'s idle policy ([`spawn`]).
     fn test_server(
         index: usize,
         router: Arc<EpochRouter>,
-    ) -> ([DuplexClient<u64, Response>; 2], ServerThread, Stopper) {
+    ) -> ([DuplexClient<u64, Response>; 2], ServerThread) {
         let doorbell = Arc::new(Doorbell::new());
         let lane = || {
             let (client, server_end) = duplex::<u64, Response>(RingConfig::with_capacity(1024));
             (client.with_doorbell(Arc::clone(&doorbell)), server_end)
         };
         let ((client0, lane0), (client1, lane1)) = (lane(), lane());
-        let stop = Arc::new(AtomicBool::new(false));
         let server = ServerThread {
             index,
             partition: Partition::new(PartitionConfig::new(64, None)),
             lanes: vec![lane0, lane1],
             pin: None,
-            stop: Arc::clone(&stop),
+            stop: Arc::new(AtomicBool::new(false)),
             doorbell: Arc::clone(&doorbell),
             clients_asleep: vec![SleepFlag::default(); 2],
             stats: Arc::new(ServerStats::new()),
@@ -690,41 +656,75 @@ mod tests {
             batch_size: crate::config::DEFAULT_BATCH_SIZE,
             reservations: (0..2).map(|_| LaneReservations::for_ring(1024)).collect(),
             migration: MigrationState::default(),
+            scratch: Scratch::default(),
         };
-        ([client0, client1], server, Stopper { stop, doorbell })
+        ([client0, client1], server)
     }
 
-    /// Drive a server thread object synchronously on the current thread by
-    /// feeding it requests and then raising the stop flag.
-    fn run_one_exchange(requests: Vec<Request>) -> Vec<Response> {
-        let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
+    /// A server loop on a thread of its own.
+    struct Running {
+        stop: Arc<AtomicBool>,
+        doorbell: Arc<Doorbell>,
+        thread: std::thread::JoinHandle<()>,
+    }
 
-        for r in &requests {
-            send(&mut client, r);
+    /// Run `server`'s loop, idle policy and all, on a thread.
+    fn spawn(server: ServerThread) -> Running {
+        let (stop, doorbell) = (Arc::clone(&server.stop), Arc::clone(&server.doorbell));
+        let thread = std::thread::spawn(move || server.run());
+        Running {
+            stop,
+            doorbell,
+            thread,
         }
-        client.flush();
-
-        let expected_responses = requests
-            .iter()
-            .filter(|r| !matches!(r, Request::Ready { .. } | Request::Decref { .. }))
-            .count();
-
-        let handle = std::thread::spawn(move || server.run());
-        let responses = (0..expected_responses)
-            .map(|_| recv_one(&mut client))
-            .collect();
-        stop.stop();
-        handle.join().unwrap();
-        responses
     }
 
+    impl Running {
+        /// Raise the stop flag and ring the doorbell, as `CpHash::shutdown`
+        /// does (a server that went to sleep would never see the flag
+        /// alone), and wait for the loop to end.
+        fn stop(self) {
+            self.stop.store(true, Ordering::Release);
+            self.doorbell.ring();
+            self.thread.join().unwrap();
+        }
+    }
+
+    /// Queue `request`'s words whole, as a client does.
     fn send(client: &mut DuplexClient<u64, Response>, request: &Request) {
         let (w0, w1) = encode(request);
-        client.send_blocking(w0);
-        if let Some(w1) = w1 {
-            client.send_blocking(w1);
+        let words = [w0, w1.unwrap_or_default()];
+        assert!(client.send_batch(&words[..1 + usize::from(w1.is_some())]));
+    }
+
+    /// Send `requests` in one flush, let the server make one pass, and read
+    /// every reply it published.
+    fn exchange(
+        server: &mut ServerThread,
+        client: &mut DuplexClient<u64, Response>,
+        requests: &[Request],
+    ) -> Vec<Response> {
+        for request in requests {
+            send(client, request);
         }
+        client.flush();
+        server.poll_once();
+        let mut replies = Vec::new();
+        client.recv_batch(&mut replies, usize::MAX);
+        replies
+    }
+
+    /// One exchange with a fresh one-partition server; every request but
+    /// `Ready` and `Decref` is answered in it.
+    fn run_one_exchange(requests: Vec<Request>) -> Vec<Response> {
+        let router = Arc::new(EpochRouter::new(1, 64, 1));
+        let ([mut client, _], mut server) = test_server(0, router);
+        let replies = exchange(&mut server, &mut client, &requests);
+        let answered = requests
+            .iter()
+            .filter(|r| !matches!(r, Request::Ready { .. } | Request::Decref { .. }));
+        assert_eq!(replies.len(), answered.count());
+        replies
     }
 
     fn recv_one(client: &mut DuplexClient<u64, Response>) -> Response {
@@ -786,9 +786,7 @@ mod tests {
     #[test]
     fn inline_hits_leave_nothing_pinned_and_cut_no_run() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
-        let stats = Arc::clone(&server.stats);
-        let partition_stats = Arc::clone(&server.partition_stats);
+        let ([mut client, _], mut server) = test_server(0, router);
         // 8 bytes, then 64 over it, then 8 again: the element changes
         // representation both ways under one key.  No reply is awaited in
         // between, so one drain sees the whole script.
@@ -798,12 +796,8 @@ mod tests {
         script.push(inline(3, &[9; 8]));
         script.extend([Request::Lookup { key: 3 }, Request::Delete { key: 3 }]);
         script.push(Request::Lookup { key: 3 });
-        for request in &script {
-            send(&mut client, request);
-        }
-        client.flush();
-        let handle = std::thread::spawn(move || server.run());
-        let replies: Vec<Response> = script.iter().map(|_| recv_one(&mut client)).collect();
+        let replies = exchange(&mut server, &mut client, &script);
+        assert_eq!(replies.len(), script.len());
         assert_eq!(replies[0], Response::FOUND);
         assert_eq!(replies[1].inline_value().unwrap().as_slice(), [8; 8]);
         assert!(replies[2].has_value() && replies[2].value_size() == 64);
@@ -818,28 +812,29 @@ mod tests {
         // that could have cut a run — they come after an awaited reply, so
         // they do not.
         let id = replies[2].element_id();
-        send(&mut client, &Request::Ready { id });
-        send(&mut client, &Request::Decref { id });
-        client.flush();
-        stop.stop();
-        handle.join().unwrap();
-        assert_eq!(stats.run_cuts(), 0);
-        assert_eq!(stats.operations(), script.len() as u64);
-        let table = *partition_stats.lock();
+        let none = exchange(
+            &mut server,
+            &mut client,
+            &[Request::Ready { id }, Request::Decref { id }],
+        );
+        assert!(none.is_empty());
+        assert_eq!(server.stats.run_cuts(), 0);
+        assert_eq!(server.stats.operations(), script.len() as u64);
+        let table = server.partition.stats();
         assert_eq!((table.hits, table.replacements, table.deletes), (3, 2, 1));
     }
 
     #[test]
     fn a_run_cut_is_counted_where_a_control_message_ends_it() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
-        let stats = Arc::clone(&server.stats);
-        send(&mut client, &Request::Insert { key: 1, size: 64 });
-        client.flush();
-        let handle = std::thread::spawn(move || server.run());
-        let reserved = recv_one(&mut client);
-        // Five words inside one ring line, published by one flush, so one
-        // drain: three lookups, the `Ready` that cuts their run, a lookup.
+        let ([mut client, _], mut server) = test_server(0, router);
+        let reserved = exchange(
+            &mut server,
+            &mut client,
+            &[Request::Insert { key: 1, size: 64 }],
+        )[0];
+        // Five words in one drain: three lookups, the `Ready` that cuts
+        // their run, a lookup.
         let ready = Request::Ready {
             id: reserved.element_id(),
         };
@@ -850,52 +845,40 @@ mod tests {
             ready,
             Request::Lookup { key: 1 },
         ];
-        for request in &script {
-            send(&mut client, request);
-        }
-        client.flush();
-        for _ in 0..3 {
-            assert_eq!(recv_one(&mut client), Response::MISS);
-        }
-        assert!(
-            recv_one(&mut client).has_value(),
-            "published by the Ready ahead of it"
-        );
-        stop.stop();
-        handle.join().unwrap();
-        assert_eq!(stats.run_cuts(), 1);
+        let replies = exchange(&mut server, &mut client, &script);
+        assert_eq!(replies[..3], [Response::MISS; 3]);
+        assert!(replies[3].has_value(), "published by the Ready ahead of it");
+        assert_eq!(server.stats.run_cuts(), 1);
     }
 
     #[test]
     fn a_lookup_behind_its_own_lanes_reservation_reads_it_and_no_other_lane_does() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut own, mut other], server, stop) = test_server(0, router);
-        let partition_stats = Arc::clone(&server.partition_stats);
-        let handle = std::thread::spawn(move || server.run());
-        send(&mut own, &Request::Insert { key: 4, size: 64 });
-        send(&mut own, &Request::Lookup { key: 4 });
-        own.flush();
-        let reserved = recv_one(&mut own);
-        let read = recv_one(&mut own);
+        let ([mut own, mut other], mut server) = test_server(0, router);
+        let script = [
+            Request::Insert { key: 4, size: 64 },
+            Request::Lookup { key: 4 },
+        ];
+        let [reserved, read] = exchange(&mut server, &mut own, &script)[..] else {
+            panic!("two replies expected");
+        };
         assert_eq!(
             (read.addr, read.element_id(), read.value_size()),
             (reserved.addr, reserved.element_id(), 64),
             "the lookup is answered with the lane's own reservation"
         );
-        send(&mut other, &Request::Lookup { key: 4 });
-        other.flush();
-        assert_eq!(recv_one(&mut other), Response::MISS, "NOT-READY elsewhere");
+        let elsewhere = exchange(&mut server, &mut other, &[Request::Lookup { key: 4 }]);
+        assert_eq!(elsewhere, [Response::MISS], "NOT-READY elsewhere");
         // `Ready`, then the lookup's `Decref`: no pin is left, so deleting
         // the key frees its block at once rather than deferring it.
         let id = reserved.element_id();
-        send(&mut own, &Request::Ready { id });
-        send(&mut own, &Request::Decref { id });
-        send(&mut own, &Request::Delete { key: 4 });
-        own.flush();
-        assert_eq!(recv_one(&mut own), Response::FOUND);
-        stop.stop();
-        handle.join().unwrap();
-        let table = *partition_stats.lock();
+        let script = [
+            Request::Ready { id },
+            Request::Decref { id },
+            Request::Delete { key: 4 },
+        ];
+        assert_eq!(exchange(&mut server, &mut own, &script), [Response::FOUND]);
+        let table = server.partition.stats();
         assert_eq!((table.hits, table.deletes, table.deferred_frees), (1, 1, 0));
     }
 
@@ -912,43 +895,33 @@ mod tests {
             old_partitions: 1,
             new_partitions: 2,
         };
-        let ([mut client, mut control], server, stop) = test_server(0, router);
-        let handle = std::thread::spawn(move || server.run());
-        send(&mut client, &Request::Insert { key, size: 64 });
-        client.flush();
-        let reserved = recv_one(&mut client);
-        send(&mut control, &Request::MigrateOut { step });
-        send(&mut control, &Request::Lookup { key });
-        control.flush();
-        let bounced = recv_one(&mut control);
-        assert!(bounced.is_retry() && bounced.retry_destination() == 0);
+        let ([mut client, mut control], mut server) = test_server(0, router);
+        let reserved = exchange(
+            &mut server,
+            &mut client,
+            &[Request::Insert { key, size: 64 }],
+        )[0];
+        let script = [Request::MigrateOut { step }, Request::Lookup { key }];
+        let bounced = exchange(&mut server, &mut control, &script);
+        assert_eq!(bounced.len(), 1, "the export waits for the reservation");
+        assert!(bounced[0].is_retry() && bounced[0].retry_destination() == 0);
         let id = reserved.element_id();
-        send(&mut client, &Request::Ready { id });
-        client.flush();
+        assert!(exchange(&mut server, &mut client, &[Request::Ready { id }]).is_empty());
         let exported = recv_one(&mut control);
         // SAFETY: the server leaked this batch for the coordinator to take.
         let batch = unsafe { MigrationBatch::from_addr(exported.addr) };
         assert_eq!(batch.entries.len(), 1, "the drain ended at the Ready");
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn a_reservation_for_a_short_value_is_refused_untouched() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
-        let partition_stats = Arc::clone(&server.partition_stats);
+        let ([mut client, _], mut server) = test_server(0, router);
         let mut script = vec![inline(5, &[5; 8])];
         script.extend((0..=8).map(|size| Request::Insert { key: 5, size }));
         script.push(Request::Lookup { key: 5 });
-        for request in &script {
-            send(&mut client, request);
-        }
-        client.flush();
-        let handle = std::thread::spawn(move || server.run());
-        let replies: Vec<Response> = script.iter().map(|_| recv_one(&mut client)).collect();
-        stop.stop();
-        handle.join().unwrap();
+        let replies = exchange(&mut server, &mut client, &script);
+        assert_eq!(replies.len(), script.len());
         assert_eq!(replies[0], Response::FOUND);
         assert!(replies[1..10].iter().all(|r| *r == Response::MISS));
         assert_eq!(
@@ -956,7 +929,7 @@ mod tests {
             [5; 8],
             "the key's value survives the refusals"
         );
-        let table = *partition_stats.lock();
+        let table = server.partition.stats();
         assert_eq!(
             (table.inserts, table.replacements, table.failed_inserts),
             (1, 0, 0),
@@ -965,46 +938,41 @@ mod tests {
     }
 
     #[test]
-    fn trailing_words_may_arrive_a_flush_later() {
+    fn a_message_straddling_the_drain_limit_is_served_in_the_same_pass() {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
-        let (w0, w1) = encode(&inline(6, &[6; 8]));
-        let handle = std::thread::spawn(move || server.run());
-        // One word per flush: the server drains the opcode word alone and
-        // must wait for the value word.
-        for word in [w0, w1.unwrap()] {
-            client.send_blocking(word);
-            client.flush();
-            std::thread::sleep(Duration::from_millis(2));
+        let ([mut client, _], mut server) = test_server(0, router);
+        // 255 one-word lookups, then an insert whose value word is word
+        // 257: one past the lane's drain limit, read straight off the ring.
+        let mut script: Vec<Request> = (0..255).map(|key| Request::Lookup { key }).collect();
+        script.push(inline(6, &[6; 8]));
+        for request in &script {
+            send(&mut client, request);
         }
-        assert_eq!(recv_one(&mut client), Response::FOUND);
-        send(&mut client, &Request::Lookup { key: 6 });
         client.flush();
-        assert_eq!(
-            recv_one(&mut client).inline_value().unwrap().as_slice(),
-            [6; 8]
-        );
-        stop.stop();
-        handle.join().unwrap();
+        assert_eq!(server.poll_once(), LANE_BATCH);
+        let mut replies = Vec::new();
+        client.recv_batch(&mut replies, usize::MAX);
+        assert_eq!(replies.len(), 256, "every operation answered in one pass");
+        assert_eq!(replies[255], Response::FOUND);
+        let read = exchange(&mut server, &mut client, &[Request::Lookup { key: 6 }]);
+        assert_eq!(read[0].inline_value().unwrap().as_slice(), [6; 8]);
     }
 
     #[test]
-    fn a_client_gone_mid_message_does_not_hang_the_server() {
+    #[should_panic(expected = "reply ring full")]
+    fn a_client_past_its_in_flight_bound_fails_the_server_loudly() {
+        // A `ClientHandle` keeps a quarter of the ring in flight; this one
+        // leaves a whole ring of replies unread and sends one more request.
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
-        let stats = Arc::clone(&server.stats);
-        let (opcode_word, _) = encode(&inline(7, &[7; 8]));
-        client.send_blocking(opcode_word);
-        client.flush();
-        drop(client);
-        let handle = std::thread::spawn(move || server.run());
-        // The missing word reads as zero (a zeroed value) and the operation
-        // still completes; the reply goes nowhere.
-        while stats.operations() == 0 {
-            std::thread::yield_now();
+        let ([mut client, _], mut server) = test_server(0, router);
+        for key in 0..1024 {
+            send(&mut client, &Request::Lookup { key });
         }
-        stop.stop();
-        handle.join().unwrap();
+        client.flush();
+        while server.poll_once() > 0 {}
+        send(&mut client, &Request::Lookup { key: 0 });
+        client.flush();
+        server.poll_once();
     }
 
     #[test]
@@ -1019,15 +987,11 @@ mod tests {
         // owned by partition 1 must bounce with a retry response.
         let router = Arc::new(EpochRouter::new(2, 64, 2));
         let foreign_key = (0..).find(|k| partition_for_key(*k, 2) == 1).unwrap();
-        let ([mut client, _], server, stop) = test_server(0, Arc::clone(&router));
-        send(&mut client, &Request::Lookup { key: foreign_key });
-        client.flush();
-        let handle = std::thread::spawn(move || server.run());
-        let resp = recv_one(&mut client);
+        let ([mut client, _], mut server) = test_server(0, Arc::clone(&router));
+        let lookup = Request::Lookup { key: foreign_key };
+        let resp = exchange(&mut server, &mut client, &[lookup])[0];
         assert!(resp.is_retry());
         assert_eq!(resp.retry_destination(), 1);
-        stop.stop();
-        handle.join().unwrap();
     }
 
     /// Serve `rounds` lookups with the server's one client announced asleep
@@ -1036,11 +1000,11 @@ mod tests {
     /// each park (a reading of the host, not an assertion).
     fn park_after_each_of(announce: bool, rounds: u64) -> Arc<ServerStats> {
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
+        let ([mut client, _], server) = test_server(0, router);
         let stats = Arc::clone(&server.stats);
         // relaxed: advisory flag, as in the client
         server.clients_asleep[0].store(announce, Ordering::Relaxed);
-        let handle = std::thread::spawn(move || server.run());
+        let running = spawn(server);
         let cycles_per_us = cphash_perfmon::estimate_cycles_per_second(10) / 1e6;
         let mut spins = Vec::new();
         for key in 0..rounds {
@@ -1055,8 +1019,7 @@ mod tests {
             }
             spins.push((stats.idle_spin_cycles() - spun) as f64 / cycles_per_us);
         }
-        stop.stop();
-        handle.join().unwrap();
+        running.stop();
         eprintln!("announce {announce}: spin before each park {spins:.0?} µs");
         stats
     }
@@ -1084,10 +1047,10 @@ mod tests {
         // The flag is advisory: a server that parks because it read "asleep"
         // a moment before the request was flushed is still rung awake.
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
+        let ([mut client, _], server) = test_server(0, router);
         let stats = Arc::clone(&server.stats);
         let asleep = Arc::clone(&server.clients_asleep[0]);
-        let handle = std::thread::spawn(move || server.run());
+        let running = spawn(server);
         for round in 0..2_000u64 {
             asleep.store(true, Ordering::Relaxed); // relaxed: advisory flag, as in the client
             if round % 4 == 0 {
@@ -1107,8 +1070,7 @@ mod tests {
             };
             assert_eq!(reply, Response::FOUND);
         }
-        stop.stop();
-        handle.join().unwrap();
+        running.stop();
         assert_eq!(stats.operations(), 2_000);
         assert!(stats.parks() > 0, "the server never parked");
     }
@@ -1118,14 +1080,9 @@ mod tests {
         // A zero word has no valid opcode; the following lookup must still
         // be processed.
         let router = Arc::new(EpochRouter::new(1, 64, 1));
-        let ([mut client, _], server, stop) = test_server(0, router);
-        client.send_blocking(0);
-        send(&mut client, &Request::Lookup { key: 1 });
-        client.flush();
-        let handle = std::thread::spawn(move || server.run());
-        let resp = recv_one(&mut client);
-        assert_eq!(resp, Response::MISS);
-        stop.stop();
-        handle.join().unwrap();
+        let ([mut client, _], mut server) = test_server(0, router);
+        assert!(client.send_batch(&[0]));
+        let replies = exchange(&mut server, &mut client, &[Request::Lookup { key: 1 }]);
+        assert_eq!(replies, [Response::MISS]);
     }
 }

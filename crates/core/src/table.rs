@@ -112,6 +112,7 @@ impl CpHash {
                     .map(|_| LaneReservations::for_ring(config.ring_capacity))
                     .collect(),
                 migration: Default::default(),
+                scratch: Default::default(),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("cphash-server-{index}"))

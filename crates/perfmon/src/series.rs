@@ -46,11 +46,6 @@ impl DataSeries {
             .find(|p| (p.x - x).abs() < 1e-9)
             .map(|p| p.y)
     }
-
-    /// Largest y value in the series.
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|p| p.y).fold(f64::MIN, f64::max)
-    }
 }
 
 /// A full figure: axis labels plus one or more series.
@@ -165,7 +160,6 @@ mod tests {
         s.push(2.0, 20.0);
         assert_eq!(s.y_at(2.0), Some(20.0));
         assert_eq!(s.y_at(3.0), None);
-        assert_eq!(s.max_y(), 20.0);
     }
 
     #[test]
