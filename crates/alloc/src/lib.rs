@@ -16,12 +16,13 @@
 //! knows when to evict (the benchmark's "maximum hash table size" knob is a
 //! byte budget).
 //!
-//! [`SlabAllocator`] implements a segregated-fit allocator: quarter-step
-//! size classes (four per doubling, so a block is less than a quarter
-//! larger than the request it serves), per-class free lists, chunked backing
-//! storage obtained from the global allocator.  [`ValueHandle`]s are stable
-//! raw-pointer handles a client thread can copy value bytes through while
-//! the server thread keeps ownership of the metadata.
+//! [`SlabAllocator`] implements a segregated-fit allocator: sixteenth-step
+//! size classes (sixteen per doubling, so a request of 256 bytes or more
+//! gets a block less than a sixteenth larger than itself), per-class free
+//! lists, chunked backing storage obtained from the global allocator.
+//! [`ValueHandle`]s are stable raw-pointer handles a client thread can copy
+//! value bytes through while the server thread keeps ownership of the
+//! metadata.
 //!
 //! Every block is freed by the allocator that handed it out, on its owner's
 //! thread, so nothing here is atomic.  Live re-partitioning keeps that

@@ -1,13 +1,22 @@
-//! Quarter-step size classes.
+//! Sixteenth-step size classes.
 //!
-//! Allocation requests are rounded up to the next class: 8 bytes, then
-//! 16/32/48/64, then four classes per doubling (1.25, 1.5, 1.75 and 2 × 2ᵏ)
-//! up to [`MAX_CLASS_BYTES`].  A request of 64 bytes or more therefore
-//! wastes less than a quarter of its block, and every class above the
-//! 8-byte one is a multiple of 16 so the slab's block alignment holds when a
-//! chunk is carved at class-size strides.  Requests above
+//! Allocation requests are rounded up to the next class: 8 bytes, then flat
+//! 16-byte steps up to 256, then sixteen classes per doubling (17/16 ..
+//! 32/16 of 2ᵏ) up to [`MAX_CLASS_BYTES`].  A request of 256 bytes or more
+//! therefore wastes less than a sixteenth of itself, one below 256 less than
+//! 16 bytes, and every class above the 8-byte one is a multiple of 16 so the
+//! slab's block alignment holds when a chunk is carved at class-size
+//! strides.  Every size of the coarser four-classes-per-doubling rule (8,
+//! 16, 32, 48, 64, then 5/4 .. 8/4 of 2ᵏ) is still a class, so no request
+//! gets a larger block than it would there.  Requests above
 //! [`MAX_CLASS_BYTES`] are "huge" and served by a dedicated allocation per
 //! value rather than a slab chunk.
+//!
+//! The price of the finer steps is free-list headers: a slab keeps one per
+//! class, 209 of them, 148 more than four per doubling needs (about 3.5 KB
+//! per partition).  Each class in use holds at most one partly carved
+//! chunk, and carving writes nothing into the blocks it has not handed out,
+//! so the untouched tail of that chunk is not made resident.
 
 /// Smallest block handed out, in bytes (one 64-bit word — the microbenchmark
 /// values are exactly this size).
@@ -17,16 +26,28 @@ pub const MIN_CLASS_BYTES: usize = 8;
 /// allocations with their own backing chunk.
 pub const MAX_CLASS_BYTES: usize = 1 << 20;
 
-/// log₂ of the first size (64) whose doubling is cut into quarter steps;
-/// below it the steps are a flat 16 bytes.
-const QUARTER_BASE_LOG2: u32 = 6;
+/// log₂ of the flat step below [`STEPPED_BASE_LOG2`], which is also every
+/// class's alignment (16 bytes).
+const FLAT_STEP_LOG2: u32 = 4;
 
-/// Number of slab size classes: the 8-byte class, 16/32/48/64, and four per
-/// doubling from 64 up to [`MAX_CLASS_BYTES`].
+/// Bits of a request's length, below its top set bit, that pick its class
+/// within a doubling: 2ᴹ classes per doubling.
+const MANTISSA_BITS: u32 = 4;
+
+/// Classes per doubling (and flat steps below [`STEPPED_BASE_LOG2`]).
+const STEPS: usize = 1 << MANTISSA_BITS;
+
+/// log₂ of the first size (256) whose doubling is cut into [`STEPS`]
+/// classes; below it the steps are a flat 16 bytes, the smallest step that
+/// keeps every class a multiple of 16.
+const STEPPED_BASE_LOG2: u32 = FLAT_STEP_LOG2 + MANTISSA_BITS;
+
+/// Number of slab size classes: the 8-byte class, the sixteen flat steps up
+/// to 256, and sixteen per doubling from 256 up to [`MAX_CLASS_BYTES`].
 pub const NUM_CLASSES: usize =
-    5 + 4 * (MAX_CLASS_BYTES.trailing_zeros() - QUARTER_BASE_LOG2) as usize;
+    1 + STEPS + STEPS * (MAX_CLASS_BYTES.trailing_zeros() - STEPPED_BASE_LOG2) as usize;
 
-const _: () = assert!(NUM_CLASSES == 61);
+const _: () = assert!(NUM_CLASSES == 209);
 
 /// Index of a size class. `SizeClass(NUM_CLASSES)` is used internally to tag
 /// huge allocations.
@@ -58,12 +79,13 @@ pub fn class_for_size(size: usize) -> SizeClass {
         return SizeClass::HUGE;
     }
     // `last` is the highest byte offset the block must cover.  Its top set
-    // bit picks the doubling and the two bits below it the quarter; under 64
-    // the doubling is pinned so the same shift yields the flat 16-byte steps.
+    // bit picks the doubling and the `MANTISSA_BITS` below it the step; under
+    // 256 the doubling is pinned so the same shift yields the flat 16-byte
+    // steps.
     let last = size - 1;
-    let log2 = (usize::BITS - 1 - last.leading_zeros()).max(QUARTER_BASE_LOG2);
-    let quarter = last >> (log2 - 2);
-    SizeClass(1 + 4 * (log2 - QUARTER_BASE_LOG2) as usize + quarter)
+    let log2 = (usize::BITS - 1 - last.leading_zeros()).max(STEPPED_BASE_LOG2);
+    let mantissa = last >> (log2 - MANTISSA_BITS);
+    SizeClass(1 + STEPS * (log2 - STEPPED_BASE_LOG2) as usize + mantissa)
 }
 
 /// Number of usable bytes in a block of the given class — the exact inverse
@@ -80,14 +102,17 @@ pub fn class_size(class: SizeClass) -> usize {
     let Some(step) = class.0.checked_sub(1) else {
         return MIN_CLASS_BYTES;
     };
-    // Steps 0..4 are 16/32/48/64; from there every group of four is one
-    // doubling cut into quarters 5/4 .. 8/4.
-    let (quarter, shift) = if step < 4 {
-        (step, QUARTER_BASE_LOG2 as usize - 2)
+    // The first `STEPS` steps are 16 .. 256; from there every group of
+    // `STEPS` is one doubling cut into sixteenths 17/16 .. 32/16.
+    let (mantissa, shift) = if step < STEPS {
+        (step, FLAT_STEP_LOG2 as usize)
     } else {
-        (4 + step % 4, QUARTER_BASE_LOG2 as usize - 3 + step / 4)
+        (
+            STEPS + step % STEPS,
+            FLAT_STEP_LOG2 as usize - 1 + step / STEPS,
+        )
     };
-    (quarter + 1) << shift
+    (mantissa + 1) << shift
 }
 
 #[cfg(test)]
@@ -96,8 +121,8 @@ mod tests {
 
     #[test]
     fn class_count_matches_range() {
-        // 8, then 16/32/48/64, then 4 × the 14 doublings 64 → 1 MiB.
-        assert_eq!(NUM_CLASSES, 61);
+        // 8, then 16 .. 256, then 16 × the 12 doublings 256 → 1 MiB.
+        assert_eq!(NUM_CLASSES, 209);
     }
 
     #[test]
@@ -114,6 +139,9 @@ mod tests {
         assert_eq!(class_for_size(64), SizeClass(4));
         assert_eq!(class_for_size(80), SizeClass(5));
         assert_eq!(class_for_size(128), SizeClass(8));
+        assert_eq!(class_for_size(256), SizeClass(16));
+        assert_eq!(class_for_size(272), SizeClass(17));
+        assert_eq!(class_for_size(512), SizeClass(32));
         assert_eq!(class_size(class_for_size(4096)), 4096);
         for c in 0..NUM_CLASSES {
             assert_eq!(class_for_size(class_size(SizeClass(c))), SizeClass(c));
@@ -127,7 +155,10 @@ mod tests {
         assert_eq!(class_size(class_for_size(33)), 48);
         assert_eq!(class_size(class_for_size(65)), 80);
         assert_eq!(class_size(class_for_size(100)), 112);
-        assert_eq!(class_size(class_for_size(1048)), 1280);
+        assert_eq!(class_size(class_for_size(257)), 272);
+        assert_eq!(class_size(class_for_size(1048)), 1088);
+        assert_eq!(class_size(class_for_size(1052)), 1088);
+        assert_eq!(class_size(class_for_size(1089)), 1152);
         assert_eq!(class_size(class_for_size(1500)), 1536);
     }
 
@@ -175,14 +206,31 @@ mod tests {
                 class.0 == 0 || class_size(SizeClass(class.0 - 1)) < size,
                 "size={size} skipped a class"
             );
-            if size >= 64 {
+            if size >= 256 {
                 assert!(
-                    (block - size) * 4 < size,
+                    (block - size) * 16 < size,
                     "size={size} wastes {} of {block}",
                     block - size
                 );
+            } else {
+                assert!(block - size < 16, "size={size} block={block}");
             }
         }
         assert!(class_for_size(MAX_CLASS_BYTES + 1).is_huge());
+    }
+
+    #[test]
+    fn every_four_per_doubling_size_is_still_a_class() {
+        // The coarser rule's classes: 8, 16/32/48/64, then 5/4 .. 8/4 of
+        // each doubling up to the largest class.  Each is its own block
+        // here, so no request's block grew when the steps got finer.
+        let mut sizes = vec![8, 16, 32, 48, 64];
+        for k in 4..=MAX_CLASS_BYTES.trailing_zeros() - 3 {
+            sizes.extend((5..=8usize).map(|q| q << k));
+        }
+        assert_eq!(sizes.len(), 61);
+        for size in sizes {
+            assert_eq!(class_size(class_for_size(size)), size, "size={size}");
+        }
     }
 }

@@ -575,21 +575,21 @@ mod tests {
         assert_eq!(SlabAllocator::block_bytes_for(100), 112);
         assert_eq!(h.block_bytes(), 112);
         a.free(h);
-        assert_eq!(SlabAllocator::block_bytes_for(1048), 1280);
+        assert_eq!(SlabAllocator::block_bytes_for(1048), 1088);
         assert_eq!(SlabAllocator::block_bytes_for(1500), 1536);
     }
 
     #[test]
-    fn a_quarter_step_class_carves_its_chunk_without_overlap() {
-        // 1 280 does not divide 64 KiB: the chunk holds 51 blocks and the
+    fn a_sixteenth_step_class_carves_its_chunk_without_overlap() {
+        // 1 088 does not divide 64 KiB: the chunk holds 60 blocks and the
         // 256-byte tail is never reserved.
         let mut a = SlabAllocator::unbounded();
-        let handles: Vec<ValueHandle> = (0..51).map(|_| a.allocate(1048).unwrap()).collect();
-        assert_eq!(a.stats().bytes_reserved, 51 * 1280);
+        let handles: Vec<ValueHandle> = (0..60).map(|_| a.allocate(1048).unwrap()).collect();
+        assert_eq!(a.stats().bytes_reserved, 60 * 1088);
         let mut addrs: Vec<u64> = handles.iter().map(|h| h.addr()).collect();
         addrs.sort_unstable();
         for pair in addrs.windows(2) {
-            assert_eq!(pair[1] - pair[0], 1280);
+            assert_eq!(pair[1] - pair[0], 1088);
         }
         for h in &handles {
             assert_eq!(h.addr() % BLOCK_ALIGN as u64, 0);
@@ -601,9 +601,9 @@ mod tests {
             // SAFETY: blocks are live and not concurrently written.
             assert!(unsafe { h.as_slice() }.iter().all(|&b| b == h.addr() as u8));
         }
-        // The 52nd block needs a second chunk.
+        // The 61st block needs a second chunk.
         let extra = a.allocate(1048).unwrap();
-        assert_eq!(a.stats().bytes_reserved, 2 * 51 * 1280);
+        assert_eq!(a.stats().bytes_reserved, 2 * 60 * 1088);
         a.free(extra);
         for h in handles {
             a.free(h);

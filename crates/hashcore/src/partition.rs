@@ -1630,6 +1630,33 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_partition_holds_as_many_kib_values_as_their_blocks_allow() {
+        // 1 052 B is the longest envelope of a 1 KiB value (4 + 24 + 1 024);
+        // its block is 1 088 B, so a 1 MiB budget keeps ⌊2²⁰ / 1 088⌋ of
+        // them resident.  A rule that rounds it to 1 280 B keeps 819.
+        const CAPACITY: usize = 1 << 20;
+        let mut p = Partition::new(
+            PartitionConfig::new(1024, Some(CAPACITY)).with_eviction(EvictionPolicy::Clock),
+        );
+        let value = [0x5A; 1052];
+        for key in 0..2000u64 {
+            p.insert_copy(key, &value).unwrap();
+        }
+        assert!(p.stats().evictions > 0, "the budget was never reached");
+        assert!(p.bytes_in_use() <= CAPACITY);
+        assert!(
+            p.len() >= CAPACITY / 1088,
+            "{} values resident, {} fit",
+            p.len(),
+            CAPACITY / 1088
+        );
+        let mut buf = Vec::new();
+        assert!(p.lookup_copy(1999, &mut buf));
+        assert_eq!(buf, value);
+        p.check_invariants();
+    }
+
+    #[test]
     fn stats_track_hits_and_misses() {
         let mut p = small(None);
         p.insert_copy(1, &[0; 8]).unwrap();

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use bytes::BytesMut;
 use proptest::prelude::*;
 
-use cphash_suite::alloc::{class_size, SizeClass, SlabAllocator, SlabConfig};
+use cphash_suite::alloc::{class_for_size, class_size, SizeClass, SlabAllocator, SlabConfig};
 use cphash_suite::channel::{ring, RingConfig};
 use cphash_suite::hashcore::{EvictionPolicy, Partition, PartitionConfig};
 use cphash_suite::kvproto::{
@@ -291,7 +291,10 @@ proptest! {
     fn allocator_blocks_never_overlap_and_accounting_balances(
         // Sizes one below, on and one above a class boundary (8 B .. 8 KiB):
         // where a mis-rounded request would land in a block too small for it.
-        sizes in prop::collection::vec((0usize..33, 0usize..3), 1..100),
+        sizes in prop::collection::vec(
+            (0..=class_for_size(8 * 1024).0, 0usize..3),
+            1..100,
+        ),
         capacity in prop::option::of(4096usize..65536),
     ) {
         let mut allocator = SlabAllocator::new(SlabConfig {
