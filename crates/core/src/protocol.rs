@@ -13,8 +13,9 @@
 //! | `Ready`  | element id                 | —           |
 //! | `Decref` | element id                 | —           |
 //! | `Delete` | key                        | —           |
-//! | `MigratePrepare` / `MigrateOut` | chunk, old and new partition count | — |
-//! | `MigrateIn` | chunk, old and new partition count | batch address |
+//! | `MigratePrepare` | chunk, old and new partition count | — |
+//! | `MigrateOut` | chunk, old and new partition count | — (the reply carries a [`MigrationExport`]'s address) |
+//! | `MigrateIn` | chunk, old and new partition count | a [`MigrationBatch`]'s address |
 //! | `InsertInline` | key                  | value bytes (at most 7) with their count in the top byte |
 //! | `InsertWord` | key                    | value bytes (exactly 8) |
 //!
@@ -180,8 +181,9 @@ pub enum Request {
         /// The transition step.
         step: MigrationStep,
     },
-    /// Deliver an extracted batch; the second word carries the address of a
-    /// leaked `Box<MigrationBatch>` the destination takes ownership of.
+    /// Deliver one cut of a chunk's records; the second word carries the
+    /// address of a leaked `Box<MigrationBatch>` the destination takes
+    /// ownership of (or 1: nothing arrives for it in this chunk).
     MigrateIn {
         /// The transition step.
         step: MigrationStep,
@@ -383,8 +385,8 @@ impl Response {
         }
     }
 
-    /// Build a response carrying an extracted migration batch: the address
-    /// of a leaked `Box<MigrationBatch>` plus its entry count.
+    /// Build a response carrying a chunk's extracted keys: the address of a
+    /// leaked `Box<MigrationExport>` plus its entry count.
     pub fn with_batch(batch_addr: u64, entries: usize) -> Response {
         debug_assert!(batch_addr > 1 && batch_addr != Self::RETRY_ADDR);
         Response {
@@ -426,23 +428,35 @@ impl Response {
     }
 }
 
-/// A batch of `(key, value bytes)` pairs extracted from one partition for
-/// one migration chunk.
+/// Ceiling on the record bytes of one [`MigrationBatch`].
 ///
-/// Batches are handed between threads *by address* through the existing
-/// response/request rings — the same shared-memory pointer-passing the
-/// paper uses for values — as a leaked `Box` whose ownership transfers with
-/// the message: source server → coordinator (via [`Response::with_batch`]),
-/// then coordinator → destination server (via [`Request::MigrateIn`]).
+/// A receiving server absorbs a delivery in one go between serving requests,
+/// so the ceiling bounds the single-server stall one migration step can
+/// cause — the per-chunk analogue of what the pacer does across chunks.
+pub const MAX_BATCH_BYTES: usize = 256 * 1024;
+
+/// A record's header: the key (8 bytes), then the value length (4 bytes),
+/// both little-endian.  The value bytes follow.
+const RECORD_HEADER: usize = 12;
+
+/// One delivery of a migration chunk to one receiver: the moved entries as
+/// `(key, len, bytes)` records in one buffer, written by the source and
+/// read by the receiver — no entry has an allocation of its own.
 ///
-/// A chunk's delivery to one destination may be *split* into several
-/// batches (the coordinator bounds each delivery by a byte budget so one
-/// huge chunk cannot stall its receiving server); only the delivery with
-/// `last == true` completes the chunk at the receiver.
+/// Handed between threads *by address* through the existing rings — the
+/// same shared-memory pointer-passing the paper uses for values — as a
+/// leaked `Box` whose ownership transfers with the message: inside a
+/// [`MigrationExport`] from the source to the coordinator, then alone from
+/// the coordinator to the receiver ([`Request::MigrateIn`]).  A receiver may
+/// get several batches of one chunk (one per source, and more where the
+/// records pass [`MAX_BATCH_BYTES`]); only the one with `last` set completes
+/// the chunk at the receiver.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MigrationBatch {
-    /// The moved elements.
-    pub entries: Vec<(u64, Vec<u8>)>,
+    /// The records, back to back.
+    records: Vec<u8>,
+    /// How many records `records` holds.
+    entries: usize,
     /// Whether this is the final delivery of its chunk to this receiver.
     /// Until the final batch lands, the receiver keeps treating the chunk
     /// as in flight (holding off requests for not-yet-absorbed keys).
@@ -450,21 +464,35 @@ pub struct MigrationBatch {
 }
 
 impl MigrationBatch {
-    /// Wrap extracted entries as a complete (single-delivery) batch.
-    pub fn new(entries: Vec<(u64, Vec<u8>)>) -> Self {
-        MigrationBatch {
-            entries,
-            last: true,
-        }
+    /// Append one entry's record.
+    pub fn push(&mut self, key: u64, bytes: &[u8]) {
+        let len = u32::try_from(bytes.len()).expect("a value fits a 32-bit length");
+        self.records.extend_from_slice(&key.to_le_bytes());
+        self.records.extend_from_slice(&len.to_le_bytes());
+        self.records.extend_from_slice(bytes);
+        self.entries += 1;
     }
 
-    /// Wrap entries as a non-final delivery: more batches of the same chunk
-    /// follow for this receiver.
-    pub fn partial(entries: Vec<(u64, Vec<u8>)>) -> Self {
-        MigrationBatch {
-            entries,
-            last: false,
-        }
+    /// The entries, in the order they were pushed.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        let mut rest = self.records.as_slice();
+        core::iter::from_fn(move || {
+            let (key, tail) = rest.split_first_chunk::<8>()?;
+            let (len, tail) = tail.split_first_chunk::<4>()?;
+            let (bytes, after) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            rest = after;
+            Some((u64::from_le_bytes(*key), bytes))
+        })
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries
+    }
+
+    /// Whether the batch holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries == 0
     }
 
     /// Leak onto the heap, returning the address to ship over a ring.
@@ -482,6 +510,70 @@ impl MigrationBatch {
         // SAFETY: per the contract above, `addr` is a uniquely-owned
         // `Box<MigrationBatch>` leaked by `into_addr`.
         unsafe { Box::from_raw(addr as *mut MigrationBatch) }
+    }
+}
+
+/// What one source extracts for one chunk: its leaving entries sorted by
+/// new owner as they leave the table, each receiver's cut into batches of
+/// at most [`MAX_BATCH_BYTES`] record bytes.  An entry larger than the
+/// ceiling travels alone, and no batch is empty.
+///
+/// The `MigrateOut` reply hands it over by address
+/// ([`Response::with_batch`]); the coordinator forwards each batch to its
+/// receiver without reading it.
+#[derive(Debug, Default)]
+pub struct MigrationExport {
+    /// Per receiver (by partition index), its batches in order.
+    receivers: Vec<Vec<MigrationBatch>>,
+}
+
+impl MigrationExport {
+    /// Append one entry to `receiver`'s batches.
+    pub fn push(&mut self, receiver: usize, key: u64, bytes: &[u8]) {
+        if receiver >= self.receivers.len() {
+            self.receivers.resize_with(receiver + 1, Vec::new);
+        }
+        let batches = &mut self.receivers[receiver];
+        let cost = RECORD_HEADER + bytes.len();
+        match batches.last_mut() {
+            Some(batch) if batch.records.len() + cost <= MAX_BATCH_BYTES => batch.push(key, bytes),
+            _ => {
+                // A batch starts at a sixteenth of the ceiling, so it grows
+                // to it in four steps, not one per doubling from nothing.
+                let mut batch = MigrationBatch {
+                    records: Vec::with_capacity(cost.max(MAX_BATCH_BYTES / 16)),
+                    ..MigrationBatch::default()
+                };
+                batch.push(key, bytes);
+                batches.push(batch);
+            }
+        }
+    }
+
+    /// Take `receiver`'s batches, in order (none is marked `last`).
+    pub fn take(&mut self, receiver: usize) -> Vec<MigrationBatch> {
+        self.receivers
+            .get_mut(receiver)
+            .map(core::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Leak onto the heap, returning the address to ship over a ring.
+    pub fn into_addr(self) -> u64 {
+        Box::into_raw(Box::new(self)) as u64
+    }
+
+    /// Reclaim an export previously leaked with
+    /// [`MigrationExport::into_addr`].
+    ///
+    /// # Safety
+    /// `addr` must come from exactly one `into_addr` call whose ownership
+    /// was transferred to the caller and not yet reclaimed.
+    pub unsafe fn from_addr(addr: u64) -> Box<MigrationExport> {
+        debug_assert!(addr > 1 && addr != Response::RETRY_ADDR);
+        // SAFETY: per the contract above, `addr` is a uniquely-owned
+        // `Box<MigrationExport>` leaked by `into_addr`.
+        unsafe { Box::from_raw(addr as *mut MigrationExport) }
     }
 }
 
@@ -538,14 +630,94 @@ mod tests {
 
     #[test]
     fn migration_batch_address_round_trip() {
-        let batch = MigrationBatch::new(vec![(1, vec![0xAA; 16]), (2, vec![0xBB; 3])]);
-        let addr = batch.clone().into_addr();
-        let resp = Response::with_batch(addr, 2);
+        let mut export = MigrationExport::default();
+        export.push(1, 1, &[0xAA; 16]);
+        export.push(1, 2, &[0xBB; 3]);
+        export.push(3, 3, &[]);
+        let resp = Response::with_batch(export.into_addr(), 3);
         assert!(resp.is_hit());
-        assert_eq!(resp.meta, 2);
-        // SAFETY: addr comes from into_addr above and is reclaimed once.
-        let back = unsafe { MigrationBatch::from_addr(resp.addr) };
-        assert_eq!(*back, batch);
+        assert_eq!(resp.meta, 3);
+        // SAFETY: the address comes from into_addr above and is reclaimed once.
+        let mut export = unsafe { MigrationExport::from_addr(resp.addr) };
+        assert!(export.take(0).is_empty() && export.take(2).is_empty());
+        assert!(export.take(7).is_empty(), "a receiver past the last one");
+        let mut batches = export.take(1);
+        assert_eq!(batches.len(), 1);
+        let mut batch = batches.remove(0);
+        batch.last = true;
+        let sent = batch.clone();
+        // SAFETY: as above.
+        let back = unsafe { MigrationBatch::from_addr(batch.into_addr()) };
+        assert_eq!(*back, sent);
+        assert!(back.last);
+        let entries: Vec<(u64, &[u8])> = back.iter().collect();
+        assert_eq!(entries, [(1, &[0xAA; 16][..]), (2, &[0xBB; 3][..])]);
+        assert_eq!(back.records.len(), 2 * RECORD_HEADER + 16 + 3);
+        let third = export.take(3);
+        assert_eq!(third.len(), 1);
+        assert_eq!(third[0].iter().collect::<Vec<_>>(), [(3, &[][..])]);
+    }
+
+    /// Push `(key, value length)` entries for one receiver and return its
+    /// batches.
+    fn cut(entries: &[(u64, usize)]) -> Vec<MigrationBatch> {
+        let mut export = MigrationExport::default();
+        for &(key, len) in entries {
+            export.push(0, key, &vec![key as u8; len]);
+        }
+        let batches = export.take(0);
+        assert_eq!(
+            batches.iter().map(MigrationBatch::len).sum::<usize>(),
+            entries.len()
+        );
+        batches
+    }
+
+    #[test]
+    fn small_deliveries_are_not_cut() {
+        let batches = cut(&[(1, 10), (2, 10)]);
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].len(), 2);
+    }
+
+    #[test]
+    fn deliveries_are_cut_at_the_byte_ceiling_in_order() {
+        // Four entries of a little over a third of the ceiling: two per cut.
+        let len = MAX_BATCH_BYTES / 3;
+        let batches = cut(&[(1, len), (2, len), (3, len), (4, len)]);
+        assert_eq!(batches.len(), 2);
+        assert!(batches.iter().all(|b| b.len() == 2));
+        assert!(batches.iter().all(|b| b.records.len() <= MAX_BATCH_BYTES));
+        let keys: Vec<u64> = batches
+            .iter()
+            .flat_map(|b| b.iter().map(|(k, _)| k))
+            .collect();
+        assert_eq!(keys, [1, 2, 3, 4]);
+        for (key, bytes) in batches.iter().flat_map(MigrationBatch::iter) {
+            assert_eq!(bytes, vec![key as u8; len]);
+        }
+    }
+
+    #[test]
+    fn an_entry_larger_than_the_ceiling_travels_alone() {
+        let batches = cut(&[(1, 10), (2, MAX_BATCH_BYTES), (3, 10)]);
+        assert_eq!(batches.len(), 3);
+        assert_eq!(batches[1].len(), 1);
+        assert_eq!(batches[1].iter().next().unwrap().0, 2);
+        assert!(batches[1].records.len() > MAX_BATCH_BYTES);
+    }
+
+    #[test]
+    fn no_cut_is_empty() {
+        for len in [1, MAX_BATCH_BYTES / 7, MAX_BATCH_BYTES / 2, MAX_BATCH_BYTES] {
+            let entries: Vec<(u64, usize)> = (0..9).map(|k| (k, len + k as usize)).collect();
+            let batches = cut(&entries);
+            assert!(batches.iter().all(|b| !b.is_empty()), "length {len}");
+            assert_eq!(batches.iter().map(MigrationBatch::len).sum::<usize>(), 9);
+            assert!(batches
+                .iter()
+                .all(|b| b.len() == 1 || b.records.len() <= MAX_BATCH_BYTES));
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::client::SleepFlag;
 use crate::migration::MigrationState;
 use crate::pipeline::{DataOp, LaneReservations, OpCtx, StagedExecutor};
 use crate::protocol::{
-    decode_word, inline_from_word, MigrationBatch, MigrationStep, OpCode, Response,
+    decode_word, inline_from_word, MigrationBatch, MigrationExport, MigrationStep, OpCode, Response,
 };
 use crate::router::EpochRouter;
 use crate::stats::ServerStats;
@@ -497,16 +497,16 @@ impl ServerThread {
                 // deliveries of this chunk follow.
                 let mut is_final = true;
                 if addr > 1 {
-                    // SAFETY: the coordinator leaked exactly this batch
-                    // with `into_addr` and transfers ownership with this
-                    // message.
+                    // SAFETY: a source leaked exactly this batch with
+                    // `into_addr`, and the coordinator transfers ownership
+                    // with this message.
                     let batch = unsafe { MigrationBatch::from_addr(addr) };
                     is_final = batch.last;
-                    for (key, value) in batch.entries {
+                    for (key, value) in batch.iter() {
                         // A failed absorb (value larger than this
                         // partition's budget) drops the entry, exactly
                         // like an eviction at the moment of migration.
-                        if self.partition.absorb(key, &value).is_ok() {
+                        if self.partition.absorb(key, value).is_ok() {
                             absorbed += 1;
                         }
                     }
@@ -536,27 +536,24 @@ impl ServerThread {
     /// A chunk is a contiguous run of the partition's bucket lines, so the
     /// extraction walks only those lines and their overflow chains: its cost
     /// is proportional to the chunk's share of the table, not the table size.
+    /// Each leaving entry is written straight into its new owner's batch.
     fn export_step(&mut self, step: MigrationStep, abandon_reservations: bool) -> Option<Response> {
-        let me = self.index;
-        let leaving = |key| partition_for_key(key, step.new_partitions) != me;
-        let entries = if abandon_reservations {
-            self.partition
-                .export_chunk_abandoning_reservations(step.chunk, leaving)
-        } else {
-            match self.partition.export_chunk(step.chunk, leaving) {
-                ExportOutcome::Extracted(entries) => entries,
-                ExportOutcome::Pending { .. } => return None,
-            }
+        let (me, owners) = (self.index, step.new_partitions);
+        let leaving = |key| partition_for_key(key, owners) != me;
+        let mut export = MigrationExport::default();
+        let sink = |key, bytes: &[u8]| export.push(partition_for_key(key, owners), key, bytes);
+        let outcome = self
+            .partition
+            .export_chunk(step.chunk, abandon_reservations, leaving, sink);
+        let count = match outcome {
+            ExportOutcome::Extracted(count) => count,
+            ExportOutcome::Pending { .. } => return None,
         };
-        single_writer_add(&self.stats.keys_migrated_out, entries.len() as u64);
-        if entries.is_empty() {
+        single_writer_add(&self.stats.keys_migrated_out, count as u64);
+        if count == 0 {
             return Some(Response::FOUND);
         }
-        let count = entries.len();
-        Some(Response::with_batch(
-            MigrationBatch::new(entries).into_addr(),
-            count,
-        ))
+        Some(Response::with_batch(export.into_addr(), count))
     }
 
     /// Retry a drain-blocked extraction, if one is in progress (called
@@ -908,9 +905,68 @@ mod tests {
         let id = reserved.element_id();
         assert!(exchange(&mut server, &mut client, &[Request::Ready { id }]).is_empty());
         let exported = recv_one(&mut control);
-        // SAFETY: the server leaked this batch for the coordinator to take.
-        let batch = unsafe { MigrationBatch::from_addr(exported.addr) };
-        assert_eq!(batch.entries.len(), 1, "the drain ended at the Ready");
+        // SAFETY: the server leaked this export for the coordinator to take.
+        let mut export = unsafe { MigrationExport::from_addr(exported.addr) };
+        assert_eq!(exported.meta, 1, "the drain ended at the Ready");
+        let keys: Vec<u64> = export
+            .take(1)
+            .iter()
+            .flat_map(|b| b.iter().map(|(k, _)| k))
+            .collect();
+        assert_eq!(keys, [key]);
+    }
+
+    #[test]
+    fn a_chunk_leaves_its_source_sorted_by_new_owner() {
+        // One chunk covering the whole table, so the 1 -> 4 export takes
+        // every key the new layout gives away.  Values of 8 bytes live in
+        // their elements, of 64 in slab blocks: both kinds travel.
+        let router = Arc::new(EpochRouter::new(1, 1, 4));
+        let ([_, mut control], mut server) = test_server(0, router);
+        server.partition =
+            Partition::new(PartitionConfig::new(1024, None).with_migration_chunks(1));
+        let value = |key: u64| key.to_le_bytes().repeat(1 + 7 * (key % 2) as usize);
+        let keys = 0..1_000u64;
+        for key in keys.clone() {
+            server.partition.insert_copy(key, &value(key)).unwrap();
+        }
+        let step = MigrationStep {
+            chunk: 0,
+            old_partitions: 1,
+            new_partitions: 4,
+        };
+        let reply = exchange(&mut server, &mut control, &[Request::MigrateOut { step }])[0];
+        // SAFETY: the server leaked this export for the coordinator to take.
+        let mut export = unsafe { MigrationExport::from_addr(reply.addr) };
+        let leaving: Vec<u64> = keys
+            .clone()
+            .filter(|&k| partition_for_key(k, 4) != 0)
+            .collect();
+        assert_eq!(reply.meta, leaving.len() as u64);
+        assert!(export.take(0).is_empty(), "the source keeps its own keys");
+        let mut moved = Vec::new();
+        for receiver in 1..4 {
+            for batch in export.take(receiver) {
+                assert!(!batch.is_empty() && !batch.last);
+                for (key, bytes) in batch.iter() {
+                    assert_eq!(partition_for_key(key, 4), receiver, "key {key}");
+                    assert_eq!(bytes, value(key), "key {key}");
+                    moved.push(key);
+                }
+            }
+        }
+        moved.sort_unstable();
+        assert_eq!(
+            moved, leaving,
+            "each leaving key exactly once, none staying"
+        );
+        let mut stayed = server.partition.keys();
+        stayed.sort_unstable();
+        assert!(stayed.iter().all(|&k| partition_for_key(k, 4) == 0));
+        assert_eq!(stayed.len() + moved.len(), keys.count());
+        // relaxed: written by this thread, in the pass above
+        let out = server.stats.keys_migrated_out.load(Ordering::Relaxed);
+        assert_eq!(out, moved.len() as u64);
     }
 
     #[test]

@@ -204,11 +204,11 @@ pub struct InsertReservation {
 }
 
 /// Result of a [`Partition::export_matching`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExportOutcome {
-    /// Matching elements were removed from the partition; each entry is a
-    /// `(key, value bytes)` pair ready to be absorbed elsewhere.
-    Extracted(Vec<(u64, Vec<u8>)>),
+    /// This many matching elements were handed to the caller's sink and
+    /// removed from the partition.
+    Extracted(usize),
     /// Matching NOT-READY elements block the export; nothing was extracted.
     Pending {
         /// Number of in-flight inserts that must publish first.
@@ -728,7 +728,7 @@ impl Partition {
     // ------------------------------------------------------------------
 
     /// Extract every linked element whose key matches `leaving`, removing it
-    /// from this partition and returning `(key, value bytes)` pairs.
+    /// from this partition and handing each `(key, value bytes)` to `sink`.
     ///
     /// This is the server-side primitive behind online repartitioning: the
     /// owning server thread exports the keys that a new partition layout
@@ -739,13 +739,17 @@ impl Partition {
     ///
     /// Elements still in NOT-READY state (an insert whose value copy is in
     /// flight) cannot be exported — their bytes are not yet valid — so if any
-    /// matching element is NOT-READY, *nothing* is extracted and
-    /// [`ExportOutcome::Pending`] reports how many inserts must finish first.
-    /// The caller retries once the outstanding `Ready` messages have been
-    /// processed, which keeps the export atomic per chunk.
-    pub fn export_matching(&mut self, leaving: impl Fn(u64) -> bool) -> ExportOutcome {
+    /// matching element is NOT-READY, *nothing* is extracted (`sink` is never
+    /// called) and [`ExportOutcome::Pending`] reports how many inserts must
+    /// finish first.  The caller retries once the outstanding `Ready`
+    /// messages have been processed, which keeps the export atomic per chunk.
+    pub fn export_matching(
+        &mut self,
+        leaving: impl Fn(u64) -> bool,
+        sink: impl FnMut(u64, &[u8]),
+    ) -> ExportOutcome {
         let (matching, not_ready) = self.gather_scan(&leaving);
-        self.export_gathered(matching, not_ready, false)
+        self.export_gathered(matching, not_ready, false, sink)
     }
 
     /// Extract the linked elements of one migration chunk whose keys match
@@ -754,31 +758,23 @@ impl Partition {
     /// Semantics (NOT-READY deferral included) are identical to filtering
     /// [`Partition::export_matching`] by the chunk, which debug builds
     /// assert by cross-checking against the scan path.
-    pub fn export_chunk(&mut self, chunk: usize, leaving: impl Fn(u64) -> bool) -> ExportOutcome {
-        let (matching, not_ready) = self.gather_chunk(chunk, &leaving);
-        #[cfg(debug_assertions)]
-        self.cross_check_chunk_gather(chunk, &leaving, &matching, not_ready);
-        self.export_gathered(matching, not_ready, false)
-    }
-
-    /// Like [`Partition::export_chunk`], but matching NOT-READY elements are
-    /// *dropped from the export* instead of deferring it.
     ///
-    /// Only correct when the reservations can no longer publish — e.g. every
-    /// client endpoint is gone during shutdown — otherwise a concurrent
-    /// insert's key would be silently stranded on the old owner.
-    pub fn export_chunk_abandoning_reservations(
+    /// With `abandon_reservations`, matching NOT-READY elements are *left
+    /// out of the export* instead of deferring it.  That is only correct
+    /// when the reservations can no longer publish — e.g. every client
+    /// endpoint is gone during shutdown — otherwise a concurrent insert's key
+    /// would be silently stranded on the old owner.
+    pub fn export_chunk(
         &mut self,
         chunk: usize,
+        abandon_reservations: bool,
         leaving: impl Fn(u64) -> bool,
-    ) -> Vec<(u64, Vec<u8>)> {
+        sink: impl FnMut(u64, &[u8]),
+    ) -> ExportOutcome {
         let (matching, not_ready) = self.gather_chunk(chunk, &leaving);
         #[cfg(debug_assertions)]
         self.cross_check_chunk_gather(chunk, &leaving, &matching, not_ready);
-        match self.export_gathered(matching, not_ready, true) {
-            ExportOutcome::Extracted(entries) => entries,
-            ExportOutcome::Pending { .. } => unreachable!("forced export never defers"),
-        }
+        self.export_gathered(matching, not_ready, abandon_reservations, sink)
     }
 
     /// Collect the export candidates by scanning every slot (whole-table
@@ -883,22 +879,22 @@ impl Partition {
         matching: Vec<u32>,
         not_ready: usize,
         force: bool,
+        mut sink: impl FnMut(u64, &[u8]),
     ) -> ExportOutcome {
         if not_ready > 0 && !force {
             return ExportOutcome::Pending { not_ready };
         }
-        let mut entries = Vec::with_capacity(matching.len());
-        for idx in matching {
+        for &idx in &matching {
             let e = self.slots[idx as usize].element();
+            let value = e.value();
             // SAFETY: the element is READY and this partition is exclusively
             // borrowed, so the value bytes are fully written and stable (the
             // protocol never writes a READY value again).
-            let bytes = unsafe { e.value().as_slice() }.to_vec();
-            entries.push((e.key, bytes));
+            sink(e.key, unsafe { value.as_slice() });
             self.unlink(idx);
             self.stats.exported += 1;
         }
-        ExportOutcome::Extracted(entries)
+        ExportOutcome::Extracted(matching.len())
     }
 
     /// Count of linked elements whose key matches `pred` (migration
@@ -1846,11 +1842,9 @@ mod tests {
         for key in 0..100u64 {
             source.insert_copy(key, &key.to_le_bytes()).unwrap();
         }
-        let outcome = source.export_matching(|k| k % 2 == 0);
-        let entries = match outcome {
-            ExportOutcome::Extracted(entries) => entries,
-            other => panic!("expected extraction, got {other:?}"),
-        };
+        let mut entries = Vec::new();
+        let outcome = source.export_matching(|k| k % 2 == 0, |k, v| entries.push((k, v.to_vec())));
+        assert_eq!(outcome, ExportOutcome::Extracted(50));
         assert_eq!(entries.len(), 50);
         assert_eq!(source.len(), 50);
         assert_eq!(source.stats().exported, 50);
@@ -1873,16 +1867,19 @@ mod tests {
         let mut p = small(None);
         p.insert_copy(2, &[1; 8]).unwrap();
         let r = p.insert(4, 8).unwrap();
+        let mut sunk = 0;
         assert_eq!(
-            p.export_matching(|k| k % 2 == 0),
+            p.export_matching(|k| k % 2 == 0, |_, _| sunk += 1),
             ExportOutcome::Pending { not_ready: 1 }
         );
+        assert_eq!(sunk, 0, "a pending export hands over nothing");
         assert!(p.contains(2), "pending export must not remove anything");
         p.fill_and_ready(r.id, &[4; 8]);
-        match p.export_matching(|k| k % 2 == 0) {
-            ExportOutcome::Extracted(entries) => assert_eq!(entries.len(), 2),
-            other => panic!("expected extraction, got {other:?}"),
-        }
+        assert_eq!(
+            p.export_matching(|k| k % 2 == 0, |_, _| sunk += 1),
+            ExportOutcome::Extracted(2)
+        );
+        assert_eq!(sunk, 2);
         assert!(p.is_empty());
         p.check_invariants();
     }
@@ -1895,10 +1892,8 @@ mod tests {
         let mut p = small(None);
         p.insert_copy(8, &88u64.to_le_bytes()).unwrap();
         let hit = p.lookup(8).unwrap();
-        let entries = match p.export_matching(|_| true) {
-            ExportOutcome::Extracted(e) => e,
-            other => panic!("unexpected {other:?}"),
-        };
+        let mut entries = Vec::new();
+        p.export_matching(|_| true, |k, v| entries.push((k, v.to_vec())));
         assert_eq!(entries, vec![(8, 88u64.to_le_bytes().to_vec())]);
         let mut buf = Vec::new();
         p.read_value(&hit, &mut buf);
@@ -1923,11 +1918,9 @@ mod tests {
         let expected: Vec<u64> = (0..N)
             .filter(|&k| migration_chunk(k, chunks) == target && k % 2 == 0)
             .collect();
-        let entries = match p.export_chunk(target, |k| k % 2 == 0) {
-            ExportOutcome::Extracted(entries) => entries,
-            other => panic!("expected extraction, got {other:?}"),
-        };
-        let mut got: Vec<u64> = entries.iter().map(|(k, _)| *k).collect();
+        let mut got = Vec::new();
+        let outcome = p.export_chunk(target, false, |k| k % 2 == 0, |k, _| got.push(k));
+        assert_eq!(outcome, ExportOutcome::Extracted(expected.len()));
         got.sort_unstable();
         assert_eq!(got, expected);
 
@@ -1946,8 +1939,8 @@ mod tests {
 
         // The scan path, by contrast, visits every slot and says so.
         p.reset_stats();
-        match p.export_matching(|k| migration_chunk(k, chunks) == target) {
-            ExportOutcome::Extracted(entries) => assert!(entries.len() < 300),
+        match p.export_matching(|k| migration_chunk(k, chunks) == target, |_, _| {}) {
+            ExportOutcome::Extracted(count) => assert!(count < 300),
             other => panic!("expected extraction, got {other:?}"),
         }
         let s = p.stats();
@@ -1969,12 +1962,14 @@ mod tests {
         p.insert_copy(ready_key, &[1; 8]).unwrap();
         let r = p.insert(pending_key, 8).unwrap();
         assert_eq!(
-            p.export_chunk(target, |_| true),
+            p.export_chunk(target, false, |_| true, |_, _| {}),
             ExportOutcome::Pending { not_ready: 1 }
         );
         assert!(p.contains(ready_key), "pending export must not remove");
         // Forced export moves the READY element and strands the reservation.
-        let entries = p.export_chunk_abandoning_reservations(target, |_| true);
+        let mut entries = Vec::new();
+        let forced = p.export_chunk(target, true, |_| true, |k, v| entries.push((k, v.to_vec())));
+        assert_eq!(forced, ExportOutcome::Extracted(1));
         assert_eq!(entries, vec![(ready_key, vec![1; 8])]);
         assert_eq!(p.len(), 1);
         p.fill_and_ready(r.id, &[2; 8]);
@@ -2000,8 +1995,8 @@ mod tests {
         p.reset_stats();
         let mut total = 0usize;
         for chunk in 0..chunks {
-            match p.export_chunk(chunk, |_| true) {
-                ExportOutcome::Extracted(entries) => total += entries.len(),
+            match p.export_chunk(chunk, false, |_| true, |_, _| {}) {
+                ExportOutcome::Extracted(count) => total += count,
                 other => panic!("chunk {chunk}: unexpected {other:?}"),
             }
         }

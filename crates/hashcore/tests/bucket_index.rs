@@ -30,10 +30,10 @@ fn a_chunk_is_a_run_of_bucket_lines() {
         p.check_invariants();
         let target = 5;
         let expected = p.count_matching(|k| migration_chunk(k, chunks) == target);
-        match p.export_chunk(target, |_| true) {
-            ExportOutcome::Extracted(entries) => assert_eq!(entries.len(), expected),
-            other => panic!("expected extraction, got {other:?}"),
-        }
+        assert_eq!(
+            p.export_chunk(target, false, |_| true, |_, _| {}),
+            ExportOutcome::Extracted(expected)
+        );
         p.check_invariants();
     }
 }

@@ -38,9 +38,16 @@ fn decode(selector: u8, key: u64) -> Op {
     }
 }
 
-fn sorted(mut entries: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<u8>)> {
+/// What one export did: its outcome and the entries its sink received,
+/// sorted by key.
+type Exported = (ExportOutcome, Vec<(u64, Vec<u8>)>);
+
+/// Run `export` with a sink that collects every entry it hands over.
+fn collect(export: impl FnOnce(&mut dyn FnMut(u64, &[u8])) -> ExportOutcome) -> Exported {
+    let mut entries = Vec::new();
+    let outcome = export(&mut |k, v| entries.push((k, v.to_vec())));
     entries.sort_unstable_by_key(|(k, _)| *k);
-    entries
+    (outcome, entries)
 }
 
 proptest! {
@@ -64,16 +71,21 @@ proptest! {
                     prop_assert_eq!(indexed.delete(key), scanned.delete(key));
                 }
                 Op::ExportEven(chunk) => {
-                    let via_index = indexed.export_chunk(chunk, |k| k % 2 == 0);
-                    let via_scan = scanned.export_matching(|k| {
-                        migration_chunk(k, CHUNKS) == chunk && k % 2 == 0
+                    let via_index =
+                        collect(|sink| indexed.export_chunk(chunk, false, |k| k % 2 == 0, sink));
+                    let via_scan = collect(|sink| {
+                        scanned.export_matching(
+                            |k| migration_chunk(k, CHUNKS) == chunk && k % 2 == 0,
+                            sink,
+                        )
                     });
                     compare(via_index, via_scan);
                 }
                 Op::ExportAll(chunk) => {
-                    let via_index = indexed.export_chunk(chunk, |_| true);
-                    let via_scan =
-                        scanned.export_matching(|k| migration_chunk(k, CHUNKS) == chunk);
+                    let via_index = collect(|sink| indexed.export_chunk(chunk, false, |_| true, sink));
+                    let via_scan = collect(|sink| {
+                        scanned.export_matching(|k| migration_chunk(k, CHUNKS) == chunk, sink)
+                    });
                     compare(via_index, via_scan);
                 }
             }
@@ -93,11 +105,7 @@ proptest! {
 }
 
 /// Both export paths must agree on the outcome, entry for entry.
-fn compare(via_index: ExportOutcome, via_scan: ExportOutcome) {
-    match (via_index, via_scan) {
-        (ExportOutcome::Extracted(a), ExportOutcome::Extracted(b)) => {
-            assert_eq!(sorted(a), sorted(b), "export sets diverged");
-        }
-        (a, b) => assert_eq!(a, b, "outcomes diverged"),
-    }
+fn compare(via_index: Exported, via_scan: Exported) {
+    assert_eq!(via_index.0, via_scan.0, "outcomes diverged");
+    assert_eq!(via_index.1, via_scan.1, "export sets diverged");
 }

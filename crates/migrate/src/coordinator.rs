@@ -1,13 +1,11 @@
 //! The coordinator driving grow/shrink transitions chunk by chunk.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use cphash::control::ControlHandle;
-use cphash::protocol::{MigrationBatch, MigrationStep, Request};
+use cphash::protocol::{MigrationExport, MigrationStep, Request};
 use cphash::router::TransitionError;
 use cphash::TableError;
-use cphash_hashcore::partition_for_key;
 
 use crate::pacer::MigrationPacer;
 
@@ -56,7 +54,9 @@ pub struct MigrationReport {
     pub chunks: usize,
     /// Keys that physically moved between partitions.
     pub keys_moved: usize,
-    /// Non-empty batches shipped between servers.
+    /// Non-empty batches delivered: one per (source, receiver) pair with
+    /// keys to move in a chunk, more where a pair's records pass the byte
+    /// ceiling (`cphash::protocol::MAX_BATCH_BYTES`).
     pub batches: usize,
     /// Wall-clock duration of the whole transition.
     pub duration: Duration,
@@ -89,14 +89,6 @@ impl core::fmt::Display for MigrationReport {
     }
 }
 
-/// Default ceiling on the payload bytes of one `MigrateIn` delivery.
-///
-/// A receiving server absorbs a delivery in one go between serving
-/// requests, so the ceiling bounds the worst-case single-server stall a
-/// migration step can cause — the per-chunk analogue of what the pacer does
-/// across chunks.
-pub const DEFAULT_MAX_BATCH_BYTES: usize = 256 * 1024;
-
 /// Drives live grow/shrink transitions over a table's control plane.
 ///
 /// Owns the table's unique [`ControlHandle`]; construct with
@@ -104,31 +96,12 @@ pub const DEFAULT_MAX_BATCH_BYTES: usize = 256 * 1024;
 /// enforces this even across handles).
 pub struct RepartitionCoordinator {
     control: ControlHandle,
-    /// Split `MigrateIn` deliveries above this many payload bytes.
-    max_batch_bytes: usize,
 }
 
 impl RepartitionCoordinator {
     /// Wrap a table's control handle.
     pub fn new(control: ControlHandle) -> Self {
-        RepartitionCoordinator {
-            control,
-            max_batch_bytes: DEFAULT_MAX_BATCH_BYTES,
-        }
-    }
-
-    /// Override the per-delivery byte ceiling (a chunk whose extracted
-    /// entries exceed it is handed to its receiver in several batches, each
-    /// individually acknowledged).
-    pub fn with_max_batch_bytes(mut self, max_batch_bytes: usize) -> Self {
-        assert!(max_batch_bytes > 0, "batch ceiling must be positive");
-        self.max_batch_bytes = max_batch_bytes;
-        self
-    }
-
-    /// The current per-delivery byte ceiling.
-    pub fn max_batch_bytes(&self) -> usize {
-        self.max_batch_bytes
+        RepartitionCoordinator { control }
     }
 
     /// The current active partition count.
@@ -231,60 +204,40 @@ impl RepartitionCoordinator {
             step,
         )?;
 
-        // 2. Every source extracts its leaving keys and ships the batch
-        //    back by address. Sources work concurrently; a source blocked on
-        //    in-flight inserts simply answers late.
+        // 2. Every source extracts its leaving keys, already cut into
+        //    batches per receiver, and ships them back by address.  Sources
+        //    work concurrently; a source blocked on in-flight inserts simply
+        //    answers late.
         let extracted =
             self.control
                 .broadcast(sources, |step| Request::MigrateOut { step }, step)?;
+        let mut exports: Vec<Box<MigrationExport>> = extracted
+            .into_iter()
+            .filter(|(_, response)| response.has_value())
+            // SAFETY: the source leaked exactly this export for us via
+            // `Response::with_batch`; ownership transfers here.
+            .map(|(_, response)| unsafe { MigrationExport::from_addr(response.addr) })
+            .collect();
 
-        // 3. Regroup by new owner.
-        let mut per_dest: HashMap<usize, Vec<(u64, Vec<u8>)>> = HashMap::new();
-        for (_, response) in extracted {
-            if response.has_value() {
-                // SAFETY: the source leaked exactly this batch for us via
-                // `Response::with_batch`; ownership transfers here.
-                let batch = unsafe { MigrationBatch::from_addr(response.addr) };
-                for (key, value) in batch.entries {
-                    per_dest
-                        .entry(partition_for_key(key, step.new_partitions))
-                        .or_default()
-                        .push((key, value));
-                }
-            }
-        }
-
-        // 4. Deliver to every prepared receiver — including empty batches
-        //    (address sentinel 1), which clear the receiver's incoming state
-        //    promptly instead of leaving it to expire at the watermark.
-        //    Deliveries above the byte ceiling are split so one huge chunk
-        //    cannot stall its receiving server; each split is acknowledged
-        //    before the next is sent, and only the final one completes the
-        //    chunk at the receiver.
+        // 3. Deliver to every prepared receiver the batches each source cut
+        //    for it, one acknowledged round trip each, unread.  Only the
+        //    final one completes the chunk at the receiver.  A receiver with
+        //    nothing to absorb still gets an empty delivery (address
+        //    sentinel 1), which clears its incoming state promptly instead
+        //    of leaving it to expire at the watermark.
         for dest in receivers {
-            let entries = per_dest.remove(&dest).unwrap_or_default();
-            *keys_moved += entries.len();
-            if entries.is_empty() {
-                self.control.round_trip(
-                    dest,
-                    &Request::MigrateIn {
-                        step,
-                        batch_addr: 1,
-                    },
-                )?;
-                continue;
-            }
-            let mut splits = split_entries(entries, self.max_batch_bytes)
-                .into_iter()
-                .peekable();
-            while let Some(split) = splits.next() {
-                *batches += 1;
-                let last = splits.peek().is_none();
-                let batch = if last {
-                    MigrationBatch::new(split)
-                } else {
-                    MigrationBatch::partial(split)
+            let mut deliveries = exports.iter_mut().flat_map(|e| e.take(dest)).peekable();
+            if deliveries.peek().is_none() {
+                let empty = Request::MigrateIn {
+                    step,
+                    batch_addr: 1,
                 };
+                self.control.round_trip(dest, &empty)?;
+            }
+            while let Some(mut batch) = deliveries.next() {
+                batch.last = deliveries.peek().is_none();
+                *keys_moved += batch.len();
+                *batches += 1;
                 let batch_addr = batch.into_addr();
                 self.control
                     .round_trip(dest, &Request::MigrateIn { step, batch_addr })?;
@@ -294,85 +247,11 @@ impl RepartitionCoordinator {
     }
 }
 
-/// Cut `entries` into consecutive runs whose payload (key + value bytes)
-/// stays at or below `max_bytes`; an entry larger than the ceiling travels
-/// alone.  Never returns an empty split.
-fn split_entries(entries: Vec<(u64, Vec<u8>)>, max_bytes: usize) -> Vec<Vec<(u64, Vec<u8>)>> {
-    let mut splits = Vec::new();
-    let mut current: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut current_bytes = 0usize;
-    for entry in entries {
-        let cost = 8 + entry.1.len();
-        if !current.is_empty() && current_bytes + cost > max_bytes {
-            splits.push(core::mem::take(&mut current));
-            current_bytes = 0;
-        }
-        current_bytes += cost;
-        current.push(entry);
-    }
-    if !current.is_empty() {
-        splits.push(current);
-    }
-    splits
-}
-
 impl core::fmt::Debug for RepartitionCoordinator {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RepartitionCoordinator")
             .field("active", &self.active_partitions())
             .field("max", &self.max_partitions())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(key: u64, len: usize) -> (u64, Vec<u8>) {
-        (key, vec![0u8; len])
-    }
-
-    #[test]
-    fn small_batches_are_not_split() {
-        let splits = split_entries(vec![entry(1, 10), entry(2, 10)], 1024);
-        assert_eq!(splits.len(), 1);
-        assert_eq!(splits[0].len(), 2);
-    }
-
-    #[test]
-    fn oversized_batches_split_on_the_byte_ceiling() {
-        // 4 entries of 100 payload bytes (108 with key) against a 256-byte
-        // ceiling: two per split.
-        let splits = split_entries(
-            vec![entry(1, 100), entry(2, 100), entry(3, 100), entry(4, 100)],
-            256,
-        );
-        assert_eq!(splits.len(), 2);
-        assert_eq!(splits[0].len(), 2);
-        assert_eq!(splits[1].len(), 2);
-        // Order is preserved across splits.
-        let keys: Vec<u64> = splits.into_iter().flatten().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn an_entry_larger_than_the_ceiling_travels_alone() {
-        let splits = split_entries(vec![entry(1, 10), entry(2, 5000), entry(3, 10)], 256);
-        assert_eq!(splits.len(), 3);
-        assert_eq!(splits[1].len(), 1);
-        assert_eq!(splits[1][0].0, 2);
-    }
-
-    #[test]
-    fn no_split_is_empty() {
-        for ceiling in [1, 8, 64, 1024] {
-            let splits = split_entries(
-                (0..32).map(|k| entry(k, (k as usize) * 7 % 200)).collect(),
-                ceiling,
-            );
-            assert!(splits.iter().all(|s| !s.is_empty()), "ceiling {ceiling}");
-            assert_eq!(splits.iter().map(Vec::len).sum::<usize>(), 32);
-        }
     }
 }

@@ -16,10 +16,12 @@
 //!    requests for keys that are in flight towards it;
 //! 2. sends `MigrateOut` to every *source* server, which atomically
 //!    extracts the chunk's leaving keys (waiting for in-flight inserts to
-//!    publish first) and hands the batch back by address over its response
-//!    ring — the same shared-memory pointer-passing CPHash uses for values;
-//! 3. regroups entries by their new owner and delivers them with
-//!    `MigrateIn`, whose absorption each destination acknowledges;
+//!    publish first), writing each straight into a batch for its new owner,
+//!    and hands the batches back by address over its response ring — the
+//!    same shared-memory pointer-passing CPHash uses for values;
+//! 3. forwards each receiver the batches every source cut for it with
+//!    `MigrateIn`, unread, the last one marked final; each receiver absorbs
+//!    from the records and acknowledges;
 //! 4. advances the router watermark, atomically switching client routing
 //!    for that chunk to the new layout.
 //!
@@ -46,7 +48,5 @@
 pub mod coordinator;
 pub mod pacer;
 
-pub use coordinator::{
-    MigrateError, MigrationReport, RepartitionCoordinator, DEFAULT_MAX_BATCH_BYTES,
-};
+pub use coordinator::{MigrateError, MigrationReport, RepartitionCoordinator};
 pub use pacer::{MigrationPacer, MigrationPacing, PacerStats};

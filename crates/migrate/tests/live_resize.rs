@@ -1,7 +1,8 @@
 //! End-to-end transitions on a real table: every key must survive grows and
 //! shrinks, and the routing/metadata must agree afterwards.
 
-use cphash::{CpHash, CpHashConfig, MigrationBatch, MigrationStep, Request};
+use cphash::protocol::MAX_BATCH_BYTES;
+use cphash::{CpHash, CpHashConfig, MigrationExport, MigrationStep, Request, Response};
 use cphash_hashcore::{migration_chunk, partition_for_key};
 use cphash_migrate::{MigrateError, RepartitionCoordinator};
 
@@ -15,6 +16,19 @@ fn mixed_value(key: u64) -> Vec<u8> {
     } else {
         word.repeat(8)
     }
+}
+
+/// The entries a `MigrateOut` reply hands partition 1, in order.
+fn entries_for_partition_1(reply: Response) -> Vec<(u64, Vec<u8>)> {
+    assert!(reply.has_value(), "the chunk is not empty: {reply:?}");
+    // SAFETY: the reply to a `MigrateOut` hands over exactly one export.
+    let batches = unsafe { MigrationExport::from_addr(reply.addr) }.take(1);
+    assert_eq!(
+        reply.meta,
+        batches.iter().map(|b| b.len() as u64).sum::<u64>()
+    );
+    let entries = batches.iter().flat_map(|b| b.iter());
+    entries.map(|(key, bytes)| (key, bytes.to_vec())).collect()
 }
 
 fn elastic_table(
@@ -116,9 +130,7 @@ fn a_value_that_rides_in_its_request_never_holds_up_a_chunk_export() {
         let reply = control
             .round_trip(0, &Request::MigrateOut { step })
             .unwrap();
-        assert!(reply.has_value(), "the chunk is not empty: {reply:?}");
-        // SAFETY: the reply to a `MigrateOut` hands over exactly one batch.
-        unsafe { MigrationBatch::from_addr(reply.addr) }.entries
+        entries_for_partition_1(reply)
     };
 
     let executed = |n: u64| {
@@ -147,9 +159,7 @@ fn a_value_that_rides_in_its_request_never_holds_up_a_chunk_export() {
     let mut done = Vec::new();
     client.drain(&mut done).unwrap();
     let reply = control.recv_blocking(0).unwrap();
-    // SAFETY: as above.
-    let entries = unsafe { MigrationBatch::from_addr(reply.addr) }.entries;
-    assert_eq!(entries, vec![(long, vec![9; 64])]);
+    assert_eq!(entries_for_partition_1(reply), vec![(long, vec![9; 64])]);
     assert_eq!(done.len(), 2);
     drop(clients);
     table.shutdown();
@@ -187,16 +197,17 @@ fn resize_after_shutdown_reports_server_gone() {
 
 #[test]
 fn oversized_chunk_deliveries_are_split_and_lose_nothing() {
-    const KEYS: u64 = 300;
-    const VALUE_LEN: usize = 512;
-    let (table, mut clients) = CpHash::new(CpHashConfig::new(1, 1).with_max_partitions(4));
-    // A tiny per-delivery ceiling: with 512-byte values, at most ~3 entries
-    // fit per batch, so every populated chunk delivery must split.
+    // One chunk holding the whole table: each receiver's share of a 1 -> 4
+    // grow, about 512 KiB of records, passes the per-delivery ceiling.
+    const KEYS: u64 = 2_048;
+    const VALUE_LEN: usize = 1_024;
+    let config = CpHashConfig {
+        migration_chunks: 1,
+        ..CpHashConfig::new(1, 1).with_max_partitions(4)
+    };
+    let (mut table, mut clients) = CpHash::new(config);
     let mut coordinator =
-        RepartitionCoordinator::new(table.take_control().expect("control handle"))
-            .with_max_batch_bytes(2 * 1024);
-    assert_eq!(coordinator.max_batch_bytes(), 2 * 1024);
-    let mut table = table;
+        RepartitionCoordinator::new(table.take_control().expect("control handle"));
     let client = &mut clients[0];
     let value = vec![0xA5u8; VALUE_LEN];
     for key in 0..KEYS {
@@ -204,19 +215,17 @@ fn oversized_chunk_deliveries_are_split_and_lose_nothing() {
     }
 
     let report = coordinator.resize_to(4).unwrap();
-    assert_eq!(report.to_partitions, 4);
+    assert_eq!((report.to_partitions, report.chunks), (4, 1));
     // Roughly 3 in 4 keys leave partition 0 (hash-distributed).
     assert!(report.keys_moved as u64 > KEYS / 2);
-    // The ceiling forces strictly more deliveries than the unsplit path's
-    // upper bound of one batch per (chunk, receiver) pair.
-    let unsplit_upper_bound = report.chunks * 4;
+    // Unsplit, one chunk from one source is at most one batch per receiver.
     assert!(
-        report.batches > unsplit_upper_bound / 2,
-        "expected heavy splitting, got {} batches over {} chunks",
-        report.batches,
-        report.chunks
+        report.batches > 3,
+        "expected split deliveries, got {} batches",
+        report.batches
     );
-    let min_batches = (report.keys_moved * (VALUE_LEN + 8)).div_ceil(2 * 1024);
+    // Records are a 12-byte header (key, length) and the value.
+    let min_batches = (report.keys_moved * (12 + VALUE_LEN)).div_ceil(MAX_BATCH_BYTES);
     assert!(
         report.batches >= min_batches,
         "{} batches cannot carry {} keys under the ceiling (need >= {})",
