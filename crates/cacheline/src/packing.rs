@@ -34,7 +34,11 @@ pub const fn messages_per_line(msg_size: usize) -> usize {
 
 /// Bytes of one inline bucket entry's key tag (see
 /// [`bucket_inline_slots`]).
-pub const BUCKET_TAG_BYTES: usize = 1;
+pub const BUCKET_TAG_BYTES: usize = 2;
+
+/// Bytes of the tag header that opens a bucket line: the tags of every
+/// inline slot, read as two 8-byte words (see [`bucket_inline_slots`]).
+pub const BUCKET_TAG_HEADER_BYTES: usize = 16;
 
 /// Bytes of one inline bucket entry's element reference (a `u32` slot
 /// index into the partition's element slab).
@@ -43,25 +47,28 @@ pub const BUCKET_REF_BYTES: usize = 4;
 /// Bytes of the overflow chain head stored at the end of a bucket line.
 pub const BUCKET_OVERFLOW_BYTES: usize = 4;
 
+/// Bytes of the occupancy bitmap (one bit per inline slot).
+pub const BUCKET_USED_BYTES: usize = 1;
+
 /// How many tagged entries pack inline into one bucket cache line.
 ///
-/// The tagged-bucket layout opens each line with a *header word*: the
-/// 8-bit key tags share the line's first 8-byte word with a one-byte
-/// occupancy bitmap, so at most `8 - 1 = 7` tags fit — which also leaves
-/// the `u32` element refs naturally aligned right behind the header with
-/// zero padding.  The refs plus the `u32` overflow chain head must then
+/// The tagged-bucket layout opens each line with a 16-byte *tag header*:
+/// the 16-bit key tags fill it, so at most `16 / 2 = 8` tags fit, and a
+/// probe compares all of them as two 8-byte words.  The occupancy bitmap,
+/// the `u32` element refs and the `u32` overflow chain head must then
 /// still fit in the remainder of the line; whichever bound is tighter
-/// wins.  For the ubiquitous 64-byte line both bounds allow 7, and the
-/// populated prefix of the line is `8 + 7·4 + 4 = 40` bytes.
+/// wins.  For the ubiquitous 64-byte line the header allows 8 and the
+/// body 11, and the populated part of the line is
+/// `16 + 1 + 8·4 + 4 = 53` bytes (56 with the refs' alignment).
 #[inline]
 pub const fn bucket_inline_slots(line_bytes: usize) -> usize {
-    // Tags + occupancy bitmap share the leading 8-byte header word.
-    let by_header = (8 - 1) / BUCKET_TAG_BYTES;
-    // Refs + overflow head fill the rest of the line.
-    if line_bytes < 8 + BUCKET_OVERFLOW_BYTES {
+    let by_header = BUCKET_TAG_HEADER_BYTES / BUCKET_TAG_BYTES;
+    let fixed = BUCKET_TAG_HEADER_BYTES + BUCKET_USED_BYTES + BUCKET_OVERFLOW_BYTES;
+    if line_bytes < fixed {
         return 0;
     }
-    let by_body = (line_bytes - 8 - BUCKET_OVERFLOW_BYTES) / BUCKET_REF_BYTES;
+    // Refs, occupancy byte and overflow head fill the rest of the line.
+    let by_body = (line_bytes - fixed) / BUCKET_REF_BYTES;
     if by_header < by_body {
         by_header
     } else {
@@ -82,15 +89,23 @@ mod tests {
     }
 
     #[test]
-    fn bucket_line_geometry_fits_seven_tagged_entries() {
-        // The tagged-bucket layout: 7 tags + occupancy byte fill the header
-        // word, 7 refs + overflow head fill 32 more bytes — 40 of 64 used.
+    fn bucket_line_geometry_fits_eight_tagged_entries() {
+        // The tagged-bucket layout: 8 two-byte tags fill the 16-byte
+        // header, the occupancy byte, 8 refs and the overflow head fill
+        // 37 more bytes — 53 of 64 used (56 once the refs are aligned).
         let n = bucket_inline_slots(CACHE_LINE_SIZE);
-        assert_eq!(n, 7);
-        assert_eq!(8 + n * BUCKET_REF_BYTES + BUCKET_OVERFLOW_BYTES, 40);
+        assert_eq!(n, 8);
+        assert_eq!(n * BUCKET_TAG_BYTES, BUCKET_TAG_HEADER_BYTES);
+        assert_eq!(
+            BUCKET_TAG_HEADER_BYTES
+                + BUCKET_USED_BYTES
+                + n * BUCKET_REF_BYTES
+                + BUCKET_OVERFLOW_BYTES,
+            53
+        );
         // The header bound (not the body bound) is what caps a 64-byte
         // line; a hypothetical 32-byte line is body-capped instead.
-        assert_eq!(bucket_inline_slots(32), 5);
-        assert_eq!(bucket_inline_slots(8), 0);
+        assert_eq!(bucket_inline_slots(32), 2);
+        assert_eq!(bucket_inline_slots(16), 0);
     }
 }

@@ -26,8 +26,9 @@ pub struct CpHashConfig {
     /// partition gets an equal share — "In CPHASH all partitions are of
     /// equal size for simplicity" (§3.1).
     pub capacity_bytes: Option<usize>,
-    /// Buckets per partition. Default sizes the table for roughly one
-    /// element per bucket given 8-byte values and the byte budget.
+    /// Expected elements per partition, from which each partition sizes
+    /// its bucket lines and element slots (see
+    /// [`cphash_hashcore::PartitionConfig::buckets`]).
     pub buckets_per_partition: usize,
     /// Eviction policy (CLOCK by default, Random for the §6.3 variant).
     pub eviction: EvictionPolicy,
@@ -83,8 +84,9 @@ impl CpHashConfig {
     }
 
     /// Set the total capacity budget (split evenly across partitions) and
-    /// derive a bucket count targeting ~1 element per bucket for 8-byte
-    /// values, as the paper's benchmark does.
+    /// derive the expected elements per partition from it: the budget over
+    /// `typical_value_bytes`.  Each partition then allocates one bucket
+    /// line per [`cphash_hashcore::KEYS_PER_LINE`] of them.
     pub fn with_capacity(mut self, capacity_bytes: usize, typical_value_bytes: usize) -> Self {
         self.capacity_bytes = Some(capacity_bytes);
         let elements = capacity_bytes / typical_value_bytes.max(1);

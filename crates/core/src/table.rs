@@ -86,7 +86,6 @@ impl CpHash {
 
         for (index, lanes) in server_lanes.into_iter().enumerate() {
             let stats = Arc::new(ServerStats::new());
-            let pstats = Arc::new(Mutex::new(PartitionStats::default()));
             let partition = Partition::new(PartitionConfig {
                 buckets: config.buckets_per_partition,
                 capacity_bytes: config.partition_capacity(),
@@ -94,6 +93,9 @@ impl CpHash {
                 seed: config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9),
                 migration_chunks: config.migration_chunks,
             });
+            // Published from the start, so the gauges read the allocated
+            // lines before a server has run.
+            let pstats = Arc::new(Mutex::new(partition.stats()));
             let thread = ServerThread {
                 index,
                 partition,

@@ -35,7 +35,7 @@ pub fn partition_for_key(key: u64, partitions: usize) -> usize {
 /// Online repartitioning moves the key space between server threads one
 /// chunk at a time: a chunk is a 1/`chunks` slice of the hash space, chosen
 /// by the *top* hash bits so it is decorrelated from partition selection
-/// (modulo over the full hash) and from the key tag (the low byte).
+/// (modulo over the full hash) and from the key tag (the low 16 bits).
 /// Clients and servers agree on this pure function, so a single shared
 /// watermark ("chunks below `w` are migrated") describes migration progress
 /// exactly.  Inside a partition the chunk is the top of the bucket index
@@ -62,21 +62,23 @@ pub fn chunk_from_hash(hash: u64, chunks: usize) -> usize {
 /// bits).
 pub const MAX_MIGRATION_CHUNKS: usize = 1 << 16;
 
-/// The 8-bit key tag stored in a bucket's inline cache line.
+/// The 16-bit key tag stored in a bucket's inline cache line.
 ///
-/// Drawn from the hash's *low* byte so it is decorrelated from bucket
-/// selection (bits 17+ under the chunk bits), partition selection (modulo
-/// over the full hash) and migration chunks (bits 48..64): two keys in the
-/// same bucket still collide on the tag only with probability ~2⁻⁸.
+/// Drawn from the hash's low 16 bits (0..16), so it shares no bit with
+/// bucket selection (bits 17 and up, under the chunk bits) or migration
+/// chunks (bits 48..64): two keys in the same bucket collide on the tag
+/// with probability ~2⁻¹⁶.  Partition selection (modulo over the full
+/// hash) does fix the low k bits of a partition's keys when the partition
+/// count is 2ᵏ, which leaves 16 − k free tag bits there.
 #[inline]
-pub fn key_tag(key: u64) -> u8 {
+pub fn key_tag(key: u64) -> u16 {
     key_tag_from_hash(hash64(key))
 }
 
 /// [`key_tag`] with the hash already computed.
 #[inline]
-pub fn key_tag_from_hash(hash: u64) -> u8 {
-    hash as u8
+pub fn key_tag_from_hash(hash: u64) -> u16 {
+    hash as u16
 }
 
 #[cfg(test)]

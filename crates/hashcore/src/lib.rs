@@ -9,12 +9,13 @@
 //! A [`Partition`] is a single-threaded, fixed-capacity hash table with
 //! (per §3.1):
 //!
-//! * a bucket array of 64-byte-aligned *tagged bucket lines* — each bucket
-//!   packs its first [`partition::INLINE_SLOTS`] entries as 8-bit key tags
-//!   plus `u32` element refs inline in the bucket's own cache line,
-//!   overflowing to an intrusive singly-linked chain only past that; the
-//!   top bits of a bucket's index are its keys' migration chunk, so one
-//!   chunk is a run of lines,
+//! * a bucket array of 64-byte-aligned *tagged bucket lines*, one per
+//!   [`partition::KEYS_PER_LINE`] expected elements — each bucket packs
+//!   its first [`partition::INLINE_SLOTS`] entries as 16-bit key tags plus
+//!   `u32` element refs inline in the bucket's own cache line, compared
+//!   with the probe's tag all at once, overflowing to an intrusive
+//!   singly-linked chain only past that; the top bits of a bucket's index
+//!   are its keys' migration chunk, so one chunk is a run of lines,
 //! * CLOCK eviction where §3.1 has an LRU list: a reference bit per element
 //!   that a hit sets, and a hand that sweeps the element slots when an
 //!   insert is over budget (or random eviction, the §6.3 variant),
@@ -49,7 +50,7 @@ pub use hash::{
 };
 pub use partition::{
     BucketRef, ExportOutcome, InsertError, InsertReservation, LookupHit, Partition,
-    PartitionConfig, INLINE_SLOTS,
+    PartitionConfig, INLINE_SLOTS, KEYS_PER_LINE,
 };
 pub use policy::EvictionPolicy;
 pub use stats::PartitionStats;

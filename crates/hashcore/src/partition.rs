@@ -15,8 +15,12 @@ use crate::stats::PartitionStats;
 /// Configuration of one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionConfig {
-    /// Number of buckets (rounded up to a power of two). The paper sizes the
-    /// table for "an average of one element per bucket".
+    /// Expected elements (rounded up to a power of two): the load the
+    /// partition is sized for.  The paper sizes its table for "an average
+    /// of one element per bucket", a bucket being one chain head; here a
+    /// bucket is a cache line of [`INLINE_SLOTS`] tagged slots, so the
+    /// partition allocates one line per [`KEYS_PER_LINE`] expected
+    /// elements and reserves one element slot per expected element.
     pub buckets: usize,
     /// Byte budget for the values stored in this partition; `None` disables
     /// eviction-by-capacity (the table only grows).
@@ -29,7 +33,7 @@ pub struct PartitionConfig {
     /// two).  The top log₂(`migration_chunks`) bits of a bucket's index are
     /// its keys' chunk, so one chunk is a contiguous run of bucket lines and
     /// exporting it for live re-partitioning walks only those lines instead
-    /// of scanning the whole table.  With fewer buckets than chunks one line
+    /// of scanning the whole table.  With fewer lines than chunks one line
     /// holds several chunks, and the export filters the line by chunk.
     /// Must match the table's `migration_chunks`.
     pub migration_chunks: usize,
@@ -48,7 +52,7 @@ impl Default for PartitionConfig {
 }
 
 impl PartitionConfig {
-    /// A config with the given bucket count and byte budget.
+    /// A config for `buckets` expected elements and the given byte budget.
     pub fn new(buckets: usize, capacity_bytes: Option<usize>) -> Self {
         PartitionConfig {
             buckets,
@@ -87,7 +91,7 @@ impl PartitionConfig {
 pub struct BucketRef {
     key: u64,
     bucket: usize,
-    tag: u8,
+    tag: u16,
 }
 
 impl BucketRef {
@@ -101,20 +105,55 @@ impl BucketRef {
         self.bucket
     }
 
-    /// The key's 8-bit tag, as stored in the bucket's inline cache line.
-    pub fn tag(&self) -> u8 {
+    /// The key's 16-bit tag, as stored in the bucket's inline cache line.
+    pub fn tag(&self) -> u16 {
         self.tag
     }
 }
 
-/// Inline tagged entries per bucket cache line (7 on 64-byte lines: the
-/// tags share the header word with the occupancy bitmap, and the refs plus
-/// the overflow head fill 32 of the remaining 56 bytes).
+/// Inline tagged entries per bucket cache line (8 on 64-byte lines: the
+/// 16-bit tags fill a 16-byte header, and the occupancy byte, the refs
+/// and the overflow head fill 40 of the remaining 48 bytes).
 pub const INLINE_SLOTS: usize =
     cphash_cacheline::packing::bucket_inline_slots(cphash_cacheline::CACHE_LINE_SIZE);
 
+// The probe compares the tags as two words of four 16-bit lanes, and the
+// occupancy bitmap is one byte.
+const _: () = assert!(INLINE_SLOTS == 8);
+
 /// Occupancy bitmap with every inline slot taken.
-const LINE_FULL: u8 = (1 << INLINE_SLOTS) - 1;
+const LINE_FULL: u8 = u8::MAX;
+
+/// Expected elements per bucket line: the largest power of two λ for
+/// which at most one line in twenty overflows its [`INLINE_SLOTS`] at the
+/// expected load, a line's keys being Poisson(λ).  With eight slots that
+/// is 4 (2.1 % of lines overflow, 40.7 % at 8).
+pub const KEYS_PER_LINE: usize = keys_per_line(INLINE_SLOTS);
+
+/// P(X > `slots`) for X ~ Poisson(`lambda`): the share of lines that
+/// overflow at an average of `lambda` keys each.  The terms λᵏ/k! are
+/// summed to k = 256, which covers every λ [`keys_per_line`] asks about.
+const fn poisson_tail(lambda: f64, slots: usize) -> f64 {
+    let (mut term, mut head, mut total, mut k) = (1.0, 0.0, 0.0, 0);
+    while k < 256 {
+        if k <= slots {
+            head += term;
+        }
+        total += term;
+        k += 1;
+        term *= lambda / k as f64;
+    }
+    1.0 - head / total
+}
+
+/// The largest power of two λ with `poisson_tail(λ, slots)` ≤ 1/20.
+const fn keys_per_line(slots: usize) -> usize {
+    let mut lambda = 1;
+    while poisson_tail(2.0 * lambda as f64, slots) <= 1.0 / 20.0 {
+        lambda *= 2;
+    }
+    lambda
+}
 
 /// One bucket: a 64-byte-aligned line holding the bucket's first [`INLINE_SLOTS`] entries as (tag, element ref) pairs plus
 /// the head of the overflow chain for entries past that.
@@ -126,8 +165,9 @@ const LINE_FULL: u8 = (1 << INLINE_SLOTS) - 1;
 #[repr(C, align(64))]
 #[derive(Clone, Copy)]
 struct BucketLine {
-    /// 8-bit key tags of the occupied inline slots.
-    tags: [u8; INLINE_SLOTS],
+    /// 16-bit key tags of the occupied inline slots (a free slot keeps
+    /// whatever tag it last held).
+    tags: [u16; INLINE_SLOTS],
     /// Occupancy bitmap over the inline slots (bit `s` ⇒ slot `s` taken).
     used: u8,
     /// Element refs (slab indices) of the occupied inline slots.
@@ -162,6 +202,30 @@ impl BucketLine {
     /// The inline slot holding element `idx`, if it lives inline.
     fn slot_of_ref(&self, idx: u32) -> Option<usize> {
         (0..INLINE_SLOTS).find(|&s| self.used & (1 << s) != 0 && self.refs[s] == idx)
+    }
+
+    /// The occupied inline slots whose tag is `tag`, as a bitmap: one
+    /// compare per line.  The tags are read as two words of four 16-bit
+    /// lanes; each word is XORed with the tag in every lane, and a lane
+    /// that is zero now is a match.  The test is exact per lane: adding
+    /// 0x7FFF to a lane's low 15 bits carries into its top bit iff any of
+    /// them is set, and never out of the lane.
+    #[inline]
+    fn tag_matches(&self, tag: u16) -> u8 {
+        const LOW: u64 = 0x7FFF_7FFF_7FFF_7FFF;
+        let probe = u64::from(tag) * 0x0001_0001_0001_0001;
+        let t = &self.tags;
+        let lanes = |i: usize| {
+            let word = u64::from(t[i])
+                | u64::from(t[i + 1]) << 16
+                | u64::from(t[i + 2]) << 32
+                | u64::from(t[i + 3]) << 48;
+            let x = word ^ probe;
+            // Lane j's verdict lands on bit 16·j; gather them into bits 0..4.
+            let zero = (!(((x & LOW) + LOW) | x) & !LOW) >> 15;
+            (zero | zero >> 15 | zero >> 30 | zero >> 45) as u8 & 0xF
+        };
+        (lanes(0) | lanes(4) << 4) & self.used
     }
 }
 
@@ -249,6 +313,10 @@ pub struct Partition {
     chunk_shr: u32,
     low_mask: u64,
     slots: Vec<Slot>,
+    /// The candidate list of the last export, cleared but not freed, so
+    /// that neither a chunk export nor the retry of a blocked one grows a
+    /// list from empty.
+    export_scratch: Vec<u32>,
     free_head: u32,
     /// The slot the CLOCK hand inspects next (may equal `slots.len()`,
     /// which wraps to 0).
@@ -269,7 +337,8 @@ pub struct Partition {
 impl Partition {
     /// Create an empty partition.
     pub fn new(config: PartitionConfig) -> Self {
-        let buckets = config.buckets.next_power_of_two().max(1);
+        let expected = config.buckets.next_power_of_two().max(1);
+        let buckets = (expected / KEYS_PER_LINE).max(1);
         assert!(
             config.migration_chunks.is_power_of_two()
                 && config.migration_chunks <= MAX_MIGRATION_CHUNKS,
@@ -290,11 +359,13 @@ impl Partition {
             chunk_shl,
             chunk_shr: chunk_bits.saturating_sub(bucket_bits),
             low_mask: (1u64 << chunk_shl) - 1,
-            // One slot per bucket up front, the load a table is sized for:
-            // the allocator cannot grow an array of 32-byte-aligned slots
-            // in place, so each doubling copies it and holds both copies.
-            // Reserved pages cost nothing until a slot is written.
-            slots: Vec::with_capacity(buckets),
+            // One slot per expected element up front, the load a table is
+            // sized for: the allocator cannot grow an array of
+            // 32-byte-aligned slots in place, so each doubling copies it
+            // and holds both copies.  Reserved pages cost nothing until a
+            // slot is written.
+            slots: Vec::with_capacity(expected),
+            export_scratch: Vec::new(),
             free_head: NIL,
             hand: 0,
             random_pool: Vec::new(),
@@ -341,7 +412,7 @@ impl Partition {
         self.migration_chunks
     }
 
-    /// Number of buckets.
+    /// Number of bucket lines: one per [`KEYS_PER_LINE`] expected elements.
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
     }
@@ -351,9 +422,14 @@ impl Partition {
         self.eviction
     }
 
-    /// Operation statistics.
+    /// Operation statistics, with the bucket-line and resident-key gauges
+    /// read now.
     pub fn stats(&self) -> PartitionStats {
-        self.stats
+        PartitionStats {
+            bucket_lines: self.buckets.len() as u64,
+            resident_keys: self.len as u64,
+            ..self.stats
+        }
     }
 
     /// Zero the operation statistics.
@@ -395,14 +471,9 @@ impl Partition {
     #[inline]
     pub fn prefetch_element(&self, prep: &BucketRef) {
         let line = &self.buckets[prep.bucket];
-        // Which slot matches is as good as random, so the tags are compared
-        // without branching on any of them; the loop over the matches then
-        // runs once for a resident key and not at all for most absent ones.
-        let mut matches = 0u8;
-        for s in 0..INLINE_SLOTS {
-            matches |= u8::from(line.tags[s] == prep.tag) << s;
-        }
-        matches &= line.used;
+        // The loop over the matches runs once for a resident key and not at
+        // all for most absent ones.
+        let mut matches = line.tag_matches(prep.tag);
         while matches != 0 {
             let s = matches.trailing_zeros() as usize;
             matches &= matches - 1;
@@ -748,7 +819,8 @@ impl Partition {
         leaving: impl Fn(u64) -> bool,
         sink: impl FnMut(u64, &[u8]),
     ) -> ExportOutcome {
-        let (matching, not_ready) = self.gather_scan(&leaving);
+        let mut matching = self.take_export_scratch();
+        let not_ready = self.gather_scan(&leaving, &mut matching);
         self.export_gathered(matching, not_ready, false, sink)
     }
 
@@ -771,17 +843,26 @@ impl Partition {
         leaving: impl Fn(u64) -> bool,
         sink: impl FnMut(u64, &[u8]),
     ) -> ExportOutcome {
-        let (matching, not_ready) = self.gather_chunk(chunk, &leaving);
+        let mut matching = self.take_export_scratch();
+        let not_ready = self.gather_chunk(chunk, &leaving, &mut matching);
         #[cfg(debug_assertions)]
         self.cross_check_chunk_gather(chunk, &leaving, &matching, not_ready);
         self.export_gathered(matching, not_ready, abandon_reservations, sink)
     }
 
-    /// Collect the export candidates by scanning every slot (whole-table
-    /// exports, and the reference the chunk walk is cross-checked against).
-    fn gather_scan(&mut self, leaving: &impl Fn(u64) -> bool) -> (Vec<u32>, usize) {
+    /// The candidate list an export fills, empty but keeping the capacity
+    /// earlier exports grew it to (see `export_scratch`).
+    fn take_export_scratch(&mut self) -> Vec<u32> {
+        let mut matching = core::mem::take(&mut self.export_scratch);
+        matching.clear();
+        matching
+    }
+
+    /// Collect the export candidates into `matching` by scanning every
+    /// slot (whole-table exports, and the reference the chunk walk is
+    /// cross-checked against); returns the NOT-READY blockers.
+    fn gather_scan(&mut self, leaving: &impl Fn(u64) -> bool, matching: &mut Vec<u32>) -> usize {
         self.stats.full_export_scans += 1;
-        let mut matching: Vec<u32> = Vec::new();
         let mut not_ready = 0usize;
         for (idx, slot) in self.slots.iter().enumerate() {
             self.stats.export_elements_visited += 1;
@@ -795,18 +876,23 @@ impl Partition {
                 }
             }
         }
-        (matching, not_ready)
+        not_ready
     }
 
-    /// Collect the export candidates by walking one chunk's bucket lines:
-    /// their inline refs, then their overflow chains.
-    fn gather_chunk(&mut self, chunk: usize, leaving: &impl Fn(u64) -> bool) -> (Vec<u32>, usize) {
+    /// Collect the export candidates into `matching` by walking one
+    /// chunk's bucket lines: their inline refs, then their overflow
+    /// chains; returns the NOT-READY blockers.
+    fn gather_chunk(
+        &mut self,
+        chunk: usize,
+        leaving: &impl Fn(u64) -> bool,
+        matching: &mut Vec<u32>,
+    ) -> usize {
         assert!(chunk < self.migration_chunks, "no migration chunk {chunk}");
         // Lines shared by several chunks hold other chunks' keys too.
         let shared = self.chunk_shr > 0;
         let first = (chunk << self.chunk_shl) >> self.chunk_shr;
         let lines = &self.buckets[first..first + (1 << self.chunk_shl)];
-        let mut matching: Vec<u32> = Vec::new();
         let (mut not_ready, mut visited) = (0usize, 0u64);
         for line in lines {
             let inline = (0..INLINE_SLOTS)
@@ -832,7 +918,7 @@ impl Partition {
             }
         }
         self.stats.export_elements_visited += visited;
-        (matching, not_ready)
+        not_ready
     }
 
     /// Debug-build cross-check: the walk of a chunk's lines must select
@@ -873,7 +959,8 @@ impl Partition {
         );
     }
 
-    /// Extract a gathered candidate set (shared tail of both export paths).
+    /// Extract a gathered candidate set (shared tail of both export paths),
+    /// then keep the list's capacity for the next export.
     fn export_gathered(
         &mut self,
         matching: Vec<u32>,
@@ -882,6 +969,7 @@ impl Partition {
         mut sink: impl FnMut(u64, &[u8]),
     ) -> ExportOutcome {
         if not_ready > 0 && !force {
+            self.export_scratch = matching;
             return ExportOutcome::Pending { not_ready };
         }
         for &idx in &matching {
@@ -894,7 +982,9 @@ impl Partition {
             self.unlink(idx);
             self.stats.exported += 1;
         }
-        ExportOutcome::Extracted(matching.len())
+        let outcome = ExportOutcome::Extracted(matching.len());
+        self.export_scratch = matching;
+        outcome
     }
 
     /// Count of linked elements whose key matches `pred` (migration
@@ -1063,22 +1153,23 @@ impl Partition {
 
     /// Probe one bucket for `key` without touching statistics (shared by
     /// the read-only paths and [`Partition::find_in_bucket`]).
-    fn probe_bucket(&self, key: u64, bucket: usize, tag: u8) -> ProbeOutcome {
+    fn probe_bucket(&self, key: u64, bucket: usize, tag: u16) -> ProbeOutcome {
         let line = &self.buckets[bucket];
         let mut tag_false_positives = 0u64;
-        for s in 0..INLINE_SLOTS {
-            if line.used & (1 << s) != 0 && line.tags[s] == tag {
-                let idx = line.refs[s];
-                if self.slots[idx as usize].element().key == key {
-                    return ProbeOutcome {
-                        found: Some(idx),
-                        inline_hit: true,
-                        overflow_probes: 0,
-                        tag_false_positives,
-                    };
-                }
-                tag_false_positives += 1;
+        let mut matches = line.tag_matches(tag);
+        while matches != 0 {
+            let s = matches.trailing_zeros() as usize;
+            matches &= matches - 1;
+            let idx = line.refs[s];
+            if self.slots[idx as usize].element().key == key {
+                return ProbeOutcome {
+                    found: Some(idx),
+                    inline_hit: true,
+                    overflow_probes: 0,
+                    tag_false_positives,
+                };
             }
+            tag_false_positives += 1;
         }
         let mut overflow_probes = 0u64;
         let mut cur = line.overflow;
@@ -1105,7 +1196,7 @@ impl Partition {
 
     /// Probe one bucket for `key`, recording the probe-cost counters
     /// (inline hits, overflow hops, tag false positives).
-    fn find_in_bucket(&mut self, key: u64, bucket: usize, tag: u8) -> Option<u32> {
+    fn find_in_bucket(&mut self, key: u64, bucket: usize, tag: u16) -> Option<u32> {
         let probe = self.probe_bucket(key, bucket, tag);
         self.stats.overflow_probes += probe.overflow_probes;
         self.stats.tag_false_positives += probe.tag_false_positives;
@@ -1160,7 +1251,7 @@ impl Partition {
         }
     }
 
-    fn link_into_bucket(&mut self, idx: u32, bucket: usize, tag: u8) {
+    fn link_into_bucket(&mut self, idx: u32, bucket: usize, tag: u16) {
         let line = &mut self.buckets[bucket];
         let next = if let Some(s) = line.free_slot() {
             // Inline residents sit in the line itself; their chain link
@@ -1797,7 +1888,7 @@ mod tests {
 
     #[test]
     fn unlinking_anywhere_on_the_singly_linked_chain_keeps_every_other_key() {
-        // One bucket, 7 + 5 keys: five chain behind the full line.  Values
+        // One bucket, 8 + 5 keys: five chain behind the full line.  Values
         // of 16 bytes live in blocks, so each element's pointer and length
         // must survive the relinking too.
         let mut p = Partition::new(PartitionConfig::new(1, None));
@@ -2036,9 +2127,130 @@ mod tests {
     }
 
     #[test]
-    fn bucket_count_rounds_to_power_of_two() {
+    fn lines_follow_the_expected_elements_by_rule() {
+        // 100 expected elements round to 128: 32 lines of four, and one
+        // reserved slot per expected element.
         let p = Partition::new(PartitionConfig::new(100, None));
-        assert_eq!(p.bucket_count(), 128);
+        assert_eq!(p.bucket_count(), 128 / KEYS_PER_LINE);
+        assert_eq!(p.slots.capacity(), 128);
+        // Fewer expected elements than a line holds still get a line.
+        for expected in [0, 1, 3, 4] {
+            let p = Partition::new(PartitionConfig::new(expected, None));
+            assert_eq!(p.bucket_count(), 1, "{expected} expected elements");
+        }
+        assert_eq!(
+            Partition::new(PartitionConfig::new(1 << 22, None)).bucket_count(),
+            1 << 20
+        );
+    }
+
+    #[test]
+    fn keys_per_line_is_the_largest_power_of_two_within_the_overflow_bound() {
+        // Eight slots: 2.1 % of lines overflow at λ = 4, 40.7 % at λ = 8.
+        let (at4, at8) = (poisson_tail(4.0, 8), poisson_tail(8.0, 8));
+        assert!((at4 - 0.021_36).abs() < 1e-4, "P(X > 8 | 4) = {at4}");
+        assert!((at8 - 0.407_45).abs() < 1e-4, "P(X > 8 | 8) = {at8}");
+        assert_eq!(KEYS_PER_LINE, 4);
+        // Seven slots would overflow 5.1 % of lines at λ = 4: two per line.
+        assert!((poisson_tail(4.0, 7) - 0.051_13).abs() < 1e-4);
+        assert_eq!(keys_per_line(7), 2);
+    }
+
+    #[test]
+    fn the_word_compare_matches_a_scalar_loop_over_the_tags() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut line = BucketLine::EMPTY;
+        for round in 0..20_000 {
+            let probe = match round % 4 {
+                0 => 0,
+                1 => u16::MAX,
+                _ => next() as u16,
+            };
+            line.used = next() as u8;
+            for tag in &mut line.tags {
+                // Equal (free slots included, with a stale equal tag), off
+                // in the high byte only, in the low byte only, in the top
+                // bit or bottom bit only, or anything.
+                *tag = match next() % 7 {
+                    0 | 1 => probe,
+                    2 => probe ^ ((next() as u16 | 1) << 8),
+                    3 => probe ^ (next() as u16 | 1) & 0xFF,
+                    4 => probe ^ 0x8000,
+                    5 => probe ^ 1,
+                    _ => next() as u16,
+                };
+            }
+            let scalar = (0..INLINE_SLOTS)
+                .filter(|&s| line.used & (1 << s) != 0 && line.tags[s] == probe)
+                .fold(0u8, |m, s| m | 1 << s);
+            assert_eq!(
+                line.tag_matches(probe),
+                scalar,
+                "tags {:04x?} used {:08b} probe {probe:04x}",
+                line.tags,
+                line.used
+            );
+        }
+    }
+
+    #[test]
+    fn lines_overflow_within_the_bound_at_the_expected_load() {
+        // One partition of 2ⁿ expected elements per server, as a table of
+        // 2..=8 partitions sizes them, each filled to its expected load by
+        // the table's routing: at most one line in twenty overflows and at
+        // most one key in twenty sits on a chain.
+        const EXPECTED: usize = 1 << 13;
+        for parts in 2..=8usize {
+            let mut partitions: Vec<Partition> = (0..parts)
+                .map(|_| Partition::new(PartitionConfig::new(EXPECTED, None)))
+                .collect();
+            for key in 0..(parts * EXPECTED) as u64 {
+                partitions[crate::hash::partition_for_key(key, parts)]
+                    .insert_copy(key, &key.to_le_bytes())
+                    .unwrap();
+            }
+            for (i, p) in partitions.iter().enumerate() {
+                let lines = p.bucket_count();
+                assert_eq!(lines, EXPECTED / KEYS_PER_LINE);
+                let overflowing = p.buckets.iter().filter(|l| l.overflow != NIL).count();
+                let inline: usize = p.buckets.iter().map(|l| l.used.count_ones() as usize).sum();
+                let chained = p.len() - inline;
+                assert!(
+                    overflowing * 20 <= lines && chained * 20 <= p.len(),
+                    "{parts} partitions, #{i}: {overflowing} of {lines} lines overflow, \
+                     {chained} of {} keys chained",
+                    p.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_capped_partition_holds_as_many_keys_with_a_quarter_of_the_lines() {
+        // A 64 KiB budget of 8-byte values is 8 192 keys, for which the
+        // partition now allocates 2 048 lines instead of 8 192: a line is
+        // not a key's room, so the budget still holds every one of them.
+        const CAPACITY: usize = 1 << 16;
+        let keys = CAPACITY / 8;
+        let mut p = Partition::new(PartitionConfig::new(keys, Some(CAPACITY)));
+        assert_eq!(p.bucket_count(), keys / KEYS_PER_LINE);
+        for key in 0..2 * keys as u64 {
+            p.insert_copy(key, &key.to_le_bytes()).unwrap();
+        }
+        let s = p.stats();
+        assert!(s.evictions > 0, "the budget was never reached");
+        assert_eq!(s.failed_inserts, 0);
+        assert_eq!(p.len(), keys, "{} keys resident, {keys} fit", p.len());
+        assert_eq!((s.bucket_lines, s.resident_keys), (2048, keys as u64));
+        let mut buf = Vec::new();
+        assert!(p.lookup_copy(2 * keys as u64 - 1, &mut buf));
+        p.check_invariants();
     }
 
     #[test]

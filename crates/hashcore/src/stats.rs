@@ -1,7 +1,9 @@
 //! Per-partition operation statistics.
 
 /// Counters describing everything a partition has done since creation (or
-/// the last [`PartitionStats::reset`]).  Single-threaded like the partition
+/// the last [`PartitionStats::reset`]), plus two gauges of its state when
+/// it was read ([`PartitionStats::bucket_lines`] and
+/// [`PartitionStats::resident_keys`]).  Single-threaded like the partition
 /// itself, so plain integers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionStats {
@@ -43,8 +45,14 @@ pub struct PartitionStats {
     /// keys than its inline slots).
     pub overflow_probes: u64,
     /// Inline tag matches whose full key comparison then failed — the
-    /// ~2⁻⁸-probability cost of the 8-bit tag filter.
+    /// ~2⁻¹⁶-probability cost of the 16-bit tag filter per occupied slot
+    /// (2⁻⁽¹⁶⁻ᵏ⁾ over 2ᵏ partitions, whose routing fixes k low hash bits).
     pub tag_false_positives: u64,
+    /// Gauge: bucket lines allocated (one per
+    /// [`crate::partition::KEYS_PER_LINE`] expected elements).
+    pub bucket_lines: u64,
+    /// Gauge: elements linked into the table.
+    pub resident_keys: u64,
 }
 
 impl PartitionStats {
@@ -58,7 +66,7 @@ impl PartitionStats {
     }
 
     /// Merge another partition's counters into this one (used to aggregate
-    /// across all partitions of a table).
+    /// across all partitions of a table); the gauges add up too.
     pub fn merge(&mut self, other: &PartitionStats) {
         self.lookups += other.lookups;
         self.hits += other.hits;
@@ -75,6 +83,8 @@ impl PartitionStats {
         self.inline_hits += other.inline_hits;
         self.overflow_probes += other.overflow_probes;
         self.tag_false_positives += other.tag_false_positives;
+        self.bucket_lines += other.bucket_lines;
+        self.resident_keys += other.resident_keys;
     }
 
     /// Zero every counter.
@@ -102,6 +112,8 @@ mod tests {
             inline_hits: 4,
             overflow_probes: 5,
             tag_false_positives: 1,
+            bucket_lines: 16,
+            resident_keys: 9,
             ..Default::default()
         };
         a.merge(&b);
@@ -111,6 +123,7 @@ mod tests {
         assert_eq!(a.inline_hits, 4);
         assert_eq!(a.overflow_probes, 5);
         assert_eq!(a.tag_false_positives, 1);
+        assert_eq!((a.bucket_lines, a.resident_keys), (16, 9));
         a.reset();
         assert_eq!(a, PartitionStats::default());
         assert_eq!(a.hit_rate(), 0.0);

@@ -272,6 +272,43 @@ mod tests {
     }
 
     #[test]
+    fn stats_count_four_expected_keys_per_bucket_line() {
+        // A budget of 2¹⁴ 32-byte values over two partitions: 2¹³ expected
+        // keys each, so 2¹² lines in all, and room for every 8-byte value
+        // however the keys split.  Two servers, same reading.
+        const KEYS: u64 = 1 << 14;
+        let gauges = || {
+            let mut server = CpServer::start(CpServerConfig {
+                client_threads: 1,
+                partitions: 2,
+                capacity_bytes: Some(KEYS as usize * 32),
+                typical_value_bytes: 32,
+                ..Default::default()
+            })
+            .unwrap();
+            let before = server.metrics().snapshot();
+            assert_eq!((before.bucket_lines, before.resident_keys), (KEYS / 4, 0));
+            let mut client = RemoteClient::connect(server.addr()).unwrap();
+            for start in (0..KEYS).step_by(1024) {
+                insert_keys(&mut client, start..start + 1024);
+            }
+            // Servers publish their statistics before they go to sleep.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while server.metrics().snapshot().resident_keys < KEYS
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let after = server.metrics().snapshot();
+            server.shutdown();
+            (after.bucket_lines, after.resident_keys)
+        };
+        let first = gauges();
+        assert_eq!(first, (KEYS / 4, KEYS), "lines and resident keys");
+        assert_eq!(gauges(), first, "a second run reads the same");
+    }
+
+    #[test]
     fn many_connections_and_interleaved_clients() {
         let mut server = CpServer::start(CpServerConfig {
             client_threads: 2,

@@ -35,7 +35,8 @@ pub struct MemcacheConfig {
     pub instances: usize,
     /// Byte budget per instance.
     pub capacity_bytes_per_instance: Option<usize>,
-    /// Bucket count per instance's table.
+    /// Expected elements per instance's table, from which it sizes its
+    /// bucket lines.
     pub buckets: usize,
     /// Eviction policy (memcached evicts by recency, which CLOCK
     /// approximates).

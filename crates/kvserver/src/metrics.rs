@@ -95,6 +95,11 @@ pub struct StatsSnapshot {
     pub bucket_overflow_probes: u64,
     /// Inline tag matches whose full key comparison then failed.
     pub bucket_tag_false_positives: u64,
+    /// Bucket lines allocated, summed over the partitions (spare
+    /// partition servers' included).
+    pub bucket_lines: u64,
+    /// Keys resident in the table, summed over the partitions.
+    pub resident_keys: u64,
 }
 
 impl StatsSnapshot {
@@ -248,6 +253,10 @@ const ROWS: &[Row] = &[
         help: "Elements walked on bucket overflow chains past the inline slots" },
     Row { kind: Counter, name: "cphash_bucket_tag_false_positives_total", source: Partitions(|p| p.tag_false_positives), field: U64(|s| &mut s.bucket_tag_false_positives),
         help: "Inline tag matches whose full key comparison then failed" },
+    Row { kind: Gauge, name: "cphash_bucket_lines", source: Partitions(|p| p.bucket_lines), field: U64(|s| &mut s.bucket_lines),
+        help: "Bucket lines allocated, summed over partitions" },
+    Row { kind: Gauge, name: "cphash_resident_keys", source: Partitions(|p| p.resident_keys), field: U64(|s| &mut s.resident_keys),
+        help: "Keys resident in the table, summed over partitions" },
     Row { kind: Counter, name: "cphash_migration_chunks_total", source: Owned(MigrationChunks), field: U64(|s| &mut s.migration_chunks),
         help: "Migration chunks handed off during live re-partitioning" },
     Row { kind: Counter, name: "cphash_migration_keys_total", source: Owned(MigrationKeys), field: U64(|s| &mut s.migration_keys),
@@ -474,7 +483,8 @@ impl ServerMetrics {
     }
 
     /// Attach a sampler of a table's merged partition statistics, the
-    /// source behind the `cphash_bucket_*` counter families.
+    /// source behind the `cphash_bucket_*` families and
+    /// `cphash_resident_keys`.
     pub(crate) fn attach_partition_source(
         &self,
         source: impl Fn() -> PartitionStats + Send + Sync + 'static,
@@ -563,6 +573,8 @@ mod tests {
             inline_hits: distinct(),
             overflow_probes: distinct(),
             tag_false_positives: distinct(),
+            bucket_lines: distinct(),
+            resident_keys: distinct(),
             ..Default::default()
         };
         m.attach_partition_source(move || partitions);

@@ -10,7 +10,9 @@ pub struct LockHashConfig {
     pub partitions: usize,
     /// Total byte budget across all partitions (`None` = unbounded).
     pub capacity_bytes: Option<usize>,
-    /// Buckets per partition.
+    /// Expected elements per partition, from which each partition sizes
+    /// its bucket lines and element slots (see
+    /// [`cphash_hashcore::PartitionConfig::buckets`]).
     pub buckets_per_partition: usize,
     /// Eviction policy.  [`EvictionPolicy::Random`] mirrors §6.3, which
     /// maintains no LRU lists (the paper additionally switches to
@@ -42,8 +44,10 @@ impl LockHashConfig {
         }
     }
 
-    /// Set the total capacity and derive a bucket count targeting ~1 element
-    /// per bucket for values of `typical_value_bytes`.
+    /// Set the total capacity and derive the expected elements per
+    /// partition from it: the budget over `typical_value_bytes`.  Each
+    /// partition then allocates one bucket line per
+    /// [`cphash_hashcore::KEYS_PER_LINE`] of them.
     pub fn with_capacity(mut self, capacity_bytes: usize, typical_value_bytes: usize) -> Self {
         self.capacity_bytes = Some(capacity_bytes);
         let elements = capacity_bytes / typical_value_bytes.max(1);

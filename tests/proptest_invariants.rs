@@ -78,12 +78,13 @@ fn partition_op() -> impl Strategy<Value = PartitionOp> {
     ]
 }
 
-/// Bucket counts for the partition properties over the 64-key space: 32
-/// keeps most probes inside a line's inline slots, 8 pushes every bucket
-/// line past its seven tagged slots so overflow chaining and slot promotion
-/// are exercised, not just the fast path.
+/// Expected-element counts for the partition properties over the 64-key
+/// space: 128 (32 lines) keeps most probes inside a line's inline slots,
+/// 8 (2 lines) pushes every bucket line past its eight tagged slots so
+/// overflow chaining and slot promotion are exercised, not just the fast
+/// path.
 fn bucket_count() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(32usize), Just(8usize)]
+    prop_oneof![Just(128usize), Just(8usize)]
 }
 
 /// Run `ops` against an unbounded partition and a `HashMap` model, checking
@@ -122,11 +123,11 @@ fn check_unbounded_against_model(
     partition.stats()
 }
 
-/// The 8-bucket geometry really does leave the inline slots: with all 64
-/// keys resident some bucket holds more than seven, so looking every key up
-/// walks an overflow chain, and deleting them all promotes chain elements
-/// back into freed slots (`check_invariants` holds the no-free-slot-
-/// before-a-chain rule after each step).
+/// The 8-element geometry really does leave the inline slots: with all 64
+/// keys resident in its two lines some line holds more than eight, so
+/// looking every key up walks an overflow chain, and deleting them all
+/// promotes chain elements back into freed slots (`check_invariants` holds
+/// the no-free-slot-before-a-chain rule after each step).
 #[test]
 fn eight_buckets_force_overflow_chains_and_slot_promotion() {
     let ops: Vec<PartitionOp> = (0..64)

@@ -514,6 +514,31 @@ impl CpuTimes {
     }
 }
 
+/// The header of [`pair_row`]'s table, with one ratio column per metric.
+pub fn pair_header(metrics: &[&str]) -> String {
+    let names: String = metrics.iter().map(|m| format!(" `{m}` ratio |")).collect();
+    let rules: String = metrics.iter().map(|_| "---|").collect();
+    format!("| pair | first | parent steal | change steal |{names}\n|---|---|---|---|{rules}")
+}
+
+/// One row of the per-pair table: the pair (counted from 1), the side that
+/// ran first, the steal share over each side's own run (`?` when unknown)
+/// and the pair's change / parent ratio of each metric.  The steal
+/// explains a ratio; it never decides a verdict.
+pub fn pair_row(
+    pair: usize,
+    first: &str,
+    steal: [Option<(CpuTimes, CpuTimes)>; 2],
+    ratios: &[f64],
+) -> String {
+    let [parent, change] = steal.map(|run| {
+        run.and_then(|(before, after)| before.steal_share(&after))
+            .map_or("?".to_string(), |s| format!("{:.1} %", s * 100.0))
+    });
+    let ratios: String = ratios.iter().map(|r| format!(" ×{r:.3} |")).collect();
+    format!("| {pair} | {first} | {parent} | {change} |{ratios}")
+}
+
 /// The selected mode of a sysfs multiple-choice file such as
 /// `transparent_hugepage/enabled` (`always [madvise] never` → `madvise`).
 pub fn selected_mode(text: &str) -> Option<&str> {
@@ -751,6 +776,28 @@ mod tests {
             }
         );
         assert_eq!(specs["latency_p99_us"].bound, None);
+    }
+
+    #[test]
+    fn each_pair_shows_the_steal_of_its_own_two_runs() {
+        let at = |total, steal| CpuTimes { total, steal };
+        // The parent's run lost 50 of 1 000 ticks, the change's 0 of 400.
+        let parent = (at(10_000, 300), at(11_000, 350));
+        let change = (at(11_000, 350), at(11_400, 350));
+        assert_eq!(
+            pair_row(3, "parent", [Some(parent), Some(change)], &[0.9871, 1.25]),
+            "| 3 | parent | 5.0 % | 0.0 % | ×0.987 | ×1.250 |"
+        );
+        // No tick passed, or no reading: unknown, not zero.
+        let still = (at(5, 1), at(5, 1));
+        assert_eq!(
+            pair_row(4, "change", [Some(still), None], &[1.0]),
+            "| 4 | change | ? | ? | ×1.000 |"
+        );
+        assert_eq!(
+            pair_header(&["a", "b"]),
+            "| pair | first | parent steal | change steal | `a` ratio | `b` ratio |\n|---|---|---|---|---|---|"
+        );
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //! verdicts to `--out` (default `BENCH_ab.json` at the repository root),
 //! with both commits and a host fingerprint (CPU, kernel, transparent huge
 //! page modes, and the share of CPU time the hypervisor stole over the
-//! campaign).  Progress goes to stderr, the runs' own stderr (the builds'
-//! included) to `<scratch>/runs.log`.
+//! campaign).  `/proc/stat` is also read around every run: each run's own
+//! steal share goes into its JSON record, and a second table per workload
+//! prints it pair by pair beside the pair's ratios of the bounded metrics.
+//! It explains a verdict and never decides one.  Progress goes to stderr,
+//! the runs' own stderr (the builds' included) to `<scratch>/runs.log`.
 //!
 //! `ab trend` reads the repository root's `BENCH_pr<N>.json` campaigns in
 //! PR order and chains each (workload, metric) median pair ratio, so that
@@ -36,8 +39,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
 use cphash_ab::{
-    cell, judge, ledger_pr, manifest_metrics, run_metrics, selected_mode, table_row, trend,
-    CpuTimes, Json, TABLE_HEADER,
+    cell, judge, ledger_pr, manifest_metrics, pair_header, pair_row, run_metrics, selected_mode,
+    table_row, trend, CpuTimes, Json, TABLE_HEADER,
 };
 
 #[derive(Debug)]
@@ -301,6 +304,9 @@ fn campaign(args: &Args) -> Result<(), String> {
     for workload in &workloads {
         let mut runs = Vec::new();
         let mut samples: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
+        // Per pair: which side ran first, and each side's CPU counters
+        // around its own run.
+        let mut pair_steal = Vec::new();
         for pair in 0..args.pairs {
             let seed = pair + 1;
             let order = if pair % 2 == 0 {
@@ -309,8 +315,13 @@ fn campaign(args: &Args) -> Result<(), String> {
                 [&change, &parent]
             };
             let mut results: BTreeMap<&str, Json> = BTreeMap::new();
+            let mut steal: BTreeMap<&str, Option<(CpuTimes, CpuTimes)>> = BTreeMap::new();
             for (position, side) in order.into_iter().enumerate() {
+                let before = cpu_times();
                 let result = side.run(workload, seed, args.seconds, &log)?;
+                let counters = before.zip(cpu_times());
+                let steal_share = counters.and_then(|(b, a)| b.steal_share(&a));
+                steal.insert(side.name, counters);
                 let throughput = run_metrics(&result)
                     .get("throughput_ops_s")
                     .copied()
@@ -326,10 +337,12 @@ fn campaign(args: &Args) -> Result<(), String> {
                     ("side", Json::Str(side.name.into())),
                     ("position", Json::Num(position as f64)),
                     ("seed", Json::Num(seed as f64)),
+                    ("steal_share", steal_share.map_or(Json::Null, Json::Num)),
                     ("result", result.clone()),
                 ]));
                 results.insert(side.name, result);
             }
+            pair_steal.push((order[0].name, [steal["parent"], steal["change"]]));
             let (p, c) = (
                 run_metrics(&results["parent"]),
                 run_metrics(&results["change"]),
@@ -371,6 +384,19 @@ fn campaign(args: &Args) -> Result<(), String> {
                     ("verdict", Json::Str(j.verdict.into())),
                 ]),
             );
+        }
+        let bounded: Vec<&str> = samples
+            .keys()
+            .filter(|n| specs.get(*n).is_some_and(|s| s.bound.is_some()))
+            .map(String::as_str)
+            .collect();
+        println!("\n{}", pair_header(&bounded));
+        for (pair, (first, steal)) in pair_steal.into_iter().enumerate() {
+            let ratios: Vec<f64> = bounded
+                .iter()
+                .map(|n| samples[*n].get(pair).map_or(f64::NAN, |(p, c)| c / p))
+                .collect();
+            println!("{}", pair_row(pair + 1, first, steal, &ratios));
         }
         report.insert(
             workload.clone(),
