@@ -18,39 +18,13 @@
 //!   [`ClientHandle::delete`] — implemented on top of the pipeline, for
 //!   straightforward callers (the quickstart example, tests).
 //!
-//! **Per-key order.** Operations on one key travel one lane in submission
-//! order, and a lane is FIFO both ways, so while routing stands still they
-//! execute in submission order: a get sees the writes submitted before it
-//! and none after — behind a two-phase insert too, since the server answers
-//! a lookup with its own lane's reservation (`pipeline.rs`), which this
-//! handle filled when it applied the reservation's reply, earlier on the
-//! lane.  Only a routing change breaks the order: a server bounces a write
-//! dispatched under an older mapping (or landing on a chunk in
-//! mid-hand-off), and its resubmission could run after a later operation on
-//! the key that went straight to the new owner.  So the client orders
-//! operations on a key only across a routing change: while the router
-//! sits, stable, at the epoch every in-flight write was dispatched under,
-//! `write_order` is empty and untouched.  At the edge — the first operation
-//! submitted under a new epoch or mid-transition, or the first write
-//! bounced — the writes already in flight are *seeded* into the map as a
-//! per-key in-flight count, read off the lanes' `pending` queues (a count,
-//! because two same-key writes may already share a lane).  Seeding rather
-//! than draining the pre-edge writes: a drain would hold every operation
-//! behind the slowest write for as long as the transition bounces it, where
-//! the seed holds back only later operations on a key with a write in
-//! flight.  Operations on a key that already share a lane at the edge stay
-//! in order: within a transition a server that bounces one write to a key
-//! bounces every later operation on it (`migration::divert`), so all go
-//! out again in order.  A key leaves the map when its last tracked write
-//! finishes.  The map cannot rest on the server's order alone: the client
-//! resubmits a bounced write after whatever the server let through behind
-//! it.
+//! Per-key order across a routing change is `write_order.rs`'s.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use cphash_cacheline::CacheAligned;
+use cphash_cacheline::{CacheAligned, CACHE_LINE_SIZE};
 use cphash_channel::DuplexClient;
 use cphash_hashcore::{InlineValue, INLINE_VALUE_BYTES, MAX_KEY};
 use cphash_perfmon::trace::TraceStage;
@@ -60,6 +34,7 @@ use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 use crate::kv::SpinThenYield;
 use crate::protocol::{encode, Request, Response};
 use crate::router::EpochRouter;
+use crate::write_order::WriteOrder;
 
 /// Upper bound on outstanding response-bearing operations per lane, `room`:
 /// a quarter of the ring.  `dispatch` keeps it, so a server tracks as many
@@ -255,34 +230,25 @@ pub struct Completion {
 /// One queued operation awaiting its response (per lane, FIFO). The key is
 /// kept so a *retry* response (the owning partition changed under live
 /// re-partitioning) can resubmit the operation to its new owner.
-enum Pending {
-    Lookup {
-        token: u64,
-        key: u64,
-    },
-    Insert {
-        token: u64,
-        key: u64,
-        value: ValueBytes,
-    },
-    Delete {
-        token: u64,
-        key: u64,
-    },
+#[derive(Clone)]
+pub(crate) struct Pending {
+    pub(crate) token: u64,
+    pub(crate) key: u64,
+    pub(crate) op: Op,
+}
+
+/// What a [`Pending`] operation does.
+#[derive(Clone)]
+pub(crate) enum Op {
+    Lookup,
+    Insert(ValueBytes),
+    Delete,
 }
 
 impl Pending {
-    fn key(&self) -> u64 {
-        match *self {
-            Pending::Lookup { key, .. }
-            | Pending::Insert { key, .. }
-            | Pending::Delete { key, .. } => key,
-        }
-    }
-
     /// The key, if this is a write (insert or delete).
-    fn write_key(&self) -> Option<u64> {
-        (!matches!(self, Pending::Lookup { .. })).then(|| self.key())
+    pub(crate) fn write_key(&self) -> Option<u64> {
+        (!matches!(self.op, Op::Lookup)).then_some(self.key)
     }
 }
 
@@ -310,23 +276,8 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Ordering state of one key in `write_order`.
-#[derive(Default)]
-struct KeyOrder {
-    /// Writes to the key dispatched and not yet finished (more than one
-    /// only for writes that were already in flight together at the edge).
-    in_flight: u32,
-    /// Operations waiting for `in_flight` to reach zero, in dispatch order:
-    /// the first `bounced` are in-flight operations a server bounced while
-    /// an earlier write was still out, the rest later submissions.
-    held: VecDeque<Pending>,
-    bounced: usize,
-}
-
 /// A `u64`-keyed map hashed with [`KeyHasher`].
 pub(crate) type U64Map<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
-
-type WriteOrderMap = U64Map<KeyOrder>;
 
 /// Per-server communication lane and its bookkeeping.
 struct Lane {
@@ -341,30 +292,22 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(channel: DuplexClient<u64, Response>) -> Self {
-        Lane {
-            channel,
-            outgoing: Vec::new(),
-            pending: VecDeque::new(),
-            unsent: 0,
-        }
-    }
-
     /// Queue the request words of `pending`.
     fn encode_into(outgoing: &mut Vec<u64>, pending: &Pending) {
-        let (w0, w1) = encode(&match pending {
-            Pending::Lookup { key, .. } => Request::Lookup { key: *key },
+        let key = pending.key;
+        let (w0, w1) = encode(&match &pending.op {
+            Op::Lookup => Request::Lookup { key },
             // The length alone decides: a value that fits a message word
             // rides in the request, anything longer is reserved and then
             // copied through the pointer the server answers with.
-            Pending::Insert { key, value, .. } => match value.as_inline() {
-                Some(value) => Request::InsertInline { key: *key, value },
+            Op::Insert(value) => match value.as_inline() {
+                Some(value) => Request::InsertInline { key, value },
                 None => Request::Insert {
-                    key: *key,
+                    key,
                     size: value.len() as u64,
                 },
             },
-            Pending::Delete { key, .. } => Request::Delete { key: *key },
+            Op::Delete => Request::Delete { key },
         });
         outgoing.push(w0);
         outgoing.extend(w1);
@@ -392,7 +335,7 @@ pub struct ClientHandle {
     router: Arc<EpochRouter>,
     next_token: u64,
     outstanding: usize,
-    max_outstanding_per_lane: usize,
+    room: usize,
     /// Completions produced while waiting inside the synchronous API, kept
     /// for the next `poll`.
     stashed: VecDeque<Completion>,
@@ -401,24 +344,8 @@ pub struct ClientHandle {
     /// Operations redirected by retry responses during live
     /// re-partitioning (diagnostic counter).
     retries: u64,
-    /// Per-key ordering across a routing change (see the module docs).
-    /// A key is here while a write to it that was in flight at the edge, or
-    /// dispatched while the router was in transition, is unfinished; later
-    /// operations on the key wait in its `held` queue, and its writes go out
-    /// one at a time.  Without this, a write that a mid-migration server
-    /// bounces could be resubmitted *after* a later pipelined write to the
-    /// same key that went straight to the new owner, silently reinstating
-    /// the older value (`tests/pipeline_reorder.rs`).  Empty and never
-    /// looked up while the router is stable at `stable_epoch`.
-    write_order: WriteOrderMap,
-    /// The router epoch every untracked in-flight write was dispatched
-    /// under, with the router stable; `None` while every in-flight write is
-    /// in `write_order` (the router was last seen in transition, or a write
-    /// was bounced since).
-    stable_epoch: Option<u8>,
-    /// Writes held back (at least once) to preserve per-key write order
-    /// (diagnostic counter).
-    deferred_writes: u64,
+    /// Per-key ordering across a routing change (`write_order.rs`).
+    order: WriteOrder,
     /// Byte-string keys of the [`crate::KvClient`] impl's lookups, by
     /// token: their raw completions carry the §8.2 envelope and are
     /// translated (collision check included) by its poll.
@@ -435,20 +362,22 @@ impl ClientHandle {
         router: Arc<EpochRouter>,
         asleep: SleepFlag,
     ) -> Self {
-        let snap = router.snapshot();
-        let stable_epoch = (!snap.in_transition()).then_some(snap.epoch);
+        let lanes = lanes.into_iter().map(|channel| Lane {
+            channel,
+            outgoing: Vec::new(),
+            pending: VecDeque::new(),
+            unsent: 0,
+        });
         ClientHandle {
-            lanes: lanes.into_iter().map(Lane::new).collect(),
+            lanes: lanes.collect(),
+            order: WriteOrder::new(router.chunks()),
             router,
             next_token: 1,
             outstanding: 0,
-            max_outstanding_per_lane: outstanding_per_lane(ring_capacity),
+            room: outstanding_per_lane(ring_capacity),
             stashed: VecDeque::new(),
             resp_buf: Vec::with_capacity(256),
             retries: 0,
-            write_order: WriteOrderMap::default(),
-            stable_epoch,
-            deferred_writes: 0,
             anykey_gets: U64Map::default(),
             asleep,
         }
@@ -474,7 +403,7 @@ impl ClientHandle {
     /// Writes that were held back to preserve per-key write ordering since
     /// this handle was created (each deferred write counts once).
     pub fn write_deferrals(&self) -> u64 {
-        self.deferred_writes
+        self.order.deferred
     }
 
     /// Number of submitted operations whose completion has not yet been
@@ -509,7 +438,7 @@ impl ClientHandle {
     /// calling [`ClientHandle::poll`]; derived from the ring capacity
     /// (the paper uses ~1,000 outstanding requests per client, §6.1).
     pub fn recommended_window(&self) -> usize {
-        self.max_outstanding_per_lane * self.lanes.len() / 2
+        self.room * self.lanes.len() / 2
     }
 
     // ------------------------------------------------------------------
@@ -518,95 +447,47 @@ impl ClientHandle {
 
     /// Queue a lookup. Returns the token its [`Completion`] will carry.
     pub fn submit_lookup(&mut self, key: u64) -> u64 {
-        let token = self.take_token();
-        self.submit_pending(Pending::Lookup {
-            token,
-            key: key & MAX_KEY,
-        });
-        token
+        self.submit_pending(key, Op::Lookup)
     }
 
     /// Queue an insert of `value` under `key`.
     pub fn submit_insert(&mut self, key: u64, value: &[u8]) -> u64 {
-        let token = self.take_token();
-        self.submit_pending(Pending::Insert {
-            token,
-            key: key & MAX_KEY,
-            value: ValueBytes::from_slice(value),
-        });
-        token
+        self.submit_pending(key, Op::Insert(ValueBytes::from_slice(value)))
     }
 
     /// Queue a delete.
     pub fn submit_delete(&mut self, key: u64) -> u64 {
-        let token = self.take_token();
-        self.submit_pending(Pending::Delete {
+        self.submit_pending(key, Op::Delete)
+    }
+
+    /// Queue an operation on its lane — unless the write order holds it back
+    /// across a routing change — and return its token.
+    #[inline]
+    fn submit_pending(&mut self, key: u64, op: Op) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        let pending = Pending {
             token,
             key: key & MAX_KEY,
-        });
-        token
-    }
-
-    /// Queue an operation, its key already masked.  Across a routing change
-    /// it goes through `write_order`: a write is held back while an earlier
-    /// write to its key is in flight, and a lookup waits behind the writes
-    /// to its key submitted before it.  Otherwise it goes straight to its
-    /// lane.
-    #[inline]
-    fn submit_pending(&mut self, pending: Pending) {
+            op,
+        };
         self.outstanding += 1;
         let snap = self.router.snapshot();
-        let stable = !snap.in_transition();
-        if !stable || self.stable_epoch != Some(snap.epoch) {
-            // The edge, if untracked writes are in flight: they were
-            // dispatched under an epoch the router has left, so may bounce.
-            if self.stable_epoch.is_some() {
-                self.track_in_flight_writes(&[]);
-            }
-            self.stable_epoch = stable.then_some(snap.epoch);
+        let in_flight = self.lanes.iter().flat_map(|lane| &lane.pending);
+        let now = self.order.submit(&snap, pending, in_flight);
+        if !self.order.released.is_empty() {
+            self.dispatch_released();
         }
-        let (key, write) = (pending.key(), pending.write_key().is_some());
-        // Stable, a key with nothing tracked has nothing in flight that can
-        // bounce, and its operation goes out untracked.  A tracked key has
-        // a write in flight, so only a write can find it idle.
-        if (write && !stable) || self.write_order.contains_key(&key) {
-            let order = self.write_order.entry(key).or_default();
-            if order.in_flight > 0 || !order.held.is_empty() {
-                order.held.push_back(pending);
-                self.deferred_writes += u64::from(write);
-                return;
-            }
-            order.in_flight = 1;
-        }
-        let lane_idx = snap.route(key, self.router.chunks());
-        self.dispatch(lane_idx, pending);
-        self.make_progress_if_backlogged(lane_idx);
-    }
-
-    /// Seed `write_order` at a routing edge: every write now in flight — on
-    /// the lanes' `pending` queues, or among `bounced`, just taken off them —
-    /// counts against its key, so later writes to the key wait for it.
-    /// Keys whose tracked writes have all finished release their next held
-    /// write or leave the map.
-    fn track_in_flight_writes(&mut self, bounced: &[(usize, Pending)]) {
-        for order in self.write_order.values_mut() {
-            order.in_flight = 0;
-        }
-        let in_flight = self.lanes.iter().flat_map(|lane| lane.pending.iter());
-        for pending in in_flight.chain(bounced.iter().map(|(_, p)| p)) {
-            if let Some(key) = pending.write_key() {
-                self.write_order.entry(key).or_default().in_flight += 1;
+        if let Some((lane_idx, pending)) = now {
+            Self::dispatch(&mut self.lanes, self.room, lane_idx, pending);
+            if self.lanes[lane_idx].pending.len() >= self.room {
+                // A full lane: pump it, so operations queued between polls move.
+                let mut spill = Vec::new();
+                self.pump(lane_idx..lane_idx + 1, &mut spill);
+                self.stashed.extend(spill);
             }
         }
-        let idle: Vec<u64> = self
-            .write_order
-            .iter()
-            .filter(|(_, order)| order.in_flight == 0)
-            .map(|(&key, _)| key)
-            .collect();
-        for key in idle {
-            self.release_next_write(key);
-        }
+        token
     }
 
     /// Push queued requests towards the servers and collect any completions
@@ -621,50 +502,32 @@ impl ClientHandle {
         out.len() - before
     }
 
-    /// One round of progress on `lanes` (see `pump_lane`), then resubmit
-    /// the operations servers bounced and let the tracked writes that
-    /// finished release their keys' next ones.
+    /// One round of progress on `lanes` (see `pump_lane`), then settle the
+    /// round with the write order: bounced operations go out again, keeping
+    /// their token, so callers never observe the redirect.
     fn pump(&mut self, lanes: core::ops::Range<usize>, out: &mut Vec<Completion>) {
-        let mut resubmissions: Vec<(usize, Pending)> = Vec::new();
-        let mut finished_writes: Vec<u64> = Vec::new();
-        let track_writes = !self.write_order.is_empty();
         for lane_idx in lanes {
             Self::pump_lane(
                 &mut self.lanes[lane_idx],
-                self.max_outstanding_per_lane,
+                self.room,
                 &mut self.resp_buf,
                 &mut self.outstanding,
                 out,
-                &mut resubmissions,
-                track_writes.then_some(&mut finished_writes),
+                &mut self.order,
             );
         }
-        let bounced_write = resubmissions.iter().any(|(_, p)| p.write_key().is_some());
-        if bounced_write && self.stable_epoch.is_some() {
-            // A bounce is a routing edge too.  The seed counts what is still
-            // in flight, so this round's finished writes are already off it.
-            self.track_in_flight_writes(&resubmissions);
-            self.stable_epoch = None;
-            finished_writes.clear();
-        }
-        // Operations bounced by a mid-migration server: re-encode them onto
-        // the owning partition's lane (they keep their token, so callers
-        // never observe the redirect).
-        for (dest, pending) in resubmissions {
-            self.retries += 1;
-            self.requeue_bounced(dest, pending);
-        }
-        for key in finished_writes {
-            self.finish_tracked_write(key);
+        if !self.order.is_settled() {
+            let snap = self.router.snapshot();
+            let in_flight = self.lanes.iter().flat_map(|lane| &lane.pending);
+            self.retries += self.order.settle(&snap, in_flight) as u64;
+            self.dispatch_released();
         }
     }
 
-    /// Queue an operation on a destination lane (fresh submissions, retry
-    /// resubmissions and released deferred writes all funnel through here).
-    fn dispatch(&mut self, dest: usize, pending: Pending) {
-        let dest = dest.min(self.lanes.len() - 1);
-        let lane = &mut self.lanes[dest];
-        if lane.unsent == 0 && lane.pending.len() < self.max_outstanding_per_lane {
+    /// Queue an operation on lane `dest`: every dispatch funnels through here.
+    fn dispatch(lanes: &mut [Lane], room: usize, dest: usize, pending: Pending) {
+        let lane = &mut lanes[dest.min(lanes.len() - 1)];
+        if lane.unsent == 0 && lane.pending.len() < room {
             Lane::encode_into(&mut lane.outgoing, &pending);
         } else {
             lane.unsent += 1;
@@ -672,59 +535,10 @@ impl ClientHandle {
         lane.pending.push_back(pending);
     }
 
-    /// An operation bounced: resubmit it unless its key is tracked and an
-    /// earlier write to it is still out, else hold it ahead of the key's
-    /// later submissions.
-    fn requeue_bounced(&mut self, dest: usize, pending: Pending) {
-        let key = pending.key();
-        let write = pending.write_key().is_some();
-        let Some(order) = self.write_order.get_mut(&key) else {
-            return self.dispatch(dest, pending);
-        };
-        // Only writes count in `in_flight`.
-        order.in_flight = order.in_flight.saturating_sub(u32::from(write));
-        if order.in_flight == 0 && order.bounced == 0 {
-            order.in_flight = u32::from(write);
-            self.dispatch(dest, pending);
-            return;
-        }
-        order.held.insert(order.bounced, pending);
-        order.bounced += 1;
-        if order.in_flight == 0 {
-            self.release_next_write(key);
-        }
-    }
-
-    /// A tracked write completed: once none of its key's is in flight,
-    /// dispatch the next held one.
-    fn finish_tracked_write(&mut self, key: u64) {
-        if let Some(order) = self.write_order.get_mut(&key) {
-            order.in_flight = order.in_flight.saturating_sub(1);
-            if order.in_flight == 0 {
-                self.release_next_write(key);
-            }
-        }
-    }
-
-    /// Dispatch the lookups at the front of `key`'s held queue and then its
-    /// next held write to the key's *current* owner, or drop the key from
-    /// `write_order` when no write is held.
-    fn release_next_write(&mut self, key: u64) {
-        let dest = self.router.route(key);
-        while let Some(order) = self.write_order.get_mut(&key) {
-            let Some(pending) = order.held.pop_front() else {
-                self.write_order.remove(&key);
-                return;
-            };
-            order.bounced = order.bounced.saturating_sub(1);
-            let write = pending.write_key().is_some();
-            if write {
-                order.in_flight = 1;
-            }
-            self.dispatch(dest, pending);
-            if write {
-                return;
-            }
+    /// Dispatch what the write order released, in order.
+    fn dispatch_released(&mut self) {
+        for (dest, pending) in self.order.released.drain(..) {
+            Self::dispatch(&mut self.lanes, self.room, dest, pending);
         }
     }
 
@@ -733,7 +547,7 @@ impl ClientHandle {
     /// explicit flush is useful right before a quiet period.
     pub fn flush(&mut self) {
         for lane in &mut self.lanes {
-            Self::push_outgoing(lane, self.max_outstanding_per_lane);
+            Self::push_outgoing(lane, self.room);
             Self::flush_lane(lane);
         }
     }
@@ -748,7 +562,7 @@ impl ClientHandle {
             if self.outstanding == 0 {
                 return Ok(());
             }
-            if produced == 0 && self.lanes.iter().any(|l| !l.channel.is_server_alive()) {
+            if produced == 0 && !self.servers_alive() {
                 return Err(TableError::ServerGone);
             }
             wait.after_poll(produced);
@@ -805,23 +619,6 @@ impl ClientHandle {
     // Internals
     // ------------------------------------------------------------------
 
-    fn take_token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
-    }
-
-    /// If a lane is full, push requests and drain responses, so operations
-    /// the caller queues between polls keep moving.
-    fn make_progress_if_backlogged(&mut self, lane_idx: usize) {
-        if self.lanes[lane_idx].pending.len() < self.max_outstanding_per_lane {
-            return;
-        }
-        let mut spill = Vec::new();
-        self.pump(lane_idx..lane_idx + 1, &mut spill);
-        self.stashed.extend(spill);
-    }
-
     /// Wait (spinning) for a specific token, stashing every other completion
     /// for later `poll` calls.
     fn wait_for(&mut self, token: u64) -> Result<CompletionKind, TableError> {
@@ -833,20 +630,14 @@ impl ClientHandle {
         let mut buf = Vec::new();
         let mut wait = SpinThenYield::default();
         loop {
-            buf.clear();
             let produced = self.poll(&mut buf);
-            let mut found = None;
-            for c in buf.drain(..) {
-                if c.token == token {
-                    found = Some(c.kind);
-                } else {
-                    self.stashed.push_back(c);
-                }
-            }
+            let found = buf.iter().position(|c| c.token == token);
+            let found = found.map(|pos| buf.remove(pos).kind);
+            self.stashed.extend(buf.drain(..));
             if let Some(kind) = found {
                 return Ok(kind);
             }
-            if self.lanes.iter().any(|l| !l.channel.is_server_alive()) {
+            if !self.servers_alive() {
                 return Err(TableError::ServerGone);
             }
             wait.after_poll(produced);
@@ -886,18 +677,15 @@ impl ClientHandle {
     /// responses, process them (which, for values that travel by pointer,
     /// queues follow-up Ready/Decref messages), send those and then what
     /// waited for room, and flush.
-    /// Retry responses do not complete their operation; they are collected
-    /// into `resubmissions` for the caller to re-route.  The keys of
-    /// completed writes go to `finished_writes` when the caller is tracking
-    /// write order.
+    /// Retry responses do not complete their operation: they and the
+    /// completed writes are reported to `order`.
     fn pump_lane(
         lane: &mut Lane,
         room: usize,
         resp_buf: &mut Vec<Response>,
         outstanding: &mut usize,
         out: &mut Vec<Completion>,
-        resubmissions: &mut Vec<(usize, Pending)>,
-        mut finished_writes: Option<&mut Vec<u64>>,
+        order: &mut WriteOrder,
     ) {
         // The batch is published now, so a busy server starts on the
         // requests while the responses below are processed, but rung once
@@ -915,15 +703,11 @@ impl ClientHandle {
         // or write (insert value copy).  Hint them all first — every line of
         // the value, not just the first — so the copies' DRAM misses overlap
         // — the client-side mirror of the server's staged bucket prefetch.
-        for response in resp_buf.iter() {
-            if response.has_value() {
-                let start = response.addr as usize;
-                let end = start + response.value_size().max(1);
-                let mut line = start & !(cphash_cacheline::CACHE_LINE_SIZE - 1);
-                while line < end {
-                    cphash_cacheline::prefetch_read(line as *const u8);
-                    line += cphash_cacheline::CACHE_LINE_SIZE;
-                }
+        for response in resp_buf.iter().filter(|response| response.has_value()) {
+            let start = response.addr as usize;
+            let end = start + response.value_size().max(1);
+            for line in (start & !(CACHE_LINE_SIZE - 1)..end).step_by(CACHE_LINE_SIZE) {
+                cphash_cacheline::prefetch_read(line as *const u8);
             }
         }
         for response in resp_buf.drain(..) {
@@ -936,12 +720,11 @@ impl ClientHandle {
                 Ok(completion) => {
                     *outstanding -= 1;
                     out.push(completion);
-                    if let (Some(key), Some(finished)) = (write_key, finished_writes.as_deref_mut())
-                    {
-                        finished.push(key);
+                    if let Some(key) = write_key {
+                        order.finished(key);
                     }
                 }
-                Err(bounced) => resubmissions.push(bounced),
+                Err((dest, bounced)) => order.bounced(dest, bounced),
             }
         }
         // Follow-up messages (Ready/Decref) generated above, then, behind
@@ -962,16 +745,12 @@ impl ClientHandle {
         if response.is_retry() {
             return Err((response.retry_destination(), pending));
         }
-        Ok(match pending {
-            Pending::Lookup { token, .. } => {
-                if let Some(value) = response.inline_value() {
-                    // The value came in the reply and the server has let go
-                    // of the element: nothing to read through, no `Decref`.
-                    Completion {
-                        token,
-                        kind: CompletionKind::LookupHit(value.into()),
-                    }
-                } else if response.has_value() {
+        let kind = match pending.op {
+            Op::Lookup => match response.inline_value() {
+                // The value came in the reply and the server has let go of
+                // the element: nothing to read through, no `Decref`.
+                Some(value) => CompletionKind::LookupHit(value.into()),
+                None if response.has_value() => {
                     // SAFETY: the server incremented the element's reference
                     // count before responding, so reading `value_size` bytes
                     // at `addr` is valid until we send the Decref below, and
@@ -986,60 +765,38 @@ impl ClientHandle {
                         )
                     };
                     let value = ValueBytes::from_slice(bytes);
-                    let (w0, _) = encode(&Request::Decref {
-                        id: response.element_id(),
-                    });
-                    lane.outgoing.push(w0);
-                    Completion {
-                        token,
-                        kind: CompletionKind::LookupHit(value),
-                    }
-                } else {
-                    Completion {
-                        token,
-                        kind: CompletionKind::LookupMiss,
-                    }
+                    let id = response.element_id();
+                    lane.outgoing.push(encode(&Request::Decref { id }).0);
+                    CompletionKind::LookupHit(value)
                 }
-            }
-            Pending::Insert { token, value, .. } => {
-                if response.has_value() {
-                    // SAFETY: the server allocated `value_size` bytes at
-                    // `addr` for this reservation and will not read or free
-                    // them until it processes the Ready message we queue
-                    // below; we are the only writer.
-                    unsafe {
-                        core::ptr::copy_nonoverlapping(
-                            value.as_slice().as_ptr(),
-                            response.addr as *mut u8,
-                            value.len().min(response.value_size()),
-                        );
-                    }
-                    let (w0, _) = encode(&Request::Ready {
-                        id: response.element_id(),
-                    });
-                    lane.outgoing.push(w0);
-                    Completion {
-                        token,
-                        kind: CompletionKind::Inserted,
-                    }
-                } else {
-                    // No pointer: the answer to an insert that carried its
-                    // value (stored and published already, or not), or a
-                    // refused reservation.
-                    Completion {
-                        token,
-                        kind: if response.is_hit() {
-                            CompletionKind::Inserted
-                        } else {
-                            CompletionKind::InsertFailed
-                        },
-                    }
-                }
-            }
-            Pending::Delete { token, .. } => Completion {
-                token,
-                kind: CompletionKind::Deleted(response.is_hit()),
+                None => CompletionKind::LookupMiss,
             },
+            Op::Insert(value) if response.has_value() => {
+                // SAFETY: the server allocated `value_size` bytes at `addr`
+                // for this reservation and will not read or free them until
+                // it processes the Ready message we queue below; we are the
+                // only writer.
+                unsafe {
+                    core::ptr::copy_nonoverlapping(
+                        value.as_slice().as_ptr(),
+                        response.addr as *mut u8,
+                        value.len().min(response.value_size()),
+                    );
+                }
+                let id = response.element_id();
+                lane.outgoing.push(encode(&Request::Ready { id }).0);
+                CompletionKind::Inserted
+            }
+            // No pointer: the answer to an insert that carried its value
+            // (stored and published already, or not), or a refused
+            // reservation.
+            Op::Insert(_) if response.is_hit() => CompletionKind::Inserted,
+            Op::Insert(_) => CompletionKind::InsertFailed,
+            Op::Delete => CompletionKind::Deleted(response.is_hit()),
+        };
+        Ok(Completion {
+            token: pending.token,
+            kind,
         })
     }
 }
@@ -1063,7 +820,10 @@ impl core::fmt::Debug for ClientHandle {
 
 #[cfg(test)]
 mod tests {
+    use cphash_channel::RingConfig;
+
     use super::*;
+    use crate::protocol::OpCode;
 
     #[test]
     fn value_bytes_inline_and_heap() {
@@ -1218,5 +978,73 @@ mod tests {
             value: InlineValue::new(&value).unwrap(),
         });
         assert_eq!(words, [w0, w1.unwrap()]);
+    }
+
+    /// The stable path leaves the write order alone: 10 000 mixed operations,
+    /// same-key insert pairs among them, over two bare duplexes with a
+    /// router that never moves, and no operation is held and its map never
+    /// allocates.  The test plays both server ends.
+    #[test]
+    fn a_stable_router_never_touches_the_write_order() {
+        const RING: usize = 512;
+        const OPS: usize = 10_000;
+        const ROUND: usize = 100;
+        let (lanes, mut servers): (Vec<_>, Vec<_>) = (0..2)
+            .map(|_| cphash_channel::duplex::<u64, Response>(RingConfig::with_capacity(RING)))
+            .unzip();
+        let router = Arc::new(EpochRouter::new(2, 64, 2));
+        let mut handle = ClientHandle::new(lanes, RING, router, SleepFlag::default());
+        let (mut out, mut words, mut replies) = (Vec::new(), Vec::new(), Vec::new());
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut submitted = 0;
+        while submitted < OPS {
+            for _ in 0..ROUND / 2 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let key = rng % 256;
+                match rng >> 60 {
+                    0..=5 => {
+                        handle.submit_insert(key, &rng.to_le_bytes());
+                        handle.submit_insert(key, &key.to_le_bytes());
+                    }
+                    6..=11 => {
+                        handle.submit_insert(key, &rng.to_le_bytes());
+                        handle.submit_lookup(key);
+                    }
+                    _ => {
+                        handle.submit_delete(key);
+                        handle.submit_lookup(key);
+                    }
+                }
+                submitted += 2;
+            }
+            handle.poll(&mut out);
+            for server in &mut servers {
+                words.clear();
+                server.recv_batch(&mut words, usize::MAX);
+                let mut words = words.iter();
+                replies.clear();
+                while let Some(&word) = words.next() {
+                    let (op, _) = crate::protocol::decode_word(word).expect("a request");
+                    replies.push(match op {
+                        OpCode::Lookup => Response::MISS,
+                        OpCode::Delete => Response::FOUND,
+                        OpCode::InsertInline | OpCode::InsertWord => {
+                            words.next().expect("the value word");
+                            Response::FOUND
+                        }
+                        other => panic!("unexpected {other:?}"),
+                    });
+                }
+                assert_eq!(server.send_batch(&replies), replies.len());
+                server.flush();
+            }
+            handle.poll(&mut out);
+            assert_eq!(handle.outstanding(), 0);
+        }
+        assert_eq!(out.len(), OPS);
+        assert_eq!(handle.write_deferrals(), 0, "nothing was held");
+        assert_eq!(handle.order.map_capacity(), 0, "the map never allocated");
     }
 }

@@ -57,6 +57,7 @@ pub mod router;
 mod server;
 pub mod stats;
 pub mod table;
+mod write_order;
 
 pub use client::{ClientHandle, Completion, CompletionKind, OpError, TableError, ValueBytes};
 pub use config::{CpHashConfig, DEFAULT_BATCH_SIZE};

@@ -987,15 +987,6 @@ impl Partition {
         outcome
     }
 
-    /// Count of linked elements whose key matches `pred` (migration
-    /// accounting and tests).
-    pub fn count_matching(&self, pred: impl Fn(u64) -> bool) -> usize {
-        self.slots
-            .iter()
-            .filter(|slot| matches!(slot, Slot::Occupied(e) if e.linked && pred(e.key)))
-            .count()
-    }
-
     /// Insert a migrated element, copying and publishing in one step.
     /// Replace semantics match [`Partition::insert_copy`]; the `absorbed`
     /// counter records the migration.
@@ -2112,18 +2103,6 @@ mod tests {
         p.insert_copy(100, &[9; 8]).unwrap();
         assert!(p.len() <= 4, "len {} exceeds the new budget", p.len());
         p.check_invariants();
-    }
-
-    #[test]
-    fn count_matching_counts_linked_elements() {
-        let mut p = small(None);
-        for key in 0..10u64 {
-            p.insert_copy(key, &[0; 8]).unwrap();
-        }
-        assert_eq!(p.count_matching(|k| k < 3), 3);
-        assert_eq!(p.count_matching(|_| true), 10);
-        p.delete(0);
-        assert_eq!(p.count_matching(|k| k < 3), 2);
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! after a delete (a resurrected duplicate), or a lookup pipelined behind an
 //! insert that does not read it — fails the test immediately.
 
+#[path = "common/history.rs"]
+mod history;
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,6 +19,8 @@ use std::time::{Duration, Instant};
 use cphash_suite::migrate::{MigrationPacer, RepartitionCoordinator};
 use cphash_suite::perfmon::LatencyHistogram;
 use cphash_suite::{CompletionKind, CpHash, CpHashConfig, MigrationPacing, ValueBytes};
+
+use history::{History, Recorder};
 
 const WORKERS: usize = 3;
 
@@ -55,6 +60,7 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
     let mut coordinator = RepartitionCoordinator::new(table.take_control().expect("control"));
     let stop = Arc::new(AtomicBool::new(false));
     let total_ops = Arc::new(AtomicU64::new(0));
+    let history = Arc::new(History::default());
 
     let workers: Vec<_> = clients
         .into_iter()
@@ -62,6 +68,7 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
         .map(|(worker, mut client)| {
             let stop = Arc::clone(&stop);
             let total_ops = Arc::clone(&total_ops);
+            let history = Arc::clone(&history);
             let keys_per_worker = keys_per_worker();
             std::thread::spawn(move || {
                 // This worker exclusively owns keys ≡ worker (mod WORKERS).
@@ -69,6 +76,7 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
                 let mut rng = 0x9E37_79B9u64 ^ (worker as u64) << 32 | 1;
                 let mut ops = 0u64;
                 let mut completions = Vec::new();
+                let mut rec = Recorder::new(&history, worker);
                 while !stop.load(Ordering::Relaxed) {
                     let r = xorshift(&mut rng);
                     let key = (r >> 8) % keys_per_worker * WORKERS as u64 + worker as u64;
@@ -79,10 +87,10 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
                         // write across a routing change.
                         0..=4 if key % 2 == 1 && (r >> 4) % 2 == 1 => {
                             let value = r >> 16;
-                            let insert = client.submit_insert(key, &stored(key, value));
-                            let lookup = client.submit_lookup(key);
+                            let insert = rec.submit_insert(&mut client, key, &stored(key, value));
+                            let lookup = rec.submit_lookup(&mut client, key);
                             completions.clear();
-                            client.drain(&mut completions).unwrap();
+                            rec.drain(&mut client, &mut completions).unwrap();
                             for c in &completions {
                                 if c.token == insert {
                                     assert_eq!(c.kind, CompletionKind::Inserted);
@@ -101,12 +109,12 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
                         0..=4 => {
                             let value = r >> 16;
                             assert!(
-                                client.insert(key, &stored(key, value)).unwrap(),
+                                rec.insert(&mut client, key, &stored(key, value)).unwrap(),
                                 "insert of key {key} failed (unbounded table)"
                             );
                             model.insert(key, value);
                         }
-                        5..=8 => match (client.get(key).unwrap(), model.get(&key)) {
+                        5..=8 => match (rec.get(&mut client, key).unwrap(), model.get(&key)) {
                             (Some(got), Some(&expected)) => assert_eq!(
                                 got.as_slice(),
                                 stored(key, expected),
@@ -117,7 +125,7 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
                             (None, None) => {}
                         },
                         _ => {
-                            let was_present = client.delete(key).unwrap();
+                            let was_present = rec.delete(&mut client, key).unwrap();
                             assert_eq!(
                                 was_present,
                                 model.remove(&key).is_some(),
@@ -133,7 +141,7 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
                     .step_by(WORKERS)
                     .take(keys_per_worker as usize)
                 {
-                    match (client.get(key).unwrap(), model.get(&key)) {
+                    match (rec.get(&mut client, key).unwrap(), model.get(&key)) {
                         (Some(got), Some(&expected)) => assert_eq!(
                             got.as_slice(),
                             stored(key, expected),
@@ -174,6 +182,10 @@ fn grow_and_shrink_lose_no_keys_under_concurrent_load() {
     assert!(moved > 0, "the transitions physically moved keys");
 
     table.shutdown();
+    let gets = history
+        .check()
+        .expect("every get read its key's last write");
+    eprintln!("migration stress: {gets} gets checked against their key's history");
     let stats = table.partition_stats();
     assert_eq!(
         stats.exported, stats.absorbed,

@@ -13,6 +13,9 @@
 //! the retried A overwrites B.  After draining, every key must hold its B
 //! value; any key holding its A value is a write-write reorder.
 
+#[path = "common/history.rs"]
+mod history;
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,6 +23,8 @@ use std::time::Duration;
 
 use cphash_suite::migrate::RepartitionCoordinator;
 use cphash_suite::{CompletionKind, CpHash, CpHashConfig};
+
+use history::{History, Recorder};
 
 const KEYS: u64 = 128;
 const ROUNDS: u64 = 200;
@@ -50,6 +55,8 @@ fn retried_writes_never_reorder_with_later_writes_to_the_same_key() {
     };
 
     let client = &mut clients[0];
+    let history = History::default();
+    let mut rec = Recorder::new(&history, 0);
     let mut completions = Vec::new();
     for round in 1..=ROUNDS {
         let first = round * 2;
@@ -59,21 +66,21 @@ fn retried_writes_never_reorder_with_later_writes_to_the_same_key() {
         // the phases deschedules this thread so the resizer can move the
         // watermark — then A and B route to different owners.
         for key in 0..KEYS {
-            client.submit_insert(key, &first.to_le_bytes());
+            rec.submit_insert(client, key, &first.to_le_bytes());
         }
         std::thread::sleep(Duration::from_micros(200));
         for key in 0..KEYS {
-            client.submit_insert(key, &second.to_le_bytes());
+            rec.submit_insert(client, key, &second.to_le_bytes());
         }
         completions.clear();
-        client.drain(&mut completions).expect("drain writes");
+        rec.drain(client, &mut completions).expect("drain writes");
 
         // All writes have completed; verify with pipelined lookups.
         let tokens: HashMap<u64, u64> = (0..KEYS)
-            .map(|key| (client.submit_lookup(key), key))
+            .map(|key| (rec.submit_lookup(client, key), key))
             .collect();
         completions.clear();
-        client.drain(&mut completions).expect("drain lookups");
+        rec.drain(client, &mut completions).expect("drain lookups");
         for c in &completions {
             let key = tokens[&c.token];
             let value = match &c.kind {
@@ -98,4 +105,8 @@ fn retried_writes_never_reorder_with_later_writes_to_the_same_key() {
     assert!(resizes > 0, "resizes overlapped the write rounds");
     drop(clients);
     table.shutdown();
+    let gets = history
+        .check()
+        .expect("every get read its key's last write");
+    assert!(gets > 0);
 }

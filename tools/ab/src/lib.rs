@@ -514,29 +514,103 @@ impl CpuTimes {
     }
 }
 
+/// What one run's host did around it: the CPU counters before and after
+/// the run, and the calibration timed right before it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunHost {
+    pub steal: Option<(CpuTimes, CpuTimes)>,
+    pub calibration: Option<Calibration>,
+}
+
 /// The header of [`pair_row`]'s table, with one ratio column per metric.
 pub fn pair_header(metrics: &[&str]) -> String {
     let names: String = metrics.iter().map(|m| format!(" `{m}` ratio |")).collect();
     let rules: String = metrics.iter().map(|_| "---|").collect();
-    format!("| pair | first | parent steal | change steal |{names}\n|---|---|---|---|{rules}")
+    format!(
+        "| pair | first | parent steal | change steal | parent ALU / chase ns | change ALU / chase ns |{names}\n|---|---|---|---|---|---|{rules}"
+    )
 }
 
 /// One row of the per-pair table: the pair (counted from 1), the side that
-/// ran first, the steal share over each side's own run (`?` when unknown)
-/// and the pair's change / parent ratio of each metric.  The steal
-/// explains a ratio; it never decides a verdict.
-pub fn pair_row(
-    pair: usize,
-    first: &str,
-    steal: [Option<(CpuTimes, CpuTimes)>; 2],
-    ratios: &[f64],
-) -> String {
-    let [parent, change] = steal.map(|run| {
-        run.and_then(|(before, after)| before.steal_share(&after))
+/// ran first, the steal share over each side's own run and each side's
+/// calibration (`?` when unknown), then the pair's change / parent ratio
+/// of each metric.  Steal and calibration explain a ratio; they never
+/// decide a verdict.
+pub fn pair_row(pair: usize, first: &str, hosts: [RunHost; 2], ratios: &[f64]) -> String {
+    let [parent, change] = hosts.map(|host| {
+        host.steal
+            .and_then(|(before, after)| before.steal_share(&after))
             .map_or("?".to_string(), |s| format!("{:.1} %", s * 100.0))
     });
+    let [parent_cal, change_cal] = hosts.map(|host| {
+        host.calibration.map_or("?".to_string(), |c| {
+            format!("{:.2} / {:.1}", c.alu_ns, c.chase_ns)
+        })
+    });
     let ratios: String = ratios.iter().map(|r| format!(" ×{r:.3} |")).collect();
-    format!("| {pair} | {first} | {parent} | {change} |{ratios}")
+    format!("| {pair} | {first} | {parent} | {change} | {parent_cal} | {change_cal} |{ratios}")
+}
+
+/// How fast this host computes and reaches memory just now: `alu_ns` per
+/// iteration of a fixed dependent multiply-rotate loop, `chase_ns` per hop
+/// of a pointer chase through one cycle over [`CHASE_BYTES`].  Taken before
+/// each run, so that a level shift between campaigns reads as "compute ×a,
+/// memory ×b".  It explains a verdict and never decides one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Calibration {
+    pub alu_ns: f64,
+    pub chase_ns: f64,
+}
+
+/// The memory the pointer chase runs over: far past any cache.
+pub const CHASE_BYTES: usize = 256 << 20;
+
+const ALU_ITERATIONS: u64 = 50_000_000;
+const CHASE_HOPS: usize = 2_000_000;
+const LINE: usize = 64;
+
+/// Sattolo's shuffle: a random permutation of `0..n` that is one cycle, so
+/// following `next[i]` from any slot visits every slot before it returns.
+pub fn single_cycle(n: usize, seed: u64) -> Vec<u32> {
+    assert!(n <= u32::MAX as usize, "slot indices are 32-bit");
+    let mut next: Vec<u32> = (0..n as u32).collect();
+    let mut state = seed | 1;
+    for i in (1..n).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        next.swap(i, (state % i as u64) as usize);
+    }
+    next
+}
+
+impl Calibration {
+    /// Time both loops; the chase's memory is freed before this returns.
+    pub fn measure() -> Calibration {
+        let start = std::time::Instant::now();
+        let mut x = std::hint::black_box(1u64);
+        for _ in 0..ALU_ITERATIONS {
+            x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ 0x5555;
+        }
+        std::hint::black_box(x);
+        let alu_ns = start.elapsed().as_nanos() as f64 / ALU_ITERATIONS as f64;
+        // One hop per cache line: each line's first word names the next.
+        let words_per_line = LINE / 8;
+        let mut memory = vec![0u64; CHASE_BYTES / 8];
+        let cycle = single_cycle(CHASE_BYTES / LINE, 0x2545_F491_4F6C_DD1D);
+        for (line, &to) in cycle.iter().enumerate() {
+            memory[line * words_per_line] = u64::from(to);
+        }
+        drop(cycle);
+        let start = std::time::Instant::now();
+        let mut at = 0usize;
+        for _ in 0..CHASE_HOPS {
+            at = memory[at * words_per_line] as usize;
+        }
+        std::hint::black_box(at);
+        let chase_ns = start.elapsed().as_nanos() as f64 / CHASE_HOPS as f64;
+        Calibration { alu_ns, chase_ns }
+    }
 }
 
 /// The selected mode of a sysfs multiple-choice file such as
@@ -636,6 +710,73 @@ pub fn trend(ledgers: &[(u32, Json)], specs: &BTreeMap<String, MetricSpec>) -> V
         })
         .collect()
 }
+
+/// One campaign's levels on one workload, beside the host's calibration:
+/// the parent's and the change's median throughput and the median over
+/// the campaign's runs of each calibration (`None` for a campaign that did
+/// not record it).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Level {
+    pub pr: u32,
+    pub workload: String,
+    pub parent: Option<f64>,
+    pub change: Option<f64>,
+    pub alu_ns: Option<f64>,
+    pub chase_ns: Option<f64>,
+}
+
+/// Every campaign's [`Level`]s, in PR order.
+pub fn levels(ledgers: &[(u32, Json)]) -> Vec<Level> {
+    let mut ordered: Vec<&(u32, Json)> = ledgers.iter().collect();
+    ordered.sort_by_key(|(pr, _)| *pr);
+    let mut out = Vec::new();
+    for (pr, ledger) in ordered {
+        let Some(Json::Obj(workloads)) = ledger.get("workloads") else {
+            continue;
+        };
+        for (workload, report) in workloads {
+            let throughput = report
+                .get("verdicts")
+                .and_then(|v| v.get("throughput_ops_s"));
+            let median = |side: &str| throughput.and_then(|t| t.get(side)).and_then(Json::as_f64);
+            let runs = report.get("runs").map(Json::as_array).unwrap_or(&[]);
+            let calibrated = |key: &str| {
+                let samples: Vec<f64> = runs
+                    .iter()
+                    .filter_map(|run| run.get("calibration")?.get(key)?.as_f64())
+                    .collect();
+                Quartiles::of(&samples).map(|q| q.median)
+            };
+            out.push(Level {
+                pr: *pr,
+                workload: workload.clone(),
+                parent: median("parent_median"),
+                change: median("change_median"),
+                alu_ns: calibrated("alu_ns_per_iter"),
+                chase_ns: calibrated("chase_ns_per_hop"),
+            });
+        }
+    }
+    out
+}
+
+/// One row of `trend`'s levels table (`–` for what a campaign lacks).
+pub fn level_row(level: &Level) -> String {
+    let num =
+        |v: Option<f64>, digits: usize| v.map_or("–".to_string(), |v| format!("{v:.digits$}"));
+    format!(
+        "| {} | `{}` | {} | {} | {} | {} |",
+        level.pr,
+        level.workload,
+        level.parent.map_or("–".to_string(), cell),
+        level.change.map_or("–".to_string(), cell),
+        num(level.alu_ns, 2),
+        num(level.chase_ns, 1),
+    )
+}
+
+/// The header of [`level_row`]'s table.
+pub const LEVEL_HEADER: &str = "| PR | workload | parent throughput | change throughput | ALU ns / iter | chase ns / hop |\n|---|---|---|---|---|---|";
 
 #[cfg(test)]
 mod tests {
@@ -779,24 +920,103 @@ mod tests {
     }
 
     #[test]
-    fn each_pair_shows_the_steal_of_its_own_two_runs() {
+    fn each_pair_shows_the_steal_and_calibration_of_its_own_two_runs() {
         let at = |total, steal| CpuTimes { total, steal };
         // The parent's run lost 50 of 1 000 ticks, the change's 0 of 400.
-        let parent = (at(10_000, 300), at(11_000, 350));
-        let change = (at(11_000, 350), at(11_400, 350));
+        let parent = RunHost {
+            steal: Some((at(10_000, 300), at(11_000, 350))),
+            calibration: Some(Calibration {
+                alu_ns: 2.384,
+                chase_ns: 96.25,
+            }),
+        };
+        let change = RunHost {
+            steal: Some((at(11_000, 350), at(11_400, 350))),
+            calibration: Some(Calibration {
+                alu_ns: 2.5,
+                chase_ns: 120.0,
+            }),
+        };
         assert_eq!(
-            pair_row(3, "parent", [Some(parent), Some(change)], &[0.9871, 1.25]),
-            "| 3 | parent | 5.0 % | 0.0 % | ×0.987 | ×1.250 |"
+            pair_row(3, "parent", [parent, change], &[0.9871, 1.25]),
+            "| 3 | parent | 5.0 % | 0.0 % | 2.38 / 96.2 | 2.50 / 120.0 | ×0.987 | ×1.250 |"
         );
         // No tick passed, or no reading: unknown, not zero.
-        let still = (at(5, 1), at(5, 1));
+        let still = RunHost {
+            steal: Some((at(5, 1), at(5, 1))),
+            calibration: None,
+        };
         assert_eq!(
-            pair_row(4, "change", [Some(still), None], &[1.0]),
-            "| 4 | change | ? | ? | ×1.000 |"
+            pair_row(4, "change", [still, RunHost::default()], &[1.0]),
+            "| 4 | change | ? | ? | ? | ? | ×1.000 |"
         );
         assert_eq!(
             pair_header(&["a", "b"]),
-            "| pair | first | parent steal | change steal | `a` ratio | `b` ratio |\n|---|---|---|---|---|---|"
+            "| pair | first | parent steal | change steal | parent ALU / chase ns | change ALU / chase ns | `a` ratio | `b` ratio |\n|---|---|---|---|---|---|---|---|"
+        );
+    }
+
+    #[test]
+    fn sattolos_shuffle_is_one_cycle_over_every_slot() {
+        for (n, seed) in [(1, 1), (2, 7), (1_000, 3), (65_536, 0x2545_F491_4F6C_DD1D)] {
+            let next = single_cycle(n, seed);
+            let mut seen = vec![false; n];
+            let mut at = 0;
+            for _ in 0..n {
+                assert!(!seen[at], "n {n}: slot {at} visited twice");
+                seen[at] = true;
+                at = next[at] as usize;
+            }
+            assert_eq!(at, 0, "n {n}: the walk closes after every slot");
+            assert!(seen.iter().all(|&s| s));
+        }
+        // A shuffle, not the rotation it starts from.
+        let next = single_cycle(1_000, 3);
+        assert!(
+            (0..1_000)
+                .filter(|&i| next[i] as usize == (i + 1) % 1_000)
+                .count()
+                < 10
+        );
+    }
+
+    #[test]
+    fn trend_levels_show_the_calibration_where_a_campaign_recorded_it() {
+        let run = |alu: f64, chase: f64| {
+            Json::parse(&format!(
+                r#"{{"calibration":{{"alu_ns_per_iter":{alu},"chase_ns_per_hop":{chase}}}}}"#
+            ))
+            .unwrap()
+        };
+        let calibrated = Json::parse(
+            r#"{"workloads":{"w":{"verdicts":{"throughput_ops_s":{"parent_median":1000000,"change_median":1100000}}}}}"#,
+        )
+        .unwrap();
+        let Json::Obj(mut doc) = calibrated else {
+            unreachable!()
+        };
+        let Some(Json::Obj(workloads)) = doc.get_mut("workloads") else {
+            unreachable!()
+        };
+        let Some(Json::Obj(report)) = workloads.get_mut("w") else {
+            unreachable!()
+        };
+        report.insert(
+            "runs".into(),
+            Json::Arr(vec![run(2.0, 90.0), run(3.0, 110.0), run(2.5, 100.0)]),
+        );
+        let older = ledger(&[("throughput_ops_s", 0.9)]);
+        let levels = levels(&[(49, Json::Obj(doc)), (48, older)]);
+        assert_eq!(levels.len(), 2);
+        assert_eq!(
+            level_row(&levels[0]),
+            "| 48 | `w` | – | – | – | – |",
+            "a campaign without the fields still prints"
+        );
+        assert_eq!(levels[1].alu_ns, Some(2.5));
+        assert_eq!(
+            level_row(&levels[1]),
+            "| 49 | `w` | 1000000 | 1100000 | 2.50 | 100.0 |"
         );
     }
 

@@ -21,17 +21,21 @@
 //! verdicts to `--out` (default `BENCH_ab.json` at the repository root),
 //! with both commits and a host fingerprint (CPU, kernel, transparent huge
 //! page modes, and the share of CPU time the hypervisor stole over the
-//! campaign).  `/proc/stat` is also read around every run: each run's own
-//! steal share goes into its JSON record, and a second table per workload
-//! prints it pair by pair beside the pair's ratios of the bounded metrics.
-//! It explains a verdict and never decides one.  Progress goes to stderr,
-//! the runs' own stderr (the builds' included) to `<scratch>/runs.log`.
+//! campaign).  `/proc/stat` is also read around every run, and right
+//! before it, in this process, a [`Calibration`] times a fixed ALU loop and
+//! a pointer chase over 256 MiB (freed before the run starts): each run's
+//! own steal share and calibration go into its JSON record, and a second
+//! table per workload prints them pair by pair beside the pair's ratios of
+//! the bounded metrics.  They explain a verdict and never decide one.
+//! Progress goes to stderr, the runs' own stderr (the builds' included) to
+//! `<scratch>/runs.log`.
 //!
 //! `ab trend` reads the repository root's `BENCH_pr<N>.json` campaigns in
 //! PR order and chains each (workload, metric) median pair ratio, so that
 //! a drift whose every step stayed inside its bound still shows: it prints
 //! one table row per chained metric with a bound and fails when a chain
-//! has passed it in the worse direction.
+//! has passed it in the worse direction.  A second table prints each
+//! campaign's throughput levels beside its median calibration.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -39,8 +43,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
 use cphash_ab::{
-    cell, judge, ledger_pr, manifest_metrics, pair_header, pair_row, run_metrics, selected_mode,
-    table_row, trend, CpuTimes, Json, TABLE_HEADER,
+    cell, judge, ledger_pr, level_row, levels, manifest_metrics, pair_header, pair_row,
+    run_metrics, selected_mode, table_row, trend, Calibration, CpuTimes, Json, RunHost,
+    LEVEL_HEADER, TABLE_HEADER,
 };
 
 #[derive(Debug)]
@@ -305,8 +310,8 @@ fn campaign(args: &Args) -> Result<(), String> {
         let mut runs = Vec::new();
         let mut samples: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
         // Per pair: which side ran first, and each side's CPU counters
-        // around its own run.
-        let mut pair_steal = Vec::new();
+        // around its own run and calibration before it.
+        let mut pair_hosts = Vec::new();
         for pair in 0..args.pairs {
             let seed = pair + 1;
             let order = if pair % 2 == 0 {
@@ -315,13 +320,18 @@ fn campaign(args: &Args) -> Result<(), String> {
                 [&change, &parent]
             };
             let mut results: BTreeMap<&str, Json> = BTreeMap::new();
-            let mut steal: BTreeMap<&str, Option<(CpuTimes, CpuTimes)>> = BTreeMap::new();
+            let mut hosts: BTreeMap<&str, RunHost> = BTreeMap::new();
             for (position, side) in order.into_iter().enumerate() {
+                let calibration = Calibration::measure();
                 let before = cpu_times();
                 let result = side.run(workload, seed, args.seconds, &log)?;
                 let counters = before.zip(cpu_times());
                 let steal_share = counters.and_then(|(b, a)| b.steal_share(&a));
-                steal.insert(side.name, counters);
+                let host = RunHost {
+                    steal: counters,
+                    calibration: Some(calibration),
+                };
+                hosts.insert(side.name, host);
                 let throughput = run_metrics(&result)
                     .get("throughput_ops_s")
                     .copied()
@@ -338,11 +348,18 @@ fn campaign(args: &Args) -> Result<(), String> {
                     ("position", Json::Num(position as f64)),
                     ("seed", Json::Num(seed as f64)),
                     ("steal_share", steal_share.map_or(Json::Null, Json::Num)),
+                    (
+                        "calibration",
+                        obj([
+                            ("alu_ns_per_iter", Json::Num(calibration.alu_ns)),
+                            ("chase_ns_per_hop", Json::Num(calibration.chase_ns)),
+                        ]),
+                    ),
                     ("result", result.clone()),
                 ]));
                 results.insert(side.name, result);
             }
-            pair_steal.push((order[0].name, [steal["parent"], steal["change"]]));
+            pair_hosts.push((order[0].name, [hosts["parent"], hosts["change"]]));
             let (p, c) = (
                 run_metrics(&results["parent"]),
                 run_metrics(&results["change"]),
@@ -391,12 +408,12 @@ fn campaign(args: &Args) -> Result<(), String> {
             .map(String::as_str)
             .collect();
         println!("\n{}", pair_header(&bounded));
-        for (pair, (first, steal)) in pair_steal.into_iter().enumerate() {
+        for (pair, (first, hosts)) in pair_hosts.into_iter().enumerate() {
             let ratios: Vec<f64> = bounded
                 .iter()
                 .map(|n| samples[*n].get(pair).map_or(f64::NAN, |(p, c)| c / p))
                 .collect();
-            println!("{}", pair_row(pair + 1, first, steal, &ratios));
+            println!("{}", pair_row(pair + 1, first, hosts, &ratios));
         }
         report.insert(
             workload.clone(),
@@ -491,6 +508,10 @@ fn print_trend() -> Result<(), String> {
             chain.verdict
         );
         any_worse |= chain.verdict == "worse";
+    }
+    println!("\n{LEVEL_HEADER}");
+    for level in levels(&ledgers) {
+        println!("{}", level_row(&level));
     }
     if any_worse {
         Err("a chained end-to-end metric has passed its bound".into())
