@@ -63,7 +63,7 @@ pub use client::{ClientHandle, Completion, CompletionKind, OpError, TableError, 
 pub use config::{CpHashConfig, DEFAULT_BATCH_SIZE};
 pub use control::ControlHandle;
 pub use kv::{KeyRef, KvClient, KvError, KvOp};
-pub use protocol::{MigrationBatch, MigrationExport, MigrationStep, OpCode, Request, Response};
+pub use protocol::{MigrationStep, OpCode, Request, Response};
 pub use remote::{PartitionedClient, RemoteClient};
 pub use router::{EpochRouter, RouterSnapshot, TransitionError};
 pub use stats::{ServerStats, TableSnapshot};

@@ -1,14 +1,9 @@
 //! A server's part in a live resize: the one migration step it is in, and
 //! the pure decision ([`divert`]) of what an operation on a key gets there
-//! — served, bounced to another partition, or told to retry here.
-//!
-//! The coordinator (`cphash-migrate`) moves one chunk at a time over one
-//! FIFO control lane per server: `MigratePrepare` to every receiver,
-//! `MigrateOut` to every source, `MigrateIn` to every receiver, and only
-//! then does the watermark pass the chunk and the next chunk's
-//! `MigratePrepare` go out.  So a server is in at most one step at a time,
-//! a new step replaces the old one, and a step the watermark has passed (or
-//! whose transition is over) is inert ([`step_is_current`]).
+//! — served, bounced to another partition, or told to retry here.  A server
+//! gets one control message at a time (`control.rs`'s `ChunkMove`), so it is
+//! in one step at most, a new step replaces the old, and one the watermark
+//! has passed (or whose transition is over) is inert ([`step_is_current`]).
 
 use cphash_hashcore::{migration_chunk, partition_for_key};
 
@@ -143,6 +138,14 @@ pub(crate) fn divert(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MigrationState {
+        /// Whether the step held still waits for its final delivery (the
+        /// chunk-move test reads it at quiescence).
+        pub(crate) fn is_incoming(&self) -> bool {
+            self.0.is_some_and(|held| held.incoming)
+        }
+    }
 
     /// Chunks of the modelled table; the one in flight has moved chunks
     /// below it and unmoved ones above it.

@@ -14,8 +14,8 @@
 //! | `Decref` | element id                 | —           |
 //! | `Delete` | key                        | —           |
 //! | `MigratePrepare` | chunk, old and new partition count | — |
-//! | `MigrateOut` | chunk, old and new partition count | — (the reply carries a [`MigrationExport`]'s address) |
-//! | `MigrateIn` | chunk, old and new partition count | a [`MigrationBatch`]'s address |
+//! | `MigrateOut` | chunk, old and new partition count | — (the reply carries the address of the chunk's leaving keys, in batches by receiver) |
+//! | `MigrateIn` | chunk, old and new partition count | the address of one batch of them |
 //! | `InsertInline` | key                  | value bytes (at most 7) with their count in the top byte |
 //! | `InsertWord` | key                    | value bytes (exactly 8) |
 //!
@@ -428,7 +428,7 @@ impl Response {
     }
 }
 
-/// Ceiling on the record bytes of one [`MigrationBatch`].
+/// Ceiling on the record bytes of one batch of a chunk's moving keys.
 ///
 /// A receiving server absorbs a delivery in one go between serving requests,
 /// so the ceiling bounds the single-server stall one migration step can
@@ -452,7 +452,7 @@ const RECORD_HEADER: usize = 12;
 /// records pass [`MAX_BATCH_BYTES`]); only the one with `last` set completes
 /// the chunk at the receiver.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct MigrationBatch {
+pub(crate) struct MigrationBatch {
     /// The records, back to back.
     records: Vec<u8>,
     /// How many records `records` holds.
@@ -465,7 +465,7 @@ pub struct MigrationBatch {
 
 impl MigrationBatch {
     /// Append one entry's record.
-    pub fn push(&mut self, key: u64, bytes: &[u8]) {
+    pub(crate) fn push(&mut self, key: u64, bytes: &[u8]) {
         let len = u32::try_from(bytes.len()).expect("a value fits a 32-bit length");
         self.records.extend_from_slice(&key.to_le_bytes());
         self.records.extend_from_slice(&len.to_le_bytes());
@@ -474,7 +474,7 @@ impl MigrationBatch {
     }
 
     /// The entries, in the order they were pushed.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
         let mut rest = self.records.as_slice();
         core::iter::from_fn(move || {
             let (key, tail) = rest.split_first_chunk::<8>()?;
@@ -486,17 +486,12 @@ impl MigrationBatch {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries
     }
 
-    /// Whether the batch holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
     /// Leak onto the heap, returning the address to ship over a ring.
-    pub fn into_addr(self) -> u64 {
+    pub(crate) fn into_addr(self) -> u64 {
         Box::into_raw(Box::new(self)) as u64
     }
 
@@ -505,7 +500,7 @@ impl MigrationBatch {
     /// # Safety
     /// `addr` must come from exactly one `into_addr` call whose ownership
     /// was transferred to the caller and not yet reclaimed.
-    pub unsafe fn from_addr(addr: u64) -> Box<MigrationBatch> {
+    pub(crate) unsafe fn from_addr(addr: u64) -> Box<MigrationBatch> {
         debug_assert!(addr > 1 && addr != Response::RETRY_ADDR);
         // SAFETY: per the contract above, `addr` is a uniquely-owned
         // `Box<MigrationBatch>` leaked by `into_addr`.
@@ -522,14 +517,14 @@ impl MigrationBatch {
 /// ([`Response::with_batch`]); the coordinator forwards each batch to its
 /// receiver without reading it.
 #[derive(Debug, Default)]
-pub struct MigrationExport {
+pub(crate) struct MigrationExport {
     /// Per receiver (by partition index), its batches in order.
     receivers: Vec<Vec<MigrationBatch>>,
 }
 
 impl MigrationExport {
     /// Append one entry to `receiver`'s batches.
-    pub fn push(&mut self, receiver: usize, key: u64, bytes: &[u8]) {
+    pub(crate) fn push(&mut self, receiver: usize, key: u64, bytes: &[u8]) {
         if receiver >= self.receivers.len() {
             self.receivers.resize_with(receiver + 1, Vec::new);
         }
@@ -551,7 +546,7 @@ impl MigrationExport {
     }
 
     /// Take `receiver`'s batches, in order (none is marked `last`).
-    pub fn take(&mut self, receiver: usize) -> Vec<MigrationBatch> {
+    pub(crate) fn take(&mut self, receiver: usize) -> Vec<MigrationBatch> {
         self.receivers
             .get_mut(receiver)
             .map(core::mem::take)
@@ -559,7 +554,7 @@ impl MigrationExport {
     }
 
     /// Leak onto the heap, returning the address to ship over a ring.
-    pub fn into_addr(self) -> u64 {
+    pub(crate) fn into_addr(self) -> u64 {
         Box::into_raw(Box::new(self)) as u64
     }
 
@@ -569,7 +564,7 @@ impl MigrationExport {
     /// # Safety
     /// `addr` must come from exactly one `into_addr` call whose ownership
     /// was transferred to the caller and not yet reclaimed.
-    pub unsafe fn from_addr(addr: u64) -> Box<MigrationExport> {
+    pub(crate) unsafe fn from_addr(addr: u64) -> Box<MigrationExport> {
         debug_assert!(addr > 1 && addr != Response::RETRY_ADDR);
         // SAFETY: per the contract above, `addr` is a uniquely-owned
         // `Box<MigrationExport>` leaked by `into_addr`.
@@ -712,7 +707,7 @@ mod tests {
         for len in [1, MAX_BATCH_BYTES / 7, MAX_BATCH_BYTES / 2, MAX_BATCH_BYTES] {
             let entries: Vec<(u64, usize)> = (0..9).map(|k| (k, len + k as usize)).collect();
             let batches = cut(&entries);
-            assert!(batches.iter().all(|b| !b.is_empty()), "length {len}");
+            assert!(batches.iter().all(|b| b.len() > 0), "length {len}");
             assert_eq!(batches.iter().map(MigrationBatch::len).sum::<usize>(), 9);
             assert!(batches
                 .iter()

@@ -600,8 +600,9 @@ impl ServerThread {
     /// Publish replies with one ring synchronization: one capacity check
     /// and one index publish.  They always fit — the replies unread on a
     /// lane are at most its client's `outstanding_per_lane`, less than the
-    /// ring, and the control lane has one message in flight — so a refusal
-    /// is a broken invariant, not back-pressure, and fails loudly.
+    /// ring, and the control lane has one message in flight (`control.rs`'s
+    /// `ChunkMove`) — so a refusal is a broken invariant, not back-pressure,
+    /// and fails loudly.
     fn respond_batch(&mut self, lane_idx: usize, replies: &[Response]) {
         let sent = self.lanes[lane_idx].send_batch(replies);
         // lint: allow(hot-path) a full reply ring means a client broke its in-flight bound
@@ -617,17 +618,19 @@ impl ServerThread {
     }
 }
 
+/// Thread-free test fixtures shared by the server's and the control plane's
+/// tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testing {
     use super::*;
     use crate::protocol::{encode, Request};
     use cphash_channel::{duplex, DuplexClient, RingConfig};
-    use cphash_hashcore::{InlineValue, PartitionConfig};
+    use cphash_hashcore::PartitionConfig;
 
-    /// A server with two client lanes, which share one "asleep" flag.  No
-    /// thread runs it: a test sends, calls [`ServerThread::poll_once`] and
-    /// reads the replies, unless it tests `run`'s idle policy ([`spawn`]).
-    fn test_server(
+    /// A server with two lanes, a client's and, last, the control plane's;
+    /// they share one "asleep" flag.  No thread runs it: a test sends, calls
+    /// [`ServerThread::poll_once`] and reads the replies.
+    pub(crate) fn test_server(
         index: usize,
         router: Arc<EpochRouter>,
     ) -> ([DuplexClient<u64, Response>; 2], ServerThread) {
@@ -658,6 +661,37 @@ mod tests {
         ([client0, client1], server)
     }
 
+    /// Queue `request`'s words whole, as a client does.
+    pub(crate) fn send(client: &mut DuplexClient<u64, Response>, request: &Request) {
+        let (w0, w1) = encode(request);
+        let words = [w0, w1.unwrap_or_default()];
+        assert!(client.send_batch(&words[..1 + usize::from(w1.is_some())]));
+    }
+
+    /// Copy `bytes` into the block a reservation's reply points at, as a
+    /// client does before its `Ready`.
+    pub(crate) fn fill(reservation: Response, bytes: &[u8]) {
+        assert!(reservation.has_value() && bytes.len() <= reservation.value_size());
+        // SAFETY: the server allocated `value_size` bytes at `addr` for this
+        // reservation and neither reads nor frees them before its `Ready`.
+        unsafe {
+            core::ptr::copy_nonoverlapping(
+                bytes.as_ptr(),
+                reservation.addr as *mut u8,
+                bytes.len(),
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{fill, send, test_server};
+    use super::*;
+    use crate::protocol::Request;
+    use cphash_channel::DuplexClient;
+    use cphash_hashcore::{InlineValue, PartitionConfig};
+
     /// A server loop on a thread of its own.
     struct Running {
         stop: Arc<AtomicBool>,
@@ -685,13 +719,6 @@ mod tests {
             self.doorbell.ring();
             self.thread.join().unwrap();
         }
-    }
-
-    /// Queue `request`'s words whole, as a client does.
-    fn send(client: &mut DuplexClient<u64, Response>, request: &Request) {
-        let (w0, w1) = encode(request);
-        let words = [w0, w1.unwrap_or_default()];
-        assert!(client.send_batch(&words[..1 + usize::from(w1.is_some())]));
     }
 
     /// Send `requests` in one flush, let the server make one pass, and read
@@ -879,41 +906,62 @@ mod tests {
         assert_eq!((table.hits, table.deletes, table.deferred_frees), (1, 1, 0));
     }
 
+    /// The entries a `MigrateOut` reply hands partition 1, in order.
+    fn entries_for_partition_1(reply: Response) -> Vec<(u64, Vec<u8>)> {
+        assert!(reply.has_value(), "the chunk is not empty: {reply:?}");
+        // SAFETY: the reply to a `MigrateOut` hands over exactly one export.
+        let batches = unsafe { MigrationExport::from_addr(reply.addr) }.take(1);
+        assert_eq!(
+            reply.meta,
+            batches.iter().map(|b| b.len() as u64).sum::<u64>()
+        );
+        let entries = batches.iter().flat_map(|b| b.iter());
+        entries.map(|(key, bytes)| (key, bytes.to_vec())).collect()
+    }
+
     #[test]
     fn while_a_chunk_drains_lookups_of_its_leaving_keys_bounce_like_writes() {
         // Mid 1 → 2: a reservation of a leaving key holds up its chunk's
         // export.  A lookup of the key served meanwhile could run ahead of
-        // an earlier insert the drain bounced, so it is bounced too.
-        let router = Arc::new(EpochRouter::new(1, 64, 2));
-        router.begin_transition(2).unwrap();
-        let key = (0..).find(|&k| partition_for_key(k, 2) == 1).unwrap();
-        let step = MigrationStep {
-            chunk: cphash_hashcore::migration_chunk(key, router.chunks()),
-            old_partitions: 1,
-            new_partitions: 2,
-        };
-        let ([mut client, mut control], mut server) = test_server(0, router);
-        let reserved = exchange(
-            &mut server,
-            &mut client,
-            &[Request::Insert { key, size: 64 }],
-        )[0];
-        let script = [Request::MigrateOut { step }, Request::Lookup { key }];
-        let bounced = exchange(&mut server, &mut control, &script);
-        assert_eq!(bounced.len(), 1, "the export waits for the reservation");
-        assert!(bounced[0].is_retry() && bounced[0].retry_destination() == 0);
-        let id = reserved.element_id();
-        assert!(exchange(&mut server, &mut client, &[Request::Ready { id }]).is_empty());
-        let exported = recv_one(&mut control);
-        // SAFETY: the server leaked this export for the coordinator to take.
-        let mut export = unsafe { MigrationExport::from_addr(exported.addr) };
-        assert_eq!(exported.meta, 1, "the drain ended at the Ready");
-        let keys: Vec<u64> = export
-            .take(1)
-            .iter()
-            .flat_map(|b| b.iter().map(|(k, _)| k))
-            .collect();
-        assert_eq!(keys, [key]);
+        // an earlier insert the drain bounced, so it is bounced too.  Eight
+        // bytes arrive inside the request instead, so the element is READY
+        // the moment the insert has run and the export takes it at once.
+        for value in [vec![7u8; 8], vec![9u8; 64]] {
+            let router = Arc::new(EpochRouter::new(1, 64, 2));
+            router.begin_transition(2).unwrap();
+            let key = (0..).find(|&k| partition_for_key(k, 2) == 1).unwrap();
+            let step = MigrationStep {
+                chunk: cphash_hashcore::migration_chunk(key, router.chunks()),
+                old_partitions: 1,
+                new_partitions: 2,
+            };
+            let ([mut client, mut control], mut server) = test_server(0, router);
+            let insert = match InlineValue::new(&value) {
+                Some(value) => Request::InsertInline { key, value },
+                None => Request::Insert {
+                    key,
+                    size: value.len() as u64,
+                },
+            };
+            let stored = exchange(&mut server, &mut client, &[insert])[0];
+            let script = [Request::MigrateOut { step }, Request::Lookup { key }];
+            let replies = exchange(&mut server, &mut control, &script);
+            if !stored.has_value() {
+                assert_eq!(replies.len(), 2, "nothing holds up the export");
+                assert_eq!(entries_for_partition_1(replies[0]), [(key, value)]);
+                assert!(replies[1].is_retry() && replies[1].retry_destination() == 1);
+                continue;
+            }
+            assert_eq!(replies.len(), 1, "the export waits for the reservation");
+            assert!(replies[0].is_retry() && replies[0].retry_destination() == 0);
+            fill(stored, &value);
+            let ready = Request::Ready {
+                id: stored.element_id(),
+            };
+            assert!(exchange(&mut server, &mut client, &[ready]).is_empty());
+            let exported = recv_one(&mut control);
+            assert_eq!(entries_for_partition_1(exported), [(key, value)]);
+        }
     }
 
     #[test]
@@ -947,7 +995,7 @@ mod tests {
         let mut moved = Vec::new();
         for receiver in 1..4 {
             for batch in export.take(receiver) {
-                assert!(!batch.is_empty() && !batch.last);
+                assert!(batch.len() > 0 && !batch.last);
                 for (key, bytes) in batch.iter() {
                     assert_eq!(partition_for_key(key, 4), receiver, "key {key}");
                     assert_eq!(bytes, value(key), "key {key}");

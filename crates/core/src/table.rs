@@ -144,7 +144,10 @@ impl CpHash {
                 servers,
                 server_stats,
                 partition_stats,
-                control: Mutex::new(Some(ControlHandle::new(control_lanes, Arc::clone(&router)))),
+                control: Mutex::new(Some(ControlHandle {
+                    lanes: control_lanes,
+                    router: Arc::clone(&router),
+                })),
                 router,
             },
             clients,
@@ -512,7 +515,7 @@ mod tests {
         // The control plane exists exactly once.
         let control = table.take_control().expect("control handle");
         assert!(table.take_control().is_none());
-        assert_eq!(control.servers(), 4);
+        assert_eq!(control.lanes.len(), 4);
         // Ordinary operation is unaffected by the idle servers.
         let client = &mut clients[0];
         for key in 0..100u64 {

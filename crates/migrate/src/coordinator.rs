@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use cphash::control::ControlHandle;
-use cphash::protocol::{MigrationExport, MigrationStep, Request};
+use cphash::protocol::MigrationStep;
 use cphash::router::TransitionError;
 use cphash::TableError;
 
@@ -44,7 +44,7 @@ impl core::fmt::Display for MigrateError {
 impl std::error::Error for MigrateError {}
 
 /// What one completed transition did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Active partitions before the transition.
     pub from_partitions: usize,
@@ -130,120 +130,42 @@ impl RepartitionCoordinator {
         pacer: &mut MigrationPacer,
     ) -> Result<MigrationReport, MigrateError> {
         let router = std::sync::Arc::clone(self.control.router());
-        let chunks = router.chunks();
-        let start = Instant::now();
-        let pacer_before = pacer.stats();
-        if new_partitions == router.active_partitions() {
-            return Ok(MigrationReport {
-                from_partitions: new_partitions,
-                to_partitions: new_partitions,
-                chunks: 0,
-                keys_moved: 0,
-                batches: 0,
-                duration: start.elapsed(),
-                paced_waits: 0,
-                paced_wait: Duration::ZERO,
-            });
-        }
-        let before = router.begin_transition(new_partitions)?;
-        let old = before.new_partitions;
-        let mut keys_moved = 0usize;
-        let mut batches = 0usize;
-
-        for chunk in 0..chunks {
-            pacer.before_chunk();
-            let step = MigrationStep {
-                chunk,
-                old_partitions: old,
-                new_partitions,
-            };
-            let outcome = self.migrate_chunk(step, &mut keys_moved, &mut batches);
-            if let Err(e) = outcome {
-                // A server died mid-chunk: the table is shutting down. The
-                // chunk's keys were either not extracted yet or are being
-                // absorbed by a dead server's ring (freed with it); routing
-                // state no longer matters to anyone, so pin it to the old
-                // count for any stragglers.
-                router.force_complete(old);
-                return Err(e);
-            }
-            router.advance_watermark(chunk + 1);
-        }
-
-        let pacer_after = pacer.stats();
-        Ok(MigrationReport {
-            from_partitions: old,
+        let (start, pacer_before) = (Instant::now(), pacer.stats());
+        let mut report = MigrationReport {
+            from_partitions: new_partitions,
             to_partitions: new_partitions,
-            chunks,
-            keys_moved,
-            batches,
-            duration: start.elapsed(),
-            paced_waits: pacer_after.paced_waits - pacer_before.paced_waits,
-            paced_wait: pacer_after
-                .total_wait
-                .saturating_sub(pacer_before.total_wait),
-        })
-    }
-
-    /// Run the prepare → extract → deliver protocol for one chunk.
-    fn migrate_chunk(
-        &mut self,
-        step: MigrationStep,
-        keys_moved: &mut usize,
-        batches: &mut usize,
-    ) -> Result<(), MigrateError> {
-        let receivers = 0..step.new_partitions;
-        let sources = 0..step.old_partitions;
-
-        // 1. Every receiver learns the chunk is in flight (and acknowledges
-        //    *before* any key leaves a source, so no request can observe the
-        //    gap unannounced).
-        self.control.broadcast(
-            receivers.clone(),
-            |step| Request::MigratePrepare { step },
-            step,
-        )?;
-
-        // 2. Every source extracts its leaving keys, already cut into
-        //    batches per receiver, and ships them back by address.  Sources
-        //    work concurrently; a source blocked on in-flight inserts simply
-        //    answers late.
-        let extracted =
-            self.control
-                .broadcast(sources, |step| Request::MigrateOut { step }, step)?;
-        let mut exports: Vec<Box<MigrationExport>> = extracted
-            .into_iter()
-            .filter(|(_, response)| response.has_value())
-            // SAFETY: the source leaked exactly this export for us via
-            // `Response::with_batch`; ownership transfers here.
-            .map(|(_, response)| unsafe { MigrationExport::from_addr(response.addr) })
-            .collect();
-
-        // 3. Deliver to every prepared receiver the batches each source cut
-        //    for it, one acknowledged round trip each, unread.  Only the
-        //    final one completes the chunk at the receiver.  A receiver with
-        //    nothing to absorb still gets an empty delivery (address
-        //    sentinel 1), which clears its incoming state promptly instead
-        //    of leaving it to expire at the watermark.
-        for dest in receivers {
-            let mut deliveries = exports.iter_mut().flat_map(|e| e.take(dest)).peekable();
-            if deliveries.peek().is_none() {
-                let empty = Request::MigrateIn {
-                    step,
-                    batch_addr: 1,
+            ..MigrationReport::default()
+        };
+        if new_partitions != router.active_partitions() {
+            let old = router.begin_transition(new_partitions)?.new_partitions;
+            (report.from_partitions, report.chunks) = (old, router.chunks());
+            for chunk in 0..report.chunks {
+                pacer.before_chunk();
+                let step = MigrationStep {
+                    chunk,
+                    old_partitions: old,
+                    new_partitions,
                 };
-                self.control.round_trip(dest, &empty)?;
-            }
-            while let Some(mut batch) = deliveries.next() {
-                batch.last = deliveries.peek().is_none();
-                *keys_moved += batch.len();
-                *batches += 1;
-                let batch_addr = batch.into_addr();
-                self.control
-                    .round_trip(dest, &Request::MigrateIn { step, batch_addr })?;
+                let moved = self.control.move_chunk(step).inspect_err(|_| {
+                    // A server died mid-chunk: the table is shutting down.
+                    // The chunk's keys were either not extracted yet or are
+                    // being absorbed by a dead server's ring (freed with it);
+                    // routing state no longer matters to anyone, so pin it
+                    // to the old count for any stragglers.
+                    router.force_complete(old);
+                })?;
+                report.keys_moved += moved.keys;
+                report.batches += moved.batches;
+                router.advance_watermark(chunk + 1);
             }
         }
-        Ok(())
+        let pacer_after = pacer.stats();
+        report.paced_waits = pacer_after.paced_waits - pacer_before.paced_waits;
+        report.paced_wait = pacer_after
+            .total_wait
+            .saturating_sub(pacer_before.total_wait);
+        report.duration = start.elapsed();
+        Ok(report)
     }
 }
 

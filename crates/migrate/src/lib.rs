@@ -12,17 +12,12 @@
 //! chunks below it route with the new partition count, the rest with the
 //! old.  For each chunk the [`RepartitionCoordinator`]:
 //!
-//! 1. sends `MigratePrepare` to every *receiving* server, which then defers
-//!    requests for keys that are in flight towards it;
-//! 2. sends `MigrateOut` to every *source* server, which atomically
-//!    extracts the chunk's leaving keys (waiting for in-flight inserts to
-//!    publish first), writing each straight into a batch for its new owner,
-//!    and hands the batches back by address over its response ring — the
-//!    same shared-memory pointer-passing CPHash uses for values;
-//! 3. forwards each receiver the batches every source cut for it with
-//!    `MigrateIn`, unread, the last one marked final; each receiver absorbs
-//!    from the records and acknowledges;
-//! 4. advances the router watermark, atomically switching client routing
+//! 1. waits for its pacer, if any;
+//! 2. moves the chunk's leaving keys from every source to their new owners
+//!    with [`cphash::ControlHandle::move_chunk`], which steps the core
+//!    crate's `ChunkMove` to the end (the protocol's order and rules are
+//!    [`cphash::control`]'s module docs);
+//! 3. advances the router watermark, atomically switching client routing
 //!    for that chunk to the new layout.
 //!
 //! Requests that race with a move are never wrong, only *redirected*: a
@@ -43,7 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod coordinator;
 pub mod pacer;

@@ -2,8 +2,7 @@
 //! shrinks, and the routing/metadata must agree afterwards.
 
 use cphash::protocol::MAX_BATCH_BYTES;
-use cphash::{CpHash, CpHashConfig, MigrationExport, MigrationStep, Request, Response};
-use cphash_hashcore::{migration_chunk, partition_for_key};
+use cphash::{CpHash, CpHashConfig};
 use cphash_migrate::{MigrateError, RepartitionCoordinator};
 
 /// Every other key an 8-byte value — kept in its element, moved by export →
@@ -16,19 +15,6 @@ fn mixed_value(key: u64) -> Vec<u8> {
     } else {
         word.repeat(8)
     }
-}
-
-/// The entries a `MigrateOut` reply hands partition 1, in order.
-fn entries_for_partition_1(reply: Response) -> Vec<(u64, Vec<u8>)> {
-    assert!(reply.has_value(), "the chunk is not empty: {reply:?}");
-    // SAFETY: the reply to a `MigrateOut` hands over exactly one export.
-    let batches = unsafe { MigrationExport::from_addr(reply.addr) }.take(1);
-    assert_eq!(
-        reply.meta,
-        batches.iter().map(|b| b.len() as u64).sum::<u64>()
-    );
-    let entries = batches.iter().flat_map(|b| b.iter());
-    entries.map(|(key, bytes)| (key, bytes.to_vec())).collect()
 }
 
 fn elastic_table(
@@ -108,63 +94,6 @@ fn values_of_every_size_survive_migration() {
     }
     drop(clients);
     table.shutdown();
-}
-
-#[test]
-fn a_value_that_rides_in_its_request_never_holds_up_a_chunk_export() {
-    let (mut table, mut clients) = CpHash::new(CpHashConfig::new(1, 1).with_max_partitions(2));
-    let chunks = table.config().migration_chunks;
-    let mut control = table.take_control().expect("control handle");
-    let client = &mut clients[0];
-    // Two keys of one chunk that a 1 -> 2 grow takes away from partition 0.
-    let chunk = 0;
-    let mut leaving =
-        (0u64..).filter(|&k| migration_chunk(k, chunks) == chunk && partition_for_key(k, 2) == 1);
-    let (short, long) = (leaving.next().unwrap(), leaving.next().unwrap());
-    let step = MigrationStep {
-        chunk,
-        old_partitions: 1,
-        new_partitions: 2,
-    };
-    let export = |control: &mut cphash::ControlHandle| {
-        let reply = control
-            .round_trip(0, &Request::MigrateOut { step })
-            .unwrap();
-        entries_for_partition_1(reply)
-    };
-
-    let executed = |n: u64| {
-        while table.server_stats()[0].operations() < n {
-            std::thread::yield_now();
-        }
-    };
-
-    // Executed by the server, never polled by the client.  Eight bytes
-    // arrive inside the request, so the element is READY the moment the
-    // insert has run and the export that follows takes it along.  Sent the
-    // two-phase way it would sit NOT-READY until this client copied the
-    // bytes and said `Ready` — and `round_trip` would wait for that for good.
-    client.submit_insert(short, &[7; 8]);
-    client.flush();
-    executed(1);
-    assert_eq!(export(&mut control), vec![(short, vec![7; 8])]);
-
-    // The contrast, on a value that does travel by pointer: the export
-    // finds its reservation NOT-READY and answers only once the client has
-    // copied the bytes in and said so.
-    client.submit_insert(long, &[9; 64]);
-    client.flush();
-    executed(2);
-    control.send(0, &Request::MigrateOut { step }).unwrap();
-    let mut done = Vec::new();
-    client.drain(&mut done).unwrap();
-    let reply = control.recv_blocking(0).unwrap();
-    assert_eq!(entries_for_partition_1(reply), vec![(long, vec![9; 64])]);
-    assert_eq!(done.len(), 2);
-    drop(clients);
-    table.shutdown();
-    let stats = table.partition_stats();
-    assert_eq!((stats.inserts, stats.exported), (2, 2));
 }
 
 #[test]

@@ -10,7 +10,8 @@
 //! which a delete writes and which a key holds before its first write.
 //! The completion tick is taken when the client sees the completion, so it
 //! bounds the true completion from above and the check never rejects a
-//! legal history.  It holds for keys that one client alone writes.
+//! legal history.  It holds for keys that one client alone writes;
+//! [`History::check_shared`] checks keys that several clients write.
 
 #![allow(dead_code)]
 
@@ -127,6 +128,66 @@ impl History {
                         get.submitted,
                         get.completed,
                         overlapping.collect::<Vec<_>>(),
+                    ));
+                }
+            }
+        }
+        Ok(gets)
+    }
+}
+
+impl History {
+    /// Check every get against every client's writes to its key, for keys
+    /// that several clients write.  A get reads the version of a write — a
+    /// miss: a delete's, or the key's absence before its first write —
+    /// submitted before the get completed that no other write surely
+    /// replaced before the get was submitted: one submitted after it
+    /// completed, and completed itself before the get was submitted.  With
+    /// `evicting`, a table that evicted entries, any miss is a legal read.
+    /// On success, the number of gets checked.
+    pub fn check_shared(&self, evicting: bool) -> Result<usize, String> {
+        let events = self.events.lock().expect("history lock");
+        let mut per_key: HashMap<u64, Vec<&Event>> = HashMap::new();
+        for event in events.iter() {
+            per_key.entry(event.key).or_default().push(event);
+        }
+        let mut gets = 0;
+        for (key, ops) in per_key {
+            let writes: Vec<(&Event, Option<u64>)> = ops
+                .iter()
+                .filter_map(|event| match event.kind {
+                    Kind::Write(version) => Some((*event, version)),
+                    Kind::Read(_) => None,
+                })
+                .collect();
+            // Per write, and for the key's absence (`None`), when a later
+            // write surely replaced it: the earliest completion among the
+            // writes submitted after it completed.
+            let replaced = |after: Option<u64>| {
+                let later = writes
+                    .iter()
+                    .filter(|(w, _)| after.is_none_or(|c| w.submitted > c));
+                later.map(|(w, _)| w.completed).min().unwrap_or(u64::MAX)
+            };
+            let absent_until = replaced(None);
+            let candidates: Vec<(u64, Option<u64>, u64)> = writes
+                .iter()
+                .map(|(w, version)| (w.submitted, *version, replaced(Some(w.completed))))
+                .collect();
+            for get in &ops {
+                let Kind::Read(read) = get.kind else {
+                    continue;
+                };
+                gets += 1;
+                let absent = read.is_none() && (evicting || get.submitted < absent_until);
+                let written = candidates.iter().any(|&(submitted, version, until)| {
+                    version == read && submitted < get.completed && get.submitted < until
+                });
+                if !absent && !written {
+                    return Err(format!(
+                        "client {} key {key}: the get of ticks {}..{} read {read:?}, which no \
+                         write left current then",
+                        get.client, get.submitted, get.completed,
                     ));
                 }
             }
@@ -261,6 +322,38 @@ fn history_rejects_a_stale_read() {
     history.push(event(Kind::Read(Some(1)), 6, 7));
     let error = history.check().expect_err("a stale read passed");
     assert!(error.contains("read Some(1)"), "{error}");
+}
+
+#[test]
+fn a_shared_history_rejects_a_replaced_read_and_accepts_an_overlapping_one() {
+    let history = History::default();
+    let event = |client, kind, submitted, completed| Event {
+        client,
+        key: 7,
+        kind,
+        submitted,
+        completed,
+    };
+    // Client 0 writes 1, client 1 writes 2 after it; a get overlapping the
+    // second write may read either.
+    history.push(event(0, Kind::Write(Some(1)), 0, 1));
+    history.push(event(1, Kind::Write(Some(2)), 2, 4));
+    history.push(event(0, Kind::Read(Some(1)), 3, 5));
+    history.push(event(1, Kind::Read(Some(2)), 3, 5));
+    assert_eq!(history.check_shared(false), Ok(2));
+    // Once the second write completed, the first is gone for good.
+    history.push(event(0, Kind::Read(Some(1)), 6, 7));
+    let error = history
+        .check_shared(false)
+        .expect_err("a replaced read passed");
+    assert!(error.contains("read Some(1)"), "{error}");
+    // A miss after a completed write is an eviction, legal only in a table
+    // that evicts.
+    let missed = History::default();
+    missed.push(event(0, Kind::Write(Some(1)), 0, 1));
+    missed.push(event(1, Kind::Read(None), 2, 3));
+    assert!(missed.check_shared(false).is_err());
+    assert_eq!(missed.check_shared(true), Ok(1));
 }
 
 #[test]

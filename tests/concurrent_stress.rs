@@ -2,33 +2,41 @@
 //! capacity pressure, reference-count safety under eviction, and clean
 //! shutdown while traffic is in flight.
 
+#[path = "common/history.rs"]
+mod history;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use cphash_suite::loadgen::{run_cphash, run_lockhash, DriverOptions, WorkloadSpec};
 use cphash_suite::{CompletionKind, CpHash, CpHashConfig, LockHash, LockHashConfig};
 
+use history::{History, Recorder};
+
 #[test]
 fn many_clients_hammer_one_cphash_table() {
     let clients = 4;
     let (mut table, handles) =
         CpHash::new(CpHashConfig::new(4, clients).with_capacity(256 * 1024, 8));
+    let history = Arc::new(History::default());
     let workers: Vec<_> = handles
         .into_iter()
         .enumerate()
         .map(|(i, mut client)| {
+            let history = Arc::clone(&history);
             std::thread::spawn(move || {
+                let mut rec = Recorder::new(&history, i);
                 let mut completions = Vec::new();
                 let mut hits = 0u64;
                 // Interleave pipelined inserts and lookups over a shared key
                 // range so clients collide on partitions constantly.
                 for round in 0..20u64 {
                     for key in 0..2_000u64 {
-                        client.submit_insert(key, &(key + round).to_le_bytes());
-                        client.submit_lookup((key + i as u64 * 17) % 2_000);
+                        rec.submit_insert(&mut client, key, &(key + round).to_le_bytes());
+                        rec.submit_lookup(&mut client, (key + i as u64 * 17) % 2_000);
                     }
                     completions.clear();
-                    client.drain(&mut completions).unwrap();
+                    rec.drain(&mut client, &mut completions).unwrap();
                     for c in &completions {
                         if let CompletionKind::LookupHit(v) = &c.kind {
                             // Any hit must be a value some thread wrote for
@@ -48,6 +56,15 @@ fn many_clients_hammer_one_cphash_table() {
     table.shutdown();
     let stats = table.partition_stats();
     assert!(stats.inserts >= 4 * 20 * 2_000);
+    // Every client writes every key: each get must read a write no other
+    // write surely replaced before the get began.
+    let gets = history
+        .check_shared(stats.evictions > 0)
+        .expect("every get read a current write");
+    eprintln!(
+        "concurrent stress: {gets} gets checked, {} evictions",
+        stats.evictions
+    );
 }
 
 #[test]

@@ -1,12 +1,16 @@
 //! Migration invariants under concurrent load: while a table grows 2→4 and
 //! shrinks 4→2 partitions, client threads keep issuing get/insert/remove,
-//! and **no key may ever be lost, duplicated, or stale**.
+//! and **no key may be lost, stale, or resurrected**.
 //!
 //! Each worker owns a disjoint key slice and tracks a local model of what it
 //! wrote; any divergence between the table and the model — a miss for a
-//! present key, a stale value, a delete disagreeing about presence, a hit
-//! after a delete (a resurrected duplicate), or a lookup pipelined behind an
-//! insert that does not read it — fails the test immediately.
+//! present key, a stale value, a delete disagreeing about presence, or a hit
+//! after a delete (a resurrected duplicate) — fails the test immediately.
+//! Its only pipelined pairs, a lookup behind an insert to its key, share a
+//! lane, so it checks same-lane pipelining (the lookup reads the insert),
+//! not the client's per-key order across a routing change: with
+//! `WriteOrder`'s hold disabled it still passes.  `pipeline_reorder` and
+//! `write_order_gating` are the suites that fail on that mutant.
 
 #[path = "common/history.rs"]
 mod history;
